@@ -3,7 +3,8 @@
 Every parameter flag takes an exact rational: "3/4", "4", or a decimal
 string like "3.25" which converts exactly (base-ten denominator), never
 through a float.  Exit status: 0 success, 1 any failed identity or any
-off-boundary scan disagreement, 2 usage or domain errors.
+off-boundary scan disagreement, 2 usage or domain errors, 3 an internal
+failure (a refinement or separation cap in the exact root layer was hit).
 """
 
 from __future__ import annotations
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

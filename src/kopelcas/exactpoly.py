@@ -9,7 +9,8 @@ comparison, so "leading term" below always means the max exponent tuple.
 The resultant is a Sylvester-matrix determinant evaluated by fraction-free
 (Bareiss) elimination after clearing rational coefficients to integers; every
 intermediate division in that elimination is exact, so no rounding or
-fraction blow-up occurs.
+fraction blow-up occurs.  Dense univariate helpers over Z (primitive parts,
+pseudo-remainders, gcds, exact division) serve the root layer.
 """
 
 from __future__ import annotations
@@ -466,10 +467,8 @@ def gcd_univariate(p: MPoly, q: MPoly, name: str) -> MPoly:
     """Monic gcd of two univariate polynomials in the same variable."""
     _check_var(name)
     _single_var(p, q, name)
-    a = _dense_coeffs(p, name)
-    b = _dense_coeffs(q, name)
-    g = _dense_gcd(a, b)
-    return dense_to_mpoly(g, name)
+    g = _int_gcd(_int_clear(_dense_coeffs(p, name)), _int_clear(_dense_coeffs(q, name)))
+    return dense_to_mpoly([Fraction(c, g[-1]) for c in g], name)
 
 
 def _dense_coeffs(p: MPoly, name: str) -> list[Fraction]:
@@ -496,36 +495,67 @@ def dense_to_mpoly(coeffs: Iterable, name: str) -> MPoly:
     return _raw(out)
 
 
-def _dense_trim(c: list[Fraction]) -> list[Fraction]:
+def _dense_trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
 
 
-def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        t = r[i + len(b) - 1] * inv
+# Dense polynomials over Z: ascending coefficient sequences of Python ints.
+# Every helper scales by positive integers only, so each value keeps its sign.
+
+def _primitive(coeffs) -> tuple[int, ...]:
+    """Divide out the content."""
+    content = gcd(*coeffs)
+    if content > 1:
+        return tuple(c // content for c in coeffs)
+    return tuple(coeffs)
+
+
+def _int_clear(dense: list[Fraction]) -> tuple[int, ...]:
+    """Scale rational coefficients by a positive rational to primitive integers."""
+    mult = lcm(*[c.denominator for c in dense])
+    return _primitive([c.numerator * (mult // c.denominator) for c in dense])
+
+
+def _pseudo_rem(f, g) -> list[int]:
+    """A positive integer multiple of the remainder of f modulo g."""
+    r = list(f)
+    if g[-1] < 0:
+        g = [-c for c in g]  # same remainder, positive leading coefficient
+    lead, n = g[-1], len(g)
+    while len(r) >= n:
+        t = r.pop()
         if t:
-            q[i] = t
-            for j, bc in enumerate(b):
-                r[i + j] -= t * bc
-    return _dense_trim(q), _dense_trim(r)
+            shift = len(r) + 1 - n
+            q, rest = divmod(t, lead)
+            if rest:
+                r = [c * lead for c in r]
+                q = t
+            for j in range(n - 1):
+                r[shift + j] -= q * g[j]
+    return _dense_trim(r)
 
 
-def _dense_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _dense_trim(a[:]), _dense_trim(b[:])
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
+def _int_gcd(f, g) -> tuple[int, ...]:
+    """Primitive gcd with positive leading coefficient (primitive remainder sequence)."""
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        f, g = g, _primitive(_pseudo_rem(f, g))
+    return tuple(-c for c in f) if f and f[-1] < 0 else f
+
+
+def _exact_div(f, g) -> list[int]:
+    """f / g for a primitive g dividing f; the quotient is integral by Gauss's lemma."""
+    r = list(f)
+    n = len(g)
+    quot = [0] * (len(f) - n + 1)
+    for i in range(len(f) - n, -1, -1):
+        t = quot[i] = r[i + n - 1] // g[-1]
+        if t:
+            for j in range(n):
+                r[i + j] -= t * g[j]
+    return quot
 
 
 # -- parsing ---------------------------------------------------------------

@@ -21,7 +21,9 @@ import numpy as np
 
 from .exactpoly import A, B, MPoly, ONE, U, V, X, Y, dense_to_mpoly
 from .rational import coerce_rational, format_rational
-from .realroots import AlgebraicReal, algebraic_image, isolate_real_roots, sign_at
+from .realroots import (
+    AlgebraicReal, _sign_dense_at, algebraic_image, isolate_real_roots, sign_at,
+)
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -121,8 +123,8 @@ def triangular_system():
     return [Y, X], [y_relation(), equilibrium_cubic()]
 
 
-def _y_image_poly(v: Fraction) -> MPoly:
-    return v * X - v * X**2
+# y = v x (1 - x) has the sign of x (1 - x), since v > 0
+_Y_SIGN = (0, 1, -1)
 
 
 class Equilibrium:
@@ -138,19 +140,21 @@ class Equilibrium:
         self.x_root = x_root
         self.params = params
         self.is_positive = (x_root.compare_rational(0) > 0
-                            and sign_at(_y_image_poly(params.v), x_root) > 0)
+                            and _sign_dense_at(_Y_SIGN, x_root) > 0)
         self._in_unit_square = None
         self._y = None
 
     @property
     def in_unit_square(self) -> bool:
         if self._in_unit_square is None:
-            y_poly = _y_image_poly(self.params.v)
+            v = self.params.v
+            # v x (1 - x) - 1, scaled by v's denominator
+            y_minus_one = (-v.denominator, v.numerator, -v.numerator)
             self._in_unit_square = (
                 self.x_root.compare_rational(0) >= 0
                 and self.x_root.compare_rational(1) <= 0
-                and sign_at(y_poly, self.x_root) >= 0
-                and sign_at(y_poly - 1, self.x_root) <= 0
+                and _sign_dense_at(_Y_SIGN, self.x_root) >= 0
+                and _sign_dense_at(y_minus_one, self.x_root) <= 0
             )
         return self._in_unit_square
 
@@ -161,7 +165,8 @@ class Equilibrium:
     @property
     def y_root(self) -> AlgebraicReal:
         if self._y is None:
-            self._y = algebraic_image(self.x_root, _y_image_poly(self.params.v), "y")
+            v = self.params.v
+            self._y = algebraic_image(self.x_root, v * X - v * X**2, "y")
         return self._y
 
     @property

@@ -1,30 +1,35 @@
 """Real-root isolation and exact sign evaluation for univariate polynomials.
 
 A real algebraic number is stored as a square-free defining polynomial with
-integer coefficients plus an isolating interval with rational endpoints.  The
-stored interval always has non-root endpoints, so the root lies strictly
-inside (lo, hi); a rational root is stored exactly as lo == hi.  Root counting
-uses Sturm sequences and interval splitting uses plain bisection; a bisection
-point that happens to hit a root exactly is snapped to an exact rational root
-on the spot, which is also what keeps every interval endpoint off the roots.
+primitive integer coefficients plus an isolating window with dyadic endpoints
+(a / 2**k, b / 2**k), kept as the integers a, b, k.  The endpoints are never
+roots, so the root lies strictly inside; a rational root is stored exactly, as
+a Fraction, instead.  Isolation starts from a power-of-two root bound, counts
+roots with Sturm sequences and bisects, so every endpoint stays dyadic; a
+bisection point that hits a root is snapped to an exact rational root on the
+spot, which is also what keeps every endpoint off the roots.
 
 All decisions below (membership, signs, comparisons) are certified by exact
-rational arithmetic; floats appear only as a cached approximation.
+integer arithmetic: polynomials are scaled by positive integers only and
+dyadic points by shifts, which keeps every sign.  Fractions appear only at
+the edges (MPoly input, rational roots, lo/hi); floats only as a cached
+approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
-from math import lcm
+from functools import cmp_to_key
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
 from .exactpoly import (
-    MPoly, _dense_coeffs, _dense_divmod, _dense_gcd, _dense_trim,
-    dense_to_mpoly,
+    MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
+    _pseudo_rem, dense_to_mpoly,
 )
 
 # Rational-root snapping is attempted only when divisor enumeration is cheap:
-# both cleared end coefficients at most _SNAP_VALUE_LIMIT and at most
+# both end coefficients at most _SNAP_VALUE_LIMIT and at most
 # _SNAP_PAIR_LIMIT candidate fractions.  Beyond that, isolation falls back to
 # pure bisection, which is still exact (the root just stays an interval).
 _SNAP_VALUE_LIMIT = 10**6
@@ -34,11 +39,7 @@ _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 
 
 def _sign(value) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
+    return (value > 0) - (value < 0)
 
 
 def _univar(p: MPoly) -> tuple[str | None, list[Fraction]]:
@@ -51,26 +52,12 @@ def _univar(p: MPoly) -> tuple[str | None, list[Fraction]]:
     return name, _dense_coeffs(p, name)
 
 
-def _int_clear(dense: list[Fraction]) -> tuple[int, ...]:
-    """Scale by a positive rational to primitive integer coefficients."""
-    if not dense:
-        return ()
-    mult = lcm(*[c.denominator for c in dense])
-    ints = [int(c * mult) for c in dense]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    return tuple(ints)
-
-
-def _dense_derivative(coeffs):
+def _derivative(coeffs) -> list[int]:
     return [coeffs[k] * k for k in range(1, len(coeffs))]
 
 
-def _int_derivative(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(coeffs[k] * k for k in range(1, len(coeffs)))
+def _minus(f, g) -> list[int]:
+    return _dense_trim([x - y for x, y in zip_longest(f, g, fillvalue=0)])
 
 
 def _eval_int_at(coeffs, num: int, den: int) -> int:
@@ -84,137 +71,195 @@ def _eval_int_at(coeffs, num: int, den: int) -> int:
     return acc
 
 
-def _sign_int_at(coeffs, point: Fraction) -> int:
-    if not coeffs:
-        return 0
-    return _sign(_eval_int_at(coeffs, point.numerator, point.denominator))
+def _eval_dyadic(coeffs, a: int, k: int) -> int:
+    """Sign-faithful scaled value: 2**(k*deg) * p(a / 2**k)."""
+    it = reversed(coeffs)
+    acc = next(it)
+    shift = 0
+    for c in it:
+        shift += k
+        acc = acc * a + (c << shift)
+    return acc
 
 
-def _sturm_chain(dense: list[Fraction]) -> list[tuple[int, ...]]:
-    """Sturm sequence of a square-free polynomial, int-cleared per element."""
-    chain_fr = [dense, _dense_derivative(dense)]
-    while len(_dense_trim(chain_fr[-1][:])) > 1:
-        _, r = _dense_divmod(chain_fr[-2], chain_fr[-1])
-        if not r:
-            break
-        chain_fr.append([-c for c in r])
-    return [_int_clear(c) for c in chain_fr if _dense_trim(c[:])]
-
-def _variations(chain, point: Fraction) -> int:
-    count = 0
-    prev = 0
-    for coeffs in chain:
-        s = _sign_int_at(coeffs, point)
-        if s and prev and s != prev:
-            count += 1
-        if s:
-            prev = s
-    return count
+def _interval_horner(coeffs, a: int, b: int, k: int) -> tuple[int, int]:
+    """Bounds of 2**(k*deg) * p(x) over x in [a / 2**k, b / 2**k] (interval Horner)."""
+    it = reversed(coeffs)
+    lo = hi = next(it)
+    shift = 0
+    for c in it:
+        shift += k
+        c <<= shift
+        if a >= 0:
+            lo, hi = (lo * a if lo >= 0 else lo * b) + c, (hi * b if hi >= 0 else hi * a) + c
+        elif b <= 0:
+            lo, hi = (hi * a if hi >= 0 else hi * b) + c, (lo * a if lo <= 0 else lo * b) + c
+        else:
+            p1, p2, p3, p4 = lo * a, lo * b, hi * a, hi * b
+            lo, hi = min(p1, p2, p3, p4) + c, max(p1, p2, p3, p4) + c
+    return lo, hi
 
 
-def _count_open(chain, lo: Fraction, hi: Fraction) -> int:
-    """Roots of chain[0] in (lo, hi); endpoints must not be roots."""
-    return _variations(chain, lo) - _variations(chain, hi)
+def _square_free_int(f) -> list[tuple[tuple[int, ...], int]]:
+    """Yun's algorithm on a primitive integer polynomial of degree >= 1.
 
-
-def _cauchy_bound(coeffs: tuple[int, ...]) -> Fraction:
-    top = abs(coeffs[-1])
-    rest = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
-    return 1 + Fraction(rest, top)
-
-
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Conservative bounds of the polynomial's range over [lo, hi] (interval Horner)."""
-    alo = ahi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
-        alo = min(p1, p2, p3, p4) + c
-        ahi = max(p1, p2, p3, p4) + c
-    return alo, ahi
-
-
-def _divisors(n: int) -> list[int]:
+    Factors come back primitive with a positive leading coefficient.  Each
+    division is by a primitive divisor, so every quotient stays integral.
+    """
+    df = _derivative(f)
+    a0 = _int_gcd(f, df)
+    if len(a0) == 1:
+        return [(_int_gcd(f, ()), 1)]  # f itself, leading coefficient made positive
+    b = _exact_div(f, a0)
+    d = _minus(_exact_div(df, a0), _derivative(b))
     out = []
     i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
+    while len(b) > 1:
+        ai = _int_gcd(b, d)
+        if len(ai) > 1:
+            out.append((ai, i))
+        b = _exact_div(b, ai)
+        d = _minus(_exact_div(d, ai), _derivative(b))
         i += 1
     return out
 
 
-def _divide_out_root(coeffs: tuple[int, ...], root: Fraction) -> tuple[int, ...]:
-    """Exact synthetic division of an integer polynomial by (x - root)."""
-    fr = [Fraction(c) for c in coeffs]
-    out = []
-    acc = Fraction(0)
-    for c in reversed(fr):
-        acc = acc * root + c if out else Fraction(c)
-        out.append(acc)
-    # out holds the Horner prefix values; the last is p(root), which must be 0
-    assert out[-1] == 0
-    quot = out[:-1]
-    quot.reverse()
-    return _int_clear(quot)
+def _sturm_chain(coeffs) -> list[tuple[int, ...]]:
+    """Sturm sequence of a square-free polynomial, each element primitive.
+
+    Remainders are taken up to a positive factor, which keeps the signs that
+    the variation count reads.
+    """
+    chain = [tuple(coeffs), _primitive(_derivative(coeffs))]
+    while len(chain[-1]) > 1:
+        r = _pseudo_rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_primitive([-c for c in r]))
+    return chain
+
+
+def _variations(values) -> int:
+    """Sign changes along a sequence of values, zeros skipped."""
+    count = 0
+    prev = 0
+    for value in values:
+        if value:
+            if prev and (value > 0) != (prev > 0):
+                count += 1
+            prev = value
+    return count
+
+
+def _halve(coeffs, slo: int, a: int, b: int, k: int) -> tuple[int, int, int]:
+    """One bisection step of the window (a, b) / 2**k around a simple root.
+
+    slo is the polynomial's sign left of the root.  Returns the half that
+    keeps the root, or (m, m, k) when the midpoint m / 2**k is the root.
+    """
+    m = a + b
+    k += 1
+    s = _sign(_eval_dyadic(coeffs, m, k))
+    if s == 0:
+        return m, m, k
+    if s == slo:
+        return m, b << 1, k
+    return a << 1, m, k
+
+
+def _dyadic_window(coeffs, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """A dyadic window inside (lo, hi) around the one simple root there.
+
+    Returns a == b when a grid point hits the root.
+    """
+    if _eval_int_at(coeffs, lo.numerator, lo.denominator) * \
+            _eval_int_at(coeffs, hi.numerator, hi.denominator) >= 0:
+        raise ValueError("(lo, hi) must isolate a simple root with non-root endpoints")
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    while True:
+        a = -((-lo.numerator << k) // lo.denominator)  # ceil(lo * 2**k)
+        b = (hi.numerator << k) // hi.denominator  # floor(hi * 2**k)
+        if a < b:
+            va, vb = _eval_dyadic(coeffs, a, k), _eval_dyadic(coeffs, b, k)
+            if va == 0 or vb == 0:
+                return (a, a, k) if va == 0 else (b, b, k)
+            if (va > 0) != (vb > 0):
+                return a, b, k
+        k += 1
+
+
+def _divisors(n: int) -> list[int]:
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def _strip_rational_roots(coeffs: tuple[int, ...]) -> tuple[list[Fraction], tuple[int, ...]]:
-    """Snap rational roots of a square-free integer polynomial, within budget."""
-    roots: list[Fraction] = []
-    work = list(coeffs)
-    while work and work[0] == 0:
-        roots.append(Fraction(0))
-        work.pop(0)
-    work_t = tuple(work)
-    if len(work_t) <= 1:
-        return roots, work_t
-    a0, an = abs(work_t[0]), abs(work_t[-1])
+    """Snap rational roots of a square-free integer polynomial, within budget.
+
+    A root s/q in lowest terms has s | f(0) and q | lead(f), and f = (q x - s) g
+    with g integral, so (q - s) | f(1) and (q + s) | f(-1): those two filters
+    rule out most candidates before any evaluation.
+    """
+    roots = [Fraction(0)] if coeffs[0] == 0 else []  # square-free: 0 is a simple root
+    work = tuple(coeffs[len(roots):])
+    if len(work) <= 1:
+        return roots, work
+    a0, an = abs(work[0]), abs(work[-1])
     if a0 > _SNAP_VALUE_LIMIT or an > _SNAP_VALUE_LIMIT:
-        return roots, work_t
-    num_divs = _divisors(a0)
-    den_divs = _divisors(an)
+        return roots, work
+    num_divs, den_divs = _divisors(a0), _divisors(an)
     if 2 * len(num_divs) * len(den_divs) > _SNAP_PAIR_LIMIT:
-        return roots, work_t
-    candidates = set()
-    for p in num_divs:
-        for q in den_divs:
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for r in sorted(candidates):
-        if len(work_t) <= 1:
-            break
-        if _eval_int_at(work_t, r.numerator, r.denominator) == 0:
-            roots.append(r)
-            work_t = _divide_out_root(work_t, r)
-    return roots, work_t
+        return roots, work
+    at_one, at_minus_one = sum(work), _eval_int_at(work, -1, 1)
+    for q in den_divs:
+        for p in num_divs:
+            if gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                if (s != q and at_one % (q - s)) or (s != -q and at_minus_one % (q + s)):
+                    continue
+                if _eval_int_at(work, s, q) == 0:
+                    roots.append(Fraction(s, q))
+                    work = tuple(_exact_div(work, (-s, q)))
+                    if len(work) <= 1:
+                        return roots, work
+                    at_one, at_minus_one = sum(work), _eval_int_at(work, -1, 1)
+    return roots, work
 
 
 class AlgebraicReal:
     """A real root of a square-free integer polynomial, isolated exactly.
 
-    lo == hi means the root is the exact rational lo.  Otherwise the single
-    root sits strictly inside (lo, hi) and the endpoints are not roots.
+    Either the root is an exact rational (is_rational, lo == hi == value), or
+    it is the one root strictly inside the dyadic window (a / 2**k, b / 2**k),
+    whose endpoints are not roots.  lo and hi give the window as Fractions.
     """
 
-    __slots__ = ("_var", "_coeffs", "_lo", "_hi", "_mult", "_approx", "_poly")
+    __slots__ = ("_var", "_coeffs", "_value", "_a", "_b", "_k", "_slo", "_mult",
+                 "_approx", "_poly")
 
-    def __init__(self, var: str, coeffs: tuple[int, ...], lo: Fraction, hi: Fraction,
-                 multiplicity: int = 1):
-        self._var = var
-        self._coeffs = coeffs
-        self._lo = lo
-        self._hi = hi
-        self._mult = multiplicity
-        self._approx = None
-        self._poly = None
+    def __init__(self, var: str, coeffs: tuple[int, ...], lo, hi, multiplicity: int = 1):
+        """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root."""
+        lo, hi = Fraction(lo), Fraction(hi)
+        self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
+        self._value = self._approx = self._poly = None
+        if lo == hi:
+            self._value = lo
+        else:
+            self._adopt(*_dyadic_window(self._coeffs, lo, hi))
+
+    @classmethod
+    def _from_window(cls, var, coeffs, a, b, k, multiplicity, slo=0) -> "AlgebraicReal":
+        out = cls.__new__(cls)
+        out._var, out._coeffs, out._mult, out._slo = var, coeffs, multiplicity, slo
+        out._value = out._approx = out._poly = None
+        out._adopt(a, b, k)
+        return out
 
     @classmethod
     def from_rational(cls, value, var: str = "x", multiplicity: int = 1) -> "AlgebraicReal":
         value = Fraction(value)
-        coeffs = _int_clear([-value, Fraction(1)])
-        return cls(var, coeffs, value, value, multiplicity)
+        return cls(var, (-value.numerator, value.denominator), value, value, multiplicity)
 
     @property
     def var(self) -> str:
@@ -222,11 +267,11 @@ class AlgebraicReal:
 
     @property
     def lo(self) -> Fraction:
-        return self._lo
+        return self._value if self._value is not None else Fraction(self._a, 1 << self._k)
 
     @property
     def hi(self) -> Fraction:
-        return self._hi
+        return self._value if self._value is not None else Fraction(self._b, 1 << self._k)
 
     @property
     def multiplicity_in_source(self) -> int:
@@ -234,178 +279,178 @@ class AlgebraicReal:
 
     @property
     def is_rational(self) -> bool:
-        return self._lo == self._hi
+        return self._value is not None
 
     @property
     def value(self) -> Fraction:
-        if not self.is_rational:
+        if self._value is None:
             raise ValueError("not an exactly known rational root")
-        return self._lo
+        return self._value
 
     @property
     def defining_poly(self) -> MPoly:
         if self._poly is None:
-            self._poly = dense_to_mpoly([Fraction(c) for c in self._coeffs], self._var)
+            self._poly = dense_to_mpoly(self._coeffs, self._var)
         return self._poly
 
     @property
     def approx(self) -> float:
-        """Double float within one rounding step of the root (cached)."""
+        """The double nearest the root (cached)."""
         if self._approx is None:
-            if self.is_rational:
-                self._approx = float(self._lo)
+            if self._value is not None:
+                self._approx = float(self._value)
             else:
-                lo, hi = self._lo, self._hi
-                slo = _sign_int_at(self._coeffs, lo)
-                while True:
-                    scale = max(Fraction(1), min(abs(lo), abs(hi))) if lo * hi > 0 else Fraction(1)
-                    if hi - lo <= scale * Fraction(1, 2**53):
-                        break
-                    mid = (lo + hi) / 2
-                    smid = _sign_int_at(self._coeffs, mid)
-                    if smid == 0:
-                        lo = hi = mid
-                        break
-                    if smid == slo:
-                        lo = mid
-                    else:
-                        hi = mid
-                self._approx = float((lo + hi) / 2)
+                a, b, k = self._a, self._b, self._k
+                slo = self._lower_sign()
+                # rounding is monotone: once both ends round to the same
+                # double, so does every point between them
+                while a != b and a / (1 << k) != b / (1 << k):
+                    a, b, k = _halve(self._coeffs, slo, a, b, k)
+                self._approx = a / (1 << k)
         return self._approx
 
     def __float__(self) -> float:
         return self.approx
 
+    def _lower_sign(self) -> int:
+        """Sign of the defining polynomial left of the root (at lo), cached."""
+        if not self._slo:
+            self._slo = _sign(_eval_dyadic(self._coeffs, self._a, self._k))
+        return self._slo
+
     def _step(self) -> "AlgebraicReal":
         """One bisection step; snaps to exact if the midpoint is the root."""
-        if self.is_rational:
+        if self._value is not None:
             return self
-        mid = (self._lo + self._hi) / 2
-        smid = _sign_int_at(self._coeffs, mid)
-        if smid == 0:
-            return AlgebraicReal(self._var, self._coeffs, mid, mid, self._mult)
-        if smid == _sign_int_at(self._coeffs, self._lo):
-            return AlgebraicReal(self._var, self._coeffs, mid, self._hi, self._mult)
-        return AlgebraicReal(self._var, self._coeffs, self._lo, mid, self._mult)
+        window = _halve(self._coeffs, self._lower_sign(), self._a, self._b, self._k)
+        return AlgebraicReal._from_window(self._var, self._coeffs, *window, self._mult, self._slo)
 
-    def _adopt(self, other: "AlgebraicReal") -> None:
+    def _adopt(self, a: int, b: int, k: int) -> None:
         """Keep a tighter window found while answering a query.
 
-        The represented number is unchanged, so cached values stay valid;
-        only a defining-polynomial swap invalidates the MPoly cache.
+        a == b means the exact root a / 2**k.  The represented number is
+        unchanged, so the cached approximation and polynomial stay valid.
         """
-        if other._coeffs is not self._coeffs:
-            self._poly = other._poly
-            self._coeffs = other._coeffs
-        self._lo = other._lo
-        self._hi = other._hi
-        if self._approx is None and other._approx is not None:
-            self._approx = other._approx
+        if a == b:
+            self._value = Fraction(a, 1 << k)
+        else:
+            self._a, self._b, self._k = a, b, k
 
     def refine(self, width_bound) -> "AlgebraicReal":
         """Shrink the isolating interval to at most the given width."""
         width_bound = Fraction(width_bound)
         if width_bound <= 0:
             raise ValueError("width bound must be positive")
-        current = self
-        steps = 0
-        while not current.is_rational and current._hi - current._lo > width_bound:
-            current = current._step()
-            steps += 1
-            if steps > _REFINE_CAP:
+        if self._value is not None:
+            return self
+        num, den = width_bound.numerator, width_bound.denominator
+        a, b, k = self._a, self._b, self._k
+        while a != b and (b - a) * den > num << k:
+            if k - self._k >= _REFINE_CAP:
                 raise RuntimeError("refinement failed to converge")
-        return current
+            a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k)
+        if k == self._k:
+            return self
+        return AlgebraicReal._from_window(self._var, self._coeffs, a, b, k, self._mult, self._slo)
 
     def compare_rational(self, other) -> int:
         """Sign of (self - other) for an exact rational other."""
         other = Fraction(other)
-        if self.is_rational:
-            return _sign(self._lo - other)
-        current = self
+        if self._value is not None:
+            return _sign(self._value - other)
+        num, den = other.numerator, other.denominator
+        a, b, k = self._a, self._b, self._k
         try:
             while True:
-                if other <= current._lo:
+                if num << k <= a * den:
                     return 1
-                if other >= current._hi:
+                if num << k >= b * den:
                     return -1
-                if _sign_int_at(current._coeffs, other) == 0:
-                    # the only root of the defining polynomial in (lo, hi)
-                    current = AlgebraicReal(self._var, current._coeffs, other,
-                                            other, self._mult)
+                if _eval_int_at(self._coeffs, num, den) == 0:
+                    # the only root of the defining polynomial in the window
+                    self._value = other
                     return 0
-                current = current._step()
+                a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k)
         finally:
-            if current is not self:
-                self._adopt(current)
+            if self._value is None and k != self._k:
+                self._adopt(a, b, k)
 
     def __repr__(self) -> str:
         if self.is_rational:
-            return f"AlgebraicReal({self._var}={self._lo})"
-        return f"AlgebraicReal({self._var} in ({self._lo}, {self._hi}])"
+            return f"AlgebraicReal({self._var}={self._value})"
+        return f"AlgebraicReal({self._var} in ({self.lo}, {self.hi}])"
 
 
 def _isolate_square_free(coeffs: tuple[int, ...]):
     """Isolate all real roots of a square-free integer polynomial.
 
-    Returns (exact_roots, intervals, final_coeffs): rational roots snapped
-    when a bisection point hits one, open isolating intervals for the rest,
-    and the (possibly deflated) defining polynomial valid for every interval.
+    Returns (exact_roots, windows, final_coeffs): rational roots snapped when
+    a bisection point hits one, dyadic windows (a, b, k) for the rest, and
+    the (possibly deflated) defining polynomial valid for every window.
     """
-    exact_roots: list[Fraction] = []
-    intervals: list[tuple[Fraction, Fraction]] = []
-    if len(coeffs) <= 1:
-        return exact_roots, intervals, coeffs
-    chain = _sturm_chain([Fraction(c) for c in coeffs])
-    bound = _cauchy_bound(coeffs)
-    total = _count_open(chain, -bound, bound)
-    stack = [(-bound, bound, total)]
+    exact_roots, windows = [], []
+    chain = _sturm_chain(coeffs)
+
+    def var_at(a, k):
+        return _variations(_eval_dyadic(p, a, k) for p in chain)
+
+    # Cauchy: every root has |x| < 1 + max|c_i| / |lead| <= 2**e
+    rest = max(abs(c) for c in coeffs[:-1])
+    e = max(rest.bit_length() - abs(coeffs[-1]).bit_length() + 1, 0) + 1
+    # each entry: a window with the Sturm variation counts at its two ends
+    stack = [(-1 << e, 1 << e, 0, var_at(-1 << e, 0), var_at(1 << e, 0))]
     while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if _sign_int_at(coeffs, mid) == 0:
-            # bisection landed on a root: snap it and deflate
-            exact_roots.append(mid)
-            coeffs = _divide_out_root(coeffs, mid)
-            chain = _sturm_chain([Fraction(c) for c in coeffs])
-            stack.append((lo, hi, _count_open(chain, lo, hi)))
-            continue
-        left = _count_open(chain, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, cnt - left))
-    return exact_roots, intervals, coeffs
+        a, b, k, va, vb = stack.pop()
+        if va - vb == 1:
+            windows.append((a, b, k))
+        elif va - vb > 1:
+            m = a + b
+            if _eval_dyadic(coeffs, m, k + 1) == 0:
+                # bisection landed on a root: snap it, deflate, recount
+                root = Fraction(m, 1 << (k + 1))
+                exact_roots.append(root)
+                coeffs = tuple(_exact_div(coeffs, (-root.numerator, root.denominator)))
+                chain = _sturm_chain(coeffs)
+                stack = [(a_, b_, k_, var_at(a_, k_), var_at(b_, k_))
+                         for a_, b_, k_, _, _ in stack + [(a, b, k, 0, 0)]]
+                continue
+            vm = var_at(m, k + 1)
+            stack.append((a << 1, m, k + 1, va, vm))
+            stack.append((m, b << 1, k + 1, vm, vb))
+    return exact_roots, windows, coeffs
 
 
-def _overlaps(a: AlgebraicReal, b: AlgebraicReal) -> bool:
-    if a.is_rational and b.is_rational:
-        return False  # distinct exact values never clash
-    if a.is_rational:
-        return b.lo < a.lo < b.hi
-    if b.is_rational:
-        return a.lo < b.lo < a.hi
-    return max(a.lo, b.lo) < min(a.hi, b.hi)
+def _ends(r: AlgebraicReal) -> tuple[int, int, int]:
+    """(lo numerator, hi numerator, common denominator) of r's window."""
+    if r._value is not None:
+        return r._value.numerator, r._value.numerator, r._value.denominator
+    return r._a, r._b, 1 << r._k
+
+
+def _order(x: AlgebraicReal, y: AlgebraicReal) -> int:
+    """Compare by (lo, hi)."""
+    (xl, xh, xd), (yl, yh, yd) = _ends(x), _ends(y)
+    return _sign(xl * yd - yl * xd) or _sign(xh * yd - yh * xd)
+
+
+def _overlaps(x: AlgebraicReal, y: AlgebraicReal) -> bool:
+    """Open windows meet; an exact root clashes only with a window strictly around it."""
+    (xl, xh, xd), (yl, yh, yd) = _ends(x), _ends(y)
+    return xl * yd < yh * xd and yl * xd < xh * yd
 
 
 def _make_disjoint(items: list[AlgebraicReal]) -> list[AlgebraicReal]:
-    guard = 0
-    while True:
-        items.sort(key=lambda r: (r.lo, r.hi))
+    for _ in range(_REFINE_CAP):
+        items.sort(key=cmp_to_key(_order))
         clashes = False
         for i in range(len(items) - 1):
-            a, b = items[i], items[i + 1]
-            if _overlaps(a, b):
-                items[i] = a._step()
-                items[i + 1] = b._step()
+            if _overlaps(items[i], items[i + 1]):
+                items[i] = items[i]._step()
+                items[i + 1] = items[i + 1]._step()
                 clashes = True
         if not clashes:
             return items
-        guard += 1
-        if guard > _REFINE_CAP:
-            raise RuntimeError("failed to separate root intervals")
+    raise RuntimeError("failed to separate root intervals")
 
 
 def square_free_decompose(p: MPoly) -> list[tuple[MPoly, int]]:
@@ -419,43 +464,8 @@ def square_free_decompose(p: MPoly) -> list[tuple[MPoly, int]]:
         if not dense:
             raise ValueError("cannot decompose the zero polynomial")
         return []
-    factors = _square_free_dense(dense)
-    return [(dense_to_mpoly(f, var), m) for f, m in factors]
-
-
-def _square_free_dense(dense: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm over Q; factors come back monic."""
-    f = _dense_trim(dense[:])
-    if len(f) <= 1:
-        return []
-    df = _dense_derivative(f)
-    a0 = _dense_gcd(f, df)
-    if len(a0) == 1:
-        inv = 1 / f[-1]
-        return [([c * inv for c in f], 1)]
-    b, _ = _dense_divmod(f, a0)
-    c, _ = _dense_divmod(df, a0)
-    d = _dense_trim([ci - bi for ci, bi in
-                     zip_longest_zero(c, _dense_derivative(b))])
-    out: list[tuple[list[Fraction], int]] = []
-    i = 1
-    while len(b) > 1:
-        ai = _dense_gcd(b, d)
-        if len(ai) > 1:
-            out.append((ai, i))
-        b, _ = _dense_divmod(b, ai)
-        cnext, _ = _dense_divmod(d, ai)
-        d = _dense_trim([ci - bi for ci, bi in
-                         zip_longest_zero(cnext, _dense_derivative(b))])
-        i += 1
-    return out
-
-
-def zip_longest_zero(a, b):
-    n = max(len(a), len(b))
-    zero = Fraction(0)
-    for i in range(n):
-        yield (a[i] if i < len(a) else zero), (b[i] if i < len(b) else zero)
+    return [(dense_to_mpoly([Fraction(c, f[-1]) for c in f], var), m)
+            for f, m in _square_free_int(_int_clear(dense))]
 
 
 def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
@@ -471,17 +481,14 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
             raise ValueError("cannot isolate roots of the zero polynomial")
         return []
     items: list[AlgebraicReal] = []
-    for factor, mult in _square_free_dense(dense):
-        fi = _int_clear(factor)
-        rational, rest = _strip_rational_roots(fi)
-        for r in rational:
-            items.append(AlgebraicReal.from_rational(r, var, mult))
+    for factor, mult in _square_free_int(_int_clear(dense)):
+        rational, rest = _strip_rational_roots(factor)
         if len(rest) > 1:
-            exacts, intervals, final = _isolate_square_free(rest)
-            for r in exacts:
-                items.append(AlgebraicReal.from_rational(r, var, mult))
-            for lo, hi in intervals:
-                items.append(AlgebraicReal(var, final, lo, hi, mult))
+            exacts, windows, rest = _isolate_square_free(rest)
+            rational += exacts
+            items += [AlgebraicReal._from_window(var, rest, a, b, k, mult)
+                      for a, b, k in windows]
+        items += [AlgebraicReal.from_rational(r, var, mult) for r in rational]
     return _make_disjoint(items)
 
 
@@ -499,11 +506,13 @@ def sturm_sign_count(p: MPoly, lo, hi) -> int:
         if not dense:
             raise ValueError("zero polynomial")
         return 0
-    ints = _int_clear(dense)
-    if _sign_int_at(ints, lo) == 0 or _sign_int_at(ints, hi) == 0:
+    coeffs = _int_clear(dense)
+    ends = [(t.numerator, t.denominator) for t in (lo, hi)]
+    if any(_eval_int_at(coeffs, num, den) == 0 for num, den in ends):
         raise ValueError("interval endpoint is a root")
-    chain = _sturm_chain(dense)
-    return _count_open(chain, lo, hi)
+    chain = _sturm_chain(coeffs)
+    v_lo, v_hi = (_variations(_eval_int_at(c, num, den) for c in chain) for num, den in ends)
+    return v_lo - v_hi
 
 
 def sign_at(q: MPoly, alpha: AlgebraicReal) -> int:
@@ -511,41 +520,39 @@ def sign_at(q: MPoly, alpha: AlgebraicReal) -> int:
     var, dense = _univar(q)
     if var is not None and var != alpha.var:
         raise ValueError(f"q is in {var!r} but the point is in {alpha.var!r}")
-    return _sign_dense_at(_dense_trim(dense[:]), alpha)
+    return _sign_dense_at(_int_clear(dense), alpha)
 
 
-def _sign_dense_at(dense, alpha: AlgebraicReal) -> int:
-    """Sign query on ascending rational coefficients; tightens alpha in place."""
-    if not dense:
-        return 0
-    if len(dense) == 1:
-        return _sign(dense[0])
-    qi = _int_clear(dense)
-    if alpha.is_rational:
-        return _sign_int_at(qi, alpha.value)
-    current = alpha
+def _sign_dense_at(qi, alpha: AlgebraicReal) -> int:
+    """Sign query on ascending integer coefficients; tightens alpha in place.
+
+    qi must be trimmed; any positive scaling of q gives the same answer.
+    """
+    if len(qi) <= 1:
+        return _sign(qi[0]) if qi else 0
+    if alpha._value is not None:
+        return _sign(_eval_int_at(qi, alpha._value.numerator, alpha._value.denominator))
+    coeffs, slo = alpha._coeffs, alpha._lower_sign()
+    a, b, k = alpha._a, alpha._b, alpha._k
     try:
         for round_no in range(_REFINE_CAP):
-            blo, bhi = _interval_eval(qi, current.lo, current.hi)
-            if blo > 0:
+            low, high = _interval_horner(qi, a, b, k)
+            if low > 0:
                 return 1
-            if bhi < 0:
+            if high < 0:
                 return -1
             if round_no == 2:
                 # interval bounds refuse to settle: rule exact zero in or out
-                d = _dense_gcd([Fraction(c) for c in dense],
-                               [Fraction(c) for c in current._coeffs])
-                if len(d) > 1:
-                    di = _int_clear(d)
-                    if _sign_int_at(di, current.lo) * _sign_int_at(di, current.hi) < 0:
-                        return 0
-            current = current._step()
-            if current.is_rational:
-                return _sign_int_at(qi, current.value)
+                d = _int_gcd(qi, coeffs)
+                if len(d) > 1 and (_eval_dyadic(d, a, k) > 0) != (_eval_dyadic(d, b, k) > 0):
+                    return 0
+            a, b, k = _halve(coeffs, slo, a, b, k)
+            if a == b:
+                return _sign(_eval_dyadic(qi, a, k))
         raise RuntimeError("sign determination failed to converge")
     finally:
-        if current is not alpha:
-            alpha._adopt(current)
+        if k != alpha._k:
+            alpha._adopt(a, b, k)
 
 
 def refine(alpha: AlgebraicReal, width_bound) -> AlgebraicReal:
@@ -564,44 +571,36 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicRe
     var, dense = _univar(q)
     if var is not None and var != alpha.var:
         raise ValueError("q must be univariate in the point's variable")
+    dense = dense or [Fraction(0)]
     if alpha.is_rational:
-        val = sum(c * alpha.value**k for k, c in enumerate(dense)) if dense else Fraction(0)
+        val = sum(c * alpha.value**k for k, c in enumerate(dense))
         return AlgebraicReal.from_rational(val, out_var, alpha.multiplicity_in_source)
-    image_poly = resultant(alpha.defining_poly, MPoly.var(out_var) - q, alpha.var)
-    out_dense = _dense_coeffs(image_poly, out_var)
-    # keep one copy of each distinct root
-    parts = _square_free_dense(out_dense)
-    sq_free = [Fraction(1)]
-    for f, _ in parts:
-        acc = [Fraction(0)] * (len(sq_free) + len(f) - 1)
-        for i, ci in enumerate(sq_free):
-            for j, cj in enumerate(f):
-                acc[i + j] += ci * cj
-        sq_free = acc
-    candidates = isolate_real_roots(dense_to_mpoly(sq_free, out_var))
-    # evaluate with the original coefficients: rescaling would shift the value
-    # box away from the candidate roots and select a wrong preimage
-    qv = tuple(dense)
-    current = alpha
+    candidates = isolate_real_roots(
+        resultant(alpha.defining_poly, MPoly.var(out_var) - q, alpha.var))
+    # q = qi / scale exactly: rescaling q would shift the value box away from
+    # the candidate roots and select a wrong preimage
+    scale = lcm(*[c.denominator for c in dense])
+    qi = [c.numerator * (scale // c.denominator) for c in dense]
+    coeffs, slo = alpha._coeffs, alpha._lower_sign()
+    a, b, k = alpha._a, alpha._b, alpha._k
     try:
         for _ in range(_REFINE_CAP):
-            ylo, yhi = _interval_eval(qv, current.lo, current.hi)
+            low, high = _interval_horner(qi, a, b, k)
+            den = scale << (k * (len(qi) - 1))  # the value box is [low, high] / den
             live = []
             for cand in candidates:
-                if cand.is_rational:
-                    if ylo <= cand.value <= yhi:
-                        live.append(cand)
-                elif cand.hi >= ylo and cand.lo <= yhi:
+                cl, ch, cd = _ends(cand)
+                if low * cd <= ch * den and cl * den <= high * cd:
                     live.append(cand)
             if len(live) == 1:
-                found = live[0]
-                return AlgebraicReal(out_var, found._coeffs, found.lo, found.hi,
-                                     alpha.multiplicity_in_source)
+                live[0]._mult = alpha._mult
+                return live[0]
             candidates = [c._step() for c in candidates]
-            current = current._step()
-            if current.is_rational:
-                return algebraic_image(current, q, out_var)
+            a, b, k = _halve(coeffs, slo, a, b, k)
+            if a == b:
+                alpha._adopt(a, b, k)
+                return algebraic_image(alpha, q, out_var)
         raise RuntimeError("image root selection failed to converge")
     finally:
-        if current is not alpha:
-            alpha._adopt(current)
+        if alpha._value is None and k != alpha._k:
+            alpha._adopt(a, b, k)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .certificates import (
     EquilibriumCountClass, StableCountClass,
@@ -25,6 +26,7 @@ from .certificates import (
     _count_discriminant_value, _modulus_full_speed_value,
     _modulus_homogeneous_value, _stable_cut_quadratic_value,
 )
+from .exactpoly import _dense_trim, _primitive
 from .model import ModelParams, _CD_ON_LOCUS, equilibria
 from .rational import coerce_rational, format_rational
 from .realroots import _sign_dense_at
@@ -119,9 +121,9 @@ def _boundary_values(kind: str, u, v, a):
 class _StabilityDense:
     """Per-scan sign machinery for the three stability conditions.
 
-    The speeds are fixed for a whole scan; binding them once and keeping
-    flat term lists turns each cell into a handful of rational multiplies
-    instead of a full symbolic evaluation.
+    The speeds are fixed for a whole scan; binding them once, with each
+    condition cleared to integer coefficients, turns each cell into a
+    handful of integer multiplies instead of a full symbolic evaluation.
     """
 
     def __init__(self, a, b):
@@ -129,29 +131,32 @@ class _StabilityDense:
         self.first_two_equal = bound[0] == bound[1]
         self.term_lists = []
         self.x_degrees = []
-        max_ku = max_kv = 0
         for poly in bound:
-            terms = [(coeff, expo[0], expo[2], expo[3]) for expo, coeff in poly.terms()]
-            self.term_lists.append(terms)
-            self.x_degrees.append(max(t[1] for t in terms))
-            max_ku = max(max_ku, max(t[2] for t in terms))
-            max_kv = max(max_kv, max(t[3] for t in terms))
-        self.max_ku = max_ku
-        self.max_kv = max_kv
+            terms = poly.terms()
+            clear = lcm(*[coeff.denominator for _, coeff in terms])
+            self.term_lists.append([(coeff.numerator * (clear // coeff.denominator),
+                                     expo[0], expo[2], expo[3]) for expo, coeff in terms])
+            self.x_degrees.append(max(expo[0] for expo, _ in terms))
+        self.max_ku = max(t[2] for terms in self.term_lists for t in terms)
+        self.max_kv = max(t[3] for terms in self.term_lists for t in terms)
 
     def dense_at(self, u, v):
-        u_pows = [Fraction(1)]
-        for _ in range(self.max_ku):
-            u_pows.append(u_pows[-1] * u)
-        v_pows = [Fraction(1)]
-        for _ in range(self.max_kv):
-            v_pows.append(v_pows[-1] * v)
+        """Primitive integer x-coefficients of each condition at (u, v).
+
+        With u = p/q, the power u**i enters as p**i * q**(max_ku - i): every
+        term is scaled by the same positive q**max_ku (likewise for v), which
+        keeps each sign.
+        """
+        u_pows = [u.numerator**i * u.denominator**(self.max_ku - i)
+                  for i in range(self.max_ku + 1)]
+        v_pows = [v.numerator**i * v.denominator**(self.max_kv - i)
+                  for i in range(self.max_kv + 1)]
         out = []
         for terms, deg in zip(self.term_lists, self.x_degrees):
-            dense = [Fraction(0)] * (deg + 1)
+            dense = [0] * (deg + 1)
             for coeff, kx, ku, kv in terms:
                 dense[kx] += coeff * u_pows[ku] * v_pows[kv]
-            out.append(dense)
+            out.append(_primitive(_dense_trim(dense)))
         return out
 
 

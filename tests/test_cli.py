@@ -233,3 +233,14 @@ class TestUsageErrors:
 
     def test_missing_required_parameter(self, capsys):
         assert run(capsys, "classify", "--u", "4")[0] == 2
+
+
+class TestInternalFailure:
+    def test_refinement_cap_exits_3(self, capsys, monkeypatch):
+        # with no refinement budget the root layer gives up at once; that is
+        # an internal failure, not a disagreement (1) or a usage error (2)
+        monkeypatch.setattr("kopelcas.realroots._REFINE_CAP", 0)
+        rc, out, err = run(capsys, "stability", "--u", "4", "--v", "4")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err

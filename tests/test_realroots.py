@@ -280,3 +280,19 @@ def test_algebraic_image_constant_map():
     root = isolate_real_roots(cubic(4, 4))[0]
     img = algebraic_image(root, MPoly.constant(F(7, 2)), "y")
     assert img.is_rational and img.value == F(7, 2)
+    assert algebraic_image(root, MPoly.zero(), "y").value == 0
+
+
+def test_constructor_moves_rational_window_onto_dyadic_grid():
+    # x^2 - 2 on (1/3, 5/3): the stored window is dyadic and inside the given one
+    root = AlgebraicReal("x", (-2, 0, 1), F(1, 3), F(5, 3))
+    assert root.lo.denominator & (root.lo.denominator - 1) == 0
+    assert root.hi.denominator & (root.hi.denominator - 1) == 0
+    assert F(1, 3) <= root.lo < root.hi <= F(5, 3)
+    assert sign_at(X**2 - 2, root) == 0
+    assert root.approx == 2**0.5
+    # a grid endpoint that is the root itself comes back exact
+    half = AlgebraicReal("x", (-1, 2), F(1, 3), F(1))
+    assert half.is_rational and half.value == F(1, 2)
+    with pytest.raises(ValueError):
+        AlgebraicReal("x", (-2, 0, 1), F(2), F(3))  # no sign change: no root inside

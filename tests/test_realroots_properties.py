@@ -1,0 +1,213 @@
+"""Property tests for the algebraic-number layer.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+Polynomials are built from planted roots: distinct rationals plus
+irreducible quadratics (x - s)**2 - n, so every root is known in closed form.
+"""
+
+from fractions import Fraction as F
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kopelcas.exactpoly import MPoly, X
+from kopelcas.realroots import (
+    _halve, _int_clear, _make_disjoint, _sign_dense_at,
+    _strip_rational_roots, algebraic_image, isolate_real_roots, sign_at,
+    sturm_sign_count,
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
+# (x - s)**2 - n with n not a square: two irrational roots s +/- sqrt(n)
+quadratics = st.tuples(st.integers(-3, 3),
+                       st.integers(2, 40).filter(lambda n: math.isqrt(n) ** 2 != n))
+small_polys = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+                       min_size=2, max_size=5).filter(lambda cs: any(cs[1:]))
+
+
+def _quadratic(s, n) -> MPoly:
+    return (X - s) ** 2 - n
+
+
+def _planted(rational_roots, quads, lead=1) -> MPoly:
+    p = MPoly.constant(lead)
+    for r in rational_roots:
+        p = p * (X - r)
+    for s, n in quads:
+        p = p * _quadratic(s, n)
+    return p
+
+
+planted_polys = st.builds(
+    _planted,
+    st.lists(rationals, max_size=3, unique=True),
+    st.lists(quadratics, max_size=2, unique_by=lambda q: q[0] * 1000 + q[1]),
+    st.sampled_from([1, -2, 3]),
+).filter(lambda p: not p.is_constant())
+
+
+def _value_at(p: MPoly, t: F) -> F:
+    return p.evaluate({"x": t}).as_fraction()
+
+
+def _sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _is_dyadic(t: F) -> bool:
+    return t.denominator & (t.denominator - 1) == 0
+
+
+def _check_window(r):
+    """A window root has dyadic, non-root endpoints and one root inside."""
+    if r.is_rational:
+        assert _value_at(r.defining_poly, r.value) == 0
+        return
+    assert r.lo < r.hi and _is_dyadic(r.lo) and _is_dyadic(r.hi)
+    f = r.defining_poly
+    assert _value_at(f, r.lo) != 0 and _value_at(f, r.hi) != 0
+    assert sturm_sign_count(f, r.lo, r.hi) == 1
+
+
+def _check_nested(inner, outer_lo, outer_hi):
+    assert outer_lo <= inner.lo and inner.hi <= outer_hi
+
+
+@PROPERTY
+@given(planted_polys, st.lists(st.sampled_from(["step", "compare", "sign", "adopt"]),
+                               min_size=1, max_size=8),
+       st.lists(rationals, min_size=8, max_size=8), small_polys)
+def test_windows_stay_dyadic_and_off_roots(p, ops, probes, q_coeffs):
+    qi = _int_clear(q_coeffs)
+    while not qi[-1]:
+        qi = qi[:-1]
+    for r in isolate_real_roots(p):
+        _check_window(r)
+        expected = r.approx
+        for op, t in zip(ops, probes):
+            lo, hi = r.lo, r.hi
+            if op == "step":
+                r = r._step()
+            elif op == "compare":
+                got = r.compare_rational(t)
+                if abs(expected - float(t)) > 1e-9:
+                    assert got == (1 if expected > t else -1)
+            elif op == "sign":
+                got = _sign_dense_at(qi, r)
+                value = sum(float(c) * expected**k for k, c in enumerate(qi))
+                if abs(value) > 1e-6:
+                    assert got == (1 if value > 0 else -1)
+            elif not r.is_rational:
+                r._adopt(*_halve(r._coeffs, r._lower_sign(), r._a, r._b, r._k))
+            _check_window(r)
+            _check_nested(r, lo, hi)
+
+
+@PROPERTY
+@given(st.lists(rationals, max_size=4, unique=True),
+       st.lists(quadratics, max_size=3, unique_by=lambda q: q),
+       st.randoms(use_true_random=False))
+def test_make_disjoint_separates_every_pair(rational_roots, quads, rnd):
+    # distinct quadratics (x - s)**2 - n with n not a square share no root;
+    # one polynomial per root set, so windows of different sets can clash
+    items = []
+    for r in rational_roots:
+        items += isolate_real_roots(X - r)
+    for s, n in quads:
+        items += isolate_real_roots(_quadratic(s, n))
+    rnd.shuffle(items)
+    out = _make_disjoint(items)
+    for a, b in zip(out, out[1:]):
+        assert a.lo <= b.lo
+    for i, a in enumerate(out):
+        _check_window(a)
+        for b in out[i + 1:]:
+            if a.is_rational and b.is_rational:
+                assert a.value != b.value
+            elif a.is_rational:
+                assert not b.lo < a.value < b.hi
+            elif b.is_rational:
+                assert not a.lo < b.value < a.hi
+            else:
+                assert max(a.lo, b.lo) >= min(a.hi, b.hi)
+
+
+@PROPERTY
+@given(st.lists(rationals, min_size=1, max_size=3, unique=True),
+       st.lists(quadratics, max_size=1), st.booleans(), small_polys)
+def test_sign_at_matches_exact_value_at_rational_roots(rational_roots, quads, big, q_coeffs):
+    p = _planted(rational_roots, quads)
+    if big:
+        # end coefficients past the snap budget: only bisection can snap
+        p = p * (X**2 + 1000003)
+    q = sum((c * X**k for k, c in enumerate(q_coeffs)), MPoly.zero())
+    roots = isolate_real_roots(p)
+    assert len(roots) == len(rational_roots) + 2 * len(quads)
+    for r in roots:
+        if r.is_rational:
+            assert r.value in rational_roots
+            assert sign_at(q, r) == _sign(_value_at(q, r.value))
+        else:
+            # a window holds a planted root: a quadratic's, or an unsnapped rational
+            assert any(sign_at(_quadratic(s, n), r) == 0 for s, n in quads) or \
+                any(sign_at(X - t, r) == 0 for t in rational_roots)
+
+
+def _brute_force_strip(coeffs):
+    """Every candidate +-p/q as a Fraction, sorted, tested one by one."""
+    roots, work = [], list(coeffs)
+    while work and work[0] == 0:
+        roots.append(F(0))
+        work.pop(0)
+    if len(work) <= 1:
+        return roots, tuple(work)
+    a0, an = abs(work[0]), abs(work[-1])
+    if a0 > 10**6 or an > 10**6:
+        return roots, tuple(work)
+    nums = [d for d in range(1, a0 + 1) if a0 % d == 0]
+    dens = [d for d in range(1, an + 1) if an % d == 0]
+    if 2 * len(nums) * len(dens) > 256:
+        return roots, tuple(work)
+    for r in sorted({F(s * p, q) for p in nums for q in dens for s in (1, -1)}):
+        if len(work) > 1 and sum(c * r**k for k, c in enumerate(work)) == 0:
+            roots.append(r)
+            quot, acc = [], F(0)
+            for c in reversed(work[1:]):
+                acc = acc * r + c
+                quot.append(acc)
+            work = list(_int_clear(quot[::-1]))
+    return roots, tuple(work)
+
+
+@PROPERTY
+@given(planted_polys)
+def test_strip_rational_roots_matches_brute_force(p):
+    coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
+                         for k in range(int(p.degree("x")) + 1)])
+    roots, rest = _strip_rational_roots(coeffs)
+    expected_roots, expected_rest = _brute_force_strip(coeffs)
+    assert sorted(roots) == sorted(expected_roots)
+    assert rest == expected_rest
+
+
+@PROPERTY
+@given(quadratics, small_polys)
+def test_algebraic_image_follows_the_float_image(quad, q_coeffs):
+    q = sum((c * X**k for k, c in enumerate(q_coeffs)), MPoly.zero())
+    for r in isolate_real_roots(_quadratic(*quad)):
+        img = algebraic_image(r, q, "y")
+        expected = sum(float(c) * r.approx**k for k, c in enumerate(q_coeffs))
+        assert abs(img.approx - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@PROPERTY
+@given(planted_polys)
+def test_approx_is_the_nearest_double(p):
+    for r in isolate_real_roots(p):
+        d = F(r.approx)
+        half_ulp = F(math.ulp(r.approx)) / 2
+        # strictly between the midpoints to the neighbouring doubles
+        assert r.compare_rational(d - half_ulp) > 0 and r.compare_rational(d + half_ulp) < 0
