@@ -3,7 +3,7 @@
 Every parameter flag takes an exact rational: "3/4", "4", or a decimal
 string like "3.25" which converts exactly (base-ten denominator), never
 through a float.  Exit status: 0 success, 1 any failed identity or any
-off-boundary scan disagreement, 2 usage or domain errors, 3 an internal
+scan disagreement, 2 usage or domain errors, 3 an internal
 failure (a refinement or separation cap in the exact root layer was hit).
 """
 
@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--a", type=_rational, default=None,
                       help="common adjustment speed (homogeneous kind)")
     p_sc.add_argument("--epsilon", type=_rational, default=Fraction(1, 1000),
-                      help="near-boundary exemption width, default 1/1000")
+                      help="near-boundary flag width (report only), default 1/1000")
     p_sc.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_sc.add_argument("--out", default=None, help="output path, default scan_<kind>_<res>.<ext>")
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .exactpoly import A, B, MPoly, ONE, U, V, X, Y, dense_to_mpoly
+from .exactpoly import A, B, MPoly, ONE, U, V, X, Y, _dense_trim, _primitive, dense_to_mpoly
 from .rational import coerce_rational, format_rational
-from .realroots import (
-    AlgebraicReal, _sign_dense_at, algebraic_image, isolate_real_roots, sign_at,
-)
+from .realroots import AlgebraicReal, _sign_dense_at, algebraic_image, isolate_real_roots
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -125,6 +124,7 @@ def triangular_system():
 
 # y = v x (1 - x) has the sign of x (1 - x), since v > 0
 _Y_SIGN = (0, 1, -1)
+_X_ONE_MINUS_X = X - X**2
 
 
 class Equilibrium:
@@ -165,8 +165,7 @@ class Equilibrium:
     @property
     def y_root(self) -> AlgebraicReal:
         if self._y is None:
-            v = self.params.v
-            self._y = algebraic_image(self.x_root, v * X - v * X**2, "y")
+            self._y = algebraic_image(self.x_root, self.params.v * _X_ONE_MINUS_X, "y")
         return self._y
 
     @property
@@ -253,6 +252,70 @@ def bound_stability_polys(params: ModelParams):
     return tuple(cd.evaluate(binding) for cd in _CD_ON_LOCUS)
 
 
+def _integer_terms(poly: MPoly) -> tuple:
+    """(coeff, power of x, powers of u, v, a, b) per term, coefficients cleared to ints."""
+    terms = poly.terms()
+    clear = lcm(*[c.denominator for _, c in terms])
+    return tuple((c.numerator * (clear // c.denominator), e[0], e[2], e[3], e[4], e[5])
+                 for e, c in terms)
+
+
+_CD_TERMS = tuple(_integer_terms(cd) for cd in _CD_ON_LOCUS)
+# the highest power of x, u, v, a and b over all three conditions
+_X_TOP, *_PARAM_TOPS = (max(t[i] for terms in _CD_TERMS for t in terms) for i in range(1, 6))
+
+
+def _power_table(r: Fraction, top: int) -> list[int]:
+    """p**i * q**(top - i) for r = p / q, i = 0..top."""
+    p, q = r.numerator, r.denominator
+    return [p**i * q ** (top - i) for i in range(top + 1)]
+
+
+def _stability_dense(u, v, a, b) -> tuple:
+    """Primitive integer x-coefficients of the three conditions on the locus at (u, v, a, b).
+
+    With u = p/q, the power u**i enters as p**i * q**(top - i): every term
+    is scaled by the same positive q**top (likewise for v, a and b), which
+    keeps each sign.  Equal to the primitive parts of bound_stability_polys.
+    """
+    up, vp, ap, bp = (_power_table(r, top) for r, top in zip((u, v, a, b), _PARAM_TOPS))
+    out = []
+    for terms in _CD_TERMS:
+        dense = [0] * (_X_TOP + 1)
+        for coeff, kx, ku, kv, ka, kb in terms:
+            dense[kx] += coeff * up[ku] * vp[kv] * ap[ka] * bp[kb]
+        out.append(_primitive(_dense_trim(dense)))
+    return tuple(out)
+
+
+def _condition_signs(dense, root: AlgebraicReal):
+    """Certified signs of the three bound conditions at an x root, asked lazily.
+
+    The first two conditions differ by twice the trace 2 - a - b, so they
+    coincide only at a = b = 1, where the second sign repeats the first.
+    """
+    d1, d2, d3 = dense
+    s1 = _sign_dense_at(d1, root)
+    yield s1
+    yield s1 if d2 == d1 else _sign_dense_at(d2, root)
+    yield _sign_dense_at(d3, root)
+
+
+def _is_stable(signs) -> bool:
+    """The Jury rule: every condition strictly positive.
+
+    Reads the signs in order and stops at the first one that is not.
+    """
+    return all(s > 0 for s in signs)
+
+
+def _verdict(signs: tuple) -> str:
+    """stable by the Jury rule, unstable if a condition is negative, else marginal."""
+    if _is_stable(signs):
+        return "stable"
+    return "unstable" if min(signs) < 0 else "marginal"
+
+
 @dataclass
 class StabilityReport:
     cd_signs: tuple
@@ -265,17 +328,8 @@ class StabilityReport:
 
 def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """Certified sign triple plus float diagnostics for one fixed point."""
-    p1, p2, p3 = bound_stability_polys(params)
-    s1 = sign_at(p1, eq.x_root)
-    s2 = s1 if p2 == p1 else sign_at(p2, eq.x_root)
-    s3 = sign_at(p3, eq.x_root)
-    signs = (s1, s2, s3)
-    if all(s > 0 for s in signs):
-        verdict = "stable"
-    elif any(s < 0 for s in signs):
-        verdict = "unstable"
-    else:
-        verdict = "marginal"
+    signs = tuple(_condition_signs(
+        _stability_dense(params.u, params.v, params.a, params.b), eq.x_root))
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
@@ -286,15 +340,17 @@ def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     eigs = np.linalg.eigvals(np.array(jac, dtype=float))
     moduli = tuple(sorted((abs(eigs[0]), abs(eigs[1])), reverse=True))
     values = (1 - tr + det, 1 + tr + det, 1 - det)
-    return StabilityReport(signs, values, tr, det, moduli, verdict)
+    return StabilityReport(signs, values, tr, det, moduli, _verdict(signs))
 
 
 def e0_stable(params: ModelParams) -> bool:
-    """Exact strict test for attraction at the origin."""
-    binding = {"x": Fraction(0), "y": Fraction(0),
-               "u": params.u, "v": params.v, "a": params.a, "b": params.b}
-    vals = [cd.evaluate(binding).as_fraction() for cd in stability_conditions()]
-    return all(val > 0 for val in vals)
+    """Exact strict test for attraction at the origin.
+
+    At x = 0 the locus has y = 0, so each condition's value there is its
+    bound constant term, up to a positive factor.
+    """
+    dense = _stability_dense(params.u, params.v, params.a, params.b)
+    return _is_stable(d[0] for d in dense)
 
 
 def equilibrium_report(params: ModelParams) -> dict:

@@ -480,8 +480,13 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
         if not dense:
             raise ValueError("cannot isolate roots of the zero polynomial")
         return []
+    return _isolate_int(var, _int_clear(dense))
+
+
+def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
+    """isolate_real_roots on primitive integer coefficients, degree >= 1."""
     items: list[AlgebraicReal] = []
-    for factor, mult in _square_free_int(_int_clear(dense)):
+    for factor, mult in _square_free_int(coeffs):
         rational, rest = _strip_rational_roots(factor)
         if len(rest) > 1:
             exacts, windows, rest = _isolate_square_free(rest)
@@ -559,15 +564,57 @@ def refine(alpha: AlgebraicReal, width_bound) -> AlgebraicReal:
     return alpha.refine(width_bound)
 
 
+def _charpoly(m) -> list[int]:
+    """det(w I - m) of a square integer matrix, ascending coefficients.
+
+    Faddeev-LeVerrier: every division by k is exact, since the
+    characteristic polynomial of an integer matrix has integer coefficients.
+    """
+    n = len(m)
+    coeffs = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = m M_(k-1) + c_(n-k+1) I,  c_(n-k) = -tr(m M_k) / k
+        lift = coeffs[n - k + 1]
+        mk = [[sum(row[l] * mk[l][j] for l in range(n)) + (lift if i == j else 0)
+               for j in range(n)] for i, row in enumerate(m)]
+        coeffs[n - k] = -sum(m[i][l] * mk[l][i] for i in range(n) for l in range(n)) // k
+    return coeffs
+
+
+def _image_coeffs(f, qi, scale: int) -> list[int]:
+    """Integer polynomial whose roots are q(x) over the roots x of f, q = qi / scale.
+
+    With c = lead(f) and n = deg f, z = c x is a root of the monic integer
+    g(z) = c**(n-1) f(z / c), and Q(z) = sum qi_k c**(d-k) z**k equals
+    c**d scale q(x), d = deg q.  The characteristic polynomial P of
+    multiplication by Q in Z[z]/(g) has the roots c**d scale q(x), so
+    P(c**d scale y) vanishes at every q(x): the norm of y - q(x), which is
+    Res_x(f, y - q) up to a constant.
+    """
+    n, c, d = len(f) - 1, f[-1], len(qi) - 1
+    g = [f[k] * c ** (n - 1 - k) for k in range(n)] + [1]
+    r = _pseudo_rem([qi[k] * c ** (d - k) for k in range(d + 1)], g)  # exact: g is monic
+    r += [0] * (n - len(r))
+    # row j holds Q z**j mod g: the transpose of the multiplication matrix,
+    # which has the same characteristic polynomial
+    rows = []
+    for _ in range(n):
+        rows.append(r)
+        top = r[-1]
+        r = [-top * g[0]] + [r[i - 1] - top * g[i] for i in range(1, n)]
+    t = c**d * scale
+    return [p * t**k for k, p in enumerate(_charpoly(rows))]
+
+
 def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicReal:
     """The value q(alpha) as an AlgebraicReal in out_var, exactly.
 
-    The defining polynomial comes from eliminating alpha's variable between
-    its defining polynomial and out_var - q; the right root is picked by
-    shrinking alpha until the interval image of q pins a unique candidate.
+    The defining polynomial is the characteristic polynomial of
+    multiplication by q modulo alpha's defining polynomial, taken on
+    integers (see _image_coeffs); the right root is picked by shrinking
+    alpha until the interval image of q pins a unique candidate.
     """
-    from .exactpoly import resultant  # local import to keep module load light
-
     var, dense = _univar(q)
     if var is not None and var != alpha.var:
         raise ValueError("q must be univariate in the point's variable")
@@ -575,12 +622,11 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicRe
     if alpha.is_rational:
         val = sum(c * alpha.value**k for k, c in enumerate(dense))
         return AlgebraicReal.from_rational(val, out_var, alpha.multiplicity_in_source)
-    candidates = isolate_real_roots(
-        resultant(alpha.defining_poly, MPoly.var(out_var) - q, alpha.var))
     # q = qi / scale exactly: rescaling q would shift the value box away from
     # the candidate roots and select a wrong preimage
     scale = lcm(*[c.denominator for c in dense])
     qi = [c.numerator * (scale // c.denominator) for c in dense]
+    candidates = _isolate_int(out_var, _primitive(_image_coeffs(alpha._coeffs, qi, scale)))
     coeffs, slo = alpha._coeffs, alpha._lower_sign()
     a, b, k = alpha._a, alpha._b, alpha._k
     try:

@@ -3,13 +3,14 @@
 Every cell is classified twice, by independent routes: once by evaluating
 the frozen parameter-space certificates, once by actually isolating the
 fixed points at that cell and certifying their signs and stability.  The
-two answers land side by side in the emitted table; any off-boundary
-disagreement is a bug in one of the routes, never a rounding artifact,
-because both run in exact arithmetic.
+two answers land side by side in the emitted table.  Both routes run in
+exact arithmetic, so they must agree in every cell, on a certificate's zero
+set too: any disagreement is a bug in one of the routes, never a rounding
+artifact.
 
-Cells too close to a certificate's zero set are flagged near_boundary and
-exempted from the agreement check: the class there is decided by a sign
-that a neighbouring cell flips, so both answers are legitimate.
+Cells whose certificate values lie within boundary_epsilon of zero are
+flagged near_boundary.  The flag is a report column only; it exempts no
+cell from the agreement check.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .certificates import (
     EquilibriumCountClass, StableCountClass,
@@ -26,10 +26,8 @@ from .certificates import (
     _count_discriminant_value, _modulus_full_speed_value,
     _modulus_homogeneous_value, _stable_cut_quadratic_value,
 )
-from .exactpoly import _dense_trim, _primitive
-from .model import ModelParams, _CD_ON_LOCUS, equilibria
+from .model import ModelParams, _condition_signs, _is_stable, _stability_dense, equilibria
 from .rational import coerce_rational, format_rational
-from .realroots import _sign_dense_at
 
 SCAN_KINDS = ("count", "stable", "homogeneous")
 
@@ -118,61 +116,9 @@ def _boundary_values(kind: str, u, v, a):
     return (disc, threshold, _modulus_homogeneous_value(u, v, a))
 
 
-class _StabilityDense:
-    """Per-scan sign machinery for the three stability conditions.
-
-    The speeds are fixed for a whole scan; binding them once, with each
-    condition cleared to integer coefficients, turns each cell into a
-    handful of integer multiplies instead of a full symbolic evaluation.
-    """
-
-    def __init__(self, a, b):
-        bound = [cd.evaluate({"a": a, "b": b}) for cd in _CD_ON_LOCUS]
-        self.first_two_equal = bound[0] == bound[1]
-        self.term_lists = []
-        self.x_degrees = []
-        for poly in bound:
-            terms = poly.terms()
-            clear = lcm(*[coeff.denominator for _, coeff in terms])
-            self.term_lists.append([(coeff.numerator * (clear // coeff.denominator),
-                                     expo[0], expo[2], expo[3]) for expo, coeff in terms])
-            self.x_degrees.append(max(expo[0] for expo, _ in terms))
-        self.max_ku = max(t[2] for terms in self.term_lists for t in terms)
-        self.max_kv = max(t[3] for terms in self.term_lists for t in terms)
-
-    def dense_at(self, u, v):
-        """Primitive integer x-coefficients of each condition at (u, v).
-
-        With u = p/q, the power u**i enters as p**i * q**(max_ku - i): every
-        term is scaled by the same positive q**max_ku (likewise for v), which
-        keeps each sign.
-        """
-        u_pows = [u.numerator**i * u.denominator**(self.max_ku - i)
-                  for i in range(self.max_ku + 1)]
-        v_pows = [v.numerator**i * v.denominator**(self.max_kv - i)
-                  for i in range(self.max_kv + 1)]
-        out = []
-        for terms, deg in zip(self.term_lists, self.x_degrees):
-            dense = [0] * (deg + 1)
-            for coeff, kx, ku, kv in terms:
-                dense[kx] += coeff * u_pows[ku] * v_pows[kv]
-            out.append(_primitive(_dense_trim(dense)))
-        return out
-
-
-def _certified_stable_count(sd: _StabilityDense, u, v, positives) -> int:
-    d1, d2, d3 = sd.dense_at(u, v)
-    count = 0
-    for eq in positives:
-        s1 = _sign_dense_at(d1, eq.x_root)
-        if s1 <= 0:
-            continue
-        s2 = s1 if sd.first_two_equal else _sign_dense_at(d2, eq.x_root)
-        if s2 <= 0:
-            continue
-        if _sign_dense_at(d3, eq.x_root) > 0:
-            count += 1
-    return count
+def _certified_stable_count(u, v, speed, positives) -> int:
+    dense = _stability_dense(u, v, speed, speed)
+    return sum(_is_stable(_condition_signs(dense, eq.x_root)) for eq in positives)
 
 
 def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
@@ -185,7 +131,6 @@ def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
     us = grid_points(*spec.u_range, spec.resolution)
     vs = grid_points(*spec.v_range, spec.resolution)
     speed = a_val if kind == "homogeneous" else Fraction(1)
-    sd = _StabilityDense(speed, speed)
     cells = []
     for u in us:
         for v in vs:
@@ -206,13 +151,13 @@ def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
             eqs = equilibria(params)
             positives = [e for e in eqs if e.is_positive]
             numeric_positive = len(positives)
-            numeric_stable = _certified_stable_count(sd, u, v, positives)
+            numeric_stable = _certified_stable_count(u, v, speed, positives)
 
             near = any(abs(val) < eps for val in _boundary_values(kind, u, v, a_val))
             if kind == "count":
-                agree = near or numeric_positive == expected
+                agree = numeric_positive == expected
             else:
-                agree = near or expected is None or numeric_stable == expected
+                agree = expected is None or numeric_stable == expected
             cells.append(ScanCell(u, v, a_val, label.value, numeric_positive,
                                   numeric_stable, agree, near))
     return ScanGrid(spec, kind, cells)

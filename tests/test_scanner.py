@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas.certificates import (
-    classify_equilibrium_count, classify_stable_best_response,
+    EquilibriumCountClass, classify_equilibrium_count, classify_stable_best_response,
     classify_stable_homogeneous,
 )
 from kopelcas.scanner import (
-    ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points,
+    EXPECTED_POSITIVE, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points,
     scan_equilibrium_count, scan_stability_best_response,
     scan_stability_homogeneous,
 )
@@ -80,10 +80,19 @@ class TestCountScan:
             assert cell.a is None
 
     def test_triple_point_is_near_boundary(self):
-        # the discriminant vanishes at (3,3), so that cell is exempted
+        # the discriminant vanishes at (3,3): flagged, and still checked
         grid = scan_equilibrium_count(ScanSpec((2, 4), (2, 4), 3))
         cell = next(c for c in grid.cells if (c.u, c.v) == (F(3), F(3)))
         assert cell.near_boundary
+        assert cell.agree
+
+    def test_near_boundary_cells_are_not_exempt(self, monkeypatch):
+        # a wrong expectation on the zero set must show as a disagreement
+        monkeypatch.setitem(EXPECTED_POSITIVE, EquilibriumCountClass.ONE_POSITIVE_TRIPLE, 2)
+        grid = scan_equilibrium_count(ScanSpec((2, 4), (2, 4), 3))
+        bad = grid.disagreements()
+        assert [(c.u, c.v) for c in bad] == [(F(3), F(3))]
+        assert bad[0].near_boundary
 
     def test_unit_threshold_is_near_boundary(self):
         # (1/2, 2) sits exactly on uv = 1
@@ -107,7 +116,7 @@ class TestStableScan:
         assert cell.cert_class == "TwoStable"
         assert cell.numeric_stable == 2
         assert cell.agree
-        # (3,3) lies on the discriminant: silent class, exempt cell
+        # (3,3) lies on the discriminant: the theorem is silent there
         assert by_point[(F(3), F(3))].cert_class == "TheoremSilent"
         assert grid.disagreements() == []
 
