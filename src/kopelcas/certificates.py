@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-from .exactpoly import A, B, MPoly, U, V, X, Y, resultant
+from .exactpoly import A, B, MPoly, U, V, X, Y, bind, integer_terms, power_tables, resultant
 from .model import equilibrium_cubic, stability_conditions, y_relation
 from .rational import coerce_rational
 
@@ -239,33 +238,51 @@ def all_identities_hold() -> bool:
 
 # -- classification --------------------------------------------------------
 #
-# The evaluators below are hand-expanded for speed on dense scans; tests pin
-# them against the frozen polynomial forms on random rational inputs.
+# Each classifier reads the signs of a few of the frozen certificates.  They
+# are compiled once into integer term lists and bound to the parameters on
+# integers, so one binding per scan cell gives both the class and the exact
+# distance test behind the near-boundary flag.
 
-def _count_discriminant_value(u: Fraction, v: Fraction) -> Fraction:
-    uv = u * v
-    return uv * uv - 4 * u * uv - 4 * v * uv + 18 * uv - 27
-
-
-def _modulus_full_speed_value(u: Fraction, v: Fraction) -> Fraction:
-    uv = u * v
-    uv2 = uv * uv
-    return (uv2 * uv - 4 * u * uv2 - 4 * v * uv2 + 15 * uv2
-            + 12 * u * uv + 12 * v * uv - 85 * uv + 125)
-
-
-def _stable_cut_quadratic_value(u: Fraction, v: Fraction) -> Fraction:
-    uv = u * v
-    return uv * uv - 4 * u * uv - 5 * v * uv + 21 * uv + 11 * v - 60
+_KIND_CERTIFICATES = {
+    "count": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD),
+    "stable": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_FULL_SPEED,
+               STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC),
+    "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
+}
+_KIND_TERMS = {kind: tuple(integer_terms(p) for p in polys)
+               for kind, polys in _KIND_CERTIFICATES.items()}
 
 
-def _modulus_homogeneous_value(u: Fraction, v: Fraction, a: Fraction) -> Fraction:
-    uv = u * v
-    uv2 = uv * uv
-    c3 = uv2 * uv - 4 * u * uv2 - 4 * v * uv2 + 17 * uv2 + 4 * u * uv + 4 * v * uv - 45 * uv + 27
-    c2 = -2 * uv2 + 8 * u * uv + 8 * v * uv - 36 * uv + 54
-    c1 = -4 * uv + 36
-    return ((c3 * a + c2) * a + c1) * a + 8
+def _certificate_values(kind: str, tables) -> list[int]:
+    """The kind's certificates bound by power tables, each times their common denominator."""
+    return [bind(terms, tables)[0] for terms in _KIND_TERMS[kind]]
+
+
+def _classify_values(kind: str, u, v, values):
+    """The class at (u, v) from the signs of _certificate_values(kind, ...)."""
+    if kind == "count":
+        disc, threshold = values
+        if u == 3 and v == 3:
+            return EquilibriumCountClass.ONE_POSITIVE_TRIPLE
+        if disc == 0:
+            return EquilibriumCountClass.TWO_POSITIVE_BOUNDARY
+        if disc > 0:
+            return EquilibriumCountClass.THREE_POSITIVE
+        if threshold > 0:
+            return EquilibriumCountClass.ONE_POSITIVE
+        return EquilibriumCountClass.NONE_OR_DEGENERATE
+    disc, threshold, mod, *cuts = values
+    if kind == "stable":
+        linear, quadratic = cuts
+        if disc > 0 and mod > 0 and linear < 0 and quadratic > 0:
+            return StableCountClass.TWO_STABLE
+    if threshold > 0 and ((disc < 0 and mod > 0) or (disc > 0 and mod < 0)):
+        return StableCountClass.ONE_STABLE
+    return StableCountClass.THEOREM_SILENT
+
+
+def _classify(kind: str, u, v, a):
+    return _classify_values(kind, u, v, _certificate_values(kind, power_tables(u, v, a, a)))
 
 
 def _check_uv(u, v):
@@ -279,16 +296,7 @@ def _check_uv(u, v):
 def classify_equilibrium_count(u, v) -> EquilibriumCountClass:
     """Number of positive fixed points from parameter signs alone."""
     u, v = _check_uv(u, v)
-    if u == 3 and v == 3:
-        return EquilibriumCountClass.ONE_POSITIVE_TRIPLE
-    disc = _count_discriminant_value(u, v)
-    if disc == 0:
-        return EquilibriumCountClass.TWO_POSITIVE_BOUNDARY
-    if disc > 0:
-        return EquilibriumCountClass.THREE_POSITIVE
-    if u * v > 1:
-        return EquilibriumCountClass.ONE_POSITIVE
-    return EquilibriumCountClass.NONE_OR_DEGENERATE
+    return _classify("count", u, v, 1)
 
 
 def classify_stable_best_response(u, v) -> StableCountClass:
@@ -298,14 +306,7 @@ def classify_stable_best_response(u, v) -> StableCountClass:
     silent value means no conclusion, not a count of zero.
     """
     u, v = _check_uv(u, v)
-    disc = _count_discriminant_value(u, v)
-    mod = _modulus_full_speed_value(u, v)
-    if (disc > 0 and mod > 0 and u * v - 15 < 0
-            and _stable_cut_quadratic_value(u, v) > 0):
-        return StableCountClass.TWO_STABLE
-    if u * v > 1 and ((disc < 0 and mod > 0) or (disc > 0 and mod < 0)):
-        return StableCountClass.ONE_STABLE
-    return StableCountClass.THEOREM_SILENT
+    return _classify("stable", u, v, 1)
 
 
 def classify_stable_homogeneous(u, v, a) -> StableCountClass:
@@ -314,8 +315,4 @@ def classify_stable_homogeneous(u, v, a) -> StableCountClass:
     a = coerce_rational(a)
     if not (0 < a <= 1):
         raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
-    disc = _count_discriminant_value(u, v)
-    mod = _modulus_homogeneous_value(u, v, a)
-    if u * v > 1 and ((disc < 0 and mod > 0) or (disc > 0 and mod < 0)):
-        return StableCountClass.ONE_STABLE
-    return StableCountClass.THEOREM_SILENT
+    return _classify("homogeneous", u, v, a)

@@ -10,7 +10,9 @@ The resultant is a Sylvester-matrix determinant evaluated by fraction-free
 (Bareiss) elimination after clearing rational coefficients to integers; every
 intermediate division in that elimination is exact, so no rounding or
 fraction blow-up occurs.  Dense univariate helpers over Z (primitive parts,
-pseudo-remainders, gcds, exact division) serve the root layer.
+pseudo-remainders, gcds, exact division) serve the root layer, and a
+parameter polynomial compiled to an integer term list binds rational
+parameters on integers alone.
 """
 
 from __future__ import annotations
@@ -308,40 +310,6 @@ X, Y, U, V, A, B = (MPoly.var(name) for name in VARS)
 ONE = MPoly.constant(1)
 
 
-# -- free-function aliases over the operator forms -------------------------
-
-def add(p: MPoly, q: MPoly) -> MPoly:
-    return p + q
-
-
-def mul(p: MPoly, q: MPoly) -> MPoly:
-    return p * q
-
-
-def neg(p: MPoly) -> MPoly:
-    return -p
-
-
-def scale(p: MPoly, c) -> MPoly:
-    return p * coerce_rational(c)
-
-
-def derivative(p: MPoly, name: str) -> MPoly:
-    return p.derivative(name)
-
-
-def evaluate(p: MPoly, binding: Mapping[str, object]) -> MPoly:
-    return p.evaluate(binding)
-
-
-def substitute(p: MPoly, name: str, replacement: MPoly) -> MPoly:
-    return p.substitute(name, replacement)
-
-
-def degree(p: MPoly, name: str):
-    return p.degree(name)
-
-
 # -- exact division --------------------------------------------------------
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
@@ -556,6 +524,54 @@ def _exact_div(f, g) -> list[int]:
             for j in range(n):
                 r[i + j] -= t * g[j]
     return quot
+
+
+# -- integer binding of parameter polynomials ------------------------------
+#
+# A polynomial in x, u, v, a, b with integer coefficients is compiled once
+# into a term list.  Binding u = p/q enters u**i as p**i * q**(BIND_TOP - i),
+# and likewise v, a and b, so a bound value is the exact value times the
+# product of the four q**BIND_TOP.  That factor is positive, so every sign is
+# kept, and all values bound from the same tables share it as denominator.
+
+BIND_TOP = 3  # the highest power of u, v, a or b that binding supports
+
+
+def integer_terms(poly: MPoly) -> tuple:
+    """(coeff, powers of x, u, v, a, b) per term of an integer polynomial free of y.
+
+    Terms come in descending order, so the first carries the top power of x.
+    """
+    terms = []
+    for (ex, ey, eu, ev, ea, eb), c in poly.terms():
+        if ey or c.denominator != 1 or max(eu, ev, ea, eb) > BIND_TOP:
+            raise ValueError(f"cannot bind {poly} on integers")
+        terms.append((c.numerator, ex, eu, ev, ea, eb))
+    return tuple(terms)
+
+
+def power_tables(u, v, a, b) -> tuple:
+    """Binding tables for rational u, v, a, b.
+
+    Their common denominator is the product of their first entries.
+    """
+    tables = []
+    for r in (u, v, a, b):
+        p, q = r.numerator, r.denominator
+        tables.append([p**i * q ** (BIND_TOP - i) for i in range(BIND_TOP + 1)])
+    return tuple(tables)
+
+
+def bind(terms, tables) -> list[int]:
+    """Ascending x-coefficients of compiled terms bound by power tables.
+
+    Each coefficient is the exact one times the tables' common denominator.
+    """
+    up, vp, ap, bp = tables
+    dense = [0] * (terms[0][1] + 1)
+    for c, kx, ku, kv, ka, kb in terms:
+        dense[kx] += c * up[ku] * vp[kv] * ap[ka] * bp[kb]
+    return dense
 
 
 # -- parsing ---------------------------------------------------------------

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .exactpoly import A, B, MPoly, ONE, U, V, X, Y, _dense_trim, _primitive, dense_to_mpoly
+from .exactpoly import (
+    A, B, MPoly, ONE, U, V, X, Y, _dense_trim, _primitive, bind, dense_to_mpoly,
+    integer_terms, power_tables,
+)
 from .rational import coerce_rational, format_rational
-from .realroots import AlgebraicReal, _sign_dense_at, algebraic_image, isolate_real_roots
+from .realroots import AlgebraicReal, _isolate_int, _sign_dense_at, algebraic_image
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -64,24 +66,26 @@ class Trajectory:
     diverged_at: int | None
 
 
+def _update(x, y, u, v, a, b):
+    """One step of the map on floats or numpy arrays alike."""
+    return (1 - a) * x + a * u * y * (1 - y), (1 - b) * y + b * v * x * (1 - x)
+
+
 def step(state: State, params: ModelParams) -> State:
-    u, v, a, b = params.as_floats()
-    nx = (1 - a) * state.x + a * u * state.y * (1 - state.y)
-    ny = (1 - b) * state.y + b * v * state.x * (1 - state.x)
-    return State(nx, ny)
+    return State(*_update(state.x, state.y, *params.as_floats()))
 
 
 def iterate(state: State, params: ModelParams, n: int) -> Trajectory:
     """Run n steps; stop early once a coordinate passes the divergence bar."""
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    u, v, a, b = params.as_floats()
+    floats = params.as_floats()
     x, y = state.x, state.y
     states = [State(x, y)]
     left = not (0 <= x <= 1 and 0 <= y <= 1)
     diverged_at = None
     for t in range(1, n + 1):
-        x, y = (1 - a) * x + a * u * y * (1 - y), (1 - b) * y + b * v * x * (1 - x)
+        x, y = _update(x, y, *floats)
         states.append(State(x, y))
         if not (0 <= x <= 1 and 0 <= y <= 1):
             left = True
@@ -93,13 +97,13 @@ def iterate(state: State, params: ModelParams, n: int) -> Trajectory:
 
 def all_stay_in_unit_square(params: ModelParams, xs, ys, steps: int) -> bool:
     """Vectorized check that every start point keeps its whole orbit in [0,1]^2."""
-    u, v, a, b = params.as_floats()
+    floats = params.as_floats()
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if not (np.all((x >= 0) & (x <= 1)) and np.all((y >= 0) & (y <= 1))):
         return False
     for _ in range(steps):
-        x, y = (1 - a) * x + a * u * y * (1 - y), (1 - b) * y + b * v * x * (1 - x)
+        x, y = _update(x, y, *floats)
         if not (np.all((x >= 0) & (x <= 1)) and np.all((y >= 0) & (y <= 1))):
             return False
     return True
@@ -110,6 +114,9 @@ def all_stay_in_unit_square(params: ModelParams, xs, ys, steps: int) -> bool:
 def equilibrium_cubic() -> MPoly:
     """Cubic whose roots are the x coordinates of fixed points off x = 0."""
     return (U * V**2) * X**3 - 2 * (U * V**2) * X**2 + (U * V**2 + U * V) * X - U * V + 1
+
+
+_CUBIC_TERMS = integer_terms(equilibrium_cubic())
 
 
 def y_relation() -> MPoly:
@@ -181,11 +188,18 @@ class Equilibrium:
                 f"positive={self.is_positive})")
 
 
+def _tables(params: ModelParams) -> tuple:
+    return power_tables(params.u, params.v, params.a, params.b)
+
+
+def _bound_cubic(tables) -> tuple:
+    """Primitive integer x-coefficients of the equilibrium cubic, bound from power tables."""
+    return _primitive(bind(_CUBIC_TERMS, tables))
+
+
 def bound_cubic(u, v) -> MPoly:
-    """The equilibrium cubic with parameters bound, built coefficientwise."""
-    uv = u * v
-    uvv = uv * v
-    return dense_to_mpoly([1 - uv, uvv + uv, -2 * uvv, uvv], "x")
+    """The equilibrium cubic with parameters bound, up to a positive factor."""
+    return dense_to_mpoly(_bound_cubic(power_tables(u, v, 1, 1)), "x")
 
 
 def equilibria(params: ModelParams) -> list:
@@ -195,7 +209,13 @@ def equilibria(params: ModelParams) -> list:
     cubic's root at x = 0 is the origin again: the two merge into a single
     entry whose multiplicity counts both contributions.
     """
-    roots = isolate_real_roots(bound_cubic(params.u, params.v))
+    return _equilibria(params, _tables(params))
+
+
+def _equilibria(params: ModelParams, tables) -> list:
+    """equilibria(params), with the parameters already bound in tables."""
+    # the cubic's lead u v**2 is never zero, so its degree is always 3
+    roots = _isolate_int("x", _bound_cubic(tables))
     origin_mult = 1
     kept = []
     for r in roots:
@@ -252,40 +272,17 @@ def bound_stability_polys(params: ModelParams):
     return tuple(cd.evaluate(binding) for cd in _CD_ON_LOCUS)
 
 
-def _integer_terms(poly: MPoly) -> tuple:
-    """(coeff, power of x, powers of u, v, a, b) per term, coefficients cleared to ints."""
-    terms = poly.terms()
-    clear = lcm(*[c.denominator for _, c in terms])
-    return tuple((c.numerator * (clear // c.denominator), e[0], e[2], e[3], e[4], e[5])
-                 for e, c in terms)
+_CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 
 
-_CD_TERMS = tuple(_integer_terms(cd) for cd in _CD_ON_LOCUS)
-# the highest power of x, u, v, a and b over all three conditions
-_X_TOP, *_PARAM_TOPS = (max(t[i] for terms in _CD_TERMS for t in terms) for i in range(1, 6))
+def _stability_dense(tables) -> tuple:
+    """Primitive integer x-coefficients of the three conditions on the locus.
 
-
-def _power_table(r: Fraction, top: int) -> list[int]:
-    """p**i * q**(top - i) for r = p / q, i = 0..top."""
-    p, q = r.numerator, r.denominator
-    return [p**i * q ** (top - i) for i in range(top + 1)]
-
-
-def _stability_dense(u, v, a, b) -> tuple:
-    """Primitive integer x-coefficients of the three conditions on the locus at (u, v, a, b).
-
-    With u = p/q, the power u**i enters as p**i * q**(top - i): every term
-    is scaled by the same positive q**top (likewise for v, a and b), which
-    keeps each sign.  Equal to the primitive parts of bound_stability_polys.
+    The parameters come bound in power tables, which scale every condition
+    by the same positive factor: equal to the primitive parts of
+    bound_stability_polys.
     """
-    up, vp, ap, bp = (_power_table(r, top) for r, top in zip((u, v, a, b), _PARAM_TOPS))
-    out = []
-    for terms in _CD_TERMS:
-        dense = [0] * (_X_TOP + 1)
-        for coeff, kx, ku, kv, ka, kb in terms:
-            dense[kx] += coeff * up[ku] * vp[kv] * ap[ka] * bp[kb]
-        out.append(_primitive(_dense_trim(dense)))
-    return tuple(out)
+    return tuple(_primitive(_dense_trim(bind(terms, tables))) for terms in _CD_TERMS)
 
 
 def _condition_signs(dense, root: AlgebraicReal):
@@ -328,8 +325,7 @@ class StabilityReport:
 
 def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """Certified sign triple plus float diagnostics for one fixed point."""
-    signs = tuple(_condition_signs(
-        _stability_dense(params.u, params.v, params.a, params.b), eq.x_root))
+    signs = tuple(_condition_signs(_stability_dense(_tables(params)), eq.x_root))
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
@@ -349,8 +345,7 @@ def e0_stable(params: ModelParams) -> bool:
     At x = 0 the locus has y = 0, so each condition's value there is its
     bound constant term, up to a positive factor.
     """
-    dense = _stability_dense(params.u, params.v, params.a, params.b)
-    return _is_stable(d[0] for d in dense)
+    return _is_stable(d[0] for d in _stability_dense(_tables(params)))
 
 
 def equilibrium_report(params: ModelParams) -> dict:

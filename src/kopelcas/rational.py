@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-BigRational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a decimal string into an exact Fraction.

@@ -8,25 +8,28 @@ exact arithmetic, so they must agree in every cell, on a certificate's zero
 set too: any disagreement is a bug in one of the routes, never a rounding
 artifact.
 
-Cells whose certificate values lie within boundary_epsilon of zero are
-flagged near_boundary.  The flag is a report column only; it exempts no
-cell from the agreement check.
+Each cell binds its parameters once, on integers: the certificates the
+kind reads, the equilibrium cubic and the stability conditions are compiled
+from their frozen forms at import, and all of them are bound from one set
+of power tables sharing a single positive denominator.  The class comes
+from the signs of the certificate values.  near_boundary is true when a
+certificate value lies within boundary_epsilon of zero, tested exactly on
+those integers.  The flag is a report column only; it exempts no cell from
+the agreement check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (
-    EquilibriumCountClass, StableCountClass,
-    classify_equilibrium_count, classify_stable_best_response,
-    classify_stable_homogeneous,
-    _count_discriminant_value, _modulus_full_speed_value,
-    _modulus_homogeneous_value, _stable_cut_quadratic_value,
+    EquilibriumCountClass, StableCountClass, _certificate_values, _classify_values,
 )
-from .model import ModelParams, _condition_signs, _is_stable, _stability_dense, equilibria
+from .exactpoly import power_tables
+from .model import ModelParams, _condition_signs, _equilibria, _is_stable, _stability_dense
 from .rational import coerce_rational, format_rational
 
 SCAN_KINDS = ("count", "stable", "homogeneous")
@@ -105,55 +108,36 @@ def grid_points(lo, hi, resolution: int) -> list:
     return [lo + Fraction(k, resolution - 1) * span for k in range(resolution)]
 
 
-def _boundary_values(kind: str, u, v, a):
-    disc = _count_discriminant_value(u, v)
-    threshold = u * v - 1
-    if kind == "count":
-        return (disc, threshold)
-    if kind == "stable":
-        return (disc, threshold, _modulus_full_speed_value(u, v),
-                u * v - 15, _stable_cut_quadratic_value(u, v))
-    return (disc, threshold, _modulus_homogeneous_value(u, v, a))
-
-
-def _certified_stable_count(u, v, speed, positives) -> int:
-    dense = _stability_dense(u, v, speed, speed)
-    return sum(_is_stable(_condition_signs(dense, eq.x_root)) for eq in positives)
-
-
 def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
     if kind not in SCAN_KINDS:
         raise ValueError(f"unknown scan kind: {kind}")
     a_val = spec.a_value if kind == "homogeneous" else None
     if kind == "homogeneous" and a_val is None:
         raise ValueError("homogeneous scans need a_value set on the ScanSpec")
-    eps = spec.boundary_epsilon
+    eps_num, eps_den = spec.boundary_epsilon.numerator, spec.boundary_epsilon.denominator
     us = grid_points(*spec.u_range, spec.resolution)
     vs = grid_points(*spec.v_range, spec.resolution)
     speed = a_val if kind == "homogeneous" else Fraction(1)
+    expected_by_class = EXPECTED_POSITIVE if kind == "count" else EXPECTED_STABLE
     cells = []
     for u in us:
         for v in vs:
-            if kind == "count":
-                label = classify_equilibrium_count(u, v)
-                expected = EXPECTED_POSITIVE[label]
-            elif kind == "stable":
-                label = classify_stable_best_response(u, v)
-                expected = EXPECTED_STABLE[label]
-            else:
-                label = classify_stable_homogeneous(u, v, a_val)
-                expected = EXPECTED_STABLE[label]
+            params = ModelParams(u, v, a=speed, b=speed)
+            tables = power_tables(u, v, speed, speed)
+            # every bound value is the exact one times this denominator
+            scale = math.prod(t[0] for t in tables)
+            values = _certificate_values(kind, tables)
+            label = _classify_values(kind, u, v, values)
+            expected = expected_by_class[label]
 
-            if kind == "homogeneous":
-                params = ModelParams(u, v, a=a_val, b=a_val)
-            else:
-                params = ModelParams(u, v)
-            eqs = equilibria(params)
-            positives = [e for e in eqs if e.is_positive]
+            positives = [e for e in _equilibria(params, tables) if e.is_positive]
             numeric_positive = len(positives)
-            numeric_stable = _certified_stable_count(u, v, speed, positives)
+            dense = _stability_dense(tables)
+            numeric_stable = sum(_is_stable(_condition_signs(dense, eq.x_root))
+                                 for eq in positives)
 
-            near = any(abs(val) < eps for val in _boundary_values(kind, u, v, a_val))
+            # |value| < eps, with value = n / scale and eps = eps_num / eps_den
+            near = any(abs(n) * eps_den < eps_num * scale for n in values)
             if kind == "count":
                 agree = numeric_positive == expected
             else:

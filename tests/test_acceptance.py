@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from kopelcas.certificates import (
-    EquilibriumCountClass, StableCountClass, build_certificates,
+    COUNT_DISCRIMINANT, EquilibriumCountClass, StableCountClass, build_certificates,
     classify_equilibrium_count, classify_stable_homogeneous, verify_all,
-    _count_discriminant_value,
 )
 from kopelcas.exactpoly import dense_to_mpoly
 from kopelcas.model import (
@@ -159,7 +158,7 @@ def test_criterion_4_figure_1_count_partition():
             three.add((c.u, c.v))
         elif c.cert_class == "OnePositive":
             one.add((c.u, c.v))
-        disc = _count_discriminant_value(c.u, c.v)
+        disc = COUNT_DISCRIMINANT.evaluate({"u": c.u, "v": c.v}).as_fraction()
         if disc > 0:
             disc_pos.add((c.u, c.v))
         elif disc < 0 and c.u * c.v > 1:
@@ -311,7 +310,7 @@ def test_property_classification_matches_enumeration_full_scale():
     while accepted < 10_000:
         u = F(rng.randint(1, 100), rng.randint(1, 10))
         v = F(rng.randint(1, 100), rng.randint(1, 10))
-        if abs(_count_discriminant_value(u, v)) < guard:
+        if abs(COUNT_DISCRIMINANT.evaluate({"u": u, "v": v}).as_fraction()) < guard:
             continue
         label = classify_equilibrium_count(u, v)
         positives = [e for e in equilibria(ModelParams(u, v)) if e.is_positive]

@@ -1,24 +1,46 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kopelcas.certificates import (
     COUNT_DISCRIMINANT, FLIP_CHAIN, FLIP_FULL_SPEED, IDENTITY_NAMES,
-    MODULUS_CHAIN, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS,
+    MODULUS_CHAIN, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS, POSITIVITY_THRESHOLD,
     STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, TRIPLE_ROOT_COMPANION,
     EquilibriumCountClass, StableCountClass, all_identities_hold,
     build_certificates, classify_equilibrium_count,
     classify_stable_best_response, classify_stable_homogeneous,
-    verify_all, verify_identity,
-    _count_discriminant_value, _modulus_full_speed_value,
-    _modulus_homogeneous_value, _stable_cut_quadratic_value,
+    verify_all, verify_identity, _certificate_values,
 )
-from kopelcas.exactpoly import U, V
-from kopelcas.model import ModelParams, equilibria, jury_report
+from kopelcas.exactpoly import U, V, bind, power_tables
+from kopelcas.model import (
+    ModelParams, _CD_ON_LOCUS, _CD_TERMS, _CUBIC_TERMS, _bound_cubic, equilibria,
+    equilibrium_cubic, jury_report,
+)
 
 CountClass = EquilibriumCountClass
 StableClass = StableCountClass
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+intensities = st.builds(F, st.integers(1, 200), st.integers(1, 40))
+speeds = st.builds(F, st.integers(1, 20), st.integers(1, 20)).filter(lambda s: s <= 1)
+
+# the certificates each classifier reads, in the order it reads them
+KIND_CERTIFICATES = {
+    "count": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD),
+    "stable": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_FULL_SPEED,
+               STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC),
+    "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
+}
+
+
+def _dense_x(poly) -> list:
+    return [poly.coefficient_of("x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
 
 
 def _ev(poly, u, v, a=None):
@@ -54,16 +76,28 @@ class TestFrozenForms:
         # hand check: ((-9 a + 6) a + 20) a + 8 at a = 1/2
         assert _ev(MODULUS_HOMOGENEOUS, 2, 2, F(1, 2)) == F(147, 8)
 
-    def test_fast_evaluators_match_polynomials(self):
-        rng = random.Random(31)
-        for _ in range(150):
-            u = F(rng.randint(1, 40), rng.randint(1, 8))
-            v = F(rng.randint(1, 40), rng.randint(1, 8))
-            a = F(rng.randint(1, 8), 8)
-            assert _count_discriminant_value(u, v) == _ev(COUNT_DISCRIMINANT, u, v)
-            assert _modulus_full_speed_value(u, v) == _ev(MODULUS_FULL_SPEED, u, v)
-            assert _stable_cut_quadratic_value(u, v) == _ev(STABLE_CUT_QUADRATIC, u, v)
-            assert _modulus_homogeneous_value(u, v, a) == _ev(MODULUS_HOMOGENEOUS, u, v, a)
+    @PROPERTY
+    @given(intensities, intensities, speeds, speeds)
+    def test_fast_evaluators_match_polynomials(self, u, v, a, b):
+        # each compiled evaluator gives its frozen form's exact value times
+        # the binding tables' common denominator
+        tables = power_tables(u, v, a, b)
+        denominator = math.prod(t[0] for t in tables)
+        assert denominator > 0
+        for kind, polys in KIND_CERTIFICATES.items():
+            expected = [_ev(poly, u, v, a) * denominator for poly in polys]
+            assert _certificate_values(kind, tables) == expected, kind
+        binding = {"u": u, "v": v, "a": a, "b": b}
+        for terms, poly in zip((_CUBIC_TERMS, *_CD_TERMS),
+                               (equilibrium_cubic(), *_CD_ON_LOCUS)):
+            expected = [c * denominator for c in _dense_x(poly.evaluate(binding))]
+            assert bind(terms, tables) == expected
+        # the integer cubic equilibria() isolates is a positive multiple of the exact one
+        cubic = _dense_x(equilibrium_cubic().evaluate({"u": u, "v": v}))
+        bound = _bound_cubic(tables)
+        ratio = F(bound[-1]) / cubic[-1]
+        assert ratio > 0
+        assert [F(c) for c in bound] == [ratio * c for c in cubic]
 
     def test_registry(self):
         certs = build_certificates()
@@ -144,7 +178,7 @@ class TestCountClassification:
         for k in range(5):
             t = F(k, 4)
             u = F(7, 2) + t * F(1, 2)  # from (7/2, 7/2) to (4, 4)
-            assert _count_discriminant_value(u, u) > 0
+            assert COUNT_DISCRIMINANT.evaluate({"u": u, "v": u}).as_fraction() > 0
             assert classify_equilibrium_count(u, u) is CountClass.THREE_POSITIVE
             eqs = equilibria(ModelParams(u, u))
             assert sum(1 for e in eqs if e.is_positive) == 3

@@ -5,8 +5,8 @@ import pytest
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
-    _bareiss_determinant, dense_to_mpoly, exact_divide, gcd_univariate,
-    parse_poly, resultant, sylvester_matrix,
+    _bareiss_determinant, bind, dense_to_mpoly, exact_divide, gcd_univariate,
+    integer_terms, parse_poly, power_tables, resultant, sylvester_matrix,
 )
 
 
@@ -351,3 +351,17 @@ def test_gcd_univariate_rejects_mixed_variables():
 def test_dense_to_mpoly():
     assert dense_to_mpoly([F(-15), F(80), F(-128), F(64)], "x") == \
         64 * X**3 - 128 * X**2 + 80 * X - 15
+
+
+def test_integer_binding_scales_by_the_common_denominator():
+    terms = integer_terms(3 * U**2 * X**2 - V * A * B + 1)
+    tables = power_tables(F(2, 3), F(5, 7), F(1, 2), F(1))
+    scale = 3**3 * 7**3 * 2**3
+    exact = [1 - F(5, 7) * F(1, 2), 0, 3 * F(2, 3) ** 2]
+    assert bind(terms, tables) == [c * scale for c in exact]
+
+
+@pytest.mark.parametrize("poly", [X * Y + 1, F(1, 2) * X + 1, U**4 + X])
+def test_integer_binding_rejects_what_it_cannot_bind(poly):
+    with pytest.raises(ValueError):
+        integer_terms(poly)

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kopelcas.exactpoly import power_tables
 from kopelcas.model import (
     ModelParams, _stability_dense, bound_stability_polys, e0_stable, equilibria,
     jury_report, stability_conditions,
@@ -37,7 +38,7 @@ def _dense_x(poly) -> list:
 def test_binder_is_a_positive_multiple_of_the_symbolic_binding(u, v, ab):
     a, b = ab
     params = ModelParams(u, v, a, b)
-    dense = _stability_dense(u, v, a, b)
+    dense = _stability_dense(power_tables(u, v, a, b))
     for d, poly in zip(dense, bound_stability_polys(params)):
         p = _dense_x(poly)
         assert len(d) == len(p)

@@ -6,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas.certificates import (
-    EquilibriumCountClass, classify_equilibrium_count, classify_stable_best_response,
-    classify_stable_homogeneous,
+    COUNT_DISCRIMINANT, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS, POSITIVITY_THRESHOLD,
+    STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
+    classify_equilibrium_count, classify_stable_best_response, classify_stable_homogeneous,
 )
 from kopelcas.scanner import (
     EXPECTED_POSITIVE, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points,
@@ -170,6 +171,34 @@ class TestDisagreements:
         bad = ScanCell(F(2), F(2), None, "OnePositive", 3, 0, False, False)
         grid = ScanGrid(spec, "count", [good, bad, good])
         assert grid.disagreements() == [bad]
+
+
+class TestNearBoundary:
+    # step 1/2 from 1/2 to 5: u v = 1, the triple point (3, 3) and u v = 15 are on the grid
+    SQUARE = (F(1, 2), F(5))
+    CERTIFICATES = {
+        "count": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD),
+        "stable": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_FULL_SPEED,
+                   STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC),
+        "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
+    }
+    SCANS = {"count": scan_equilibrium_count, "stable": scan_stability_best_response,
+             "homogeneous": scan_stability_homogeneous}
+
+    @pytest.mark.parametrize("eps", [F(1, 7), F(1, 1000), F(5)])
+    @pytest.mark.parametrize("kind, a", [("count", None), ("stable", None),
+                                         ("homogeneous", F(1, 2)), ("homogeneous", F(3, 7))])
+    def test_flag_matches_fraction_reference(self, kind, a, eps):
+        spec = ScanSpec(self.SQUARE, self.SQUARE, 10, a_value=a, boundary_epsilon=eps)
+        grid = self.SCANS[kind](spec)
+        for cell in grid.cells:
+            binding = {"u": cell.u, "v": cell.v, "a": 1 if a is None else a}
+            expected = any(abs(p.evaluate(binding).as_fraction()) < eps
+                           for p in self.CERTIFICATES[kind])
+            assert cell.near_boundary == expected, (cell.u, cell.v)
+        flagged = {(c.u, c.v) for c in grid.cells if c.near_boundary}
+        assert {(F(1), F(1)), (F(3), F(3))} <= flagged
+        assert len(flagged) < len(grid.cells)
 
 
 class TestEmission:
