@@ -250,7 +250,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
+        # OSError: an output path that cannot be written is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

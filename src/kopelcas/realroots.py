@@ -7,7 +7,14 @@ roots, so the root lies strictly inside; a rational root is stored exactly, as
 a Fraction, instead.  Isolation starts from a power-of-two root bound, counts
 roots with Sturm sequences and bisects, so every endpoint stays dyadic; a
 bisection point that hits a root is snapped to an exact rational root on the
-spot, which is also what keeps every endpoint off the roots.
+spot, which is also what keeps every endpoint off the roots.  A polynomial's
+Sturm chain is also its remainder sequence with f': its last element is
+gcd(f, f'), so a constant there proves f square-free, and Yun's square-free
+decomposition runs only when it is not.
+
+A sign query at a root bisects the root's window until an interval bound of
+the queried polynomial settles.  Only a query still unsettled after
+_ZERO_TEST_ROUND rounds computes the gcd that certifies an exact zero.
 
 All decisions below (membership, signs, comparisons) are certified by exact
 integer arithmetic: polynomials are scaled by positive integers only and
@@ -21,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import zip_longest
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .exactpoly import (
     MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
@@ -36,6 +43,12 @@ _SNAP_VALUE_LIMIT = 10**6
 _SNAP_PAIR_LIMIT = 256
 
 _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
+
+# A sign query asks for gcd(q, f) only after this many rounds of interval
+# bounds have failed to settle: nonzero queries on scan cells settle by round
+# 9 but for a rare few, so almost no query pays for a gcd.  A true zero
+# costs the extra halvings before the gcd proves it.
+_ZERO_TEST_ROUND = 10
 
 
 def _sign(value) -> int:
@@ -100,16 +113,18 @@ def _interval_horner(coeffs, a: int, b: int, k: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _square_free_int(f) -> list[tuple[tuple[int, ...], int]]:
+def _square_free_int(f, a0) -> list[tuple[tuple[int, ...], int]]:
     """Yun's algorithm on a primitive integer polynomial of degree >= 1.
 
-    Factors come back primitive with a positive leading coefficient.  Each
-    division is by a primitive divisor, so every quotient stays integral.
+    a0 is gcd(f, f'), primitive, of either sign: the last element of f's
+    Sturm chain will do.  Factors come back primitive with a positive leading
+    coefficient (each is a gcd, or f itself).  Each division is by a
+    primitive divisor, so every quotient stays integral.
     """
-    df = _derivative(f)
-    a0 = _int_gcd(f, df)
     if len(a0) == 1:
-        return [(_int_gcd(f, ()), 1)]  # f itself, leading coefficient made positive
+        f = _primitive(f)
+        return [(f if f[-1] > 0 else tuple(-c for c in f), 1)]
+    df = _derivative(f)
     b = _exact_div(f, a0)
     d = _minus(_exact_div(df, a0), _derivative(b))
     out = []
@@ -125,10 +140,11 @@ def _square_free_int(f) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _sturm_chain(coeffs) -> list[tuple[int, ...]]:
-    """Sturm sequence of a square-free polynomial, each element primitive.
+    """Primitive remainder sequence of (f, f'), negated at each step.
 
-    Remainders are taken up to a positive factor, which keeps the signs that
-    the variation count reads.
+    For a square-free f this is a Sturm sequence; otherwise it ends in a
+    nonconstant element, gcd(f, f') up to sign.  Remainders are taken up to
+    a positive factor, which keeps the signs that the variation count reads.
     """
     chain = [tuple(coeffs), _primitive(_derivative(coeffs))]
     while len(chain[-1]) > 1:
@@ -189,8 +205,20 @@ def _dyadic_window(coeffs, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
 
 
 def _divisors(n: int) -> list[int]:
-    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
+    """The positive divisors of n >= 1, ascending, built from its prime factors."""
+    divs = [1]
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            powers = [1]
+            while n % p == 0:
+                n //= p
+                powers.append(powers[-1] * p)
+            divs = [d * t for d in divs for t in powers]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
 
 
 def _strip_rational_roots(coeffs: tuple[int, ...]) -> tuple[list[Fraction], tuple[int, ...]]:
@@ -381,15 +409,16 @@ class AlgebraicReal:
         return f"AlgebraicReal({self._var} in ({self.lo}, {self.hi}])"
 
 
-def _isolate_square_free(coeffs: tuple[int, ...]):
+def _isolate_square_free(coeffs: tuple[int, ...], chain):
     """Isolate all real roots of a square-free integer polynomial.
 
-    Returns (exact_roots, windows, final_coeffs): rational roots snapped when
-    a bisection point hits one, dyadic windows (a, b, k) for the rest, and
-    the (possibly deflated) defining polynomial valid for every window.
+    chain is the Sturm chain of coeffs or of -coeffs: the variation counts
+    are the same for both.  Returns (exact_roots, windows, final_coeffs):
+    rational roots snapped when a bisection point hits one, dyadic windows
+    (a, b, k) for the rest, and the (possibly deflated) defining polynomial
+    valid for every window.
     """
     exact_roots, windows = [], []
-    chain = _sturm_chain(coeffs)
 
     def var_at(a, k):
         return _variations(_eval_dyadic(p, a, k) for p in chain)
@@ -464,8 +493,9 @@ def square_free_decompose(p: MPoly) -> list[tuple[MPoly, int]]:
         if not dense:
             raise ValueError("cannot decompose the zero polynomial")
         return []
+    coeffs = _int_clear(dense)
     return [(dense_to_mpoly([Fraction(c, f[-1]) for c in f], var), m)
-            for f, m in _square_free_int(_int_clear(dense))]
+            for f, m in _square_free_int(coeffs, _int_gcd(coeffs, _derivative(coeffs)))]
 
 
 def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
@@ -484,12 +514,22 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
 
 
 def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
-    """isolate_real_roots on primitive integer coefficients, degree >= 1."""
+    """isolate_real_roots on primitive integer coefficients, degree >= 1.
+
+    One remainder sequence serves twice: the Sturm chain of coeffs ends in
+    gcd(f, f'), Yun's first gcd, and when f is square-free and has no
+    rational root to strip, the same chain isolates its roots.  Yun factors
+    and deflated polynomials get chains of their own.
+    """
     items: list[AlgebraicReal] = []
-    for factor, mult in _square_free_int(coeffs):
+    chain = _sturm_chain(coeffs)
+    square_free = len(chain[-1]) == 1
+    for factor, mult in _square_free_int(coeffs, chain[-1]):
         rational, rest = _strip_rational_roots(factor)
         if len(rest) > 1:
-            exacts, windows, rest = _isolate_square_free(rest)
+            whole = square_free and not rational  # rest is coeffs, up to sign
+            exacts, windows, rest = _isolate_square_free(
+                rest, chain if whole else _sturm_chain(rest))
             rational += exacts
             items += [AlgebraicReal._from_window(var, rest, a, b, k, mult)
                       for a, b, k in windows]
@@ -546,8 +586,11 @@ def _sign_dense_at(qi, alpha: AlgebraicReal) -> int:
                 return 1
             if high < 0:
                 return -1
-            if round_no == 2:
-                # interval bounds refuse to settle: rule exact zero in or out
+            if round_no == _ZERO_TEST_ROUND:
+                # interval bounds refuse to settle: rule exact zero in or out.
+                # The window isolates one root of coeffs and its ends are no
+                # roots, so d changes sign over it exactly when that root is
+                # a common root of q and coeffs.
                 d = _int_gcd(qi, coeffs)
                 if len(d) > 1 and (_eval_dyadic(d, a, k) > 0) != (_eval_dyadic(d, b, k) > 0):
                     return 0

@@ -171,6 +171,16 @@ class TestScan:
         assert rc == 2
         assert "--a" in err
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        # exit 1 would claim a disagreement; a bad path is the caller's error
+        target = tmp_path / "no" / "such" / "grid.csv"
+        rc, out, err = run(capsys, "scan", "--range", "2:4", "--resolution", "2",
+                           "--out", str(target))
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert str(target) in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_deterministic_rows(self, capsys):
@@ -217,6 +227,16 @@ class TestSimulate:
                          "--x0", "0.1", "--y0", "0.1", "--steps", "-1")
         assert rc == 2
         assert "nonnegative" in err
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "no" / "such" / "traj.csv"
+        rc, out, err = run(capsys, "simulate", "--u", "2", "--v", "2",
+                           "--x0", "0.25", "--y0", "0.25", "--steps", "3",
+                           "--out", str(target))
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert str(target) in err
+        assert out == ""
 
 
 class TestUsageErrors:

@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, Y
 from kopelcas.realroots import (
-    AlgebraicReal, algebraic_image, isolate_real_roots, refine, sign_at,
-    square_free_decompose, sturm_sign_count,
+    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _sign_dense_at, algebraic_image,
+    isolate_real_roots, refine, sign_at, square_free_decompose, sturm_sign_count,
 )
 
 
@@ -207,6 +208,50 @@ def test_sign_at_irrational_zero_detection():
     assert sign_at(X, low) == 1
 
 
+def _sqrt2(p):
+    return next(r for r in isolate_real_roots(p) if 1 < r.approx < 2)
+
+
+def _count_gcd_calls(monkeypatch):
+    calls = []
+    gcd = realroots._int_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(realroots, "_int_gcd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("t", [F(13, 10), F(3, 2), F(7, 5)])
+def test_nonzero_sign_settling_late_asks_no_gcd(monkeypatch, t):
+    # x - t at sqrt(2): the interval bound settles only once the window
+    # excludes t, a few rounds in, and well before the zero certificate
+    r = _sqrt2(X**2 - 2)
+    k0 = r._k
+    calls = _count_gcd_calls(monkeypatch)
+    assert _sign_dense_at((-t.numerator, t.denominator), r) == (1 if t < 1.4142 else -1)
+    assert 3 <= r._k - k0 < _ZERO_TEST_ROUND
+    assert calls == []
+
+
+def test_zero_at_irrational_common_root_is_certified(monkeypatch):
+    r = _sqrt2((X**2 - 2) * (X - 5))
+    assert r._coeffs == (-2, 0, 1)
+    k0 = r._k
+    calls = _count_gcd_calls(monkeypatch)
+    # q = (x**2 - 2)(3x + 1) vanishes at sqrt(2); interval bounds never settle
+    assert _sign_dense_at((-2, -6, 1, 3), r) == 0
+    assert len(calls) == 1
+    assert r._k - k0 == _ZERO_TEST_ROUND
+    assert not r.is_rational and r.lo < r.hi
+    for end in (r.lo, r.hi):
+        assert end.denominator & (end.denominator - 1) == 0  # dyadic
+        assert end**2 != 2
+    assert r.lo**2 < 2 < r.hi**2
+
+
 def test_sign_at_wrong_variable():
     root = isolate_real_roots(cubic(4, 4))[0]
     with pytest.raises(ValueError):
@@ -296,3 +341,14 @@ def test_constructor_moves_rational_window_onto_dyadic_grid():
     assert half.is_rational and half.value == F(1, 2)
     with pytest.raises(ValueError):
         AlgebraicReal("x", (-2, 0, 1), F(2), F(3))  # no sign change: no root inside
+
+
+def test_divisors_match_brute_force():
+    # sieve: each d is appended to the lists of its multiples, in ascending order
+    top = 20000
+    expected = [[] for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            expected[m].append(d)
+    for n in range(1, top + 1):
+        assert _divisors(n) == expected[n], n

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import MPoly, X, Y, _int_gcd, _primitive, resultant
 from kopelcas.realroots import (
-    _halve, _image_coeffs, _int_clear, _make_disjoint, _sign_dense_at,
-    _strip_rational_roots, algebraic_image, isolate_real_roots, sign_at,
-    sturm_sign_count,
+    AlgebraicReal, _halve, _image_coeffs, _int_clear, _isolate_int, _isolate_square_free,
+    _make_disjoint, _sign_dense_at, _square_free_int, _strip_rational_roots, _sturm_chain,
+    algebraic_image, isolate_real_roots, sign_at, sturm_sign_count,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -238,3 +238,54 @@ def test_image_polynomial_matches_the_resultant(f, q_coeffs):
     expected = _positive_primitive(_int_clear(
         [res.coefficient_of("y", k).as_fraction() for k in range(int(res.degree("y")) + 1)]))
     assert got == expected
+
+
+def _isolate_factor_by_factor(coeffs):
+    """Isolation with a gcd and a Sturm chain of its own for every factor."""
+    items = []
+    df = [k * c for k, c in enumerate(coeffs)][1:]
+    for factor, mult in _square_free_int(coeffs, _int_gcd(coeffs, df)):
+        rational, rest = _strip_rational_roots(factor)
+        if len(rest) > 1:
+            exacts, windows, rest = _isolate_square_free(rest, _sturm_chain(rest))
+            rational += exacts
+            items += [AlgebraicReal._from_window("x", rest, a, b, k, mult)
+                      for a, b, k in windows]
+        items += [AlgebraicReal.from_rational(r, "x", mult) for r in rational]
+    return _make_disjoint(items)
+
+
+def _described(r):
+    if r.is_rational:
+        return r.value, r.multiplicity_in_source
+    return r._coeffs, r._a, r._b, r._k, r.multiplicity_in_source
+
+
+@PROPERTY
+@given(st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3,
+                unique_by=lambda t: t[0]),
+       st.lists(st.tuples(quadratics, st.integers(1, 2)), max_size=2,
+                unique_by=lambda t: t[0]),
+       st.sampled_from([1, -1, -2, 3]), st.booleans())
+def test_isolation_reuses_the_chain_without_changing_a_root(rational_roots, quads, lead, big):
+    # planted repeated factors, negative leads, rational roots to strip and
+    # irreducible quadratics; big puts the end coefficients past the snap
+    # budget, so the square-free polynomial reaches bisection unstripped
+    p = MPoly.constant(lead)
+    for r, m in rational_roots:
+        p = p * (X - r) ** m
+    for (c, n), m in quads:
+        p = p * _quadratic(c, n) ** m
+    if big:
+        p = p * (X**2 + 1000003)
+    if p.is_constant():
+        return
+    coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
+                         for k in range(int(p.degree("x")) + 1)])
+    df = [k * c for k, c in enumerate(coeffs)][1:]
+    assert _square_free_int(coeffs, _sturm_chain(coeffs)[-1]) == \
+        _square_free_int(coeffs, _int_gcd(coeffs, df))
+    got = _isolate_int("x", coeffs)
+    expected = _isolate_factor_by_factor(coeffs)
+    assert [_described(r) for r in got] == [_described(r) for r in expected]
+    assert len(got) == len(rational_roots) + 2 * len(quads)
