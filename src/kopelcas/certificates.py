@@ -172,26 +172,27 @@ def _chain_resultant(condition: MPoly) -> MPoly:
 
 
 def _identity_pairs(name: str) -> list:
-    cubic = equilibrium_cubic()
-    cd1, cd2, cd3 = stability_conditions()
+    # each branch builds only the model polynomials it reads
     if name == "cubic-at-origin":
-        return [(resultant(cubic, X, "x"), U * V - 1)]
+        return [(resultant(equilibrium_cubic(), X, "x"), U * V - 1)]
     if name == "cubic-at-one":
-        return [(resultant(cubic, 1 - X, "x"), MPoly.constant(1))]
+        return [(resultant(equilibrium_cubic(), 1 - X, "x"), MPoly.constant(1))]
     if name == "cubic-discriminant":
+        cubic = equilibrium_cubic()
         return [(resultant(cubic, cubic.derivative("x"), "x"),
                  -(U**3 * V**6) * COUNT_DISCRIMINANT)]
     if name == "cubic-inflection":
+        cubic = equilibrium_cubic()
         second = cubic.derivative("x").derivative("x")
         return [(resultant(cubic, second, "x"),
                  -8 * U**3 * V**6 * TRIPLE_ROOT_COMPANION)]
     if name == "fold-chain-resultant":
         expected = -(A**3 * B**3 * U**3 * V**6) * (U * V - 1) * COUNT_DISCRIMINANT
-        return [(_chain_resultant(cd1), expected)]
+        return [(_chain_resultant(stability_conditions()[0]), expected)]
     if name == "flip-chain-resultant":
-        return [(_chain_resultant(cd2), -(U**3 * V**6) * FLIP_CHAIN)]
+        return [(_chain_resultant(stability_conditions()[1]), -(U**3 * V**6) * FLIP_CHAIN)]
     if name == "modulus-chain-resultant":
-        return [(_chain_resultant(cd3), (U**3 * V**6) * MODULUS_CHAIN)]
+        return [(_chain_resultant(stability_conditions()[2]), (U**3 * V**6) * MODULUS_CHAIN)]
     if name == "flip-full-speed-factorization":
         restricted = FLIP_CHAIN.evaluate({"a": 1, "b": 1})
         return [(restricted, FLIP_FULL_SPEED),
@@ -204,7 +205,7 @@ def _identity_pairs(name: str) -> list:
         return [(MODULUS_CHAIN.substitute("b", A), A**3 * MODULUS_HOMOGENEOUS)]
     if name == "triangular-substitution":
         fixed_x = X - U * Y * (1 - Y)
-        return [(fixed_x.substitute("y", V * X - V * X**2), X * cubic)]
+        return [(fixed_x.substitute("y", V * X - V * X**2), X * equilibrium_cubic())]
     raise ValueError(f"unknown identity name: {name}")
 
 

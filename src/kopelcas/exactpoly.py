@@ -1,15 +1,21 @@
 """Sparse exact polynomial arithmetic in the six model variables.
 
 Polynomials live in Q[x, y, u, v, a, b].  A polynomial is a mapping from
-exponent tuples ``(ex, ey, eu, ev, ea, eb)`` to nonzero Fraction coefficients;
-the zero polynomial is the empty mapping.  The monomial order is lexicographic
-with x > y > u > v > a > b, which exponent tuples inherit from plain tuple
+exponent tuples ``(ex, ey, eu, ev, ea, eb)`` to nonzero coefficients; the
+zero polynomial is the empty mapping.  A coefficient is a Python int when it
+is integral and a Fraction with denominator > 1 otherwise, so polynomials
+with integer coefficients, which is nearly all of them here, never pay for
+Fraction normalisation.  The monomial order is lexicographic with
+x > y > u > v > a > b, which exponent tuples inherit from plain tuple
 comparison, so "leading term" below always means the max exponent tuple.
 
-The resultant is a Sylvester-matrix determinant evaluated by fraction-free
-(Bareiss) elimination after clearing rational coefficients to integers; every
-intermediate division in that elimination is exact, so no rounding or
-fraction blow-up occurs.  Dense univariate helpers over Z (primitive parts,
+Resultants and exact division run in an integer kernel on term dicts
+``{exponent tuple: int}``.  The resultant is a Sylvester-matrix determinant:
+each row is cleared to integers once, fraction-free (Bareiss) elimination
+runs on ints, and the determinant is divided by the product of the row
+multipliers at the end.  Every division inside the elimination is exact and
+takes quotient coefficients with divmod, so a nonzero remainder is an error,
+never a rounding.  Dense univariate helpers over Z (primitive parts,
 pseudo-remainders, gcds, exact division) serve the root layer, and a
 parameter polynomial compiled to an integer term list binds rational
 parameters on integers alone.
@@ -31,6 +37,8 @@ _PRINT_ORDER = tuple(sorted(range(len(VARS)), key=lambda i: VARS[i]))
 
 NEG_INF = float("-inf")
 
+Coeff = int | Fraction  # an int when integral, else a Fraction with denominator > 1
+
 
 def _check_var(name: str) -> int:
     if name not in _VAR_INDEX:
@@ -38,16 +46,40 @@ def _check_var(name: str) -> int:
     return _VAR_INDEX[name]
 
 
+def _coeff(value) -> Coeff:
+    """An exact scalar in coefficient form; floats are rejected."""
+    if type(value) is int:
+        return value
+    c = coerce_rational(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon(terms: dict) -> dict:
+    """Drop zero coefficients and turn integral Fractions into ints."""
+    return {exp: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for exp, c in terms.items() if c}
+
+
+def _mul_into(out: dict, f: dict, g: dict) -> dict:
+    """Add the product of the term dicts f and g into out; zeros stay in out."""
+    get = out.get
+    for (x1, y1, u1, v1, a1, b1), c1 in f.items():
+        for (x2, y2, u2, v2, a2, b2), c2 in g.items():
+            exp = (x1 + x2, y1 + y2, u1 + u2, v1 + v2, a1 + a2, b1 + b2)
+            out[exp] = get(exp, 0) + c1 * c2
+    return out
+
+
 class MPoly:
     """Immutable sparse polynomial over Q in the variables x, y, u, v, a, b."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], object] | None = None):
+        clean: dict[tuple[int, ...], Coeff] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = coerce_rational(coeff)
+                c = _coeff(coeff)
                 if c:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "_terms", clean)
@@ -63,14 +95,14 @@ class MPoly:
 
     @classmethod
     def constant(cls, c) -> "MPoly":
-        return cls({_ZERO_EXP: coerce_rational(c)})
+        return cls({_ZERO_EXP: c})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
         i = _check_var(name)
         exp = [0] * len(VARS)
         exp[i] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     # -- predicates and views ---------------------------------------------
 
@@ -85,10 +117,10 @@ class MPoly:
         if not self._terms:
             return Fraction(0)
         if self.is_constant():
-            return self._terms[_ZERO_EXP]
+            return Fraction(self._terms[_ZERO_EXP])
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         """Terms in descending monomial order (canonical)."""
         return sorted(self._terms.items(), reverse=True)
 
@@ -118,15 +150,15 @@ class MPoly:
     def coefficient_of(self, name: str, power: int) -> "MPoly":
         """Coefficient of name**power, viewing self as univariate in name."""
         i = _check_var(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         for exp, c in self._terms.items():
             if exp[i] == power:
                 reduced = list(exp)
                 reduced[i] = 0
                 out[tuple(reduced)] = c
-        return MPoly(out)
+        return _raw(out)
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], Coeff]:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self._terms)
@@ -141,10 +173,12 @@ class MPoly:
         out = dict(self._terms)
         for exp, c in other._terms.items():
             s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
+            if not s:
+                del out[exp]
+            elif type(s) is Fraction and s.denominator == 1:
+                out[exp] = s.numerator
             else:
-                out.pop(exp, None)
+                out[exp] = s
         return _raw(out)
 
     __radd__ = __add__
@@ -166,32 +200,18 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return MPoly.zero()
-            return _raw({exp: k * c for exp, k in self._terms.items()})
+            c = _coeff(other)
+            return _raw(_canon({exp: k * c for exp, k in self._terms.items()}))
         if not isinstance(other, MPoly):
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = (
-                    e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2],
-                    e1[3] + e2[3], e1[4] + e2[4], e1[5] + e2[5],
-                )
-                s = out.get(exp, 0) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return _raw(out)
+        return _raw(_canon(_mul_into({}, self._terms, other._terms)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MPoly.constant(1)
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -214,19 +234,19 @@ class MPoly:
 
     def derivative(self, name: str) -> "MPoly":
         i = _check_var(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         for exp, c in self._terms.items():
             e = exp[i]
             if e:
                 reduced = list(exp)
                 reduced[i] = e - 1
                 out[tuple(reduced)] = c * e
-        return _raw(out)
+        return _raw(_canon(out))
 
     def evaluate(self, binding: Mapping[str, object]) -> "MPoly":
         """Substitute exact rational values for a subset of the variables."""
-        idx_vals = [(_check_var(name), coerce_rational(val)) for name, val in binding.items()]
-        out: dict[tuple[int, ...], Fraction] = {}
+        idx_vals = [(_check_var(name), _coeff(val)) for name, val in binding.items()]
+        out: dict[tuple[int, ...], Coeff] = {}
         for exp, c in self._terms.items():
             reduced = list(exp)
             for i, val in idx_vals:
@@ -234,14 +254,9 @@ class MPoly:
                 if e:
                     c = c * val ** e
                     reduced[i] = 0
-            if c:
-                key = tuple(reduced)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return _raw(out)
+            key = tuple(reduced)
+            out[key] = out.get(key, 0) + c
+        return _raw(_canon(out))
 
     def substitute(self, name: str, replacement: "MPoly") -> "MPoly":
         """Replace a variable by a polynomial (composition), exactly."""
@@ -290,7 +305,7 @@ class MPoly:
         return f"MPoly({self.to_str()!r})"
 
 
-def _raw(terms: dict[tuple[int, ...], Fraction]) -> MPoly:
+def _raw(terms: dict[tuple[int, ...], Coeff]) -> MPoly:
     """Build an MPoly from an already-normalized term dict (no copying checks)."""
     p = MPoly.__new__(MPoly)
     object.__setattr__(p, "_terms", terms)
@@ -310,39 +325,116 @@ X, Y, U, V, A, B = (MPoly.var(name) for name in VARS)
 ONE = MPoly.constant(1)
 
 
+# -- integer kernel --------------------------------------------------------
+#
+# Polynomials over Z as term dicts {exponent tuple: int} without zeros.  The
+# resultant and exact division clear denominators on the way in, compute on
+# ints alone, and scale back once on the way out.
+
+def _denominator_lcm(p: MPoly) -> int:
+    return lcm(*[c.denominator for c in p._terms.values()])
+
+
+def _int_terms(p: MPoly, mult: int) -> dict:
+    """The term dict of mult * p, for a multiple mult of p's denominators."""
+    if mult == 1:
+        return p._terms
+    return {exp: c.numerator * (mult // c.denominator) for exp, c in p._terms.items()}
+
+
+def _scaled(terms: dict, scale: Fraction) -> MPoly:
+    """The MPoly scale * terms, from an integer term dict."""
+    if scale == 1:
+        return _raw(terms)
+    return _raw(_canon({exp: c * scale for exp, c in terms.items()}))
+
+
+def _int_divide(f: dict, g: dict) -> dict:
+    """f / g on integer term dicts; ValueError("not divisible") unless exact.
+
+    Long division by leading terms.  Over Z every quotient coefficient must
+    come out of divmod with no remainder, which holds whenever g divides f
+    over Q and g is primitive (Gauss's lemma), or f is an exact multiple of g
+    over Z.
+    """
+    lead_exp = max(g)
+    lead = g[lead_exp]
+    lx, ly, lu, lv, la, lb = lead_exp
+    tail = [(exp, c) for exp, c in g.items() if exp != lead_exp]
+    rest = dict(f)
+    quot: dict[tuple[int, ...], int] = {}
+    while rest:
+        x, y, u, v, a, b = top = max(rest)
+        t, r = divmod(rest.pop(top), lead)
+        d = (x - lx, y - ly, u - lu, v - lv, a - la, b - lb)
+        if r or min(d) < 0:
+            raise ValueError("not divisible")
+        quot[d] = t
+        dx, dy, du, dv, da, db = d
+        for (x2, y2, u2, v2, a2, b2), c in tail:
+            exp = (dx + x2, dy + y2, du + u2, dv + v2, da + a2, db + b2)
+            s = rest.get(exp, 0) - t * c
+            if s:
+                rest[exp] = s
+            else:
+                del rest[exp]
+    return quot
+
+
+def _int_bareiss(m: list[list[dict]]) -> dict:
+    """Determinant of a matrix of integer term dicts, by Bareiss elimination.
+
+    Entry (i, j) after step k is a (k+1)-minor of the input, so each division
+    by the previous pivot is exact over Z.  m is overwritten.
+    """
+    n = len(m)
+    if n == 0:
+        return {_ZERO_EXP: 1}
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return {}
+        row_k = m[k]
+        pivot = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            minus_head = {exp: -c for exp, c in row_i[k].items()}
+            for j in range(k + 1, n):
+                num = _mul_into(_mul_into({}, pivot, row_i[j]), minus_head, row_k[j])
+                num = {exp: c for exp, c in num.items() if c}
+                row_i[j] = _int_divide(num, prev) if prev and num else num
+            row_i[k] = {}
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else {exp: -c for exp, c in det.items()}
+
+
 # -- exact division --------------------------------------------------------
 
 def exact_divide(p: MPoly, q: MPoly) -> MPoly:
-    """Return p / q when q divides p exactly; raise ValueError otherwise."""
+    """Return p / q when q divides p exactly; raise ValueError otherwise.
+
+    p is cleared to integers and divided by the primitive integer part of q,
+    a quotient that Gauss's lemma makes integral; the two scales come back
+    as one rational factor.
+    """
     if q.is_zero():
         raise ValueError("division by the zero polynomial")
-    if p.is_zero():
-        return MPoly.zero()
-    if q.is_constant():
-        inv = 1 / q.as_fraction()
-        return p * inv
-    lt_q_exp, lt_q_coeff = q.leading_term()
-    quotient: dict[tuple[int, ...], Fraction] = {}
-    rest = p
-    while not rest.is_zero():
-        lt_exp, lt_coeff = rest.leading_term()
-        diff = tuple(a - b for a, b in zip(lt_exp, lt_q_exp))
-        if any(e < 0 for e in diff):
-            raise ValueError("not divisible")
-        c = lt_coeff / lt_q_coeff
-        quotient[diff] = c
-        rest = rest - _raw({diff: c}) * q
-    return _raw(quotient)
+    dp, dq = _denominator_lcm(p), _denominator_lcm(q)
+    qi = _int_terms(q, dq)
+    content = gcd(*qi.values())
+    primitive = {exp: c // content for exp, c in qi.items()}
+    return _scaled(_int_divide(_int_terms(p, dp), primitive), Fraction(dq, dp * content))
 
 
 # -- resultants ------------------------------------------------------------
-
-def _denominator_lcm(p: MPoly) -> int:
-    d = 1
-    for c in p._terms.values():
-        d = lcm(d, c.denominator)
-    return d
-
 
 def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:
     """The (m+n) x (m+n) Sylvester matrix of p and q in the variable name."""
@@ -366,33 +458,13 @@ def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:
 
 
 def _bareiss_determinant(matrix: list[list[MPoly]]) -> MPoly:
-    """Fraction-free determinant; every division below is exact."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return MPoly.constant(1)
-    sign = 1
-    prev = MPoly.constant(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MPoly.zero()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - head * m[k][j]
-                row_i[j] = exact_divide(num, prev)
-            row_i[k] = MPoly.zero()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    """Fraction-free determinant: rows cleared to integers, eliminated on ints."""
+    rows, scale = [], 1
+    for row in matrix:
+        mult = lcm(*[_denominator_lcm(entry) for entry in row])
+        scale *= mult
+        rows.append([_int_terms(entry, mult) for entry in row])
+    return _scaled(_int_bareiss(rows), Fraction(1, scale))
 
 
 def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
@@ -416,11 +488,7 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
         return p ** n
     if n == 0:
         return q ** m
-    cp = _denominator_lcm(p)
-    cq = _denominator_lcm(q)
-    det = _bareiss_determinant(sylvester_matrix(p * cp, q * cq, name))
-    scale_back = Fraction(1, cp ** n * cq ** m)
-    return det * scale_back
+    return _bareiss_determinant(sylvester_matrix(p, q, name))
 
 
 # -- univariate gcd --------------------------------------------------------
@@ -439,13 +507,13 @@ def gcd_univariate(p: MPoly, q: MPoly, name: str) -> MPoly:
     return dense_to_mpoly([Fraction(c, g[-1]) for c in g], name)
 
 
-def _dense_coeffs(p: MPoly, name: str) -> list[Fraction]:
+def _dense_coeffs(p: MPoly, name: str) -> list[Coeff]:
     """Ascending coefficient list of a univariate polynomial; [] for zero."""
     d = p.degree(name)
     if d is NEG_INF:
         return []
     i = _VAR_INDEX[name]
-    out = [Fraction(0)] * (int(d) + 1)
+    out: list[Coeff] = [0] * (int(d) + 1)
     for exp, c in p._terms.items():
         out[exp[i]] = c
     return out
@@ -453,9 +521,9 @@ def _dense_coeffs(p: MPoly, name: str) -> list[Fraction]:
 
 def dense_to_mpoly(coeffs: Iterable, name: str) -> MPoly:
     i = _check_var(name)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Coeff] = {}
     for power, c in enumerate(coeffs):
-        c = coerce_rational(c)
+        c = _coeff(c)
         if c:
             exp = [0] * len(VARS)
             exp[i] = power
@@ -480,7 +548,7 @@ def _primitive(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _int_clear(dense: list[Fraction]) -> tuple[int, ...]:
+def _int_clear(dense: list[Coeff]) -> tuple[int, ...]:
     """Scale rational coefficients by a positive rational to primitive integers."""
     mult = lcm(*[c.denominator for c in dense])
     return _primitive([c.numerator * (mult // c.denominator) for c in dense])
@@ -544,9 +612,9 @@ def integer_terms(poly: MPoly) -> tuple:
     """
     terms = []
     for (ex, ey, eu, ev, ea, eb), c in poly.terms():
-        if ey or c.denominator != 1 or max(eu, ev, ea, eb) > BIND_TOP:
+        if ey or type(c) is not int or max(eu, ev, ea, eb) > BIND_TOP:
             raise ValueError(f"cannot bind {poly} on integers")
-        terms.append((c.numerator, ex, eu, ev, ea, eb))
+        terms.append((c, ex, eu, ev, ea, eb))
     return tuple(terms)
 
 

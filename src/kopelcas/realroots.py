@@ -55,7 +55,7 @@ def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-def _univar(p: MPoly) -> tuple[str | None, list[Fraction]]:
+def _univar(p: MPoly) -> tuple[str | None, list[int | Fraction]]:
     used = p.variables()
     if len(used) > 1:
         raise ValueError(f"expected a univariate polynomial, got variables {sorted(used)}")
@@ -433,6 +433,8 @@ def _isolate_square_free(coeffs: tuple[int, ...], chain):
         if va - vb == 1:
             windows.append((a, b, k))
         elif va - vb > 1:
+            if k >= _REFINE_CAP:
+                raise RuntimeError("root isolation failed to converge")
             m = a + b
             if _eval_dyadic(coeffs, m, k + 1) == 0:
                 # bisection landed on a root: snap it, deflate, recount

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
@@ -365,3 +367,83 @@ def test_integer_binding_scales_by_the_common_denominator():
 def test_integer_binding_rejects_what_it_cannot_bind(poly):
     with pytest.raises(ValueError):
         integer_terms(poly)
+
+
+# -- the coefficient invariant and the integer kernel ----------------------
+#
+# Hypothesis runs derandomized, so every run draws the same examples.
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+# integral and proper-fraction coefficients alike, over x, u and v
+coefficients = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 3))
+exponents = st.tuples(st.integers(0, 2), st.just(0), st.integers(0, 2),
+                      st.integers(0, 1), st.just(0), st.just(0))
+polys = st.dictionaries(exponents, coefficients, max_size=4).map(MPoly)
+nonconstant = polys.filter(lambda p: p.degree("x") >= 1)
+contents = st.sampled_from([2, -3, 6, F(4, 3), F(1, 6), F(-5, 2)])
+
+
+def assert_canonical(p):
+    # an int when integral, else a Fraction in lowest terms with denominator > 1
+    for _, c in p.terms():
+        assert c != 0
+        assert type(c) is int or (type(c) is F and c.denominator > 1), repr(c)
+
+
+def test_integral_results_come_back_as_ints():
+    half = F(1, 2) * X + F(1, 2)
+    for p in (half * 2, half + half, (F(1, 2) * X**2).derivative("x"),
+              (F(1, 3) * X * U).evaluate({"u": 3}), MPoly.constant(F(6, 3))):
+        assert_canonical(p)
+        assert all(type(c) is int for _, c in p.terms())
+    assert type(MPoly.constant(F(6, 3)).as_fraction()) is F
+
+
+@PROPERTY
+@given(polys, polys, coefficients)
+def test_every_operation_keeps_the_coefficient_invariant(p, q, s):
+    results = [p + q, p - q, p * q, p * s, p ** 2, p.derivative("x"),
+               p.evaluate({"u": s}), p.evaluate({"x": s, "v": 2}), p.substitute("u", q)]
+    if not q.is_zero():
+        results.append(exact_divide(p * q, q))
+    if not (p.is_zero() and q.is_zero()):
+        results.append(resultant(p, q, "x"))
+    for r in results:
+        assert_canonical(r)
+
+
+@PROPERTY
+@given(nonconstant, nonconstant)
+def test_resultant_matches_the_cofactor_determinant(p, q):
+    assert resultant(p, q, "x") == naive_det(sylvester_matrix(p, q, "x"))
+
+
+@PROPERTY
+@given(polys, polys.filter(lambda q: not q.is_zero()), contents)
+def test_exact_divide_by_a_non_primitive_divisor(p, q0, content):
+    q = q0 * content
+    quotient = exact_divide(p * q, q)
+    assert quotient == p
+    assert_canonical(quotient)
+
+
+def test_exact_divide_scales_back_the_content():
+    assert exact_divide(X, 2 * X) == F(1, 2)
+    assert exact_divide(3 * X * U, F(3, 2) * U) == 2 * X
+    assert exact_divide(F(1, 2) * X**2 - F(1, 2), 3 * X + 3) == F(1, 6) * X - F(1, 6)
+
+
+@PROPERTY
+@given(polys, nonconstant)
+def test_a_non_multiple_is_not_divisible(p, q):
+    # q divides p q + 1 only if it divides 1, which a nonconstant q cannot
+    with pytest.raises(ValueError, match="not divisible"):
+        exact_divide(p * q + 1, q)
+
+
+def test_a_remainder_in_a_quotient_coefficient_is_not_divisible():
+    # the exponents divide, but 3 = 1 * 2 + 1 leaves a remainder; dropping it
+    # would cancel both terms and return the quotient 1
+    with pytest.raises(ValueError, match="not divisible"):
+        exact_divide(3 * X + 1, 2 * X + 1)

@@ -143,6 +143,14 @@ def test_isolate_beyond_snap_budget_still_certifies():
     assert abs(roots[0].approx - float(r)) < 1e-12
 
 
+def test_isolation_with_a_mismatched_chain_stops_at_the_cap():
+    # the chain [1, x, 1] loses two sign variations at x = 0, where x^2 - 2
+    # has no root: every window ending at 0 still counts two roots, so
+    # bisection never separates them and must stop at the depth cap
+    with pytest.raises(RuntimeError):
+        realroots._isolate_square_free((-2, 0, 1), [(1,), (0, 1), (1,)])
+
+
 # -- Sturm counting --------------------------------------------------------
 
 def test_sturm_sign_count_basic():
