@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .exactpoly import A, B, MPoly, U, V, X, Y, bind, integer_terms, power_tables, resultant
-from .model import equilibrium_cubic, stability_conditions, y_relation
-from .rational import coerce_rational
+from .model import ModelParams, equilibrium_cubic, stability_conditions, y_relation
 
 
 class EquilibriumCountClass(Enum):
@@ -35,6 +35,20 @@ class StableCountClass(Enum):
     TWO_STABLE = "TwoStable"
     ONE_STABLE = "OneStable"
     THEOREM_SILENT = "TheoremSilent"
+
+
+# the count each class asserts: positive fixed points for an
+# EquilibriumCountClass, stable ones for a StableCountClass; None asserts nothing
+EXPECTED_COUNT = {
+    EquilibriumCountClass.THREE_POSITIVE: 3,
+    EquilibriumCountClass.ONE_POSITIVE: 1,
+    EquilibriumCountClass.TWO_POSITIVE_BOUNDARY: 2,
+    EquilibriumCountClass.ONE_POSITIVE_TRIPLE: 1,
+    EquilibriumCountClass.NONE_OR_DEGENERATE: 0,
+    StableCountClass.TWO_STABLE: 2,
+    StableCountClass.ONE_STABLE: 1,
+    StableCountClass.THEOREM_SILENT: None,
+}
 
 
 def _expand(terms, gens):
@@ -151,14 +165,6 @@ class IdentityResult:
     pairs: tuple  # (derived, expected) comparisons, all of which must agree
 
     @property
-    def derived(self) -> MPoly:
-        return self.pairs[0][0]
-
-    @property
-    def expected(self) -> MPoly:
-        return self.pairs[0][1]
-
-    @property
     def difference(self) -> MPoly:
         for lhs, rhs in self.pairs:
             if lhs != rhs:
@@ -171,61 +177,48 @@ def _chain_resultant(condition: MPoly) -> MPoly:
     return resultant(inner, equilibrium_cubic(), "x")
 
 
-def _identity_pairs(name: str) -> list:
-    # each branch builds only the model polynomials it reads
-    if name == "cubic-at-origin":
-        return [(resultant(equilibrium_cubic(), X, "x"), U * V - 1)]
-    if name == "cubic-at-one":
-        return [(resultant(equilibrium_cubic(), 1 - X, "x"), MPoly.constant(1))]
-    if name == "cubic-discriminant":
-        cubic = equilibrium_cubic()
-        return [(resultant(cubic, cubic.derivative("x"), "x"),
-                 -(U**3 * V**6) * COUNT_DISCRIMINANT)]
-    if name == "cubic-inflection":
-        cubic = equilibrium_cubic()
-        second = cubic.derivative("x").derivative("x")
-        return [(resultant(cubic, second, "x"),
-                 -8 * U**3 * V**6 * TRIPLE_ROOT_COMPANION)]
-    if name == "fold-chain-resultant":
-        expected = -(A**3 * B**3 * U**3 * V**6) * (U * V - 1) * COUNT_DISCRIMINANT
-        return [(_chain_resultant(stability_conditions()[0]), expected)]
-    if name == "flip-chain-resultant":
-        return [(_chain_resultant(stability_conditions()[1]), -(U**3 * V**6) * FLIP_CHAIN)]
-    if name == "modulus-chain-resultant":
-        return [(_chain_resultant(stability_conditions()[2]), (U**3 * V**6) * MODULUS_CHAIN)]
-    if name == "flip-full-speed-factorization":
-        restricted = FLIP_CHAIN.evaluate({"a": 1, "b": 1})
-        return [(restricted, FLIP_FULL_SPEED),
-                (FLIP_FULL_SPEED, (U * V - 1) * COUNT_DISCRIMINANT)]
-    if name == "modulus-full-speed-restriction":
-        return [(MODULUS_CHAIN.evaluate({"a": 1, "b": 1}), MODULUS_FULL_SPEED)]
-    if name == "modulus-homogeneous-restriction":
-        # the restriction keeps a positive cubic factor in the speed, so the
-        # two sides agree only after that factor is made explicit
-        return [(MODULUS_CHAIN.substitute("b", A), A**3 * MODULUS_HOMOGENEOUS)]
-    if name == "triangular-substitution":
-        fixed_x = X - U * Y * (1 - Y)
-        return [(fixed_x.substitute("y", V * X - V * X**2), X * equilibrium_cubic())]
-    raise ValueError(f"unknown identity name: {name}")
+def _cubic_resultant(other, expected) -> list:
+    """Pairs resultant_x(cubic, other(cubic)) with expected, building the cubic once."""
+    cubic = equilibrium_cubic()
+    return [(resultant(cubic, other(cubic), "x"), expected)]
 
 
-IDENTITY_NAMES = (
-    "cubic-at-origin",
-    "cubic-at-one",
-    "cubic-discriminant",
-    "cubic-inflection",
-    "fold-chain-resultant",
-    "flip-chain-resultant",
-    "modulus-chain-resultant",
-    "flip-full-speed-factorization",
-    "modulus-full-speed-restriction",
-    "modulus-homogeneous-restriction",
-    "triangular-substitution",
-)
+# each identity builds its (derived, expected) pairs on demand, reading only
+# the model polynomials it needs; the order is the order of verify_all()
+_IDENTITY_PAIRS = {
+    "cubic-at-origin": lambda: _cubic_resultant(lambda c: X, U * V - 1),
+    "cubic-at-one": lambda: _cubic_resultant(lambda c: 1 - X, MPoly.constant(1)),
+    "cubic-discriminant": lambda: _cubic_resultant(
+        lambda c: c.derivative("x"), -(U**3 * V**6) * COUNT_DISCRIMINANT),
+    "cubic-inflection": lambda: _cubic_resultant(
+        lambda c: c.derivative("x").derivative("x"), -8 * U**3 * V**6 * TRIPLE_ROOT_COMPANION),
+    "fold-chain-resultant": lambda: [(
+        _chain_resultant(stability_conditions()[0]),
+        -(A**3 * B**3 * U**3 * V**6) * (U * V - 1) * COUNT_DISCRIMINANT)],
+    "flip-chain-resultant": lambda: [(
+        _chain_resultant(stability_conditions()[1]), -(U**3 * V**6) * FLIP_CHAIN)],
+    "modulus-chain-resultant": lambda: [(
+        _chain_resultant(stability_conditions()[2]), (U**3 * V**6) * MODULUS_CHAIN)],
+    "flip-full-speed-factorization": lambda: [
+        (FLIP_CHAIN.evaluate({"a": 1, "b": 1}), FLIP_FULL_SPEED),
+        (FLIP_FULL_SPEED, (U * V - 1) * COUNT_DISCRIMINANT)],
+    "modulus-full-speed-restriction": lambda: [
+        (MODULUS_CHAIN.evaluate({"a": 1, "b": 1}), MODULUS_FULL_SPEED)],
+    # the restriction keeps a positive cubic factor in the speed, so the
+    # two sides agree only after that factor is made explicit
+    "modulus-homogeneous-restriction": lambda: [
+        (MODULUS_CHAIN.substitute("b", A), A**3 * MODULUS_HOMOGENEOUS)],
+    "triangular-substitution": lambda: [(
+        (X - U * Y * (1 - Y)).substitute("y", V * X - V * X**2), X * equilibrium_cubic())],
+}
+
+IDENTITY_NAMES = tuple(_IDENTITY_PAIRS)
 
 
 def verify_identity(name: str) -> IdentityResult:
-    pairs = tuple(_identity_pairs(name))
+    if name not in _IDENTITY_PAIRS:
+        raise ValueError(f"unknown identity name: {name}")
+    pairs = tuple(_IDENTITY_PAIRS[name]())
     return IdentityResult(name, all(l == r for l, r in pairs), pairs)
 
 
@@ -243,6 +236,10 @@ def all_identities_hold() -> bool:
 # are compiled once into integer term lists and bound to the parameters on
 # integers, so one binding per scan cell gives both the class and the exact
 # distance test behind the near-boundary flag.
+#
+# The kinds are declared here and nowhere else: KINDS, the certificates each
+# kind reads, EXPECTED_COUNT and the speed rule in _kind_speed.  The scanner
+# and the command line read them from this module.
 
 _KIND_CERTIFICATES = {
     "count": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD),
@@ -250,6 +247,7 @@ _KIND_CERTIFICATES = {
                STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC),
     "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
 }
+KINDS = tuple(_KIND_CERTIFICATES)
 _KIND_TERMS = {kind: tuple(integer_terms(p) for p in polys)
                for kind, polys in _KIND_CERTIFICATES.items()}
 
@@ -282,22 +280,36 @@ def _classify_values(kind: str, u, v, values):
     return StableCountClass.THEOREM_SILENT
 
 
-def _classify(kind: str, u, v, a):
-    return _classify_values(kind, u, v, _certificate_values(kind, power_tables(u, v, a, a)))
+def _kind_speed(kind: str, a, name: str = "a"):
+    """The common speed a kind is classified at; errors call the speed `name`.
+
+    Only the homogeneous kind reads a speed, and it needs one.  The count
+    and stable kinds hold at a = b = 1 and refuse a speed rather than
+    drop it.
+    """
+    if kind not in _KIND_CERTIFICATES:
+        raise ValueError(f"unknown kind: {kind}")
+    if kind == "homogeneous":
+        if a is None:
+            raise ValueError(f"homogeneous classifications and scans need {name}")
+        return a
+    if a is not None:
+        raise ValueError(f"{kind} classifications and scans take no speed: drop {name}, "
+                         "only the homogeneous kind reads one")
+    return Fraction(1)
 
 
-def _check_uv(u, v):
-    u = coerce_rational(u)
-    v = coerce_rational(v)
-    if u <= 0 or v <= 0:
-        raise ValueError("reaction intensities must satisfy u > 0 and v > 0")
-    return u, v
+def classify(kind: str, u, v, a=None):
+    """The class of (u, v) for a kind in KINDS; a is the homogeneous kind's speed."""
+    speed = _kind_speed(kind, a)
+    p = ModelParams(u, v, speed, speed)
+    return _classify_values(kind, p.u, p.v,
+                            _certificate_values(kind, power_tables(p.u, p.v, p.a, p.b)))
 
 
 def classify_equilibrium_count(u, v) -> EquilibriumCountClass:
     """Number of positive fixed points from parameter signs alone."""
-    u, v = _check_uv(u, v)
-    return _classify("count", u, v, 1)
+    return classify("count", u, v)
 
 
 def classify_stable_best_response(u, v) -> StableCountClass:
@@ -306,14 +318,9 @@ def classify_stable_best_response(u, v) -> StableCountClass:
     The sufficient sign patterns do not cover the whole parameter set; the
     silent value means no conclusion, not a count of zero.
     """
-    u, v = _check_uv(u, v)
-    return _classify("stable", u, v, 1)
+    return classify("stable", u, v)
 
 
 def classify_stable_homogeneous(u, v, a) -> StableCountClass:
     """Stable count when both players share the adjustment speed a."""
-    u, v = _check_uv(u, v)
-    a = coerce_rational(a)
-    if not (0 < a <= 1):
-        raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
-    return _classify("homogeneous", u, v, a)
+    return classify("homogeneous", u, v, a)

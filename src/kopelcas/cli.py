@@ -15,17 +15,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .certificates import (
-    classify_equilibrium_count, classify_stable_best_response,
-    classify_stable_homogeneous, verify_all,
-    EquilibriumCountClass,
-)
+from .certificates import KINDS, EquilibriumCountClass, _kind_speed, classify, verify_all
 from .model import ModelParams, State, equilibria, equilibrium_report, iterate, jury_report
 from .rational import format_rational, parse_rational
-from .scanner import (
-    ScanSpec, emit_grid, scan_equilibrium_count, scan_stability_best_response,
-    scan_stability_homogeneous,
-)
+from .scanner import ScanSpec, emit_grid, scan
 
 
 def _rational(text: str) -> Fraction:
@@ -64,19 +57,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vi.add_argument("--json", action="store_true")
 
     p_cl = sub.add_parser("classify", help="parameter-space class from sign certificates")
-    p_cl.add_argument("--kind", choices=("count", "stable", "homogeneous"), default="count")
+    p_cl.add_argument("--kind", choices=KINDS, default="count")
     add_params(p_cl, speeds=False)
     p_cl.add_argument("--a", type=_rational, default=None,
-                      help="common adjustment speed (homogeneous kind)")
+                      help="common adjustment speed, homogeneous kind only")
     p_cl.add_argument("--json", action="store_true")
 
     p_sc = sub.add_parser("scan", help="grid scan with certificate vs enumeration cross-check")
-    p_sc.add_argument("--kind", choices=("count", "stable", "homogeneous"), default="count")
+    p_sc.add_argument("--kind", choices=KINDS, default="count")
     p_sc.add_argument("--range", dest="range_", metavar="LO:HI", default=None,
                       help="u and v range, exact rationals, e.g. 1/20:10")
     p_sc.add_argument("--resolution", type=int, default=200)
     p_sc.add_argument("--a", type=_rational, default=None,
-                      help="common adjustment speed (homogeneous kind)")
+                      help="common adjustment speed, homogeneous kind only")
     p_sc.add_argument("--epsilon", type=_rational, default=Fraction(1, 1000),
                       help="near-boundary flag width (report only), default 1/1000")
     p_sc.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
@@ -147,14 +140,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.kind == "count":
-        label = classify_equilibrium_count(args.u, args.v)
-    elif args.kind == "stable":
-        label = classify_stable_best_response(args.u, args.v)
-    else:
-        if args.a is None:
-            raise ValueError("homogeneous classification needs --a")
-        label = classify_stable_homogeneous(args.u, args.v, args.a)
+    _kind_speed(args.kind, args.a, "--a")
+    label = classify(args.kind, args.u, args.v, args.a)
     suffix = ""
     if label is EquilibriumCountClass.ONE_POSITIVE_TRIPLE:
         # the merged triple sits at a known rational point
@@ -163,7 +150,7 @@ def _cmd_classify(args) -> int:
         doc = {"schema_version": 1, "kind": args.kind,
                "u": format_rational(args.u), "v": format_rational(args.v),
                "class": label.value}
-        if args.kind == "homogeneous":
+        if args.a is not None:
             doc["a"] = format_rational(args.a)
         print(json.dumps(doc, indent=2))
     else:
@@ -186,18 +173,10 @@ def _cmd_scan(args) -> int:
         lo, hi = parse_rational(lo_text), parse_rational(hi_text)
     else:
         lo, hi = _DEFAULT_RANGES[args.kind]
-    a_value = args.a
-    if args.kind == "homogeneous" and a_value is None:
-        raise ValueError("homogeneous scans need --a")
-    spec = ScanSpec((lo, hi), (lo, hi), args.resolution,
-                    a_value=a_value if args.kind == "homogeneous" else None,
+    _kind_speed(args.kind, args.a, "--a")
+    spec = ScanSpec((lo, hi), (lo, hi), args.resolution, a_value=args.a,
                     boundary_epsilon=args.epsilon)
-    if args.kind == "count":
-        grid = scan_equilibrium_count(spec)
-    elif args.kind == "stable":
-        grid = scan_stability_best_response(spec)
-    else:
-        grid = scan_stability_homogeneous(spec)
+    grid = scan(args.kind, spec)
     fmt = "json" if args.json else "csv"
     path = args.out or f"scan_{args.kind}_{args.resolution}.{fmt}"
     emit_grid(grid, fmt, path)

@@ -142,11 +142,6 @@ class MPoly:
             return NEG_INF
         return max(exp[i] for exp in self._terms)
 
-    def total_degree(self):
-        if not self._terms:
-            return NEG_INF
-        return max(sum(exp) for exp in self._terms)
-
     def coefficient_of(self, name: str, power: int) -> "MPoly":
         """Coefficient of name**power, viewing self as univariate in name."""
         i = _check_var(name)
@@ -157,12 +152,6 @@ class MPoly:
                 reduced[i] = 0
                 out[tuple(reduced)] = c
         return _raw(out)
-
-    def leading_term(self) -> tuple[tuple[int, ...], Coeff]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self._terms)
-        return exp, self._terms[exp]
 
     # -- ring operations ---------------------------------------------------
 

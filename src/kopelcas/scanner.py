@@ -16,6 +16,13 @@ from the signs of the certificate values.  near_boundary is true when a
 certificate value lies within boundary_epsilon of zero, tested exactly on
 those integers.  The flag is a report column only; it exempts no cell from
 the agreement check.
+
+The scan kinds are declared in certificates, not here: KINDS, the
+certificates each kind reads, the count each class asserts (EXPECTED_COUNT)
+and the speed rule, under which only the homogeneous kind reads
+spec.a_value.  A cell agrees when its class asserts no count or asserts the
+one enumeration found: positive fixed points for a count class, stable ones
+for a stable class.
 """
 
 from __future__ import annotations
@@ -26,27 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (
-    EquilibriumCountClass, StableCountClass, _certificate_values, _classify_values,
+    EXPECTED_COUNT, StableCountClass, _certificate_values, _classify_values, _kind_speed,
 )
 from .exactpoly import power_tables
 from .model import ModelParams, _condition_signs, _equilibria, _is_stable, _stability_dense
 from .rational import coerce_rational, format_rational
-
-SCAN_KINDS = ("count", "stable", "homogeneous")
-
-EXPECTED_POSITIVE = {
-    EquilibriumCountClass.THREE_POSITIVE: 3,
-    EquilibriumCountClass.ONE_POSITIVE: 1,
-    EquilibriumCountClass.TWO_POSITIVE_BOUNDARY: 2,
-    EquilibriumCountClass.ONE_POSITIVE_TRIPLE: 1,
-    EquilibriumCountClass.NONE_OR_DEGENERATE: 0,
-}
-
-EXPECTED_STABLE = {
-    StableCountClass.TWO_STABLE: 2,
-    StableCountClass.ONE_STABLE: 1,
-    StableCountClass.THEOREM_SILENT: None,
-}
 
 
 @dataclass(frozen=True)
@@ -108,17 +99,16 @@ def grid_points(lo, hi, resolution: int) -> list:
     return [lo + Fraction(k, resolution - 1) * span for k in range(resolution)]
 
 
-def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
-    if kind not in SCAN_KINDS:
-        raise ValueError(f"unknown scan kind: {kind}")
-    a_val = spec.a_value if kind == "homogeneous" else None
-    if kind == "homogeneous" and a_val is None:
-        raise ValueError("homogeneous scans need a_value set on the ScanSpec")
+def scan(kind: str, spec: ScanSpec) -> ScanGrid:
+    """Classify every cell of spec's grid both ways, for a kind in certificates.KINDS.
+
+    Only the homogeneous kind reads spec.a_value, and it needs it; a
+    speed given to the count or stable kind raises ValueError.
+    """
+    speed = _kind_speed(kind, spec.a_value, "a_value")
     eps_num, eps_den = spec.boundary_epsilon.numerator, spec.boundary_epsilon.denominator
     us = grid_points(*spec.u_range, spec.resolution)
     vs = grid_points(*spec.v_range, spec.resolution)
-    speed = a_val if kind == "homogeneous" else Fraction(1)
-    expected_by_class = EXPECTED_POSITIVE if kind == "count" else EXPECTED_STABLE
     cells = []
     for u in us:
         for v in vs:
@@ -128,7 +118,7 @@ def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
             scale = math.prod(t[0] for t in tables)
             values = _certificate_values(kind, tables)
             label = _classify_values(kind, u, v, values)
-            expected = expected_by_class[label]
+            expected = EXPECTED_COUNT[label]
 
             positives = [e for e in _equilibria(params, tables) if e.is_positive]
             numeric_positive = len(positives)
@@ -138,25 +128,23 @@ def _scan(kind: str, spec: ScanSpec) -> ScanGrid:
 
             # |value| < eps, with value = n / scale and eps = eps_num / eps_den
             near = any(abs(n) * eps_den < eps_num * scale for n in values)
-            if kind == "count":
-                agree = numeric_positive == expected
-            else:
-                agree = expected is None or numeric_stable == expected
-            cells.append(ScanCell(u, v, a_val, label.value, numeric_positive,
+            numeric = numeric_stable if isinstance(label, StableCountClass) else numeric_positive
+            agree = expected is None or numeric == expected
+            cells.append(ScanCell(u, v, spec.a_value, label.value, numeric_positive,
                                   numeric_stable, agree, near))
     return ScanGrid(spec, kind, cells)
 
 
 def scan_equilibrium_count(spec: ScanSpec) -> ScanGrid:
-    return _scan("count", spec)
+    return scan("count", spec)
 
 
 def scan_stability_best_response(spec: ScanSpec) -> ScanGrid:
-    return _scan("stable", spec)
+    return scan("stable", spec)
 
 
 def scan_stability_homogeneous(spec: ScanSpec) -> ScanGrid:
-    return _scan("homogeneous", spec)
+    return scan("homogeneous", spec)
 
 
 # -- emission --------------------------------------------------------------

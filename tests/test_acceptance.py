@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from kopelcas.certificates import (
-    COUNT_DISCRIMINANT, EquilibriumCountClass, StableCountClass, build_certificates,
-    classify_equilibrium_count, classify_stable_homogeneous, verify_all,
+    COUNT_DISCRIMINANT, EXPECTED_COUNT, EquilibriumCountClass, StableCountClass,
+    build_certificates, classify_equilibrium_count, classify_stable_homogeneous, verify_all,
 )
 from kopelcas.exactpoly import dense_to_mpoly
 from kopelcas.model import (
@@ -24,7 +24,7 @@ from kopelcas.model import (
 )
 from kopelcas.realroots import isolate_real_roots, sign_at, sturm_sign_count
 from kopelcas.scanner import (
-    EXPECTED_POSITIVE, ScanSpec, scan_equilibrium_count,
+    ScanSpec, scan_equilibrium_count,
     scan_stability_best_response, scan_stability_homogeneous,
 )
 
@@ -314,6 +314,6 @@ def test_property_classification_matches_enumeration_full_scale():
             continue
         label = classify_equilibrium_count(u, v)
         positives = [e for e in equilibria(ModelParams(u, v)) if e.is_positive]
-        assert EXPECTED_POSITIVE[label] == len(positives), (u, v, label)
+        assert EXPECTED_COUNT[label] == len(positives), (u, v, label)
         accepted += 1
     print("full-scale classification vs enumeration (10000 draws): PASS")

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kopelcas.certificates import (
-    COUNT_DISCRIMINANT, FLIP_CHAIN, FLIP_FULL_SPEED, IDENTITY_NAMES,
+    COUNT_DISCRIMINANT, EXPECTED_COUNT, FLIP_CHAIN, FLIP_FULL_SPEED, IDENTITY_NAMES, KINDS,
     MODULUS_CHAIN, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS, POSITIVITY_THRESHOLD,
     STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, TRIPLE_ROOT_COMPANION,
     EquilibriumCountClass, StableCountClass, all_identities_hold,
-    build_certificates, classify_equilibrium_count,
+    build_certificates, classify, classify_equilibrium_count,
     classify_stable_best_response, classify_stable_homogeneous,
     verify_all, verify_identity, _certificate_values,
 )
@@ -249,3 +249,38 @@ class TestStableClassification:
             assert stable == 1, (u, v, a)
             checked += 1
         assert checked > 20
+
+
+class TestKindTable:
+    NAMED = {
+        "count": lambda u, v, a: classify_equilibrium_count(u, v),
+        "stable": lambda u, v, a: classify_stable_best_response(u, v),
+        "homogeneous": classify_stable_homogeneous,
+    }
+    SPEED = {"count": None, "stable": None, "homogeneous": F(1, 2)}
+    POINTS = [(2, 2), (3, 3), (4, 4), (F(13, 4), F(13, 4)), (F(27, 8), 4), ("1/2", "1/2")]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_classify_matches_the_named_classifier(self, kind):
+        a = self.SPEED[kind]
+        for u, v in self.POINTS:
+            assert classify(kind, u, v, a) is self.NAMED[kind](u, v, a), (u, v)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_speed_rule(self, kind):
+        # only the homogeneous kind reads a speed; the others refuse one
+        # rather than answer at a = 1
+        if kind == "homogeneous":
+            with pytest.raises(ValueError, match="need a"):
+                classify(kind, 2, 2)
+        else:
+            with pytest.raises(ValueError, match="take no speed"):
+                classify(kind, F(13, 4), F(13, 4), F(1, 2))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            classify("bogus", 2, 2)
+
+    def test_every_class_asserts_a_count_or_none(self):
+        assert set(EXPECTED_COUNT) == set(EquilibriumCountClass) | set(StableCountClass)
+        assert EXPECTED_COUNT[StableCountClass.THEOREM_SILENT] is None

@@ -1,10 +1,12 @@
 """End-to-end checks of the command line surface via main(argv)."""
 
+import argparse
 import json
 
 import pytest
 
-from kopelcas.cli import main
+from kopelcas.certificates import KINDS
+from kopelcas.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -43,6 +45,22 @@ class TestClassify:
                          "--u", "4", "--v", "4")
         assert rc == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize("kind", ["count", "stable"])
+    def test_full_speed_kinds_refuse_a_speed(self, capsys, kind):
+        # the speed used to be dropped: stable printed the a = 1 TwoStable
+        rc, out, err = run(capsys, "classify", "--kind", kind,
+                           "--u", "13/4", "--v", "13/4", "--a", "1/2")
+        assert rc == 2
+        assert out == ""
+        assert "--a" in err
+
+    @pytest.mark.parametrize("command", ["classify", "scan"])
+    def test_kind_choices_are_the_kinds(self, command):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        kind = next(a for a in sub.choices[command]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == KINDS
 
     def test_homogeneous_json_includes_speed(self, capsys):
         rc, out, _ = run(capsys, "classify", "--kind", "homogeneous",
@@ -170,6 +188,16 @@ class TestScan:
                          "--range", "3:4", "--resolution", "2")
         assert rc == 2
         assert "--a" in err
+
+    @pytest.mark.parametrize("kind", ["count", "stable"])
+    def test_full_speed_kinds_refuse_a_speed(self, capsys, tmp_path, kind):
+        # the speed used to be dropped and the JSON wrote "a_value": null
+        target = tmp_path / "grid.json"
+        rc, _, err = run(capsys, "scan", "--kind", kind, "--range", "3:7/2",
+                         "--resolution", "2", "--a", "1/2", "--json", "--out", str(target))
+        assert rc == 2
+        assert "--a" in err
+        assert not target.exists()
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         # exit 1 would claim a disagreement; a bad path is the caller's error

@@ -6,15 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas.certificates import (
-    COUNT_DISCRIMINANT, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS, POSITIVITY_THRESHOLD,
-    STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
+    COUNT_DISCRIMINANT, EXPECTED_COUNT, KINDS, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS,
+    POSITIVITY_THRESHOLD, STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
     classify_equilibrium_count, classify_stable_best_response, classify_stable_homogeneous,
 )
 from kopelcas.scanner import (
-    EXPECTED_POSITIVE, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points,
+    ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
     scan_equilibrium_count, scan_stability_best_response,
     scan_stability_homogeneous,
 )
+
+SCANS = {"count": scan_equilibrium_count, "stable": scan_stability_best_response,
+         "homogeneous": scan_stability_homogeneous}
 
 
 class TestGridPoints:
@@ -89,7 +92,7 @@ class TestCountScan:
 
     def test_near_boundary_cells_are_not_exempt(self, monkeypatch):
         # a wrong expectation on the zero set must show as a disagreement
-        monkeypatch.setitem(EXPECTED_POSITIVE, EquilibriumCountClass.ONE_POSITIVE_TRIPLE, 2)
+        monkeypatch.setitem(EXPECTED_COUNT, EquilibriumCountClass.ONE_POSITIVE_TRIPLE, 2)
         grid = scan_equilibrium_count(ScanSpec((2, 4), (2, 4), 3))
         bad = grid.disagreements()
         assert [(c.u, c.v) for c in bad] == [(F(3), F(3))]
@@ -164,6 +167,28 @@ class TestHomogeneousScan:
                 assert ch.cert_class == cs.cert_class
 
 
+class TestKinds:
+    SPEED = {"count": None, "stable": None, "homogeneous": F(1, 2)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scan_emits_the_named_scan_bytes(self, kind):
+        spec = ScanSpec((F(5, 2), 5), (F(5, 2), 5), 4, a_value=self.SPEED[kind])
+        for fmt in ("csv", "json"):
+            assert emit_grid(scan(kind, spec), fmt) == emit_grid(SCANS[kind](spec), fmt)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            scan("bogus", ScanSpec((3, 4), (3, 4), 2))
+
+    @pytest.mark.parametrize("kind", ["count", "stable"])
+    def test_full_speed_kinds_refuse_a_speed(self, kind):
+        # a dropped speed would scan every cell at a = 1 (stable column
+        # 0, 0, 0, 0 here; 0, 1, 1, 2 at a = 1/2) while the JSON printed 1/2
+        spec = ScanSpec((3, F(7, 2)), (3, F(7, 2)), 2, a_value=F(1, 2))
+        with pytest.raises(ValueError, match="drop a_value"):
+            SCANS[kind](spec)
+
+
 class TestDisagreements:
     def test_filter_keeps_only_failed_cells(self):
         spec = ScanSpec((1, 2), (1, 2), 2)
@@ -182,15 +207,13 @@ class TestNearBoundary:
                    STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC),
         "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
     }
-    SCANS = {"count": scan_equilibrium_count, "stable": scan_stability_best_response,
-             "homogeneous": scan_stability_homogeneous}
 
     @pytest.mark.parametrize("eps", [F(1, 7), F(1, 1000), F(5)])
     @pytest.mark.parametrize("kind, a", [("count", None), ("stable", None),
                                          ("homogeneous", F(1, 2)), ("homogeneous", F(3, 7))])
     def test_flag_matches_fraction_reference(self, kind, a, eps):
         spec = ScanSpec(self.SQUARE, self.SQUARE, 10, a_value=a, boundary_epsilon=eps)
-        grid = self.SCANS[kind](spec)
+        grid = SCANS[kind](spec)
         for cell in grid.cells:
             binding = {"u": cell.u, "v": cell.v, "a": 1 if a is None else a}
             expected = any(abs(p.evaluate(binding).as_fraction()) < eps
