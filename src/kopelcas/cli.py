@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .certificates import KINDS, EquilibriumCountClass, _kind_speed, classify, verify_all
-from .model import ModelParams, State, equilibria, equilibrium_report, iterate, jury_report
+from .model import ModelParams, State, _stability_reports, equilibrium_report, iterate
 from .rational import format_rational, parse_rational
 from .scanner import ScanSpec, emit_grid, scan
 
@@ -95,8 +95,7 @@ def _cmd_equilibria(args) -> int:
 def _cmd_stability(args) -> int:
     params = ModelParams(args.u, args.v, a=args.a, b=args.b)
     entries = []
-    for eq in equilibria(params):
-        rep = jury_report(eq, params)
+    for eq, rep in _stability_reports(params):
         entries.append({
             "x_approx": eq.x_approx,
             "y_approx": eq.y_approx,

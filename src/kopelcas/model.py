@@ -171,8 +171,12 @@ class Equilibrium:
 
     @property
     def y_root(self) -> AlgebraicReal:
+        return self._y_image(None)
+
+    def _y_image(self, images) -> AlgebraicReal:
+        """y_root, sharing image roots through images (see algebraic_image)."""
         if self._y is None:
-            self._y = algebraic_image(self.x_root, self.params.v * _X_ONE_MINUS_X, "y")
+            self._y = algebraic_image(self.x_root, self.params.v * _X_ONE_MINUS_X, "y", images)
         return self._y
 
     @property
@@ -323,9 +327,15 @@ class StabilityReport:
     verdict: str
 
 
-def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
-    """Certified sign triple plus float diagnostics for one fixed point."""
-    signs = tuple(_condition_signs(_stability_dense(_tables(params)), eq.x_root))
+def _jury(dense, root: AlgebraicReal) -> tuple[tuple, str]:
+    """Certified sign triple and verdict at an x root, the conditions bound in dense."""
+    signs = tuple(_condition_signs(dense, root))
+    return signs, _verdict(signs)
+
+
+def _jury_report(eq: Equilibrium, params: ModelParams, dense) -> StabilityReport:
+    """jury_report with the stability conditions already bound in dense."""
+    signs, verdict = _jury(dense, eq.x_root)
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
@@ -336,7 +346,28 @@ def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     eigs = np.linalg.eigvals(np.array(jac, dtype=float))
     moduli = tuple(sorted((abs(eigs[0]), abs(eigs[1])), reverse=True))
     values = (1 - tr + det, 1 + tr + det, 1 - det)
-    return StabilityReport(signs, values, tr, det, moduli, _verdict(signs))
+    return StabilityReport(signs, values, tr, det, moduli, verdict)
+
+
+def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
+    """Certified sign triple plus float diagnostics for one fixed point."""
+    return _jury_report(eq, params, _stability_dense(_tables(params)))
+
+
+def _stability_reports(params: ModelParams) -> list:
+    """(fixed point, jury_report) for every fixed point, the parameters bound once.
+
+    Each fixed point's y root is computed here, sharing image roots as in
+    equilibrium_report.
+    """
+    tables = _tables(params)
+    dense = _stability_dense(tables)
+    images = {}
+    out = []
+    for eq in _equilibria(params, tables):
+        out.append((eq, _jury_report(eq, params, dense)))
+        eq._y_image(images)
+    return out
 
 
 def e0_stable(params: ModelParams) -> bool:
@@ -349,19 +380,28 @@ def e0_stable(params: ModelParams) -> bool:
 
 
 def equilibrium_report(params: ModelParams) -> dict:
-    """JSON-ready summary of every fixed point with certified stability."""
+    """JSON-ready summary of every fixed point with certified stability.
+
+    The parameters are bound once per call, and fixed points whose x roots
+    share a defining cubic share the roots of its y image.  Queries run in
+    a fixed order, since x_interval is the window they leave behind: the
+    sign queries, then the y image, then the read.
+    """
+    tables = _tables(params)
+    dense = _stability_dense(tables)
+    images = {}
     entries = []
-    for eq in equilibria(params):
-        rep = jury_report(eq, params)
+    for eq in _equilibria(params, tables):
+        signs, verdict = _jury(dense, eq.x_root)
         entries.append({
             "x_approx": eq.x_approx,
-            "y_approx": eq.y_approx,
+            "y_approx": eq._y_image(images).approx,
             "x_interval": [format_rational(eq.x_root.lo), format_rational(eq.x_root.hi)],
             "multiplicity": eq.multiplicity,
             "positive": eq.is_positive,
             "in_unit_square": eq.in_unit_square,
-            "cd_signs": list(rep.cd_signs),
-            "verdict": rep.verdict,
+            "cd_signs": list(signs),
+            "verdict": verdict,
         })
     return {
         "schema_version": 1,

@@ -19,8 +19,10 @@ _ZERO_TEST_ROUND rounds computes the gcd that certifies an exact zero.
 All decisions below (membership, signs, comparisons) are certified by exact
 integer arithmetic: polynomials are scaled by positive integers only and
 dyadic points by shifts, which keeps every sign.  Fractions appear only at
-the edges (MPoly input, rational roots, lo/hi); floats only as a cached
-approximation.
+the edges (MPoly input, rational roots, lo/hi).  Floats appear only in the
+nearest double to a root (approx): float Newton proposes it and exact sign
+evaluations at the midpoints to its neighbours certify it, so the cached
+value is the correctly rounded root and no decision reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, inf, lcm, nextafter
 
 from .exactpoly import (
     MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
@@ -49,6 +51,16 @@ _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 # 9 but for a rare few, so almost no query pays for a gcd.  A true zero
 # costs the extra halvings before the gcd proves it.
 _ZERO_TEST_ROUND = 10
+
+# The nearest double to a root starts from a float Newton seed of at most
+# _SEED_STEPS iterations.  They stop once the float value of the polynomial
+# is within _FLOAT_NOISE times the sum of its terms' sizes: Horner's rounding
+# error at degree n is below 2n * 2**-53 times that sum, so up to degree 16
+# the float value says no more there.  The seed is certified exactly; one
+# still wrong after _ULP_MOVES one-ulp moves gives way to bisection.
+_SEED_STEPS = 60
+_FLOAT_NOISE = 2.0**-48
+_ULP_MOVES = 8
 
 
 def _sign(value) -> int:
@@ -204,6 +216,116 @@ def _dyadic_window(coeffs, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
         k += 1
 
 
+def _bisect_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
+    """The double nearest the simple root in (a, b) / 2**k, by bisection.
+
+    Rounding is monotone: once both ends round to the same double, so does
+    every point between them.  A midpoint that hits the root is rounded
+    itself, half to even.
+    """
+    while a != b and a / (1 << k) != b / (1 << k):
+        a, b, k = _halve(coeffs, slo, a, b, k)
+    return a / (1 << k)
+
+
+def _float_eval(cf, x: float) -> tuple[float, float, float]:
+    """p(x), p'(x) and sum |c_i x**i| in floats, cf the coefficients highest first."""
+    fx, dfx, size = cf[0], 0.0, abs(cf[0])
+    ax = abs(x)
+    for c in cf[1:]:
+        dfx = dfx * x + fx
+        fx = fx * x + c
+        size = size * ax + abs(c)
+    return fx, dfx, size
+
+
+def _seed(coeffs, slo: int, lo: float, hi: float) -> float:
+    """A double near the root in [lo, hi], uncertified.
+
+    Float Newton, bracketed by float signs, runs until the float value of
+    the polynomial is within its rounding error.  That can be some ulps
+    from the root, so one last Newton step takes its residual exactly.
+    """
+    cf = [float(c) for c in reversed(coeffs)]
+    left, right = lo, hi
+    x = 0.5 * (lo + hi)
+    for _ in range(_SEED_STEPS):
+        fx, dfx, size = _float_eval(cf, x)
+        if abs(fx) <= size * _FLOAT_NOISE or fx != fx:
+            break
+        if (fx > 0) == (slo > 0):
+            left = x
+        else:
+            right = x
+        nx = x - fx / dfx if dfx else x
+        if not left <= nx <= right:
+            nx = 0.5 * (left + right)
+        if nx == x:
+            break
+        x = nx
+    n, den = x.as_integer_ratio()
+    j = den.bit_length() - 1
+    residual = _eval_dyadic(coeffs, n, j) / (1 << (j * (len(coeffs) - 1)))
+    dfx = _float_eval(cf, x)[1]
+    nx = x - residual / dfx if dfx else x
+    # float signs near the root can be wrong, so the bracket may have lost it
+    return nx if lo <= nx <= hi else x
+
+
+def _side(coeffs, slo: int, a: int, b: int, k: int, lo: float, hi: float) -> int:
+    """Where the root in (a, b) / 2**k lies against the midpoint of doubles lo < hi.
+
+    1 above it, -1 below it, 0 on it.  A midpoint outside the window is
+    settled by the window alone.
+    """
+    n1, d1 = lo.as_integer_ratio()
+    n2, d2 = hi.as_integer_ratio()
+    den = max(d1, d2)  # both are powers of two
+    m, j = n1 * (den // d1) + n2 * (den // d2), den.bit_length()  # midpoint m / 2**j
+    if m << k <= a << j:
+        return 1
+    if m << k >= b << j:
+        return -1
+    s = _sign(_eval_dyadic(coeffs, m, j))
+    return 0 if s == 0 else (1 if s == slo else -1)
+
+
+def _nearest_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
+    """The double nearest the simple root in (a, b) / 2**k, ties to even.
+
+    A double d is the nearest exactly when the root lies strictly between
+    the midpoints from d to its two neighbours, which two exact sign
+    evaluations decide.  d starts from a float Newton seed and moves one
+    ulp each time the root turns out past a midpoint.  A midpoint that is
+    the root (a tie), a window or coefficient beyond the float range, a
+    zero (whose sign the window decides) or a seed that does not settle
+    falls back to bisection, which gives the same double.
+    """
+    try:
+        d = _seed(coeffs, slo, a / (1 << k), b / (1 << k))
+        for _ in range(_ULP_MOVES):
+            if d == 0:
+                break
+            down = nextafter(d, -inf)
+            side = _side(coeffs, slo, a, b, k, down, d)
+            if side < 0:
+                d = down
+                continue
+            if side == 0:
+                break
+            up = nextafter(d, inf)
+            side = _side(coeffs, slo, a, b, k, d, up)
+            if side > 0:
+                d = up
+                continue
+            if side == 0:
+                break
+            return d
+    except OverflowError:
+        pass
+    return _bisect_double(coeffs, slo, a, b, k)
+
+
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n >= 1, ascending, built from its prime factors."""
     divs = [1]
@@ -323,18 +445,13 @@ class AlgebraicReal:
 
     @property
     def approx(self) -> float:
-        """The double nearest the root (cached)."""
+        """The double nearest the root (cached); the window is left as it is."""
         if self._approx is None:
             if self._value is not None:
                 self._approx = float(self._value)
             else:
-                a, b, k = self._a, self._b, self._k
-                slo = self._lower_sign()
-                # rounding is monotone: once both ends round to the same
-                # double, so does every point between them
-                while a != b and a / (1 << k) != b / (1 << k):
-                    a, b, k = _halve(self._coeffs, slo, a, b, k)
-                self._approx = a / (1 << k)
+                self._approx = _nearest_double(
+                    self._coeffs, self._lower_sign(), self._a, self._b, self._k)
         return self._approx
 
     def __float__(self) -> float:
@@ -352,6 +469,13 @@ class AlgebraicReal:
             return self
         window = _halve(self._coeffs, self._lower_sign(), self._a, self._b, self._k)
         return AlgebraicReal._from_window(self._var, self._coeffs, *window, self._mult, self._slo)
+
+    def _copy(self, multiplicity: int) -> "AlgebraicReal":
+        """The same root and window with its own multiplicity and caches."""
+        if self._value is not None:
+            return AlgebraicReal.from_rational(self._value, self._var, multiplicity)
+        return AlgebraicReal._from_window(self._var, self._coeffs, self._a, self._b, self._k,
+                                          multiplicity, self._slo)
 
     def _adopt(self, a: int, b: int, k: int) -> None:
         """Keep a tighter window found while answering a query.
@@ -652,13 +776,18 @@ def _image_coeffs(f, qi, scale: int) -> list[int]:
     return [p * t**k for k, p in enumerate(_charpoly(rows))]
 
 
-def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicReal:
+def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str,
+                    images: dict | None = None) -> AlgebraicReal:
     """The value q(alpha) as an AlgebraicReal in out_var, exactly.
 
     The defining polynomial is the characteristic polynomial of
     multiplication by q modulo alpha's defining polynomial, taken on
     integers (see _image_coeffs); the right root is picked by shrinking
     alpha until the interval image of q pins a unique candidate.
+
+    images, when given, keeps the isolated roots of each image polynomial,
+    keyed by the defining polynomial, q and out_var, so that conjugate
+    roots share them; it is meant to live for one batch of calls.
     """
     var, dense = _univar(q)
     if var is not None and var != alpha.var:
@@ -671,7 +800,13 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicRe
     # the candidate roots and select a wrong preimage
     scale = lcm(*[c.denominator for c in dense])
     qi = [c.numerator * (scale // c.denominator) for c in dense]
-    candidates = _isolate_int(out_var, _primitive(_image_coeffs(alpha._coeffs, qi, scale)))
+    if images is None:
+        images = {}
+    key = (alpha._coeffs, tuple(qi), scale, out_var)
+    candidates = images.get(key)
+    if candidates is None:
+        candidates = images[key] = _isolate_int(
+            out_var, _primitive(_image_coeffs(alpha._coeffs, qi, scale)))
     coeffs, slo = alpha._coeffs, alpha._lower_sign()
     a, b, k = alpha._a, alpha._b, alpha._k
     try:
@@ -684,8 +819,7 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicRe
                 if low * cd <= ch * den and cl * den <= high * cd:
                     live.append(cand)
             if len(live) == 1:
-                live[0]._mult = alpha._mult
-                return live[0]
+                return live[0]._copy(alpha._mult)
             candidates = [c._step() for c in candidates]
             a, b, k = _halve(coeffs, slo, a, b, k)
             if a == b:

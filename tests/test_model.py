@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from kopelcas import model
 from kopelcas.exactpoly import X, parse_poly
 from kopelcas.model import (
     ModelParams, State, Trajectory, all_stay_in_unit_square, bound_stability_polys,
@@ -249,3 +250,46 @@ def test_report_intervals_bracket_roots():
     for entry in rep["equilibria"]:
         lo, hi = (F(s) for s in entry["x_interval"])
         assert float(lo) - 1e-15 <= entry["x_approx"] <= float(hi) + 1e-15
+
+
+# fixed points whose x coordinates off the origin are three irrational roots
+# of one cubic (the cubic depends on u and v alone)
+THREE_IRRATIONAL = [(F(7, 2), F(13, 4), F(1, 3), F(2, 3)), (F(7, 2), F(41, 10), F(1, 4), F(3, 4)),
+                    (F(19, 5), F(7, 2), F(1), F(1, 2)), (F(9, 2), F(5), F(1), F(1))]
+
+
+def test_report_y_approx_matches_each_y_root_alone():
+    for point in THREE_IRRATIONAL:
+        params = ModelParams(*point)
+        eqs = equilibria(params)
+        assert len(eqs) == 4 and sum(eq.x_root.is_rational for eq in eqs) == 1
+        alone = [eq.y_root.approx for eq in eqs]
+        assert [e["y_approx"] for e in equilibrium_report(params)["equilibria"]] == alone
+
+
+def test_report_y_roots_are_distinct_with_their_own_multiplicity(monkeypatch):
+    seen = []
+    bind_equilibria = model._equilibria
+
+    def recording(params, tables):
+        seen[:] = bind_equilibria(params, tables)
+        return seen
+
+    monkeypatch.setattr(model, "_equilibria", recording)
+    # plus u v = 1 (origin of multiplicity 2) and the triple point (3, 3)
+    for point in THREE_IRRATIONAL + [(F(2), F(1, 2), F(1), F(1)), (F(3), F(3), F(1, 2), F(1))]:
+        equilibrium_report(ModelParams(*point))
+        ys = [eq.y_root for eq in seen]
+        assert len({id(y) for y in ys}) == len(ys)
+        assert [y.multiplicity_in_source for y in ys] == [eq.multiplicity for eq in seen]
+
+
+def test_report_stability_matches_jury_report():
+    from test_report_digests import POINTS
+
+    for point in POINTS:
+        params = ModelParams(*point)
+        entries = equilibrium_report(params)["equilibria"]
+        reports = [jury_report(eq, params) for eq in equilibria(params)]
+        assert [e["cd_signs"] for e in entries] == [list(r.cd_signs) for r in reports]
+        assert [e["verdict"] for e in entries] == [r.verdict for r in reports]

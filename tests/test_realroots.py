@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -311,6 +312,71 @@ def test_approx_is_correctly_rounded_for_known_roots():
         assert float(r) == r.approx
 
 
+def _counting_bisection(monkeypatch) -> list:
+    """Count the calls of the bisection fallback behind AlgebraicReal.approx."""
+    calls = []
+    bisect = realroots._bisect_double
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(realroots, "_bisect_double", counted)
+    return calls
+
+
+FOLD_CUBIC = (-4685, 40404, -71188, 35594)
+FOLD_WINDOW = (F(896, 2**10), F(912, 2**10))
+FOLD_DOUBLE = 0.8794775977524464
+
+
+def test_seeded_double_next_to_a_fold(monkeypatch):
+    # next to the fold of this cubic float Newton stalls ulps from the root;
+    # the exact residual step and the certificate still land on the nearest
+    # double without bisection
+    calls = _counting_bisection(monkeypatch)
+    root = AlgebraicReal("x", FOLD_CUBIC, *FOLD_WINDOW)
+    assert (root.lo, root.hi) == FOLD_WINDOW
+    assert root.approx == FOLD_DOUBLE
+    assert not calls
+    # approx never keeps a tighter window
+    assert (root.lo, root.hi) == FOLD_WINDOW
+
+
+@pytest.mark.parametrize("ulps, bisections", [(-4, 0), (-1, 0), (1, 0), (4, 0), (40, 1)])
+def test_seed_ulps_away_moves_or_falls_back(monkeypatch, ulps, bisections):
+    # a seed a few ulps off moves onto the answer one ulp at a time; one
+    # that does not settle within _ULP_MOVES falls back to bisection
+    seed = FOLD_DOUBLE
+    for _ in range(abs(ulps)):
+        seed = math.nextafter(seed, math.copysign(math.inf, ulps))
+    monkeypatch.setattr(realroots, "_seed", lambda *args: seed)
+    calls = _counting_bisection(monkeypatch)
+    assert AlgebraicReal("x", FOLD_CUBIC, *FOLD_WINDOW).approx == FOLD_DOUBLE
+    assert len(calls) == bisections
+
+
+def test_exact_tie_rounds_half_even_through_bisection(monkeypatch):
+    # (2**53 x - (2**53 + 1)) (x**2 - 2): the root 1 + 2**-53 sits halfway
+    # between the doubles 1 and 1 + 2**-52, and the window does not snap it
+    calls = _counting_bisection(monkeypatch)
+    t = 2**53
+    root = AlgebraicReal("x", (2 * (t + 1), -2 * t, -(t + 1), t), F(1), F(5, 4))
+    assert not root.is_rational
+    assert root.approx == 1.0
+    assert len(calls) == 1
+    assert not root.is_rational  # the midpoint that hit the root is not adopted
+
+
+def test_coefficients_past_the_float_range_take_the_bisection(monkeypatch):
+    # (x**2 - 2) (x + 10**400): no coefficient but the lead converts to a float
+    calls = _counting_bisection(monkeypatch)
+    big = 10**400
+    root = AlgebraicReal("x", (-2 * big, -2, big, 1), F(1), F(2))
+    assert root.approx == 2**0.5
+    assert len(calls) == 1
+
+
 # -- images under polynomial maps -----------------------------------------
 
 def test_algebraic_image_rational():
@@ -327,6 +393,35 @@ def test_algebraic_image_swaps_conjugate_pair():
     assert abs(img.approx - (5 + 5**0.5) / 8) < 1e-12
     y_min = 16 * Y**2 - 20 * Y + 5
     assert sign_at(y_min, img) == 0
+
+
+def test_shared_image_candidates_give_each_root_its_own_copy():
+    # the three fixed points off the origin at u = 7/2, v = 13/4 are
+    # irrational roots of one cubic, so their y images share one polynomial
+    q = F(13, 4) * (X - X**2)
+    # narrow windows pick a candidate before any of them is refined
+    roots = [r.refine(F(1, 2**40)) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
+    assert len(roots) == 3 and not any(r.is_rational for r in roots)
+    alone = [algebraic_image(r, q, "y") for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
+    images = {}
+    twice = AlgebraicReal("x", roots[0]._coeffs,
+                          roots[0].lo, roots[0].hi, multiplicity=2)
+    shared = [algebraic_image(r, q, "y", images) for r in [twice] + roots[1:]]
+    assert len(images) == 1
+    assert [s.approx for s in shared] == [a.approx for a in alone]
+    assert len({id(s) for s in shared}) == 3
+    assert not any(s is c for s in shared for c in next(iter(images.values())))
+    assert [s.multiplicity_in_source for s in shared] == [2, 1, 1]
+    assert all(c.multiplicity_in_source == 1 for c in next(iter(images.values())))
+
+
+def test_rational_image_of_an_irrational_root():
+    # x**2 sends sqrt 2 to 2, a double root of the image polynomial (y - 2)**2:
+    # the image keeps the multiplicity of its preimage
+    root = AlgebraicReal("x", (-2, 0, 1), F(1), F(2))
+    img = algebraic_image(root, X**2, "y")
+    assert img.is_rational and img.value == 2
+    assert img.multiplicity_in_source == 1
 
 
 def test_algebraic_image_constant_map():

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import MPoly, X, Y, _int_gcd, _primitive, resultant
 from kopelcas.realroots import (
-    AlgebraicReal, _halve, _image_coeffs, _int_clear, _isolate_int, _isolate_square_free,
-    _make_disjoint, _sign_dense_at, _square_free_int, _strip_rational_roots, _sturm_chain,
-    algebraic_image, isolate_real_roots, sign_at, sturm_sign_count,
+    AlgebraicReal, _eval_dyadic, _halve, _image_coeffs, _int_clear, _isolate_int,
+    _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int,
+    _strip_rational_roots, _sturm_chain, algebraic_image, isolate_real_roots, sign_at,
+    sturm_sign_count,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -211,6 +212,42 @@ def test_approx_is_the_nearest_double(p):
         half_ulp = F(math.ulp(r.approx)) / 2
         # strictly between the midpoints to the neighbouring doubles
         assert r.compare_rational(d - half_ulp) > 0 and r.compare_rational(d + half_ulp) < 0
+
+
+def _bisected_double(r) -> float:
+    """The nearest double by halving r's window until both ends round alike.
+
+    The rounding loop approx ran before its float seed, kept as the oracle.
+    """
+    a, b, k = r._a, r._b, r._k
+    slo = _sign(_eval_dyadic(r._coeffs, a, k))
+    while a != b and a / (1 << k) != b / (1 << k):
+        a, b, k = _halve(r._coeffs, slo, a, b, k)
+    return a / (1 << k)
+
+
+# m (x - s)**2 - n: irrational roots s +/- sqrt(n / m), close together for
+# large m, like fixed points next to a fold
+close_pairs = st.tuples(st.integers(-3, 3), st.integers(1, 10**6), st.integers(1, 50)).filter(
+    lambda t: math.isqrt(t[1] * t[2]) ** 2 != t[1] * t[2])
+
+
+@PROPERTY
+@given(st.lists(close_pairs, min_size=1, max_size=2), st.lists(rationals, max_size=2),
+       st.integers(0, 3))
+def test_approx_matches_bisection(pairs, rational_roots, probes):
+    p = _planted(rational_roots, [])
+    for s, m, n in pairs:
+        p = p * (m * (X - s) ** 2 - n)
+    for r in isolate_real_roots(p):
+        for t in range(probes):  # tighten some windows first, as sign queries do
+            r.compare_rational(F(t, 3))
+        if r.is_rational:
+            continue
+        window = r.lo, r.hi
+        expected = _bisected_double(r)
+        assert r.approx == expected
+        assert (r.lo, r.hi) == window
 
 
 def _positive_primitive(coeffs) -> tuple:
