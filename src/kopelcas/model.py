@@ -10,12 +10,17 @@ Fixed points solve a triangular pair: a cubic in x alone, then a relation
 giving y as a polynomial image of x.  Everything on the exact side works
 with rationals and certified algebraic numbers; the float side exists for
 simulation and cross-checks only.
+
+Each equilibria() call binds its parameter point once on integers, as a
+_Point that every fixed point it returns holds; equilibrium_report,
+jury_report and the scanner all read that one binding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +29,7 @@ from .exactpoly import (
     integer_terms, power_tables,
 )
 from .rational import coerce_rational, format_rational
-from .realroots import AlgebraicReal, _isolate_int, _sign_dense_at, algebraic_image
+from .realroots import AlgebraicReal, _image, _isolate_int, _sign_dense_at
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -131,17 +136,18 @@ def triangular_system():
 
 # y = v x (1 - x) has the sign of x (1 - x), since v > 0
 _Y_SIGN = (0, 1, -1)
-_X_ONE_MINUS_X = X - X**2
 
 
 class Equilibrium:
     """One fixed point, carried by its exact x coordinate.
 
     y is recovered on demand as the algebraic image v x (1 - x); the
-    certified flags work from the x side alone.
+    certified flags work from the x side alone.  A fixed point from
+    equilibria() holds the _Point it was found at, and shares that point's
+    bound conditions and y image roots with the other fixed points there.
     """
 
-    __slots__ = ("x_root", "params", "is_positive", "_in_unit_square", "_y")
+    __slots__ = ("x_root", "params", "is_positive", "_in_unit_square", "_y", "_point")
 
     def __init__(self, x_root: AlgebraicReal, params: ModelParams):
         self.x_root = x_root
@@ -150,6 +156,7 @@ class Equilibrium:
                             and _sign_dense_at(_Y_SIGN, x_root) > 0)
         self._in_unit_square = None
         self._y = None
+        self._point = None
 
     @property
     def in_unit_square(self) -> bool:
@@ -171,12 +178,11 @@ class Equilibrium:
 
     @property
     def y_root(self) -> AlgebraicReal:
-        return self._y_image(None)
-
-    def _y_image(self, images) -> AlgebraicReal:
-        """y_root, sharing image roots through images (see algebraic_image)."""
         if self._y is None:
-            self._y = algebraic_image(self.x_root, self.params.v * _X_ONE_MINUS_X, "y", images)
+            p, q = self.params.v.numerator, self.params.v.denominator
+            images = self._point.images if self._point is not None else {}
+            # y = (p x - p x**2) / q with v = p / q
+            self._y = _image(self.x_root, (0, p, -p), q, "y", images)
         return self._y
 
     @property
@@ -192,18 +198,9 @@ class Equilibrium:
                 f"positive={self.is_positive})")
 
 
-def _tables(params: ModelParams) -> tuple:
-    return power_tables(params.u, params.v, params.a, params.b)
-
-
-def _bound_cubic(tables) -> tuple:
-    """Primitive integer x-coefficients of the equilibrium cubic, bound from power tables."""
-    return _primitive(bind(_CUBIC_TERMS, tables))
-
-
 def bound_cubic(u, v) -> MPoly:
     """The equilibrium cubic with parameters bound, up to a positive factor."""
-    return dense_to_mpoly(_bound_cubic(power_tables(u, v, 1, 1)), "x")
+    return dense_to_mpoly(_primitive(bind(_CUBIC_TERMS, power_tables(u, v, 1, 1))), "x")
 
 
 def equilibria(params: ModelParams) -> list:
@@ -211,27 +208,10 @@ def equilibria(params: ModelParams) -> list:
 
     The full fixed point locus is x * cubic = 0, so when u v = 1 the
     cubic's root at x = 0 is the origin again: the two merge into a single
-    entry whose multiplicity counts both contributions.
+    entry whose multiplicity counts both contributions.  The parameters are
+    bound once per call, and every fixed point holds that binding.
     """
-    return _equilibria(params, _tables(params))
-
-
-def _equilibria(params: ModelParams, tables) -> list:
-    """equilibria(params), with the parameters already bound in tables."""
-    # the cubic's lead u v**2 is never zero, so its degree is always 3
-    roots = _isolate_int("x", _bound_cubic(tables))
-    origin_mult = 1
-    kept = []
-    for r in roots:
-        if r.is_rational and r.value == 0:
-            origin_mult += r.multiplicity_in_source
-        else:
-            kept.append(r)
-    origin = AlgebraicReal.from_rational(Fraction(0), "x", origin_mult)
-    ordered = [r for r in kept if r.compare_rational(0) < 0]
-    ordered.append(origin)
-    ordered += [r for r in kept if r.compare_rational(0) > 0]
-    return [Equilibrium(r, params) for r in ordered]
+    return _Point(params).equilibria()
 
 
 # -- stability -------------------------------------------------------------
@@ -279,27 +259,63 @@ def bound_stability_polys(params: ModelParams):
 _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 
 
-def _stability_dense(tables) -> tuple:
-    """Primitive integer x-coefficients of the three conditions on the locus.
+class _Point:
+    """One parameter point, bound once on integers, and what its fixed points share.
 
-    The parameters come bound in power tables, which scale every condition
-    by the same positive factor: equal to the primitive parts of
-    bound_stability_polys.
+    tables are the power tables of (u, v, a, b); conditions, bound from them
+    on first use, are the primitive parts of bound_stability_polys; images
+    keeps the y image roots of each cubic factor (see realroots._image).  A
+    point lives as long as the fixed points that hold it.
     """
-    return tuple(_primitive(_dense_trim(bind(terms, tables))) for terms in _CD_TERMS)
 
+    def __init__(self, params: ModelParams):
+        self.params = params
+        self.tables = power_tables(params.u, params.v, params.a, params.b)
+        self.images = {}
 
-def _condition_signs(dense, root: AlgebraicReal):
-    """Certified signs of the three bound conditions at an x root, asked lazily.
+    @cached_property
+    def conditions(self) -> tuple:
+        return tuple(_primitive(_dense_trim(bind(terms, self.tables))) for terms in _CD_TERMS)
 
-    The first two conditions differ by twice the trace 2 - a - b, so they
-    coincide only at a = b = 1, where the second sign repeats the first.
-    """
-    d1, d2, d3 = dense
-    s1 = _sign_dense_at(d1, root)
-    yield s1
-    yield s1 if d2 == d1 else _sign_dense_at(d2, root)
-    yield _sign_dense_at(d3, root)
+    def cubic(self) -> tuple:
+        """Primitive integer x-coefficients of the equilibrium cubic (see bound_cubic)."""
+        return _primitive(bind(_CUBIC_TERMS, self.tables))
+
+    def equilibria(self) -> list:
+        """equilibria(params), each fixed point holding this point."""
+        # the cubic's lead u v**2 is never zero, so its degree is always 3
+        roots = _isolate_int("x", self.cubic())
+        origin_mult = 1
+        kept = []
+        for r in roots:
+            if r.is_rational and r.value == 0:
+                origin_mult += r.multiplicity_in_source
+            else:
+                kept.append(r)
+        origin = AlgebraicReal.from_rational(Fraction(0), "x", origin_mult)
+        ordered = [r for r in kept if r.compare_rational(0) < 0]
+        ordered.append(origin)
+        ordered += [r for r in kept if r.compare_rational(0) > 0]
+        eqs = [Equilibrium(r, self.params) for r in ordered]
+        for eq in eqs:
+            eq._point = self
+        return eqs
+
+    def signs(self, root: AlgebraicReal):
+        """Certified signs of the three bound conditions at an x root, asked lazily.
+
+        The first two conditions differ by twice the trace 2 - a - b, so they
+        coincide only at a = b = 1, where the second sign repeats the first.
+        """
+        d1, d2, d3 = self.conditions
+        s1 = _sign_dense_at(d1, root)
+        yield s1
+        yield s1 if d2 == d1 else _sign_dense_at(d2, root)
+        yield _sign_dense_at(d3, root)
+
+    def is_stable(self, root: AlgebraicReal) -> bool:
+        """The Jury rule at an x root, asking no sign past the first that fails it."""
+        return _is_stable(self.signs(root))
 
 
 def _is_stable(signs) -> bool:
@@ -327,15 +343,16 @@ class StabilityReport:
     verdict: str
 
 
-def _jury(dense, root: AlgebraicReal) -> tuple[tuple, str]:
-    """Certified sign triple and verdict at an x root, the conditions bound in dense."""
-    signs = tuple(_condition_signs(dense, root))
-    return signs, _verdict(signs)
+def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
+    """Certified sign triple plus float diagnostics for one fixed point.
 
-
-def _jury_report(eq: Equilibrium, params: ModelParams, dense) -> StabilityReport:
-    """jury_report with the stability conditions already bound in dense."""
-    signs, verdict = _jury(dense, eq.x_root)
+    The conditions come from eq's point when it was bound from params, and
+    are bound from params otherwise.
+    """
+    point = eq._point
+    if point is None or point.params != params:
+        point = _Point(params)
+    signs = tuple(point.signs(eq.x_root))
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
@@ -346,28 +363,7 @@ def _jury_report(eq: Equilibrium, params: ModelParams, dense) -> StabilityReport
     eigs = np.linalg.eigvals(np.array(jac, dtype=float))
     moduli = tuple(sorted((abs(eigs[0]), abs(eigs[1])), reverse=True))
     values = (1 - tr + det, 1 + tr + det, 1 - det)
-    return StabilityReport(signs, values, tr, det, moduli, verdict)
-
-
-def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
-    """Certified sign triple plus float diagnostics for one fixed point."""
-    return _jury_report(eq, params, _stability_dense(_tables(params)))
-
-
-def _stability_reports(params: ModelParams) -> list:
-    """(fixed point, jury_report) for every fixed point, the parameters bound once.
-
-    Each fixed point's y root is computed here, sharing image roots as in
-    equilibrium_report.
-    """
-    tables = _tables(params)
-    dense = _stability_dense(tables)
-    images = {}
-    out = []
-    for eq in _equilibria(params, tables):
-        out.append((eq, _jury_report(eq, params, dense)))
-        eq._y_image(images)
-    return out
+    return StabilityReport(signs, values, tr, det, moduli, _verdict(signs))
 
 
 def e0_stable(params: ModelParams) -> bool:
@@ -376,7 +372,7 @@ def e0_stable(params: ModelParams) -> bool:
     At x = 0 the locus has y = 0, so each condition's value there is its
     bound constant term, up to a positive factor.
     """
-    return _is_stable(d[0] for d in _stability_dense(_tables(params)))
+    return _is_stable(d[0] for d in _Point(params).conditions)
 
 
 def equilibrium_report(params: ModelParams) -> dict:
@@ -387,21 +383,19 @@ def equilibrium_report(params: ModelParams) -> dict:
     a fixed order, since x_interval is the window they leave behind: the
     sign queries, then the y image, then the read.
     """
-    tables = _tables(params)
-    dense = _stability_dense(tables)
-    images = {}
+    point = _Point(params)
     entries = []
-    for eq in _equilibria(params, tables):
-        signs, verdict = _jury(dense, eq.x_root)
+    for eq in point.equilibria():
+        signs = tuple(point.signs(eq.x_root))
         entries.append({
             "x_approx": eq.x_approx,
-            "y_approx": eq._y_image(images).approx,
+            "y_approx": eq.y_approx,
             "x_interval": [format_rational(eq.x_root.lo), format_rational(eq.x_root.hi)],
             "multiplicity": eq.multiplicity,
             "positive": eq.is_positive,
             "in_unit_square": eq.in_unit_square,
             "cd_signs": list(signs),
-            "verdict": verdict,
+            "verdict": _verdict(signs),
         })
     return {
         "schema_version": 1,

@@ -776,32 +776,36 @@ def _image_coeffs(f, qi, scale: int) -> list[int]:
     return [p * t**k for k, p in enumerate(_charpoly(rows))]
 
 
-def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str,
-                    images: dict | None = None) -> AlgebraicReal:
+def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicReal:
     """The value q(alpha) as an AlgebraicReal in out_var, exactly.
 
     The defining polynomial is the characteristic polynomial of
     multiplication by q modulo alpha's defining polynomial, taken on
     integers (see _image_coeffs); the right root is picked by shrinking
     alpha until the interval image of q pins a unique candidate.
-
-    images, when given, keeps the isolated roots of each image polynomial,
-    keyed by the defining polynomial, q and out_var, so that conjugate
-    roots share them; it is meant to live for one batch of calls.
     """
     var, dense = _univar(q)
     if var is not None and var != alpha.var:
         raise ValueError("q must be univariate in the point's variable")
     dense = dense or [Fraction(0)]
-    if alpha.is_rational:
-        val = sum(c * alpha.value**k for k, c in enumerate(dense))
-        return AlgebraicReal.from_rational(val, out_var, alpha.multiplicity_in_source)
     # q = qi / scale exactly: rescaling q would shift the value box away from
     # the candidate roots and select a wrong preimage
     scale = lcm(*[c.denominator for c in dense])
-    qi = [c.numerator * (scale // c.denominator) for c in dense]
-    if images is None:
-        images = {}
+    return _image(alpha, [c.numerator * (scale // c.denominator) for c in dense],
+                  scale, out_var, {})
+
+
+def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, images: dict) -> AlgebraicReal:
+    """algebraic_image for q = qi / scale, qi ascending integer coefficients.
+
+    images keeps the isolated roots of each image polynomial, keyed by the
+    defining polynomial, qi, scale and out_var, so that conjugate roots
+    share them; it is meant to live for one batch of calls.
+    """
+    if alpha.is_rational:
+        num, den = alpha.value.numerator, alpha.value.denominator
+        val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
+        return AlgebraicReal.from_rational(val, out_var, alpha.multiplicity_in_source)
     key = (alpha._coeffs, tuple(qi), scale, out_var)
     candidates = images.get(key)
     if candidates is None:
@@ -824,7 +828,7 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str,
             a, b, k = _halve(coeffs, slo, a, b, k)
             if a == b:
                 alpha._adopt(a, b, k)
-                return algebraic_image(alpha, q, out_var)
+                return _image(alpha, qi, scale, out_var, images)
         raise RuntimeError("image root selection failed to converge")
     finally:
         if alpha._value is None and k != alpha._k:

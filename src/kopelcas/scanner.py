@@ -8,14 +8,14 @@ exact arithmetic, so they must agree in every cell, on a certificate's zero
 set too: any disagreement is a bug in one of the routes, never a rounding
 artifact.
 
-Each cell binds its parameters once, on integers: the certificates the
-kind reads, the equilibrium cubic and the stability conditions are compiled
-from their frozen forms at import, and all of them are bound from one set
-of power tables sharing a single positive denominator.  The class comes
-from the signs of the certificate values.  near_boundary is true when a
-certificate value lies within boundary_epsilon of zero, tested exactly on
-those integers.  The flag is a report column only; it exempts no cell from
-the agreement check.
+Each cell binds its parameters once, on integers, as one model._Point: the
+certificates the kind reads, the equilibrium cubic and the stability
+conditions are compiled from their frozen forms at import, and all of them
+are bound from the point's power tables, which share a single positive
+denominator.  The class comes from the signs of the certificate values.
+near_boundary is true when a certificate value lies within boundary_epsilon
+of zero, tested exactly on those integers.  The flag is a report column
+only; it exempts no cell from the agreement check.
 
 The scan kinds are declared in certificates, not here: KINDS, the
 certificates each kind reads, the count each class asserts (EXPECTED_COUNT)
@@ -35,8 +35,7 @@ from fractions import Fraction
 from .certificates import (
     EXPECTED_COUNT, StableCountClass, _certificate_values, _classify_values, _kind_speed,
 )
-from .exactpoly import power_tables
-from .model import ModelParams, _condition_signs, _equilibria, _is_stable, _stability_dense
+from .model import ModelParams, _Point
 from .rational import coerce_rational, format_rational
 
 
@@ -112,19 +111,16 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     cells = []
     for u in us:
         for v in vs:
-            params = ModelParams(u, v, a=speed, b=speed)
-            tables = power_tables(u, v, speed, speed)
+            point = _Point(ModelParams(u, v, a=speed, b=speed))
             # every bound value is the exact one times this denominator
-            scale = math.prod(t[0] for t in tables)
-            values = _certificate_values(kind, tables)
+            scale = math.prod(t[0] for t in point.tables)
+            values = _certificate_values(kind, point.tables)
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]
 
-            positives = [e for e in _equilibria(params, tables) if e.is_positive]
+            positives = [e for e in point.equilibria() if e.is_positive]
             numeric_positive = len(positives)
-            dense = _stability_dense(tables)
-            numeric_stable = sum(_is_stable(_condition_signs(dense, eq.x_root))
-                                 for eq in positives)
+            numeric_stable = sum(point.is_stable(eq.x_root) for eq in positives)
 
             # |value| < eps, with value = n / scale and eps = eps_num / eps_den
             near = any(abs(n) * eps_den < eps_num * scale for n in values)

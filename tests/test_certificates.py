@@ -17,7 +17,7 @@ from kopelcas.certificates import (
 )
 from kopelcas.exactpoly import U, V, bind, power_tables
 from kopelcas.model import (
-    ModelParams, _CD_ON_LOCUS, _CD_TERMS, _CUBIC_TERMS, _bound_cubic, equilibria,
+    ModelParams, _CD_ON_LOCUS, _CD_TERMS, _CUBIC_TERMS, _Point, equilibria,
     equilibrium_cubic, jury_report,
 )
 
@@ -94,7 +94,7 @@ class TestFrozenForms:
             assert bind(terms, tables) == expected
         # the integer cubic equilibria() isolates is a positive multiple of the exact one
         cubic = _dense_x(equilibrium_cubic().evaluate({"u": u, "v": v}))
-        bound = _bound_cubic(tables)
+        bound = _Point(ModelParams(u, v, a, b)).cubic()
         ratio = F(bound[-1]) / cubic[-1]
         assert ratio > 0
         assert [F(c) for c in bound] == [ratio * c for c in cubic]

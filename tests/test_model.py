@@ -8,12 +8,12 @@ import pytest
 from kopelcas import model
 from kopelcas.exactpoly import X, parse_poly
 from kopelcas.model import (
-    ModelParams, State, Trajectory, all_stay_in_unit_square, bound_stability_polys,
-    e0_stable, equilibria, equilibrium_cubic, equilibrium_report, iterate,
-    jacobian, jury_report, stability_conditions, step, triangular_system,
+    Equilibrium, ModelParams, State, Trajectory, all_stay_in_unit_square, bound_cubic,
+    bound_stability_polys, e0_stable, equilibria, equilibrium_cubic, equilibrium_report,
+    iterate, jacobian, jury_report, stability_conditions, step, triangular_system,
     y_relation,
 )
-from kopelcas.realroots import sign_at
+from kopelcas.realroots import isolate_real_roots, sign_at
 
 
 def test_params_validation():
@@ -263,19 +263,20 @@ def test_report_y_approx_matches_each_y_root_alone():
         params = ModelParams(*point)
         eqs = equilibria(params)
         assert len(eqs) == 4 and sum(eq.x_root.is_rational for eq in eqs) == 1
-        alone = [eq.y_root.approx for eq in eqs]
+        # a fixed point built alone shares no image roots with the others
+        alone = [Equilibrium(eq.x_root, params).y_root.approx for eq in eqs]
         assert [e["y_approx"] for e in equilibrium_report(params)["equilibria"]] == alone
 
 
 def test_report_y_roots_are_distinct_with_their_own_multiplicity(monkeypatch):
     seen = []
-    bind_equilibria = model._equilibria
+    bind_equilibria = model._Point.equilibria
 
-    def recording(params, tables):
-        seen[:] = bind_equilibria(params, tables)
+    def recording(point):
+        seen[:] = bind_equilibria(point)
         return seen
 
-    monkeypatch.setattr(model, "_equilibria", recording)
+    monkeypatch.setattr(model._Point, "equilibria", recording)
     # plus u v = 1 (origin of multiplicity 2) and the triple point (3, 3)
     for point in THREE_IRRATIONAL + [(F(2), F(1, 2), F(1), F(1)), (F(3), F(3), F(1, 2), F(1))]:
         equilibrium_report(ModelParams(*point))
@@ -293,3 +294,36 @@ def test_report_stability_matches_jury_report():
         reports = [jury_report(eq, params) for eq in equilibria(params)]
         assert [e["cd_signs"] for e in entries] == [list(r.cd_signs) for r in reports]
         assert [e["verdict"] for e in entries] == [r.verdict for r in reports]
+
+
+@pytest.mark.parametrize("point", THREE_IRRATIONAL + [(F(2), F(1, 2), F(1, 3), F(1))])
+def test_equilibrium_built_alone_matches_equilibria(point):
+    # Equilibrium(root, params) on a freshly isolated cubic root holds no
+    # bound point; at u v = 1 its root 0 is the merged origin
+    params = ModelParams(*point)
+    found = {eq.x_approx: eq for eq in equilibria(params)}
+    roots = isolate_real_roots(bound_cubic(params.u, params.v))
+    # every root but the one merged with the origin at u v = 1 is a fixed point of its own
+    assert len(roots) == len(found) - (params.u * params.v != 1)
+    for r in roots:
+        alone = Equilibrium(r, params)
+        eq = found[alone.x_approx]
+        assert (alone.is_positive, alone.in_unit_square, alone.y_approx) == (
+            eq.is_positive, eq.in_unit_square, eq.y_approx)
+
+
+def test_jury_report_binds_parameters_other_than_the_fixed_points():
+    differs = 0
+    for point in THREE_IRRATIONAL:
+        params = ModelParams(*point)
+        u, v, a, b = point
+        for other in (ModelParams(u, v, a / 2, b), ModelParams(u + 1, v, a, b),
+                      ModelParams(u, v / 2, 1, 1)):
+            assert other != params
+            polys = bound_stability_polys(other)
+            for eq in equilibria(params):
+                signs = jury_report(eq, other).cd_signs
+                assert signs == tuple(sign_at(p, eq.x_root) for p in polys)
+                differs += signs != jury_report(eq, params).cd_signs
+    # the check can tell the two bindings apart
+    assert differs > 0

@@ -7,7 +7,7 @@ import pytest
 from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, Y
 from kopelcas.realroots import (
-    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _sign_dense_at, algebraic_image,
+    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _sign_dense_at, algebraic_image,
     isolate_real_roots, refine, sign_at, square_free_decompose, sturm_sign_count,
 )
 
@@ -399,6 +399,7 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
     # the three fixed points off the origin at u = 7/2, v = 13/4 are
     # irrational roots of one cubic, so their y images share one polynomial
     q = F(13, 4) * (X - X**2)
+    qi, scale = (0, 13, -13), 4  # q = qi / scale, as the model passes it
     # narrow windows pick a candidate before any of them is refined
     roots = [r.refine(F(1, 2**40)) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
     assert len(roots) == 3 and not any(r.is_rational for r in roots)
@@ -406,7 +407,7 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
     images = {}
     twice = AlgebraicReal("x", roots[0]._coeffs,
                           roots[0].lo, roots[0].hi, multiplicity=2)
-    shared = [algebraic_image(r, q, "y", images) for r in [twice] + roots[1:]]
+    shared = [_image(r, qi, scale, "y", images) for r in [twice] + roots[1:]]
     assert len(images) == 1
     assert [s.approx for s in shared] == [a.approx for a in alone]
     assert len({id(s) for s in shared}) == 3
