@@ -3,7 +3,8 @@
 Every parameter flag takes an exact rational: "3/4", "4", or a decimal
 string like "3.25" which converts exactly (base-ten denominator), never
 through a float.  Exit status: 0 success, 1 any failed identity or any
-scan disagreement, 2 usage or domain errors, 3 an internal
+scan disagreement, 2 usage or domain errors, including a parameter too
+large for the float diagnostics, trajectory or scan columns, 3 an internal
 failure (a refinement or separation cap in the exact root layer was hit).
 """
 
@@ -229,8 +230,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, TypeError, OSError) as exc:
-        # OSError: an output path that cannot be written is a usage error
+    except (ValueError, TypeError, OSError, OverflowError) as exc:
+        # OSError: an output path that cannot be written is a usage error;
+        # OverflowError: a parameter beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -14,15 +14,19 @@ simulation and cross-checks only.
 Each equilibria() call binds its parameter point once on integers, as a
 _Point that every fixed point it returns holds; equilibrium_report,
 jury_report and the scanner all read that one binding.
+
+Importing the module loads only the standard library.  jury_report takes
+the float eigenvalue moduli in closed form from the trace and determinant,
+and numpy is imported by all_stay_in_unit_square alone, the one vectorised
+float batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .exactpoly import (
     A, B, MPoly, ONE, U, V, X, Y, _dense_trim, _primitive, bind, dense_to_mpoly,
@@ -102,6 +106,8 @@ def iterate(state: State, params: ModelParams, n: int) -> Trajectory:
 
 def all_stay_in_unit_square(params: ModelParams, xs, ys, steps: int) -> bool:
     """Vectorized check that every start point keeps its whole orbit in [0,1]^2."""
+    import numpy as np
+
     floats = params.as_floats()
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
@@ -343,6 +349,21 @@ class StabilityReport:
     verdict: str
 
 
+def _eig_moduli(tr: float, det: float) -> tuple:
+    """Eigenvalue moduli of a real 2x2 matrix from its trace and determinant.
+
+    Descending.  Real arithmetic only, so the result does not hang on a
+    platform's complex hypot.  Real roots take the stable form: the larger
+    root has no cancellation, and the smaller is det over it.
+    """
+    disc = tr * tr - 4 * det
+    if disc < 0:
+        return (math.sqrt(det), math.sqrt(det))
+    big = (tr + math.copysign(math.sqrt(disc), tr)) / 2
+    small = det / big if big else 0.0
+    return tuple(sorted((abs(big), abs(small)), reverse=True))
+
+
 def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """Certified sign triple plus float diagnostics for one fixed point.
 
@@ -360,8 +381,7 @@ def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     jac = jacobian(xf, yf, params)
     tr = jac[0][0] + jac[1][1]
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    eigs = np.linalg.eigvals(np.array(jac, dtype=float))
-    moduli = tuple(sorted((abs(eigs[0]), abs(eigs[1])), reverse=True))
+    moduli = _eig_moduli(tr, det)
     values = (1 - tr + det, 1 + tr + det, 1 - det)
     return StabilityReport(signs, values, tr, det, moduli, _verdict(signs))
 

@@ -2,9 +2,14 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import kopelcas
 from kopelcas.certificates import KINDS
 from kopelcas.cli import _build_parser, main
 
@@ -281,6 +286,59 @@ class TestUsageErrors:
 
     def test_missing_required_parameter(self, capsys):
         assert run(capsys, "classify", "--u", "4")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("stability", "--u", "1e400", "--v", "1"),
+        ("simulate", "--u", "1e400", "--v", "1", "--steps", "2"),
+        ("scan", "--range", "1e400:1e401", "--resolution", "2"),
+    ], ids=["stability", "simulate", "scan"])
+    def test_float_overflow_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        # the exact side holds 1e400; its float diagnostics, trajectory and
+        # scan columns cannot, and exit 1 would claim a disagreement
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["equilibria", "classify"])
+    def test_exact_commands_hold_huge_parameters(self, capsys, command):
+        rc, out, _ = run(capsys, command, "--u", "1e400", "--v", "1")
+        assert rc == 0
+        assert out
+
+
+def test_commands_load_only_the_standard_library(tmp_path):
+    # a fresh interpreter: numpy stays out of every command's import path and
+    # loads only for the one vectorised float batch
+    script = textwrap.dedent(f"""
+        import sys
+        import kopelcas, kopelcas.cli
+        from kopelcas.cli import main
+        runs = [
+            ["equilibria", "--u", "4", "--v", "4", "--a", "1/2", "--b", "3/4"],
+            ["stability", "--u", "13/4", "--v", "13/4"],
+            ["verify-identities"],
+            ["classify", "--u", "3", "--v", "3"],
+            ["scan", "--range", "2:4", "--resolution", "3",
+             "--out", {str(tmp_path / "grid.csv")!r}],
+            ["simulate", "--u", "2", "--v", "2", "--x0", "0.25", "--y0", "0.25",
+             "--steps", "3"],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules, "numpy loaded"
+        from kopelcas import ModelParams, all_stay_in_unit_square
+        assert all_stay_in_unit_square(ModelParams(2, 2), [0.25, 0.5], [0.25, 0.5], 10)
+        assert not all_stay_in_unit_square(ModelParams(2, 2), [1.5], [0.5], 1)
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(kopelcas.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")
 
 
 class TestInternalFailure:

@@ -14,6 +14,7 @@ from kopelcas.model import (
     y_relation,
 )
 from kopelcas.realroots import isolate_real_roots, sign_at
+from test_report_digests import POINTS
 
 
 def test_params_validation():
@@ -327,3 +328,59 @@ def test_jury_report_binds_parameters_other_than_the_fixed_points():
                 differs += signs != jury_report(eq, params).cd_signs
     # the check can tell the two bindings apart
     assert differs > 0
+
+
+def _lapack_moduli(jac):
+    return sorted((abs(z) for z in np.linalg.eigvals(np.array(jac, dtype=float))), reverse=True)
+
+
+def test_closed_form_moduli_match_eigvals():
+    # the Jacobian jury_report forms at every digest fixed point, plus random
+    # real 2x2 matrices, against LAPACK
+    jacs = []
+    for point in POINTS:
+        params = ModelParams(*point)
+        u, v, a, b = params.as_floats()
+        for eq in equilibria(params):
+            xf = eq.x_root.approx
+            jac = jacobian(xf, v * xf * (1 - xf), params)
+            rep = jury_report(eq, params)
+            assert rep.eig_moduli == model._eig_moduli(rep.trace, rep.det)
+            assert rep.eig_moduli == pytest.approx(_lapack_moduli(jac), rel=0, abs=1e-12)
+            jacs.append(jac)
+    assert len(jacs) > 200
+    rng = random.Random(5)
+    for _ in range(2000):
+        jac = [[rng.uniform(-3, 3), rng.uniform(-3, 3)], [rng.uniform(-3, 3), rng.uniform(-3, 3)]]
+        tr = jac[0][0] + jac[1][1]
+        det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+        assert model._eig_moduli(tr, det) == pytest.approx(_lapack_moduli(jac), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("jac", [
+    [[0.5, -2.0], [1.0, 0.3]],    # complex pair
+    [[2.0, 1.0], [0.0, 2.0]],     # repeated eigenvalue, disc = 0
+    [[-0.5, 0.0], [0.0, -0.5]],   # repeated and negative
+    [[1.0, 2.0], [2.0, 4.0]],     # one zero eigenvalue, det = 0
+    [[0.0, 0.0], [0.0, 0.0]],     # both zero
+    [[0.0, 3.0], [-2.0, 0.0]],    # purely imaginary pair, tr = 0
+    [[0.0, 3.0], [2.0, 0.0]],     # real pair of opposite sign, tr = 0
+], ids=["complex", "repeated", "repeated-negative", "zero", "all-zero", "imaginary",
+        "opposite"])
+def test_closed_form_moduli_special_cases(jac):
+    tr = jac[0][0] + jac[1][1]
+    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+    moduli = model._eig_moduli(tr, det)
+    assert moduli == pytest.approx(_lapack_moduli(jac), rel=0, abs=1e-12)
+    if tr * tr < 4 * det:
+        assert moduli == (det ** 0.5, det ** 0.5)
+
+
+def test_closed_form_moduli_avoid_cancellation():
+    # tr = 1e8, det = 1: the small root is 1e-8 (1 + 1e-16 + ...), and
+    # (tr - sqrt(disc)) / 2 loses it to cancellation
+    big, small = model._eig_moduli(1e8, 1.0)
+    assert big == pytest.approx(1e8, rel=1e-15)
+    assert small == pytest.approx(1e-8, rel=1e-12)
+    big, small = model._eig_moduli(-1e8, 1.0)
+    assert (big, small) == pytest.approx((1e8, 1e-8), rel=1e-12)

@@ -4,8 +4,9 @@ The digest was recorded when the command bound the stability conditions
 through its own per-report helper.  It covers every field but eig_moduli:
 the signs and verdicts are certified, x_approx and y_approx are correctly
 rounded doubles, and cd_values, trace and det are plain float arithmetic on
-x_approx.  The eigenvalue moduli come from numpy's LAPACK eigvals, which
-may round differently from one build to another.
+x_approx.  The eigenvalue moduli are left out: they were recorded from
+numpy's LAPACK eigvals, and are now taken in closed form from trace and
+det, which agrees with LAPACK to 1e-12 but not bit for bit.
 """
 
 import hashlib
