@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -93,6 +94,12 @@ def _cmd_equilibria(args) -> int:
     return 0
 
 
+def _diagnostic(value) -> float | None:
+    """A float diagnostic for JSON: null once it overflowed to inf or NaN."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _cmd_stability(args) -> int:
     params = ModelParams(args.u, args.v, a=args.a, b=args.b)
     entries = []
@@ -104,17 +111,17 @@ def _cmd_stability(args) -> int:
             "multiplicity": eq.multiplicity,
             "positive": eq.is_positive,
             "cd_signs": list(rep.cd_signs),
-            "cd_values": [float(val) for val in rep.cd_values],
-            "trace": float(rep.trace),
-            "det": float(rep.det),
-            "eig_moduli": [float(m) for m in rep.eig_moduli],
+            "cd_values": [_diagnostic(val) for val in rep.cd_values],
+            "trace": _diagnostic(rep.trace),
+            "det": _diagnostic(rep.det),
+            "eig_moduli": [_diagnostic(m) for m in rep.eig_moduli],
             "verdict": rep.verdict,
         })
     print(json.dumps({
         "schema_version": 1,
         "params": params.describe(),
         "reports": entries,
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return 0
 
 

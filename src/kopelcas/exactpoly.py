@@ -10,20 +10,21 @@ x > y > u > v > a > b, which exponent tuples inherit from plain tuple
 comparison, so "leading term" below always means the max exponent tuple.
 
 Resultants and exact division run in an integer kernel on term dicts
-``{exponent tuple: int}``.  The resultant is a Sylvester-matrix determinant:
-each row is cleared to integers once, fraction-free (Bareiss) elimination
-runs on ints, and the determinant is divided by the product of the row
-multipliers at the end.  Every division inside the elimination is exact and
-takes quotient coefficients with divmod, so a nonzero remainder is an error,
-never a rounding.  Dense univariate helpers over Z (primitive parts,
-pseudo-remainders, gcds, exact division) serve the root layer, and a
-parameter polynomial compiled to an integer term list binds rational
-parameters on integers alone.
+``{exponent tuple: int}``.  The resultant is taken by the subresultant
+polynomial remainder sequence: both arguments are cleared to integers once,
+split into coefficient lists in the eliminated variable, pseudo-divided on
+ints, and the result is scaled back once at the end.  Every division in the
+sequence is exact and takes quotient coefficients with divmod, so a nonzero
+remainder is an error, never a rounding.  Dense univariate helpers over Z
+(primitive parts, pseudo-remainders, gcds, exact division) serve the root
+layer, and a parameter polynomial compiled to an integer term list binds
+rational parameters on integers alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -128,12 +129,7 @@ class MPoly:
         return len(self._terms)
 
     def variables(self) -> set[str]:
-        used: set[str] = set()
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(VARS[i])
-        return used
+        return {VARS[i] for exp in self._terms for i, e in enumerate(exp) if e}
 
     def degree(self, name: str):
         """Degree in one variable; the zero polynomial has degree -inf."""
@@ -341,68 +337,52 @@ def _scaled(terms: dict, scale: Fraction) -> MPoly:
 def _int_divide(f: dict, g: dict) -> dict:
     """f / g on integer term dicts; ValueError("not divisible") unless exact.
 
-    Long division by leading terms.  Over Z every quotient coefficient must
-    come out of divmod with no remainder, which holds whenever g divides f
-    over Q and g is primitive (Gauss's lemma), or f is an exact multiple of g
-    over Z.
+    Long division by leading terms, taken from a heap of negated exponents
+    (a cancelled term's entry is skipped; new terms lie below the leading
+    one).  Over Z every quotient coefficient must come out of divmod with no
+    remainder, which holds whenever g divides f over Q and g is primitive
+    (Gauss's lemma), or f is an exact multiple of g over Z.
     """
     lead_exp = max(g)
     lead = g[lead_exp]
     lx, ly, lu, lv, la, lb = lead_exp
     tail = [(exp, c) for exp, c in g.items() if exp != lead_exp]
-    rest = dict(f)
     quot: dict[tuple[int, ...], int] = {}
+    if not tail:  # a monomial cancels no term, so each is divided alone
+        for (x, y, u, v, a, b), c in f.items():
+            t, r = divmod(c, lead)
+            d = (x - lx, y - ly, u - lu, v - lv, a - la, b - lb)
+            if r or min(d) < 0:
+                raise ValueError("not divisible")
+            quot[d] = t
+        return quot
+    rest = dict(f)
+    heap = [(-x, -y, -u, -v, -a, -b) for x, y, u, v, a, b in rest]
+    heapify(heap)
     while rest:
-        x, y, u, v, a, b = top = max(rest)
+        nx, ny, nu, nv, na, nb = heappop(heap)
+        top = (-nx, -ny, -nu, -nv, -na, -nb)
+        if top not in rest:
+            continue
         t, r = divmod(rest.pop(top), lead)
-        d = (x - lx, y - ly, u - lu, v - lv, a - la, b - lb)
+        d = (-nx - lx, -ny - ly, -nu - lu, -nv - lv, -na - la, -nb - lb)
         if r or min(d) < 0:
             raise ValueError("not divisible")
         quot[d] = t
         dx, dy, du, dv, da, db = d
         for (x2, y2, u2, v2, a2, b2), c in tail:
-            exp = (dx + x2, dy + y2, du + u2, dv + v2, da + a2, db + b2)
-            s = rest.get(exp, 0) - t * c
-            if s:
-                rest[exp] = s
+            x, y, u, v, a, b = exp = (dx + x2, dy + y2, du + u2, dv + v2, da + a2, db + b2)
+            s = rest.get(exp)
+            if s is None:
+                rest[exp] = -t * c
+                heappush(heap, (-x, -y, -u, -v, -a, -b))
             else:
-                del rest[exp]
+                s -= t * c
+                if s:
+                    rest[exp] = s
+                else:
+                    del rest[exp]
     return quot
-
-
-def _int_bareiss(m: list[list[dict]]) -> dict:
-    """Determinant of a matrix of integer term dicts, by Bareiss elimination.
-
-    Entry (i, j) after step k is a (k+1)-minor of the input, so each division
-    by the previous pivot is exact over Z.  m is overwritten.
-    """
-    n = len(m)
-    if n == 0:
-        return {_ZERO_EXP: 1}
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return {}
-        row_k = m[k]
-        pivot = row_k[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            minus_head = {exp: -c for exp, c in row_i[k].items()}
-            for j in range(k + 1, n):
-                num = _mul_into(_mul_into({}, pivot, row_i[j]), minus_head, row_k[j])
-                num = {exp: c for exp, c in num.items() if c}
-                row_i[j] = _int_divide(num, prev) if prev and num else num
-            row_i[k] = {}
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else {exp: -c for exp, c in det.items()}
 
 
 # -- exact division --------------------------------------------------------
@@ -425,73 +405,95 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 
 # -- resultants ------------------------------------------------------------
 
-def sylvester_matrix(p: MPoly, q: MPoly, name: str) -> list[list[MPoly]]:
-    """The (m+n) x (m+n) Sylvester matrix of p and q in the variable name."""
-    m = int(p.degree(name))
-    n = int(q.degree(name))
-    if m < 1 or n < 1:
-        raise ValueError("sylvester_matrix needs positive degree in the eliminated variable")
-    pc = [p.coefficient_of(name, m - j) for j in range(m + 1)]
-    qc = [q.coefficient_of(name, n - j) for j in range(n + 1)]
-    size = m + n
-    rows: list[list[MPoly]] = []
-    for i in range(n):
-        row = [MPoly.zero()] * size
-        row[i:i + m + 1] = pc
-        rows.append(row)
-    for i in range(m):
-        row = [MPoly.zero()] * size
-        row[i:i + n + 1] = qc
-        rows.append(row)
-    return rows
+_INT_ONE = {_ZERO_EXP: 1}
 
 
-def _bareiss_determinant(matrix: list[list[MPoly]]) -> MPoly:
-    """Fraction-free determinant: rows cleared to integers, eliminated on ints."""
-    rows, scale = [], 1
-    for row in matrix:
-        mult = lcm(*[_denominator_lcm(entry) for entry in row])
-        scale *= mult
-        rows.append([_int_terms(entry, mult) for entry in row])
-    return _scaled(_int_bareiss(rows), Fraction(1, scale))
+def _int_power(f: dict, k: int, times: dict = _INT_ONE) -> dict:
+    """times * f**k on integer term dicts."""
+    for _ in range(k):
+        times = {exp: c for exp, c in _mul_into({}, times, f).items() if c}
+    return times
+
+
+def _int_dense(p: MPoly, mult: int, i: int) -> list[dict]:
+    """Ascending coefficients of mult * p in variable i, as term dicts free of it."""
+    terms = _int_terms(p, mult)
+    dense: list[dict] = [{} for _ in range(max(exp[i] for exp in terms) + 1)]
+    for exp, c in terms.items():
+        dense[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = c
+    return dense
+
+
+def _int_prem(f: list[dict], g: list[dict]) -> list[dict]:
+    """lc(g)**(deg f - deg g + 1) * f modulo g, for deg f >= deg g, trimmed."""
+    r = list(f)
+    lead = g[-1]
+    for k in range(len(f) - len(g), -1, -1):
+        minus_top = {exp: -c for exp, c in r.pop().items()}
+        for j in range(len(r)):
+            acc = _mul_into({}, lead, r[j])
+            if minus_top and j >= k:
+                _mul_into(acc, minus_top, g[j - k])
+            r[j] = {exp: c for exp, c in acc.items() if c}
+    return _dense_trim(r)
 
 
 def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     """Resultant of p and q with respect to one variable.
 
+    The Sylvester determinant, by the subresultant remainder sequence
+    (Collins 1967; Brown & Traub 1971; Cohen, *A Course in Computational
+    Algebraic Number Theory*, Algorithm 3.3.7).  p and q are cleared to
+    integers once, as Res(dp p, dq q) = dp**deg q * dq**deg p * Res(p, q).
+    Each pseudo-remainder is divided by g h**delta and each h is a quotient,
+    all exact over Z.  The last nonzero element of the sequence is the gcd
+    of p and q in the eliminated variable, up to a factor in the others.
+
     Conventions: res(p, c, name) = c**deg(p) when c has degree 0 in name
     (c may involve the other variables); the resultant of two degree-0
     arguments is 1; a single zero argument gives 0; two zero arguments are
-    an error.
+    an error.  Swapping the arguments multiplies by (-1)**(deg p * deg q).
     """
-    _check_var(name)
+    i = _check_var(name)
     if p.is_zero() and q.is_zero():
         raise ValueError("resultant of two zero polynomials is undefined")
     if p.is_zero() or q.is_zero():
         return MPoly.zero()
     m = int(p.degree(name))
     n = int(q.degree(name))
-    if m == 0 and n == 0:
-        return MPoly.constant(1)
-    if m == 0:
-        return p ** n
-    if n == 0:
-        return q ** m
-    return _bareiss_determinant(sylvester_matrix(p, q, name))
+    if m == 0 or n == 0:
+        return p ** n * q ** m
+    if m < n:
+        res = resultant(q, p, name)
+        return -res if m & n & 1 else res
+    dp, dq = _denominator_lcm(p), _denominator_lcm(q)
+    f, g = _int_dense(p, dp, i), _int_dense(q, dq, i)
+    sign, lead, h = 1, _INT_ONE, _INT_ONE
+    while len(g) > 1:
+        delta = len(f) - len(g)
+        if (len(f) - 1) & (len(g) - 1) & 1:
+            sign = -sign
+        r = _int_prem(f, g)
+        if not r:
+            return MPoly.zero()
+        divisor = _int_power(h, delta, lead)
+        f, g = g, [_int_divide(c, divisor) for c in r]
+        lead = f[-1]
+        if delta:
+            h = _int_divide(_int_power(lead, delta), _int_power(h, delta - 1))
+    deg = len(f) - 1
+    det = _int_divide(_int_power(g[0], deg, {_ZERO_EXP: sign}), _int_power(h, deg - 1))
+    return _scaled(det, Fraction(1, dp ** n * dq ** m))
 
 
 # -- univariate gcd --------------------------------------------------------
 
-def _single_var(p: MPoly, q: MPoly, name: str) -> None:
-    extra = (p.variables() | q.variables()) - {name}
-    if extra:
-        raise ValueError(f"gcd_univariate: arguments involve {sorted(extra)}, expected only {name!r}")
-
-
 def gcd_univariate(p: MPoly, q: MPoly, name: str) -> MPoly:
     """Monic gcd of two univariate polynomials in the same variable."""
     _check_var(name)
-    _single_var(p, q, name)
+    extra = (p.variables() | q.variables()) - {name}
+    if extra:
+        raise ValueError(f"gcd_univariate: arguments involve {sorted(extra)}, expected only {name!r}")
     g = _int_gcd(_int_clear(_dense_coeffs(p, name)), _int_clear(_dense_coeffs(q, name)))
     return dense_to_mpoly([Fraction(c, g[-1]) for c in g], name)
 
@@ -514,9 +516,7 @@ def dense_to_mpoly(coeffs: Iterable, name: str) -> MPoly:
     for power, c in enumerate(coeffs):
         c = _coeff(c)
         if c:
-            exp = [0] * len(VARS)
-            exp[i] = power
-            out[tuple(exp)] = c
+            out[_ZERO_EXP[:i] + (power,) + _ZERO_EXP[i + 1:]] = c
     return _raw(out)
 
 

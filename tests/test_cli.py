@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,23 @@ class TestStability:
                 assert isinstance(rep[key], float)
             assert all(isinstance(m, float) for m in rep["eig_moduli"])
             assert all(isinstance(val, float) for val in rep["cd_values"])
+
+    def test_overflowed_diagnostics_print_null(self, capsys):
+        # at u = v = 1e200 the float det and condition values overflow; the
+        # document must still be strict JSON, with the exact verdicts intact
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rc, out, _ = run(capsys, "stability", "--u", "1e200", "--v", "1e200")
+        assert rc == 0
+        reports = json.loads(out, parse_constant=reject)["reports"]
+        params = kopelcas.ModelParams(Fraction(10**200), Fraction(10**200))
+        expected = kopelcas.equilibrium_report(params)["equilibria"]
+        assert [r["verdict"] for r in reports] == [e["verdict"] for e in expected]
+        assert [r["cd_signs"] for r in reports] == [e["cd_signs"] for e in expected]
+        for rep in reports:
+            assert rep["det"] is None
+            assert None in rep["cd_values"] and None in rep["eig_moduli"]
 
 
 class TestVerifyIdentities:

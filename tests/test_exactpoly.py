@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
-    _bareiss_determinant, bind, dense_to_mpoly, exact_divide, gcd_univariate,
-    integer_terms, parse_poly, power_tables, resultant, sylvester_matrix,
+    bind, dense_to_mpoly, exact_divide, gcd_univariate,
+    integer_terms, parse_poly, power_tables, resultant,
 )
 
 
@@ -207,39 +207,57 @@ def test_exact_divide_errors():
 
 
 # -- determinants and resultants ------------------------------------------
+#
+# The oracle is the definition: the Sylvester matrix and its determinant by
+# cofactor expansion, independent of the remainder sequence in resultant().
+
+def sylvester_matrix(p, q, name):
+    """The (m+n) x (m+n) Sylvester matrix of p and q in the variable name."""
+    m = int(p.degree(name))
+    n = int(q.degree(name))
+    if m < 1 or n < 1:
+        raise ValueError("sylvester_matrix needs positive degree in the eliminated variable")
+    pc = [p.coefficient_of(name, m - j) for j in range(m + 1)]
+    qc = [q.coefficient_of(name, n - j) for j in range(n + 1)]
+    rows = []
+    for i in range(n):
+        row = [MPoly.zero()] * (m + n)
+        row[i:i + m + 1] = pc
+        rows.append(row)
+    for i in range(m):
+        row = [MPoly.zero()] * (m + n)
+        row[i:i + n + 1] = qc
+        rows.append(row)
+    return rows
+
 
 def naive_det(matrix):
-    # cofactor expansion; independent of the Bareiss route
+    # cofactor expansion along the first row, minors memoized by their
+    # remaining columns so that 10 x 10 Sylvester matrices stay cheap
     n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = MPoly.zero()
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        piece = matrix[0][j] * naive_det(minor)
-        total = total + (piece if j % 2 == 0 else -piece)
-    return total
+    memo = {}
+
+    def minor(k, cols):
+        if k == n:
+            return MPoly.constant(1)
+        if cols not in memo:
+            total = MPoly.zero()
+            for pos, j in enumerate(cols):
+                if not matrix[k][j].is_zero():
+                    piece = matrix[k][j] * minor(k + 1, cols[:pos] + cols[pos + 1:])
+                    total = total + (piece if pos % 2 == 0 else -piece)
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(0, tuple(range(n)))
 
 
-def test_bareiss_matches_cofactor_expansion():
-    rng = random.Random(23)
-    for size in (2, 3, 4):
-        for _ in range(8):
-            m = [[MPoly.constant(rng.randint(-9, 9)) for _ in range(size)] for _ in range(size)]
-            assert _bareiss_determinant(m) == naive_det(m)
-    # polynomial entries
-    for _ in range(6):
-        m = [[random_poly(rng, ["u", "v"], max_deg=1, max_terms=2, coeff_range=3)
-              for _ in range(3)] for _ in range(3)]
-        assert _bareiss_determinant(m) == naive_det(m)
-
-
-def test_bareiss_singular_and_pivoting():
-    zero_row = [[MPoly.constant(0), MPoly.constant(0)], [MPoly.constant(1), MPoly.constant(2)]]
-    assert _bareiss_determinant(zero_row) == 0
-    # leading zero forces a row swap
-    m = [[MPoly.constant(0), MPoly.constant(1)], [MPoly.constant(1), MPoly.constant(0)]]
-    assert _bareiss_determinant(m) == -1
+def test_cofactor_oracle_on_small_matrices():
+    c = MPoly.constant
+    assert naive_det([[c(0), c(0)], [c(1), c(2)]]) == 0
+    assert naive_det([[c(0), c(1)], [c(1), c(0)]]) == -1
+    assert naive_det([[c(2), c(1), c(0)], [c(1), c(3), c(1)], [c(0), c(1), c(4)]]) == 18
+    assert naive_det([[U, V], [V, U]]) == U**2 - V**2
 
 
 def test_resultant_linear_pair():
@@ -413,10 +431,62 @@ def test_every_operation_keeps_the_coefficient_invariant(p, q, s):
         assert_canonical(r)
 
 
+# sparse in x up to degree 5, so remainder sequences skip degrees
+sparse_exponents = st.tuples(st.integers(0, 5), st.just(0), st.integers(0, 1),
+                             st.integers(0, 1), st.just(0), st.just(0))
+sparse = st.dictionaries(sparse_exponents, coefficients, min_size=1, max_size=4).map(MPoly)
+sparse_nonconstant = sparse.filter(lambda p: p.degree("x") >= 1)
+
+W = X**2 + U * X + 1  # a common factor to plant
+# (p, q) pairs that take the remainder sequence down each of its branches
+PRS_CASES = {
+    "gap-3-then-drop-to-constant": (X**6 + U, X**3 + V),
+    "equal-degrees-drop-by-3": (X**4 + U * X + 1, X**4 + V),
+    "gap-2-drop-to-constant": (X**5 + V * X**2 + U, X**3 + V),
+    "gap-2-drop-by-2-twice": (X**6 + V, X**4 + U * X**2 + 1),
+    "three-steps": (X**5 + U * X**2 + V, 3 * X**3 + X - U),
+    "deg-p-below-deg-q": (X**2 + U, X**5 + V * X + 1),
+    "both-odd": (X**3 + U * X + F(1, 2), X**5 - V * X**2 + 2),
+    "both-odd-swapped": (X**5 - V * X**2 + 2, X**3 + U * X + F(1, 2)),
+    "planted-common-factor": (W * (X**3 + V), W * (2 * X - V)),
+    "planted-square": (W**2, W * (X + U)),
+    "common-root-at-zero": (X * (X**2 + V), X * (U * X + 1)),
+    "parameter-leading-coefficients": (U * X**3 + X + 1, (U - V) * X**2 + V),
+    "leading-coefficient-with-a-root": ((U - 1) * X**4 + V * X**2 + 1, U * X**3 - V),
+    "rational-coefficients": (F(2, 3) * X**4 - F(1, 5) * U * X + V, F(3, 7) * X**2 + F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", PRS_CASES)
+def test_resultant_matches_the_cofactor_determinant_on_each_branch(case):
+    p, q = PRS_CASES[case]
+    m, n = int(p.degree("x")), int(q.degree("x"))
+    res = resultant(p, q, "x")
+    assert res == naive_det(sylvester_matrix(p, q, "x"))
+    assert resultant(q, p, "x") == (-1) ** (m * n) * res
+    if case.startswith(("planted", "common-root")):
+        assert res == 0
+    else:
+        assert res != 0
+
+
+def test_resultant_singular_and_parameter_leading_coefficient():
+    # a shared root makes the Sylvester matrix singular
+    assert resultant((X - 1) * (X + 2), (X - 1) * (3 * X + U), "x") == 0
+    # leading coefficients that depend on the parameters stay in the result
+    p, q = U * X**2 + 1, X - V
+    assert resultant(p, q, "x") == U * V**2 + 1
+    assert resultant(q, p, "x") == U * V**2 + 1
+    assert resultant(U * X + 1, V * X - 1, "x") == -U - V
+
+
 @PROPERTY
-@given(nonconstant, nonconstant)
+@given(sparse_nonconstant, sparse_nonconstant)
 def test_resultant_matches_the_cofactor_determinant(p, q):
-    assert resultant(p, q, "x") == naive_det(sylvester_matrix(p, q, "x"))
+    res = resultant(p, q, "x")
+    assert res == naive_det(sylvester_matrix(p, q, "x"))
+    m, n = int(p.degree("x")), int(q.degree("x"))
+    assert resultant(q, p, "x") == (-1) ** (m * n) * res
 
 
 @PROPERTY
