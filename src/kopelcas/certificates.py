@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .exactpoly import A, B, MPoly, U, V, X, Y, bind, integer_terms, power_tables, resultant
-from .model import ModelParams, equilibrium_cubic, stability_conditions, y_relation
+from .model import _CUBIC, _LOCUS, _STABILITY_CONDITIONS, _Y_RELATION, ModelParams
 
 
 class EquilibriumCountClass(Enum):
@@ -173,32 +173,26 @@ class IdentityResult:
 
 
 def _chain_resultant(condition: MPoly) -> MPoly:
-    inner = resultant(condition, y_relation(), "y")
-    return resultant(inner, equilibrium_cubic(), "x")
-
-
-def _cubic_resultant(other, expected) -> list:
-    """Pairs resultant_x(cubic, other(cubic)) with expected, building the cubic once."""
-    cubic = equilibrium_cubic()
-    return [(resultant(cubic, other(cubic), "x"), expected)]
+    return resultant(resultant(condition, _Y_RELATION, "y"), _CUBIC, "x")
 
 
 # each identity builds its (derived, expected) pairs on demand, reading only
 # the model polynomials it needs; the order is the order of verify_all()
 _IDENTITY_PAIRS = {
-    "cubic-at-origin": lambda: _cubic_resultant(lambda c: X, U * V - 1),
-    "cubic-at-one": lambda: _cubic_resultant(lambda c: 1 - X, MPoly.constant(1)),
-    "cubic-discriminant": lambda: _cubic_resultant(
-        lambda c: c.derivative("x"), -(U**3 * V**6) * COUNT_DISCRIMINANT),
-    "cubic-inflection": lambda: _cubic_resultant(
-        lambda c: c.derivative("x").derivative("x"), -8 * U**3 * V**6 * TRIPLE_ROOT_COMPANION),
+    "cubic-at-origin": lambda: [(resultant(_CUBIC, X, "x"), U * V - 1)],
+    "cubic-at-one": lambda: [(resultant(_CUBIC, 1 - X, "x"), MPoly.constant(1))],
+    "cubic-discriminant": lambda: [(
+        resultant(_CUBIC, _CUBIC.derivative("x"), "x"), -(U**3 * V**6) * COUNT_DISCRIMINANT)],
+    "cubic-inflection": lambda: [(
+        resultant(_CUBIC, _CUBIC.derivative("x").derivative("x"), "x"),
+        -8 * U**3 * V**6 * TRIPLE_ROOT_COMPANION)],
     "fold-chain-resultant": lambda: [(
-        _chain_resultant(stability_conditions()[0]),
+        _chain_resultant(_STABILITY_CONDITIONS[0]),
         -(A**3 * B**3 * U**3 * V**6) * (U * V - 1) * COUNT_DISCRIMINANT)],
     "flip-chain-resultant": lambda: [(
-        _chain_resultant(stability_conditions()[1]), -(U**3 * V**6) * FLIP_CHAIN)],
+        _chain_resultant(_STABILITY_CONDITIONS[1]), -(U**3 * V**6) * FLIP_CHAIN)],
     "modulus-chain-resultant": lambda: [(
-        _chain_resultant(stability_conditions()[2]), (U**3 * V**6) * MODULUS_CHAIN)],
+        _chain_resultant(_STABILITY_CONDITIONS[2]), (U**3 * V**6) * MODULUS_CHAIN)],
     "flip-full-speed-factorization": lambda: [
         (FLIP_CHAIN.evaluate({"a": 1, "b": 1}), FLIP_FULL_SPEED),
         (FLIP_FULL_SPEED, (U * V - 1) * COUNT_DISCRIMINANT)],
@@ -209,7 +203,7 @@ _IDENTITY_PAIRS = {
     "modulus-homogeneous-restriction": lambda: [
         (MODULUS_CHAIN.substitute("b", A), A**3 * MODULUS_HOMOGENEOUS)],
     "triangular-substitution": lambda: [(
-        (X - U * Y * (1 - Y)).substitute("y", V * X - V * X**2), X * equilibrium_cubic())],
+        (X - U * Y * (1 - Y)).substitute("y", _LOCUS), X * _CUBIC)],
 }
 
 IDENTITY_NAMES = tuple(_IDENTITY_PAIRS)

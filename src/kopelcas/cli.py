@@ -20,7 +20,7 @@ from fractions import Fraction
 from .certificates import KINDS, EquilibriumCountClass, _kind_speed, classify, verify_all
 from .model import ModelParams, State, equilibria, equilibrium_report, iterate, jury_report
 from .rational import format_rational, parse_rational
-from .scanner import ScanSpec, emit_grid, scan
+from .scanner import BOUNDARY_EPSILON, ScanSpec, emit_grid, scan
 
 
 def _rational(text: str) -> Fraction:
@@ -72,8 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--resolution", type=int, default=200)
     p_sc.add_argument("--a", type=_rational, default=None,
                       help="common adjustment speed, homogeneous kind only")
-    p_sc.add_argument("--epsilon", type=_rational, default=Fraction(1, 1000),
-                      help="near-boundary flag width (report only), default 1/1000")
+    p_sc.add_argument("--epsilon", type=_rational, default=BOUNDARY_EPSILON,
+                      help="near-boundary flag width (report only), "
+                           f"default {format_rational(BOUNDARY_EPSILON)}")
     p_sc.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_sc.add_argument("--out", default=None, help="output path, default scan_<kind>_<res>.<ext>")
 

@@ -11,8 +11,11 @@ giving y as a polynomial image of x.  Everything on the exact side works
 with rationals and certified algebraic numbers; the float side exists for
 simulation and cross-checks only.
 
-Each equilibria() call binds its parameter point once on integers, as a
-_Point that every fixed point it returns holds; equilibrium_report,
+The model's polynomials are built once, at import, and the Jacobian and
+its Jury conditions are written once: on the polynomial generators they
+give stability_conditions(), on floats jury_report's diagnostics.  Every
+fixed point holds a _Point, its parameter point bound once on integers;
+those of one equilibria() call share it, and equilibrium_report,
 jury_report and the scanner all read that one binding.
 
 Importing the module loads only the standard library.  jury_report takes
@@ -29,8 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactpoly import (
-    A, B, MPoly, ONE, U, V, X, Y, _dense_trim, _primitive, bind, dense_to_mpoly,
-    integer_terms, power_tables,
+    A, B, MPoly, U, V, X, Y, _dense_trim, _primitive, bind, dense_to_mpoly, integer_terms,
+    power_tables,
 )
 from .rational import coerce_rational, format_rational
 from .realroots import AlgebraicReal, _image, _isolate_int, _sign_dense_at
@@ -122,22 +125,27 @@ def all_stay_in_unit_square(params: ModelParams, xs, ys, steps: int) -> bool:
 
 # -- fixed point structure -------------------------------------------------
 
+_CUBIC = (U * V**2) * X**3 - 2 * (U * V**2) * X**2 + (U * V**2 + U * V) * X - U * V + 1
+_CUBIC_TERMS = integer_terms(_CUBIC)
+
+# the fixed point locus y = v x (1 - x), y as a polynomial image of x
+_LOCUS = V * X - V * X**2
+_Y_RELATION = Y - _LOCUS
+
+
 def equilibrium_cubic() -> MPoly:
     """Cubic whose roots are the x coordinates of fixed points off x = 0."""
-    return (U * V**2) * X**3 - 2 * (U * V**2) * X**2 + (U * V**2 + U * V) * X - U * V + 1
-
-
-_CUBIC_TERMS = integer_terms(equilibrium_cubic())
+    return _CUBIC
 
 
 def y_relation() -> MPoly:
-    # vanishes exactly when y = v x (1 - x)
-    return Y + V * X**2 - V * X
+    """Vanishes exactly on the fixed point locus y = v x (1 - x)."""
+    return _Y_RELATION
 
 
 def triangular_system():
     """Solve order and polynomials: y eliminated first, then the cubic in x."""
-    return [Y, X], [y_relation(), equilibrium_cubic()]
+    return [Y, X], [_Y_RELATION, _CUBIC]
 
 
 # y = v x (1 - x) has the sign of x (1 - x), since v > 0
@@ -148,21 +156,21 @@ class Equilibrium:
     """One fixed point, carried by its exact x coordinate.
 
     y is recovered on demand as the algebraic image v x (1 - x); the
-    certified flags work from the x side alone.  A fixed point from
-    equilibria() holds the _Point it was found at, and shares that point's
+    certified flags work from the x side alone.  A fixed point holds the
+    _Point it was found at (one built alone binds its own), and shares its
     bound conditions and y image roots with the other fixed points there.
     """
 
     __slots__ = ("x_root", "params", "is_positive", "_in_unit_square", "_y", "_point")
 
-    def __init__(self, x_root: AlgebraicReal, params: ModelParams):
+    def __init__(self, x_root: AlgebraicReal, params: ModelParams, *, _point=None):
         self.x_root = x_root
         self.params = params
         self.is_positive = (x_root.compare_rational(0) > 0
                             and _sign_dense_at(_Y_SIGN, x_root) > 0)
         self._in_unit_square = None
         self._y = None
-        self._point = None
+        self._point = _Point(params) if _point is None else _point
 
     @property
     def in_unit_square(self) -> bool:
@@ -186,9 +194,8 @@ class Equilibrium:
     def y_root(self) -> AlgebraicReal:
         if self._y is None:
             p, q = self.params.v.numerator, self.params.v.denominator
-            images = self._point.images if self._point is not None else {}
             # y = (p x - p x**2) / q with v = p / q
-            self._y = _image(self.x_root, (0, p, -p), q, "y", images)
+            self._y = _image(self.x_root, (0, p, -p), q, "y", self._point.images)
         return self._y
 
     @property
@@ -222,19 +229,27 @@ def equilibria(params: ModelParams) -> list:
 
 # -- stability -------------------------------------------------------------
 
-def jacobian(x, y, params: ModelParams):
-    """2x2 Jacobian at (x, y); exact when fed exact values, float otherwise."""
-    if isinstance(x, float) or isinstance(y, float):
-        u, v, a, b = params.as_floats()
-    else:
-        u, v, a, b = params.u, params.v, params.a, params.b
+def _jacobian(x, y, u, v, a, b):
+    """The map's 2x2 Jacobian at (x, y), on floats, Fractions and MPolys alike."""
     return [[1 - a, u * a * (1 - 2 * y)], [v * b * (1 - 2 * x), 1 - b]]
 
 
-def _trace_det():
-    tr = 2 - A - B
-    det = (ONE - A) * (ONE - B) - U * V * A * B * (1 - 2 * X) * (1 - 2 * Y)
-    return tr, det
+def _jury(jac):
+    """Trace, determinant and the three Jury conditions of a 2x2 matrix."""
+    (j11, j12), (j21, j22) = jac
+    tr = j11 + j22
+    det = j11 * j22 - j12 * j21
+    return tr, det, (1 - tr + det, 1 + tr + det, 1 - det)
+
+
+def jacobian(x, y, params: ModelParams):
+    """2x2 Jacobian at (x, y); exact when fed exact values, float otherwise."""
+    if isinstance(x, float) or isinstance(y, float):
+        return _jacobian(x, y, *params.as_floats())
+    return _jacobian(x, y, params.u, params.v, params.a, params.b)
+
+
+_STABILITY_CONDITIONS = _jury(_jacobian(X, Y, U, V, A, B))[2]
 
 
 def stability_conditions():
@@ -243,18 +258,12 @@ def stability_conditions():
     All three strictly positive certifies both eigenvalues inside the unit
     circle; a strict negative certifies an eigenvalue outside.
     """
-    tr, det = _trace_det()
-    cd1 = 1 - tr + det
-    cd2 = 1 + tr + det
-    cd3 = 1 - det
-    return cd1, cd2, cd3
+    return _STABILITY_CONDITIONS
 
 
 # y is a polynomial image of x on the fixed point locus, so each condition
 # reduces to a univariate sign query once parameters are bound
-_CD_ON_LOCUS = tuple(
-    cd.substitute("y", V * X - V * X**2) for cd in stability_conditions()
-)
+_CD_ON_LOCUS = tuple(cd.substitute("y", _LOCUS) for cd in _STABILITY_CONDITIONS)
 
 
 def bound_stability_polys(params: ModelParams):
@@ -302,10 +311,7 @@ class _Point:
         ordered = [r for r in kept if r.compare_rational(0) < 0]
         ordered.append(origin)
         ordered += [r for r in kept if r.compare_rational(0) > 0]
-        eqs = [Equilibrium(r, self.params) for r in ordered]
-        for eq in eqs:
-            eq._point = self
-        return eqs
+        return [Equilibrium(r, self.params, _point=self) for r in ordered]
 
     def signs(self, root: AlgebraicReal):
         """Certified signs of the three bound conditions at an x root, asked lazily.
@@ -370,20 +376,13 @@ def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     The conditions come from eq's point when it was bound from params, and
     are bound from params otherwise.
     """
-    point = eq._point
-    if point is None or point.params != params:
-        point = _Point(params)
+    point = eq._point if eq._point.params == params else _Point(params)
     signs = tuple(point.signs(eq.x_root))
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
-    yf = v * xf * (1 - xf)
-    jac = jacobian(xf, yf, params)
-    tr = jac[0][0] + jac[1][1]
-    det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-    moduli = _eig_moduli(tr, det)
-    values = (1 - tr + det, 1 + tr + det, 1 - det)
-    return StabilityReport(signs, values, tr, det, moduli, _verdict(signs))
+    tr, det, values = _jury(_jacobian(xf, v * xf * (1 - xf), u, v, a, b))
+    return StabilityReport(signs, values, tr, det, _eig_moduli(tr, det), _verdict(signs))
 
 
 def e0_stable(params: ModelParams) -> bool:

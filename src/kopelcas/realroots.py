@@ -518,8 +518,9 @@ class AlgebraicReal:
                     return 1
                 if num << k >= b * den:
                     return -1
-                if _eval_int_at(self._coeffs, num, den) == 0:
-                    # the only root of the defining polynomial in the window
+                # other is inside the window on every round that gets here, and
+                # is its only root exactly when the polynomial vanishes there
+                if k == self._k and _eval_int_at(self._coeffs, num, den) == 0:
                     self._value = other
                     return 0
                 a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k)

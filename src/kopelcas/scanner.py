@@ -38,6 +38,8 @@ from .certificates import (
 from .model import ModelParams, _Point
 from .rational import coerce_rational, format_rational
 
+BOUNDARY_EPSILON = Fraction(1, 1000)  # the default near-boundary flag width
+
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -45,7 +47,7 @@ class ScanSpec:
     v_range: tuple
     resolution: int
     a_value: Fraction | None = None
-    boundary_epsilon: Fraction = Fraction(1, 1000)
+    boundary_epsilon: Fraction = BOUNDARY_EPSILON
 
     def __post_init__(self):
         u = tuple(coerce_rational(t) for t in self.u_range)

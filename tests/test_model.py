@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kopelcas import model
-from kopelcas.exactpoly import X, parse_poly
+from kopelcas.exactpoly import A, B, U, V, X, Y, parse_poly
 from kopelcas.model import (
     Equilibrium, ModelParams, State, Trajectory, all_stay_in_unit_square, bound_cubic,
     bound_stability_polys, e0_stable, equilibria, equilibrium_cubic, equilibrium_report,
@@ -78,6 +78,11 @@ def test_symbolic_pieces():
     order, polys = triangular_system()
     assert [str(w) for w in order] == ["y", "x"]
     assert polys[0] == y_relation() and polys[1] == equilibrium_cubic()
+    # each polynomial is built once, at import
+    assert equilibrium_cubic() is equilibrium_cubic()
+    assert y_relation() is y_relation()
+    assert stability_conditions() is stability_conditions()
+    assert polys[1] is equilibrium_cubic() and triangular_system()[1] is not polys
 
 
 class TestEquilibria:
@@ -146,6 +151,25 @@ class TestStability:
         assert j == [[F(1, 2), -1], [-1, F(1, 2)]]
         jf = jacobian(0.75, 0.75, p)
         assert jf[0][1] == pytest.approx(-1.0)
+
+    def test_jacobian_and_conditions_are_the_derivative_of_the_map(self):
+        # the partial derivatives of the map step() iterates, at seeded
+        # random exact points, against jacobian() and the condition polynomials
+        partials = [[f.derivative(z) for z in ("x", "y")]
+                    for f in model._update(X, Y, U, V, A, B)]
+        rng = random.Random(12)
+        for _ in range(40):
+            x, y = (F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
+            params = ModelParams(F(rng.randint(1, 60), rng.randint(1, 12)),
+                                 F(rng.randint(1, 60), rng.randint(1, 12)),
+                                 F(rng.randint(1, 12), 12), F(rng.randint(1, 12), 12))
+            binding = {"x": x, "y": y, **{k: getattr(params, k) for k in "uvab"}}
+            jac = [[d.evaluate(binding).as_fraction() for d in row] for row in partials]
+            assert jacobian(x, y, params) == jac
+            tr = jac[0][0] + jac[1][1]
+            det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+            assert [cd.evaluate(binding).as_fraction() for cd in stability_conditions()] == [
+                1 - tr + det, 1 + tr + det, 1 - det]
 
     def test_condition_polynomials(self):
         cd1, cd2, cd3 = stability_conditions()
@@ -299,8 +323,8 @@ def test_report_stability_matches_jury_report():
 
 @pytest.mark.parametrize("point", THREE_IRRATIONAL + [(F(2), F(1, 2), F(1, 3), F(1))])
 def test_equilibrium_built_alone_matches_equilibria(point):
-    # Equilibrium(root, params) on a freshly isolated cubic root holds no
-    # bound point; at u v = 1 its root 0 is the merged origin
+    # Equilibrium(root, params) on a freshly isolated cubic root binds a
+    # point of its own; at u v = 1 its root 0 is the merged origin
     params = ModelParams(*point)
     found = {eq.x_approx: eq for eq in equilibria(params)}
     roots = isolate_real_roots(bound_cubic(params.u, params.v))
@@ -311,6 +335,7 @@ def test_equilibrium_built_alone_matches_equilibria(point):
         eq = found[alone.x_approx]
         assert (alone.is_positive, alone.in_unit_square, alone.y_approx) == (
             eq.is_positive, eq.in_unit_square, eq.y_approx)
+        assert jury_report(alone, params) == jury_report(eq, params)
 
 
 def test_jury_report_binds_parameters_other_than_the_fixed_points():

@@ -292,6 +292,24 @@ def test_compare_rational():
     assert exact.compare_rational(1) == -1
 
 
+def test_compare_rational_evaluates_the_rational_once(monkeypatch):
+    # 141421356/10**8 lies deep inside the window of sqrt 2, so the
+    # comparison bisects many times; the polynomial's value there is asked once
+    root = isolate_real_roots(X**2 - 2)[1]
+    other = F(141421356, 10**8)
+    assert root.lo < other < root.hi
+    calls = []
+    evaluate = realroots._eval_int_at
+    monkeypatch.setattr(realroots, "_eval_int_at",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    assert root.compare_rational(other) == 1
+    assert root.hi - root.lo < F(1, 10**8)
+    assert len(calls) == 1
+    # a rational outside the window is decided with no evaluation
+    assert root.compare_rational(2) == -1
+    assert len(calls) == 1
+
+
 def test_refine_shrinks_and_preserves():
     root = isolate_real_roots(cubic(4, 4))[0]
     tight = refine(root, F(1, 10**12))
