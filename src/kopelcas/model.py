@@ -7,13 +7,17 @@ The map advances both coordinates simultaneously:
 
 with adjustment speeds 0 < a, b <= 1 and reaction intensities u, v > 0.
 Fixed points solve a triangular pair: a cubic in x alone, then a relation
-giving y as a polynomial image of x.  Everything on the exact side works
+giving y as a polynomial image of x.  The map is symmetric under
+(x, u, a) <-> (y, v, b), so the y coordinates off the origin are the roots
+of the same cubic with u and v swapped; an exact y coordinate is picked
+from those roots as the image of its x.  Everything on the exact side works
 with rationals and certified algebraic numbers; the float side exists for
 simulation and cross-checks only.
 
-The model's polynomials are built once, at import, and the Jacobian and
-its Jury conditions are written once: on the polynomial generators they
-give stability_conditions(), on floats jury_report's diagnostics.  Every
+The model's polynomials are built once, at import, and the locus, the
+Jacobian and its Jury conditions are written once: on the polynomial
+generators they give y_relation() and stability_conditions(), on floats
+jury_report's diagnostics, and bound on integers the sign queries.  Every
 fixed point holds a _Point, its parameter point bound once on integers;
 those of one equilibria() call share it, and equilibrium_report,
 jury_report and the scanner all read that one binding.
@@ -32,8 +36,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactpoly import (
-    A, B, MPoly, U, V, X, Y, _dense_trim, _primitive, bind, dense_to_mpoly, integer_terms,
-    power_tables,
+    A, B, MPoly, U, V, X, Y, _dense_trim, _exact_div, _primitive, bind, dense_to_mpoly,
+    integer_terms, power_tables,
 )
 from .rational import coerce_rational, format_rational
 from .realroots import AlgebraicReal, _image, _isolate_int, _sign_dense_at
@@ -91,6 +95,9 @@ def iterate(state: State, params: ModelParams, n: int) -> Trajectory:
     """Run n steps; stop early once a coordinate passes the divergence bar."""
     if n < 0:
         raise ValueError("step count must be nonnegative")
+    # a NaN never passes the divergence bar, so its orbit would run silently
+    if not (math.isfinite(state.x) and math.isfinite(state.y)):
+        raise ValueError("start point must be finite")
     floats = params.as_floats()
     x, y = state.x, state.y
     states = [State(x, y)]
@@ -128,9 +135,16 @@ def all_stay_in_unit_square(params: ModelParams, xs, ys, steps: int) -> bool:
 _CUBIC = (U * V**2) * X**3 - 2 * (U * V**2) * X**2 + (U * V**2 + U * V) * X - U * V + 1
 _CUBIC_TERMS = integer_terms(_CUBIC)
 
+
+def _locus(x, v):
+    """y on the fixed point locus, on floats, Fractions and MPolys alike."""
+    return v * x * (1 - x)
+
+
 # the fixed point locus y = v x (1 - x), y as a polynomial image of x
-_LOCUS = V * X - V * X**2
+_LOCUS = _locus(X, V)
 _Y_RELATION = Y - _LOCUS
+_LOCUS_TERMS = integer_terms(_LOCUS)
 
 
 def equilibrium_cubic() -> MPoly:
@@ -148,8 +162,8 @@ def triangular_system():
     return [Y, X], [_Y_RELATION, _CUBIC]
 
 
-# y = v x (1 - x) has the sign of x (1 - x), since v > 0
-_Y_SIGN = (0, 1, -1)
+# y has the sign of x (1 - x), since v > 0: the locus bound at v = 1
+_Y_SIGN = tuple(bind(_LOCUS_TERMS, power_tables(1, 1, 1, 1)))
 
 
 class Equilibrium:
@@ -158,7 +172,7 @@ class Equilibrium:
     y is recovered on demand as the algebraic image v x (1 - x); the
     certified flags work from the x side alone.  A fixed point holds the
     _Point it was found at (one built alone binds its own), and shares its
-    bound conditions and y image roots with the other fixed points there.
+    bound conditions and y candidates with the other fixed points there.
     """
 
     __slots__ = ("x_root", "params", "is_positive", "_in_unit_square", "_y", "_point")
@@ -175,9 +189,9 @@ class Equilibrium:
     @property
     def in_unit_square(self) -> bool:
         if self._in_unit_square is None:
-            v = self.params.v
-            # v x (1 - x) - 1, scaled by v's denominator
-            y_minus_one = (-v.denominator, v.numerator, -v.numerator)
+            qi, scale = self._point.locus
+            # y - 1, scaled by the locus's denominator
+            y_minus_one = (qi[0] - scale,) + qi[1:]
             self._in_unit_square = (
                 self.x_root.compare_rational(0) >= 0
                 and self.x_root.compare_rational(1) <= 0
@@ -193,9 +207,8 @@ class Equilibrium:
     @property
     def y_root(self) -> AlgebraicReal:
         if self._y is None:
-            p, q = self.params.v.numerator, self.params.v.denominator
-            # y = (p x - p x**2) / q with v = p / q
-            self._y = _image(self.x_root, (0, p, -p), q, "y", self._point.images)
+            point = self._point
+            self._y = _image(self.x_root, *point.locus, "y", point.y_candidates)
         return self._y
 
     @property
@@ -277,20 +290,30 @@ _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 class _Point:
     """One parameter point, bound once on integers, and what its fixed points share.
 
-    tables are the power tables of (u, v, a, b); conditions, bound from them
-    on first use, are the primitive parts of bound_stability_polys; images
-    keeps the y image roots of each cubic factor (see realroots._image).  A
-    point lives as long as the fixed points that hold it.
+    tables are the power tables of (u, v, a, b).  Bound from them on first
+    use: conditions, the primitive parts of bound_stability_polys; locus,
+    y = v x (1 - x) over its denominator; and y_candidates, the y roots that
+    realroots._image picks a fixed point's y coordinate from, taken from the
+    cubic's twin bound with u and v swapped.  A point lives as long as the
+    fixed points that hold it.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.tables = power_tables(params.u, params.v, params.a, params.b)
-        self.images = {}
+        self._y_for = self._y_roots = None
 
     @cached_property
     def conditions(self) -> tuple:
         return tuple(_primitive(_dense_trim(bind(terms, self.tables))) for terms in _CD_TERMS)
+
+    @cached_property
+    def locus(self) -> tuple:
+        """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
+        coeffs = bind(_LOCUS_TERMS, self.tables)
+        den = math.prod(t[0] for t in self.tables)
+        common = math.gcd(den, *coeffs)
+        return tuple(c // common for c in coeffs), den // common
 
     def cubic(self) -> tuple:
         """Primitive integer x-coefficients of the equilibrium cubic (see bound_cubic)."""
@@ -312,6 +335,40 @@ class _Point:
         ordered.append(origin)
         ordered += [r for r in kept if r.compare_rational(0) > 0]
         return [Equilibrium(r, self.params, _point=self) for r in ordered]
+
+    def y_factor(self, g) -> tuple:
+        """Primitive integer y-coefficients whose roots are v x (1 - x) at g's roots.
+
+        g is the factor of the cubic that defines an x root.  The map is
+        symmetric under (x, u, a) <-> (y, v, b), so the y coordinates off
+        the origin are the roots of the cubic's twin, the cubic with u and v
+        swapped: Res_x(cubic, y - v x (1 - x)) = v**3 cubic(u <-> v, x -> y).
+        A whole cubic g maps to the twin.  A quadratic g, the cubic deflated
+        by one rational root r, maps to the twin with the image of r divided
+        out.  A linear g, a rational root left as a window past the snap
+        budget, maps to the linear factor of its rational image.
+        """
+        if len(g) == 2:
+            y = _locus(Fraction(-g[0], g[1]), self.params.v)
+            return (-y.numerator, y.denominator)
+        up, vp, ap, bp = self.tables
+        twin = _primitive(bind(_CUBIC_TERMS, (vp, up, ap, bp)))
+        if len(g) == 4:
+            return twin
+        # r is the cubic's root sum -c2 / c3 less g's, -g1 / g2
+        c = self.cubic()
+        y = _locus(Fraction(g[1], g[2]) - Fraction(c[2], c[3]), self.params.v)
+        return tuple(_exact_div(twin, (-y.numerator, y.denominator)))
+
+    def y_candidates(self, root: AlgebraicReal) -> list:
+        """The isolated roots of y_factor over a windowed x root's factor.
+
+        Isolated on first use; the roots of one factor share them.
+        """
+        g = root._coeffs
+        if g != self._y_for:
+            self._y_for, self._y_roots = g, _isolate_int("y", self.y_factor(g))
+        return self._y_roots
 
     def signs(self, root: AlgebraicReal):
         """Certified signs of the three bound conditions at an x root, asked lazily.
@@ -381,7 +438,7 @@ def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
-    tr, det, values = _jury(_jacobian(xf, v * xf * (1 - xf), u, v, a, b))
+    tr, det, values = _jury(_jacobian(xf, _locus(xf, v), u, v, a, b))
     return StabilityReport(signs, values, tr, det, _eig_moduli(tr, det), _verdict(signs))
 
 
@@ -398,7 +455,7 @@ def equilibrium_report(params: ModelParams) -> dict:
     """JSON-ready summary of every fixed point with certified stability.
 
     The parameters are bound once per call, and fixed points whose x roots
-    share a defining cubic share the roots of its y image.  Queries run in
+    share a defining factor share its y candidates.  Queries run in
     a fixed order, since x_interval is the window they leave behind: the
     sign queries, then the y image, then the read.
     """

@@ -792,26 +792,25 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicRe
     # q = qi / scale exactly: rescaling q would shift the value box away from
     # the candidate roots and select a wrong preimage
     scale = lcm(*[c.denominator for c in dense])
-    return _image(alpha, [c.numerator * (scale // c.denominator) for c in dense],
-                  scale, out_var, {})
+    qi = [c.numerator * (scale // c.denominator) for c in dense]
+    return _image(alpha, qi, scale, out_var, lambda root: _isolate_int(
+        out_var, _primitive(_image_coeffs(root._coeffs, qi, scale))))
 
 
-def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, images: dict) -> AlgebraicReal:
+def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, candidates) -> AlgebraicReal:
     """algebraic_image for q = qi / scale, qi ascending integer coefficients.
 
-    images keeps the isolated roots of each image polynomial, keyed by the
-    defining polynomial, qi, scale and out_var, so that conjugate roots
-    share them; it is meant to live for one batch of calls.
+    A rational alpha maps to the rational q(alpha).  Otherwise
+    candidates(alpha) gives the isolated real roots of a polynomial that
+    vanishes at q(alpha), which the caller may share between conjugate
+    roots, and alpha is shrunk until the interval image of q meets just
+    one of them.  The candidates are left as they are: the image is a copy.
     """
     if alpha.is_rational:
         num, den = alpha.value.numerator, alpha.value.denominator
         val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
         return AlgebraicReal.from_rational(val, out_var, alpha.multiplicity_in_source)
-    key = (alpha._coeffs, tuple(qi), scale, out_var)
-    candidates = images.get(key)
-    if candidates is None:
-        candidates = images[key] = _isolate_int(
-            out_var, _primitive(_image_coeffs(alpha._coeffs, qi, scale)))
+    roots = candidates(alpha)
     coeffs, slo = alpha._coeffs, alpha._lower_sign()
     a, b, k = alpha._a, alpha._b, alpha._k
     try:
@@ -819,17 +818,17 @@ def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, images: dict) -> 
             low, high = _interval_horner(qi, a, b, k)
             den = scale << (k * (len(qi) - 1))  # the value box is [low, high] / den
             live = []
-            for cand in candidates:
+            for cand in roots:
                 cl, ch, cd = _ends(cand)
                 if low * cd <= ch * den and cl * den <= high * cd:
                     live.append(cand)
             if len(live) == 1:
                 return live[0]._copy(alpha._mult)
-            candidates = [c._step() for c in candidates]
+            roots = [c._step() for c in roots]
             a, b, k = _halve(coeffs, slo, a, b, k)
             if a == b:
                 alpha._adopt(a, b, k)
-                return _image(alpha, qi, scale, out_var, images)
+                return _image(alpha, qi, scale, out_var, candidates)
         raise RuntimeError("image root selection failed to converge")
     finally:
         if alpha._value is None and k != alpha._k:

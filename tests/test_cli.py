@@ -279,6 +279,15 @@ class TestSimulate:
         assert rc == 2
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("x0, y0", [("nan", "0.5"), ("0.5", "nan"), ("inf", "0.5"),
+                                        ("0.5", "-inf")])
+    def test_non_finite_start_rejected(self, capsys, x0, y0):
+        rc, out, err = run(capsys, "simulate", "--u", "2", "--v", "2",
+                           f"--x0={x0}", f"--y0={y0}", "--steps", "3")
+        assert rc == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "traj.csv"
         rc, out, err = run(capsys, "simulate", "--u", "2", "--v", "2",

@@ -1,0 +1,162 @@
+"""Fixed points' y candidates from the cubic's twin: property and byte checks.
+
+The map is symmetric under (x, u, a) <-> (y, v, b), so the y coordinates
+off the origin are the roots of the equilibrium cubic with u and v swapped,
+its twin.  For every x root left as a window, the model's y polynomial
+(_Point.y_factor) must be the primitive characteristic polynomial that
+realroots.algebraic_image builds for the map y = v x (1 - x), the oracle
+here, and the candidates the model isolates from it must be the roots
+_isolate_int gives, up to order.  Then the selection, x_interval and
+y_approx keep their bytes: the digests below were recorded with the
+characteristic-polynomial route.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from kopelcas.exactpoly import _primitive
+from kopelcas import model
+from kopelcas.model import ModelParams, _Point, equilibrium_report
+from kopelcas.realroots import _image_coeffs, _isolate_int
+
+
+def _seeded():
+    rng = random.Random(13)
+    pts = []
+    for _ in range(60):
+        a, b = rng.sample(range(1, 21), 2)
+        pts.append((F(rng.randint(1, 200), 20), F(rng.randint(1, 200), 20), F(a, 20), F(b, 20)))
+    for _ in range(20):
+        pts.append((F(rng.randint(1, 5000), rng.randint(1, 700)),
+                    F(rng.randint(1, 5000), rng.randint(1, 700)),
+                    F(rng.randint(1, 50), 50), F(rng.randint(1, 50), 50)))
+    return pts
+
+
+def _with_roots(r1, r2, r3):
+    """(u, v) where the cubic has the roots r1, r2, r3 (they sum to 2), by Vieta.
+
+    The roots pairwise sum to 1 + 1/v and multiply to (u v - 1) / (u v**2).
+    """
+    assert r1 + r2 + r3 == 2
+    v = 1 / (r1 * r2 + r1 * r3 + r2 * r3 - 1)
+    return 1 / (v * (1 - v * r1 * r2 * r3)), v
+
+
+SEEDED = _seeded()
+SEEDED_DIGEST = "44c005a2f49fe0ad82824290919b87a0c8d8f8ff9cba1993a2dba6d77836b152"
+
+# name: (u, v, a, b), sha256 of the report's sorted-key JSON
+NAMED = {
+    # x = 1/2 is a rational root, so y takes the rational shortcut
+    "half-2-2": ((F(2), F(2), F(1, 4), F(3, 4)),
+        "bd566b0c57b1fa565e30c0315676956c76387b380ff6d735467a6b41e4b1e40a"),
+    "half-8/3-1": ((F(8, 3), F(1), F(1, 2), F(1)),
+        "fcf2efaf0de24ab6a453d877ac44e11ef76b43e9c784f67431494d20a24b1256"),
+    # x = 3/4 is rational and deflates the cubic to an irrational pair
+    "deflated-4-4": ((F(4), F(4), F(1, 2), F(3, 4)),
+        "7b3050de5d5456415328747d693c6ec94b645d92fd69845fa2e95db0656b4655"),
+    # one real root, a window of the whole cubic within the snap budget
+    "deflated-16/5-3/2": ((F(16, 5), F(3, 2), F(3, 5), F(2, 5)),
+        "2fb5f09d2401a76ebd5455cf13257768b43257b3d066b638f75cedefe0bc0a75"),
+    # u v = 1: a cubic root merges with the origin
+    "uv-one-2-1/2": ((F(2), F(1, 2), F(1, 3), F(1)),
+        "d50c6ca4a5663fdb1365408b6e71b352a51df674b8f8518c1ef95531623d3945"),
+    "uv-one-1/3-3": ((F(1, 3), F(3), F(1, 2), F(1, 5)),
+        "cbe9a8ffff8aaa82da3902944daf690506e5ec104bdc891e7843a9638cb95fd1"),
+    # the triple point
+    "triple-3-3": ((F(3), F(3), F(1, 2), F(1)),
+        "094021c7475291bcb5547c5ee1247d733f0998711f123f815ce389f8fcf80ced"),
+    # x = 1/3 is rational, but the snap budget leaves it a window of the whole cubic
+    "window-1/3": ((F(4218750000, 1250787419), F(99991, 25000), F(1, 2), F(3, 4)),
+        "6ddca7ea2c24a8aad2c8841ff006702118e439906144ab4d1b47d8cc9fc370b2"),
+    # a double root past the snap budget: its Yun factor is linear and stays a window
+    "fold-window": ((*_with_roots(F(500001, 10**6), F(500001, 10**6), F(999998, 10**6)),
+                     F(1, 2), F(1, 3)),
+        "e16ec3fd821d8fb9eea4d3c1b465b0b5cdf583bfa344b9aa61d93fa4a14fe97b"),
+    # three rational roots past the snap budget: bisection snaps 5/8 and leaves
+    # the other two as windows of a quadratic with a square discriminant
+    "rational-pair-windows": ((*_with_roots(F(5, 8), F(11, 16) + F(889, 22222),
+                                            F(11, 16) - F(889, 22222)), F(1, 2), F(1, 3)),
+        "6fcc0ee291b82559141941f9c8c7f8be3f53bae0a8303ef7ff0ae94fdd38a13e"),
+}
+
+
+def _report_bytes(point) -> bytes:
+    return json.dumps(equilibrium_report(ModelParams(*point)), sort_keys=True).encode()
+
+
+def _described(roots):
+    return sorted((r.lo, r.hi, r._coeffs, r.multiplicity_in_source) for r in roots)
+
+
+def _window_roots(point):
+    where = _Point(ModelParams(*point))
+    return where, [eq.x_root for eq in where.equilibria() if not eq.x_root.is_rational]
+
+
+@pytest.mark.parametrize("point", SEEDED + [p for p, _ in NAMED.values()])
+def test_y_factor_is_the_characteristic_polynomial(point):
+    where, roots = _window_roots(point)
+    for root in roots:
+        g = root._coeffs
+        oracle = _primitive(_image_coeffs(g, *where.locus))
+        assert where.y_factor(g) == oracle
+        assert _described(where.y_candidates(root)) == _described(_isolate_int("y", oracle))
+
+
+# the factor lengths of each named point's windowed x roots: whole cubics
+# within and past the snap budget, deflated quadratics with and without
+# rational roots, and linear windows; every other named point is all rational
+WINDOW_FACTORS = {
+    "deflated-4-4": [3, 3],
+    "deflated-16/5-3/2": [4],
+    "window-1/3": [4],
+    "fold-window": [2, 2],
+    "rational-pair-windows": [3, 3],
+}
+
+
+def test_named_points_reach_every_factor_shape():
+    for name, (point, _) in NAMED.items():
+        _, roots = _window_roots(point)
+        assert [len(r._coeffs) for r in roots] == WINDOW_FACTORS.get(name, [])
+
+
+def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
+    calls = []
+
+    def counted(var, coeffs):
+        calls.append((var, coeffs))
+        return _isolate_int(var, coeffs)
+
+    monkeypatch.setattr(model, "_isolate_int", counted)
+    most = 0
+    for point in SEEDED + [p for p, _ in NAMED.values()]:
+        _, roots = _window_roots(point)
+        calls.clear()
+        equilibrium_report(ModelParams(*point))
+        factors = {r._coeffs for r in roots}
+        assert len([c for var, c in calls if var == "y"]) == len(factors)
+        if len(factors) == 1:
+            most = max(most, len(roots))
+    # some cubic leaves three windows, all sharing one isolation
+    assert most == 3
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_report_bytes(name):
+    point, digest = NAMED[name]
+    assert hashlib.sha256(_report_bytes(point)).hexdigest() == digest
+
+
+def test_seeded_report_bytes():
+    h = hashlib.sha256()
+    for point in SEEDED:
+        h.update(_report_bytes(point))
+        h.update(b"\n")
+    assert h.hexdigest() == SEEDED_DIGEST

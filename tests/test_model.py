@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kopelcas import model
-from kopelcas.exactpoly import A, B, U, V, X, Y, parse_poly
+from kopelcas.exactpoly import A, B, U, V, X, Y, parse_poly, resultant
 from kopelcas.model import (
     Equilibrium, ModelParams, State, Trajectory, all_stay_in_unit_square, bound_cubic,
     bound_stability_polys, e0_stable, equilibria, equilibrium_cubic, equilibrium_report,
@@ -83,6 +83,16 @@ def test_symbolic_pieces():
     assert y_relation() is y_relation()
     assert stability_conditions() is stability_conditions()
     assert polys[1] is equilibrium_cubic() and triangular_system()[1] is not polys
+
+
+def test_eliminating_x_gives_the_cubic_with_u_and_v_swapped():
+    # the map is symmetric under (x, u, a) <-> (y, v, b), so the y coordinates
+    # off the origin solve the cubic's twin; a is free in the cubic and holds u
+    # while v takes its place
+    cubic = equilibrium_cubic()
+    twin = cubic.substitute("u", A).substitute("v", U).substitute("a", V).substitute("x", Y)
+    assert str(twin) == "u^2*v*y^3 - 2*u^2*v*y^2 + u^2*v*y + u*v*y - u*v + 1"
+    assert resultant(cubic, y_relation(), "x") == V**3 * twin
 
 
 class TestEquilibria:

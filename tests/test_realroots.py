@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas import realroots
-from kopelcas.exactpoly import MPoly, X, Y
+from kopelcas.exactpoly import MPoly, X, Y, _primitive
 from kopelcas.realroots import (
-    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _sign_dense_at, algebraic_image,
-    isolate_real_roots, refine, sign_at, square_free_decompose, sturm_sign_count,
+    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _image_coeffs, _isolate_int,
+    _sign_dense_at, algebraic_image, isolate_real_roots, refine, sign_at,
+    square_free_decompose, sturm_sign_count,
 )
 
 
@@ -422,16 +423,22 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
     roots = [r.refine(F(1, 2**40)) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
     assert len(roots) == 3 and not any(r.is_rational for r in roots)
     alone = [algebraic_image(r, q, "y") for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
-    images = {}
+    candidates = _isolate_int("y", _primitive(_image_coeffs(roots[0]._coeffs, qi, scale)))
+    asked = []
+
+    def shared_candidates(root):
+        asked.append(root._coeffs)
+        return candidates
+
     twice = AlgebraicReal("x", roots[0]._coeffs,
                           roots[0].lo, roots[0].hi, multiplicity=2)
-    shared = [_image(r, qi, scale, "y", images) for r in [twice] + roots[1:]]
-    assert len(images) == 1
+    shared = [_image(r, qi, scale, "y", shared_candidates) for r in [twice] + roots[1:]]
+    assert asked == [roots[0]._coeffs] * 3
     assert [s.approx for s in shared] == [a.approx for a in alone]
     assert len({id(s) for s in shared}) == 3
-    assert not any(s is c for s in shared for c in next(iter(images.values())))
+    assert not any(s is c for s in shared for c in candidates)
     assert [s.multiplicity_in_source for s in shared] == [2, 1, 1]
-    assert all(c.multiplicity_in_source == 1 for c in next(iter(images.values())))
+    assert all(c.multiplicity_in_source == 1 for c in candidates)
 
 
 def test_rational_image_of_an_irrational_root():
