@@ -51,15 +51,9 @@ EXPECTED_COUNT = {
 }
 
 
-def _expand(terms, gens):
-    total = MPoly.zero()
-    for coeff, *powers in terms:
-        mono = MPoly.constant(coeff)
-        for g, p in zip(gens, powers):
-            if p:
-                mono = mono * g**p
-        total = total + mono
-    return total
+def _from_rows(rows):
+    """The polynomial of (coeff, powers of u, v, a[, b]) rows, built as one term dict."""
+    return MPoly({(0, 0, *powers) + (0,) * (4 - len(powers)): coeff for coeff, *powers in rows})
 
 
 # discriminant factor of the equilibrium cubic: positive gives three distinct
@@ -74,7 +68,7 @@ POSITIVITY_THRESHOLD = U * V - 1
 TRIPLE_ROOT_COMPANION = 2 * U * V**2 - 9 * U * V + 27
 
 # chain resultant of the flip condition, general speeds (terms: coeff, u, v, a, b)
-FLIP_CHAIN = _expand([
+FLIP_CHAIN = _from_rows([
     (1, 3, 3, 3, 3), (-4, 3, 2, 3, 3), (-4, 2, 3, 3, 3), (17, 2, 2, 3, 3),
     (4, 2, 1, 3, 3), (4, 1, 2, 3, 3), (-2, 2, 2, 3, 2), (-2, 2, 2, 2, 3),
     (-45, 1, 1, 3, 3), (8, 2, 1, 3, 2), (8, 1, 2, 3, 2), (8, 2, 1, 2, 3),
@@ -85,10 +79,10 @@ FLIP_CHAIN = _expand([
     (36, 0, 0, 1, 3), (-16, 1, 1, 1, 1), (8, 0, 0, 3, 0), (-120, 0, 0, 2, 1),
     (-120, 0, 0, 1, 2), (8, 0, 0, 0, 3), (-48, 0, 0, 2, 0), (48, 0, 0, 1, 1),
     (-48, 0, 0, 0, 2), (96, 0, 0, 1, 0), (96, 0, 0, 0, 1), (-64, 0, 0, 0, 0),
-], (U, V, A, B))
+])
 
 # chain resultant of the modulus condition, general speeds
-MODULUS_CHAIN = _expand([
+MODULUS_CHAIN = _from_rows([
     (1, 3, 3, 3, 3), (-4, 3, 2, 3, 3), (-4, 2, 3, 3, 3), (17, 2, 2, 3, 3),
     (4, 2, 1, 3, 3), (4, 1, 2, 3, 3), (-1, 2, 2, 3, 2), (-1, 2, 2, 2, 3),
     (-45, 1, 1, 3, 3), (4, 2, 1, 3, 2), (4, 1, 2, 3, 2), (4, 2, 1, 2, 3),
@@ -96,7 +90,7 @@ MODULUS_CHAIN = _expand([
     (-1, 1, 1, 3, 1), (-2, 1, 1, 2, 2), (-1, 1, 1, 1, 3), (27, 0, 0, 3, 2),
     (27, 0, 0, 2, 3), (9, 0, 0, 3, 1), (18, 0, 0, 2, 2), (9, 0, 0, 1, 3),
     (1, 0, 0, 3, 0), (3, 0, 0, 2, 1), (3, 0, 0, 1, 2), (1, 0, 0, 0, 3),
-], (U, V, A, B))
+])
 
 # full-speed restrictions (a = b = 1)
 FLIP_FULL_SPEED = (
@@ -115,12 +109,12 @@ STABLE_CUT_QUADRATIC = (
 )
 
 # homogeneous speeds (b = a): the modulus chain collapses onto this cubic in a
-MODULUS_HOMOGENEOUS = _expand([
+MODULUS_HOMOGENEOUS = _from_rows([
     (1, 3, 3, 3), (-4, 3, 2, 3), (-4, 2, 3, 3), (17, 2, 2, 3),
     (4, 2, 1, 3), (4, 1, 2, 3), (-2, 2, 2, 2), (-45, 1, 1, 3),
     (8, 2, 1, 2), (8, 1, 2, 2), (-36, 1, 1, 2), (27, 0, 0, 3),
     (-4, 1, 1, 1), (54, 0, 0, 2), (36, 0, 0, 1), (8, 0, 0, 0),
-], (U, V, A))
+])
 
 
 @dataclass(frozen=True)

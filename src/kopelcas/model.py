@@ -190,12 +190,11 @@ class Equilibrium:
     def in_unit_square(self) -> bool:
         if self._in_unit_square is None:
             qi, scale = self._point.locus
-            # y - 1, scaled by the locus's denominator
+            # y - 1, scaled by the locus's denominator; 0 <= x <= 1 gives y >= 0
             y_minus_one = (qi[0] - scale,) + qi[1:]
             self._in_unit_square = (
                 self.x_root.compare_rational(0) >= 0
                 and self.x_root.compare_rational(1) <= 0
-                and _sign_dense_at(_Y_SIGN, self.x_root) >= 0
                 and _sign_dense_at(y_minus_one, self.x_root) <= 0
             )
         return self._in_unit_square

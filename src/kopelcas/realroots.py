@@ -33,8 +33,8 @@ from itertools import zip_longest
 from math import gcd, inf, lcm, nextafter
 
 from .exactpoly import (
-    MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
-    _pseudo_rem, dense_to_mpoly,
+    MPoly, Y, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
+    _pseudo_rem, dense_to_mpoly, resultant,
 )
 
 # Rational-root snapping is attempted only when divisor enumeration is cheap:
@@ -216,16 +216,27 @@ def _dyadic_window(coeffs, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
         k += 1
 
 
+def _double(n: int, k: int) -> float:
+    """n / 2**k rounded to a double, an infinity past the double range."""
+    try:
+        return n / (1 << k)
+    except OverflowError:
+        return inf if n > 0 else -inf
+
+
 def _bisect_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
     """The double nearest the simple root in (a, b) / 2**k, by bisection.
 
     Rounding is monotone: once both ends round to the same double, so does
     every point between them.  A midpoint that hits the root is rounded
-    itself, half to even.
+    itself, half to even.  An end past the double range rounds to an
+    infinity; a window wholly past it raises OverflowError.
     """
-    while a != b and a / (1 << k) != b / (1 << k):
+    while (d := _double(a, k)) != _double(b, k):
         a, b, k = _halve(coeffs, slo, a, b, k)
-    return a / (1 << k)
+    if d in (inf, -inf):
+        raise OverflowError("the root lies beyond the double range")
+    return d
 
 
 def _float_eval(cf, x: float) -> tuple[float, float, float]:
@@ -734,56 +745,13 @@ def refine(alpha: AlgebraicReal, width_bound) -> AlgebraicReal:
     return alpha.refine(width_bound)
 
 
-def _charpoly(m) -> list[int]:
-    """det(w I - m) of a square integer matrix, ascending coefficients.
-
-    Faddeev-LeVerrier: every division by k is exact, since the
-    characteristic polynomial of an integer matrix has integer coefficients.
-    """
-    n = len(m)
-    coeffs = [0] * n + [1]
-    mk = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = m M_(k-1) + c_(n-k+1) I,  c_(n-k) = -tr(m M_k) / k
-        lift = coeffs[n - k + 1]
-        mk = [[sum(row[l] * mk[l][j] for l in range(n)) + (lift if i == j else 0)
-               for j in range(n)] for i, row in enumerate(m)]
-        coeffs[n - k] = -sum(m[i][l] * mk[l][i] for i in range(n) for l in range(n)) // k
-    return coeffs
-
-
-def _image_coeffs(f, qi, scale: int) -> list[int]:
-    """Integer polynomial whose roots are q(x) over the roots x of f, q = qi / scale.
-
-    With c = lead(f) and n = deg f, z = c x is a root of the monic integer
-    g(z) = c**(n-1) f(z / c), and Q(z) = sum qi_k c**(d-k) z**k equals
-    c**d scale q(x), d = deg q.  The characteristic polynomial P of
-    multiplication by Q in Z[z]/(g) has the roots c**d scale q(x), so
-    P(c**d scale y) vanishes at every q(x): the norm of y - q(x), which is
-    Res_x(f, y - q) up to a constant.
-    """
-    n, c, d = len(f) - 1, f[-1], len(qi) - 1
-    g = [f[k] * c ** (n - 1 - k) for k in range(n)] + [1]
-    r = _pseudo_rem([qi[k] * c ** (d - k) for k in range(d + 1)], g)  # exact: g is monic
-    r += [0] * (n - len(r))
-    # row j holds Q z**j mod g: the transpose of the multiplication matrix,
-    # which has the same characteristic polynomial
-    rows = []
-    for _ in range(n):
-        rows.append(r)
-        top = r[-1]
-        r = [-top * g[0]] + [r[i - 1] - top * g[i] for i in range(1, n)]
-    t = c**d * scale
-    return [p * t**k for k, p in enumerate(_charpoly(rows))]
-
-
 def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicReal:
     """The value q(alpha) as an AlgebraicReal in out_var, exactly.
 
-    The defining polynomial is the characteristic polynomial of
-    multiplication by q modulo alpha's defining polynomial, taken on
-    integers (see _image_coeffs); the right root is picked by shrinking
-    alpha until the interval image of q pins a unique candidate.
+    The defining polynomial is exactpoly.resultant's Res_x(f, scale y - qi(x)),
+    f alpha's defining polynomial and q = qi / scale, with the root bound in
+    x and its image in y whatever their names.  The right root is picked by
+    shrinking alpha until the interval image of q pins a unique candidate.
     """
     var, dense = _univar(q)
     if var is not None and var != alpha.var:
@@ -793,8 +761,9 @@ def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicRe
     # the candidate roots and select a wrong preimage
     scale = lcm(*[c.denominator for c in dense])
     qi = [c.numerator * (scale // c.denominator) for c in dense]
-    return _image(alpha, qi, scale, out_var, lambda root: _isolate_int(
-        out_var, _primitive(_image_coeffs(root._coeffs, qi, scale))))
+    image = scale * Y - dense_to_mpoly(qi, "x")
+    return _image(alpha, qi, scale, out_var, lambda root: _isolate_int(out_var, _int_clear(
+        _dense_coeffs(resultant(dense_to_mpoly(root._coeffs, "x"), image, "x"), "y"))))
 
 
 def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, candidates) -> AlgebraicReal:

@@ -299,6 +299,19 @@ class TestSimulate:
         assert out == ""
 
 
+class TestLargeFixedPoints:
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    def test_fixed_point_near_the_double_range_prints(self, capsys, command):
+        # at u = v = 1e-120 the fixed point off the origin is near -1e120, a
+        # double, though its isolating window first reaches past the doubles
+        rc, out, _ = run(capsys, command, "--u", "1e-120", "--v", "1e-120")
+        assert rc == 0
+        doc = json.loads(out)
+        far = doc["equilibria" if command == "equilibria" else "reports"][0]
+        assert far["x_approx"] == pytest.approx(-1e120, rel=1e-12)
+        assert far["y_approx"] == pytest.approx(-1e120, rel=1e-12)
+
+
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert run(capsys, )[0] == 2
@@ -328,6 +341,14 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    def test_fixed_point_past_the_double_range_is_a_usage_error(self, capsys, command):
+        # at u = v = 1e-400 the fixed point off the origin is near -1e400
+        rc, out, err = run(capsys, command, "--u", "1e-400", "--v", "1e-400")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["equilibria", "classify"])
     def test_exact_commands_hold_huge_parameters(self, capsys, command):

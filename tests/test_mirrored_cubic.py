@@ -3,12 +3,13 @@
 The map is symmetric under (x, u, a) <-> (y, v, b), so the y coordinates
 off the origin are the roots of the equilibrium cubic with u and v swapped,
 its twin.  For every x root left as a window, the model's y polynomial
-(_Point.y_factor) must be the primitive characteristic polynomial that
-realroots.algebraic_image builds for the map y = v x (1 - x), the oracle
-here, and the candidates the model isolates from it must be the roots
-_isolate_int gives, up to order.  Then the selection, x_interval and
-y_approx keep their bytes: the digests below were recorded with the
-characteristic-polynomial route.
+(_Point.y_factor) must be the primitive resultant Res_x(g, scale y - qi(x))
+that realroots.algebraic_image builds for the map y = v x (1 - x) = qi / scale
+at the root's factor g, the oracle here: up to a constant, the characteristic
+polynomial of multiplication by the map modulo g.  The candidates the model
+isolates from it must be the roots _isolate_int gives, up to order.  Then
+the selection, x_interval and y_approx keep their bytes: the digests below
+were recorded before the model took its y polynomial from the twin.
 """
 
 import hashlib
@@ -18,10 +19,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from kopelcas.exactpoly import _primitive
 from kopelcas import model
+from kopelcas.exactpoly import Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
 from kopelcas.model import ModelParams, _Point, equilibrium_report
-from kopelcas.realroots import _image_coeffs, _isolate_int
+from kopelcas.realroots import _isolate_int
 
 
 def _seeded():
@@ -99,12 +100,18 @@ def _window_roots(point):
     return where, [eq.x_root for eq in where.equilibria() if not eq.x_root.is_rational]
 
 
+def _resultant_image(g, qi, scale):
+    """Primitive integer y-coefficients of Res_x(g, scale y - qi(x))."""
+    res = resultant(dense_to_mpoly(g, "x"), scale * Y - dense_to_mpoly(qi, "x"), "x")
+    return _int_clear(_dense_coeffs(res, "y"))
+
+
 @pytest.mark.parametrize("point", SEEDED + [p for p, _ in NAMED.values()])
 def test_y_factor_is_the_characteristic_polynomial(point):
     where, roots = _window_roots(point)
     for root in roots:
         g = root._coeffs
-        oracle = _primitive(_image_coeffs(g, *where.locus))
+        oracle = _resultant_image(g, *where.locus)
         assert where.y_factor(g) == oracle
         assert _described(where.y_candidates(root)) == _described(_isolate_int("y", oracle))
 

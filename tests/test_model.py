@@ -141,6 +141,20 @@ class TestEquilibria:
         assert not eqs[0].in_unit_square
         assert eqs[0].y_root.value == -1
 
+    def test_unit_square_asks_one_sign_query(self, monkeypatch):
+        # 0 <= x <= 1 gives y = v x (1 - x) >= 0, so only y <= 1 is asked
+        eq = equilibria(ModelParams(4, 4))[1]
+        sign_dense_at = model._sign_dense_at
+        calls = []
+
+        def counted(qi, root):
+            calls.append(qi)
+            return sign_dense_at(qi, root)
+
+        monkeypatch.setattr(model, "_sign_dense_at", counted)
+        assert eq.in_unit_square
+        assert len(calls) == 1
+
     def test_equilibria_satisfy_map_numerically(self):
         rng = random.Random(11)
         for _ in range(25):

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas import realroots
-from kopelcas.exactpoly import MPoly, X, Y, _primitive
+from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, resultant
 from kopelcas.realroots import (
-    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _image_coeffs, _isolate_int,
+    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _isolate_int,
     _sign_dense_at, algebraic_image, isolate_real_roots, refine, sign_at,
     square_free_decompose, sturm_sign_count,
 )
@@ -396,6 +396,20 @@ def test_coefficients_past_the_float_range_take_the_bisection(monkeypatch):
     assert len(calls) == 1
 
 
+def test_root_in_the_double_range_with_a_window_past_it():
+    # x + 10**200 on (-2**1100, 0): the left end rounds past the largest double
+    root = AlgebraicReal("x", (10**200, 1), F(-2**1100), F(0))
+    assert not root.is_rational
+    assert root.approx == -1e200
+
+
+def test_root_past_the_double_range_overflows():
+    # x + 10**400: the whole window (-2**1400, -2**1200) lies past the doubles
+    root = AlgebraicReal("x", (10**400, 1), F(-2**1400), F(-2**1200))
+    with pytest.raises(OverflowError):
+        root.approx
+
+
 # -- images under polynomial maps -----------------------------------------
 
 def test_algebraic_image_rational():
@@ -423,7 +437,8 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
     roots = [r.refine(F(1, 2**40)) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
     assert len(roots) == 3 and not any(r.is_rational for r in roots)
     alone = [algebraic_image(r, q, "y") for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
-    candidates = _isolate_int("y", _primitive(_image_coeffs(roots[0]._coeffs, qi, scale)))
+    res = resultant(roots[0].defining_poly, Y - q, "x")
+    candidates = _isolate_int("y", _int_clear(_dense_coeffs(res, "y")))
     asked = []
 
     def shared_candidates(root):
@@ -448,6 +463,32 @@ def test_rational_image_of_an_irrational_root():
     img = algebraic_image(root, X**2, "y")
     assert img.is_rational and img.value == 2
     assert img.multiplicity_in_source == 1
+
+
+def test_algebraic_image_from_y_to_x():
+    # 4 y (1 - y) sends (5 - sqrt 5)/8 to (5 + sqrt 5)/8, with the names swapped
+    root = isolate_real_roots(16 * Y**2 - 20 * Y + 5)[0]
+    img = algebraic_image(root, 4 * Y * (1 - Y), "x")
+    assert img.var == "x"
+    assert abs(img.approx - (5 + 5**0.5) / 8) < 1e-12
+    assert sign_at(16 * X**2 - 20 * X + 5, img) == 0
+
+
+def test_algebraic_image_into_the_roots_own_variable():
+    root = isolate_real_roots(X**2 - 2)[1]
+    img = algebraic_image(root, X**2 + X, "x")
+    assert img.var == "x"
+    assert sign_at(X**2 - 4 * X + 2, img) == 0  # 2 + sqrt 2
+    assert abs(img.approx - (2 + 2**0.5)) < 1e-12
+
+
+def test_algebraic_image_of_a_map_above_the_roots_degree():
+    # x**5 at sqrt 2 is 4 sqrt 2, a root of y**2 - 32
+    root = isolate_real_roots(X**2 - 2)[1]
+    img = algebraic_image(root, X**5, "y")
+    assert sign_at(Y**2 - 32, img) == 0
+    assert img.compare_rational(0) > 0
+    assert img.approx == 4 * 2**0.5
 
 
 def test_algebraic_image_constant_map():

@@ -11,9 +11,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kopelcas.exactpoly import MPoly, X, Y, _int_gcd, _primitive, resultant
+from kopelcas.exactpoly import MPoly, X, _int_gcd
 from kopelcas.realroots import (
-    AlgebraicReal, _eval_dyadic, _halve, _image_coeffs, _int_clear, _isolate_int,
+    AlgebraicReal, _eval_dyadic, _halve, _int_clear, _isolate_int,
     _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int,
     _strip_rational_roots, _sturm_chain, algebraic_image, isolate_real_roots, sign_at,
     sturm_sign_count,
@@ -248,33 +248,6 @@ def test_approx_matches_bisection(pairs, rational_roots, probes):
         expected = _bisected_double(r)
         assert r.approx == expected
         assert (r.lo, r.hi) == window
-
-
-def _positive_primitive(coeffs) -> tuple:
-    coeffs = _primitive(coeffs)
-    return tuple(-c for c in coeffs) if coeffs[-1] < 0 else coeffs
-
-
-square_free_ints = st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(
-    lambda cs: cs[-1] != 0 and len(_int_gcd(cs, [k * c for k, c in enumerate(cs)][1:])) == 1)
-image_maps = st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
-                      min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0)
-
-
-@PROPERTY
-@given(square_free_ints, image_maps)
-def test_image_polynomial_matches_the_resultant(f, q_coeffs):
-    # y = q(x) over the roots of f: the integer characteristic polynomial and
-    # Res_x(f, y - q) agree up to a constant
-    scale = math.lcm(*[c.denominator for c in q_coeffs])
-    qi = [c.numerator * (scale // c.denominator) for c in q_coeffs]
-    got = _positive_primitive(_image_coeffs(tuple(f), qi, scale))
-    q = sum((c * X**k for k, c in enumerate(q_coeffs)), MPoly.zero())
-    fx = sum((c * X**k for k, c in enumerate(f)), MPoly.zero())
-    res = resultant(fx, Y - q, "x")
-    expected = _positive_primitive(_int_clear(
-        [res.coefficient_of("y", k).as_fraction() for k in range(int(res.degree("y")) + 1)]))
-    assert got == expected
 
 
 def _isolate_factor_by_factor(coeffs):
