@@ -318,6 +318,17 @@ class _Point:
         """Primitive integer x-coefficients of the equilibrium cubic (see bound_cubic)."""
         return _primitive(bind(_CUBIC_TERMS, self.tables))
 
+    def positive_roots(self) -> list:
+        """The x roots of the positive fixed points, ascending, as AlgebraicReals.
+
+        y = v x (1 - x) with v > 0, so a fixed point is positive exactly
+        when 0 < x < 1: the cubic's roots in that window are isolated and
+        no others.  Neither end is a root left after the rational strip: the
+        cubic is 1 - u v at 0, where a root is always stripped, and 1 at 1
+        (identity cubic-at-one).
+        """
+        return _isolate_int("x", self.cubic(), (0, 1, 0))
+
     def equilibria(self) -> list:
         """equilibria(params), each fixed point holding this point."""
         # the cubic's lead u v**2 is never zero, so its degree is always 3

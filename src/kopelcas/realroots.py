@@ -402,9 +402,13 @@ class AlgebraicReal:
     def __init__(self, var: str, coeffs: tuple[int, ...], lo, hi, multiplicity: int = 1):
         """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root."""
         lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError("the window's lower end lies above its upper end")
         self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
         self._value = self._approx = self._poly = None
         if lo == hi:
+            if _eval_int_at(self._coeffs, lo.numerator, lo.denominator):
+                raise ValueError(f"{lo} is no root of the defining polynomial")
             self._value = lo
         else:
             self._adopt(*_dyadic_window(self._coeffs, lo, hi))
@@ -545,25 +549,34 @@ class AlgebraicReal:
         return f"AlgebraicReal({self._var} in ({self.lo}, {self.hi}])"
 
 
-def _isolate_square_free(coeffs: tuple[int, ...], chain):
-    """Isolate all real roots of a square-free integer polynomial.
+def _cauchy_window(coeffs) -> tuple[int, int, int]:
+    """A dyadic window (a, b, k) holding every real root of coeffs.
+
+    Cauchy: every root has |x| < 1 + max|c_i| / |lead| <= 2**e.
+    """
+    rest = max(abs(c) for c in coeffs[:-1])
+    e = max(rest.bit_length() - abs(coeffs[-1]).bit_length() + 1, 0) + 1
+    return -1 << e, 1 << e, 0
+
+
+def _isolate_square_free(coeffs: tuple[int, ...], chain, window=None):
+    """Isolate the real roots of a square-free integer polynomial in a window.
 
     chain is the Sturm chain of coeffs or of -coeffs: the variation counts
-    are the same for both.  Returns (exact_roots, windows, final_coeffs):
-    rational roots snapped when a bisection point hits one, dyadic windows
-    (a, b, k) for the rest, and the (possibly deflated) defining polynomial
-    valid for every window.
+    are the same for both.  window is a dyadic (a, b, k) whose ends are no
+    roots of coeffs, by default coeffs' Cauchy window.  Returns
+    (exact_roots, windows, final_coeffs): rational roots snapped when a
+    bisection point hits one, dyadic windows (a, b, k) for the rest, and
+    the (possibly deflated) defining polynomial valid for every window.
     """
     exact_roots, windows = [], []
 
     def var_at(a, k):
         return _variations(_eval_dyadic(p, a, k) for p in chain)
 
-    # Cauchy: every root has |x| < 1 + max|c_i| / |lead| <= 2**e
-    rest = max(abs(c) for c in coeffs[:-1])
-    e = max(rest.bit_length() - abs(coeffs[-1]).bit_length() + 1, 0) + 1
+    a, b, k = window or _cauchy_window(coeffs)
     # each entry: a window with the Sturm variation counts at its two ends
-    stack = [(-1 << e, 1 << e, 0, var_at(-1 << e, 0), var_at(1 << e, 0))]
+    stack = [(a, b, k, var_at(a, k), var_at(b, k))]
     while stack:
         a, b, k, va, vb = stack.pop()
         if va - vb == 1:
@@ -651,8 +664,15 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
     return _isolate_int(var, _int_clear(dense))
 
 
-def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
+def _isolate_int(var: str, coeffs, window=None) -> list[AlgebraicReal]:
     """isolate_real_roots on primitive integer coefficients, degree >= 1.
+
+    window, a dyadic (a, b, k), keeps only the roots strictly inside
+    (a / 2**k, b / 2**k); by default each square-free factor is searched in
+    its own Cauchy window, which holds all its roots.  The window's ends
+    must be no roots of what is left of a factor once its rational roots
+    are stripped.  A stripped root, at an end or not, is kept only when it
+    lies strictly inside.
 
     One remainder sequence serves twice: the Sturm chain of coeffs ends in
     gcd(f, f'), Yun's first gcd, and when f is square-free and has no
@@ -664,10 +684,14 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     square_free = len(chain[-1]) == 1
     for factor, mult in _square_free_int(coeffs, chain[-1]):
         rational, rest = _strip_rational_roots(factor)
+        whole = square_free and not rational  # rest is coeffs, up to sign
+        if window is not None:
+            a, b, k = window
+            rational = [r for r in rational
+                        if a * r.denominator < r.numerator << k < b * r.denominator]
         if len(rest) > 1:
-            whole = square_free and not rational  # rest is coeffs, up to sign
             exacts, windows, rest = _isolate_square_free(
-                rest, chain if whole else _sturm_chain(rest))
+                rest, chain if whole else _sturm_chain(rest), window)
             rational += exacts
             items += [AlgebraicReal._from_window(var, rest, a, b, k, mult)
                       for a, b, k in windows]

@@ -2,11 +2,11 @@
 
 Every cell is classified twice, by independent routes: once by evaluating
 the frozen parameter-space certificates, once by actually isolating the
-fixed points at that cell and certifying their signs and stability.  The
-two answers land side by side in the emitted table.  Both routes run in
-exact arithmetic, so they must agree in every cell, on a certificate's zero
-set too: any disagreement is a bug in one of the routes, never a rounding
-artifact.
+positive fixed points at that cell, the cubic's roots in 0 < x < 1, and
+certifying their stability.  The two answers land side by side in the
+emitted table.  Both routes run in exact arithmetic, so they must agree in
+every cell, on a certificate's zero set too: any disagreement is a bug in
+one of the routes, never a rounding artifact.
 
 Each cell binds its parameters once, on integers, as one model._Point: the
 certificates the kind reads, the equilibrium cubic and the stability
@@ -120,9 +120,9 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]
 
-            positives = [e for e in point.equilibria() if e.is_positive]
+            positives = point.positive_roots()
             numeric_positive = len(positives)
-            numeric_stable = sum(point.is_stable(eq.x_root) for eq in positives)
+            numeric_stable = sum(point.is_stable(r) for r in positives)
 
             # |value| < eps, with value = n / scale and eps = eps_num / eps_den
             near = any(abs(n) * eps_den < eps_num * scale for n in values)

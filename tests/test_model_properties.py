@@ -1,12 +1,14 @@
-"""Property tests for the integer stability binder.
+"""Property tests for the integer stability binder and the positive fixed points.
 
 Hypothesis runs derandomized, so every run draws the same examples.  The
 symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
-point locus, serves as the oracle.
+point locus, serves as the oracle for the binder; the report route's
+Equilibrium.is_positive serves as the oracle for the scan's positive roots.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,3 +62,34 @@ def test_jury_signs_and_origin_match_the_symbolic_route(u, v, ab):
     origin = {"x": 0, "y": 0, "u": u, "v": v, "a": a, "b": b}
     expected = all(cd.evaluate(origin).as_fraction() > 0 for cd in stability_conditions())
     assert e0_stable(params) == expected
+
+
+def _positive_both_ways(params):
+    """(approx, multiplicity) of the positive fixed points by each route."""
+    scan = [(r.approx, r.multiplicity_in_source) for r in _Point(params).positive_roots()]
+    report = [(e.x_approx, e.multiplicity) for e in equilibria(params) if e.is_positive]
+    return scan, report
+
+
+@PROPERTY
+@given(intensities, intensities, speed_pairs)
+def test_positive_roots_are_the_positive_equilibria(u, v, ab):
+    scan, report = _positive_both_ways(ModelParams(u, v, *ab))
+    assert scan == report
+
+
+@pytest.mark.parametrize("u, v, a, b, positive", [
+    # u v = 1: the cubic's root 0 is the origin, at the window's end
+    pytest.param(F(2), F(1, 2), F(1), F(1), [], id="uv-one"),
+    pytest.param(F(3), F(3), F(1), F(1), [(2 / 3, 3)], id="triple-point"),
+    pytest.param(F(2), F(2), F(1), F(1), [(0.5, 1)], id="rational-half"),
+    pytest.param(F(1, 5), F(9), F(1), F(1), [(0.048591172235676966, 1)], id="root-near-zero"),
+    # u v < 1: the cubic's one real root lies below 0
+    pytest.param(F(1, 10), F(6), F(1), F(1), [], id="negative-root"),
+    pytest.param(F(4), F(4), F(1, 2), F(3, 4),
+                 [(0.3454915028125263, 1), (0.75, 1), (0.9045084971874737, 1)],
+                 id="unequal-speeds"),
+])
+def test_positive_roots_named_cases(u, v, a, b, positive):
+    scan, report = _positive_both_ways(ModelParams(u, v, a, b))
+    assert scan == report == positive

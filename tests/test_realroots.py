@@ -153,6 +153,29 @@ def test_isolation_with_a_mismatched_chain_stops_at_the_cap():
         realroots._isolate_square_free((-2, 0, 1), [(1,), (0, 1), (1,)])
 
 
+def _planted_six():
+    # x (2x - 1)(x - 2)(x + 1)(2x^2 - 1): rational roots at 0 and 1/2, and
+    # outside (0, 1) at -1 and 2; irrational ones at -1/sqrt 2 and 1/sqrt 2
+    return _int_clear(_dense_coeffs(X * (2 * X - 1) * (X - 2) * (X + 1) * (2 * X**2 - 1), "x"))
+
+
+def test_isolation_in_a_window_keeps_the_roots_strictly_inside():
+    # 0 is a stripped root at the window's end and 2 a stripped root past
+    # it: neither is kept; 1 is no root of what the strip leaves
+    half, root_half = _isolate_int("x", _planted_six(), (0, 1, 0))
+    assert half.is_rational and half.value == F(1, 2)
+    assert not root_half.is_rational and 0 <= root_half.lo < root_half.hi <= 1
+    assert sign_at(2 * X**2 - 1, root_half) == 0
+    assert root_half.approx == 2**-0.5
+
+
+def test_isolation_with_no_window_keeps_every_root():
+    roots = _isolate_int("x", _planted_six())
+    assert [r.value for r in roots if r.is_rational] == [-1, 0, F(1, 2), 2]
+    assert [r.approx for r in roots] == [-1.0, -(2**-0.5), 0.0, 0.5, 2**-0.5, 2.0]
+    assert all(r.multiplicity_in_source == 1 for r in roots)
+
+
 # -- Sturm counting --------------------------------------------------------
 
 def test_sturm_sign_count_basic():
@@ -511,6 +534,25 @@ def test_constructor_moves_rational_window_onto_dyadic_grid():
     assert half.is_rational and half.value == F(1, 2)
     with pytest.raises(ValueError):
         AlgebraicReal("x", (-2, 0, 1), F(2), F(3))  # no sign change: no root inside
+
+
+def test_constructor_rejects_a_reversed_window(monkeypatch):
+    # the sign check passes on (2, 1) for x^2 - 2, and the dyadic grid
+    # between reversed ends never holds a point: refuse before the search
+    def unreachable(*args):
+        pytest.fail("a reversed window reached the dyadic search")
+
+    monkeypatch.setattr(realroots, "_dyadic_window", unreachable)
+    with pytest.raises(ValueError, match="lower end"):
+        AlgebraicReal("x", (-2, 0, 1), F(2), F(1))
+
+
+def test_constructor_rejects_an_exact_value_that_is_no_root():
+    with pytest.raises(ValueError, match="no root"):
+        AlgebraicReal("x", (-2, 0, 1), 1, 1)
+    # a true rational root is kept as it is, and from_rational still works
+    assert AlgebraicReal("x", (-1, 2), F(1, 2), F(1, 2)).value == F(1, 2)
+    assert AlgebraicReal.from_rational(F(-3, 7), "y", 2).value == F(-3, 7)
 
 
 def test_divisors_match_brute_force():

@@ -10,6 +10,7 @@ from kopelcas.certificates import (
     POSITIVITY_THRESHOLD, STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
     classify_equilibrium_count, classify_stable_best_response, classify_stable_homogeneous,
 )
+from kopelcas.model import Equilibrium, ModelParams, equilibria
 from kopelcas.scanner import (
     ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
     scan_equilibrium_count, scan_stability_best_response,
@@ -110,6 +111,24 @@ class TestCountScan:
         grid = scan_equilibrium_count(ScanSpec((1, 2), (3, 4), 2))
         assert [(c.u, c.v) for c in grid.cells] == [
             (F(1), F(3)), (F(1), F(4)), (F(2), F(3)), (F(2), F(4))]
+
+    def test_cells_build_no_equilibrium(self, monkeypatch):
+        # the cells count the cubic's roots in (0, 1) directly; this grid
+        # holds u v = 1 at (1/2, 2) and (2, 1/2), and the triple point (3, 3)
+        built = []
+        init = Equilibrium.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Equilibrium, "__init__", counting)
+        grid = scan("count", ScanSpec((F(1, 2), 5), (F(1, 2), 5), 10))
+        assert len(grid.cells) == 100 and grid.disagreements() == []
+        assert built == []
+        # the counter sees the enumeration route that reports use
+        assert len(equilibria(ModelParams(4, 4))) == 4
+        assert len(built) == 4
 
 
 class TestStableScan:
