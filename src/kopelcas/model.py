@@ -40,7 +40,9 @@ from .exactpoly import (
     integer_terms, power_tables,
 )
 from .rational import coerce_rational, format_rational
-from .realroots import AlgebraicReal, _image, _isolate_int, _sign_dense_at
+from .realroots import (
+    AlgebraicReal, _cauchy_window, _image, _isolate_int, _sign_dense_at, _strip_rational_roots,
+)
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -293,8 +295,9 @@ class _Point:
     use: conditions, the primitive parts of bound_stability_polys; locus,
     y = v x (1 - x) over its denominator; and y_candidates, the y roots that
     realroots._image picks a fixed point's y coordinate from, taken from the
-    cubic's twin bound with u and v swapped.  A point lives as long as the
-    fixed points that hold it.
+    cubic's twin bound with u and v swapped and isolated, except that a
+    twin with one real root and no rational one is its own Cauchy window.
+    A point lives as long as the fixed points that hold it.
     """
 
     def __init__(self, params: ModelParams):
@@ -373,11 +376,21 @@ class _Point:
     def y_candidates(self, root: AlgebraicReal) -> list:
         """The isolated roots of y_factor over a windowed x root's factor.
 
-        Isolated on first use; the roots of one factor share them.
+        Isolated on first use; the roots of one factor share them.  A whole
+        cubic with a negative discriminant has one real root, and so has its
+        twin: a fixed point's y is real exactly when its x = u y (1 - y) is.
+        When the twin also has no rational root to snap, its isolation is
+        that root's Cauchy window, built here with no Sturm chain.
         """
         g = root._coeffs
         if g != self._y_for:
-            self._y_for, self._y_roots = g, _isolate_int("y", self.y_factor(g))
+            twin = self.y_factor(g)
+            lone = len(g) == 4 and _cubic_discriminant(g) < 0
+            if lone and not _strip_rational_roots(twin)[0]:
+                roots = [AlgebraicReal._from_window("y", twin, *_cauchy_window(twin), 1)]
+            else:
+                roots = _isolate_int("y", twin)
+            self._y_for, self._y_roots = g, roots
         return self._y_roots
 
     def signs(self, root: AlgebraicReal):
@@ -395,6 +408,13 @@ class _Point:
     def is_stable(self, root: AlgebraicReal) -> bool:
         """The Jury rule at an x root, asking no sign past the first that fails it."""
         return _is_stable(self.signs(root))
+
+
+def _cubic_discriminant(c) -> int:
+    """The discriminant of the cubic with ascending coefficients c."""
+    d0, d1, d2, d3 = c
+    return (18 * d3 * d2 * d1 * d0 - 4 * d2**3 * d0 + d2 * d2 * d1 * d1
+            - 4 * d3 * d1**3 - 27 * d3 * d3 * d0 * d0)
 
 
 def _is_stable(signs) -> bool:

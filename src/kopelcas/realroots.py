@@ -4,10 +4,13 @@ A real algebraic number is stored as a square-free defining polynomial with
 primitive integer coefficients plus an isolating window with dyadic endpoints
 (a / 2**k, b / 2**k), kept as the integers a, b, k.  The endpoints are never
 roots, so the root lies strictly inside; a rational root is stored exactly, as
-a Fraction, instead.  Isolation starts from a power-of-two root bound, counts
-roots with Sturm sequences and bisects, so every endpoint stays dyadic; a
-bisection point that hits a root is snapped to an exact rational root on the
-spot, which is also what keeps every endpoint off the roots.  A polynomial's
+a Fraction, instead.  Isolation first snaps rational roots by testing the
+candidates s/q, s | f(0) and q | lead(f), within a budget; a polynomial with
+no root modulo a small prime has none, and skips the test.  It then starts
+from a power-of-two root bound, counts roots with Sturm sequences and
+bisects, so every endpoint stays dyadic; a bisection point that hits a root
+is snapped to an exact rational root on the spot, which is also what keeps
+every endpoint off the roots.  A polynomial's
 Sturm chain is also its remainder sequence with f': its last element is
 gcd(f, f'), so a constant there proves f square-free, and Yun's square-free
 decomposition runs only when it is not.
@@ -43,6 +46,11 @@ from .exactpoly import (
 # pure bisection, which is still exact (the root just stays an interval).
 _SNAP_VALUE_LIMIT = 10**6
 _SNAP_PAIR_LIMIT = 256
+
+# Before it enumerates divisors, the snap looks for a prime here that does
+# not divide the leading coefficient and modulo which the polynomial has no
+# root: then it has no rational root at all.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 
@@ -354,19 +362,48 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def _rootless_mod_small_prime(coeffs) -> bool:
+    """True when f has no root modulo some prime of _SIEVE_PRIMES not dividing lead(f).
+
+    Then f has no rational root: a root s/q in lowest terms has q | lead(f),
+    so q is invertible modulo such a prime p, and s q**-1 is a root mod p.
+    A linear f has a root modulo every such prime, so none is tried.
+    """
+    if len(coeffs) <= 2:
+        return False
+    lead = coeffs[-1]
+    for p in _SIEVE_PRIMES:
+        if lead % p == 0:
+            continue
+        highest_first = [c % p for c in reversed(coeffs)]
+        if not highest_first[-1]:  # 0 is a root mod p
+            continue
+        for r in range(1, p):
+            acc = 0
+            for c in highest_first:
+                acc = acc * r + c
+            if not acc % p:
+                break
+        else:
+            return True
+    return False
+
+
 def _strip_rational_roots(coeffs: tuple[int, ...]) -> tuple[list[Fraction], tuple[int, ...]]:
     """Snap rational roots of a square-free integer polynomial, within budget.
 
-    A root s/q in lowest terms has s | f(0) and q | lead(f), and f = (q x - s) g
-    with g integral, so (q - s) | f(1) and (q + s) | f(-1): those two filters
-    rule out most candidates before any evaluation.
+    A polynomial with no root modulo a small prime has no rational root and
+    is returned as it is.  Otherwise, a root s/q in lowest terms has s | f(0)
+    and q | lead(f), and f = (q x - s) g with g integral, so (q - s) | f(1)
+    and (q + s) | f(-1): those two filters rule out most candidates before
+    any evaluation.
     """
     roots = [Fraction(0)] if coeffs[0] == 0 else []  # square-free: 0 is a simple root
     work = tuple(coeffs[len(roots):])
     if len(work) <= 1:
         return roots, work
     a0, an = abs(work[0]), abs(work[-1])
-    if a0 > _SNAP_VALUE_LIMIT or an > _SNAP_VALUE_LIMIT:
+    if a0 > _SNAP_VALUE_LIMIT or an > _SNAP_VALUE_LIMIT or _rootless_mod_small_prime(work):
         return roots, work
     num_divs, den_divs = _divisors(a0), _divisors(an)
     if 2 * len(num_divs) * len(den_divs) > _SNAP_PAIR_LIMIT:
@@ -521,8 +558,13 @@ class AlgebraicReal:
         return AlgebraicReal._from_window(self._var, self._coeffs, a, b, k, self._mult, self._slo)
 
     def compare_rational(self, other) -> int:
-        """Sign of (self - other) for an exact rational other."""
-        other = Fraction(other)
+        """Sign of (self - other) for an exact rational other.
+
+        An int is used as it is, and a root that snaps to it stores it as a
+        Fraction.
+        """
+        if not isinstance(other, int):
+            other = Fraction(other)
         if self._value is not None:
             return _sign(self._value - other)
         num, den = other.numerator, other.denominator
@@ -536,7 +578,7 @@ class AlgebraicReal:
                 # other is inside the window on every round that gets here, and
                 # is its only root exactly when the polynomial vanishes there
                 if k == self._k and _eval_int_at(self._coeffs, num, den) == 0:
-                    self._value = other
+                    self._value = Fraction(other)
                     return 0
                 a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k)
         finally:

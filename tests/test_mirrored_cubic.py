@@ -134,6 +134,17 @@ def test_named_points_reach_every_factor_shape():
         assert [len(r._coeffs) for r in roots] == WINDOW_FACTORS.get(name, [])
 
 
+# x = 1/6 is a root of a whole cubic with one real root: past the pair budget
+# of the snap, it stays a window, while its twin snaps y = 7/9
+RATIONAL_TWIN = ((F(27, 28), F(28, 5), F(1, 2), F(1, 3)),
+                 "44d3bb20686dda36ac72f8382f47283de4d31f9a67aedb500799e029b03ab10e")
+
+
+def _lone_real_root(g, roots) -> bool:
+    """g is the whole cubic, and the x roots left as its windows are its only real root."""
+    return len(g) == 4 and sum(r._coeffs == g for r in roots) == 1
+
+
 def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
     calls = []
 
@@ -141,18 +152,77 @@ def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
         calls.append((var, coeffs))
         return _isolate_int(var, coeffs)
 
-    monkeypatch.setattr(model, "_isolate_int", counted)
-    most = 0
-    for point in SEEDED + [p for p, _ in NAMED.values()]:
-        _, roots = _window_roots(point)
+    most = skipped = snapped = 0
+    for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]]:
+        where, roots = _window_roots(point)
+        factors = {r._coeffs for r in roots}
+        # a whole cubic with one real root takes no y isolation, unless its
+        # twin has a rational root to snap
+        lone = {g for g in factors if _lone_real_root(g, roots)}
+        rational = {g for g in lone
+                    if any(y.is_rational for y in _isolate_int("y", where.y_factor(g)))}
+        monkeypatch.setattr(model, "_isolate_int", counted)
         calls.clear()
         equilibrium_report(ModelParams(*point))
-        factors = {r._coeffs for r in roots}
-        assert len([c for var, c in calls if var == "y"]) == len(factors)
+        monkeypatch.undo()
+        assert sorted(c for var, c in calls if var == "y") == sorted(
+            where.y_factor(g) for g in factors - lone | rational)
+        skipped += len(lone - rational)
+        snapped += len(rational)
         if len(factors) == 1:
             most = max(most, len(roots))
     # some cubic leaves three windows, all sharing one isolation
     assert most == 3
+    assert skipped >= 40 and snapped == 1
+
+
+def _lattice(seed, count):
+    """Points on the 1/20 lattice with u, v up to 10 and a != b, as report batches take."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(count):
+        a, b = rng.sample(range(1, 21), 2)
+        pts.append((F(rng.randint(1, 200), 20), F(rng.randint(1, 200), 20), F(a, 20), F(b, 20)))
+    return pts
+
+
+def test_lone_twin_root_is_the_one_its_isolation_gives():
+    # every whole cubic with one real root, seeded, named or on the lattice:
+    # the model's candidate is exactly what isolating the twin gives
+    checked = 0
+    for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]] + _lattice(16, 200):
+        where, roots = _window_roots(point)
+        for root in roots:
+            g = root._coeffs
+            if len(g) == 4:
+                assert (model._cubic_discriminant(g) < 0) == _lone_real_root(g, roots)
+            if not _lone_real_root(g, roots):
+                continue
+            twin = where.y_factor(root._coeffs)
+            (got,), (expected,) = where.y_candidates(root), _isolate_int("y", twin)
+            assert got._coeffs == expected._coeffs
+            assert got.is_rational == expected.is_rational
+            if got.is_rational:
+                assert got.value == expected.value
+            else:
+                assert got._coeffs == twin
+                assert (got._a, got._b, got._k) == (expected._a, expected._b, expected._k)
+                assert got._slo == expected._slo
+            assert got.multiplicity_in_source == expected.multiplicity_in_source == 1
+            assert got.approx == expected.approx
+            checked += 1
+    assert checked >= 150
+
+
+def test_rational_twin_root_stays_snapped():
+    point, digest = RATIONAL_TWIN
+    _, roots = _window_roots(point)
+    assert [len(r._coeffs) for r in roots] == [4]
+    fixed = [eq for eq in model.equilibria(ModelParams(*point)) if not eq.x_root.is_rational]
+    # y first: an x root snapped to 1/6 would give y as its rational image
+    assert fixed[0].y_root.is_rational and fixed[0].y_root.value == F(7, 9)
+    assert fixed[0].x_root.compare_rational(F(1, 6)) == 0
+    assert hashlib.sha256(_report_bytes(point)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", NAMED)

@@ -7,10 +7,11 @@ import pytest
 from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, resultant
 from kopelcas.realroots import (
-    _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _isolate_int,
-    _sign_dense_at, algebraic_image, isolate_real_roots, refine, sign_at,
-    square_free_decompose, sturm_sign_count,
+    _SIEVE_PRIMES, _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _isolate_int,
+    _rootless_mod_small_prime, _sign_dense_at, _strip_rational_roots, algebraic_image,
+    isolate_real_roots, refine, sign_at, square_free_decompose, sturm_sign_count,
 )
+from kopelcas.rational import format_rational
 
 
 def cubic(u, v):
@@ -316,6 +317,29 @@ def test_compare_rational():
     assert exact.compare_rational(1) == -1
 
 
+def test_compare_rational_takes_an_int_as_its_fraction():
+    # each root is isolated twice, one copy compared with ints and the other
+    # with the equal Fractions: same signs, same windows left behind
+    for p in (cubic(4, 4), X**2 - 2, (X - 1) * (X**2 - 20000000), 3 * X**3 - 7 * X + 1):
+        by_int, by_fraction = isolate_real_roots(p), isolate_real_roots(p)
+        for r, s in zip(by_int, by_fraction):
+            for t in (-3, -1, 0, 1, 2, 5):
+                assert r.compare_rational(t) == s.compare_rational(F(t))
+                assert (r.lo, r.hi, r.is_rational) == (s.lo, s.hi, s.is_rational)
+
+
+def test_root_snapped_through_an_int_keeps_a_fraction():
+    # past the snap budget 1 stays a window of the whole cubic, and the
+    # comparison with it snaps the root exactly
+    p = (X - 1) * (X**2 - 20000000)
+    by_int, by_fraction = (isolate_real_roots(p)[1] for _ in range(2))
+    assert not by_int.is_rational
+    assert by_int.compare_rational(1) == 0 and by_fraction.compare_rational(F(1)) == 0
+    assert type(by_int.value) is F and by_int.value == by_fraction.value == 1
+    assert ([format_rational(by_int.lo), format_rational(by_int.hi)]
+            == [format_rational(by_fraction.lo), format_rational(by_fraction.hi)] == ["1", "1"])
+
+
 def test_compare_rational_evaluates_the_rational_once(monkeypatch):
     # 141421356/10**8 lies deep inside the window of sqrt 2, so the
     # comparison bisects many times; the polynomial's value there is asked once
@@ -564,3 +588,38 @@ def test_divisors_match_brute_force():
             expected[m].append(d)
     for n in range(1, top + 1):
         assert _divisors(n) == expected[n], n
+
+
+# -- the rational-root sieve -----------------------------------------------
+
+def test_a_root_modulo_every_sieve_prime_falls_through_to_enumeration(monkeypatch):
+    # (x^2 - 2)(x^2 - 3)(x^2 - 6): one of 2, 3, 6 is a square modulo every
+    # odd prime, so no sieve prime rules the polynomial out; enumeration runs
+    # and finds no rational root
+    coeffs = _int_clear(_dense_coeffs((X**2 - 2) * (X**2 - 3) * (X**2 - 6), "x"))
+    assert not _rootless_mod_small_prime(coeffs)
+    enumerated = []
+    divisors = realroots._divisors
+    monkeypatch.setattr(realroots, "_divisors", lambda n: enumerated.append(n) or divisors(n))
+    assert _strip_rational_roots(coeffs) == ([], coeffs)
+    assert sorted(enumerated) == [1, 36]
+
+
+@pytest.mark.parametrize("primes", [_SIEVE_PRIMES[:4], _SIEVE_PRIMES])
+def test_a_root_whose_denominator_sieve_primes_divide_is_snapped(monkeypatch, primes):
+    # (L x - 1)(x^2 - 227), L the product of the primes: 227 is no square
+    # modulo any sieve prime, so f has no root modulo a prime dividing L, yet
+    # it has the root 1/L.  Each of those primes divides lead(f) and is
+    # skipped.  L = 3 * 5 * ... * 23 is past the snap budget, which is widened
+    # for it so that the strip runs.
+    lead = math.prod(primes)
+    coeffs = _int_clear(_dense_coeffs((lead * X - 1) * (X**2 - 227), "x"))
+    for p in primes:
+        assert all(sum(c * r**k for k, c in enumerate(coeffs)) % p for r in range(p))
+    if lead > realroots._SNAP_VALUE_LIMIT:
+        monkeypatch.setattr(realroots, "_SNAP_VALUE_LIMIT", 10**9)
+        monkeypatch.setattr(realroots, "_SNAP_PAIR_LIMIT", 10**4)
+    assert not _rootless_mod_small_prime(coeffs)
+    assert _strip_rational_roots(coeffs) == ([F(1, lead)], (-227, 0, 1))
+    # with the lead's primes gone, 3 rules out x^2 - 227 alone
+    assert _rootless_mod_small_prime((-227, 0, 1))

@@ -50,6 +50,17 @@ planted_polys = st.builds(
 ).filter(lambda p: not p.is_constant())
 
 
+def _square_free(coeffs) -> bool:
+    return len(_int_gcd(coeffs, [k * c for k, c in enumerate(coeffs)][1:])) == 1
+
+
+# integer coefficients drawn as they come, with no planted root: few have a
+# rational root, so most fall to the rational-root sieve
+drawn_polys = st.lists(st.integers(-60, 60), min_size=2, max_size=6).filter(
+    lambda cs: cs[-1] != 0 and _square_free(cs)).map(
+    lambda cs: sum((c * X**k for k, c in enumerate(cs)), MPoly.zero()))
+
+
 def _value_at(p: MPoly, t: F) -> F:
     return p.evaluate({"x": t}).as_fraction()
 
@@ -184,7 +195,7 @@ def _brute_force_strip(coeffs):
 
 
 @PROPERTY
-@given(planted_polys)
+@given(st.one_of(planted_polys, drawn_polys))
 def test_strip_rational_roots_matches_brute_force(p):
     coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
                          for k in range(int(p.degree("x")) + 1)])
