@@ -10,7 +10,6 @@ from .certificates import (
     IdentityResult,
     NamedCertificate,
     StableCountClass,
-    all_identities_hold,
     build_certificates,
     classify,
     classify_equilibrium_count,
@@ -19,7 +18,7 @@ from .certificates import (
     verify_all,
     verify_identity,
 )
-from .exactpoly import MPoly, dense_to_mpoly, parse_poly, resultant
+from .exactpoly import MPoly, dense_to_mpoly, resultant
 from .model import (
     Equilibrium,
     ModelParams,
@@ -36,15 +35,12 @@ from .model import (
     jury_report,
     stability_conditions,
     step,
-    triangular_system,
     y_relation,
 )
 from .rational import coerce_rational, format_rational, parse_rational
 from .realroots import (
     AlgebraicReal,
-    algebraic_image,
     isolate_real_roots,
-    refine,
     sign_at,
     sturm_sign_count,
 )
@@ -76,8 +72,6 @@ __all__ = [
     "StableCountClass",
     "State",
     "Trajectory",
-    "algebraic_image",
-    "all_identities_hold",
     "all_stay_in_unit_square",
     "build_certificates",
     "classify",
@@ -96,9 +90,7 @@ __all__ = [
     "iterate",
     "jacobian",
     "jury_report",
-    "parse_poly",
     "parse_rational",
-    "refine",
     "resultant",
     "scan",
     "scan_equilibrium_count",
@@ -108,7 +100,6 @@ __all__ = [
     "stability_conditions",
     "step",
     "sturm_sign_count",
-    "triangular_system",
     "verify_all",
     "verify_identity",
     "y_relation",

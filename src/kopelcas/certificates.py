@@ -214,10 +214,6 @@ def verify_all() -> list:
     return [verify_identity(name) for name in IDENTITY_NAMES]
 
 
-def all_identities_hold() -> bool:
-    return all(r.passed for r in verify_all())
-
-
 # -- classification --------------------------------------------------------
 #
 # Each classifier reads the signs of a few of the frozen certificates.  They

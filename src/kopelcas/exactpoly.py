@@ -629,102 +629,3 @@ def bind(terms, tables) -> list[int]:
     for c, kx, ku, kv, ka, kb in terms:
         dense[kx] += c * up[ku] * vp[kv] * ap[ka] * bp[kb]
     return dense
-
-
-# -- parsing ---------------------------------------------------------------
-
-def parse_poly(text: str) -> MPoly:
-    """Parse the canonical text form (as produced by to_str) back to an MPoly.
-
-    Grammar: signed terms joined by + or -, each term a '*'-separated product
-    of an optional rational coefficient and variable powers like x^3.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    pos = 0
-    result = MPoly.zero()
-    sign = 1
-    # optional leading sign
-    if tokens[pos][0] == "op":
-        sign = -1 if tokens[pos][1] == "-" else 1
-        pos += 1
-    while True:
-        term, pos = _parse_term(tokens, pos)
-        result = result + term * sign
-        if pos == len(tokens):
-            return result
-        kind, val = tokens[pos]
-        if kind != "op" or val not in "+-":
-            raise ValueError(f"expected + or - at token {pos} in {text!r}")
-        sign = -1 if val == "-" else 1
-        pos += 1
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-":
-            tokens.append(("op", ch))
-            i += 1
-        elif ch == "*":
-            if text[i:i + 2] == "**":
-                tokens.append(("pow", "^"))
-                i += 2
-            else:
-                tokens.append(("mul", "*"))
-                i += 1
-        elif ch == "^":
-            tokens.append(("pow", "^"))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in "/."):
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-        elif ch.isalpha():
-            tokens.append(("var", ch))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in polynomial text")
-    return tokens
-
-
-def _parse_term(tokens: list[tuple[str, str]], pos: int) -> tuple[MPoly, int]:
-    factors: list[MPoly] = []
-    while True:
-        if pos >= len(tokens):
-            raise ValueError("dangling term in polynomial text")
-        kind, val = tokens[pos]
-        if kind == "num":
-            factors.append(MPoly.constant(Fraction(val)))
-            pos += 1
-        elif kind == "var":
-            base = MPoly.var(val)
-            pos += 1
-            if pos < len(tokens) and tokens[pos][0] == "pow":
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "num":
-                    raise ValueError("exponent expected after ^")
-                exp_text = tokens[pos][1]
-                if not exp_text.isdigit():
-                    raise ValueError(f"exponent must be a nonnegative integer, got {exp_text!r}")
-                base = base ** int(exp_text)
-                pos += 1
-            factors.append(base)
-        else:
-            raise ValueError(f"unexpected token {val!r} in term")
-        if pos < len(tokens) and tokens[pos][0] == "mul":
-            pos += 1
-            continue
-        break
-    term = MPoly.constant(1)
-    for f in factors:
-        term = term * f
-    return term, pos

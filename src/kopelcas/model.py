@@ -159,11 +159,6 @@ def y_relation() -> MPoly:
     return _Y_RELATION
 
 
-def triangular_system():
-    """Solve order and polynomials: y eliminated first, then the cubic in x."""
-    return [Y, X], [_Y_RELATION, _CUBIC]
-
-
 # y has the sign of x (1 - x), since v > 0: the locus bound at v = 1
 _Y_SIGN = tuple(bind(_LOCUS_TERMS, power_tables(1, 1, 1, 1)))
 
@@ -209,7 +204,7 @@ class Equilibrium:
     def y_root(self) -> AlgebraicReal:
         if self._y is None:
             point = self._point
-            self._y = _image(self.x_root, *point.locus, "y", point.y_candidates)
+            self._y = _image(self.x_root, *point.locus, point.y_candidates)
         return self._y
 
     @property

@@ -1,9 +1,8 @@
 """Exact rational scalars and their text forms.
 
 Everything exact in this package is built on ``fractions.Fraction``: arbitrary
-precision, always stored in lowest terms with a positive denominator.  The two
-helpers here pin down the accepted text forms so the CLI and the polynomial
-parser agree on them.
+precision, always stored in lowest terms with a positive denominator.  The
+helpers here pin down the text forms the CLI accepts and prints.
 """
 
 from __future__ import annotations

@@ -33,11 +33,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import zip_longest
-from math import gcd, inf, lcm, nextafter
+from math import gcd, inf, nextafter
 
 from .exactpoly import (
-    MPoly, Y, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
-    _pseudo_rem, dense_to_mpoly, resultant,
+    MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
+    _pseudo_rem, dense_to_mpoly,
 )
 
 # Rational-root snapping is attempted only when divisor enumeration is cheap:
@@ -695,8 +695,8 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
     """All real roots of a univariate polynomial, sorted ascending.
 
     Roots carry their multiplicity; isolating intervals are pairwise disjoint.
-    Rational roots are snapped to exact form when candidate testing is within
-    budget (always the case at small coefficients).
+    A rational root snaps to exact form when both end coefficients are at most
+    10**6 and there are at most 256 candidate pairs; past that it stays a window.
     """
     var, dense = _univar(p)
     if var is None:
@@ -807,44 +807,19 @@ def _sign_dense_at(qi, alpha: AlgebraicReal) -> int:
             alpha._adopt(a, b, k)
 
 
-def refine(alpha: AlgebraicReal, width_bound) -> AlgebraicReal:
-    return alpha.refine(width_bound)
+def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
+    """A fixed point's y = qi(alpha) / scale, for Equilibrium.y_root.
 
-
-def algebraic_image(alpha: AlgebraicReal, q: MPoly, out_var: str) -> AlgebraicReal:
-    """The value q(alpha) as an AlgebraicReal in out_var, exactly.
-
-    The defining polynomial is exactpoly.resultant's Res_x(f, scale y - qi(x)),
-    f alpha's defining polynomial and q = qi / scale, with the root bound in
-    x and its image in y whatever their names.  The right root is picked by
-    shrinking alpha until the interval image of q pins a unique candidate.
-    """
-    var, dense = _univar(q)
-    if var is not None and var != alpha.var:
-        raise ValueError("q must be univariate in the point's variable")
-    dense = dense or [Fraction(0)]
-    # q = qi / scale exactly: rescaling q would shift the value box away from
-    # the candidate roots and select a wrong preimage
-    scale = lcm(*[c.denominator for c in dense])
-    qi = [c.numerator * (scale // c.denominator) for c in dense]
-    image = scale * Y - dense_to_mpoly(qi, "x")
-    return _image(alpha, qi, scale, out_var, lambda root: _isolate_int(out_var, _int_clear(
-        _dense_coeffs(resultant(dense_to_mpoly(root._coeffs, "x"), image, "x"), "y"))))
-
-
-def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, candidates) -> AlgebraicReal:
-    """algebraic_image for q = qi / scale, qi ascending integer coefficients.
-
-    A rational alpha maps to the rational q(alpha).  Otherwise
-    candidates(alpha) gives the isolated real roots of a polynomial that
-    vanishes at q(alpha), which the caller may share between conjugate
-    roots, and alpha is shrunk until the interval image of q meets just
-    one of them.  The candidates are left as they are: the image is a copy.
+    alpha is its x root; qi / scale is v x (1 - x) bound on integers.  A
+    rational alpha maps to a rational y with no call to candidates, so a
+    rational x root never isolates the cubic's twin.  Otherwise alpha
+    shrinks until the interval image of qi / scale meets just one of the
+    isolated y roots candidates(alpha) gives, and a copy of it is the image.
     """
     if alpha.is_rational:
         num, den = alpha.value.numerator, alpha.value.denominator
         val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
-        return AlgebraicReal.from_rational(val, out_var, alpha.multiplicity_in_source)
+        return AlgebraicReal.from_rational(val, "y", alpha.multiplicity_in_source)
     roots = candidates(alpha)
     coeffs, slo = alpha._coeffs, alpha._lower_sign()
     a, b, k = alpha._a, alpha._b, alpha._k
@@ -863,7 +838,7 @@ def _image(alpha: AlgebraicReal, qi, scale: int, out_var: str, candidates) -> Al
             a, b, k = _halve(coeffs, slo, a, b, k)
             if a == b:
                 alpha._adopt(a, b, k)
-                return _image(alpha, qi, scale, out_var, candidates)
+                return _image(alpha, qi, scale, candidates)
         raise RuntimeError("image root selection failed to converge")
     finally:
         if alpha._value is None and k != alpha._k:

@@ -147,46 +147,39 @@ def scan_stability_homogeneous(spec: ScanSpec) -> ScanGrid:
 
 # -- emission --------------------------------------------------------------
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
+# The emitted columns: each grid coordinate exact ("p/q") and then as the
+# nearest float, a only in the homogeneous kind, then these cell fields.
+_VERDICT_COLUMNS = ("cert_class", "numeric_positive", "numeric_stable", "agree",
+                    "near_boundary")
 
 
-def _cell_row(cell: ScanCell, with_a: bool) -> list:
-    row = [format_rational(cell.u), repr(float(cell.u)),
-           format_rational(cell.v), repr(float(cell.v))]
-    if with_a:
-        row += [format_rational(cell.a), repr(float(cell.a))]
-    row += [cell.cert_class, str(cell.numeric_positive), str(cell.numeric_stable),
-            _bool_str(cell.agree), _bool_str(cell.near_boundary)]
-    return row
+def _cell_values(cell: ScanCell, coords: tuple) -> list:
+    """A cell's value per column, as JSON writes it."""
+    values = []
+    for name in coords:
+        q = getattr(cell, name)
+        values += (format_rational(q), float(q))
+    return values + [getattr(cell, name) for name in _VERDICT_COLUMNS]
+
+
+def _csv_field(value) -> str:
+    """A value as JSON writes it, strings bare: str of a float is its repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
     """Serialize deterministically; identical grids emit identical bytes."""
-    with_a = grid.kind == "homogeneous"
+    coords = ("u", "v", "a") if grid.kind == "homogeneous" else ("u", "v")
+    columns = [n for name in coords for n in (name, name + "_float")] + list(_VERDICT_COLUMNS)
+    rows = [_cell_values(c, coords) for c in grid.cells]
     if fmt == "csv":
-        header = ["u", "u_float", "v", "v_float"]
-        if with_a:
-            header += ["a", "a_float"]
-        header += ["cert_class", "numeric_positive", "numeric_stable",
-                   "agree", "near_boundary"]
-        lines = [",".join(header)]
-        lines += [",".join(_cell_row(c, with_a)) for c in grid.cells]
+        lines = [",".join(columns)]
+        lines += [",".join(map(_csv_field, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        cells = []
-        for c in grid.cells:
-            entry = {"u": format_rational(c.u), "u_float": float(c.u),
-                     "v": format_rational(c.v), "v_float": float(c.v)}
-            if with_a:
-                entry["a"] = format_rational(c.a)
-                entry["a_float"] = float(c.a)
-            entry.update({"cert_class": c.cert_class,
-                          "numeric_positive": c.numeric_positive,
-                          "numeric_stable": c.numeric_stable,
-                          "agree": c.agree,
-                          "near_boundary": c.near_boundary})
-            cells.append(entry)
+        cells = [dict(zip(columns, row)) for row in rows]
         doc = {
             "schema_version": 1,
             "kind": grid.kind,

@@ -10,7 +10,7 @@ from kopelcas.certificates import (
     COUNT_DISCRIMINANT, EXPECTED_COUNT, FLIP_CHAIN, FLIP_FULL_SPEED, IDENTITY_NAMES, KINDS,
     MODULUS_CHAIN, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS, POSITIVITY_THRESHOLD,
     STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, TRIPLE_ROOT_COMPANION,
-    EquilibriumCountClass, StableCountClass, all_identities_hold,
+    EquilibriumCountClass, StableCountClass,
     build_certificates, classify, classify_equilibrium_count,
     classify_stable_best_response, classify_stable_homogeneous,
     verify_all, verify_identity, _certificate_values,
@@ -118,7 +118,7 @@ class TestIdentities:
         results = verify_all()
         assert len(results) == 11
         assert [r.name for r in results] == list(IDENTITY_NAMES)
-        assert all_identities_hold()
+        assert all(r.passed for r in results)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@
 The map is symmetric under (x, u, a) <-> (y, v, b), so the y coordinates
 off the origin are the roots of the equilibrium cubic with u and v swapped,
 its twin.  For every x root left as a window, the model's y polynomial
-(_Point.y_factor) must be the primitive resultant Res_x(g, scale y - qi(x))
-that realroots.algebraic_image builds for the map y = v x (1 - x) = qi / scale
-at the root's factor g, the oracle here: up to a constant, the characteristic
+(_Point.y_factor) must be the primitive resultant Res_x(g, scale y - qi(x)),
+taken by exactpoly.resultant for the map y = v x (1 - x) = qi / scale at the
+root's factor g, the oracle here: up to a constant, the characteristic
 polynomial of multiplication by the map modulo g.  The candidates the model
 isolates from it must be the roots _isolate_int gives, up to order.  Then
 the selection, x_interval and y_approx keep their bytes: the digests below

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from kopelcas import model
-from kopelcas.exactpoly import A, B, U, V, X, Y, parse_poly, resultant
+from kopelcas.exactpoly import A, B, U, V, X, Y, resultant
 from kopelcas.model import (
     Equilibrium, ModelParams, State, Trajectory, all_stay_in_unit_square, bound_cubic,
     bound_stability_polys, e0_stable, equilibria, equilibrium_cubic, equilibrium_report,
-    iterate, jacobian, jury_report, stability_conditions, step, triangular_system,
-    y_relation,
+    iterate, jacobian, jury_report, stability_conditions, step, y_relation,
 )
 from kopelcas.realroots import isolate_real_roots, sign_at
 from test_report_digests import POINTS
@@ -75,14 +74,10 @@ def test_all_stay_in_unit_square_batch():
 def test_symbolic_pieces():
     assert str(equilibrium_cubic()) == "u*v^2*x^3 - 2*u*v^2*x^2 + u*v^2*x + u*v*x - u*v + 1"
     assert str(y_relation()) == "v*x^2 - v*x + y"
-    order, polys = triangular_system()
-    assert [str(w) for w in order] == ["y", "x"]
-    assert polys[0] == y_relation() and polys[1] == equilibrium_cubic()
     # each polynomial is built once, at import
     assert equilibrium_cubic() is equilibrium_cubic()
     assert y_relation() is y_relation()
     assert stability_conditions() is stability_conditions()
-    assert polys[1] is equilibrium_cubic() and triangular_system()[1] is not polys
 
 
 def test_eliminating_x_gives_the_cubic_with_u_and_v_swapped():

@@ -1,9 +1,10 @@
-"""Property tests for the integer stability binder and the positive fixed points.
+"""Property tests for the integer stability binder and the fixed points.
 
 Hypothesis runs derandomized, so every run draws the same examples.  The
 symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
 point locus, serves as the oracle for the binder; the report route's
-Equilibrium.is_positive serves as the oracle for the scan's positive roots.
+Equilibrium.is_positive serves as the oracle for the scan's positive roots;
+the locus y = v x (1 - x) on doubles serves as the oracle for y.
 """
 
 from fractions import Fraction as F
@@ -62,6 +63,15 @@ def test_jury_signs_and_origin_match_the_symbolic_route(u, v, ab):
     origin = {"x": 0, "y": 0, "u": u, "v": v, "a": a, "b": b}
     expected = all(cd.evaluate(origin).as_fraction() > 0 for cd in stability_conditions())
     assert e0_stable(params) == expected
+
+
+@PROPERTY
+@given(intensities, intensities, speed_pairs)
+def test_fixed_point_y_follows_the_float_locus(u, v, ab):
+    for eq in equilibria(ModelParams(u, v, *ab)):
+        x = eq.x_approx
+        expected = float(v) * x * (1 - x)
+        assert abs(eq.y_approx - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def _positive_both_ways(params):

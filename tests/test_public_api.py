@@ -1,0 +1,32 @@
+"""The package's exports: every name in kopelcas.__all__ resolves, and none is retired."""
+
+import importlib
+
+import kopelcas
+
+# (module, name) of public functions removed because nothing in the package,
+# its CLI or its benchmark called them
+RETIRED = (("exactpoly", "parse_poly"), ("realroots", "algebraic_image"),
+           ("realroots", "refine"), ("model", "triangular_system"),
+           ("certificates", "all_identities_hold"))
+
+
+def test_every_exported_name_resolves():
+    assert len(set(kopelcas.__all__)) == len(kopelcas.__all__)
+    for name in kopelcas.__all__:
+        assert getattr(kopelcas, name) is not None, name
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from kopelcas import *", namespace)
+    assert set(kopelcas.__all__) <= set(namespace)
+
+
+def test_retired_names_are_neither_exported_nor_defined():
+    for module, name in RETIRED:
+        assert name not in kopelcas.__all__, name
+        assert not hasattr(kopelcas, name), name
+        assert not hasattr(importlib.import_module(f"kopelcas.{module}"), name), name
+    # the root method of the module-level wrapper's name stays
+    assert callable(kopelcas.AlgebraicReal.refine)

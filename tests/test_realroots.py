@@ -5,11 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas import realroots
-from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, resultant
+from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
 from kopelcas.realroots import (
     _SIEVE_PRIMES, _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _isolate_int,
-    _rootless_mod_small_prime, _sign_dense_at, _strip_rational_roots, algebraic_image,
-    isolate_real_roots, refine, sign_at, square_free_decompose, sturm_sign_count,
+    _rootless_mod_small_prime, _sign_dense_at, _strip_rational_roots, isolate_real_roots,
+    sign_at, square_free_decompose, sturm_sign_count,
 )
 from kopelcas.rational import format_rational
 
@@ -144,6 +144,21 @@ def test_isolate_beyond_snap_budget_still_certifies():
     assert len(roots) == 1
     assert roots[0].compare_rational(r) == 0
     assert abs(roots[0].approx - float(r)) < 1e-12
+
+
+def test_small_coefficients_past_the_pair_budget_keep_a_rational_root_as_a_window():
+    # the equilibrium cubic at (u, v) = (27/28, 28/5): x = 1/6 is its one real
+    # root, but 110 and 756 have 8 and 24 divisors, 384 signed candidate
+    # pairs, over _SNAP_PAIR_LIMIT, so the root is left in its Cauchy window
+    coeffs = (-110, 891, -1512, 756)
+    assert 2 * len(_divisors(110)) * len(_divisors(756)) > realroots._SNAP_PAIR_LIMIT
+    assert max(map(abs, coeffs)) <= realroots._SNAP_VALUE_LIMIT
+    roots = isolate_real_roots(dense_to_mpoly(coeffs, "x"))
+    assert len(roots) == 1 and not roots[0].is_rational
+    assert (roots[0].lo, roots[0].hi) == (-8, 8)
+    # a comparison with the root itself snaps it
+    assert roots[0].compare_rational(F(1, 6)) == 0
+    assert roots[0].is_rational and roots[0].value == F(1, 6)
 
 
 def test_isolation_with_a_mismatched_chain_stops_at_the_cap():
@@ -360,14 +375,14 @@ def test_compare_rational_evaluates_the_rational_once(monkeypatch):
 
 def test_refine_shrinks_and_preserves():
     root = isolate_real_roots(cubic(4, 4))[0]
-    tight = refine(root, F(1, 10**12))
+    tight = root.refine(F(1, 10**12))
     assert tight.hi - tight.lo <= F(1, 10**12)
     assert root.lo <= tight.lo and tight.hi <= root.hi
     assert sign_at(16 * X**2 - 20 * X + 5, tight) == 0
     exact = AlgebraicReal.from_rational(F(1, 2))
-    assert refine(exact, F(1, 100)) is exact
+    assert exact.refine(F(1, 100)) is exact
     with pytest.raises(ValueError):
-        refine(root, 0)
+        root.refine(0)
 
 
 def test_approx_is_correctly_rounded_for_known_roots():
@@ -457,18 +472,25 @@ def test_root_past_the_double_range_overflows():
         root.approx
 
 
-# -- images under polynomial maps -----------------------------------------
+# -- y images under the fixed point locus ----------------------------------
 
-def test_algebraic_image_rational():
+def _resultant_candidates(qi, scale):
+    """Fresh candidates per root: the isolated roots of Res_x(f, scale y - qi(x))."""
+    image = scale * Y - dense_to_mpoly(qi, "x")
+    return lambda root: _isolate_int("y", _int_clear(
+        _dense_coeffs(resultant(root.defining_poly, image, "x"), "y")))
+
+
+def test_image_of_a_rational_root_asks_for_no_candidates():
     root = AlgebraicReal.from_rational(F(3, 4))
-    img = algebraic_image(root, 4 * X * (1 - X), "y")
+    img = _image(root, (0, 4, -4), 1, lambda r: pytest.fail("candidates were asked for"))
     assert img.is_rational and img.value == F(3, 4)
     assert img.var == "y"
 
 
-def test_algebraic_image_swaps_conjugate_pair():
+def test_image_swaps_conjugate_pair():
     roots = isolate_real_roots(cubic(4, 4))
-    img = algebraic_image(roots[0], 4 * X * (1 - X), "y")
+    img = _image(roots[0], (0, 4, -4), 1, _resultant_candidates((0, 4, -4), 1))
     # 4 x (1 - x) sends (5 - sqrt 5)/8 to (5 + sqrt 5)/8
     assert abs(img.approx - (5 + 5**0.5) / 8) < 1e-12
     y_min = 16 * Y**2 - 20 * Y + 5
@@ -483,7 +505,8 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
     # narrow windows pick a candidate before any of them is refined
     roots = [r.refine(F(1, 2**40)) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
     assert len(roots) == 3 and not any(r.is_rational for r in roots)
-    alone = [algebraic_image(r, q, "y") for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
+    fresh = _resultant_candidates(qi, scale)
+    alone = [_image(r, qi, scale, fresh) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
     res = resultant(roots[0].defining_poly, Y - q, "x")
     candidates = _isolate_int("y", _int_clear(_dense_coeffs(res, "y")))
     asked = []
@@ -494,7 +517,7 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
 
     twice = AlgebraicReal("x", roots[0]._coeffs,
                           roots[0].lo, roots[0].hi, multiplicity=2)
-    shared = [_image(r, qi, scale, "y", shared_candidates) for r in [twice] + roots[1:]]
+    shared = [_image(r, qi, scale, shared_candidates) for r in [twice] + roots[1:]]
     assert asked == [roots[0]._coeffs] * 3
     assert [s.approx for s in shared] == [a.approx for a in alone]
     assert len({id(s) for s in shared}) == 3
@@ -507,42 +530,9 @@ def test_rational_image_of_an_irrational_root():
     # x**2 sends sqrt 2 to 2, a double root of the image polynomial (y - 2)**2:
     # the image keeps the multiplicity of its preimage
     root = AlgebraicReal("x", (-2, 0, 1), F(1), F(2))
-    img = algebraic_image(root, X**2, "y")
+    img = _image(root, (0, 0, 1), 1, _resultant_candidates((0, 0, 1), 1))
     assert img.is_rational and img.value == 2
     assert img.multiplicity_in_source == 1
-
-
-def test_algebraic_image_from_y_to_x():
-    # 4 y (1 - y) sends (5 - sqrt 5)/8 to (5 + sqrt 5)/8, with the names swapped
-    root = isolate_real_roots(16 * Y**2 - 20 * Y + 5)[0]
-    img = algebraic_image(root, 4 * Y * (1 - Y), "x")
-    assert img.var == "x"
-    assert abs(img.approx - (5 + 5**0.5) / 8) < 1e-12
-    assert sign_at(16 * X**2 - 20 * X + 5, img) == 0
-
-
-def test_algebraic_image_into_the_roots_own_variable():
-    root = isolate_real_roots(X**2 - 2)[1]
-    img = algebraic_image(root, X**2 + X, "x")
-    assert img.var == "x"
-    assert sign_at(X**2 - 4 * X + 2, img) == 0  # 2 + sqrt 2
-    assert abs(img.approx - (2 + 2**0.5)) < 1e-12
-
-
-def test_algebraic_image_of_a_map_above_the_roots_degree():
-    # x**5 at sqrt 2 is 4 sqrt 2, a root of y**2 - 32
-    root = isolate_real_roots(X**2 - 2)[1]
-    img = algebraic_image(root, X**5, "y")
-    assert sign_at(Y**2 - 32, img) == 0
-    assert img.compare_rational(0) > 0
-    assert img.approx == 4 * 2**0.5
-
-
-def test_algebraic_image_constant_map():
-    root = isolate_real_roots(cubic(4, 4))[0]
-    img = algebraic_image(root, MPoly.constant(F(7, 2)), "y")
-    assert img.is_rational and img.value == F(7, 2)
-    assert algebraic_image(root, MPoly.zero(), "y").value == 0
 
 
 def test_constructor_moves_rational_window_onto_dyadic_grid():

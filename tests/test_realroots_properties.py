@@ -15,7 +15,7 @@ from kopelcas.exactpoly import MPoly, X, _int_gcd
 from kopelcas.realroots import (
     AlgebraicReal, _eval_dyadic, _halve, _int_clear, _isolate_int,
     _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int,
-    _strip_rational_roots, _sturm_chain, algebraic_image, isolate_real_roots, sign_at,
+    _strip_rational_roots, _sturm_chain, isolate_real_roots, sign_at,
     sturm_sign_count,
 )
 
@@ -203,16 +203,6 @@ def test_strip_rational_roots_matches_brute_force(p):
     expected_roots, expected_rest = _brute_force_strip(coeffs)
     assert sorted(roots) == sorted(expected_roots)
     assert rest == expected_rest
-
-
-@PROPERTY
-@given(quadratics, small_polys)
-def test_algebraic_image_follows_the_float_image(quad, q_coeffs):
-    q = sum((c * X**k for k, c in enumerate(q_coeffs)), MPoly.zero())
-    for r in isolate_real_roots(_quadratic(*quad)):
-        img = algebraic_image(r, q, "y")
-        expected = sum(float(c) * r.approx**k for k, c in enumerate(q_coeffs))
-        assert abs(img.approx - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 @PROPERTY

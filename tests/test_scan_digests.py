@@ -33,6 +33,10 @@ CASES = {
                     "c603d0c78186f1ba6b0b54b7ef4ee1483e03fbd1af7c5cc499d536723acce31e"),
     "stable-json": (scan_stability_best_response, ScanSpec(FIG2, FIG2, 6), "json",
                     "94944850d91182f1f0c1404c07fa5091c772cd6d45e9818f6a290029f7aeebd1"),
+    # the a and a_float columns in JSON
+    "homogeneous-json": (scan_stability_homogeneous,
+                         ScanSpec(FIG2, FIG2, 6, a_value=F(1, 2)), "json",
+                         "fb870257c80baccd970fc609656376c7d00e86e45029ba09d37fd215b60a290e"),
 }
 
 
