@@ -20,7 +20,7 @@ from fractions import Fraction
 from .certificates import KINDS, EquilibriumCountClass, _kind_speed, classify, verify_all
 from .model import ModelParams, State, equilibria, equilibrium_report, iterate, jury_report
 from .rational import format_rational, parse_rational
-from .scanner import BOUNDARY_EPSILON, ScanSpec, emit_grid, scan
+from .scanner import ScanSpec, emit_grid, scan
 
 
 def _rational(text: str) -> Fraction:
@@ -48,11 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibria", help="enumerate all fixed points with certified flags")
     add_params(p_eq)
-    p_eq.add_argument("--json", action="store_true", help="JSON output (default)")
 
     p_st = sub.add_parser("stability", help="certified stability report per fixed point")
     add_params(p_st)
-    p_st.add_argument("--json", action="store_true", help="JSON output (default)")
 
     p_vi = sub.add_parser("verify-identities",
                           help="re-derive every frozen certificate and compare exactly")
@@ -72,9 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--resolution", type=int, default=200)
     p_sc.add_argument("--a", type=_rational, default=None,
                       help="common adjustment speed, homogeneous kind only")
-    p_sc.add_argument("--epsilon", type=_rational, default=BOUNDARY_EPSILON,
-                      help="near-boundary flag width (report only), "
-                           f"default {format_rational(BOUNDARY_EPSILON)}")
     p_sc.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
     p_sc.add_argument("--out", default=None, help="output path, default scan_<kind>_<res>.<ext>")
 
@@ -183,8 +178,7 @@ def _cmd_scan(args) -> int:
     else:
         lo, hi = _DEFAULT_RANGES[args.kind]
     _kind_speed(args.kind, args.a, "--a")
-    spec = ScanSpec((lo, hi), (lo, hi), args.resolution, a_value=args.a,
-                    boundary_epsilon=args.epsilon)
+    spec = ScanSpec((lo, hi), (lo, hi), args.resolution, a_value=args.a)
     grid = scan(args.kind, spec)
     fmt = "json" if args.json else "csv"
     path = args.out or f"scan_{args.kind}_{args.resolution}.{fmt}"
@@ -204,8 +198,6 @@ def _cmd_simulate(args) -> int:
         y0 = rng.uniform(0, 1) if args.y0 is None else args.y0
     else:
         x0, y0 = args.x0, args.y0
-    if args.steps < 0:
-        raise ValueError("step count must be nonnegative")
     traj = iterate(State(x0, y0), params, args.steps)
     lines = ["t,x,y"]
     lines += [f"{t},{s.x!r},{s.y!r}" for t, s in enumerate(traj.states)]

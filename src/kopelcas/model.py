@@ -286,18 +286,21 @@ _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 class _Point:
     """One parameter point, bound once on integers, and what its fixed points share.
 
-    tables are the power tables of (u, v, a, b).  Bound from them on first
-    use: conditions, the primitive parts of bound_stability_polys; locus,
-    y = v x (1 - x) over its denominator; and y_candidates, the y roots that
-    realroots._image picks a fixed point's y coordinate from, taken from the
-    cubic's twin bound with u and v swapped and isolated, except that a
-    twin with one real root and no rational one is its own Cauchy window.
+    tables are the power tables of (u, v, a, b), and every value bound from
+    them is the exact one times scale, their common denominator.  Bound from
+    them on first use: conditions, the primitive parts of
+    bound_stability_polys; locus, y = v x (1 - x) over its denominator; and
+    y_candidates, the y roots that realroots._image picks a fixed point's y
+    coordinate from, taken from the cubic's twin bound with u and v swapped
+    and isolated, except that a twin with one real root and no rational one
+    is its own Cauchy window.
     A point lives as long as the fixed points that hold it.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
         self.tables = power_tables(params.u, params.v, params.a, params.b)
+        self.scale = math.prod(t[0] for t in self.tables)
         self._y_for = self._y_roots = None
 
     @cached_property
@@ -308,9 +311,8 @@ class _Point:
     def locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
         coeffs = bind(_LOCUS_TERMS, self.tables)
-        den = math.prod(t[0] for t in self.tables)
-        common = math.gcd(den, *coeffs)
-        return tuple(c // common for c in coeffs), den // common
+        common = math.gcd(self.scale, *coeffs)
+        return tuple(c // common for c in coeffs), self.scale // common
 
     def cubic(self) -> tuple:
         """Primitive integer x-coefficients of the equilibrium cubic (see bound_cubic)."""
@@ -455,11 +457,13 @@ def _eig_moduli(tr: float, det: float) -> tuple:
 def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """Certified sign triple plus float diagnostics for one fixed point.
 
-    The conditions come from eq's point when it was bound from params, and
-    are bound from params otherwise.
+    params must be eq's own parameters, whose point already holds the bound
+    conditions; any other binding raises ValueError, since the signs of one
+    point's conditions at another point's root mean nothing.
     """
-    point = eq._point if eq._point.params == params else _Point(params)
-    signs = tuple(point.signs(eq.x_root))
+    if params != eq.params:
+        raise ValueError("jury_report takes the fixed point's own parameters")
+    signs = tuple(eq._point.signs(eq.x_root))
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx

@@ -13,7 +13,7 @@ certificates the kind reads, the equilibrium cubic and the stability
 conditions are compiled from their frozen forms at import, and all of them
 are bound from the point's power tables, which share a single positive
 denominator.  The class comes from the signs of the certificate values.
-near_boundary is true when a certificate value lies within boundary_epsilon
+near_boundary is true when a certificate value lies within BOUNDARY_EPSILON
 of zero, tested exactly on those integers.  The flag is a report column
 only; it exempts no cell from the agreement check.
 
@@ -28,7 +28,6 @@ for a stable class.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +37,7 @@ from .certificates import (
 from .model import ModelParams, _Point
 from .rational import coerce_rational, format_rational
 
-BOUNDARY_EPSILON = Fraction(1, 1000)  # the default near-boundary flag width
+BOUNDARY_EPSILON = Fraction(1, 1000)  # the near-boundary flag width
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,12 @@ class ScanSpec:
     v_range: tuple
     resolution: int
     a_value: Fraction | None = None
-    boundary_epsilon: Fraction = BOUNDARY_EPSILON
 
     def __post_init__(self):
         u = tuple(coerce_rational(t) for t in self.u_range)
         v = tuple(coerce_rational(t) for t in self.v_range)
         object.__setattr__(self, "u_range", u)
         object.__setattr__(self, "v_range", v)
-        object.__setattr__(self, "boundary_epsilon", coerce_rational(self.boundary_epsilon))
         if self.a_value is not None:
             object.__setattr__(self, "a_value", coerce_rational(self.a_value))
             if not (0 < self.a_value <= 1):
@@ -66,8 +63,6 @@ class ScanSpec:
                 raise ValueError("scan range lower bound must be below the upper bound")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
-        if self.boundary_epsilon <= 0:
-            raise ValueError("boundary epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,15 +102,13 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     speed given to the count or stable kind raises ValueError.
     """
     speed = _kind_speed(kind, spec.a_value, "a_value")
-    eps_num, eps_den = spec.boundary_epsilon.numerator, spec.boundary_epsilon.denominator
+    eps_num, eps_den = BOUNDARY_EPSILON.numerator, BOUNDARY_EPSILON.denominator
     us = grid_points(*spec.u_range, spec.resolution)
     vs = grid_points(*spec.v_range, spec.resolution)
     cells = []
     for u in us:
         for v in vs:
             point = _Point(ModelParams(u, v, a=speed, b=speed))
-            # every bound value is the exact one times this denominator
-            scale = math.prod(t[0] for t in point.tables)
             values = _certificate_values(kind, point.tables)
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]
@@ -124,8 +117,8 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
             numeric_positive = len(positives)
             numeric_stable = sum(point.is_stable(r) for r in positives)
 
-            # |value| < eps, with value = n / scale and eps = eps_num / eps_den
-            near = any(abs(n) * eps_den < eps_num * scale for n in values)
+            # |value| < eps, with value = n / point.scale and eps = eps_num / eps_den
+            near = any(abs(n) * eps_den < eps_num * point.scale for n in values)
             numeric = numeric_stable if isinstance(label, StableCountClass) else numeric_positive
             agree = expected is None or numeric == expected
             cells.append(ScanCell(u, v, spec.a_value, label.value, numeric_positive,
@@ -188,7 +181,7 @@ def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
             "v_range": [format_rational(t) for t in grid.spec.v_range],
             "a_value": (format_rational(grid.spec.a_value)
                         if grid.spec.a_value is not None else None),
-            "boundary_epsilon": format_rational(grid.spec.boundary_epsilon),
+            "boundary_epsilon": format_rational(BOUNDARY_EPSILON),
             "cells": cells,
         }
         text = json.dumps(doc, indent=2) + "\n"

@@ -328,6 +328,20 @@ class TestUsageErrors:
         assert run(capsys, "classify", "--u", "4")[0] == 2
 
     @pytest.mark.parametrize("argv", [
+        ("scan", "--range", "2:4", "--resolution", "2", "--epsilon", "1/7"),
+        ("equilibria", "--u", "4", "--v", "4", "--json"),
+        ("stability", "--u", "4", "--v", "4", "--json"),
+    ], ids=["scan-epsilon", "equilibria-json", "stability-json"])
+    def test_retired_flags_are_unrecognized(self, capsys, tmp_path, monkeypatch, argv):
+        # the flag width is fixed, and both commands only ever print JSON
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "unrecognized arguments: --" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ("stability", "--u", "1e400", "--v", "1"),
         ("simulate", "--u", "1e400", "--v", "1", "--steps", "2"),
         ("scan", "--range", "1e400:1e401", "--resolution", "2"),

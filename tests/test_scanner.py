@@ -12,7 +12,7 @@ from kopelcas.certificates import (
 )
 from kopelcas.model import Equilibrium, ModelParams, equilibria
 from kopelcas.scanner import (
-    ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
+    BOUNDARY_EPSILON, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
     scan_equilibrium_count, scan_stability_best_response,
     scan_stability_homogeneous,
 )
@@ -44,7 +44,6 @@ class TestScanSpec:
         spec = ScanSpec(("1/2", 4), (F(1, 2), "4"), 3)
         assert spec.u_range == (F(1, 2), F(4))
         assert spec.v_range == (F(1, 2), F(4))
-        assert spec.boundary_epsilon == F(1, 1000)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError, match="strictly positive"):
@@ -54,11 +53,9 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="below the upper bound"):
             ScanSpec((1, 4), (5, 4), 3)
 
-    def test_rejects_bad_resolution_and_epsilon(self):
+    def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError, match="at least 2"):
             ScanSpec((1, 4), (1, 4), 1)
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            ScanSpec((1, 4), (1, 4), 3, boundary_epsilon=0)
 
     def test_rejects_out_of_range_speed(self):
         with pytest.raises(ValueError, match="0 < a <= 1"):
@@ -227,15 +224,14 @@ class TestNearBoundary:
         "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
     }
 
-    @pytest.mark.parametrize("eps", [F(1, 7), F(1, 1000), F(5)])
     @pytest.mark.parametrize("kind, a", [("count", None), ("stable", None),
                                          ("homogeneous", F(1, 2)), ("homogeneous", F(3, 7))])
-    def test_flag_matches_fraction_reference(self, kind, a, eps):
-        spec = ScanSpec(self.SQUARE, self.SQUARE, 10, a_value=a, boundary_epsilon=eps)
+    def test_flag_matches_fraction_reference(self, kind, a):
+        spec = ScanSpec(self.SQUARE, self.SQUARE, 10, a_value=a)
         grid = SCANS[kind](spec)
         for cell in grid.cells:
             binding = {"u": cell.u, "v": cell.v, "a": 1 if a is None else a}
-            expected = any(abs(p.evaluate(binding).as_fraction()) < eps
+            expected = any(abs(p.evaluate(binding).as_fraction()) < BOUNDARY_EPSILON
                            for p in self.CERTIFICATES[kind])
             assert cell.near_boundary == expected, (cell.u, cell.v)
         flagged = {(c.u, c.v) for c in grid.cells if c.near_boundary}
