@@ -18,7 +18,7 @@ sequence is exact and takes quotient coefficients with divmod, so a nonzero
 remainder is an error, never a rounding.  Dense univariate helpers over Z
 (primitive parts, pseudo-remainders, gcds, exact division) serve the root
 layer, and a parameter polynomial compiled to an integer term list binds
-rational parameters on integers alone.
+rational parameters on integers alone, in two stages: u, a and b, then v.
 """
 
 from __future__ import annotations
@@ -590,21 +590,35 @@ def _exact_div(f, g) -> list[int]:
 # and likewise v, a and b, so a bound value is the exact value times the
 # product of the four q**BIND_TOP.  That factor is positive, so every sign is
 # kept, and all values bound from the same tables share it as denominator.
+#
+# Binding runs in two stages.  The compiled terms are grouped by their powers
+# of x and v, and stage folds u, a and b into one weight per group; finish
+# then weighs v's table alone.  A scan binds its speeds once, u once per row
+# and v once per cell; a single point runs both stages back to back (bind).
 
 BIND_TOP = 3  # the highest power of u, v, a or b that binding supports
 
 
 def integer_terms(poly: MPoly) -> tuple:
-    """(coeff, powers of x, u, v, a, b) per term of an integer polynomial free of y.
+    """(power of x, power of v, ((coeff, powers of u, a, b), ...)) per group of terms.
 
-    Terms come in descending order, so the first carries the top power of x.
+    The terms of an integer polynomial free of y, grouped by their powers of
+    x and v.  Groups come in descending order, so the first carries the top
+    power of x.
     """
-    terms = []
+    groups: dict[tuple[int, int], list] = {}
     for (ex, ey, eu, ev, ea, eb), c in poly.terms():
         if ey or type(c) is not int or max(eu, ev, ea, eb) > BIND_TOP:
             raise ValueError(f"cannot bind {poly} on integers")
-        terms.append((c, ex, eu, ev, ea, eb))
-    return tuple(terms)
+        groups.setdefault((ex, ev), []).append((c, eu, ea, eb))
+    ordered = sorted(groups.items(), reverse=True)
+    return tuple((ex, ev, tuple(group)) for (ex, ev), group in ordered)
+
+
+def power_table(r) -> list[int]:
+    """The binding table of one rational: p**i * q**(BIND_TOP - i) for r = p/q."""
+    p, q = r.numerator, r.denominator
+    return [p**i * q ** (BIND_TOP - i) for i in range(BIND_TOP + 1)]
 
 
 def power_tables(u, v, a, b) -> tuple:
@@ -612,20 +626,35 @@ def power_tables(u, v, a, b) -> tuple:
 
     Their common denominator is the product of their first entries.
     """
-    tables = []
-    for r in (u, v, a, b):
-        p, q = r.numerator, r.denominator
-        tables.append([p**i * q ** (BIND_TOP - i) for i in range(BIND_TOP + 1)])
-    return tuple(tables)
+    return tuple(power_table(r) for r in (u, v, a, b))
 
 
-def bind(terms, tables) -> list[int]:
-    """Ascending x-coefficients of compiled terms bound by power tables.
+def stage(terms, tables) -> list[tuple]:
+    """Compiled terms with u, a and b bound: (power of x, power of v, weight) per group.
+
+    tables are (u, v, a, b) power tables; v's is not read and may be None.
+    """
+    up, _, ap, bp = tables
+    staged = []
+    for kx, kv, group in terms:
+        w = 0
+        for c, ku, ka, kb in group:
+            w += c * up[ku] * ap[ka] * bp[kb]
+        staged.append((kx, kv, w))
+    return staged
+
+
+def finish(staged, vp) -> list[int]:
+    """Ascending x-coefficients of staged terms bound by v's power table.
 
     Each coefficient is the exact one times the tables' common denominator.
     """
-    up, vp, ap, bp = tables
-    dense = [0] * (terms[0][1] + 1)
-    for c, kx, ku, kv, ka, kb in terms:
-        dense[kx] += c * up[ku] * vp[kv] * ap[ka] * bp[kb]
+    dense = [0] * (staged[0][0] + 1)
+    for kx, kv, w in staged:
+        dense[kx] += w * vp[kv]
     return dense
+
+
+def bind(terms, tables) -> list[int]:
+    """Ascending x-coefficients of compiled terms bound by all four power tables."""
+    return finish(stage(terms, tables), tables[1])

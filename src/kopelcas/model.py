@@ -19,8 +19,9 @@ Jacobian and its Jury conditions are written once: on the polynomial
 generators they give y_relation() and stability_conditions(), on floats
 jury_report's diagnostics, and bound on integers the sign queries.  Every
 fixed point holds a _Point, its parameter point bound once on integers;
-those of one equilibria() call share it, and equilibrium_report,
-jury_report and the scanner all read that one binding.
+those of one equilibria() call share it, and equilibrium_report and
+jury_report read that one binding.  The points of a scan row share a _Row,
+u, a and b bound once, and each finishes it with its own v.
 
 Importing the module loads only the standard library.  jury_report takes
 the float eigenvalue moduli in closed form from the trace and determinant,
@@ -36,8 +37,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactpoly import (
-    A, B, MPoly, U, V, X, Y, _dense_trim, _exact_div, _primitive, bind, dense_to_mpoly,
-    integer_terms, power_tables,
+    A, B, MPoly, U, V, X, Y, _dense_trim, _exact_div, _primitive, bind, dense_to_mpoly, finish,
+    integer_terms, power_tables, stage,
 )
 from .rational import coerce_rational, format_rational
 from .realroots import (
@@ -59,9 +60,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("u", "v", "a", "b"):
             object.__setattr__(self, name, coerce_rational(getattr(self, name)))
-        if self.u <= 0 or self.v <= 0:
+        # a Fraction's denominator is positive, so the checks run on integers
+        u, v, a, b = self.u, self.v, self.a, self.b
+        if u.numerator <= 0 or v.numerator <= 0:
             raise ValueError("reaction intensities must satisfy u > 0 and v > 0")
-        if not (0 < self.a <= 1) or not (0 < self.b <= 1):
+        if not (0 < a.numerator <= a.denominator and 0 < b.numerator <= b.denominator):
             raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
 
     def as_floats(self):
@@ -283,29 +286,66 @@ def bound_stability_polys(params: ModelParams):
 _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 
 
+class _Row:
+    """u, a and b bound on integers once, for every point that shares them.
+
+    tables are the power tables of (u, v, a, b) with v's left open (None),
+    and scale is their common denominator without v's.  Staged from them
+    (exactpoly.stage) on first use: cubic, the equilibrium cubic, and
+    conditions, the stability conditions on the locus.  At a = b = 1 the
+    second condition's staged form is the first's.  A scan row holds one for
+    its cells, each of which finishes it with its own v's table.
+    """
+
+    def __init__(self, up, ap, bp):
+        self.tables = (up, None, ap, bp)
+        self.scale = up[0] * ap[0] * bp[0]
+
+    @cached_property
+    def cubic(self) -> list:
+        return stage(_CUBIC_TERMS, self.tables)
+
+    @cached_property
+    def conditions(self) -> tuple:
+        s1, s2, s3 = (stage(terms, self.tables) for terms in _CD_TERMS)
+        return s1, s1 if s2 == s1 else s2, s3
+
+
 class _Point:
     """One parameter point, bound once on integers, and what its fixed points share.
 
     tables are the power tables of (u, v, a, b), and every value bound from
-    them is the exact one times scale, their common denominator.  Bound from
-    them on first use: conditions, the primitive parts of
-    bound_stability_polys; locus, y = v x (1 - x) over its denominator; and
-    y_candidates, the y roots that realroots._image picks a fixed point's y
-    coordinate from, taken from the cubic's twin bound with u and v swapped
-    and isolated, except that a twin with one real root and no rational one
-    is its own Cauchy window.
+    them is the exact one times scale, their common denominator.  row is the
+    _Row of u, a and b: a point of a scan row shares the row's, and a point
+    alone stages its own.  Finished from the row with v's table on first
+    use: the cubic and conditions, the primitive parts of
+    bound_stability_polys, the second being the first at a = b = 1.  Bound
+    from the tables on first use: locus, y = v x (1 - x) over its
+    denominator; and y_candidates, the y roots that realroots._image picks a
+    fixed point's y coordinate from, taken from the cubic's twin bound with
+    u and v swapped and isolated, except that a twin with one real root and
+    no rational one is its own Cauchy window.
     A point lives as long as the fixed points that hold it.
     """
 
-    def __init__(self, params: ModelParams):
+    def __init__(self, params: ModelParams, row: _Row | None = None, vp=None):
         self.params = params
-        self.tables = power_tables(params.u, params.v, params.a, params.b)
-        self.scale = math.prod(t[0] for t in self.tables)
+        if row is None:
+            up, vp, ap, bp = power_tables(params.u, params.v, params.a, params.b)
+            row = _Row(up, ap, bp)
+        self.row = row
+        up, _, ap, bp = row.tables
+        self.tables = (up, vp, ap, bp)
+        self.scale = row.scale * vp[0]
         self._y_for = self._y_roots = None
 
     @cached_property
     def conditions(self) -> tuple:
-        return tuple(_primitive(_dense_trim(bind(terms, self.tables))) for terms in _CD_TERMS)
+        s1, s2, s3 = self.row.conditions
+        vp = self.tables[1]
+        d1 = _primitive(_dense_trim(finish(s1, vp)))
+        d2 = d1 if s2 is s1 else _primitive(_dense_trim(finish(s2, vp)))
+        return d1, d2, _primitive(_dense_trim(finish(s3, vp)))
 
     @cached_property
     def locus(self) -> tuple:
@@ -316,7 +356,7 @@ class _Point:
 
     def cubic(self) -> tuple:
         """Primitive integer x-coefficients of the equilibrium cubic (see bound_cubic)."""
-        return _primitive(bind(_CUBIC_TERMS, self.tables))
+        return _primitive(finish(self.row.cubic, self.tables[1]))
 
     def positive_roots(self) -> list:
         """The x roots of the positive fixed points, ascending, as AlgebraicReals.

@@ -8,10 +8,13 @@ emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
 one of the routes, never a rounding artifact.
 
-Each cell binds its parameters once, on integers, as one model._Point: the
-certificates the kind reads, the equilibrium cubic and the stability
-conditions are compiled from their frozen forms at import, and all of them
-are bound from the point's power tables, which share a single positive
+Parameters are bound on integers, in stages (exactpoly.stage and finish).
+The certificates the kind reads, the equilibrium cubic and the stability
+conditions are compiled from their frozen forms at import.  A scan builds
+the power tables of its speeds and of each v once.  Each row builds u's
+table and stages every compiled form once, as one model._Row for the cubic
+and the conditions; each cell finishes them with its v's table alone, as
+one model._Point.  All values of a cell share a single positive
 denominator.  The class comes from the signs of the certificate values.
 near_boundary is true when a certificate value lies within BOUNDARY_EPSILON
 of zero, tested exactly on those integers.  The flag is a report column
@@ -32,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (
-    EXPECTED_COUNT, StableCountClass, _certificate_values, _classify_values, _kind_speed,
+    EXPECTED_COUNT, StableCountClass, _KIND_TERMS, _classify_values, _kind_speed,
 )
-from .model import ModelParams, _Point
+from .exactpoly import finish, power_table, stage
+from .model import ModelParams, _Point, _Row
 from .rational import coerce_rational, format_rational
 
 BOUNDARY_EPSILON = Fraction(1, 1000)  # the near-boundary flag width
@@ -103,13 +107,15 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     """
     speed = _kind_speed(kind, spec.a_value, "a_value")
     eps_num, eps_den = BOUNDARY_EPSILON.numerator, BOUNDARY_EPSILON.denominator
-    us = grid_points(*spec.u_range, spec.resolution)
-    vs = grid_points(*spec.v_range, spec.resolution)
+    sp = power_table(speed)
+    columns = [(v, power_table(v)) for v in grid_points(*spec.v_range, spec.resolution)]
     cells = []
-    for u in us:
-        for v in vs:
-            point = _Point(ModelParams(u, v, a=speed, b=speed))
-            values = _certificate_values(kind, point.tables)
+    for u in grid_points(*spec.u_range, spec.resolution):
+        row = _Row(power_table(u), sp, sp)
+        certificates = [stage(terms, row.tables) for terms in _KIND_TERMS[kind]]
+        for v, vp in columns:
+            point = _Point(ModelParams(u, v, a=speed, b=speed), row, vp)
+            values = [finish(staged, vp)[0] for staged in certificates]
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
-    bind, dense_to_mpoly, exact_divide, gcd_univariate,
-    integer_terms, power_tables, resultant,
+    BIND_TOP, bind, dense_to_mpoly, exact_divide, finish, gcd_univariate,
+    integer_terms, power_tables, resultant, stage,
 )
 
 
@@ -485,3 +485,36 @@ def test_a_remainder_in_a_quotient_coefficient_is_not_divisible():
     # would cancel both terms and return the quotient 1
     with pytest.raises(ValueError, match="not divisible"):
         exact_divide(3 * X + 1, 2 * X + 1)
+
+
+# -- staged integer binding ------------------------------------------------
+
+def bind_term_by_term(poly, tables):
+    """The oracle: each term's coefficient times its powers' table entries."""
+    up, vp, ap, bp = tables
+    dense = [0] * (poly.degree("x") + 1)
+    for (ex, _, eu, ev, ea, eb), c in poly.terms():
+        dense[ex] += c * up[eu] * vp[ev] * ap[ea] * bp[eb]
+    return dense
+
+
+parameter_powers = st.integers(0, BIND_TOP)
+bindable_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.just(0), parameter_powers, parameter_powers,
+              parameter_powers, parameter_powers),
+    st.integers(-10**6, 10**6).filter(bool), min_size=1, max_size=12).map(MPoly)
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+
+
+@PROPERTY
+@given(bindable_polys, rationals, rationals, rationals, rationals)
+def test_staged_binding_matches_term_by_term_binding(poly, u, v, a, b):
+    terms = integer_terms(poly)
+    up, vp, ap, bp = power_tables(u, v, a, b)
+    # the swapped tables are how the cubic's twin is bound
+    for tables in ((up, vp, ap, bp), (vp, up, ap, bp)):
+        expected = bind_term_by_term(poly, tables)
+        assert finish(stage(terms, tables), tables[1]) == expected
+        assert bind(terms, tables) == expected
+        # staging never reads v's table
+        assert stage(terms, (tables[0], None, ap, bp)) == stage(terms, tables)

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -30,6 +31,15 @@ def test_params_validation():
         ModelParams(1, 1, b="3/2")
     with pytest.raises(TypeError):
         ModelParams(1.5, 2)  # floats are not exact inputs
+    # the checks run on numerators and denominators; the edges hold exactly
+    tiny = ModelParams(F(1, 10**30), 1, a=1)
+    assert tiny.u == F(1, 10**30) and tiny.a == 1
+    speeds = re.escape("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
+    intensities = re.escape("reaction intensities must satisfy u > 0 and v > 0")
+    for bad, message in (({"a": 1 + F(1, 10**9)}, speeds), ({"b": 0}, speeds),
+                         ({"u": F(-1, 3)}, intensities), ({"v": 0}, intensities)):
+        with pytest.raises(ValueError, match=message):
+            ModelParams(**{"u": 1, "v": 1, **bad})
 
 
 def test_step_matches_hand_computation():

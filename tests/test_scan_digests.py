@@ -31,6 +31,13 @@ CASES = {
     "homogeneous": (scan_stability_homogeneous, ScanSpec(FIG2, FIG2, 16, a_value=F(1, 2)),
                     "csv",
                     "c603d0c78186f1ba6b0b54b7ef4ee1483e03fbd1af7c5cc499d536723acce31e"),
+    # the other speed slices: a scan binds its speeds once, for every row
+    "homogeneous-1/4": (scan_stability_homogeneous,
+                        ScanSpec(FIG2, FIG2, 16, a_value=F(1, 4)), "csv",
+                        "69c9c34d5522c5449826bf68f56cd9bb9910660d4b40f0e0f81657f25f35fe9e"),
+    "homogeneous-3/4": (scan_stability_homogeneous,
+                        ScanSpec(FIG2, FIG2, 16, a_value=F(3, 4)), "csv",
+                        "1ccef3bd2ebb74bcbd81222a1f157b82be492c6c48bff5a1632d9e3ea7ed33e3"),
     "stable-json": (scan_stability_best_response, ScanSpec(FIG2, FIG2, 6), "json",
                     "94944850d91182f1f0c1404c07fa5091c772cd6d45e9818f6a290029f7aeebd1"),
     # the a and a_float columns in JSON

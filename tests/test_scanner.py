@@ -1,16 +1,22 @@
 """Grid scan behaviour on small grids where every cell can be hand-checked."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from kopelcas import exactpoly, model, scanner
 from kopelcas.certificates import (
     COUNT_DISCRIMINANT, EXPECTED_COUNT, KINDS, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS,
     POSITIVITY_THRESHOLD, STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
-    classify_equilibrium_count, classify_stable_best_response, classify_stable_homogeneous,
+    _KIND_TERMS, classify_equilibrium_count, classify_stable_best_response,
+    classify_stable_homogeneous,
 )
-from kopelcas.model import Equilibrium, ModelParams, equilibria
+from kopelcas.exactpoly import power_table
+from kopelcas.model import (
+    Equilibrium, ModelParams, _CD_TERMS, _CUBIC_TERMS, _Point, _Row, equilibria,
+)
 from kopelcas.scanner import (
     BOUNDARY_EPSILON, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
     scan_equilibrium_count, scan_stability_best_response,
@@ -203,6 +209,43 @@ class TestKinds:
         spec = ScanSpec((3, F(7, 2)), (3, F(7, 2)), 2, a_value=F(1, 2))
         with pytest.raises(ValueError, match="drop a_value"):
             SCANS[kind](spec)
+
+
+class TestStagedBinding:
+    FIG2 = (F(5, 2), F(5))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_row_stages_each_polynomial_once(self, kind, monkeypatch):
+        staged = Counter()
+        real = exactpoly.stage
+
+        def counting(terms, tables):
+            staged[id(terms)] += 1
+            return real(terms, tables)
+
+        monkeypatch.setattr(scanner, "stage", counting)
+        monkeypatch.setattr(model, "stage", counting)
+        n = 5
+        a = F(1, 2) if kind == "homogeneous" else None
+        # u v > 1 throughout, so every cell has a positive fixed point and
+        # every row reads the cubic and the stability conditions
+        scan(kind, ScanSpec(self.FIG2, self.FIG2, n, a_value=a))
+        polys = (*_KIND_TERMS[kind], _CUBIC_TERMS, *_CD_TERMS)
+        assert staged == {id(terms): n for terms in polys}
+
+    def test_full_speed_binds_the_second_condition_as_the_first(self):
+        full = _Point(ModelParams(4, 4))
+        assert full.conditions[1] is full.conditions[0]
+        half = _Point(ModelParams(4, 4, F(1, 2), F(1, 2)))
+        assert half.conditions[1] is not half.conditions[0]
+        assert half.conditions[1] != half.conditions[0]
+        # a point of a scan row finishes the row's staged forms alike
+        ones = power_table(F(1))
+        row = _Row(power_table(F(4)), ones, ones)
+        cell = _Point(ModelParams(4, 3), row, power_table(F(3)))
+        assert cell.conditions[1] is cell.conditions[0]
+        assert cell.conditions == _Point(ModelParams(4, 3)).conditions
+        assert cell.cubic() == _Point(ModelParams(4, 3)).cubic()
 
 
 class TestDisagreements:
