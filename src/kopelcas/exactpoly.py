@@ -600,11 +600,12 @@ BIND_TOP = 3  # the highest power of u, v, a or b that binding supports
 
 
 def integer_terms(poly: MPoly) -> tuple:
-    """(power of x, power of v, ((coeff, powers of u, a, b), ...)) per group of terms.
+    """The terms of an integer polynomial free of y, grouped by their powers of x and v.
 
-    The terms of an integer polynomial free of y, grouped by their powers of
-    x and v.  Groups come in descending order, so the first carries the top
-    power of x.
+    One tuple per group: the powers of x and v, the group's first term as
+    (coeff, powers of u, a, b), then the others as a tuple of the same.  Most
+    groups hold one term, which stage then binds with no inner loop.
+    Groups come in descending order, so the first carries the top power of x.
     """
     groups: dict[tuple[int, int], list] = {}
     for (ex, ey, eu, ev, ea, eb), c in poly.terms():
@@ -612,7 +613,7 @@ def integer_terms(poly: MPoly) -> tuple:
             raise ValueError(f"cannot bind {poly} on integers")
         groups.setdefault((ex, ev), []).append((c, eu, ea, eb))
     ordered = sorted(groups.items(), reverse=True)
-    return tuple((ex, ev, tuple(group)) for (ex, ev), group in ordered)
+    return tuple((ex, ev, *first, tuple(rest)) for (ex, ev), (first, *rest) in ordered)
 
 
 def power_table(r) -> list[int]:
@@ -626,7 +627,7 @@ def power_tables(u, v, a, b) -> tuple:
 
     Their common denominator is the product of their first entries.
     """
-    return tuple(power_table(r) for r in (u, v, a, b))
+    return power_table(u), power_table(v), power_table(a), power_table(b)
 
 
 def stage(terms, tables) -> list[tuple]:
@@ -636,9 +637,9 @@ def stage(terms, tables) -> list[tuple]:
     """
     up, _, ap, bp = tables
     staged = []
-    for kx, kv, group in terms:
-        w = 0
-        for c, ku, ka, kb in group:
+    for kx, kv, c, ku, ka, kb, rest in terms:
+        w = c * up[ku] * ap[ka] * bp[kb]
+        for c, ku, ka, kb in rest:
             w += c * up[ku] * ap[ka] * bp[kb]
         staged.append((kx, kv, w))
     return staged

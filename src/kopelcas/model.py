@@ -38,7 +38,7 @@ from functools import cached_property
 
 from .exactpoly import (
     A, B, MPoly, U, V, X, Y, _dense_trim, _exact_div, _primitive, bind, dense_to_mpoly, finish,
-    integer_terms, power_tables, stage,
+    integer_terms, power_table, power_tables, stage,
 )
 from .rational import coerce_rational, format_rational
 from .realroots import (
@@ -284,6 +284,7 @@ def bound_stability_polys(params: ModelParams):
 
 
 _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
+_FULL_SPEED = power_table(1)  # the power table of a = 1 or b = 1
 
 
 class _Row:
@@ -291,24 +292,25 @@ class _Row:
 
     tables are the power tables of (u, v, a, b) with v's left open (None),
     and scale is their common denominator without v's.  Staged from them
-    (exactpoly.stage) on first use: cubic, the equilibrium cubic, and
-    conditions, the stability conditions on the locus.  At a = b = 1 the
-    second condition's staged form is the first's.  A scan row holds one for
-    its cells, each of which finishes it with its own v's table.
+    (exactpoly.stage): cubic, the equilibrium cubic, which every point
+    reads, and on first use conditions, the stability conditions on the
+    locus, the second being the first at a = b = 1.  A scan row holds one
+    for its cells, each of which finishes it with its own v's table.
     """
 
     def __init__(self, up, ap, bp):
         self.tables = (up, None, ap, bp)
         self.scale = up[0] * ap[0] * bp[0]
-
-    @cached_property
-    def cubic(self) -> list:
-        return stage(_CUBIC_TERMS, self.tables)
+        self.cubic = stage(_CUBIC_TERMS, self.tables)
 
     @cached_property
     def conditions(self) -> tuple:
-        s1, s2, s3 = (stage(terms, self.tables) for terms in _CD_TERMS)
-        return s1, s1 if s2 == s1 else s2, s3
+        cd1, cd2, cd3 = _CD_TERMS
+        t = self.tables
+        s1 = stage(cd1, t)
+        # the first two differ by twice the trace 2 - a - b, zero only at a = b = 1
+        s2 = s1 if t[2] == t[3] == _FULL_SPEED else stage(cd2, t)
+        return s1, s2, stage(cd3, t)
 
 
 class _Point:
