@@ -486,17 +486,7 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     return _scaled(det, Fraction(1, dp ** n * dq ** m))
 
 
-# -- univariate gcd --------------------------------------------------------
-
-def gcd_univariate(p: MPoly, q: MPoly, name: str) -> MPoly:
-    """Monic gcd of two univariate polynomials in the same variable."""
-    _check_var(name)
-    extra = (p.variables() | q.variables()) - {name}
-    if extra:
-        raise ValueError(f"gcd_univariate: arguments involve {sorted(extra)}, expected only {name!r}")
-    g = _int_gcd(_int_clear(_dense_coeffs(p, name)), _int_clear(_dense_coeffs(q, name)))
-    return dense_to_mpoly([Fraction(c, g[-1]) for c in g], name)
-
+# -- dense univariate forms ------------------------------------------------
 
 def _dense_coeffs(p: MPoly, name: str) -> list[Coeff]:
     """Ascending coefficient list of a univariate polynomial; [] for zero."""

@@ -18,10 +18,11 @@ The model's polynomials are built once, at import, and the locus, the
 Jacobian and its Jury conditions are written once: on the polynomial
 generators they give y_relation() and stability_conditions(), on floats
 jury_report's diagnostics, and bound on integers the sign queries.  Every
-fixed point holds a _Point, its parameter point bound once on integers;
-those of one equilibria() call share it, and equilibrium_report and
-jury_report read that one binding.  The points of a scan row share a _Row,
-u, a and b bound once, and each finishes it with its own v.
+fixed point holds its ModelParams and a _Point, that point bound once on
+integers; those of one equilibria() call share it, and equilibrium_report
+and jury_report read that one binding.  A _Point finishes a _Row, u, a and
+b bound once, with its own v: scan cells share their row's, alone it stages
+its own.
 
 Importing the module loads only the standard library.  jury_report takes
 the float eigenvalue moduli in closed form from the trace and determinant,
@@ -184,7 +185,7 @@ class Equilibrium:
                             and _sign_dense_at(_Y_SIGN, x_root) > 0)
         self._in_unit_square = None
         self._y = None
-        self._point = _Point(params) if _point is None else _point
+        self._point = _Point.of(params) if _point is None else _point
 
     @property
     def in_unit_square(self) -> bool:
@@ -236,7 +237,7 @@ def equilibria(params: ModelParams) -> list:
     entry whose multiplicity counts both contributions.  The parameters are
     bound once per call, and every fixed point holds that binding.
     """
-    return _Point(params).equilibria()
+    return _Point.of(params).equilibria(params)
 
 
 # -- stability -------------------------------------------------------------
@@ -316,30 +317,34 @@ class _Row:
 class _Point:
     """One parameter point, bound once on integers, and what its fixed points share.
 
-    tables are the power tables of (u, v, a, b), and every value bound from
-    them is the exact one times scale, their common denominator.  row is the
-    _Row of u, a and b: a point of a scan row shares the row's, and a point
-    alone stages its own.  Finished from the row with v's table on first
-    use: the cubic and conditions, the primitive parts of
-    bound_stability_polys, the second being the first at a = b = 1.  Bound
-    from the tables on first use: locus, y = v x (1 - x) over its
-    denominator; and y_candidates, the y roots that realroots._image picks a
-    fixed point's y coordinate from, taken from the cubic's twin bound with
-    u and v swapped and isolated, except that a twin with one real root and
-    no rational one is its own Cauchy window.
+    row is the _Row of u, a and b, and vp is v's power table: a scan cell
+    shares its row's, and a point alone (of) stages its own.  The point holds
+    no ModelParams; ModelParams or ScanSpec checked its parameters.  tables
+    are the power tables of (u, v, a, b), and every value bound from them is
+    the exact one times scale, their common denominator.  Finished from the
+    row with v's table on first use: the cubic and conditions, the primitive
+    parts of bound_stability_polys, the second being the first at
+    a = b = 1.  Bound from the tables on first use: locus, y = v x (1 - x)
+    over its denominator; and y_candidates, the y roots that
+    realroots._image picks a fixed point's y coordinate from, taken from the
+    cubic's twin bound with u and v swapped and isolated, except that a twin
+    with one real root and no rational one is its own Cauchy window.
     A point lives as long as the fixed points that hold it.
     """
 
-    def __init__(self, params: ModelParams, row: _Row | None = None, vp=None):
-        self.params = params
-        if row is None:
-            up, vp, ap, bp = power_tables(params.u, params.v, params.a, params.b)
-            row = _Row(up, ap, bp)
+    def __init__(self, v: Fraction, row: _Row, vp):
+        self.v = v
         self.row = row
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
         self.scale = row.scale * vp[0]
         self._y_for = self._y_roots = None
+
+    @classmethod
+    def of(cls, params: ModelParams) -> "_Point":
+        """The point of params alone, staging its own row."""
+        up, vp, ap, bp = power_tables(params.u, params.v, params.a, params.b)
+        return cls(params.v, _Row(up, ap, bp), vp)
 
     @cached_property
     def conditions(self) -> tuple:
@@ -371,8 +376,8 @@ class _Point:
         """
         return _isolate_int("x", self.cubic(), (0, 1, 0))
 
-    def equilibria(self) -> list:
-        """equilibria(params), each fixed point holding this point."""
+    def equilibria(self, params: ModelParams) -> list:
+        """equilibria(params) for the params of this point, each fixed point holding it."""
         # the cubic's lead u v**2 is never zero, so its degree is always 3
         roots = _isolate_int("x", self.cubic())
         origin_mult = 1
@@ -386,7 +391,7 @@ class _Point:
         ordered = [r for r in kept if r.compare_rational(0) < 0]
         ordered.append(origin)
         ordered += [r for r in kept if r.compare_rational(0) > 0]
-        return [Equilibrium(r, self.params, _point=self) for r in ordered]
+        return [Equilibrium(r, params, _point=self) for r in ordered]
 
     def y_factor(self, g) -> tuple:
         """Primitive integer y-coefficients whose roots are v x (1 - x) at g's roots.
@@ -401,7 +406,7 @@ class _Point:
         budget, maps to the linear factor of its rational image.
         """
         if len(g) == 2:
-            y = _locus(Fraction(-g[0], g[1]), self.params.v)
+            y = _locus(Fraction(-g[0], g[1]), self.v)
             return (-y.numerator, y.denominator)
         up, vp, ap, bp = self.tables
         twin = _primitive(bind(_CUBIC_TERMS, (vp, up, ap, bp)))
@@ -409,7 +414,7 @@ class _Point:
             return twin
         # r is the cubic's root sum -c2 / c3 less g's, -g1 / g2
         c = self.cubic()
-        y = _locus(Fraction(g[1], g[2]) - Fraction(c[2], c[3]), self.params.v)
+        y = _locus(Fraction(g[1], g[2]) - Fraction(c[2], c[3]), self.v)
         return tuple(_exact_div(twin, (-y.numerator, y.denominator)))
 
     def y_candidates(self, root: AlgebraicReal) -> list:
@@ -436,12 +441,12 @@ class _Point:
         """Certified signs of the three bound conditions at an x root, asked lazily.
 
         The first two conditions differ by twice the trace 2 - a - b, so they
-        coincide only at a = b = 1, where the second sign repeats the first.
+        coincide only at a = b = 1, where _Row.conditions stages one for both.
         """
         d1, d2, d3 = self.conditions
         s1 = _sign_dense_at(d1, root)
         yield s1
-        yield s1 if d2 == d1 else _sign_dense_at(d2, root)
+        yield s1 if d2 is d1 else _sign_dense_at(d2, root)
         yield _sign_dense_at(d3, root)
 
     def is_stable(self, root: AlgebraicReal) -> bool:
@@ -519,7 +524,7 @@ def e0_stable(params: ModelParams) -> bool:
     At x = 0 the locus has y = 0, so each condition's value there is its
     bound constant term, up to a positive factor.
     """
-    return _is_stable(d[0] for d in _Point(params).conditions)
+    return _is_stable(d[0] for d in _Point.of(params).conditions)
 
 
 def equilibrium_report(params: ModelParams) -> dict:
@@ -530,9 +535,9 @@ def equilibrium_report(params: ModelParams) -> dict:
     a fixed order, since x_interval is the window they leave behind: the
     sign queries, then the y image, then the read.
     """
-    point = _Point(params)
+    point = _Point.of(params)
     entries = []
-    for eq in point.equilibria():
+    for eq in point.equilibria(params):
         signs = tuple(point.signs(eq.x_root))
         entries.append({
             "x_approx": eq.x_approx,

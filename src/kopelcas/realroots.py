@@ -433,8 +433,7 @@ class AlgebraicReal:
     whose endpoints are not roots.  lo and hi give the window as Fractions.
     """
 
-    __slots__ = ("_var", "_coeffs", "_value", "_a", "_b", "_k", "_slo", "_mult",
-                 "_approx", "_poly")
+    __slots__ = ("_var", "_coeffs", "_value", "_a", "_b", "_k", "_slo", "_mult", "_approx")
 
     def __init__(self, var: str, coeffs: tuple[int, ...], lo, hi, multiplicity: int = 1):
         """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root."""
@@ -442,7 +441,7 @@ class AlgebraicReal:
         if lo > hi:
             raise ValueError("the window's lower end lies above its upper end")
         self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
-        self._value = self._approx = self._poly = None
+        self._value = self._approx = None
         if lo == hi:
             if _eval_int_at(self._coeffs, lo.numerator, lo.denominator):
                 raise ValueError(f"{lo} is no root of the defining polynomial")
@@ -454,7 +453,7 @@ class AlgebraicReal:
     def _from_window(cls, var, coeffs, a, b, k, multiplicity, slo=0) -> "AlgebraicReal":
         out = cls.__new__(cls)
         out._var, out._coeffs, out._mult, out._slo = var, coeffs, multiplicity, slo
-        out._value = out._approx = out._poly = None
+        out._value = out._approx = None
         out._adopt(a, b, k)
         return out
 
@@ -488,12 +487,6 @@ class AlgebraicReal:
         if self._value is None:
             raise ValueError("not an exactly known rational root")
         return self._value
-
-    @property
-    def defining_poly(self) -> MPoly:
-        if self._poly is None:
-            self._poly = dense_to_mpoly(self._coeffs, self._var)
-        return self._poly
 
     @property
     def approx(self) -> float:
@@ -533,7 +526,7 @@ class AlgebraicReal:
         """Keep a tighter window found while answering a query.
 
         a == b means the exact root a / 2**k.  The represented number is
-        unchanged, so the cached approximation and polynomial stay valid.
+        unchanged, so the cached approximation stays valid.
         """
         if a == b:
             self._value = Fraction(a, 1 << k)

@@ -14,11 +14,12 @@ conditions are compiled from their frozen forms at import.  A scan builds
 the power tables of its speeds and of each v once.  Each row builds u's
 table and stages every compiled form once, as one model._Row for the cubic
 and the conditions; each cell finishes them with its v's table alone, as
-one model._Point.  All values of a cell share a single positive
-denominator.  The class comes from the signs of the certificate values.
-near_boundary is true when a certificate value lies within BOUNDARY_EPSILON
-of zero, tested exactly on those integers.  The flag is a report column
-only; it exempts no cell from the agreement check.
+one model._Point, and builds no ModelParams: ScanSpec and the kind's speed
+rule are the only checks its parameters get.  All values of a cell share a
+single positive denominator.  The class comes from the signs of the
+certificate values.  near_boundary is true when a certificate value lies
+within BOUNDARY_EPSILON of zero, tested exactly on those integers.  The
+flag is a report column only; it exempts no cell from the agreement check.
 
 The scan kinds are declared in certificates, not here: KINDS, the
 certificates each kind reads, the count each class asserts (EXPECTED_COUNT)
@@ -38,7 +39,7 @@ from .certificates import (
     EXPECTED_COUNT, StableCountClass, _KIND_TERMS, _classify_values, _kind_speed,
 )
 from .exactpoly import finish, power_table, stage
-from .model import ModelParams, _Point, _Row
+from .model import _Point, _Row
 from .rational import coerce_rational, format_rational
 
 BOUNDARY_EPSILON = Fraction(1, 1000)  # the near-boundary flag width
@@ -114,7 +115,7 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
         row = _Row(power_table(u), sp, sp)
         certificates = [stage(terms, row.tables) for terms in _KIND_TERMS[kind]]
         for v, vp in columns:
-            point = _Point(ModelParams(u, v, a=speed, b=speed), row, vp)
+            point = _Point(v, row, vp)
             values = [finish(staged, vp)[0] for staged in certificates]
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]

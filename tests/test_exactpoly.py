@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
-    BIND_TOP, bind, dense_to_mpoly, exact_divide, finish, gcd_univariate,
-    integer_terms, power_tables, resultant, stage,
+    BIND_TOP, _int_gcd, bind, dense_to_mpoly, exact_divide, finish, integer_terms,
+    power_tables, resultant, stage,
 )
 
 
@@ -321,19 +321,17 @@ def test_sylvester_shape():
 # -- univariate gcd --------------------------------------------------------
 
 def test_gcd_univariate():
-    p = (X - 1) * (X - 2)
-    q = (X - 2) * (X - 3)
-    assert gcd_univariate(p, q, "x") == X - 2
-    assert gcd_univariate(p, X - 5, "x") == 1
-    assert gcd_univariate(p, MPoly.zero(), "x") == F(1, 1) * (X - 1) * (X - 2)
-    assert gcd_univariate(MPoly.zero(), MPoly.zero(), "x") == 0
-    # result is monic
-    assert gcd_univariate(4 * X - 4, 2 * X - 2, "x") == X - 1
-
-
-def test_gcd_univariate_rejects_mixed_variables():
-    with pytest.raises(ValueError):
-        gcd_univariate(X + Y, X, "x")
+    # ascending integer coefficients; () is the zero polynomial
+    p = (2, -3, 1)  # (x - 1)(x - 2)
+    assert _int_gcd(p, (6, -5, 1)) == (-2, 1)  # with (x - 2)(x - 3)
+    assert _int_gcd(p, (-5, 1)) == (1,)
+    assert _int_gcd(p, ()) == _int_gcd((), p) == p
+    assert _int_gcd((), ()) == ()
+    # the result is primitive with a positive lead, whatever the arguments' content and signs
+    assert _int_gcd((-4, 4), (2, -2)) == (-1, 1)
+    assert _int_gcd((-12, -6, 6), (4, -2)) == (-2, 1)  # 6 (x - 2)(x + 1) and -2 (x - 2)
+    assert _int_gcd((-2, 3, -1), ()) == p
+    assert _int_gcd((-6,), ()) == _int_gcd((3,), (6,)) == (1,)
 
 
 def test_dense_to_mpoly():

@@ -96,8 +96,9 @@ def _described(roots):
 
 
 def _window_roots(point):
-    where = _Point(ModelParams(*point))
-    return where, [eq.x_root for eq in where.equilibria() if not eq.x_root.is_rational]
+    params = ModelParams(*point)
+    where = _Point.of(params)
+    return where, [eq.x_root for eq in where.equilibria(params) if not eq.x_root.is_rational]
 
 
 def _resultant_image(g, qi, scale):

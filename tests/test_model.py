@@ -326,8 +326,8 @@ def test_report_y_roots_are_distinct_with_their_own_multiplicity(monkeypatch):
     seen = []
     bind_equilibria = model._Point.equilibria
 
-    def recording(point):
-        seen[:] = bind_equilibria(point)
+    def recording(point, params):
+        seen[:] = bind_equilibria(point, params)
         return seen
 
     monkeypatch.setattr(model._Point, "equilibria", recording)

@@ -40,7 +40,7 @@ def _dense_x(poly) -> list:
 def test_binder_is_a_positive_multiple_of_the_symbolic_binding(u, v, ab):
     a, b = ab
     params = ModelParams(u, v, a, b)
-    dense = _Point(params).conditions
+    dense = _Point.of(params).conditions
     for d, poly in zip(dense, bound_stability_polys(params)):
         p = _dense_x(poly)
         assert len(d) == len(p)
@@ -76,7 +76,7 @@ def test_fixed_point_y_follows_the_float_locus(u, v, ab):
 
 def _positive_both_ways(params):
     """(approx, multiplicity) of the positive fixed points by each route."""
-    scan = [(r.approx, r.multiplicity_in_source) for r in _Point(params).positive_roots()]
+    scan = [(r.approx, r.multiplicity_in_source) for r in _Point.of(params).positive_roots()]
     report = [(e.x_approx, e.multiplicity) for e in equilibria(params) if e.is_positive]
     return scan, report
 

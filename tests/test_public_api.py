@@ -8,7 +8,7 @@ import kopelcas
 # its CLI or its benchmark called them
 RETIRED = (("exactpoly", "parse_poly"), ("realroots", "algebraic_image"),
            ("realroots", "refine"), ("model", "triangular_system"),
-           ("certificates", "all_identities_hold"))
+           ("certificates", "all_identities_hold"), ("exactpoly", "gcd_univariate"))
 
 
 def test_every_exported_name_resolves():
@@ -28,5 +28,7 @@ def test_retired_names_are_neither_exported_nor_defined():
         assert name not in kopelcas.__all__, name
         assert not hasattr(kopelcas, name), name
         assert not hasattr(importlib.import_module(f"kopelcas.{module}"), name), name
-    # the root method of the module-level wrapper's name stays
+    # the root method of the module-level wrapper's name stays; the root's
+    # MPoly, which only tests read, is gone
     assert callable(kopelcas.AlgebraicReal.refine)
+    assert not hasattr(kopelcas.AlgebraicReal, "defining_poly")

@@ -477,8 +477,8 @@ def test_root_past_the_double_range_overflows():
 def _resultant_candidates(qi, scale):
     """Fresh candidates per root: the isolated roots of Res_x(f, scale y - qi(x))."""
     image = scale * Y - dense_to_mpoly(qi, "x")
-    return lambda root: _isolate_int("y", _int_clear(
-        _dense_coeffs(resultant(root.defining_poly, image, "x"), "y")))
+    return lambda root: _isolate_int("y", _int_clear(_dense_coeffs(
+        resultant(dense_to_mpoly(root._coeffs, "x"), image, "x"), "y")))
 
 
 def test_image_of_a_rational_root_asks_for_no_candidates():
@@ -507,7 +507,7 @@ def test_shared_image_candidates_give_each_root_its_own_copy():
     assert len(roots) == 3 and not any(r.is_rational for r in roots)
     fresh = _resultant_candidates(qi, scale)
     alone = [_image(r, qi, scale, fresh) for r in isolate_real_roots(cubic(F(7, 2), F(13, 4)))]
-    res = resultant(roots[0].defining_poly, Y - q, "x")
+    res = resultant(dense_to_mpoly(roots[0]._coeffs, "x"), Y - q, "x")
     candidates = _isolate_int("y", _int_clear(_dense_coeffs(res, "y")))
     asked = []
 

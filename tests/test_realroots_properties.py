@@ -8,12 +8,13 @@ irreducible quadratics (x - s)**2 - n, so every root is known in closed form.
 from fractions import Fraction as F
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kopelcas.exactpoly import MPoly, X, _int_gcd
+from kopelcas.exactpoly import MPoly, X, _int_gcd, dense_to_mpoly
 from kopelcas.realroots import (
-    AlgebraicReal, _eval_dyadic, _halve, _int_clear, _isolate_int,
+    AlgebraicReal, _eval_dyadic, _halve, _int_clear, _interval_horner, _isolate_int,
     _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int,
     _strip_rational_roots, _sturm_chain, isolate_real_roots, sign_at,
     sturm_sign_count,
@@ -75,11 +76,11 @@ def _is_dyadic(t: F) -> bool:
 
 def _check_window(r):
     """A window root has dyadic, non-root endpoints and one root inside."""
+    f = dense_to_mpoly(r._coeffs, r.var)
     if r.is_rational:
-        assert _value_at(r.defining_poly, r.value) == 0
+        assert _value_at(f, r.value) == 0
         return
     assert r.lo < r.hi and _is_dyadic(r.lo) and _is_dyadic(r.hi)
-    f = r.defining_poly
     assert _value_at(f, r.lo) != 0 and _value_at(f, r.hi) != 0
     assert sturm_sign_count(f, r.lo, r.hi) == 1
 
@@ -300,3 +301,26 @@ def test_isolation_reuses_the_chain_without_changing_a_root(rational_roots, quad
     expected = _isolate_factor_by_factor(coeffs)
     assert [_described(r) for r in got] == [_described(r) for r in expected]
     assert len(got) == len(rational_roots) + 2 * len(quads)
+
+
+# a window (a / 2**k, b / 2**k) per branch of _interval_horner: a >= 0, b <= 0, or a < 0 < b
+WINDOWS = {
+    "nonnegative": lambda m, w: (m, m + w),
+    "nonpositive": lambda m, w: (-m - w, -m),
+    "straddling": lambda m, w: (-m - 1, w + 1),
+}
+
+
+@pytest.mark.parametrize("side", WINDOWS)
+@PROPERTY
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7),
+       st.integers(0, 50), st.integers(0, 50), st.integers(0, 8),
+       st.lists(st.fractions(0, 1), max_size=4))
+def test_interval_horner_bounds_the_value_over_the_window(side, coeffs, m, w, k, steps):
+    a, b = WINDOWS[side](m, w)
+    low, high = _interval_horner(coeffs, a, b, k)
+    scale = 2 ** (k * (len(coeffs) - 1))
+    for s in [F(0), F(1), *steps]:
+        t = F(a + s * (b - a), 2**k)
+        value = scale * sum(c * t**i for i, c in enumerate(coeffs))
+        assert low <= value <= high, (t, value)

@@ -1,5 +1,6 @@
 """Grid scan behaviour on small grids where every cell can be hand-checked."""
 
+import inspect
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -52,8 +53,11 @@ class TestScanSpec:
         assert spec.v_range == (F(1, 2), F(4))
 
     def test_rejects_bad_ranges(self):
+        # the only check a scan cell's parameters get: cells build no ModelParams
         with pytest.raises(ValueError, match="strictly positive"):
             ScanSpec((0, 4), (1, 4), 3)
+        with pytest.raises(ValueError, match="strictly positive"):
+            ScanSpec((1, 4), (0, 4), 3)
         with pytest.raises(ValueError, match="below the upper bound"):
             ScanSpec((4, 4), (1, 4), 3)
         with pytest.raises(ValueError, match="below the upper bound"):
@@ -64,8 +68,9 @@ class TestScanSpec:
             ScanSpec((1, 4), (1, 4), 1)
 
     def test_rejects_out_of_range_speed(self):
-        with pytest.raises(ValueError, match="0 < a <= 1"):
-            ScanSpec((1, 4), (1, 4), 3, a_value=F(3, 2))
+        for a in (F(3, 2), 0, F(-1, 2)):
+            with pytest.raises(ValueError, match="0 < a <= 1"):
+                ScanSpec((1, 4), (1, 4), 3, a_value=a)
 
 
 class TestCountScan:
@@ -132,6 +137,25 @@ class TestCountScan:
         # the counter sees the enumeration route that reports use
         assert len(equilibria(ModelParams(4, 4))) == 4
         assert len(built) == 4
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cells_build_no_model_params(self, kind, monkeypatch):
+        # ScanSpec checks a scan's parameters once; a cell binds them unchecked
+        built = []
+        init = ModelParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        a = F(1, 2) if kind == "homogeneous" else None
+        grid = scan(kind, ScanSpec((F(1, 2), 5), (F(1, 2), 5), 6, a_value=a))
+        assert len(grid.cells) == 36 and grid.disagreements() == []
+        assert built == []
+        # the counter sees the ModelParams a point alone is made from
+        _Point.of(ModelParams(4, 4))
+        assert len(built) == 1
 
 
 class TestStableScan:
@@ -237,18 +261,28 @@ class TestStagedBinding:
         assert staged == {id(terms): n for terms in polys}
 
     def test_full_speed_binds_the_second_condition_as_the_first(self):
-        full = _Point(ModelParams(4, 4))
+        full = _Point.of(ModelParams(4, 4))
         assert full.conditions[1] is full.conditions[0]
-        half = _Point(ModelParams(4, 4, F(1, 2), F(1, 2)))
+        half = _Point.of(ModelParams(4, 4, F(1, 2), F(1, 2)))
         assert half.conditions[1] is not half.conditions[0]
         assert half.conditions[1] != half.conditions[0]
         # a point of a scan row finishes the row's staged forms alike
         ones = power_table(F(1))
         row = _Row(power_table(F(4)), ones, ones)
-        cell = _Point(ModelParams(4, 3), row, power_table(F(3)))
+        cell = _Point(F(3), row, power_table(F(3)))
         assert cell.conditions[1] is cell.conditions[0]
-        assert cell.conditions == _Point(ModelParams(4, 3)).conditions
-        assert cell.cubic() == _Point(ModelParams(4, 3)).cubic()
+        assert cell.conditions == _Point.of(ModelParams(4, 3)).conditions
+        assert cell.cubic() == _Point.of(ModelParams(4, 3)).cubic()
+
+    def test_a_point_has_one_constructor_and_no_params(self):
+        # row, v and v's table are all required; a point alone goes through _Point.of
+        signature = inspect.signature(_Point.__init__)
+        assert [p.default for p in signature.parameters.values()] == [inspect.Parameter.empty] * 4
+        ones = power_table(F(1))
+        cell = _Point(F(3), _Row(power_table(F(4)), ones, ones), power_table(F(3)))
+        for point in (cell, _Point.of(ModelParams(4, 3))):
+            assert not hasattr(point, "params")
+            assert point.v == F(3)
 
 
 class TestDisagreements:
