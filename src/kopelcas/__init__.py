@@ -25,7 +25,6 @@ from .model import (
     StabilityReport,
     State,
     Trajectory,
-    all_stay_in_unit_square,
     e0_stable,
     equilibria,
     equilibrium_cubic,
@@ -72,7 +71,6 @@ __all__ = [
     "StableCountClass",
     "State",
     "Trajectory",
-    "all_stay_in_unit_square",
     "build_certificates",
     "classify",
     "classify_equilibrium_count",

@@ -24,10 +24,8 @@ and jury_report read that one binding.  A _Point finishes a _Row, u, a and
 b bound once, with its own v: scan cells share their row's, alone it stages
 its own.
 
-Importing the module loads only the standard library.  jury_report takes
-the float eigenvalue moduli in closed form from the trace and determinant,
-and numpy is imported by all_stay_in_unit_square alone, the one vectorised
-float batch.
+The module uses only the standard library.  jury_report takes the float
+eigenvalue moduli in closed form from the trace and determinant.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ class Trajectory:
 
 
 def _update(x, y, u, v, a, b):
-    """One step of the map on floats or numpy arrays alike."""
+    """One step of the map, in plain arithmetic."""
     return (1 - a) * x + a * u * y * (1 - y), (1 - b) * y + b * v * x * (1 - x)
 
 
@@ -118,22 +116,6 @@ def iterate(state: State, params: ModelParams, n: int) -> Trajectory:
             diverged_at = t
             break
     return Trajectory(states, left, diverged_at)
-
-
-def all_stay_in_unit_square(params: ModelParams, xs, ys, steps: int) -> bool:
-    """Vectorized check that every start point keeps its whole orbit in [0,1]^2."""
-    import numpy as np
-
-    floats = params.as_floats()
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if not (np.all((x >= 0) & (x <= 1)) and np.all((y >= 0) & (y <= 1))):
-        return False
-    for _ in range(steps):
-        x, y = _update(x, y, *floats)
-        if not (np.all((x >= 0) & (x <= 1)) and np.all((y >= 0) & (y <= 1))):
-            return False
-    return True
 
 
 # -- fixed point structure -------------------------------------------------

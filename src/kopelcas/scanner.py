@@ -66,6 +66,8 @@ class ScanSpec:
                 raise ValueError("scan ranges must stay strictly positive")
             if lo >= hi:
                 raise ValueError("scan range lower bound must be below the upper bound")
+        if not isinstance(self.resolution, int):
+            raise TypeError("resolution must be an int")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
 

@@ -19,8 +19,7 @@ from kopelcas.certificates import (
 )
 from kopelcas.exactpoly import dense_to_mpoly
 from kopelcas.model import (
-    ModelParams, all_stay_in_unit_square, bound_stability_polys, e0_stable,
-    equilibria, jury_report,
+    ModelParams, _update, bound_stability_polys, e0_stable, equilibria, jury_report,
 )
 from kopelcas.realroots import isolate_real_roots, sign_at, sturm_sign_count
 from kopelcas.scanner import (
@@ -207,6 +206,18 @@ def test_criterion_6_figure_3_speed_slices(fig2_grid):
     print("criterion 6 (speed slices a=1/4,1/2,3/4,1): PASS")
 
 
+def _orbits_stay_in_unit_square(params, x, y, steps):
+    """Whether every orbit from the arrays (x, y) stays in [0, 1]^2 for steps
+    steps of model._update."""
+    floats = params.as_floats()
+    for t in range(steps + 1):
+        if t:
+            x, y = _update(x, y, *floats)
+        if not np.all((0 <= x) & (x <= 1) & (0 <= y) & (y <= 1)):
+            return False
+    return True
+
+
 def test_criterion_7_trapping_square():
     rng = random.Random(777)
     starts = np.random.default_rng(777)
@@ -222,7 +233,10 @@ def test_criterion_7_trapping_square():
         else:
             cases.append(ModelParams(u, v))
     for params in cases:
-        assert all_stay_in_unit_square(params, xs, ys, 10_000), params.describe()
+        assert _orbits_stay_in_unit_square(params, xs, ys, 10_000), params.describe()
+    # the check sees a start outside the square, and an orbit that leaves it
+    assert not _orbits_stay_in_unit_square(ModelParams(2, 2), np.array([1.5]), np.array([0.5]), 0)
+    assert not _orbits_stay_in_unit_square(ModelParams(5, 5), np.array([0.5]), np.array([0.5]), 1)
     print("criterion 7 (trapping square, 11 maps x 1000 starts x 1e4 steps): PASS")
 
 

@@ -9,9 +9,9 @@ import pytest
 from kopelcas import model
 from kopelcas.exactpoly import A, B, U, V, X, Y, resultant
 from kopelcas.model import (
-    Equilibrium, ModelParams, State, Trajectory, all_stay_in_unit_square, bound_cubic,
-    bound_stability_polys, e0_stable, equilibria, equilibrium_cubic, equilibrium_report,
-    iterate, jacobian, jury_report, stability_conditions, step, y_relation,
+    Equilibrium, ModelParams, State, Trajectory, bound_cubic, bound_stability_polys, e0_stable,
+    equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
+    stability_conditions, step, y_relation,
 )
 from kopelcas.realroots import isolate_real_roots, sign_at
 from test_report_digests import POINTS
@@ -70,15 +70,6 @@ def test_fixed_point_is_fixed():
     s = State(0.75, 0.75)
     out = step(s, p)
     assert out.x == pytest.approx(0.75) and out.y == pytest.approx(0.75)
-
-
-def test_all_stay_in_unit_square_batch():
-    p = ModelParams(4, 4)
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(0, 1, size=200)
-    ys = rng.uniform(0, 1, size=200)
-    assert all_stay_in_unit_square(p, xs, ys, 500)
-    assert not all_stay_in_unit_square(p, [1.5], [0.5], 1)
 
 
 def test_symbolic_pieces():

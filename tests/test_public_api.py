@@ -1,6 +1,9 @@
 """The package's exports: every name in kopelcas.__all__ resolves, and none is retired."""
 
 import importlib
+from pathlib import Path
+
+import pytest
 
 import kopelcas
 
@@ -8,7 +11,8 @@ import kopelcas
 # its CLI or its benchmark called them
 RETIRED = (("exactpoly", "parse_poly"), ("realroots", "algebraic_image"),
            ("realroots", "refine"), ("model", "triangular_system"),
-           ("certificates", "all_identities_hold"), ("exactpoly", "gcd_univariate"))
+           ("certificates", "all_identities_hold"), ("exactpoly", "gcd_univariate"),
+           ("model", "all_stay_in_unit_square"))
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +36,10 @@ def test_retired_names_are_neither_exported_nor_defined():
     # MPoly, which only tests read, is gone
     assert callable(kopelcas.AlgebraicReal.refine)
     assert not hasattr(kopelcas.AlgebraicReal, "defining_poly")
+
+
+def test_the_package_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["dependencies"] == []

@@ -67,6 +67,12 @@ class TestScanSpec:
         with pytest.raises(ValueError, match="at least 2"):
             ScanSpec((1, 4), (1, 4), 1)
 
+    def test_rejects_a_resolution_that_is_not_an_int(self):
+        # scan would fail later, in range(), with no word of which field
+        for resolution in (3.0, F(5), "5"):
+            with pytest.raises(TypeError, match="resolution must be an int"):
+                ScanSpec((1, 4), (1, 4), resolution)
+
     def test_rejects_out_of_range_speed(self):
         for a in (F(3, 2), 0, F(-1, 2)):
             with pytest.raises(ValueError, match="0 < a <= 1"):
