@@ -15,12 +15,12 @@ x using the equilibrium cubic.  What remains involves parameters only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .exactpoly import A, B, MPoly, U, V, X, Y, bind, integer_terms, power_tables, resultant
 from .model import _CUBIC, _LOCUS, _STABILITY_CONDITIONS, _Y_RELATION, ModelParams
+from .record import FrozenRecord
 
 
 class EquilibriumCountClass(Enum):
@@ -117,11 +117,14 @@ MODULUS_HOMOGENEOUS = _from_rows([
 ])
 
 
-@dataclass(frozen=True)
-class NamedCertificate:
-    name: str
-    poly: MPoly
-    role: str
+class NamedCertificate(FrozenRecord):
+    __slots__ = ("name", "poly", "role")
+
+    def __init__(self, name: str, poly: MPoly, role: str):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "poly", poly)
+        put(self, "role", role)
 
 
 def build_certificates() -> dict:
@@ -152,11 +155,14 @@ def build_certificates() -> dict:
 
 # -- identity verification -------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    passed: bool
-    pairs: tuple  # (derived, expected) comparisons, all of which must agree
+class IdentityResult(FrozenRecord):
+    __slots__ = ("name", "passed", "pairs")
+
+    def __init__(self, name: str, passed: bool, pairs: tuple):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "passed", passed)
+        put(self, "pairs", pairs)  # (derived, expected) comparisons, all of which must agree
 
     @property
     def difference(self) -> MPoly:

@@ -23,10 +23,10 @@ rational parameters on integers alone, in two stages: u, a and b, then v.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 from .rational import coerce_rational
 
@@ -87,6 +87,10 @@ class MPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would restore _terms through __setattr__
+        return MPoly, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 

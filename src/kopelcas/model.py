@@ -31,7 +31,6 @@ eigenvalue moduli in closed form from the trace and determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,28 +42,28 @@ from .rational import coerce_rational, format_rational
 from .realroots import (
     AlgebraicReal, _cauchy_window, _image, _isolate_int, _sign_dense_at, _strip_rational_roots,
 )
+from .record import FrozenRecord, Record
 
 DIVERGENCE_THRESHOLD = 1e12
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(FrozenRecord):
     """Exact map parameters.  Floats are rejected; pass str/int/Fraction."""
 
-    u: Fraction
-    v: Fraction
-    a: Fraction = Fraction(1)
-    b: Fraction = Fraction(1)
+    __slots__ = ("u", "v", "a", "b")
 
-    def __post_init__(self):
-        for name in ("u", "v", "a", "b"):
-            object.__setattr__(self, name, coerce_rational(getattr(self, name)))
+    def __init__(self, u, v, a=1, b=1):
+        u, v, a, b = (coerce_rational(t) for t in (u, v, a, b))
         # a Fraction's denominator is positive, so the checks run on integers
-        u, v, a, b = self.u, self.v, self.a, self.b
         if u.numerator <= 0 or v.numerator <= 0:
             raise ValueError("reaction intensities must satisfy u > 0 and v > 0")
         if not (0 < a.numerator <= a.denominator and 0 < b.numerator <= b.denominator):
             raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
+        put = object.__setattr__
+        put(self, "u", u)
+        put(self, "v", v)
+        put(self, "a", a)
+        put(self, "b", b)
 
     def as_floats(self):
         return float(self.u), float(self.v), float(self.a), float(self.b)
@@ -73,17 +72,22 @@ class ModelParams:
         return {name: format_rational(getattr(self, name)) for name in ("u", "v", "a", "b")}
 
 
-@dataclass(frozen=True)
-class State:
-    x: float
-    y: float
+class State(FrozenRecord):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        put = object.__setattr__
+        put(self, "x", x)
+        put(self, "y", y)
 
 
-@dataclass
-class Trajectory:
-    states: list
-    left_unit_square: bool
-    diverged_at: int | None
+class Trajectory(Record):
+    __slots__ = ("states", "left_unit_square", "diverged_at")
+
+    def __init__(self, states: list, left_unit_square: bool, diverged_at: int | None):
+        self.states = states
+        self.left_unit_square = left_unit_square
+        self.diverged_at = diverged_at
 
 
 def _update(x, y, u, v, a, b):
@@ -458,14 +462,17 @@ def _verdict(signs: tuple) -> str:
     return "unstable" if min(signs) < 0 else "marginal"
 
 
-@dataclass
-class StabilityReport:
-    cd_signs: tuple
-    cd_values: tuple
-    trace: float
-    det: float
-    eig_moduli: tuple
-    verdict: str
+class StabilityReport(Record):
+    __slots__ = ("cd_signs", "cd_values", "trace", "det", "eig_moduli", "verdict")
+
+    def __init__(self, cd_signs: tuple, cd_values: tuple, trace: float, det: float,
+                 eig_moduli: tuple, verdict: str):
+        self.cd_signs = cd_signs
+        self.cd_values = cd_values
+        self.trace = trace
+        self.det = det
+        self.eig_moduli = eig_moduli
+        self.verdict = verdict
 
 
 def _eig_moduli(tr: float, det: float) -> tuple:

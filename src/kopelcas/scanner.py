@@ -31,8 +31,6 @@ for a stable class.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (
@@ -41,54 +39,63 @@ from .certificates import (
 from .exactpoly import finish, power_table, stage
 from .model import _Point, _Row
 from .rational import coerce_rational, format_rational
+from .record import FrozenRecord, Record
 
 BOUNDARY_EPSILON = Fraction(1, 1000)  # the near-boundary flag width
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    u_range: tuple
-    v_range: tuple
-    resolution: int
-    a_value: Fraction | None = None
+class ScanSpec(FrozenRecord):
+    __slots__ = ("u_range", "v_range", "resolution", "a_value")
 
-    def __post_init__(self):
-        u = tuple(coerce_rational(t) for t in self.u_range)
-        v = tuple(coerce_rational(t) for t in self.v_range)
-        object.__setattr__(self, "u_range", u)
-        object.__setattr__(self, "v_range", v)
-        if self.a_value is not None:
-            object.__setattr__(self, "a_value", coerce_rational(self.a_value))
-            if not (0 < self.a_value <= 1):
+    def __init__(self, u_range: tuple, v_range: tuple, resolution: int,
+                 a_value: Fraction | None = None):
+        u = tuple(coerce_rational(t) for t in u_range)
+        v = tuple(coerce_rational(t) for t in v_range)
+        if a_value is not None:
+            a_value = coerce_rational(a_value)
+            if not (0 < a_value <= 1):
                 raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
         for lo, hi in (u, v):
             if lo <= 0:
                 raise ValueError("scan ranges must stay strictly positive")
             if lo >= hi:
                 raise ValueError("scan range lower bound must be below the upper bound")
-        if not isinstance(self.resolution, int):
+        if not isinstance(resolution, int):
             raise TypeError("resolution must be an int")
-        if self.resolution < 2:
+        if resolution < 2:
             raise ValueError("resolution must be at least 2")
+        put = object.__setattr__
+        put(self, "u_range", u)
+        put(self, "v_range", v)
+        put(self, "resolution", resolution)
+        put(self, "a_value", a_value)
 
 
-@dataclass(frozen=True)
-class ScanCell:
-    u: Fraction
-    v: Fraction
-    a: Fraction | None
-    cert_class: str
-    numeric_positive: int
-    numeric_stable: int
-    agree: bool
-    near_boundary: bool
+class ScanCell(FrozenRecord):
+    __slots__ = ("u", "v", "a", "cert_class", "numeric_positive", "numeric_stable", "agree",
+                 "near_boundary")
+
+    # positional and written out: a scan builds one per cell
+    def __init__(self, u: Fraction, v: Fraction, a: Fraction | None, cert_class: str,
+                 numeric_positive: int, numeric_stable: int, agree: bool, near_boundary: bool):
+        put = object.__setattr__
+        put(self, "u", u)
+        put(self, "v", v)
+        put(self, "a", a)
+        put(self, "cert_class", cert_class)
+        put(self, "numeric_positive", numeric_positive)
+        put(self, "numeric_stable", numeric_stable)
+        put(self, "agree", agree)
+        put(self, "near_boundary", near_boundary)
 
 
-@dataclass
-class ScanGrid:
-    spec: ScanSpec
-    kind: str
-    cells: list
+class ScanGrid(Record):
+    __slots__ = ("spec", "kind", "cells")
+
+    def __init__(self, spec: ScanSpec, kind: str, cells: list):
+        self.spec = spec
+        self.kind = kind
+        self.cells = cells
 
     def disagreements(self):
         return [c for c in self.cells if not c.agree]
@@ -181,6 +188,8 @@ def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
         lines += [",".join(map(_csv_field, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
+        import json  # here, so that import kopelcas does not load it
+
         cells = [dict(zip(columns, row)) for row in rows]
         doc = {
             "schema_version": 1,

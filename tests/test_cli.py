@@ -408,6 +408,26 @@ def test_commands_load_only_the_standard_library(tmp_path):
     assert proc.stdout.endswith("ok\n")
 
 
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_package_import_loads_no_record_or_json_machinery(flags):
+    # a fresh interpreter, with and without site hooks, which may preload
+    # some of these: importing the package adds none of them (the CLI may
+    # load json)
+    script = textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        import kopelcas
+        heavy = {"dataclasses", "inspect", "json", "typing"} & (set(sys.modules) - before)
+        assert not heavy, sorted(heavy)
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(kopelcas.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("ok\n")
+
+
 class TestInternalFailure:
     def test_refinement_cap_exits_3(self, capsys, monkeypatch):
         # with no refinement budget the root layer gives up at once; that is

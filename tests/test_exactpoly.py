@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -35,6 +37,15 @@ def test_zero_and_constant():
     assert MPoly.constant(F(3, 4)).as_fraction() == F(3, 4)
     assert (MPoly.constant(2) + MPoly.constant(-2)).is_zero()
     assert MPoly.zero().to_str() == "0"
+
+
+def test_immutable_polynomials_pickle_and_copy():
+    # restoring the slot by assignment would trip the immutability guard
+    p = MPoly.constant(F(1, 3)) * equilibrium_cubic()
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and hash(clone) == hash(p) and clone.to_str() == p.to_str()
+    with pytest.raises(AttributeError):
+        p._terms = {}
 
 
 def test_float_coefficients_rejected():

@@ -148,13 +148,13 @@ class TestCountScan:
     def test_cells_build_no_model_params(self, kind, monkeypatch):
         # ScanSpec checks a scan's parameters once; a cell binds them unchecked
         built = []
-        init = ModelParams.__post_init__
+        init = ModelParams.__init__
 
-        def counting(self):
+        def counting(self, *args, **kwargs):
             built.append(self)
-            init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        monkeypatch.setattr(ModelParams, "__init__", counting)
         a = F(1, 2) if kind == "homogeneous" else None
         grid = scan(kind, ScanSpec((F(1, 2), 5), (F(1, 2), 5), 6, a_value=a))
         assert len(grid.cells) == 36 and grid.disagreements() == []
