@@ -22,7 +22,10 @@ fixed point holds its ModelParams and a _Point, that point bound once on
 integers; those of one equilibria() call share it, and equilibrium_report
 and jury_report read that one binding.  A _Point finishes a _Row, u, a and
 b bound once, with its own v: scan cells share their row's, alone it stages
-its own.
+its own.  A scan cell's positive fixed points come from float brackets that
+exact sign evaluations certify, and from Sturm isolation only where those
+fail; equilibria() and the reports always isolate by Sturm sequences, so
+the windows they print stay as they were.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -41,6 +44,7 @@ from .exactpoly import (
 from .rational import coerce_rational, format_rational
 from .realroots import (
     AlgebraicReal, _cauchy_window, _image, _isolate_int, _sign_dense_at, _strip_rational_roots,
+    _unit_cubic_roots,
 )
 from .record import FrozenRecord, Record
 
@@ -356,11 +360,17 @@ class _Point:
 
         y = v x (1 - x) with v > 0, so a fixed point is positive exactly
         when 0 < x < 1: the cubic's roots in that window are isolated and
-        no others.  Neither end is a root left after the rational strip: the
-        cubic is 1 - u v at 0, where a root is always stripped, and 1 at 1
-        (identity cubic-at-one).
+        no others.  They come first from float brackets certified exactly
+        (realroots._unit_cubic_roots), each a window of the whole cubic.
+        The Sturm route runs only when those fail: at u v = 1 or on disc = 0,
+        past the float range, or when floats cannot separate the roots.  It
+        isolates in (0, 1), whose ends are no roots left after the rational
+        strip: the cubic is 1 - u v at 0, where a root is always stripped,
+        and 1 at 1 (identity cubic-at-one).
         """
-        return _isolate_int("x", self.cubic(), (0, 1, 0))
+        cubic = self.cubic()
+        roots = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
+        return _isolate_int("x", cubic, (0, 1, 0)) if roots is None else roots
 
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""

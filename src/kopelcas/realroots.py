@@ -22,10 +22,14 @@ _ZERO_TEST_ROUND rounds computes the gcd that certifies an exact zero.
 All decisions below (membership, signs, comparisons) are certified by exact
 integer arithmetic: polynomials are scaled by positive integers only and
 dyadic points by shifts, which keeps every sign.  Fractions appear only at
-the edges (MPoly input, rational roots, lo/hi).  Floats appear only in the
-nearest double to a root (approx): float Newton proposes it and exact sign
-evaluations at the midpoints to its neighbours certify it, so the cached
-value is the correctly rounded root and no decision reads it.
+the edges (MPoly input, rational roots, lo/hi).  Floats only propose, and
+exact sign evaluations certify, in two places.  The nearest double to a
+root (approx): float Newton proposes it and signs at the midpoints to its
+neighbours certify it, so the cached value is the correctly rounded root
+and no decision reads it.  A cubic's roots in (0, 1) (_unit_cubic_roots):
+closed-form float roots propose one narrow dyadic bracket per real root,
+and the signs at the bracket ends certify them, or give way to Sturm
+isolation.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import zip_longest
-from math import gcd, inf, nextafter
+from math import acos, copysign, cos, frexp, gcd, inf, nextafter, pi, sqrt
 
 from .exactpoly import (
     MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
@@ -69,6 +73,9 @@ _ZERO_TEST_ROUND = 10
 _SEED_STEPS = 60
 _FLOAT_NOISE = 2.0**-48
 _ULP_MOVES = 8
+
+# Newton steps that polish a cubic's closed-form float roots
+_CUBIC_NEWTON = 2
 
 
 def _sign(value) -> int:
@@ -343,6 +350,78 @@ def _nearest_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
     except OverflowError:
         pass
     return _bisect_double(coeffs, slo, a, b, k)
+
+
+def _cubic_seeds(cf, three: bool) -> list[float]:
+    """The real roots of a monic cubic in floats by the closed form, uncertified.
+
+    cf are its coefficients, highest first.  three says it has three real
+    roots, taken in trigonometric form; otherwise its one real root comes
+    from Cardano's formula.  Float failures raise.
+    """
+    _, c2, c1, c0 = cf
+    p = c1 - c2 * c2 / 3  # t = x + c2 / 3 solves t**3 + p t + q = 0
+    q = (2 * c2 * c2 / 27 - c1 / 3) * c2 + c0
+    if three:
+        r = 2 * sqrt(-p / 3)
+        phi = acos(max(-1.0, min(1.0, 3 * q / (p * r)))) / 3
+        return [r * cos(phi - 2 * pi * j / 3) - c2 / 3 for j in range(3)]
+    # -q/2 -+ sqrt(D) taken away from zero, so it does not cancel
+    w = -q / 2 - copysign(sqrt(q * q / 4 + p * p * p / 27), q)
+    t = copysign(abs(w) ** (1 / 3), w)
+    return [t - p / (3 * t) - c2 / 3]
+
+
+def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None:
+    """A cubic's roots in (0, 1), ascending, in certified float brackets, or None.
+
+    coeffs are a cubic's ascending integer coefficients and disc its
+    discriminant: disc > 0 means 3 simple real roots and disc < 0 means 1.
+    Floats only choose where to look: _cubic_seeds and _CUBIC_NEWTON Newton
+    steps seed each root, and a dyadic bracket around the seed reaches past
+    its float error bound on both sides.  Both ends of each bracket are
+    evaluated exactly, and a strict sign change proves a root inside.  So as
+    many pairwise disjoint brackets as real roots hold one root each and
+    leave none outside, and those wholly inside (0, 1) are its roots there,
+    as windows whose ends are no roots.  Anything else gives None and never
+    an exception: disc or the constant term zero, a float overflow, zero
+    division or NaN, a seed count other than the real-root count, a bracket
+    with no sign change, two that meet, or one across 0 or 1.
+    """
+    if not (disc and coeffs[0]):
+        return None
+    try:
+        cf = [float(c) for c in reversed(coeffs)]
+        cf = [c / cf[0] for c in cf]
+        seeds = _cubic_seeds(cf, disc > 0)
+        if len(seeds) != (3 if disc > 0 else 1):
+            return None
+        brackets = []
+        for x in seeds:
+            for _ in range(_CUBIC_NEWTON):
+                fx, dfx, _ = _float_eval(cf, x)
+                x -= fx / dfx
+            fx, dfx, size = _float_eval(cf, x)
+            # 2**-k is above the error bound (or 1), and x is in [m, m + 1) / 2**k
+            k = max(-frexp((abs(fx) + size * _FLOAT_NOISE) / abs(dfx))[1], 0)
+            n, den = x.as_integer_ratio()
+            m = (n << k) // den
+            slo = _sign(_eval_dyadic(coeffs, m - 1, k))
+            if slo * _sign(_eval_dyadic(coeffs, m + 2, k)) >= 0:
+                return None
+            brackets.append((m - 1, m + 2, k, slo))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    top = max(w[2] for w in brackets)
+    one, roots, prev = 1 << top, [], -inf
+    for a, b, k, slo in sorted(brackets, key=lambda w: w[0] << (top - w[2])):
+        lo, hi = a << (top - k), b << (top - k)
+        if lo < prev or lo < 0 < hi or lo < one < hi:
+            return None
+        prev = hi
+        if 0 <= lo and hi <= one:
+            roots.append(AlgebraicReal._from_window(var, coeffs, a, b, k, 1, slo))
+    return roots
 
 
 def _divisors(n: int) -> list[int]:

@@ -6,7 +6,10 @@ positive fixed points at that cell, the cubic's roots in 0 < x < 1, and
 certifying their stability.  The two answers land side by side in the
 emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
-one of the routes, never a rounding artifact.
+one of the routes, never a rounding artifact.  Isolation takes float-proposed
+brackets that exact sign evaluations certify, and builds a Sturm chain only
+where they fail (model._Point.positive_roots); the brackets are narrow, so
+the stability sign queries mostly settle with no bisection.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The certificates the kind reads, the equilibrium cubic and the stability

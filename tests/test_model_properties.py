@@ -4,20 +4,27 @@ Hypothesis runs derandomized, so every run draws the same examples.  The
 symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
 point locus, serves as the oracle for the binder; the report route's
 Equilibrium.is_positive serves as the oracle for the scan's positive roots;
-the locus y = v x (1 - x) on doubles serves as the oracle for y.
+Sturm isolation serves as the oracle for the discriminant's sign and for
+the scan's certified float brackets; the locus y = v x (1 - x) on doubles
+serves as the oracle for y.
 """
 
 from fractions import Fraction as F
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kopelcas import model, realroots
+from kopelcas.exactpoly import _int_clear, dense_to_mpoly
 from kopelcas.model import (
-    ModelParams, _Point, bound_stability_polys, e0_stable, equilibria,
+    ModelParams, _cubic_discriminant, _Point, bound_stability_polys, e0_stable, equilibria,
     jury_report, stability_conditions,
 )
-from kopelcas.realroots import sign_at
+from kopelcas.realroots import (
+    _eval_int_at, _isolate_int, _unit_cubic_roots, sign_at, sturm_sign_count,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -103,3 +110,128 @@ def test_positive_roots_are_the_positive_equilibria(u, v, ab):
 def test_positive_roots_named_cases(u, v, a, b, positive):
     scan, report = _positive_both_ways(ModelParams(u, v, a, b))
     assert scan == report == positive
+
+
+small_roots = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def integer_cubics(draw):
+    """Ascending primitive integer cubics: drawn, or with planted roots.
+
+    Planted roots come simple, double or triple, or as one rational root
+    times (x - s)**2 - n, whose other two roots are real for n > 0 and a
+    complex pair for n < 0.
+    """
+    shape = draw(st.sampled_from(["drawn", "simple", "double", "triple", "quadratic"]))
+    if shape == "drawn":
+        coeffs = draw(st.lists(st.integers(-40, 40), min_size=4, max_size=4))
+        assume(coeffs[3] != 0)
+        return _int_clear([F(c) for c in coeffs])
+    r, s = draw(small_roots), draw(small_roots)
+    if shape == "quadratic":
+        n = draw(st.integers(-9, 9).filter(bool))
+        factors = [(-r, 1), (s * s - n, -2 * s, 1)]
+    else:
+        t = draw(small_roots)
+        roots = {"simple": [r, s, t], "double": [r, r, s], "triple": [r, r, r]}[shape]
+        factors = [(-x, 1) for x in roots]
+    poly = [F(draw(st.sampled_from([1, -2, 3])))]
+    for f in factors:
+        out = [F(0)] * (len(poly) + len(f) - 1)
+        for i, p in enumerate(poly):
+            for j, c in enumerate(f):
+                out[i + j] += p * c
+        poly = out
+    return _int_clear(poly)
+
+
+@PROPERTY
+@given(integer_cubics())
+def test_discriminant_sign_counts_the_simple_real_roots(coeffs):
+    # the certified brackets trust disc's sign for the real-root count
+    disc = _cubic_discriminant(coeffs)
+    roots = _isolate_int("x", coeffs)
+    mults = [r.multiplicity_in_source for r in roots]
+    if disc > 0:
+        assert mults == [1, 1, 1]
+    elif disc < 0:
+        assert mults == [1]
+    else:
+        assert max(mults) > 1
+
+
+@PROPERTY
+@given(intensities, intensities)
+def test_certified_brackets_match_the_sturm_route(u, v):
+    point = _Point.of(ModelParams(u, v))
+    cubic = point.cubic()
+    certified = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
+    assume(certified is not None)
+    sturm = _isolate_int("x", cubic, (0, 1, 0))
+    assert [(r.approx, r.multiplicity_in_source) for r in certified] == \
+        [(r.approx, r.multiplicity_in_source) for r in sturm]
+    assert [tuple(point.signs(r)) for r in certified] == [tuple(point.signs(r)) for r in sturm]
+    poly = dense_to_mpoly([F(c) for c in cubic], "x")
+    for r in certified:
+        assert not r.is_rational
+        assert 0 <= r.lo < r.hi <= 1
+        for end in (r.lo, r.hi):
+            assert _eval_int_at(cubic, end.numerator, end.denominator) != 0
+        assert sturm_sign_count(poly, r.lo, r.hi) == 1
+
+
+def _counting_fallback(monkeypatch) -> list:
+    """Record each call of the Sturm route that _Point makes."""
+    calls = []
+    isolate = model._isolate_int
+    monkeypatch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
+    return calls
+
+
+def _scan_answer(u, v) -> list:
+    point = _Point.of(ModelParams(u, v))
+    return [(r.approx, r.multiplicity_in_source, point.is_stable(r))
+            for r in point.positive_roots()]
+
+
+THREE_INSIDE = [(0.4952651682454746, 1, True), (0.6923076923076923, 1, False),
+                (0.8124271394468331, 1, True)]
+
+
+@pytest.mark.parametrize("u, v, positive", [
+    # the cubic's constant term 1 - u v is zero
+    pytest.param(F(2), F(1, 2), [], id="uv-one"),
+    pytest.param(F(3), F(3), [(2 / 3, 3, False)], id="triple-point"),
+    # disc = 0 with a double root at 5/6
+    pytest.param(F(27, 8), F(4), [(1 / 3, 1, False), (5 / 6, 2, False)], id="fold"),
+    # coefficients past the float range
+    pytest.param(F(10**200), F(10**200), [(1e-200, 1, False), (1.0, 1, False), (1.0, 1, False)],
+                 id="past-floats"),
+])
+def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, positive):
+    calls = _counting_fallback(monkeypatch)
+    assert _scan_answer(u, v) == positive
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("wrong", [
+    pytest.param(lambda seeds: [math.nan] * len(seeds), id="nan"),
+    pytest.param(lambda seeds: seeds[1:], id="one-short"),
+    pytest.param(lambda seeds: seeds + seeds[:1], id="one-extra"),
+    pytest.param(lambda seeds: seeds[:1] * 3, id="repeated"),
+    pytest.param(lambda seeds: [s + 0.3 for s in seeds], id="shifted"),
+    pytest.param(lambda seeds: [1e300] * len(seeds), id="far-off"),
+])
+@pytest.mark.parametrize("u, v, positive", [
+    pytest.param(F(13, 4), F(13, 4), THREE_INSIDE, id="three-roots"),
+    pytest.param(F(1, 5), F(9), [(0.048591172235676966, 1, True)], id="one-root"),
+])
+def test_wrong_seeds_fall_back_to_sturm(monkeypatch, wrong, u, v, positive):
+    # the floats only choose where to look: wrong seeds cost the Sturm route, never an answer
+    assert _scan_answer(u, v) == positive
+    seeds = realroots._cubic_seeds
+    monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: wrong(seeds(cf, three)))
+    calls = _counting_fallback(monkeypatch)
+    assert _scan_answer(u, v) == positive
+    assert len(calls) == 1

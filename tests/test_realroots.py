@@ -6,10 +6,11 @@ import pytest
 
 from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
+from kopelcas.model import _cubic_discriminant
 from kopelcas.realroots import (
     _SIEVE_PRIMES, _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _isolate_int,
-    _rootless_mod_small_prime, _sign_dense_at, _strip_rational_roots, isolate_real_roots,
-    sign_at, square_free_decompose, sturm_sign_count,
+    _rootless_mod_small_prime, _sign_dense_at, _strip_rational_roots, _unit_cubic_roots,
+    isolate_real_roots, sign_at, square_free_decompose, sturm_sign_count,
 )
 from kopelcas.rational import format_rational
 
@@ -613,3 +614,12 @@ def test_a_root_whose_denominator_sieve_primes_divide_is_snapped(monkeypatch, pr
     assert _strip_rational_roots(coeffs) == ([F(1, lead)], (-227, 0, 1))
     # with the lead's primes gone, 3 rules out x^2 - 227 alone
     assert _rootless_mod_small_prime((-227, 0, 1))
+
+
+@pytest.mark.parametrize("root, inside", [(1 - F(1, 10**20), 1), (F(1), 0)])
+def test_unit_cubic_roots_refuse_a_bracket_across_one(root, inside):
+    # (x - root)(x^2 - 9): the float error bound near x = 1 dwarfs 10**-20,
+    # so the bracket around the seed crosses 1 and the Sturm route decides
+    coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
+    assert _unit_cubic_roots("x", coeffs, _cubic_discriminant(coeffs)) is None
+    assert len(_isolate_int("x", coeffs, (0, 1, 0))) == inside

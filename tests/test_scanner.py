@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kopelcas import exactpoly, model, scanner
+from kopelcas import exactpoly, model, realroots, scanner
 from kopelcas.certificates import (
     COUNT_DISCRIMINANT, EXPECTED_COUNT, KINDS, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS,
     POSITIVITY_THRESHOLD, STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
@@ -289,6 +289,24 @@ class TestStagedBinding:
         for point in (cell, _Point.of(ModelParams(4, 3))):
             assert not hasattr(point, "params")
             assert point.v == F(3)
+
+
+class TestCertifiedBrackets:
+    FIG2 = (F(5, 2), F(5))
+
+    def test_only_the_zero_sets_build_a_sturm_chain(self, monkeypatch):
+        # off u v = 1 and disc = 0, float brackets certified by exact signs
+        # isolate every cell's cubic, so no cell builds a Sturm chain
+        chains = []
+        build = realroots._sturm_chain
+        monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(c) or build(c))
+        grid = scan("stable", ScanSpec(self.FIG2, self.FIG2, 10))
+        assert chains == []
+        assert not grid.disagreements()
+        # the zero-set grid holds u v = 1 cells and the triple point (3, 3)
+        grid = scan("count", ScanSpec((F(1, 2), 4), (F(1, 2), 4), 8))
+        assert chains
+        assert not grid.disagreements()
 
 
 class TestDisagreements:
