@@ -384,15 +384,15 @@ def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None
     many pairwise disjoint brackets as real roots hold one root each and
     leave none outside, and those wholly inside (0, 1) are its roots there,
     as windows whose ends are no roots.  Anything else gives None and never
-    an exception: disc or the constant term zero, a float overflow, zero
-    division or NaN, a seed count other than the real-root count, a bracket
-    with no sign change, two that meet, or one across 0 or 1.
+    an exception: disc zero, a float overflow, zero division or NaN, a seed
+    count other than the real-root count, a bracket with no sign change, two
+    that meet, or one across 0 or 1 (so a root at 0 or 1 always gives None).
     """
-    if not (disc and coeffs[0]):
+    if not disc:
         return None
     try:
-        cf = [float(c) for c in reversed(coeffs)]
-        cf = [c / cf[0] for c in cf]
+        lead = float(coeffs[-1])
+        cf = [float(c) / lead for c in reversed(coeffs)]  # monic, highest first
         seeds = _cubic_seeds(cf, disc > 0)
         if len(seeds) != (3 if disc > 0 else 1):
             return None

@@ -623,3 +623,15 @@ def test_unit_cubic_roots_refuse_a_bracket_across_one(root, inside):
     coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
     assert _unit_cubic_roots("x", coeffs, _cubic_discriminant(coeffs)) is None
     assert len(_isolate_int("x", coeffs, (0, 1, 0))) == inside
+
+
+@pytest.mark.parametrize("coeffs, disc, seeds", [
+    # x^3 - 3x + 1 seeded on its critical points: Newton divides by f' = 0
+    pytest.param((1, -3, 0, 1), 81, [-1.0, 1.0, 1.0], id="zero-derivative"),
+    # x^3 + x + 1 has one real root, given a positive disc: sqrt(-p / 3) fails
+    pytest.param((1, 1, 0, 1), 1, None, id="math-domain"),
+])
+def test_unit_cubic_roots_answer_float_failures_with_none(monkeypatch, coeffs, disc, seeds):
+    if seeds is not None:
+        monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: seeds)
+    assert _unit_cubic_roots("x", coeffs, disc) is None
