@@ -24,8 +24,11 @@ and jury_report read that one binding.  A _Point finishes a _Row, u, a and
 b bound once, with its own v: scan cells share their row's, alone it stages
 its own.  A scan cell's positive fixed points come from float brackets that
 exact sign evaluations certify, and from Sturm isolation only where those
-fail; equilibria() and the reports always isolate by Sturm sequences, so
-the windows they print stay as they were.
+fail.  equilibria() and the reports isolate the whole cubic and its twin
+by bisection, counting roots against such brackets where they hold and by
+Sturm sequences where not: the windows are nodes of one bisection tree,
+fixed by the roots alone, so the x_interval they print is the same either
+way.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -43,8 +46,8 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_rational
 from .realroots import (
-    AlgebraicReal, _cauchy_window, _image, _isolate_int, _sign_dense_at, _strip_rational_roots,
-    _unit_cubic_roots,
+    AlgebraicReal, _cauchy_window, _cubic_brackets, _cubic_discriminant, _image, _isolate_int,
+    _sign_dense_at, _strip_rational_roots, _unit_cubic_roots,
 )
 from .record import FrozenRecord, Record
 
@@ -420,14 +423,19 @@ class _Point:
         cubic with a negative discriminant has one real root, and so has its
         twin: a fixed point's y is real exactly when its x = u y (1 - y) is.
         When the twin also has no rational root to snap, its isolation is
-        that root's Cauchy window, built here with no Sturm chain.
+        that root's Cauchy window, built here with no Sturm chain, and its
+        certified bracket, when floats give one, is the hint, as
+        _isolate_int would give them.
         """
         g = root._coeffs
         if g != self._y_for:
             twin = self.y_factor(g)
             lone = len(g) == 4 and _cubic_discriminant(g) < 0
             if lone and not _strip_rational_roots(twin)[0]:
-                roots = [AlgebraicReal._from_window("y", twin, *_cauchy_window(twin), 1)]
+                # _cubic_brackets reads the sign of the discriminant alone: one real root
+                (hint, slo), = _cubic_brackets(twin, -1) or [(None, 0)]
+                roots = [AlgebraicReal._from_window("y", twin, *_cauchy_window(twin), 1, slo,
+                                                    hint)]
             else:
                 roots = _isolate_int("y", twin)
             self._y_for, self._y_roots = g, roots
@@ -448,13 +456,6 @@ class _Point:
     def is_stable(self, root: AlgebraicReal) -> bool:
         """The Jury rule at an x root, asking no sign past the first that fails it."""
         return _is_stable(self.signs(root))
-
-
-def _cubic_discriminant(c) -> int:
-    """The discriminant of the cubic with ascending coefficients c."""
-    d0, d1, d2, d3 = c
-    return (18 * d3 * d2 * d1 * d0 - 4 * d2**3 * d0 + d2 * d2 * d1 * d1
-            - 4 * d3 * d1**3 - 27 * d3 * d3 * d0 * d0)
 
 
 def _is_stable(signs) -> bool:

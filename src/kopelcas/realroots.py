@@ -7,13 +7,16 @@ roots, so the root lies strictly inside; a rational root is stored exactly, as
 a Fraction, instead.  Isolation first snaps rational roots by testing the
 candidates s/q, s | f(0) and q | lead(f), within a budget; a polynomial with
 no root modulo a small prime has none, and skips the test.  It then starts
-from a power-of-two root bound, counts roots with Sturm sequences and
-bisects, so every endpoint stays dyadic; a bisection point that hits a root
-is snapped to an exact rational root on the spot, which is also what keeps
-every endpoint off the roots.  A polynomial's
-Sturm chain is also its remainder sequence with f': its last element is
-gcd(f, f'), so a constant there proves f square-free, and Yun's square-free
-decomposition runs only when it is not.
+from a power-of-two root bound, counts roots and bisects, so every endpoint
+stays dyadic; a bisection point that hits a root is snapped to an exact
+rational root on the spot, which is also what keeps every endpoint off the
+roots.  The windows are the largest nodes of that bisection tree that hold
+one root each, fixed by where the roots are, so any exact root count gives
+the same ones.  Roots are counted by Sturm sequences, or, for a cubic with
+no rational root, against certified brackets around all its real roots.  A
+polynomial's Sturm chain is also its remainder sequence with f': its last
+element is gcd(f, f'), so a constant there proves f square-free, and Yun's
+square-free decomposition runs only when it is not.
 
 A sign query at a root bisects the root's window until an interval bound of
 the queried polynomial settles.  Only a query still unsettled after
@@ -26,17 +29,20 @@ the edges (MPoly input, rational roots, lo/hi).  Floats only propose, and
 exact sign evaluations certify, in two places.  The nearest double to a
 root (approx): float Newton proposes it and signs at the midpoints to its
 neighbours certify it, so the cached value is the correctly rounded root
-and no decision reads it.  A cubic's roots in (0, 1) (_unit_cubic_roots):
+and no decision reads it.  A cubic's real roots (_cubic_brackets):
 closed-form float roots propose one narrow dyadic bracket per real root,
 and the signs at the bracket ends certify them, or give way to Sturm
-isolation.
+isolation.  Scan cells take the brackets inside (0, 1) as their windows
+(_unit_cubic_roots).  Whole-line isolation counts roots against them, so
+its windows are the Sturm route's, and each root keeps its bracket as a
+hint that decides halvings outside it with no evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import acos, copysign, cos, frexp, gcd, inf, nextafter, pi, sqrt
 
 from .exactpoly import (
@@ -194,14 +200,22 @@ def _variations(values) -> int:
     return count
 
 
-def _halve(coeffs, slo: int, a: int, b: int, k: int) -> tuple[int, int, int]:
+def _halve(coeffs, slo: int, a: int, b: int, k: int, hint=None) -> tuple[int, int, int]:
     """One bisection step of the window (a, b) / 2**k around a simple root.
 
     slo is the polynomial's sign left of the root.  Returns the half that
     keeps the root, or (m, m, k) when the midpoint m / 2**k is the root.
+    hint, a dyadic (a, b, k) that also isolates the root, decides a midpoint
+    outside it with no evaluation.
     """
     m = a + b
     k += 1
+    if hint is not None:
+        ha, hb, hk = hint
+        if m << hk <= ha << k:
+            return m, b << 1, k
+        if m << hk >= hb << k:
+            return a << 1, m, k
     s = _sign(_eval_dyadic(coeffs, m, k))
     if s == 0:
         return m, m, k
@@ -372,21 +386,28 @@ def _cubic_seeds(cf, three: bool) -> list[float]:
     return [t - p / (3 * t) - c2 / 3]
 
 
-def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None:
-    """A cubic's roots in (0, 1), ascending, in certified float brackets, or None.
+def _cubic_discriminant(c) -> int:
+    """The discriminant of the cubic with ascending coefficients c."""
+    d0, d1, d2, d3 = c
+    return (18 * d3 * d2 * d1 * d0 - 4 * d2**3 * d0 + d2 * d2 * d1 * d1
+            - 4 * d3 * d1**3 - 27 * d3 * d3 * d0 * d0)
+
+
+def _cubic_brackets(coeffs, disc: int) -> list | None:
+    """Certified brackets ((a, b, k), slo) around every real root of a cubic, or None.
 
     coeffs are a cubic's ascending integer coefficients and disc its
     discriminant: disc > 0 means 3 simple real roots and disc < 0 means 1.
     Floats only choose where to look: _cubic_seeds and _CUBIC_NEWTON Newton
-    steps seed each root, and a dyadic bracket around the seed reaches past
-    its float error bound on both sides.  Both ends of each bracket are
-    evaluated exactly, and a strict sign change proves a root inside.  So as
-    many pairwise disjoint brackets as real roots hold one root each and
-    leave none outside, and those wholly inside (0, 1) are its roots there,
-    as windows whose ends are no roots.  Anything else gives None and never
-    an exception: disc zero, a float overflow, zero division or NaN, a seed
-    count other than the real-root count, a bracket with no sign change, two
-    that meet, or one across 0 or 1 (so a root at 0 or 1 always gives None).
+    steps seed each root, and a dyadic bracket (a / 2**k, b / 2**k) around
+    the seed reaches past its float error bound on both sides.  Both ends
+    of each bracket are evaluated exactly, and a strict sign change, slo
+    to -slo, proves a root inside.  So as many pairwise disjoint brackets
+    as real roots hold one root each and leave none outside; they come
+    ascending, and their ends are no roots.  Anything else gives None and
+    never an exception: disc zero, a float overflow, zero division or NaN,
+    a seed count other than the real-root count, a bracket with no sign
+    change, or two that meet.
     """
     if not disc:
         return None
@@ -397,7 +418,7 @@ def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None
         if len(seeds) != (3 if disc > 0 else 1):
             return None
         brackets = []
-        for x in seeds:
+        for x in sorted(seeds):  # a wrong float order fails the exact check below
             for _ in range(_CUBIC_NEWTON):
                 fx, dfx, _ = _float_eval(cf, x)
                 x -= fx / dfx
@@ -406,20 +427,35 @@ def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None
             k = max(-frexp((abs(fx) + size * _FLOAT_NOISE) / abs(dfx))[1], 0)
             n, den = x.as_integer_ratio()
             m = (n << k) // den
+            if brackets:
+                (_, hi, j), _ = brackets[-1]
+                if (m - 1) << j < hi << k:  # it meets the bracket below
+                    return None
             slo = _sign(_eval_dyadic(coeffs, m - 1, k))
             if slo * _sign(_eval_dyadic(coeffs, m + 2, k)) >= 0:
                 return None
-            brackets.append((m - 1, m + 2, k, slo))
+            brackets.append(((m - 1, m + 2, k), slo))
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
-    top = max(w[2] for w in brackets)
-    one, roots, prev = 1 << top, [], -inf
-    for a, b, k, slo in sorted(brackets, key=lambda w: w[0] << (top - w[2])):
-        lo, hi = a << (top - k), b << (top - k)
-        if lo < prev or lo < 0 < hi or lo < one < hi:
+    return brackets
+
+
+def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None:
+    """A cubic's roots in (0, 1), ascending, as their certified brackets, or None.
+
+    The brackets are _cubic_brackets' for coeffs and disc, and those wholly
+    inside (0, 1) are its roots there.  None when _cubic_brackets gives none
+    or one reaches across 0 or 1, so a root at 0 or 1 always gives None.
+    """
+    brackets = _cubic_brackets(coeffs, disc)
+    if brackets is None:
+        return None
+    roots = []
+    for (a, b, k), slo in brackets:
+        one = 1 << k
+        if a < 0 < b or a < one < b:
             return None
-        prev = hi
-        if 0 <= lo and hi <= one:
+        if 0 <= a and b <= one:
             roots.append(AlgebraicReal._from_window(var, coeffs, a, b, k, 1, slo))
     return roots
 
@@ -510,9 +546,13 @@ class AlgebraicReal:
     Either the root is an exact rational (is_rational, lo == hi == value), or
     it is the one root strictly inside the dyadic window (a / 2**k, b / 2**k),
     whose endpoints are not roots.  lo and hi give the window as Fractions.
+    A root isolated from certified brackets also keeps its bracket, another
+    dyadic (a, b, k) that isolates it, as a hint: halving decides midpoints
+    outside it with no evaluation, so the window stays what it would be.
     """
 
-    __slots__ = ("_var", "_coeffs", "_value", "_a", "_b", "_k", "_slo", "_mult", "_approx")
+    __slots__ = ("_var", "_coeffs", "_value", "_a", "_b", "_k", "_slo", "_mult", "_approx",
+                 "_hint")
 
     def __init__(self, var: str, coeffs: tuple[int, ...], lo, hi, multiplicity: int = 1):
         """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root."""
@@ -520,7 +560,7 @@ class AlgebraicReal:
         if lo > hi:
             raise ValueError("the window's lower end lies above its upper end")
         self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
-        self._value = self._approx = None
+        self._value = self._approx = self._hint = None
         if lo == hi:
             if _eval_int_at(self._coeffs, lo.numerator, lo.denominator):
                 raise ValueError(f"{lo} is no root of the defining polynomial")
@@ -529,17 +569,24 @@ class AlgebraicReal:
             self._adopt(*_dyadic_window(self._coeffs, lo, hi))
 
     @classmethod
-    def _from_window(cls, var, coeffs, a, b, k, multiplicity, slo=0) -> "AlgebraicReal":
+    def _from_window(cls, var, coeffs, a, b, k, multiplicity, slo=0,
+                     hint=None) -> "AlgebraicReal":
         out = cls.__new__(cls)
         out._var, out._coeffs, out._mult, out._slo = var, coeffs, multiplicity, slo
         out._value = out._approx = None
+        out._hint = hint
         out._adopt(a, b, k)
         return out
 
     @classmethod
     def from_rational(cls, value, var: str = "x", multiplicity: int = 1) -> "AlgebraicReal":
+        """The exact root value of (denominator x - numerator), built with no check."""
         value = Fraction(value)
-        return cls(var, (-value.numerator, value.denominator), value, value, multiplicity)
+        out = cls.__new__(cls)
+        out._var, out._coeffs, out._mult, out._slo = \
+            var, (-value.numerator, value.denominator), multiplicity, 0
+        out._value, out._approx, out._hint = value, None, None
+        return out
 
     @property
     def var(self) -> str:
@@ -569,13 +616,16 @@ class AlgebraicReal:
 
     @property
     def approx(self) -> float:
-        """The double nearest the root (cached); the window is left as it is."""
+        """The double nearest the root (cached); the window is left as it is.
+
+        It is sought in the hint when there is one, else in the window.
+        """
         if self._approx is None:
             if self._value is not None:
                 self._approx = float(self._value)
             else:
                 self._approx = _nearest_double(
-                    self._coeffs, self._lower_sign(), self._a, self._b, self._k)
+                    self._coeffs, self._lower_sign(), *(self._hint or (self._a, self._b, self._k)))
         return self._approx
 
     def __float__(self) -> float:
@@ -591,15 +641,16 @@ class AlgebraicReal:
         """One bisection step; snaps to exact if the midpoint is the root."""
         if self._value is not None:
             return self
-        window = _halve(self._coeffs, self._lower_sign(), self._a, self._b, self._k)
-        return AlgebraicReal._from_window(self._var, self._coeffs, *window, self._mult, self._slo)
+        window = _halve(self._coeffs, self._lower_sign(), self._a, self._b, self._k, self._hint)
+        return AlgebraicReal._from_window(self._var, self._coeffs, *window, self._mult, self._slo,
+                                          self._hint)
 
     def _copy(self, multiplicity: int) -> "AlgebraicReal":
-        """The same root and window with its own multiplicity and caches."""
+        """The same root, window and hint with its own multiplicity and caches."""
         if self._value is not None:
             return AlgebraicReal.from_rational(self._value, self._var, multiplicity)
         return AlgebraicReal._from_window(self._var, self._coeffs, self._a, self._b, self._k,
-                                          multiplicity, self._slo)
+                                          multiplicity, self._slo, self._hint)
 
     def _adopt(self, a: int, b: int, k: int) -> None:
         """Keep a tighter window found while answering a query.
@@ -624,10 +675,11 @@ class AlgebraicReal:
         while a != b and (b - a) * den > num << k:
             if k - self._k >= _REFINE_CAP:
                 raise RuntimeError("refinement failed to converge")
-            a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k)
+            a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k, self._hint)
         if k == self._k:
             return self
-        return AlgebraicReal._from_window(self._var, self._coeffs, a, b, k, self._mult, self._slo)
+        return AlgebraicReal._from_window(self._var, self._coeffs, a, b, k, self._mult, self._slo,
+                                          self._hint)
 
     def compare_rational(self, other) -> int:
         """Sign of (self - other) for an exact rational other.
@@ -652,7 +704,7 @@ class AlgebraicReal:
                 if k == self._k and _eval_int_at(self._coeffs, num, den) == 0:
                     self._value = Fraction(other)
                     return 0
-                a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k)
+                a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k, self._hint)
         finally:
             if self._value is None and k != self._k:
                 self._adopt(a, b, k)
@@ -673,24 +725,56 @@ def _cauchy_window(coeffs) -> tuple[int, int, int]:
     return -1 << e, 1 << e, 0
 
 
-def _isolate_square_free(coeffs: tuple[int, ...], chain, window=None):
+def _sturm_count(chain):
+    """A root counter for _isolate_square_free from a Sturm chain of f or -f.
+
+    It counts the sign variations at a / 2**k, which fall by one past each
+    root, or gives None when a / 2**k is a root: chain[0] vanishes there.
+    """
+    def count(a, k):
+        values = [_eval_dyadic(p, a, k) for p in chain]
+        return _variations(values) if values[0] else None
+    return count
+
+
+def _bracket_count(coeffs, brackets):
+    """A root counter for _isolate_square_free from _cubic_brackets(coeffs, ...).
+
+    It counts the roots above a / 2**k by comparing a / 2**k with the
+    brackets, and evaluates coeffs only inside one, where the sign against
+    the bracket's slo tells the side of its root; None at a root.
+    """
+    def count(m, j):
+        above = 0
+        for (a, b, k), slo in reversed(brackets):
+            if m << k >= b << j:
+                break
+            if m << k > a << j:
+                s = _sign(_eval_dyadic(coeffs, m, j))
+                return above + (s == slo) if s else None
+            above += 1
+        return above
+    return count
+
+
+def _isolate_square_free(coeffs: tuple[int, ...], count, window=None):
     """Isolate the real roots of a square-free integer polynomial in a window.
 
-    chain is the Sturm chain of coeffs or of -coeffs: the variation counts
-    are the same for both.  window is a dyadic (a, b, k) whose ends are no
-    roots of coeffs, by default coeffs' Cauchy window.  Returns
-    (exact_roots, windows, final_coeffs): rational roots snapped when a
-    bisection point hits one, dyadic windows (a, b, k) for the rest, and
-    the (possibly deflated) defining polynomial valid for every window.
+    count(a, k) is a root counter (_sturm_count or _bracket_count): it
+    falls by one past each root of coeffs and is None at a root.  The
+    windows it leaves are the nodes of one bisection tree, fixed by where
+    the roots are, whichever counter reads them.  window is a dyadic
+    (a, b, k) whose ends are no roots of coeffs, by default coeffs' Cauchy
+    window.  Returns (exact_roots, windows, final_coeffs): rational roots
+    snapped when a bisection point hits one, dyadic windows (a, b, k) for
+    the rest, descending, and the (possibly deflated) defining polynomial
+    valid for every window.  A snapped root deflates coeffs, and the walk
+    goes on counting by the Sturm chain of what is left.
     """
     exact_roots, windows = [], []
-
-    def var_at(a, k):
-        return _variations(_eval_dyadic(p, a, k) for p in chain)
-
     a, b, k = window or _cauchy_window(coeffs)
-    # each entry: a window with the Sturm variation counts at its two ends
-    stack = [(a, b, k, var_at(a, k), var_at(b, k))]
+    # each entry: a window with the counts at its two ends
+    stack = [(a, b, k, count(a, k), count(b, k))]
     while stack:
         a, b, k, va, vb = stack.pop()
         if va - vb == 1:
@@ -699,16 +783,16 @@ def _isolate_square_free(coeffs: tuple[int, ...], chain, window=None):
             if k >= _REFINE_CAP:
                 raise RuntimeError("root isolation failed to converge")
             m = a + b
-            if _eval_dyadic(coeffs, m, k + 1) == 0:
+            vm = count(m, k + 1)
+            if vm is None:
                 # bisection landed on a root: snap it, deflate, recount
                 root = Fraction(m, 1 << (k + 1))
                 exact_roots.append(root)
                 coeffs = tuple(_exact_div(coeffs, (-root.numerator, root.denominator)))
-                chain = _sturm_chain(coeffs)
-                stack = [(a_, b_, k_, var_at(a_, k_), var_at(b_, k_))
+                count = _sturm_count(_sturm_chain(coeffs))
+                stack = [(a_, b_, k_, count(a_, k_), count(b_, k_))
                          for a_, b_, k_, _, _ in stack + [(a, b, k, 0, 0)]]
                 continue
-            vm = var_at(m, k + 1)
             stack.append((a << 1, m, k + 1, va, vm))
             stack.append((m, b << 1, k + 1, vm, vb))
     return exact_roots, windows, coeffs
@@ -788,27 +872,42 @@ def _isolate_int(var: str, coeffs, window=None) -> list[AlgebraicReal]:
     are stripped.  A stripped root, at an end or not, is kept only when it
     lies strictly inside.
 
-    One remainder sequence serves twice: the Sturm chain of coeffs ends in
-    gcd(f, f'), Yun's first gcd, and when f is square-free and has no
-    rational root to strip, the same chain isolates its roots.  Yun factors
-    and deflated polynomials get chains of their own.
+    With no window, a cubic with disc != 0 is square-free, and when it has
+    no rational root to strip, certified brackets (_cubic_brackets) count
+    its roots and no Sturm chain is built; each window keeps its bracket as
+    a hint.  Otherwise one remainder sequence serves twice: the Sturm chain
+    of coeffs ends in gcd(f, f'), Yun's first gcd, and when f is square-free
+    and has no rational root to strip, the same chain isolates its roots.
+    Yun factors, deflated polynomials and cubics whose brackets fail get
+    chains of their own.
     """
     items: list[AlgebraicReal] = []
-    chain = _sturm_chain(coeffs)
-    square_free = len(chain[-1]) == 1
-    for factor, mult in _square_free_int(coeffs, chain[-1]):
+    disc = window is None and len(coeffs) == 4 and _cubic_discriminant(coeffs)
+    if disc:
+        chain, factors = None, [(coeffs if coeffs[-1] > 0 else tuple(-c for c in coeffs), 1)]
+    else:
+        chain = _sturm_chain(coeffs)
+        factors = _square_free_int(coeffs, chain[-1])
+    for factor, mult in factors:
         rational, rest = _strip_rational_roots(factor)
-        whole = square_free and not rational  # rest is coeffs, up to sign
+        # rest is coeffs up to sign: square-free, with no rational root stripped
+        whole = len(rest) == len(coeffs)
         if window is not None:
             a, b, k = window
             rational = [r for r in rational
                         if a * r.denominator < r.numerator << k < b * r.denominator]
         if len(rest) > 1:
-            exacts, windows, rest = _isolate_square_free(
-                rest, chain if whole else _sturm_chain(rest), window)
+            brackets = disc and whole and _cubic_brackets(rest, disc)
+            if brackets:
+                count = _bracket_count(rest, brackets)
+            else:
+                count = _sturm_count(chain if chain and whole else _sturm_chain(rest))
+            exacts, windows, rest = _isolate_square_free(rest, count, window)
             rational += exacts
-            items += [AlgebraicReal._from_window(var, rest, a, b, k, mult)
-                      for a, b, k in windows]
+            # the walk's windows are descending, the brackets ascending
+            hints = brackets if brackets and not exacts else repeat((None, 0))
+            items += [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
+                      for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
         items += [AlgebraicReal.from_rational(r, var, mult) for r in rational]
     return _make_disjoint(items)
 
@@ -870,7 +969,7 @@ def _sign_dense_at(qi, alpha: AlgebraicReal) -> int:
                 d = _int_gcd(qi, coeffs)
                 if len(d) > 1 and (_eval_dyadic(d, a, k) > 0) != (_eval_dyadic(d, b, k) > 0):
                     return 0
-            a, b, k = _halve(coeffs, slo, a, b, k)
+            a, b, k = _halve(coeffs, slo, a, b, k, alpha._hint)
             if a == b:
                 return _sign(_eval_dyadic(qi, a, k))
         raise RuntimeError("sign determination failed to converge")
@@ -907,7 +1006,7 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
             if len(live) == 1:
                 return live[0]._copy(alpha._mult)
             roots = [c._step() for c in roots]
-            a, b, k = _halve(coeffs, slo, a, b, k)
+            a, b, k = _halve(coeffs, slo, a, b, k, alpha._hint)
             if a == b:
                 alpha._adopt(a, b, k)
                 return _image(alpha, qi, scale, candidates)

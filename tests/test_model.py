@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -6,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from kopelcas import model
+from kopelcas import model, realroots
 from kopelcas.exactpoly import A, B, U, V, X, Y, resultant
 from kopelcas.model import (
     Equilibrium, ModelParams, State, Trajectory, bound_cubic, bound_stability_polys, e0_stable,
@@ -427,3 +429,78 @@ def test_closed_form_moduli_avoid_cancellation():
     assert small == pytest.approx(1e-8, rel=1e-12)
     big, small = model._eig_moduli(-1e8, 1.0)
     assert (big, small) == pytest.approx((1e8, 1e-8), rel=1e-12)
+
+
+def _report_digest(point) -> str:
+    report = equilibrium_report(ModelParams(*point))
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _spy_chains(monkeypatch) -> list:
+    """Record the polynomial of every Sturm chain that realroots builds."""
+    chains = []
+    build = realroots._sturm_chain
+    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
+    return chains
+
+
+class TestReportBrackets:
+    """Reports count roots against certified brackets, or by Sturm chains, with the same bytes.
+
+    Each digest is the report's sorted-key JSON as printed before reports
+    took brackets, when every x cubic and twin went by Sturm chains.
+    """
+
+    THREE_ROOTS = ((F(13, 4), F(7, 2), F(1, 4), F(1, 2)),
+                   "ec01fe86c1e91e6ddc4bad4a371b5ef5e9ed983002cae27f47a2fe7e3932f268")
+
+    @pytest.mark.parametrize("point, digest", [
+        # x = 1/2 is a stripped rational root
+        pytest.param((F(2), F(2), F(1, 4), F(3, 4)),
+                     "bd566b0c57b1fa565e30c0315676956c76387b380ff6d735467a6b41e4b1e40a",
+                     id="half"),
+        pytest.param((F(3), F(3), F(1), F(1)),
+                     "338b17a8df137562eabf505736ed1a140e99236d56843b0ccd2e8daeacf401e4",
+                     id="triple-point"),
+        # disc = 0 with a double root at 5/6
+        pytest.param((F(27, 8), F(4), F(1), F(1)),
+                     "b89d9792ddb0e62c33e163cf8731bfdb4660306e7dbfe3d9d8ce95f6e6b019d3",
+                     id="fold"),
+        # coefficients past the float range, and past it the other way
+        pytest.param((F(10**200), F(10**200), F(1), F(1)),
+                     "076299e301ee1556fe3cda09f95468bc7c2e6b538f2f1e1a1b658ca1524f02cf",
+                     id="1e200"),
+        pytest.param((F(1, 10**120), F(1, 10**120), F(1), F(1)),
+                     "0184f4c6d2e6814b23c138a597899d46ad90ca9a8452118d169d75e67867c4b0",
+                     id="1e-120"),
+    ])
+    def test_named_fallbacks_build_a_chain_for_the_x_cubic(self, monkeypatch, point, digest):
+        cubic = model._Point.of(ModelParams(*point)).cubic()
+        chains = _spy_chains(monkeypatch)
+        assert _report_digest(point) == digest
+        # the whole cubic's chain, or with disc != 0 its chain once 1/2 is stripped
+        stripped = realroots._strip_rational_roots(cubic)[1]
+        assert chains and chains[0] in (cubic, tuple(-c for c in cubic), stripped)
+
+    def test_three_roots_build_no_chain(self, monkeypatch):
+        point, digest = self.THREE_ROOTS
+        chains = _spy_chains(monkeypatch)
+        assert _report_digest(point) == digest
+        assert chains == []
+        eqs = equilibria(ModelParams(*point))
+        assert sum(not eq.x_root.is_rational for eq in eqs) == 3
+        assert all(eq.y_root._hint is not None for eq in eqs if not eq.x_root.is_rational)
+
+    @pytest.mark.parametrize("wrong", [
+        pytest.param(lambda seeds: [math.nan] * len(seeds), id="nan"),
+        pytest.param(lambda seeds: seeds[1:], id="one-short"),
+        pytest.param(lambda seeds: [s + 0.3 for s in seeds], id="shifted"),
+    ])
+    def test_wrong_seeds_build_chains_and_the_same_bytes(self, monkeypatch, wrong):
+        point, digest = self.THREE_ROOTS
+        seeds = realroots._cubic_seeds
+        monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: wrong(seeds(cf, three)))
+        chains = _spy_chains(monkeypatch)
+        assert _report_digest(point) == digest
+        # the x cubic and its twin, each by its own chain
+        assert len(chains) == 2

@@ -167,7 +167,8 @@ def test_isolation_with_a_mismatched_chain_stops_at_the_cap():
     # has no root: every window ending at 0 still counts two roots, so
     # bisection never separates them and must stop at the depth cap
     with pytest.raises(RuntimeError):
-        realroots._isolate_square_free((-2, 0, 1), [(1,), (0, 1), (1,)])
+        realroots._isolate_square_free(
+            (-2, 0, 1), realroots._sturm_count([(1,), (0, 1), (1,)]))
 
 
 def _planted_six():
@@ -568,6 +569,16 @@ def test_constructor_rejects_an_exact_value_that_is_no_root():
     # a true rational root is kept as it is, and from_rational still works
     assert AlgebraicReal("x", (-1, 2), F(1, 2), F(1, 2)).value == F(1, 2)
     assert AlgebraicReal.from_rational(F(-3, 7), "y", 2).value == F(-3, 7)
+
+
+def test_from_rational_builds_the_root_with_no_evaluation(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("from_rational evaluated its own root")
+
+    monkeypatch.setattr(realroots, "_eval_int_at", unreachable)
+    r = AlgebraicReal.from_rational(F(-3, 7), "y", 2)
+    assert (r.var, r._coeffs, r.multiplicity_in_source) == ("y", (3, 7), 2)
+    assert r.is_rational and r.lo == r.hi == F(-3, 7) and r.approx == -3 / 7
 
 
 def test_divisors_match_brute_force():

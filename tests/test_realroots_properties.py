@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, _int_gcd, dense_to_mpoly
 from kopelcas.realroots import (
-    AlgebraicReal, _eval_dyadic, _halve, _int_clear, _interval_horner, _isolate_int,
+    AlgebraicReal, _eval_dyadic, _halve, _image, _int_clear, _interval_horner, _isolate_int,
     _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int,
-    _strip_rational_roots, _sturm_chain, isolate_real_roots, sign_at,
+    _strip_rational_roots, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
     sturm_sign_count,
 )
 
@@ -259,7 +260,7 @@ def _isolate_factor_by_factor(coeffs):
     for factor, mult in _square_free_int(coeffs, _int_gcd(coeffs, df)):
         rational, rest = _strip_rational_roots(factor)
         if len(rest) > 1:
-            exacts, windows, rest = _isolate_square_free(rest, _sturm_chain(rest))
+            exacts, windows, rest = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
             rational += exacts
             items += [AlgebraicReal._from_window("x", rest, a, b, k, mult)
                       for a, b, k in windows]
@@ -324,3 +325,125 @@ def test_interval_horner_bounds_the_value_over_the_window(side, coeffs, m, w, k,
         t = F(a + s * (b - a), 2**k)
         value = scale * sum(c * t**i for i, c in enumerate(coeffs))
         assert low <= value <= high, (t, value)
+
+
+def _product(*factors) -> tuple:
+    """Primitive integer coefficients of a product of ascending integer polynomials."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, p in enumerate(out):
+            for j, c in enumerate(f):
+                prod[i + j] += p * c
+        out = prod
+    return _int_clear([F(c) for c in out])
+
+
+def _close_pair(s, g, t, n) -> tuple:
+    """t (2**g x - s)**2 - n with n <= t: two roots s / 2**g +- sqrt(n / t) / 2**g."""
+    return (s * s * t - n, -2 * s * t * 2**g, t * 4**g)
+
+
+# cubics as they come; cubics with a pair of roots closer than 2**-40, at
+# and off 0, times a planted rational root, which the big coefficients keep
+# from being stripped; and a planted rational root times a small quadratic,
+# which is stripped
+generic_cubics = st.lists(st.integers(-10**4, 10**4), min_size=4, max_size=4).filter(
+    lambda cs: cs[-1] != 0).map(lambda cs: _product(cs))
+close_cubics = st.builds(
+    lambda q, p, s, g, t, n: _product((-p, q), _close_pair(s, g, t, min(n, t))),
+    st.integers(1, 8), st.integers(-12, 12), st.integers(-3, 3), st.integers(41, 60),
+    st.integers(1, 50), st.integers(1, 50))
+planted_cubics = st.builds(
+    lambda r, c, n: _product((-r.numerator, r.denominator), (c, 0, 1) if n else (-c, 0, 1)),
+    rationals, st.integers(1, 40), st.booleans())
+drawn_cubics = st.one_of(generic_cubics, close_cubics, planted_cubics)
+
+
+def _sturm_route(coeffs):
+    """_isolate_int with the certified brackets refused, so Sturm chains count."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(realroots, "_cubic_brackets", lambda coeffs, disc: None)
+        return _isolate_int("x", coeffs)
+
+
+@PROPERTY
+@given(drawn_cubics)
+def test_bracket_counts_give_the_sturm_windows(coeffs):
+    got = _isolate_int("x", coeffs)
+    expected = _sturm_route(coeffs)
+    assert [_described(r) for r in got] == [_described(r) for r in expected]
+    for r in got:
+        if r._hint is not None:
+            a, b, k = r._hint
+            assert _sign(_eval_dyadic(r._coeffs, a, k)) == r._slo == -_sign(
+                _eval_dyadic(r._coeffs, b, k))
+
+
+def test_brackets_separate_close_roots_and_give_way_at_a_midpoint_root():
+    # roots +-2**-42 and 1/3, which the big coefficients keep from the strip
+    coeffs = _product((-1, 3), _close_pair(0, 42, 1, 1))
+    assert _strip_rational_roots(coeffs)[0] == []
+    roots = _isolate_int("x", coeffs)
+    assert [r._hint is not None for r in roots] == [True, True, True]
+    assert [_described(r) for r in roots] == [_described(r) for r in _sturm_route(coeffs)]
+    # the pair is 2**-41 apart
+    assert roots[0].compare_rational(F(-1, 2**41)) > 0 > roots[1].compare_rational(F(1, 2**41))
+    # (2 x - 1) times a quadratic with roots near 0.4 and 0.7 and big
+    # coefficients: the walk's midpoint 1/2 is a root, snapped unstripped
+    coeffs = _product((-1, 2), (280001, -1100003, 1000003))
+    assert _strip_rational_roots(coeffs)[0] == []
+    roots = _isolate_int("x", coeffs)
+    assert [r.is_rational for r in roots] == [False, True, False]
+    assert roots[1].value == F(1, 2)
+    assert [_described(r) for r in roots] == [_described(r) for r in _sturm_route(coeffs)]
+
+
+def _bare(r):
+    """r with no hint: every halving evaluates."""
+    if r.is_rational:
+        return r
+    return AlgebraicReal._from_window(r.var, r._coeffs, r._a, r._b, r._k, r._mult, r._slo)
+
+
+def _window(r):
+    return r._value if r.is_rational else (r._a, r._b, r._k)
+
+
+def _taylor_shift(coeffs) -> tuple:
+    """The ascending coefficients of f(y - 1)."""
+    out = [0] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for j in range(i + 1):
+            out[j] += c * math.comb(i, j) * (-1) ** (i - j)
+    return tuple(out)
+
+
+@PROPERTY
+@given(st.one_of(generic_cubics, close_cubics),
+       st.lists(st.tuples(st.sampled_from(["refine", "compare", "sign", "image"]),
+                          rationals, st.integers(1, 80)), min_size=1, max_size=6),
+       small_polys)
+def test_hints_leave_the_windows_of_evaluated_halving(coeffs, ops, q_coeffs):
+    qi = _int_clear(q_coeffs)
+    while not qi[-1]:
+        qi = qi[:-1]
+    twin = _taylor_shift(coeffs)  # its roots are the x roots plus 1
+    hinted_ys = _isolate_int("y", twin)
+    bare_ys = [_bare(y) for y in hinted_ys]
+    for hinted in _isolate_int("x", coeffs):
+        bare = _bare(hinted)
+        for op, t, n in ops:
+            if op == "refine":
+                hinted, bare = hinted.refine(F(1, 2**n)), bare.refine(F(1, 2**n))
+            elif op == "compare":
+                assert hinted.compare_rational(t) == bare.compare_rational(t)
+            elif op == "sign":
+                assert _sign_dense_at(qi, hinted) == _sign_dense_at(qi, bare)
+            else:
+                y1 = _image(hinted, (1, 1), 1, lambda alpha: hinted_ys)
+                y2 = _image(bare, (1, 1), 1, lambda alpha: bare_ys)
+                assert _window(y1) == _window(y2)
+                assert y1.is_rational or y1._hint in [y._hint for y in hinted_ys]
+            assert _window(hinted) == _window(bare)
+        assert hinted.approx == bare.approx
