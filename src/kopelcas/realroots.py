@@ -32,10 +32,9 @@ neighbours certify it, so the cached value is the correctly rounded root
 and no decision reads it.  A cubic's real roots (_cubic_brackets):
 closed-form float roots propose one narrow dyadic bracket per real root,
 and the signs at the bracket ends certify them, or give way to Sturm
-isolation.  Scan cells take the brackets inside (0, 1) as their windows
-(_unit_cubic_roots).  Whole-line isolation counts roots against them, so
-its windows are the Sturm route's, and each root keeps its bracket as a
-hint that decides halvings outside it with no evaluation.
+isolation.  Scan cells take those inside (0, 1) as their windows
+(_unit_cubic_roots); whole-line isolation counts roots against them and
+keeps each as its root's hint.
 """
 
 from __future__ import annotations
@@ -400,14 +399,13 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
     discriminant: disc > 0 means 3 simple real roots and disc < 0 means 1.
     Floats only choose where to look: _cubic_seeds and _CUBIC_NEWTON Newton
     steps seed each root, and a dyadic bracket (a / 2**k, b / 2**k) around
-    the seed reaches past its float error bound on both sides.  Both ends
-    of each bracket are evaluated exactly, and a strict sign change, slo
-    to -slo, proves a root inside.  So as many pairwise disjoint brackets
-    as real roots hold one root each and leave none outside; they come
-    ascending, and their ends are no roots.  Anything else gives None and
-    never an exception: disc zero, a float overflow, zero division or NaN,
-    a seed count other than the real-root count, a bracket with no sign
-    change, or two that meet.
+    the seed reaches past its float error bound on both sides.  A strict
+    sign change between its exactly evaluated ends, slo to -slo, proves a
+    root inside.  So as many pairwise disjoint brackets as real roots hold
+    one root each and leave none outside; they come ascending.  Anything
+    else gives None and never an exception: disc zero, a float overflow,
+    zero division or NaN, a seed count other than the real-root count, a
+    bracket with no sign change, or two that meet.
     """
     if not disc:
         return None
@@ -873,13 +871,12 @@ def _isolate_int(var: str, coeffs, window=None) -> list[AlgebraicReal]:
     lies strictly inside.
 
     With no window, a cubic with disc != 0 is square-free, and when it has
-    no rational root to strip, certified brackets (_cubic_brackets) count
-    its roots and no Sturm chain is built; each window keeps its bracket as
-    a hint.  Otherwise one remainder sequence serves twice: the Sturm chain
-    of coeffs ends in gcd(f, f'), Yun's first gcd, and when f is square-free
-    and has no rational root to strip, the same chain isolates its roots.
-    Yun factors, deflated polynomials and cubics whose brackets fail get
-    chains of their own.
+    no rational root to strip, its certified brackets count its roots, and
+    each window keeps its bracket as a hint.  Otherwise one remainder
+    sequence serves twice: the Sturm chain of coeffs ends in gcd(f, f'),
+    Yun's first gcd, and when f is square-free and has no rational root to
+    strip, the same chain isolates its roots.  Yun factors, deflated
+    polynomials and cubics whose brackets fail get chains of their own.
     """
     items: list[AlgebraicReal] = []
     disc = window is None and len(coeffs) == 4 and _cubic_discriminant(coeffs)
