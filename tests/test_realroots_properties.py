@@ -352,7 +352,7 @@ generic_cubics = st.lists(st.integers(-10**4, 10**4), min_size=4, max_size=4).fi
     lambda cs: cs[-1] != 0).map(lambda cs: _product(cs))
 close_cubics = st.builds(
     lambda q, p, s, g, t, n: _product((-p, q), _close_pair(s, g, t, min(n, t))),
-    st.integers(1, 8), st.integers(-12, 12), st.integers(-3, 3), st.integers(41, 60),
+    st.integers(1, 8), st.integers(-12, 12), st.integers(-3, 3), st.integers(42, 60),
     st.integers(1, 50), st.integers(1, 50))
 planted_cubics = st.builds(
     lambda r, c, n: _product((-r.numerator, r.denominator), (c, 0, 1) if n else (-c, 0, 1)),
@@ -389,6 +389,14 @@ def test_brackets_separate_close_roots_and_give_way_at_a_midpoint_root():
     assert [_described(r) for r in roots] == [_described(r) for r in _sturm_route(coeffs)]
     # the pair is 2**-41 apart
     assert roots[0].compare_rational(F(-1, 2**41)) > 0 > roots[1].compare_rational(F(1, 2**41))
+    # 1/2 + 2**-61 between 0.276 and 0.724: the walk's midpoint 1/2 lies
+    # inside that root's bracket, and one exact sign puts the root above it
+    coeffs = _product((-(2**60 + 1), 2**61), (2, -10, 10))
+    roots = _isolate_int("x", coeffs)
+    assert [r._hint is not None for r in roots] == [True, True, True]
+    ha, hb, hk = roots[1]._hint
+    assert ha << 1 < 1 << hk < hb << 1
+    assert [_described(r) for r in roots] == [_described(r) for r in _sturm_route(coeffs)]
     # (2 x - 1) times a quadratic with roots near 0.4 and 0.7 and big
     # coefficients: the walk's midpoint 1/2 is a root, snapped unstripped
     coeffs = _product((-1, 2), (280001, -1100003, 1000003))
