@@ -23,12 +23,13 @@ integers; those of one equilibria() call share it, and equilibrium_report
 and jury_report read that one binding.  A _Point finishes a _Row, u, a and
 b bound once, with its own v: scan cells share their row's, alone it stages
 its own.  A scan cell's positive fixed points come from float brackets that
-exact sign evaluations certify, and from Sturm isolation only where those
-fail.  equilibria() and the reports isolate the whole cubic and its twin
-by bisection, counting roots against such brackets where they hold and by
-Sturm sequences where not: the windows are nodes of one bisection tree,
-fixed by the roots alone, so the x_interval they print is the same either
-way.
+exact sign evaluations certify.  Every other isolation takes one route,
+realroots._isolate_int, over the whole line: a scan cell's cubic where
+the brackets fail, and in equilibria() and the reports the whole cubic
+and its twin.  It bisects from the root bound, counting roots against such
+brackets where they hold and by Sturm sequences where not: the windows are
+nodes of one bisection tree, fixed by the roots alone, so the x_interval a
+report prints is the same either way.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -46,8 +47,7 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_rational
 from .realroots import (
-    AlgebraicReal, _cauchy_window, _cubic_brackets, _cubic_discriminant, _image, _isolate_int,
-    _sign_dense_at, _strip_rational_roots, _unit_cubic_roots,
+    AlgebraicReal, _cubic_discriminant, _image, _isolate_int, _sign_dense_at, _unit_cubic_roots,
 )
 from .record import FrozenRecord, Record
 
@@ -320,9 +320,8 @@ class _Point:
     a = b = 1.  Bound from the tables on first use: locus, y = v x (1 - x)
     over its denominator; and y_candidates, the y roots that
     realroots._image picks a fixed point's y coordinate from, taken from the
-    cubic's twin bound with u and v swapped and isolated, except that a twin
-    with one real root and no rational one is its own Cauchy window.
-    A point lives as long as the fixed points that hold it.
+    cubic's twin bound with u and v swapped and isolated.  A point lives as
+    long as the fixed points that hold it.
     """
 
     def __init__(self, v: Fraction, row: _Row, vp):
@@ -362,18 +361,18 @@ class _Point:
         """The x roots of the positive fixed points, ascending, as AlgebraicReals.
 
         y = v x (1 - x) with v > 0, so a fixed point is positive exactly
-        when 0 < x < 1: the cubic's roots in that window are isolated and
-        no others.  They come first from float brackets certified exactly
-        (realroots._unit_cubic_roots), each a window of the whole cubic.
-        The Sturm route runs only when those fail: at u v = 1 or on disc = 0,
-        past the float range, or when floats cannot separate the roots.  It
-        isolates in (0, 1), whose ends are no roots left after the rational
-        strip: the cubic is 1 - u v at 0, where a root is always stripped,
-        and 1 at 1 (identity cubic-at-one).
+        when 0 < x < 1.  The cubic's roots there come from float brackets
+        certified exactly (realroots._unit_cubic_roots), each a window of the
+        whole cubic.  When those fail (at u v = 1 or on disc = 0, past the
+        float range, or when floats cannot separate the roots), the cubic is
+        isolated over the whole line and its roots in (0, 1) are kept.
         """
         cubic = self.cubic()
         roots = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
-        return _isolate_int("x", cubic, (0, 1, 0)) if roots is None else roots
+        if roots is None:
+            roots = [r for r in _isolate_int("x", cubic)
+                     if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
+        return roots
 
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""
@@ -419,26 +418,14 @@ class _Point:
     def y_candidates(self, root: AlgebraicReal) -> list:
         """The isolated roots of y_factor over a windowed x root's factor.
 
-        Isolated on first use; the roots of one factor share them.  A whole
-        cubic with a negative discriminant has one real root, and so has its
-        twin: a fixed point's y is real exactly when its x = u y (1 - y) is.
-        When the twin also has no rational root to snap, its isolation is
-        that root's Cauchy window, built here with no Sturm chain, and its
-        certified bracket, when floats give one, is the hint, as
-        _isolate_int would give them.
+        Isolated on first use; the roots of one factor share them.  A twin
+        with one real root and no rational one to snap isolates to its
+        root bound's window, counted against its certified bracket with no
+        bisection and no Sturm chain.
         """
         g = root._coeffs
         if g != self._y_for:
-            twin = self.y_factor(g)
-            lone = len(g) == 4 and _cubic_discriminant(g) < 0
-            if lone and not _strip_rational_roots(twin)[0]:
-                # _cubic_brackets reads the sign of the discriminant alone: one real root
-                (hint, slo), = _cubic_brackets(twin, -1) or [(None, 0)]
-                roots = [AlgebraicReal._from_window("y", twin, *_cauchy_window(twin), 1, slo,
-                                                    hint)]
-            else:
-                roots = _isolate_int("y", twin)
-            self._y_for, self._y_roots = g, roots
+            self._y_for, self._y_roots = g, _isolate_int("y", self.y_factor(g))
         return self._y_roots
 
     def signs(self, root: AlgebraicReal):

@@ -33,8 +33,8 @@ and no decision reads it.  A cubic's real roots (_cubic_brackets):
 closed-form float roots propose one narrow dyadic bracket per real root,
 and the signs at the bracket ends certify them, or give way to Sturm
 isolation.  Scan cells take those inside (0, 1) as their windows
-(_unit_cubic_roots); whole-line isolation counts roots against them and
-keeps each as its root's hint.
+(_unit_cubic_roots); isolation (_isolate_int) counts roots against them
+and keeps each as its root's hint.
 """
 
 from __future__ import annotations
@@ -755,22 +755,21 @@ def _bracket_count(coeffs, brackets):
     return count
 
 
-def _isolate_square_free(coeffs: tuple[int, ...], count, window=None):
-    """Isolate the real roots of a square-free integer polynomial in a window.
+def _isolate_square_free(coeffs: tuple[int, ...], count):
+    """Isolate the real roots of a square-free integer polynomial.
 
     count(a, k) is a root counter (_sturm_count or _bracket_count): it
     falls by one past each root of coeffs and is None at a root.  The
-    windows it leaves are the nodes of one bisection tree, fixed by where
-    the roots are, whichever counter reads them.  window is a dyadic
-    (a, b, k) whose ends are no roots of coeffs, by default coeffs' Cauchy
-    window.  Returns (exact_roots, windows, final_coeffs): rational roots
-    snapped when a bisection point hits one, dyadic windows (a, b, k) for
-    the rest, descending, and the (possibly deflated) defining polynomial
-    valid for every window.  A snapped root deflates coeffs, and the walk
-    goes on counting by the Sturm chain of what is left.
+    windows it leaves are the nodes of one bisection tree, rooted at
+    coeffs' Cauchy window and fixed by where the roots are, whichever
+    counter reads them.  Returns (exact_roots, windows, final_coeffs):
+    rational roots snapped when a bisection point hits one, dyadic windows
+    (a, b, k) for the rest, descending, and the (possibly deflated)
+    defining polynomial valid for every window.  A snapped root deflates
+    coeffs, and the walk goes on counting by the Sturm chain of what is left.
     """
     exact_roots, windows = [], []
-    a, b, k = window or _cauchy_window(coeffs)
+    a, b, k = _cauchy_window(coeffs)
     # each entry: a window with the counts at its two ends
     stack = [(a, b, k, count(a, k), count(b, k))]
     while stack:
@@ -860,26 +859,21 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
     return _isolate_int(var, _int_clear(dense))
 
 
-def _isolate_int(var: str, coeffs, window=None) -> list[AlgebraicReal]:
+def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     """isolate_real_roots on primitive integer coefficients, degree >= 1.
 
-    window, a dyadic (a, b, k), keeps only the roots strictly inside
-    (a / 2**k, b / 2**k); by default each square-free factor is searched in
-    its own Cauchy window, which holds all its roots.  The window's ends
-    must be no roots of what is left of a factor once its rational roots
-    are stripped.  A stripped root, at an end or not, is kept only when it
-    lies strictly inside.
-
-    With no window, a cubic with disc != 0 is square-free, and when it has
-    no rational root to strip, its certified brackets count its roots, and
-    each window keeps its bracket as a hint.  Otherwise one remainder
-    sequence serves twice: the Sturm chain of coeffs ends in gcd(f, f'),
-    Yun's first gcd, and when f is square-free and has no rational root to
-    strip, the same chain isolates its roots.  Yun factors, deflated
-    polynomials and cubics whose brackets fail get chains of their own.
+    Each square-free factor is searched in its own Cauchy window, which
+    holds all its roots.  A cubic with disc != 0 is square-free, and when
+    it has no rational root to strip, its certified brackets count its
+    roots, and each window keeps its bracket as a hint.  Otherwise one
+    remainder sequence serves twice: the Sturm chain of coeffs ends in
+    gcd(f, f'), Yun's first gcd, and when f is square-free and has no
+    rational root to strip, the same chain isolates its roots.  Yun
+    factors, deflated polynomials and cubics whose brackets fail get chains
+    of their own.
     """
     items: list[AlgebraicReal] = []
-    disc = window is None and len(coeffs) == 4 and _cubic_discriminant(coeffs)
+    disc = len(coeffs) == 4 and _cubic_discriminant(coeffs)
     if disc:
         chain, factors = None, [(coeffs if coeffs[-1] > 0 else tuple(-c for c in coeffs), 1)]
     else:
@@ -889,24 +883,20 @@ def _isolate_int(var: str, coeffs, window=None) -> list[AlgebraicReal]:
         rational, rest = _strip_rational_roots(factor)
         # rest is coeffs up to sign: square-free, with no rational root stripped
         whole = len(rest) == len(coeffs)
-        if window is not None:
-            a, b, k = window
-            rational = [r for r in rational
-                        if a * r.denominator < r.numerator << k < b * r.denominator]
         if len(rest) > 1:
             brackets = disc and whole and _cubic_brackets(rest, disc)
             if brackets:
                 count = _bracket_count(rest, brackets)
             else:
                 count = _sturm_count(chain if chain and whole else _sturm_chain(rest))
-            exacts, windows, rest = _isolate_square_free(rest, count, window)
+            exacts, windows, rest = _isolate_square_free(rest, count)
             rational += exacts
             # the walk's windows are descending, the brackets ascending
             hints = brackets if brackets and not exacts else repeat((None, 0))
             items += [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
                       for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
         items += [AlgebraicReal.from_rational(r, var, mult) for r in rational]
-    return _make_disjoint(items)
+    return _make_disjoint(items) if len(items) > 1 else items
 
 
 def sturm_sign_count(p: MPoly, lo, hi) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kopelcas import model
+from kopelcas import model, realroots
 from kopelcas.exactpoly import Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
 from kopelcas.model import ModelParams, _Point, equilibrium_report
 from kopelcas.realroots import _isolate_int
@@ -146,6 +146,14 @@ def _lone_real_root(g, roots) -> bool:
     return len(g) == 4 and sum(r._coeffs == g for r in roots) == 1
 
 
+def _spy_chains(monkeypatch) -> list:
+    """Record the polynomial of every Sturm chain that realroots builds."""
+    chains = []
+    build = realroots._sturm_chain
+    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
+    return chains
+
+
 def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
     calls = []
 
@@ -153,28 +161,32 @@ def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
         calls.append((var, coeffs))
         return _isolate_int(var, coeffs)
 
-    most = skipped = snapped = 0
+    most = chainless = snapped = 0
     for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]]:
         where, roots = _window_roots(point)
         factors = {r._coeffs for r in roots}
-        # a whole cubic with one real root takes no y isolation, unless its
-        # twin has a rational root to snap
+        # a whole cubic with one real root has a twin with one real root too
         lone = {g for g in factors if _lone_real_root(g, roots)}
         rational = {g for g in lone
                     if any(y.is_rational for y in _isolate_int("y", where.y_factor(g)))}
         monkeypatch.setattr(model, "_isolate_int", counted)
+        chains = _spy_chains(monkeypatch)
         calls.clear()
         equilibrium_report(ModelParams(*point))
         monkeypatch.undo()
+        # one y isolation per windowed x factor, lone twins included
         assert sorted(c for var, c in calls if var == "y") == sorted(
-            where.y_factor(g) for g in factors - lone | rational)
-        skipped += len(lone - rational)
+            where.y_factor(g) for g in factors)
+        for g in lone - rational:
+            twin = where.y_factor(g)
+            chainless += twin not in chains and tuple(-c for c in twin) not in chains
         snapped += len(rational)
         if len(factors) == 1:
             most = max(most, len(roots))
     # some cubic leaves three windows, all sharing one isolation
     assert most == 3
-    assert skipped >= 40 and snapped == 1
+    # a lone twin with no rational root is counted against its bracket alone
+    assert chainless >= 40 and snapped == 1
 
 
 def _lattice(seed, count):
@@ -187,9 +199,18 @@ def _lattice(seed, count):
     return pts
 
 
-def test_lone_twin_root_is_the_one_its_isolation_gives():
+def test_lone_twin_isolates_to_its_root_bound_window(monkeypatch):
     # every whole cubic with one real root, seeded, named or on the lattice:
-    # the model's candidate is exactly what isolating the twin gives
+    # its twin, when no rational root snaps, isolates to the Cauchy window
+    # itself, hinted by its one certified bracket, with no bisection and no chain
+    counts, chains = [], _spy_chains(monkeypatch)
+    bracket_count = realroots._bracket_count
+
+    def counted(coeffs, brackets):
+        count = bracket_count(coeffs, brackets)
+        return lambda a, k: counts.append((a, k)) or count(a, k)
+
+    monkeypatch.setattr(realroots, "_bracket_count", counted)
     checked = 0
     for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]] + _lattice(16, 200):
         where, roots = _window_roots(point)
@@ -197,20 +218,19 @@ def test_lone_twin_root_is_the_one_its_isolation_gives():
             g = root._coeffs
             if len(g) == 4:
                 assert (model._cubic_discriminant(g) < 0) == _lone_real_root(g, roots)
-            if not _lone_real_root(g, roots):
+            twin = where.y_factor(g)
+            if not _lone_real_root(g, roots) or realroots._strip_rational_roots(twin)[0]:
                 continue
-            twin = where.y_factor(root._coeffs)
-            (got,), (expected,) = where.y_candidates(root), _isolate_int("y", twin)
-            assert got._coeffs == expected._coeffs
-            assert got.is_rational == expected.is_rational
-            if got.is_rational:
-                assert got.value == expected.value
-            else:
-                assert got._coeffs == twin
-                assert (got._a, got._b, got._k) == (expected._a, expected._b, expected._k)
-                assert got._slo == expected._slo
-            assert got.multiplicity_in_source == expected.multiplicity_in_source == 1
-            assert got.approx == expected.approx
+            (hint, slo), = realroots._cubic_brackets(twin, -1)
+            counts.clear()
+            chains.clear()
+            (got,) = where.y_candidates(root)
+            assert got._coeffs == twin and not got.is_rational
+            assert (got._a, got._b, got._k) == realroots._cauchy_window(twin)
+            assert got._hint == hint and got._slo == slo
+            assert got.multiplicity_in_source == 1
+            # the counter read the window's two ends and no midpoint
+            assert len(counts) == 2 and chains == []
             checked += 1
     assert checked >= 150
 

@@ -3,10 +3,11 @@
 Hypothesis runs derandomized, so every run draws the same examples.  The
 symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
 point locus, serves as the oracle for the binder; the report route's
-Equilibrium.is_positive serves as the oracle for the scan's positive roots;
-Sturm isolation serves as the oracle for the discriminant's sign and for
-the scan's certified float brackets; the locus y = v x (1 - x) on doubles
-serves as the oracle for y.
+Equilibrium.is_positive serves as the oracle for the scan's positive roots,
+and with jury_report's verdicts for the roots the scan falls back to;
+whole-line isolation serves as the oracle for the discriminant's sign, and
+that fallback for the scan's certified float brackets; the locus
+y = v x (1 - x) on doubles serves as the oracle for y.
 """
 
 from fractions import Fraction as F
@@ -161,6 +162,13 @@ def test_discriminant_sign_counts_the_simple_real_roots(coeffs):
         assert max(mults) > 1
 
 
+def _fallback_roots(point) -> list:
+    """point.positive_roots() as a scan cell takes them when its brackets fail."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_unit_cubic_roots", lambda var, coeffs, disc: None)
+        return point.positive_roots()
+
+
 @PROPERTY
 @given(intensities, intensities)
 def test_certified_brackets_match_the_sturm_route(u, v):
@@ -168,7 +176,7 @@ def test_certified_brackets_match_the_sturm_route(u, v):
     cubic = point.cubic()
     certified = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
     assume(certified is not None)
-    sturm = _isolate_int("x", cubic, (0, 1, 0))
+    sturm = _fallback_roots(point)
     assert [(r.approx, r.multiplicity_in_source) for r in certified] == \
         [(r.approx, r.multiplicity_in_source) for r in sturm]
     assert [tuple(point.signs(r)) for r in certified] == [tuple(point.signs(r)) for r in sturm]
@@ -181,8 +189,22 @@ def test_certified_brackets_match_the_sturm_route(u, v):
         assert sturm_sign_count(poly, r.lo, r.hi) == 1
 
 
+@PROPERTY
+@given(intensities, intensities, st.tuples(speeds, speeds).filter(lambda ab: ab[0] != ab[1]))
+def test_fallback_roots_are_the_positive_equilibria(u, v, ab):
+    # the whole-line route a scan cell falls back to, against the report's
+    # positive fixed points and their Jury verdicts
+    params = ModelParams(u, v, *ab)
+    point = _Point.of(params)
+    scan = [(r.approx, r.multiplicity_in_source, point.is_stable(r))
+            for r in _fallback_roots(point)]
+    report = [(e.x_approx, e.multiplicity, jury_report(e, params).verdict == "stable")
+              for e in equilibria(params) if e.is_positive]
+    assert scan == report
+
+
 def _counting_fallback(monkeypatch) -> list:
-    """Record each call of the Sturm route that _Point makes."""
+    """Record each call of the whole-line route that _Point makes."""
     calls = []
     isolate = model._isolate_int
     monkeypatch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kopelcas import realroots
+from kopelcas import model, realroots
 from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
 from kopelcas.model import _cubic_discriminant
 from kopelcas.realroots import (
@@ -175,16 +175,6 @@ def _planted_six():
     # x (2x - 1)(x - 2)(x + 1)(2x^2 - 1): rational roots at 0 and 1/2, and
     # outside (0, 1) at -1 and 2; irrational ones at -1/sqrt 2 and 1/sqrt 2
     return _int_clear(_dense_coeffs(X * (2 * X - 1) * (X - 2) * (X + 1) * (2 * X**2 - 1), "x"))
-
-
-def test_isolation_in_a_window_keeps_the_roots_strictly_inside():
-    # 0 is a stripped root at the window's end and 2 a stripped root past
-    # it: neither is kept; 1 is no root of what the strip leaves
-    half, root_half = _isolate_int("x", _planted_six(), (0, 1, 0))
-    assert half.is_rational and half.value == F(1, 2)
-    assert not root_half.is_rational and 0 <= root_half.lo < root_half.hi <= 1
-    assert sign_at(2 * X**2 - 1, root_half) == 0
-    assert root_half.approx == 2**-0.5
 
 
 def test_isolation_with_no_window_keeps_every_root():
@@ -628,12 +618,15 @@ def test_a_root_whose_denominator_sieve_primes_divide_is_snapped(monkeypatch, pr
 
 
 @pytest.mark.parametrize("root, inside", [(1 - F(1, 10**20), 1), (F(1), 0)])
-def test_unit_cubic_roots_refuse_a_bracket_across_one(root, inside):
+def test_unit_cubic_roots_refuse_a_bracket_across_one(monkeypatch, root, inside):
     # (x - root)(x^2 - 9): the float error bound near x = 1 dwarfs 10**-20,
-    # so the bracket around the seed crosses 1 and the Sturm route decides
+    # so the bracket around the seed crosses 1 and whole-line isolation decides
     coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
     assert _unit_cubic_roots("x", coeffs, _cubic_discriminant(coeffs)) is None
-    assert len(_isolate_int("x", coeffs, (0, 1, 0))) == inside
+    # the scan's fallback, on this cubic in place of a parameter point's
+    monkeypatch.setattr(model._Point, "cubic", lambda self: coeffs)
+    monkeypatch.setattr(model, "_unit_cubic_roots", lambda var, coeffs, disc: None)
+    assert len(model._Point.of(model.ModelParams(1, 1)).positive_roots()) == inside
 
 
 @pytest.mark.parametrize("coeffs, disc, seeds", [
