@@ -24,12 +24,17 @@ and jury_report read that one binding.  A _Point finishes a _Row, u, a and
 b bound once, with its own v: scan cells share their row's, alone it stages
 its own.  A scan cell's positive fixed points come from float brackets that
 exact sign evaluations certify.  Every other isolation takes one route,
-realroots._isolate_int, over the whole line: a scan cell's cubic where
-the brackets fail, and in equilibria() and the reports the whole cubic
-and its twin.  It bisects from the root bound, counting roots against such
-brackets where they hold and by Sturm sequences where not: the windows are
-nodes of one bisection tree, fixed by the roots alone, so the x_interval a
-report prints is the same either way.
+realroots._isolate_int, over the whole line: a scan cell's cubic where the
+brackets fail, and in equilibria() and the reports the whole cubic and its
+twin.  It bisects from the root bound, counting roots against such brackets
+where they hold and by Sturm sequences where not: the windows are nodes of
+one bisection tree, fixed by the roots alone, so the x_interval a report
+prints is the same either way.  On the locus the three Jury conditions are
+affine in the first, the fold, whose sign at a root of the cubic in (0, 1)
+is the cubic's slope there; so a scan decides a bracketed root's stability
+with at most one exact sign query (_Point.is_stable), and never stages the
+fold or flip condition.  The reports ask all three conditions in a fixed
+order.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -47,7 +52,8 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_rational
 from .realroots import (
-    AlgebraicReal, _cubic_discriminant, _image, _isolate_int, _sign_dense_at, _unit_cubic_roots,
+    AlgebraicReal, _cubic_discriminant, _derivative, _image, _isolate_int, _sign_dense_at,
+    _unit_cubic_roots,
 )
 from .record import FrozenRecord, Record
 
@@ -287,9 +293,12 @@ class _Row:
     tables are the power tables of (u, v, a, b) with v's left open (None),
     and scale is their common denominator without v's.  Staged from them
     (exactpoly.stage): cubic, the equilibrium cubic, which every point
-    reads, and on first use conditions, the stability conditions on the
-    locus, the second being the first at a = b = 1.  A scan row holds one
-    for its cells, each of which finishes it with its own v's table.
+    reads; on first use modulus, the third stability condition on the
+    locus, the only one a scan's stability rule asks (_Point.is_stable);
+    and on first use conditions, all three, the second being the first at
+    a = b = 1 and the third modulus.  A scan row holds one for its cells,
+    each of which finishes it with its own v's table, so a scan row stages
+    no fold or flip condition.
     """
 
     def __init__(self, up, ap, bp):
@@ -298,13 +307,17 @@ class _Row:
         self.cubic = stage(_CUBIC_TERMS, self.tables)
 
     @cached_property
+    def modulus(self):
+        return stage(_CD_TERMS[2], self.tables)
+
+    @cached_property
     def conditions(self) -> tuple:
-        cd1, cd2, cd3 = _CD_TERMS
+        cd1, cd2, _ = _CD_TERMS
         t = self.tables
         s1 = stage(cd1, t)
         # the first two differ by twice the trace 2 - a - b, zero only at a = b = 1
         s2 = s1 if t[2] == t[3] == _FULL_SPEED else stage(cd2, t)
-        return s1, s2, stage(cd3, t)
+        return s1, s2, self.modulus
 
 
 class _Point:
@@ -315,10 +328,13 @@ class _Point:
     no ModelParams; ModelParams or ScanSpec checked its parameters.  tables
     are the power tables of (u, v, a, b), and every value bound from them is
     the exact one times scale, their common denominator.  Finished from the
-    row with v's table on first use: the cubic and conditions, the primitive
-    parts of bound_stability_polys, the second being the first at
-    a = b = 1.  Bound from the tables on first use: locus, y = v x (1 - x)
-    over its denominator; and y_candidates, the y roots that
+    row with v's table on first use: cubic, the equilibrium cubic's
+    primitive integer x-coefficients (see bound_cubic), whose lead is
+    positive; modulus, the third stability condition; and conditions, the
+    primitive parts of bound_stability_polys, the second being the first at
+    a = b = 1 and the third modulus.  A scan cell finishes the cubic and at
+    most modulus.  Bound from the tables on first use: locus,
+    y = v x (1 - x) over its denominator; and y_candidates, the y roots that
     realroots._image picks a fixed point's y coordinate from, taken from the
     cubic's twin bound with u and v swapped and isolated.  A point lives as
     long as the fixed points that hold it.
@@ -338,13 +354,22 @@ class _Point:
         up, vp, ap, bp = power_tables(params.u, params.v, params.a, params.b)
         return cls(params.v, _Row(up, ap, bp), vp)
 
+    def _finish(self, staged) -> tuple:
+        return _primitive(_dense_trim(finish(staged, self.tables[1])))
+
+    @cached_property
+    def cubic(self) -> tuple:
+        return self._finish(self.row.cubic)
+
+    @cached_property
+    def modulus(self) -> tuple:
+        return self._finish(self.row.modulus)
+
     @cached_property
     def conditions(self) -> tuple:
-        s1, s2, s3 = self.row.conditions
-        vp = self.tables[1]
-        d1 = _primitive(_dense_trim(finish(s1, vp)))
-        d2 = d1 if s2 is s1 else _primitive(_dense_trim(finish(s2, vp)))
-        return d1, d2, _primitive(_dense_trim(finish(s3, vp)))
+        s1, s2, _ = self.row.conditions
+        d1 = self._finish(s1)
+        return d1, d1 if s2 is s1 else self._finish(s2), self.modulus
 
     @cached_property
     def locus(self) -> tuple:
@@ -352,10 +377,6 @@ class _Point:
         coeffs = bind(_LOCUS_TERMS, self.tables)
         common = math.gcd(self.scale, *coeffs)
         return tuple(c // common for c in coeffs), self.scale // common
-
-    def cubic(self) -> tuple:
-        """Primitive integer x-coefficients of the equilibrium cubic (see bound_cubic)."""
-        return _primitive(finish(self.row.cubic, self.tables[1]))
 
     def positive_roots(self) -> list:
         """The x roots of the positive fixed points, ascending, as AlgebraicReals.
@@ -367,7 +388,7 @@ class _Point:
         float range, or when floats cannot separate the roots), the cubic is
         isolated over the whole line and its roots in (0, 1) are kept.
         """
-        cubic = self.cubic()
+        cubic = self.cubic
         roots = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
         if roots is None:
             roots = [r for r in _isolate_int("x", cubic)
@@ -377,7 +398,7 @@ class _Point:
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""
         # the cubic's lead u v**2 is never zero, so its degree is always 3
-        roots = _isolate_int("x", self.cubic())
+        roots = _isolate_int("x", self.cubic)
         origin_mult = 1
         kept = []
         for r in roots:
@@ -411,7 +432,7 @@ class _Point:
         if len(g) == 4:
             return twin
         # r is the cubic's root sum -c2 / c3 less g's, -g1 / g2
-        c = self.cubic()
+        c = self.cubic
         y = _locus(Fraction(g[1], g[2]) - Fraction(c[2], c[3]), self.v)
         return tuple(_exact_div(twin, (-y.numerator, y.denominator)))
 
@@ -441,8 +462,30 @@ class _Point:
         yield _sign_dense_at(d3, root)
 
     def is_stable(self, root: AlgebraicReal) -> bool:
-        """The Jury rule at an x root, asking no sign past the first that fails it."""
-        return _is_stable(self.signs(root))
+        """The Jury rule at an x root in (0, 1), asking at most one sign past the fold.
+
+        On the locus the three conditions are affine in one quantity: the
+        first is a b (C + x C') for the equilibrium cubic C, the second is
+        the first plus 2 (2 - a - b), and the third is a + b less the first.
+        At a root of C in (0, 1) the first has the sign of C' there.  That
+        is -root._lower_sign() with no evaluation when the root is a window
+        of the cubic itself, a simple root; otherwise, for a rational root
+        or a root of a deflated or Yun factor, one sign query of C' gives
+        it, 0 at a double root.  With a, b <= 1 the second is positive
+        whenever the first is, so it is never asked, and the third is asked
+        only after a positive first.  The report path (signs) asks all three.
+        """
+        return _is_stable(self._stability_signs(root))
+
+    def _stability_signs(self, root: AlgebraicReal):
+        """The fold's sign, +1 for the flip, then the modulus's sign, asked lazily."""
+        cubic = self.cubic
+        if root._value is None and root._coeffs == cubic:
+            yield -root._lower_sign()
+        else:
+            yield _sign_dense_at(_derivative(cubic), root)
+        yield 1
+        yield _sign_dense_at(self.modulus, root)
 
 
 def _is_stable(signs) -> bool:

@@ -94,7 +94,7 @@ class TestFrozenForms:
             assert bind(terms, tables) == expected
         # the integer cubic equilibria() isolates is a positive multiple of the exact one
         cubic = _dense_x(equilibrium_cubic().evaluate({"u": u, "v": v}))
-        bound = _Point.of(ModelParams(u, v, a, b)).cubic()
+        bound = _Point.of(ModelParams(u, v, a, b)).cubic
         ratio = F(bound[-1]) / cubic[-1]
         assert ratio > 0
         assert [F(c) for c in bound] == [ratio * c for c in cubic]

@@ -16,6 +16,7 @@ from kopelcas.model import (
     stability_conditions, step, y_relation,
 )
 from kopelcas.realroots import isolate_real_roots, sign_at
+from kopelcas.scanner import ScanSpec, scan
 from test_report_digests import POINTS
 
 
@@ -475,7 +476,7 @@ class TestReportBrackets:
                      id="1e-120"),
     ])
     def test_named_fallbacks_build_a_chain_for_the_x_cubic(self, monkeypatch, point, digest):
-        cubic = model._Point.of(ModelParams(*point)).cubic()
+        cubic = model._Point.of(ModelParams(*point)).cubic
         chains = _spy_chains(monkeypatch)
         assert _report_digest(point) == digest
         # the whole cubic's chain, or with disc != 0 its chain once 1/2 is stripped
@@ -504,3 +505,41 @@ class TestReportBrackets:
         assert _report_digest(point) == digest
         # the x cubic and its twin, each by its own chain
         assert len(chains) == 2
+
+
+class TestScanStabilityRule:
+    """The Jury conditions on the locus are affine in the fold, so a scan asks one.
+
+    On y = v x (1 - x) the fold condition is a b (C + x C') for the
+    equilibrium cubic C, the flip condition is the fold plus 2 (2 - a - b),
+    and the modulus condition is a + b less the fold.  At a root of C in
+    (0, 1) the fold has the sign of C' there, which a certified bracket
+    already holds, and with a, b <= 1 a positive fold makes the flip
+    positive.  So _Point.is_stable asks at most the modulus.
+    """
+
+    FIG2 = (F(5, 2), F(5))
+
+    def test_fold_is_the_cubic_and_its_slope(self):
+        cubic = model._CUBIC
+        assert model._CD_ON_LOCUS[0] == A * B * (cubic + X * cubic.derivative("x"))
+
+    def test_flip_is_the_fold_plus_twice_two_less_the_speeds(self):
+        cd1, cd2, _ = model._CD_ON_LOCUS
+        assert cd2 - cd1 == 2 * (2 - A - B)
+
+    def test_modulus_is_the_speeds_less_the_fold(self):
+        cd1, _, cd3 = model._CD_ON_LOCUS
+        assert cd1 + cd3 == A + B
+
+    def test_a_scan_asks_at_most_one_sign_per_positive_root(self, monkeypatch):
+        asked = []
+        real = model._sign_dense_at
+        monkeypatch.setattr(model, "_sign_dense_at",
+                            lambda qi, root: asked.append(root) or real(qi, root))
+        grid = scan("homogeneous", ScanSpec(self.FIG2, self.FIG2, 10, a_value=F(1, 2)))
+        assert not grid.disagreements()
+        positive = sum(cell.numeric_positive for cell in grid.cells)
+        # asked holds every root it saw, so no two of them share an id
+        assert 0 < len(asked) <= positive
+        assert len({id(root) for root in asked}) == len(asked)

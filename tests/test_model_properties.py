@@ -24,7 +24,7 @@ from kopelcas.model import (
     jury_report, stability_conditions,
 )
 from kopelcas.realroots import (
-    _eval_int_at, _isolate_int, _unit_cubic_roots, sign_at, sturm_sign_count,
+    _eval_int_at, _isolate_int, _sign_dense_at, _unit_cubic_roots, sign_at, sturm_sign_count,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -173,7 +173,7 @@ def _fallback_roots(point) -> list:
 @given(intensities, intensities)
 def test_certified_brackets_match_the_sturm_route(u, v):
     point = _Point.of(ModelParams(u, v))
-    cubic = point.cubic()
+    cubic = point.cubic
     certified = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
     assume(certified is not None)
     sturm = _fallback_roots(point)
@@ -201,6 +201,37 @@ def test_fallback_roots_are_the_positive_equilibria(u, v, ab):
     report = [(e.x_approx, e.multiplicity, jury_report(e, params).verdict == "stable")
               for e in equilibria(params) if e.is_positive]
     assert scan == report
+
+
+def _bracket_roots(point) -> list:
+    """The roots of point's cubic in (0, 1) from its certified brackets, or None."""
+    cubic = point.cubic
+    return _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
+
+
+@PROPERTY
+@given(intensities, intensities, speed_pairs)
+def test_scan_stability_is_the_jury_verdict(u, v, ab):
+    # the scan's rule asks at most the modulus; the report asks all three
+    params = ModelParams(u, v, *ab)
+    point = _Point.of(params)
+    assume(_bracket_roots(point) is not None)
+    scan = [point.is_stable(r) for r in point.positive_roots()]
+    report = [jury_report(e, params).verdict == "stable" for e in equilibria(params)
+              if e.is_positive]
+    assert scan == report
+
+
+@PROPERTY
+@given(intensities, intensities, speed_pairs)
+def test_a_bracket_holds_the_fold_sign(u, v, ab):
+    # the fold is a b x C' at a root of the cubic C, and a bracket's lower
+    # sign is C's left of a simple root, the opposite of the sign of C' there
+    point = _Point.of(ModelParams(u, v, *ab))
+    roots = _bracket_roots(point)
+    assume(roots)
+    for r in roots:
+        assert -r._lower_sign() == _sign_dense_at(point.conditions[0], r)
 
 
 def _counting_fallback(monkeypatch) -> list:

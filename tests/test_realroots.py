@@ -624,7 +624,7 @@ def test_unit_cubic_roots_refuse_a_bracket_across_one(monkeypatch, root, inside)
     coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
     assert _unit_cubic_roots("x", coeffs, _cubic_discriminant(coeffs)) is None
     # the scan's fallback, on this cubic in place of a parameter point's
-    monkeypatch.setattr(model._Point, "cubic", lambda self: coeffs)
+    monkeypatch.setattr(model._Point, "cubic", property(lambda self: coeffs))
     monkeypatch.setattr(model, "_unit_cubic_roots", lambda var, coeffs, disc: None)
     assert len(model._Point.of(model.ModelParams(1, 1)).positive_roots()) == inside
 

@@ -17,6 +17,7 @@ from kopelcas.certificates import (
 from kopelcas.exactpoly import power_table
 from kopelcas.model import (
     Equilibrium, ModelParams, _CD_TERMS, _CUBIC_TERMS, _Point, _Row, equilibria,
+    equilibrium_report,
 )
 from kopelcas.scanner import (
     BOUNDARY_EPSILON, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
@@ -244,8 +245,8 @@ class TestKinds:
 class TestStagedBinding:
     FIG2 = (F(5, 2), F(5))
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_each_row_stages_each_polynomial_once(self, kind, monkeypatch):
+    @staticmethod
+    def _count_staging(monkeypatch) -> Counter:
         staged = Counter()
         real = exactpoly.stage
 
@@ -255,16 +256,29 @@ class TestStagedBinding:
 
         monkeypatch.setattr(scanner, "stage", counting)
         monkeypatch.setattr(model, "stage", counting)
+        return staged
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_row_stages_each_polynomial_once(self, kind, monkeypatch):
+        staged = self._count_staging(monkeypatch)
         n = 5
         a = F(1, 2) if kind == "homogeneous" else None
-        # u v > 1 throughout, so every cell has a positive fixed point and
-        # every row reads the cubic and the stability conditions
+        # u v > 1 throughout, so every cell has a positive fixed point whose
+        # fold condition is positive (the cubic climbs from 1 - u v < 0 at 0
+        # to 1 at 1), and every row reads the cubic and the modulus condition
         scan(kind, ScanSpec(self.FIG2, self.FIG2, n, a_value=a))
+        # the scan's stability rule never asks the fold or flip condition
+        polys = (*_KIND_TERMS[kind], _CUBIC_TERMS, _CD_TERMS[2])
+        assert staged == {id(terms): n for terms in polys}
+
+    @pytest.mark.parametrize("speed", [F(1), F(1, 2)])
+    def test_a_report_point_stages_every_condition_once(self, speed, monkeypatch):
+        staged = self._count_staging(monkeypatch)
+        equilibrium_report(ModelParams(4, 4, speed, speed))
         cd1, cd2, cd3 = _CD_TERMS
         # at a = b = 1 the second condition is the first, staged once
-        conditions = (cd1, cd3) if a is None else (cd1, cd2, cd3)
-        polys = (*_KIND_TERMS[kind], _CUBIC_TERMS, *conditions)
-        assert staged == {id(terms): n for terms in polys}
+        conditions = (cd1, cd3) if speed == 1 else (cd1, cd2, cd3)
+        assert staged == {id(terms): 1 for terms in (_CUBIC_TERMS, *conditions)}
 
     def test_full_speed_binds_the_second_condition_as_the_first(self):
         full = _Point.of(ModelParams(4, 4))
@@ -278,7 +292,7 @@ class TestStagedBinding:
         cell = _Point(F(3), row, power_table(F(3)))
         assert cell.conditions[1] is cell.conditions[0]
         assert cell.conditions == _Point.of(ModelParams(4, 3)).conditions
-        assert cell.cubic() == _Point.of(ModelParams(4, 3)).cubic()
+        assert cell.cubic == _Point.of(ModelParams(4, 3)).cubic
 
     def test_a_point_has_one_constructor_and_no_params(self):
         # row, v and v's table are all required; a point alone goes through _Point.of
