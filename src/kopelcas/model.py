@@ -421,12 +421,8 @@ class _Point:
         swapped: Res_x(cubic, y - v x (1 - x)) = v**3 cubic(u <-> v, x -> y).
         A whole cubic g maps to the twin.  A quadratic g, the cubic deflated
         by one rational root r, maps to the twin with the image of r divided
-        out.  A linear g, a rational root left as a window past the snap
-        budget, maps to the linear factor of its rational image.
+        out.  Every rational root snaps, so no window's g is linear.
         """
-        if len(g) == 2:
-            y = _locus(Fraction(-g[0], g[1]), self.v)
-            return (-y.numerator, y.denominator)
         up, vp, ap, bp = self.tables
         twin = _primitive(bind(_CUBIC_TERMS, (vp, up, ap, bp)))
         if len(g) == 4:
@@ -440,9 +436,9 @@ class _Point:
         """The isolated roots of y_factor over a windowed x root's factor.
 
         Isolated on first use; the roots of one factor share them.  A twin
-        with one real root and no rational one to snap isolates to its
-        root bound's window, counted against its certified bracket with no
-        bisection and no Sturm chain.
+        with one real root, irrational as the windowed x root is, isolates
+        to its root bound's window, counted against its certified bracket
+        with no bisection and no Sturm chain.
         """
         g = root._coeffs
         if g != self._y_for:

@@ -4,19 +4,21 @@ A real algebraic number is stored as a square-free defining polynomial with
 primitive integer coefficients plus an isolating window with dyadic endpoints
 (a / 2**k, b / 2**k), kept as the integers a, b, k.  The endpoints are never
 roots, so the root lies strictly inside; a rational root is stored exactly, as
-a Fraction, instead.  Isolation first snaps rational roots by testing the
-candidates s/q, s | f(0) and q | lead(f), within a budget; a polynomial with
-no root modulo a small prime has none, and skips the test.  It then starts
-from a power-of-two root bound, counts roots and bisects, so every endpoint
-stays dyadic; a bisection point that hits a root is snapped to an exact
-rational root on the spot, which is also what keeps every endpoint off the
-roots.  The windows are the largest nodes of that bisection tree that hold
-one root each, fixed by where the roots are, so any exact root count gives
-the same ones.  Roots are counted by Sturm sequences, or, for a cubic with
-no rational root, against certified brackets around all its real roots.  A
-polynomial's Sturm chain is also its remainder sequence with f': its last
-element is gcd(f, f'), so a constant there proves f square-free, and Yun's
-square-free decomposition runs only when it is not.
+a Fraction, instead.  Isolation starts from a power-of-two root bound,
+counts roots and bisects, so every endpoint stays dyadic; a bisection point
+that hits a root is snapped to an exact rational root on the spot, which is
+also what keeps every endpoint off the roots.  The windows are the largest
+nodes of that bisection tree that hold one root each, fixed by where the
+roots are, so any exact root count gives the same ones.  Roots are counted
+by Sturm sequences, or, for a cubic, against certified brackets around all
+its real roots.  A polynomial's Sturm chain is also its remainder sequence
+with f': its last element is gcd(f, f'), so a constant there proves f
+square-free, and Yun's square-free decomposition runs only when it is not.
+Every rational root is then snapped: a rational root of a
+primitive polynomial is a multiple of 1 / |lead| (the rational root
+theorem), so a window halved to that width holds at most one candidate, and
+one exact evaluation decides it.  A polynomial with rational roots is
+divided by them, and the rest is isolated afresh.
 
 A sign query at a root bisects the root's window until an interval bound of
 the queried polynomial settles.  Only a query still unsettled after
@@ -32,9 +34,9 @@ neighbours certify it, so the cached value is the correctly rounded root
 and no decision reads it.  A cubic's real roots (_cubic_brackets):
 closed-form float roots propose one narrow dyadic bracket per real root,
 and the signs at the bracket ends certify them, or give way to Sturm
-isolation.  Scan cells take those inside (0, 1) as their windows
-(_unit_cubic_roots); isolation (_isolate_int) counts roots against them
-and keeps each as its root's hint.
+isolation.  Scan cells take those inside (0, 1) as their windows, rational
+roots left unsnapped (_unit_cubic_roots); isolation (_isolate_int) counts
+roots against them and keeps each as its root's hint.
 """
 
 from __future__ import annotations
@@ -42,24 +44,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import repeat, zip_longest
-from math import acos, copysign, cos, frexp, gcd, inf, nextafter, pi, sqrt
+from math import acos, copysign, cos, frexp, inf, nextafter, pi, sqrt
 
 from .exactpoly import (
     MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
     _pseudo_rem, dense_to_mpoly,
 )
-
-# Rational-root snapping is attempted only when divisor enumeration is cheap:
-# both end coefficients at most _SNAP_VALUE_LIMIT and at most
-# _SNAP_PAIR_LIMIT candidate fractions.  Beyond that, isolation falls back to
-# pure bisection, which is still exact (the root just stays an interval).
-_SNAP_VALUE_LIMIT = 10**6
-_SNAP_PAIR_LIMIT = 256
-
-# Before it enumerates divisors, the snap looks for a prime here that does
-# not divide the leading coefficient and modulo which the polynomial has no
-# root: then it has no rational root at all.
-_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 
@@ -458,86 +448,6 @@ def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None
     return roots
 
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1, ascending, built from its prime factors."""
-    divs = [1]
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            powers = [1]
-            while n % p == 0:
-                n //= p
-                powers.append(powers[-1] * p)
-            divs = [d * t for d in divs for t in powers]
-        p += 1 if p == 2 else 2
-    if n > 1:
-        divs += [d * n for d in divs]
-    return sorted(divs)
-
-
-def _rootless_mod_small_prime(coeffs) -> bool:
-    """True when f has no root modulo some prime of _SIEVE_PRIMES not dividing lead(f).
-
-    Then f has no rational root: a root s/q in lowest terms has q | lead(f),
-    so q is invertible modulo such a prime p, and s q**-1 is a root mod p.
-    A linear f has a root modulo every such prime, so none is tried.
-    """
-    if len(coeffs) <= 2:
-        return False
-    lead = coeffs[-1]
-    for p in _SIEVE_PRIMES:
-        if lead % p == 0:
-            continue
-        highest_first = [c % p for c in reversed(coeffs)]
-        if not highest_first[-1]:  # 0 is a root mod p
-            continue
-        for r in range(1, p):
-            acc = 0
-            for c in highest_first:
-                acc = acc * r + c
-            if not acc % p:
-                break
-        else:
-            return True
-    return False
-
-
-def _strip_rational_roots(coeffs: tuple[int, ...]) -> tuple[list[Fraction], tuple[int, ...]]:
-    """Snap rational roots of a square-free integer polynomial, within budget.
-
-    A polynomial with no root modulo a small prime has no rational root and
-    is returned as it is.  Otherwise, a root s/q in lowest terms has s | f(0)
-    and q | lead(f), and f = (q x - s) g with g integral, so (q - s) | f(1)
-    and (q + s) | f(-1): those two filters rule out most candidates before
-    any evaluation.
-    """
-    roots = [Fraction(0)] if coeffs[0] == 0 else []  # square-free: 0 is a simple root
-    work = tuple(coeffs[len(roots):])
-    if len(work) <= 1:
-        return roots, work
-    a0, an = abs(work[0]), abs(work[-1])
-    if a0 > _SNAP_VALUE_LIMIT or an > _SNAP_VALUE_LIMIT or _rootless_mod_small_prime(work):
-        return roots, work
-    num_divs, den_divs = _divisors(a0), _divisors(an)
-    if 2 * len(num_divs) * len(den_divs) > _SNAP_PAIR_LIMIT:
-        return roots, work
-    at_one, at_minus_one = sum(work), _eval_int_at(work, -1, 1)
-    for q in den_divs:
-        for p in num_divs:
-            if gcd(p, q) != 1:
-                continue
-            for s in (p, -p):
-                if (s != q and at_one % (q - s)) or (s != -q and at_minus_one % (q + s)):
-                    continue
-                if _eval_int_at(work, s, q) == 0:
-                    roots.append(Fraction(s, q))
-                    work = tuple(_exact_div(work, (-s, q)))
-                    if len(work) <= 1:
-                        return roots, work
-                    at_one, at_minus_one = sum(work), _eval_int_at(work, -1, 1)
-    return roots, work
-
-
 class AlgebraicReal:
     """A real root of a square-free integer polynomial, isolated exactly.
 
@@ -795,6 +705,29 @@ def _isolate_square_free(coeffs: tuple[int, ...], count):
     return exact_roots, windows, coeffs
 
 
+def _rational_value(r: AlgebraicReal) -> Fraction | None:
+    """The value of the windowed root r when it is rational, else None.
+
+    r's defining polynomial is primitive, so by the rational root theorem a
+    rational root is a multiple of 1 / |lead|.  A copy of r's hint, or of
+    its window when it has none, is halved until it is at most that wide,
+    about log2(|lead| * width) steps, with no cap.  Then the one multiple
+    strictly inside it, if there is one, is the only candidate, and one
+    exact evaluation decides it.  r itself is left as it is.
+    """
+    coeffs, slo = r._coeffs, r._lower_sign()
+    a, b, k = r._hint or (r._a, r._b, r._k)
+    lead = abs(coeffs[-1])
+    while (b - a) * lead > 1 << k:
+        a, b, k = _halve(coeffs, slo, a, b, k)
+        if a == b:
+            return Fraction(a, 1 << k)
+    n = (a * lead >> k) + 1  # n / lead is the least multiple above a / 2**k
+    if n << k < b * lead and not _eval_int_at(coeffs, n, lead):
+        return Fraction(n, lead)
+    return None
+
+
 def _ends(r: AlgebraicReal) -> tuple[int, int, int]:
     """(lo numerator, hi numerator, common denominator) of r's window."""
     if r._value is not None:
@@ -848,8 +781,7 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
     """All real roots of a univariate polynomial, sorted ascending.
 
     Roots carry their multiplicity; isolating intervals are pairwise disjoint.
-    A rational root snaps to exact form when both end coefficients are at most
-    10**6 and there are at most 256 candidate pairs; past that it stays a window.
+    Every rational root is exact, and every window holds an irrational root.
     """
     var, dense = _univar(p)
     if var is None:
@@ -862,15 +794,18 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
 def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     """isolate_real_roots on primitive integer coefficients, degree >= 1.
 
-    Each square-free factor is searched in its own Cauchy window, which
-    holds all its roots.  A cubic with disc != 0 is square-free, and when
-    it has no rational root to strip, its certified brackets count its
-    roots, and each window keeps its bracket as a hint.  Otherwise one
-    remainder sequence serves twice: the Sturm chain of coeffs ends in
-    gcd(f, f'), Yun's first gcd, and when f is square-free and has no
-    rational root to strip, the same chain isolates its roots.  Yun
-    factors, deflated polynomials and cubics whose brackets fail get chains
-    of their own.
+    A linear square-free factor is its root.  Any other is searched in its
+    own Cauchy window, which holds all its roots.  A cubic with disc != 0 is
+    square-free, and its certified brackets count its roots, each window
+    keeping its bracket as a hint.  Otherwise one remainder sequence serves
+    twice: the Sturm chain of coeffs ends in gcd(f, f'), Yun's first gcd,
+    and when f is square-free the same chain isolates its roots.  Yun
+    factors and cubics whose brackets fail get chains of their own.  Each
+    window is then tested for a rational root (_rational_value).  A factor
+    with a rational root, snapped by bisection or by the test, is divided by
+    all of them, and the cofactor, whose roots are all irrational, is
+    isolated again from scratch by its own Sturm chain: its windows do not
+    depend on how the rational roots were found.
     """
     items: list[AlgebraicReal] = []
     disc = len(coeffs) == 4 and _cubic_discriminant(coeffs)
@@ -880,22 +815,33 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
         chain = _sturm_chain(coeffs)
         factors = _square_free_int(coeffs, chain[-1])
     for factor, mult in factors:
-        rational, rest = _strip_rational_roots(factor)
-        # rest is coeffs up to sign: square-free, with no rational root stripped
-        whole = len(rest) == len(coeffs)
-        if len(rest) > 1:
-            brackets = disc and whole and _cubic_brackets(rest, disc)
-            if brackets:
-                count = _bracket_count(rest, brackets)
-            else:
-                count = _sturm_count(chain if chain and whole else _sturm_chain(rest))
-            exacts, windows, rest = _isolate_square_free(rest, count)
-            rational += exacts
-            # the walk's windows are descending, the brackets ascending
-            hints = brackets if brackets and not exacts else repeat((None, 0))
-            items += [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
-                      for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
-        items += [AlgebraicReal.from_rational(r, var, mult) for r in rational]
+        if len(factor) == 2:
+            items.append(AlgebraicReal.from_rational(Fraction(-factor[0], factor[1]), var, mult))
+            continue
+        brackets = disc and _cubic_brackets(factor, disc)
+        if brackets:
+            count = _bracket_count(factor, brackets)
+        else:
+            # a factor as long as coeffs is coeffs up to sign
+            whole = chain and len(factor) == len(coeffs)
+            count = _sturm_count(chain if whole else _sturm_chain(factor))
+        rational, windows, rest = _isolate_square_free(factor, count)
+        # the walk's windows are descending, the brackets ascending
+        hints = brackets if brackets and not rational else repeat((None, 0))
+        roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
+                 for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
+        snapped = [q for q in map(_rational_value, roots) if q is not None]
+        if rational or snapped:
+            for q in snapped:
+                rest = tuple(_exact_div(rest, (-q.numerator, q.denominator)))
+            rational += snapped
+            roots = []
+            if len(rest) > 1:
+                _, windows, _ = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
+                roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult)
+                         for a, b, k in windows]
+        items += roots
+        items += [AlgebraicReal.from_rational(q, var, mult) for q in rational]
     return _make_disjoint(items) if len(items) > 1 else items
 
 

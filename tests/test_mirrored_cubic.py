@@ -9,7 +9,10 @@ root's factor g, the oracle here: up to a constant, the characteristic
 polynomial of multiplication by the map modulo g.  The candidates the model
 isolates from it must be the roots _isolate_int gives, up to order.  Then
 the selection, x_interval and y_approx keep their bytes: the digests below
-were recorded before the model took its y polynomial from the twin.
+were recorded before the model took its y polynomial from the twin.  Those
+of window-1/3, fold-window, rational-pair-windows, RATIONAL_TWIN and the
+seeded batch were re-recorded when every rational root began to snap: only
+the x_interval of the newly exact roots and of their cofactors' roots moved.
 """
 
 import hashlib
@@ -49,7 +52,7 @@ def _with_roots(r1, r2, r3):
 
 
 SEEDED = _seeded()
-SEEDED_DIGEST = "44c005a2f49fe0ad82824290919b87a0c8d8f8ff9cba1993a2dba6d77836b152"
+SEEDED_DIGEST = "e50b120a1aba505e1efe337b4fbc2984fa3e6b74af334165304660eb9693eb12"
 
 # name: (u, v, a, b), sha256 of the report's sorted-key JSON
 NAMED = {
@@ -61,7 +64,7 @@ NAMED = {
     # x = 3/4 is rational and deflates the cubic to an irrational pair
     "deflated-4-4": ((F(4), F(4), F(1, 2), F(3, 4)),
         "7b3050de5d5456415328747d693c6ec94b645d92fd69845fa2e95db0656b4655"),
-    # one real root, a window of the whole cubic within the snap budget
+    # one real root, a window of the whole cubic
     "deflated-16/5-3/2": ((F(16, 5), F(3, 2), F(3, 5), F(2, 5)),
         "2fb5f09d2401a76ebd5455cf13257768b43257b3d066b638f75cedefe0bc0a75"),
     # u v = 1: a cubic root merges with the origin
@@ -72,18 +75,20 @@ NAMED = {
     # the triple point
     "triple-3-3": ((F(3), F(3), F(1, 2), F(1)),
         "094021c7475291bcb5547c5ee1247d733f0998711f123f815ce389f8fcf80ced"),
-    # x = 1/3 is rational, but the snap budget leaves it a window of the whole cubic
+    # x = 1/3, the one real root, with end coefficients past 10**6: the
+    # test in its bracket snaps it
     "window-1/3": ((F(4218750000, 1250787419), F(99991, 25000), F(1, 2), F(3, 4)),
-        "6ddca7ea2c24a8aad2c8841ff006702118e439906144ab4d1b47d8cc9fc370b2"),
-    # a double root past the snap budget: its Yun factor is linear and stays a window
+        "7a77c98c627ad46382deb8388f35275e21516d7a098598b047c4be811014253b"),
+    # a double root with end coefficients past 10**6: both Yun factors are
+    # linear, so each is its root
     "fold-window": ((*_with_roots(F(500001, 10**6), F(500001, 10**6), F(999998, 10**6)),
                      F(1, 2), F(1, 3)),
-        "e16ec3fd821d8fb9eea4d3c1b465b0b5cdf583bfa344b9aa61d93fa4a14fe97b"),
-    # three rational roots past the snap budget: bisection snaps 5/8 and leaves
-    # the other two as windows of a quadratic with a square discriminant
+        "0d8bf8281b0930d58cd462255b38250ecce3f88327b64ff3fd5f6e06fe0a821c"),
+    # three rational roots with end coefficients past 10**6: bisection snaps
+    # 5/8, and the test snaps the other two in the quadratic's windows
     "rational-pair-windows": ((*_with_roots(F(5, 8), F(11, 16) + F(889, 22222),
                                             F(11, 16) - F(889, 22222)), F(1, 2), F(1, 3)),
-        "6fcc0ee291b82559141941f9c8c7f8be3f53bae0a8303ef7ff0ae94fdd38a13e"),
+        "2b4975787eb3a8b5ee4c4eaa9078d0802ae8eab8aafb1b6487c3d9aea4751663"),
 }
 
 
@@ -117,15 +122,13 @@ def test_y_factor_is_the_characteristic_polynomial(point):
         assert _described(where.y_candidates(root)) == _described(_isolate_int("y", oracle))
 
 
-# the factor lengths of each named point's windowed x roots: whole cubics
-# within and past the snap budget, deflated quadratics with and without
-# rational roots, and linear windows; every other named point is all rational
+# the factor lengths of each named point's windowed x roots: a whole cubic
+# and a quadratic deflated by a rational root.  Every rational root snaps, so
+# no window is linear or holds a rational root, and every other named point
+# is all rational.
 WINDOW_FACTORS = {
     "deflated-4-4": [3, 3],
     "deflated-16/5-3/2": [4],
-    "window-1/3": [4],
-    "fold-window": [2, 2],
-    "rational-pair-windows": [3, 3],
 }
 
 
@@ -135,10 +138,10 @@ def test_named_points_reach_every_factor_shape():
         assert [len(r._coeffs) for r in roots] == WINDOW_FACTORS.get(name, [])
 
 
-# x = 1/6 is a root of a whole cubic with one real root: past the pair budget
-# of the snap, it stays a window, while its twin snaps y = 7/9
+# x = 1/6 is the one real root of a whole cubic whose end coefficients have
+# 384 signed divisor pairs: it snaps, and y = 7/9 is its rational image
 RATIONAL_TWIN = ((F(27, 28), F(28, 5), F(1, 2), F(1, 3)),
-                 "44d3bb20686dda36ac72f8382f47283de4d31f9a67aedb500799e029b03ab10e")
+                 "1aaaf3e4cc5b38d79333b84268ebb5f23aa464bdf363366f3027f5ad804f68af")
 
 
 def _lone_real_root(g, roots) -> bool:
@@ -185,8 +188,10 @@ def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
             most = max(most, len(roots))
     # some cubic leaves three windows, all sharing one isolation
     assert most == 3
-    # a lone twin with no rational root is counted against its bracket alone
-    assert chainless >= 40 and snapped == 1
+    # a lone twin is counted against its bracket alone.  None has a rational
+    # root: x = u y (1 - y) and y = v x (1 - x) at a fixed point, so x and y
+    # are rational together, and every rational x root snaps.
+    assert chainless >= 40 and snapped == 0
 
 
 def _lattice(seed, count):
@@ -201,8 +206,9 @@ def _lattice(seed, count):
 
 def test_lone_twin_isolates_to_its_root_bound_window(monkeypatch):
     # every whole cubic with one real root, seeded, named or on the lattice:
-    # its twin, when no rational root snaps, isolates to the Cauchy window
-    # itself, hinted by its one certified bracket, with no bisection and no chain
+    # its twin, whose one real root is irrational, isolates to the Cauchy
+    # window itself, hinted by its one certified bracket, with no bisection
+    # and no chain
     counts, chains = [], _spy_chains(monkeypatch)
     bracket_count = realroots._bracket_count
 
@@ -219,7 +225,7 @@ def test_lone_twin_isolates_to_its_root_bound_window(monkeypatch):
             if len(g) == 4:
                 assert (model._cubic_discriminant(g) < 0) == _lone_real_root(g, roots)
             twin = where.y_factor(g)
-            if not _lone_real_root(g, roots) or realroots._strip_rational_roots(twin)[0]:
+            if not _lone_real_root(g, roots):
                 continue
             (hint, slo), = realroots._cubic_brackets(twin, -1)
             counts.clear()
@@ -235,14 +241,31 @@ def test_lone_twin_isolates_to_its_root_bound_window(monkeypatch):
     assert checked >= 150
 
 
+# the 6000 points of kbench's point pool (kbench/common.py pool_points)
+POOL_SEED, POOL_SIZE = 20230129, 6000
+
+
+def test_no_window_has_a_linear_defining_polynomial():
+    # every rational root snaps, so a window's defining polynomial has no
+    # rational root and is never linear: y_factor takes no linear factor.
+    # tests/test_realroots_properties.py checks the same on planted roots.
+    for point in _lattice(POOL_SEED, POOL_SIZE):
+        where = _Point.of(ModelParams(*point))
+        for var, coeffs in (("x", where.cubic), ("y", where.y_factor(where.cubic))):
+            assert all(len(r._coeffs) > 2 for r in _isolate_int(var, coeffs) if not r.is_rational)
+
+
 def test_rational_twin_root_stays_snapped():
     point, digest = RATIONAL_TWIN
     _, roots = _window_roots(point)
-    assert [len(r._coeffs) for r in roots] == [4]
-    fixed = [eq for eq in model.equilibria(ModelParams(*point)) if not eq.x_root.is_rational]
-    # y first: an x root snapped to 1/6 would give y as its rational image
+    assert roots == []
+    fixed = [eq for eq in model.equilibria(ModelParams(*point)) if eq.x_root.compare_rational(0)]
+    # x snaps to 1/6, and y is its rational image
+    assert fixed[0].x_root.is_rational and fixed[0].x_root.value == F(1, 6)
     assert fixed[0].y_root.is_rational and fixed[0].y_root.value == F(7, 9)
-    assert fixed[0].x_root.compare_rational(F(1, 6)) == 0
+    report = equilibrium_report(ModelParams(*point))
+    assert [p["x_interval"] for p in report["equilibria"]] == [["0", "0"], ["1/6", "1/6"]]
+    assert report["equilibria"][1]["y_approx"] == 7 / 9
     assert hashlib.sha256(_report_bytes(point)).hexdigest() == digest
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kopelcas import model, realroots
-from kopelcas.exactpoly import A, B, U, V, X, Y, resultant
+from kopelcas.exactpoly import A, B, U, V, X, Y, _exact_div, resultant
 from kopelcas.model import (
     Equilibrium, ModelParams, State, Trajectory, bound_cubic, bound_stability_polys, e0_stable,
     equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
@@ -449,14 +449,17 @@ class TestReportBrackets:
     """Reports count roots against certified brackets, or by Sturm chains, with the same bytes.
 
     Each digest is the report's sorted-key JSON as printed before reports
-    took brackets, when every x cubic and twin went by Sturm chains.
+    took brackets, when every x cubic and twin went by Sturm chains.  Those
+    at 1e200 and 1e-120 were re-recorded when every rational root began to
+    snap: there the root 1 - 1/u is exact, and only it and its cofactor's
+    windows moved.
     """
 
     THREE_ROOTS = ((F(13, 4), F(7, 2), F(1, 4), F(1, 2)),
                    "ec01fe86c1e91e6ddc4bad4a371b5ef5e9ed983002cae27f47a2fe7e3932f268")
 
     @pytest.mark.parametrize("point, digest", [
-        # x = 1/2 is a stripped rational root
+        # x = 1/2 is a rational root, snapped in its bracket
         pytest.param((F(2), F(2), F(1, 4), F(3, 4)),
                      "bd566b0c57b1fa565e30c0315676956c76387b380ff6d735467a6b41e4b1e40a",
                      id="half"),
@@ -467,21 +470,24 @@ class TestReportBrackets:
         pytest.param((F(27, 8), F(4), F(1), F(1)),
                      "b89d9792ddb0e62c33e163cf8731bfdb4660306e7dbfe3d9d8ce95f6e6b019d3",
                      id="fold"),
-        # coefficients past the float range, and past it the other way
+        # coefficients past the float range, and past it the other way; the
+        # rational root 1 - 1/u at u = v snaps
         pytest.param((F(10**200), F(10**200), F(1), F(1)),
-                     "076299e301ee1556fe3cda09f95468bc7c2e6b538f2f1e1a1b658ca1524f02cf",
+                     "be9eee4f6bdb5a842c5be8d67611e7d69c088251d6fa471f414a272a829b98b2",
                      id="1e200"),
         pytest.param((F(1, 10**120), F(1, 10**120), F(1), F(1)),
-                     "0184f4c6d2e6814b23c138a597899d46ad90ca9a8452118d169d75e67867c4b0",
+                     "b2b56d947aea696b5906b243c5c6ef378171ff40284f6fef42e4221a8bff9d90",
                      id="1e-120"),
     ])
     def test_named_fallbacks_build_a_chain_for_the_x_cubic(self, monkeypatch, point, digest):
         cubic = model._Point.of(ModelParams(*point)).cubic
         chains = _spy_chains(monkeypatch)
         assert _report_digest(point) == digest
-        # the whole cubic's chain, or with disc != 0 its chain once 1/2 is stripped
-        stripped = realroots._strip_rational_roots(cubic)[1]
-        assert chains and chains[0] in (cubic, tuple(-c for c in cubic), stripped)
+        # the whole cubic's chain, or with disc != 0 the chain of its cofactor
+        # once the bracket test snaps a rational root
+        cofactors = [tuple(_exact_div(cubic, (-r.value.numerator, r.value.denominator)))
+                     for r in realroots._isolate_int("x", cubic) if r.is_rational]
+        assert chains and chains[0] in (cubic, tuple(-c for c in cubic), *cofactors)
 
     def test_three_roots_build_no_chain(self, monkeypatch):
         point, digest = self.THREE_ROOTS

@@ -8,8 +8,7 @@ from kopelcas import model, realroots
 from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
 from kopelcas.model import _cubic_discriminant
 from kopelcas.realroots import (
-    _SIEVE_PRIMES, _ZERO_TEST_ROUND, AlgebraicReal, _divisors, _image, _isolate_int,
-    _rootless_mod_small_prime, _sign_dense_at, _strip_rational_roots, _unit_cubic_roots,
+    _ZERO_TEST_ROUND, AlgebraicReal, _image, _isolate_int, _sign_dense_at, _unit_cubic_roots,
     isolate_real_roots, sign_at, square_free_decompose, sturm_sign_count,
 )
 from kopelcas.rational import format_rational
@@ -113,6 +112,17 @@ def test_isolate_multiplicity_mix():
     assert [(r.value, r.multiplicity_in_source) for r in roots] == [(-2, 1), (1, 2)]
 
 
+def test_a_linear_factor_is_its_root_with_no_isolation(monkeypatch):
+    # Yun's factors of (x - 1)**2 (x + 2) are linear: the one Sturm chain
+    # built is the whole polynomial's, which gives Yun's first gcd
+    chains = []
+    build = realroots._sturm_chain
+    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
+    roots = isolate_real_roots((X - 1) ** 2 * (X + 2))
+    assert [(r.value, r.multiplicity_in_source) for r in roots] == [(-2, 1), (1, 2)]
+    assert chains == [(2, -3, 0, 1)]
+
+
 def test_isolate_no_real_roots():
     assert isolate_real_roots(X**2 + 1) == []
     assert isolate_real_roots(MPoly.constant(3)) == []
@@ -138,28 +148,44 @@ def test_isolate_sorted_disjoint_random():
 
 
 def test_isolate_beyond_snap_budget_still_certifies():
-    # huge end coefficients switch snapping off; isolation stays exact
+    # end coefficients past 10**6 still snap the rational root exactly
     r = F(1000003, 2000003)
     p = (2000003 * X - 1000003) * (X**2 + 1)
     roots = isolate_real_roots(p)
     assert len(roots) == 1
-    assert roots[0].compare_rational(r) == 0
-    assert abs(roots[0].approx - float(r)) < 1e-12
+    assert roots[0].is_rational and roots[0].value == r
+    assert roots[0].approx == float(r)
 
 
-def test_small_coefficients_past_the_pair_budget_keep_a_rational_root_as_a_window():
+def test_small_coefficients_with_many_divisor_pairs_snap_a_rational_root(monkeypatch):
     # the equilibrium cubic at (u, v) = (27/28, 28/5): x = 1/6 is its one real
-    # root, but 110 and 756 have 8 and 24 divisors, 384 signed candidate
-    # pairs, over _SNAP_PAIR_LIMIT, so the root is left in its Cauchy window
+    # root, and 110 and 756 have 8 and 24 divisors, 384 signed candidate
+    # pairs.  Its bracket holds one multiple of 1/756, and one exact
+    # evaluation there snaps the root; the cofactor has no real root.
     coeffs = (-110, 891, -1512, 756)
-    assert 2 * len(_divisors(110)) * len(_divisors(756)) > realroots._SNAP_PAIR_LIMIT
-    assert max(map(abs, coeffs)) <= realroots._SNAP_VALUE_LIMIT
+    evaluations = []
+    evaluate = realroots._eval_int_at
+
+    def counted(c, num, den):
+        evaluations.append(F(num, den))
+        return evaluate(c, num, den)
+
+    monkeypatch.setattr(realroots, "_eval_int_at", counted)
     roots = isolate_real_roots(dense_to_mpoly(coeffs, "x"))
-    assert len(roots) == 1 and not roots[0].is_rational
-    assert (roots[0].lo, roots[0].hi) == (-8, 8)
-    # a comparison with the root itself snaps it
-    assert roots[0].compare_rational(F(1, 6)) == 0
-    assert roots[0].is_rational and roots[0].value == F(1, 6)
+    assert len(roots) == 1 and roots[0].is_rational and roots[0].value == F(1, 6)
+    assert evaluations == [F(1, 6)]
+
+
+def test_a_rational_root_with_a_huge_denominator_snaps_past_the_refine_cap():
+    # (10**1500 x - 3)(x**2 - 2): 3 / 10**1500 sits in a window about 1 wide,
+    # and the rational test halves it some 5000 times, past _REFINE_CAP
+    p = (10**1500 * X - 3) * (X**2 - 2)
+    roots = isolate_real_roots(p)
+    assert [r.is_rational for r in roots] == [False, True, False]
+    assert roots[1].value == F(3, 10**1500)
+    for r in (roots[0], roots[2]):
+        assert r._coeffs == (-2, 0, 1)
+        assert sign_at(X**2 - 2, r) == 0
 
 
 def test_isolation_with_a_mismatched_chain_stops_at_the_cap():
@@ -336,10 +362,10 @@ def test_compare_rational_takes_an_int_as_its_fraction():
 
 
 def test_root_snapped_through_an_int_keeps_a_fraction():
-    # past the snap budget 1 stays a window of the whole cubic, and the
-    # comparison with it snaps the root exactly
-    p = (X - 1) * (X**2 - 20000000)
-    by_int, by_fraction = (isolate_real_roots(p)[1] for _ in range(2))
+    # 1 in a window of the whole cubic: the comparison with it snaps the
+    # root exactly
+    coeffs = _int_clear(_dense_coeffs((X - 1) * (X**2 - 20000000), "x"))
+    by_int, by_fraction = (AlgebraicReal("x", coeffs, 0, 4096) for _ in range(2))
     assert not by_int.is_rational
     assert by_int.compare_rational(1) == 0 and by_fraction.compare_rational(F(1)) == 0
     assert type(by_int.value) is F and by_int.value == by_fraction.value == 1
@@ -569,52 +595,6 @@ def test_from_rational_builds_the_root_with_no_evaluation(monkeypatch):
     r = AlgebraicReal.from_rational(F(-3, 7), "y", 2)
     assert (r.var, r._coeffs, r.multiplicity_in_source) == ("y", (3, 7), 2)
     assert r.is_rational and r.lo == r.hi == F(-3, 7) and r.approx == -3 / 7
-
-
-def test_divisors_match_brute_force():
-    # sieve: each d is appended to the lists of its multiples, in ascending order
-    top = 20000
-    expected = [[] for _ in range(top + 1)]
-    for d in range(1, top + 1):
-        for m in range(d, top + 1, d):
-            expected[m].append(d)
-    for n in range(1, top + 1):
-        assert _divisors(n) == expected[n], n
-
-
-# -- the rational-root sieve -----------------------------------------------
-
-def test_a_root_modulo_every_sieve_prime_falls_through_to_enumeration(monkeypatch):
-    # (x^2 - 2)(x^2 - 3)(x^2 - 6): one of 2, 3, 6 is a square modulo every
-    # odd prime, so no sieve prime rules the polynomial out; enumeration runs
-    # and finds no rational root
-    coeffs = _int_clear(_dense_coeffs((X**2 - 2) * (X**2 - 3) * (X**2 - 6), "x"))
-    assert not _rootless_mod_small_prime(coeffs)
-    enumerated = []
-    divisors = realroots._divisors
-    monkeypatch.setattr(realroots, "_divisors", lambda n: enumerated.append(n) or divisors(n))
-    assert _strip_rational_roots(coeffs) == ([], coeffs)
-    assert sorted(enumerated) == [1, 36]
-
-
-@pytest.mark.parametrize("primes", [_SIEVE_PRIMES[:4], _SIEVE_PRIMES])
-def test_a_root_whose_denominator_sieve_primes_divide_is_snapped(monkeypatch, primes):
-    # (L x - 1)(x^2 - 227), L the product of the primes: 227 is no square
-    # modulo any sieve prime, so f has no root modulo a prime dividing L, yet
-    # it has the root 1/L.  Each of those primes divides lead(f) and is
-    # skipped.  L = 3 * 5 * ... * 23 is past the snap budget, which is widened
-    # for it so that the strip runs.
-    lead = math.prod(primes)
-    coeffs = _int_clear(_dense_coeffs((lead * X - 1) * (X**2 - 227), "x"))
-    for p in primes:
-        assert all(sum(c * r**k for k, c in enumerate(coeffs)) % p for r in range(p))
-    if lead > realroots._SNAP_VALUE_LIMIT:
-        monkeypatch.setattr(realroots, "_SNAP_VALUE_LIMIT", 10**9)
-        monkeypatch.setattr(realroots, "_SNAP_PAIR_LIMIT", 10**4)
-    assert not _rootless_mod_small_prime(coeffs)
-    assert _strip_rational_roots(coeffs) == ([F(1, lead)], (-227, 0, 1))
-    # with the lead's primes gone, 3 rules out x^2 - 227 alone
-    assert _rootless_mod_small_prime((-227, 0, 1))
 
 
 @pytest.mark.parametrize("root, inside", [(1 - F(1, 10**20), 1), (F(1), 0)])

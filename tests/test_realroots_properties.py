@@ -16,9 +16,8 @@ from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, _int_gcd, dense_to_mpoly
 from kopelcas.realroots import (
     AlgebraicReal, _eval_dyadic, _halve, _image, _int_clear, _interval_horner, _isolate_int,
-    _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int,
-    _strip_rational_roots, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
-    sturm_sign_count,
+    _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int, _sturm_chain,
+    _sturm_count, isolate_real_roots, sign_at, sturm_sign_count,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -57,7 +56,7 @@ def _square_free(coeffs) -> bool:
 
 
 # integer coefficients drawn as they come, with no planted root: few have a
-# rational root, so most fall to the rational-root sieve
+# rational root, so most leave every root a window
 drawn_polys = st.lists(st.integers(-60, 60), min_size=2, max_size=6).filter(
     lambda cs: cs[-1] != 0 and _square_free(cs)).map(
     lambda cs: sum((c * X**k for k, c in enumerate(cs)), MPoly.zero()))
@@ -155,7 +154,7 @@ def test_make_disjoint_separates_every_pair(rational_roots, quads, rnd):
 def test_sign_at_matches_exact_value_at_rational_roots(rational_roots, quads, big, q_coeffs):
     p = _planted(rational_roots, quads)
     if big:
-        # end coefficients past the snap budget: only bisection can snap
+        # end coefficients past 10**6 and many more divisor pairs
         p = p * (X**2 + 1000003)
     q = sum((c * X**k for k, c in enumerate(q_coeffs)), MPoly.zero())
     roots = isolate_real_roots(p)
@@ -165,9 +164,14 @@ def test_sign_at_matches_exact_value_at_rational_roots(rational_roots, quads, bi
             assert r.value in rational_roots
             assert sign_at(q, r) == _sign(_value_at(q, r.value))
         else:
-            # a window holds a planted root: a quadratic's, or an unsnapped rational
-            assert any(sign_at(_quadratic(s, n), r) == 0 for s, n in quads) or \
-                any(sign_at(X - t, r) == 0 for t in rational_roots)
+            # a window holds a quadratic's root: every rational one snaps
+            assert any(sign_at(_quadratic(s, n), r) == 0 for s, n in quads)
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def _brute_force_strip(coeffs):
@@ -178,13 +182,7 @@ def _brute_force_strip(coeffs):
         work.pop(0)
     if len(work) <= 1:
         return roots, tuple(work)
-    a0, an = abs(work[0]), abs(work[-1])
-    if a0 > 10**6 or an > 10**6:
-        return roots, tuple(work)
-    nums = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    dens = [d for d in range(1, an + 1) if an % d == 0]
-    if 2 * len(nums) * len(dens) > 256:
-        return roots, tuple(work)
+    nums, dens = _divisors(abs(work[0])), _divisors(abs(work[-1]))
     for r in sorted({F(s * p, q) for p in nums for q in dens for s in (1, -1)}):
         if len(work) > 1 and sum(c * r**k for k, c in enumerate(work)) == 0:
             roots.append(r)
@@ -196,15 +194,47 @@ def _brute_force_strip(coeffs):
     return roots, tuple(work)
 
 
+def _positive_lead(coeffs) -> tuple:
+    return tuple(coeffs) if coeffs[-1] > 0 else tuple(-c for c in coeffs)
+
+
 @PROPERTY
 @given(st.one_of(planted_polys, drawn_polys))
 def test_strip_rational_roots_matches_brute_force(p):
+    # isolation snaps exactly the rational roots that a search over every
+    # candidate finds, and leaves the rest as windows of their cofactor
     coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
                          for k in range(int(p.degree("x")) + 1)])
-    roots, rest = _strip_rational_roots(coeffs)
+    roots = _isolate_int("x", coeffs)
     expected_roots, expected_rest = _brute_force_strip(coeffs)
-    assert sorted(roots) == sorted(expected_roots)
-    assert rest == expected_rest
+    assert sorted(r.value for r in roots if r.is_rational) == sorted(expected_roots)
+    assert all(r._coeffs == _positive_lead(expected_rest) for r in roots if not r.is_rational)
+
+
+# a nonzero rational root s/q with q up to 10**9; the first planted root's s
+# and q are both past 10**6, and so are the polynomial's end coefficients
+big_rationals = st.builds(F, st.integers(-10**9, 10**9).filter(bool), st.integers(1, 10**9))
+past_a_million = st.tuples(st.integers(10**6 + 1, 10**9), st.integers(10**6 + 1, 10**9),
+                           st.sampled_from([1, -1])).filter(lambda t: math.gcd(t[0], t[1]) == 1)
+
+
+@PROPERTY
+@given(past_a_million, st.lists(big_rationals, max_size=2), st.lists(quadratics, max_size=1))
+def test_every_planted_rational_root_snaps(first, others, quads):
+    s, q, sign = first
+    planted = {F(sign * s, q), *others}
+    p = _planted(planted, quads)
+    coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
+                         for k in range(int(p.degree("x")) + 1)])
+    assert min(abs(coeffs[0]), abs(coeffs[-1])) > 10**6
+    roots = _isolate_int("x", coeffs)
+    assert len(roots) == len(planted) + 2 * len(quads)
+    assert {r.value for r in roots if r.is_rational} == planted
+    for r in roots:
+        if not r.is_rational:
+            # the window's cofactor is the planted quadratic, with no rational root
+            assert len(r._coeffs) == 3 and _brute_force_strip(r._coeffs)[0] == []
+            assert any(sign_at(_quadratic(c, n), r) == 0 for c, n in quads)
 
 
 @PROPERTY
@@ -258,10 +288,10 @@ def _isolate_factor_by_factor(coeffs):
     items = []
     df = [k * c for k, c in enumerate(coeffs)][1:]
     for factor, mult in _square_free_int(coeffs, _int_gcd(coeffs, df)):
-        rational, rest = _strip_rational_roots(factor)
+        rational, rest = _brute_force_strip(factor)
         if len(rest) > 1:
-            exacts, windows, rest = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
-            rational += exacts
+            exacts, windows, _ = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
+            assert exacts == []
             items += [AlgebraicReal._from_window("x", rest, a, b, k, mult)
                       for a, b, k in windows]
         items += [AlgebraicReal.from_rational(r, "x", mult) for r in rational]
@@ -282,8 +312,7 @@ def _described(r):
        st.sampled_from([1, -1, -2, 3]), st.booleans())
 def test_isolation_reuses_the_chain_without_changing_a_root(rational_roots, quads, lead, big):
     # planted repeated factors, negative leads, rational roots to strip and
-    # irreducible quadratics; big puts the end coefficients past the snap
-    # budget, so the square-free polynomial reaches bisection unstripped
+    # irreducible quadratics; big puts the end coefficients past 10**6
     p = MPoly.constant(lead)
     for r, m in rational_roots:
         p = p * (X - r) ** m
@@ -345,19 +374,20 @@ def _close_pair(s, g, t, n) -> tuple:
 
 
 # cubics as they come; cubics with a pair of roots closer than 2**-40, at
-# and off 0, times a planted rational root, which the big coefficients keep
-# from being stripped; and a planted rational root times a small quadratic,
-# which is stripped
+# and off 0, times a planted rational root, which snaps and leaves the pair
+# to a Sturm chain; the same plus 1, which mostly has no rational root and
+# keeps its brackets; and a planted rational root times a small quadratic
 generic_cubics = st.lists(st.integers(-10**4, 10**4), min_size=4, max_size=4).filter(
     lambda cs: cs[-1] != 0).map(lambda cs: _product(cs))
 close_cubics = st.builds(
     lambda q, p, s, g, t, n: _product((-p, q), _close_pair(s, g, t, min(n, t))),
     st.integers(1, 8), st.integers(-12, 12), st.integers(-3, 3), st.integers(42, 60),
     st.integers(1, 50), st.integers(1, 50))
+shifted_close_cubics = close_cubics.map(lambda c: _product((c[0] + 1, *c[1:])))
 planted_cubics = st.builds(
     lambda r, c, n: _product((-r.numerator, r.denominator), (c, 0, 1) if n else (-c, 0, 1)),
     rationals, st.integers(1, 40), st.booleans())
-drawn_cubics = st.one_of(generic_cubics, close_cubics, planted_cubics)
+drawn_cubics = st.one_of(generic_cubics, close_cubics, shifted_close_cubics, planted_cubics)
 
 
 def _sturm_route(coeffs):
@@ -380,27 +410,38 @@ def test_bracket_counts_give_the_sturm_windows(coeffs):
                 _eval_dyadic(r._coeffs, b, k))
 
 
+def _has_no_rational_root(coeffs, nums, dens) -> bool:
+    """No candidate +-s/q, s in nums and q in dens, is a root of coeffs."""
+    return all(sum(c * F(sign * n, d) ** k for k, c in enumerate(coeffs))
+               for n in nums for d in dens for sign in (1, -1))
+
+
 def test_brackets_separate_close_roots_and_give_way_at_a_midpoint_root():
-    # roots +-2**-42 and 1/3, which the big coefficients keep from the strip
-    coeffs = _product((-1, 3), _close_pair(0, 42, 1, 1))
-    assert _strip_rational_roots(coeffs)[0] == []
+    # (3 x - 1)(2**85 x**2 - 1) + 1: roots near +-2**-42 and 1/3.  Its end
+    # coefficients 2 and 3 * 2**85 leave few candidates, and none is a root.
+    coeffs = (2, -3, -2**85, 3 * 2**85)
+    assert _has_no_rational_root(coeffs, (1, 2), [m << j for m in (1, 3) for j in range(86)])
     roots = _isolate_int("x", coeffs)
     assert [r._hint is not None for r in roots] == [True, True, True]
     assert [_described(r) for r in roots] == [_described(r) for r in _sturm_route(coeffs)]
-    # the pair is 2**-41 apart
+    # the pair is less than 2**-40 apart
     assert roots[0].compare_rational(F(-1, 2**41)) > 0 > roots[1].compare_rational(F(1, 2**41))
-    # 1/2 + 2**-61 between 0.276 and 0.724: the walk's midpoint 1/2 lies
-    # inside that root's bracket, and one exact sign puts the root above it
-    coeffs = _product((-(2**60 + 1), 2**61), (2, -10, 10))
+    # 2**61 (2 x - 1)(5 x**2 - 5 x + 1) + 1: a root near 1/2 + 2**-60
+    # between 0.276 and 0.724.  2**61 - 1 is prime, so the candidates are
+    # few, and none is a root.  The walk's midpoint 1/2 lies inside that
+    # root's bracket, and one exact sign puts the root above it.
+    coeffs = (1 - 2**61, 7 * 2**61, -15 * 2**61, 10 * 2**61)
+    assert _has_no_rational_root(coeffs, (1, 2**61 - 1),
+                                 [m << j for m in (1, 5) for j in range(63)])
     roots = _isolate_int("x", coeffs)
     assert [r._hint is not None for r in roots] == [True, True, True]
     ha, hb, hk = roots[1]._hint
     assert ha << 1 < 1 << hk < hb << 1
+    assert roots[1].compare_rational(F(1, 2)) > 0
     assert [_described(r) for r in roots] == [_described(r) for r in _sturm_route(coeffs)]
     # (2 x - 1) times a quadratic with roots near 0.4 and 0.7 and big
-    # coefficients: the walk's midpoint 1/2 is a root, snapped unstripped
+    # coefficients: the walk's midpoint 1/2 is a root, snapped by bisection
     coeffs = _product((-1, 2), (280001, -1100003, 1000003))
-    assert _strip_rational_roots(coeffs)[0] == []
     roots = _isolate_int("x", coeffs)
     assert [r.is_rational for r in roots] == [False, True, False]
     assert roots[1].value == F(1, 2)
@@ -428,7 +469,7 @@ def _taylor_shift(coeffs) -> tuple:
 
 
 @PROPERTY
-@given(st.one_of(generic_cubics, close_cubics),
+@given(st.one_of(generic_cubics, close_cubics, shifted_close_cubics),
        st.lists(st.tuples(st.sampled_from(["refine", "compare", "sign", "image"]),
                           rationals, st.integers(1, 80)), min_size=1, max_size=6),
        small_polys)
