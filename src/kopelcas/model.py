@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from .exactpoly import (
     A, B, MPoly, U, V, X, Y, _dense_trim, _exact_div, _primitive, bind, dense_to_mpoly, finish,
@@ -287,31 +286,52 @@ _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 _FULL_SPEED = power_table(1)  # the power table of a = 1 or b = 1
 
 
-class _Row:
+class _Lazy:
+    """Slots filled on first read, by the class's _make_<name> method.
+
+    A slot not yet set fails the normal lookup and lands in __getattr__,
+    which fills it; every later read is a plain slot read.  Unlike
+    functools.cached_property, which on Python 3.10 and 3.11 takes a lock
+    on every first read, this takes none: threads racing on a first read
+    each compute the same value, and one of them stays.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        make = getattr(type(self), "_make_" + name, None)
+        if make is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = make(self)
+        setattr(self, name, value)
+        return value
+
+
+class _Row(_Lazy):
     """u, a and b bound on integers once, for every point that shares them.
 
     tables are the power tables of (u, v, a, b) with v's left open (None),
     and scale is their common denominator without v's.  Staged from them
     (exactpoly.stage): cubic, the equilibrium cubic, which every point
-    reads; on first use modulus, the third stability condition on the
+    reads; on first read modulus, the third stability condition on the
     locus, the only one a scan's stability rule asks (_Point.is_stable);
-    and on first use conditions, all three, the second being the first at
+    and on first read conditions, all three, the second being the first at
     a = b = 1 and the third modulus.  A scan row holds one for its cells,
     each of which finishes it with its own v's table, so a scan row stages
     no fold or flip condition.
     """
+
+    __slots__ = ("tables", "scale", "cubic", "modulus", "conditions")
 
     def __init__(self, up, ap, bp):
         self.tables = (up, None, ap, bp)
         self.scale = up[0] * ap[0] * bp[0]
         self.cubic = stage(_CUBIC_TERMS, self.tables)
 
-    @cached_property
-    def modulus(self):
+    def _make_modulus(self):
         return stage(_CD_TERMS[2], self.tables)
 
-    @cached_property
-    def conditions(self) -> tuple:
+    def _make_conditions(self) -> tuple:
         cd1, cd2, _ = _CD_TERMS
         t = self.tables
         s1 = stage(cd1, t)
@@ -320,25 +340,29 @@ class _Row:
         return s1, s2, self.modulus
 
 
-class _Point:
+class _Point(_Lazy):
     """One parameter point, bound once on integers, and what its fixed points share.
 
     row is the _Row of u, a and b, and vp is v's power table: a scan cell
     shares its row's, and a point alone (of) stages its own.  The point holds
     no ModelParams; ModelParams or ScanSpec checked its parameters.  tables
     are the power tables of (u, v, a, b), and every value bound from them is
-    the exact one times scale, their common denominator.  Finished from the
-    row with v's table on first use: cubic, the equilibrium cubic's
-    primitive integer x-coefficients (see bound_cubic), whose lead is
-    positive; modulus, the third stability condition; and conditions, the
+    the exact one times scale, their common denominator.  cubic, the
+    equilibrium cubic's primitive integer x-coefficients (see bound_cubic),
+    whose lead is positive, is finished from the row with v's table at once,
+    since every point reads it.  On first read, as plain slots with no lock
+    (_Lazy): modulus, the third stability condition; conditions, the
     primitive parts of bound_stability_polys, the second being the first at
-    a = b = 1 and the third modulus.  A scan cell finishes the cubic and at
-    most modulus.  Bound from the tables on first use: locus,
-    y = v x (1 - x) over its denominator; and y_candidates, the y roots that
-    realroots._image picks a fixed point's y coordinate from, taken from the
-    cubic's twin bound with u and v swapped and isolated.  A point lives as
-    long as the fixed points that hold it.
+    a = b = 1 and the third modulus; and locus, y = v x (1 - x) over its
+    denominator, bound from the tables.  A scan cell finishes the cubic and
+    at most modulus.  y_candidates, the y roots that realroots._image picks
+    a fixed point's y coordinate from, are taken from the cubic's twin bound
+    with u and v swapped and isolated on first use.  A point lives as long
+    as the fixed points that hold it.
     """
+
+    __slots__ = ("v", "row", "tables", "scale", "cubic", "modulus", "conditions", "locus",
+                 "_y_for", "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
         self.v = v
@@ -346,6 +370,7 @@ class _Point:
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
         self.scale = row.scale * vp[0]
+        self.cubic = self._finish(row.cubic)
         self._y_for = self._y_roots = None
 
     @classmethod
@@ -357,22 +382,15 @@ class _Point:
     def _finish(self, staged) -> tuple:
         return _primitive(_dense_trim(finish(staged, self.tables[1])))
 
-    @cached_property
-    def cubic(self) -> tuple:
-        return self._finish(self.row.cubic)
-
-    @cached_property
-    def modulus(self) -> tuple:
+    def _make_modulus(self) -> tuple:
         return self._finish(self.row.modulus)
 
-    @cached_property
-    def conditions(self) -> tuple:
+    def _make_conditions(self) -> tuple:
         s1, s2, _ = self.row.conditions
         d1 = self._finish(s1)
         return d1, d1 if s2 is s1 else self._finish(s2), self.modulus
 
-    @cached_property
-    def locus(self) -> tuple:
+    def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
         coeffs = bind(_LOCUS_TERMS, self.tables)
         common = math.gcd(self.scale, *coeffs)

@@ -16,9 +16,10 @@ with f': its last element is gcd(f, f'), so a constant there proves f
 square-free, and Yun's square-free decomposition runs only when it is not.
 Every rational root is then snapped: a rational root of a
 primitive polynomial is a multiple of 1 / |lead| (the rational root
-theorem), so a window halved to that width holds at most one candidate, and
-one exact evaluation decides it.  A polynomial with rational roots is
-divided by them, and the rest is isolated afresh.
+theorem), so a window narrowed to that width, by exact Newton steps that
+exact signs certify, holds at most one candidate, and one exact evaluation
+decides it.  A polynomial with rational roots is divided by them, and the
+rest is isolated afresh.
 
 A sign query at a root bisects the root's window until an interval bound of
 the queried polynomial settles.  Only a query still unsettled after
@@ -396,33 +397,49 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
     else gives None and never an exception: disc zero, a float overflow,
     zero division or NaN, a seed count other than the real-root count, a
     bracket with no sign change, or two that meet.
+
+    The code is _float_eval and _eval_dyadic written out for degree 3, with
+    the same float operations in the same order: the monic lead is 1.0, so
+    its products with x are exact and drop out, and every bracket and slo
+    is the generic loops' to the bit.
     """
     if not disc:
         return None
+    d0, d1, d2, d3 = coeffs
     try:
-        lead = float(coeffs[-1])
-        cf = [float(c) / lead for c in reversed(coeffs)]  # monic, highest first
-        seeds = _cubic_seeds(cf, disc > 0)
+        lead = float(d3)
+        c2, c1, c0 = float(d2) / lead, float(d1) / lead, float(d0) / lead
+        seeds = _cubic_seeds((1.0, c2, c1, c0), disc > 0)
         if len(seeds) != (3 if disc > 0 else 1):
             return None
+        a2, a1, a0 = abs(c2), abs(c1), abs(c0)
         brackets = []
         for x in sorted(seeds):  # a wrong float order fails the exact check below
             for _ in range(_CUBIC_NEWTON):
-                fx, dfx, _ = _float_eval(cf, x)
-                x -= fx / dfx
-            fx, dfx, size = _float_eval(cf, x)
+                f1 = x + c2
+                f2 = f1 * x + c1
+                x -= (f2 * x + c0) / ((x + f1) * x + f2)
+            f1 = x + c2
+            f2 = f1 * x + c1
+            ax = abs(x)
+            # the float error bound is FLOAT_NOISE times sum |c_i x**i|
+            size = ((ax + a2) * ax + a1) * ax + a0
             # 2**-k is above the error bound (or 1), and x is in [m, m + 1) / 2**k
-            k = max(-frexp((abs(fx) + size * _FLOAT_NOISE) / abs(dfx))[1], 0)
+            k = max(-frexp((abs(f2 * x + c0) + size * _FLOAT_NOISE)
+                           / abs((x + f1) * x + f2))[1], 0)
             n, den = x.as_integer_ratio()
             m = (n << k) // den
             if brackets:
                 (_, hi, j), _ = brackets[-1]
                 if (m - 1) << j < hi << k:  # it meets the bracket below
                     return None
-            slo = _sign(_eval_dyadic(coeffs, m - 1, k))
-            if slo * _sign(_eval_dyadic(coeffs, m + 2, k)) >= 0:
+            # 2**(3k) times the cubic at the bracket ends (m - 1) / 2**k and (m + 2) / 2**k
+            e2, e1, e0 = d2 << k, d1 << 2 * k, d0 << 3 * k
+            left, right = m - 1, m + 2
+            slo = _sign(((d3 * left + e2) * left + e1) * left + e0)
+            if slo * _sign(((d3 * right + e2) * right + e1) * right + e0) >= 0:
                 return None
-            brackets.append(((m - 1, m + 2, k), slo))
+            brackets.append(((left, right, k), slo))
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
     return brackets
@@ -672,13 +689,14 @@ def _isolate_square_free(coeffs: tuple[int, ...], count):
     falls by one past each root of coeffs and is None at a root.  The
     windows it leaves are the nodes of one bisection tree, rooted at
     coeffs' Cauchy window and fixed by where the roots are, whichever
-    counter reads them.  Returns (exact_roots, windows, final_coeffs):
+    counter reads them.  Returns (exact_roots, windows, final_coeffs, chain):
     rational roots snapped when a bisection point hits one, dyadic windows
-    (a, b, k) for the rest, descending, and the (possibly deflated)
-    defining polynomial valid for every window.  A snapped root deflates
-    coeffs, and the walk goes on counting by the Sturm chain of what is left.
+    (a, b, k) for the rest, descending, the (possibly deflated) defining
+    polynomial valid for every window, and its Sturm chain when the walk
+    built one, else None.  A snapped root deflates coeffs, and the walk goes
+    on counting by the Sturm chain of what is left.
     """
-    exact_roots, windows = [], []
+    exact_roots, windows, chain = [], [], None
     a, b, k = _cauchy_window(coeffs)
     # each entry: a window with the counts at its two ends
     stack = [(a, b, k, count(a, k), count(b, k))]
@@ -696,13 +714,14 @@ def _isolate_square_free(coeffs: tuple[int, ...], count):
                 root = Fraction(m, 1 << (k + 1))
                 exact_roots.append(root)
                 coeffs = tuple(_exact_div(coeffs, (-root.numerator, root.denominator)))
-                count = _sturm_count(_sturm_chain(coeffs))
+                chain = _sturm_chain(coeffs)
+                count = _sturm_count(chain)
                 stack = [(a_, b_, k_, count(a_, k_), count(b_, k_))
                          for a_, b_, k_, _, _ in stack + [(a, b, k, 0, 0)]]
                 continue
             stack.append((a << 1, m, k + 1, va, vm))
             stack.append((m, b << 1, k + 1, vm, vb))
-    return exact_roots, windows, coeffs
+    return exact_roots, windows, coeffs, chain
 
 
 def _rational_value(r: AlgebraicReal) -> Fraction | None:
@@ -710,18 +729,47 @@ def _rational_value(r: AlgebraicReal) -> Fraction | None:
 
     r's defining polynomial is primitive, so by the rational root theorem a
     rational root is a multiple of 1 / |lead|.  A copy of r's hint, or of
-    its window when it has none, is halved until it is at most that wide,
-    about log2(|lead| * width) steps, with no cap.  Then the one multiple
-    strictly inside it, if there is one, is the only candidate, and one
-    exact evaluation decides it.  r itself is left as it is.
+    its window when it has none, is narrowed until it is at most that wide,
+    with no cap.  Then the one multiple strictly inside it, if there is one,
+    is the only candidate, and one exact evaluation decides it.  r itself is
+    left as it is.
+
+    Each narrowing step takes an exact Newton step from the window's
+    midpoint and proposes the cell of a grid 2**s times finer than the
+    window that holds the Newton point, clamped into the window.  Exact
+    signs at the cell's ends keep it only when they certify the root inside;
+    then s doubles.  Otherwise the midpoint's sign halves the window, and s
+    halves.  Near a simple root the kept cells shrink quadratically, so a
+    huge lead costs about log2 log2(|lead| * width) steps, not
+    log2(|lead| * width) halvings.
     """
     coeffs, slo = r._coeffs, r._lower_sign()
     a, b, k = r._hint or (r._a, r._b, r._k)
     lead = abs(coeffs[-1])
+    slope = _derivative(coeffs)
+    s = 1
     while (b - a) * lead > 1 << k:
-        a, b, k = _halve(coeffs, slo, a, b, k)
-        if a == b:
-            return Fraction(a, 1 << k)
+        m, j = a + b, k + 1
+        fm = _eval_dyadic(coeffs, m, j)
+        if not fm:
+            return Fraction(m, 1 << j)
+        dm = _eval_dyadic(slope, m, j)
+        if dm:
+            # the Newton point is (m - fm / dm) / 2**j, in the cell
+            # [t, t + 1] / 2**(k + s) of the finer grid
+            t = ((m * dm - fm) << (s - 1)) // dm
+            t = min(max(t, a << s), (b << s) - 1)
+            ks = k + s
+            st = slo if t == a << s else _sign(_eval_dyadic(coeffs, t, ks))
+            su = -slo if t + 1 == b << s else _sign(_eval_dyadic(coeffs, t + 1, ks))
+            if not st or not su:
+                return Fraction(t if not st else t + 1, 1 << ks)
+            if st == slo and su == -slo:
+                a, b, k = t, t + 1, ks
+                s *= 2
+                continue
+        s = max(s >> 1, 1)
+        a, b, k = (m, b << 1, j) if (fm > 0) == (slo > 0) else (a << 1, m, j)
     n = (a * lead >> k) + 1  # n / lead is the least multiple above a / 2**k
     if n << k < b * lead and not _eval_int_at(coeffs, n, lead):
         return Fraction(n, lead)
@@ -804,8 +852,10 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     window is then tested for a rational root (_rational_value).  A factor
     with a rational root, snapped by bisection or by the test, is divided by
     all of them, and the cofactor, whose roots are all irrational, is
-    isolated again from scratch by its own Sturm chain: its windows do not
-    depend on how the rational roots were found.
+    isolated again from its own Cauchy window by its own Sturm chain: its
+    windows do not depend on how the rational roots were found.  When the
+    test snapped nothing, the cofactor is what the walk deflated to, and the
+    chain the walk built for it serves again.
     """
     items: list[AlgebraicReal] = []
     disc = len(coeffs) == 4 and _cubic_discriminant(coeffs)
@@ -825,7 +875,7 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
             # a factor as long as coeffs is coeffs up to sign
             whole = chain and len(factor) == len(coeffs)
             count = _sturm_count(chain if whole else _sturm_chain(factor))
-        rational, windows, rest = _isolate_square_free(factor, count)
+        rational, windows, rest, rest_chain = _isolate_square_free(factor, count)
         # the walk's windows are descending, the brackets ascending
         hints = brackets if brackets and not rational else repeat((None, 0))
         roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
@@ -837,7 +887,9 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
             rational += snapped
             roots = []
             if len(rest) > 1:
-                _, windows, _ = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
+                if snapped:
+                    rest_chain = _sturm_chain(rest)
+                _, windows, _, _ = _isolate_square_free(rest, _sturm_count(rest_chain))
                 roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult)
                          for a, b, k in windows]
         items += roots

@@ -40,6 +40,7 @@ for a stable class.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from .certificates import (
     EXPECTED_COUNT, StableCountClass, _KIND_TERMS, _classify_values, _kind_speed,
@@ -187,18 +188,41 @@ def _csv_field(value) -> str:
 
 
 def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
-    """Serialize deterministically; identical grids emit identical bytes."""
+    """Serialize deterministically; identical grids emit identical bytes.
+
+    A CSV row is joined from texts made once per grid: "p/q,float" per
+    distinct coordinate value, keyed by (numerator, denominator) since a
+    Fraction's hash takes a modular inverse, and the verdict columns per
+    distinct tuple of their values.  A grid has a few hundred coordinate
+    values and a few dozen verdicts, so a cell formats nothing itself.
+    JSON writes each cell's values (_cell_values).
+    """
     coords = ("u", "v", "a") if grid.kind == "homogeneous" else ("u", "v")
     columns = [n for name in coords for n in (name, name + "_float")] + list(_VERDICT_COLUMNS)
-    rows = [_cell_values(c, coords) for c in grid.cells]
     if fmt == "csv":
+        coord_text, verdict_text = {}, {}
+        coord_values, verdict_values = attrgetter(*coords), attrgetter(*_VERDICT_COLUMNS)
         lines = [",".join(columns)]
-        lines += [",".join(map(_csv_field, row)) for row in rows]
+        for cell in grid.cells:
+            parts = []
+            for q in coord_values(cell):
+                key = q.numerator, q.denominator
+                text = coord_text.get(key)
+                if text is None:
+                    fields = format_rational(q), float(q)
+                    text = coord_text[key] = ",".join(map(_csv_field, fields))
+                parts.append(text)
+            key = verdict_values(cell)
+            text = verdict_text.get(key)
+            if text is None:
+                text = verdict_text[key] = ",".join(map(_csv_field, key))
+            parts.append(text)
+            lines.append(",".join(parts))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         import json  # here, so that import kopelcas does not load it
 
-        cells = [dict(zip(columns, row)) for row in rows]
+        cells = [dict(zip(columns, _cell_values(c, coords))) for c in grid.cells]
         doc = {
             "schema_version": 1,
             "kind": grid.kind,

@@ -123,6 +123,18 @@ def test_a_linear_factor_is_its_root_with_no_isolation(monkeypatch):
     assert chains == [(2, -3, 0, 1)]
 
 
+def test_a_cofactor_left_by_the_walk_reuses_its_sturm_chain(monkeypatch):
+    # x (x**2 - 3): the walk snaps x = 0 at its first midpoint and counts the
+    # rest by the chain of x**2 - 3, which then walks the cofactor again
+    chains = []
+    build = realroots._sturm_chain
+    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
+    roots = _isolate_int("x", (0, -3, 0, 1))
+    assert [r.value for r in roots if r.is_rational] == [0]
+    assert [r._coeffs for r in roots if not r.is_rational] == [(-3, 0, 1)] * 2
+    assert chains.count((-3, 0, 1)) == 1
+
+
 def test_isolate_no_real_roots():
     assert isolate_real_roots(X**2 + 1) == []
     assert isolate_real_roots(MPoly.constant(3)) == []
@@ -176,11 +188,18 @@ def test_small_coefficients_with_many_divisor_pairs_snap_a_rational_root(monkeyp
     assert evaluations == [F(1, 6)]
 
 
-def test_a_rational_root_with_a_huge_denominator_snaps_past_the_refine_cap():
+def test_a_rational_root_with_a_huge_denominator_snaps_past_the_refine_cap(monkeypatch):
     # (10**1500 x - 3)(x**2 - 2): 3 / 10**1500 sits in a window about 1 wide,
-    # and the rational test halves it some 5000 times, past _REFINE_CAP
+    # which the rational test narrows to 10**-1500, some 5000 halvings, past
+    # _REFINE_CAP.  Newton steps narrow every window in a few hundred exact
+    # evaluations in all, not one per halving.
+    evaluations = []
+    evaluate = realroots._eval_dyadic
+    monkeypatch.setattr(realroots, "_eval_dyadic",
+                        lambda c, a, k: evaluations.append(k) or evaluate(c, a, k))
     p = (10**1500 * X - 3) * (X**2 - 2)
     roots = isolate_real_roots(p)
+    assert len(evaluations) < 300
     assert [r.is_rational for r in roots] == [False, True, False]
     assert roots[1].value == F(3, 10**1500)
     for r in (roots[0], roots[2]):
@@ -604,9 +623,10 @@ def test_unit_cubic_roots_refuse_a_bracket_across_one(monkeypatch, root, inside)
     coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
     assert _unit_cubic_roots("x", coeffs, _cubic_discriminant(coeffs)) is None
     # the scan's fallback, on this cubic in place of a parameter point's
-    monkeypatch.setattr(model._Point, "cubic", property(lambda self: coeffs))
+    point = model._Point.of(model.ModelParams(1, 1))
+    point.cubic = coeffs
     monkeypatch.setattr(model, "_unit_cubic_roots", lambda var, coeffs, disc: None)
-    assert len(model._Point.of(model.ModelParams(1, 1)).positive_roots()) == inside
+    assert len(point.positive_roots()) == inside
 
 
 @pytest.mark.parametrize("coeffs, disc, seeds", [

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from kopelcas import realroots
 from kopelcas.exactpoly import MPoly, X, _int_gcd, dense_to_mpoly
 from kopelcas.realroots import (
-    AlgebraicReal, _eval_dyadic, _halve, _image, _int_clear, _interval_horner, _isolate_int,
-    _isolate_square_free, _make_disjoint, _sign_dense_at, _square_free_int, _sturm_chain,
-    _sturm_count, isolate_real_roots, sign_at, sturm_sign_count,
+    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _eval_dyadic, _halve, _image,
+    _int_clear, _interval_horner, _isolate_int, _isolate_square_free, _make_disjoint,
+    _sign_dense_at, _square_free_int, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
+    sturm_sign_count,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -290,7 +291,7 @@ def _isolate_factor_by_factor(coeffs):
     for factor, mult in _square_free_int(coeffs, _int_gcd(coeffs, df)):
         rational, rest = _brute_force_strip(factor)
         if len(rest) > 1:
-            exacts, windows, _ = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
+            exacts, windows, _, _ = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
             assert exacts == []
             items += [AlgebraicReal._from_window("x", rest, a, b, k, mult)
                       for a, b, k in windows]
@@ -408,6 +409,61 @@ def test_bracket_counts_give_the_sturm_windows(coeffs):
             a, b, k = r._hint
             assert _sign(_eval_dyadic(r._coeffs, a, k)) == r._slo == -_sign(
                 _eval_dyadic(r._coeffs, b, k))
+
+
+def _generic_brackets(coeffs, disc):
+    """_cubic_brackets through the generic loops _float_eval and _eval_dyadic.
+
+    The reference the degree-3 kernel must match bit for bit.
+    """
+    if not disc:
+        return None
+    try:
+        lead = float(coeffs[-1])
+        cf = [float(c) / lead for c in reversed(coeffs)]
+        seeds = realroots._cubic_seeds(cf, disc > 0)
+        if len(seeds) != (3 if disc > 0 else 1):
+            return None
+        brackets = []
+        for x in sorted(seeds):
+            for _ in range(realroots._CUBIC_NEWTON):
+                fx, dfx, _ = realroots._float_eval(cf, x)
+                x -= fx / dfx
+            fx, dfx, size = realroots._float_eval(cf, x)
+            k = max(-math.frexp((abs(fx) + size * realroots._FLOAT_NOISE) / abs(dfx))[1], 0)
+            n, den = x.as_integer_ratio()
+            m = (n << k) // den
+            if brackets:
+                (_, hi, j), _ = brackets[-1]
+                if (m - 1) << j < hi << k:
+                    return None
+            slo = _sign(_eval_dyadic(coeffs, m - 1, k))
+            if slo * _sign(_eval_dyadic(coeffs, m + 2, k)) >= 0:
+                return None
+            brackets.append(((m - 1, m + 2, k), slo))
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    return brackets
+
+
+# the first cubic has disc = 0 and the second a coefficient past the float range
+@pytest.mark.parametrize("coeffs", [(2, -3, 0, 1), (1, 0, -10**400, 1)])
+def test_the_bracket_kernel_refuses_what_the_generic_loops_refuse(coeffs):
+    disc = _cubic_discriminant(coeffs)
+    assert _cubic_brackets(coeffs, disc) is None is _generic_brackets(coeffs, disc)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.one_of(drawn_cubics, shifted_close_cubics), st.integers(0, 3),
+       st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]))
+def test_the_bracket_kernel_matches_the_generic_loops(coeffs, at, scale, disc):
+    # a coefficient scaled toward and past the float range overflows the
+    # closed form or the Newton steps; disc overridden (0, or a wrong sign)
+    # sends the seeds down the refusals
+    coeffs = tuple(c * scale if i == at else c for i, c in enumerate(coeffs))
+    if disc is None:
+        disc = _cubic_discriminant(coeffs)
+    assert _cubic_brackets(coeffs, disc) == _generic_brackets(coeffs, disc)
 
 
 def _has_no_rational_root(coeffs, nums, dens) -> bool:

@@ -357,7 +357,43 @@ class TestNearBoundary:
         assert len(flagged) < len(grid.cells)
 
 
+def _reference_csv(grid) -> str:
+    """emit_grid's CSV formatted cell by cell, each value on its own."""
+    coords = ("u", "v", "a") if grid.kind == "homogeneous" else ("u", "v")
+    verdicts = ("cert_class", "numeric_positive", "numeric_stable", "agree", "near_boundary")
+    lines = [",".join([n for name in coords for n in (name, name + "_float")] + list(verdicts))]
+    for cell in grid.cells:
+        values = []
+        for name in coords:
+            q = getattr(cell, name)
+            values += (str(q), float(q))
+        values += [getattr(cell, name) for name in verdicts]
+        lines.append(",".join(("true" if v else "false") if isinstance(v, bool) else str(v)
+                              for v in values))
+    return "\n".join(lines) + "\n"
+
+
 class TestEmission:
+    def test_csv_matches_a_cell_by_cell_formatter(self):
+        # equal but distinct Fractions, integer values (one a plain int), an a
+        # column, repeated and distinct verdicts, and cells in no grid order
+        half, other_half = F(3, 2), F(6, 4)
+        assert half == other_half and half is not other_half
+        cells = [
+            ScanCell(half, F(2), F(1, 4), "OnePositive", 1, 1, True, False),
+            ScanCell(F(10, 5), other_half, F(1, 4), "OnePositive", 1, 1, True, False),
+            ScanCell(F(1, 3), 2, F(1, 4), "TheoremSilent", 3, 2, True, True),
+            ScanCell(other_half, half, F(2, 8), "OnePositive", 1, 0, False, False),
+            ScanCell(F(2), F(1, 3), F(1, 4), "TheoremSilent", 3, 2, True, True),
+        ]
+        spec = ScanSpec((1, 2), (1, 2), 2, a_value=F(1, 4))
+        grid = ScanGrid(spec, "homogeneous", cells)
+        assert emit_grid(grid, "csv") == _reference_csv(grid)
+        # a scan's own cells, emitted backwards
+        grid = scan_equilibrium_count(ScanSpec((F(1, 2), 4), (F(1, 2), 4), 8))
+        grid.cells.reverse()
+        assert emit_grid(grid, "csv") == _reference_csv(grid)
+
     def test_csv_shape_and_determinism(self):
         grid = scan_equilibrium_count(ScanSpec((2, 4), (2, 4), 3))
         text = emit_grid(grid, "csv")
