@@ -20,21 +20,24 @@ generators they give y_relation() and stability_conditions(), on floats
 jury_report's diagnostics, and bound on integers the sign queries.  Every
 fixed point holds its ModelParams and a _Point, that point bound once on
 integers; those of one equilibria() call share it, and equilibrium_report
-and jury_report read that one binding.  A _Point finishes a _Row, u, a and
-b bound once, with its own v: scan cells share their row's, alone it stages
-its own.  A scan cell's positive fixed points come from float brackets that
-exact sign evaluations certify.  Every other isolation takes one route,
-realroots._isolate_int, over the whole line: a scan cell's cubic where the
-brackets fail, and in equilibria() and the reports the whole cubic and its
-twin.  It bisects from the root bound, counting roots against such brackets
-where they hold and by Sturm sequences where not: the windows are nodes of
-one bisection tree, fixed by the roots alone, so the x_interval a report
-prints is the same either way.  On the locus the three Jury conditions are
-affine in the first, the fold, whose sign at a root of the cubic in (0, 1)
-is the cubic's slope there; so a scan decides a bracketed root's stability
-with at most one exact sign query (_Point.is_stable), and never stages the
-fold or flip condition.  The reports ask all three conditions in a fixed
-order.
+and jury_report read that one binding, which one built alone makes on
+first need.  A _Point finishes a _Row, u, a and b bound once, with its own
+v: scan cells share their row's, alone it stages its own.  A scan cell
+counts its positive and stable fixed points on the float brackets that
+exact sign evaluations certify (_Point.counts).  Every other isolation
+takes one route, realroots._isolate_int, over the whole line: a scan cell's
+cubic where the brackets fail, and in equilibria() and the reports the
+whole cubic and its twin.  It bisects from the root bound, counting roots
+against such brackets where they hold and by Sturm sequences where not:
+the windows are nodes of one bisection tree, fixed by the roots alone, so
+the x_interval a report prints is the same either way.  On the locus the
+Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
+flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
+the modulus a + b less the fold.  At a root of C in (0, 1) the fold has
+the sign of C' and the modulus is a + b - a b x C'; so a scan decides a
+bracketed root's stability from the cubic alone, by one interval bound and
+at most one exact sign query, and stages no stability condition.  The
+reports ask all three conditions in a fixed order.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -51,8 +54,8 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_rational
 from .realroots import (
-    AlgebraicReal, _cubic_discriminant, _derivative, _image, _isolate_int, _sign_dense_at,
-    _unit_cubic_roots,
+    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _derivative, _image, _interval_horner,
+    _isolate_int, _sign_dense_at,
 )
 from .record import FrozenRecord, Record
 
@@ -165,13 +168,36 @@ def y_relation() -> MPoly:
 _Y_SIGN = tuple(bind(_LOCUS_TERMS, power_tables(1, 1, 1, 1)))
 
 
-class Equilibrium:
+class _Lazy:
+    """Slots filled on first read, by the class's _make_<name> method.
+
+    A slot not yet set fails the normal lookup and lands in __getattr__,
+    which fills it; every later read is a plain slot read.  Unlike
+    functools.cached_property, which on Python 3.10 and 3.11 takes a lock
+    on every first read, this takes none: threads racing on a first read
+    each compute the same value, and one of them stays.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        make = getattr(type(self), "_make_" + name, None)
+        if make is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = make(self)
+        setattr(self, name, value)
+        return value
+
+
+class Equilibrium(_Lazy):
     """One fixed point, carried by its exact x coordinate.
 
     y is recovered on demand as the algebraic image v x (1 - x); the
     certified flags work from the x side alone.  A fixed point holds the
-    _Point it was found at (one built alone binds its own), and shares its
-    bound conditions and y candidates with the other fixed points there.
+    _Point it was found at, and shares its bound conditions and y
+    candidates with the other fixed points there; one built alone binds its
+    own point on the first read that needs it (_Lazy), so is_positive alone
+    binds nothing.
     """
 
     __slots__ = ("x_root", "params", "is_positive", "_in_unit_square", "_y", "_point")
@@ -183,7 +209,11 @@ class Equilibrium:
                             and _sign_dense_at(_Y_SIGN, x_root) > 0)
         self._in_unit_square = None
         self._y = None
-        self._point = _Point.of(params) if _point is None else _point
+        if _point is not None:
+            self._point = _point
+
+    def _make__point(self) -> "_Point":
+        return _Point.of(self.params)
 
     @property
     def in_unit_square(self) -> bool:
@@ -286,58 +316,33 @@ _CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
 _FULL_SPEED = power_table(1)  # the power table of a = 1 or b = 1
 
 
-class _Lazy:
-    """Slots filled on first read, by the class's _make_<name> method.
-
-    A slot not yet set fails the normal lookup and lands in __getattr__,
-    which fills it; every later read is a plain slot read.  Unlike
-    functools.cached_property, which on Python 3.10 and 3.11 takes a lock
-    on every first read, this takes none: threads racing on a first read
-    each compute the same value, and one of them stays.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        make = getattr(type(self), "_make_" + name, None)
-        if make is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = make(self)
-        setattr(self, name, value)
-        return value
-
-
 class _Row(_Lazy):
     """u, a and b bound on integers once, for every point that shares them.
 
     tables are the power tables of (u, v, a, b) with v's left open (None),
     and scale is their common denominator without v's.  Staged from them
     (exactpoly.stage): cubic, the equilibrium cubic, which every point
-    reads; on first read modulus, the third stability condition on the
-    locus, the only one a scan's stability rule asks (_Point.is_stable);
-    and on first read conditions, all three, the second being the first at
-    a = b = 1 and the third modulus.  A scan row holds one for its cells,
-    each of which finishes it with its own v's table, so a scan row stages
-    no fold or flip condition.
+    reads, and on first read conditions, the three stability conditions on
+    the locus, the second being the first at a = b = 1.  A scan row holds
+    one for its cells, each of which finishes the cubic with its own v's
+    table; a scan cell takes its stability from the cubic (_Point.counts),
+    so a scan row stages no stability condition.
     """
 
-    __slots__ = ("tables", "scale", "cubic", "modulus", "conditions")
+    __slots__ = ("tables", "scale", "cubic", "conditions")
 
     def __init__(self, up, ap, bp):
         self.tables = (up, None, ap, bp)
         self.scale = up[0] * ap[0] * bp[0]
         self.cubic = stage(_CUBIC_TERMS, self.tables)
 
-    def _make_modulus(self):
-        return stage(_CD_TERMS[2], self.tables)
-
     def _make_conditions(self) -> tuple:
-        cd1, cd2, _ = _CD_TERMS
+        cd1, cd2, cd3 = _CD_TERMS
         t = self.tables
         s1 = stage(cd1, t)
         # the first two differ by twice the trace 2 - a - b, zero only at a = b = 1
         s2 = s1 if t[2] == t[3] == _FULL_SPEED else stage(cd2, t)
-        return s1, s2, self.modulus
+        return s1, s2, stage(cd3, t)
 
 
 class _Point(_Lazy):
@@ -350,19 +355,21 @@ class _Point(_Lazy):
     the exact one times scale, their common denominator.  cubic, the
     equilibrium cubic's primitive integer x-coefficients (see bound_cubic),
     whose lead is positive, is finished from the row with v's table at once,
-    since every point reads it.  On first read, as plain slots with no lock
-    (_Lazy): modulus, the third stability condition; conditions, the
-    primitive parts of bound_stability_polys, the second being the first at
-    a = b = 1 and the third modulus; and locus, y = v x (1 - x) over its
+    since every point reads it, and content is the positive integer divided
+    out of it: scale times the cubic is content times cubic.  On first read,
+    as plain slots with no lock (_Lazy): modulus_form, the modulus condition
+    at a root of the cubic up to a positive factor, taken from the cubic;
+    conditions, the primitive parts of bound_stability_polys, the second
+    being the first at a = b = 1; and locus, y = v x (1 - x) over its
     denominator, bound from the tables.  A scan cell finishes the cubic and
-    at most modulus.  y_candidates, the y roots that realroots._image picks
-    a fixed point's y coordinate from, are taken from the cubic's twin bound
-    with u and v swapped and isolated on first use.  A point lives as long
-    as the fixed points that hold it.
+    at most modulus_form (counts).  y_candidates, the y roots that
+    realroots._image picks a fixed point's y coordinate from, are taken from
+    the cubic's twin bound with u and v swapped and isolated on first use.
+    A point lives as long as the fixed points that hold it.
     """
 
-    __slots__ = ("v", "row", "tables", "scale", "cubic", "modulus", "conditions", "locus",
-                 "_y_for", "_y_roots")
+    __slots__ = ("v", "row", "tables", "scale", "cubic", "content", "modulus_form",
+                 "conditions", "locus", "_y_for", "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
         self.v = v
@@ -370,7 +377,10 @@ class _Point(_Lazy):
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
         self.scale = row.scale * vp[0]
-        self.cubic = self._finish(row.cubic)
+        # the lead u v**2 is never zero
+        dense = finish(row.cubic, vp)
+        self.cubic = _primitive(dense)
+        self.content = dense[-1] // self.cubic[-1]
         self._y_for = self._y_roots = None
 
     @classmethod
@@ -382,13 +392,25 @@ class _Point(_Lazy):
     def _finish(self, staged) -> tuple:
         return _primitive(_dense_trim(finish(staged, self.tables[1])))
 
-    def _make_modulus(self) -> tuple:
-        return self._finish(self.row.modulus)
+    def _make_modulus_form(self) -> tuple:
+        """K - M x C'(x) for the cubic C, in ascending x-coefficients.
+
+        At a root of the equilibrium cubic C0 the modulus condition is
+        a + b - a b x C0'; scale C0 is content C, so with a = pa / qa and
+        b = pb / qb that times qa qb scale is K - M x C', at any speeds,
+        with K = (pa qb + pb qa) scale and M = pa pb content.
+        """
+        _, _, ap, bp = self.tables
+        # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
+        k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
+        m = ap[1] * bp[1] * self.content
+        _, c1, c2, c3 = self.cubic
+        return k, -m * c1, -2 * m * c2, -3 * m * c3
 
     def _make_conditions(self) -> tuple:
-        s1, s2, _ = self.row.conditions
+        s1, s2, s3 = self.row.conditions
         d1 = self._finish(s1)
-        return d1, d1 if s2 is s1 else self._finish(s2), self.modulus
+        return d1, d1 if s2 is s1 else self._finish(s2), self._finish(s3)
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -396,22 +418,48 @@ class _Point(_Lazy):
         common = math.gcd(self.scale, *coeffs)
         return tuple(c // common for c in coeffs), self.scale // common
 
-    def positive_roots(self) -> list:
-        """The x roots of the positive fixed points, ascending, as AlgebraicReals.
+    def counts(self) -> tuple:
+        """(positive, stable): the positive fixed points here, and how many are stable.
 
-        y = v x (1 - x) with v > 0, so a fixed point is positive exactly
-        when 0 < x < 1.  The cubic's roots there come from float brackets
-        certified exactly (realroots._unit_cubic_roots), each a window of the
-        whole cubic.  When those fail (at u v = 1 or on disc = 0, past the
-        float range, or when floats cannot separate the roots), the cubic is
-        isolated over the whole line and its roots in (0, 1) are kept.
+        A fixed point is positive when 0 < x < 1, counted once whatever its
+        multiplicity, and stable when C' and modulus_form are positive there,
+        for the equilibrium cubic C (see the module docstring).  The certified
+        brackets (realroots._cubic_brackets) wholly inside (0, 1) are C's
+        roots there, simple, C' having the sign of -slo; modulus_form's sign
+        on one is an interval Horner bound, or an exact query where that
+        does not settle.  Where the brackets fail or one reaches across 0 or
+        1, the whole-line roots in (0, 1) are kept, and C' at one is -slo
+        for a window of C itself, else one sign query (0 at a double root).
         """
         cubic = self.cubic
-        roots = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
-        if roots is None:
-            roots = [r for r in _isolate_int("x", cubic)
-                     if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
-        return roots
+        brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
+        inside = []
+        for (a, b, k), slo in brackets or ():
+            one = 1 << k
+            if a < 0 < b or a < one < b:
+                brackets = None
+                break
+            if 0 <= a and b <= one:
+                inside.append((a, b, k, slo))
+        stable = 0
+        if brackets is not None:
+            for a, b, k, slo in inside:
+                if slo < 0:
+                    low, high = _interval_horner(self.modulus_form, a, b, k)
+                    if low <= 0 <= high:
+                        root = AlgebraicReal._from_window("x", cubic, a, b, k, 1, slo)
+                        low = _sign_dense_at(self.modulus_form, root)
+                    stable += low > 0
+            return len(inside), stable
+        roots = [r for r in _isolate_int("x", cubic)
+                 if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
+        for r in roots:
+            if r._value is None and r._coeffs == cubic:
+                fold = -r._lower_sign()
+            else:
+                fold = _sign_dense_at(_derivative(cubic), r)
+            stable += fold > 0 and _sign_dense_at(self.modulus_form, r) > 0
+        return len(roots), stable
 
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""
@@ -474,32 +522,6 @@ class _Point(_Lazy):
         yield s1
         yield s1 if d2 is d1 else _sign_dense_at(d2, root)
         yield _sign_dense_at(d3, root)
-
-    def is_stable(self, root: AlgebraicReal) -> bool:
-        """The Jury rule at an x root in (0, 1), asking at most one sign past the fold.
-
-        On the locus the three conditions are affine in one quantity: the
-        first is a b (C + x C') for the equilibrium cubic C, the second is
-        the first plus 2 (2 - a - b), and the third is a + b less the first.
-        At a root of C in (0, 1) the first has the sign of C' there.  That
-        is -root._lower_sign() with no evaluation when the root is a window
-        of the cubic itself, a simple root; otherwise, for a rational root
-        or a root of a deflated or Yun factor, one sign query of C' gives
-        it, 0 at a double root.  With a, b <= 1 the second is positive
-        whenever the first is, so it is never asked, and the third is asked
-        only after a positive first.  The report path (signs) asks all three.
-        """
-        return _is_stable(self._stability_signs(root))
-
-    def _stability_signs(self, root: AlgebraicReal):
-        """The fold's sign, +1 for the flip, then the modulus's sign, asked lazily."""
-        cubic = self.cubic
-        if root._value is None and root._coeffs == cubic:
-            yield -root._lower_sign()
-        else:
-            yield _sign_dense_at(_derivative(cubic), root)
-        yield 1
-        yield _sign_dense_at(self.modulus, root)
 
 
 def _is_stable(signs) -> bool:

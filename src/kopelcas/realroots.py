@@ -35,9 +35,9 @@ neighbours certify it, so the cached value is the correctly rounded root
 and no decision reads it.  A cubic's real roots (_cubic_brackets):
 closed-form float roots propose one narrow dyadic bracket per real root,
 and the signs at the bracket ends certify them, or give way to Sturm
-isolation.  Scan cells take those inside (0, 1) as their windows, rational
-roots left unsnapped (_unit_cubic_roots); isolation (_isolate_int) counts
-roots against them and keeps each as its root's hint.
+isolation.  Scan cells count those inside (0, 1), rational roots left
+unsnapped (model._Point.counts); isolation (_isolate_int) counts roots
+against them and keeps each as its root's hint.
 """
 
 from __future__ import annotations
@@ -443,26 +443,6 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
     return brackets
-
-
-def _unit_cubic_roots(var: str, coeffs, disc: int) -> list[AlgebraicReal] | None:
-    """A cubic's roots in (0, 1), ascending, as their certified brackets, or None.
-
-    The brackets are _cubic_brackets' for coeffs and disc, and those wholly
-    inside (0, 1) are its roots there.  None when _cubic_brackets gives none
-    or one reaches across 0 or 1, so a root at 0 or 1 always gives None.
-    """
-    brackets = _cubic_brackets(coeffs, disc)
-    if brackets is None:
-        return None
-    roots = []
-    for (a, b, k), slo in brackets:
-        one = 1 << k
-        if a < 0 < b or a < one < b:
-            return None
-        if 0 <= a and b <= one:
-            roots.append(AlgebraicReal._from_window(var, coeffs, a, b, k, 1, slo))
-    return roots
 
 
 class AlgebraicReal:

@@ -6,28 +6,28 @@ positive fixed points at that cell, the cubic's roots in 0 < x < 1, and
 certifying their stability.  The two answers land side by side in the
 emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
-one of the routes, never a rounding artifact.  Isolation takes float-proposed
-brackets that exact sign evaluations certify, and builds a Sturm chain only
-where they fail (model._Point.positive_roots).  A bracket also holds the
-sign of the fold condition at its root, so a bracketed root's stability
-takes at most one exact sign query, the modulus condition's, asked only
-after a positive fold (model._Point.is_stable); the brackets are narrow, so
-it mostly settles with no bisection.  A root of the Sturm route takes one
-more query, for the fold.
+one of the routes, never a rounding artifact.  Enumeration counts on
+float-proposed brackets that exact sign evaluations certify, and builds a
+Sturm chain only where they fail (model._Point.counts).  A bracket also
+holds the sign of the fold condition at its root, so a bracketed root's
+stability takes the modulus condition's sign alone, asked only after a
+positive fold, in a form read off the cubic: one interval bound over the
+narrow bracket mostly settles it, and only where that does not is an
+exact sign query asked.  A root of the Sturm route takes one more query,
+for the fold.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The certificates the kind reads, the equilibrium cubic and the stability
 conditions are compiled from their frozen forms at import.  A scan builds
 the power tables of its speeds and of each v once.  Each row builds u's
 table and stages every compiled form it reads once, as one model._Row for
-the cubic and the modulus condition; each cell finishes them with its v's
-table alone, as one model._Point, and builds no ModelParams: ScanSpec and
-the kind's speed rule are the only checks its parameters get.  All values
-of a cell share a single positive denominator.  The class comes from the
-signs of the certificate values.  near_boundary is true when a certificate
-value lies within BOUNDARY_EPSILON of zero, tested exactly on those
-integers.  The flag is a report column only; it exempts no cell from the
-agreement check.
+the cubic; each cell finishes them with its v's table alone, as one
+model._Point, and builds no ModelParams: ScanSpec and the kind's speed rule
+are the only checks its parameters get.  All values of a cell share a
+single positive denominator.  The class comes from the signs of the
+certificate values.  near_boundary is true when a certificate value lies
+within BOUNDARY_EPSILON of zero, tested exactly on those integers.  The
+flag is a report column only; it exempts no cell from the agreement check.
 
 The scan kinds are declared in certificates, not here: KINDS, the
 certificates each kind reads, the count each class asserts (EXPECTED_COUNT)
@@ -138,9 +138,7 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]
 
-            positives = point.positive_roots()
-            numeric_positive = len(positives)
-            numeric_stable = sum(point.is_stable(r) for r in positives)
+            numeric_positive, numeric_stable = point.counts()
 
             # |value| < eps, with value = n / point.scale and eps = eps_num / eps_den
             near = any(abs(n) * eps_den < eps_num * point.scale for n in values)

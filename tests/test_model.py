@@ -361,6 +361,31 @@ def test_equilibrium_built_alone_matches_equilibria(point):
         assert jury_report(alone, params) == jury_report(eq, params)
 
 
+@pytest.mark.parametrize("first", ["in_unit_square", "y_root"])
+def test_equilibrium_built_alone_binds_its_point_on_first_need(monkeypatch, first):
+    # is_positive needs no binding; the first read that does binds one point
+    params = ModelParams(F(13, 4), F(7, 2), F(1, 4), F(1, 2))
+    roots = isolate_real_roots(bound_cubic(params.u, params.v))
+    built = []
+    of = model._Point.of.__func__
+    monkeypatch.setattr(model._Point, "of",
+                        classmethod(lambda cls, p: built.append(p) or of(cls, p)))
+    alone = [Equilibrium(r, params) for r in roots]
+    assert [eq.is_positive for eq in alone] == [True, True, True]
+    assert built == []
+    eq = alone[0]
+    getattr(eq, first)
+    assert built == [params]
+    assert (eq.in_unit_square, eq.y_root.approx) == (True, eq.y_approx)
+    assert jury_report(eq, params).verdict == "stable"
+    assert built == [params]
+    # a fixed point of equilibria() holds its call's point and binds none
+    shared = equilibria(params)
+    built.clear()
+    assert [e.in_unit_square for e in shared] == [True, True, True, True]
+    assert built == []
+
+
 def test_jury_report_rejects_parameters_other_than_the_fixed_points():
     for point in THREE_IRRATIONAL:
         params = ModelParams(*point)
@@ -521,7 +546,8 @@ class TestScanStabilityRule:
     and the modulus condition is a + b less the fold.  At a root of C in
     (0, 1) the fold has the sign of C' there, which a certified bracket
     already holds, and with a, b <= 1 a positive fold makes the flip
-    positive.  So _Point.is_stable asks at most the modulus.
+    positive.  So _Point.counts asks at most the modulus, and there the
+    modulus is a + b - a b x C', read from the cubic alone.
     """
 
     FIG2 = (F(5, 2), F(5))
@@ -539,13 +565,14 @@ class TestScanStabilityRule:
         assert cd1 + cd3 == A + B
 
     def test_a_scan_asks_at_most_one_sign_per_positive_root(self, monkeypatch):
+        # an interval bound on a bracket, or an exact query where that does
+        # not settle or the brackets fail: at most one of them per root
         asked = []
-        real = model._sign_dense_at
-        monkeypatch.setattr(model, "_sign_dense_at",
-                            lambda qi, root: asked.append(root) or real(qi, root))
+        for name in ("_interval_horner", "_sign_dense_at"):
+            real = getattr(model, name)
+            monkeypatch.setattr(model, name,
+                                lambda *args, real=real: asked.append(args) or real(*args))
         grid = scan("homogeneous", ScanSpec(self.FIG2, self.FIG2, 10, a_value=F(1, 2)))
         assert not grid.disagreements()
         positive = sum(cell.numeric_positive for cell in grid.cells)
-        # asked holds every root it saw, so no two of them share an id
         assert 0 < len(asked) <= positive
-        assert len({id(root) for root in asked}) == len(asked)

@@ -2,12 +2,14 @@
 
 Hypothesis runs derandomized, so every run draws the same examples.  The
 symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
-point locus, serves as the oracle for the binder; the report route's
-Equilibrium.is_positive serves as the oracle for the scan's positive roots,
-and with jury_report's verdicts for the roots the scan falls back to;
-whole-line isolation serves as the oracle for the discriminant's sign, and
-that fallback for the scan's certified float brackets; the locus
-y = v x (1 - x) on doubles serves as the oracle for y.
+point locus, serves as the oracle for the binder; the report route,
+Equilibrium.is_positive and jury_report's verdicts, serves as the oracle
+for a scan cell's counts (_Point.counts), on its certified brackets and on
+the whole-line isolation it falls back to; the bound modulus condition
+serves as the oracle for the modulus form the counts read; whole-line
+isolation serves as the oracle for the discriminant's sign, and that
+fallback for the scan's certified float brackets; the locus y = v x (1 - x)
+on doubles serves as the oracle for y.
 """
 
 from fractions import Fraction as F
@@ -18,13 +20,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kopelcas import model, realroots
-from kopelcas.exactpoly import _int_clear, dense_to_mpoly
+from kopelcas.exactpoly import _int_clear, _pseudo_rem, dense_to_mpoly
 from kopelcas.model import (
     ModelParams, _cubic_discriminant, _Point, bound_stability_polys, e0_stable, equilibria,
     jury_report, stability_conditions,
 )
 from kopelcas.realroots import (
-    _eval_int_at, _isolate_int, _sign_dense_at, _unit_cubic_roots, sign_at, sturm_sign_count,
+    AlgebraicReal, _cubic_brackets, _eval_int_at, _isolate_int, _sign_dense_at, sign_at,
+    sturm_sign_count,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -82,35 +85,71 @@ def test_fixed_point_y_follows_the_float_locus(u, v, ab):
         assert abs(eq.y_approx - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
-def _positive_both_ways(params):
-    """(approx, multiplicity) of the positive fixed points by each route."""
-    scan = [(r.approx, r.multiplicity_in_source) for r in _Point.of(params).positive_roots()]
-    report = [(e.x_approx, e.multiplicity) for e in equilibria(params) if e.is_positive]
-    return scan, report
+def _report_answer(params) -> list:
+    """(approx, multiplicity, stable) of the positive fixed points, by the report route."""
+    return [(e.x_approx, e.multiplicity, jury_report(e, params).verdict == "stable")
+            for e in equilibria(params) if e.is_positive]
+
+
+def _report_counts(params) -> tuple:
+    answer = _report_answer(params)
+    return len(answer), sum(stable for _, _, stable in answer)
+
+
+def _fallback_counts(point) -> tuple:
+    """point.counts() as a scan cell takes them when its brackets fail."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_cubic_brackets", lambda coeffs, disc: None)
+        return point.counts()
 
 
 @PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_positive_roots_are_the_positive_equilibria(u, v, ab):
-    scan, report = _positive_both_ways(ModelParams(u, v, *ab))
-    assert scan == report
+    # the bracket route, the forced fallback and the report count alike
+    params = ModelParams(u, v, *ab)
+    point = _Point.of(params)
+    assert point.counts() == _fallback_counts(point) == _report_counts(params)
 
 
 @pytest.mark.parametrize("u, v, a, b, positive", [
     # u v = 1: the cubic's root 0 is the origin, at the window's end
     pytest.param(F(2), F(1, 2), F(1), F(1), [], id="uv-one"),
-    pytest.param(F(3), F(3), F(1), F(1), [(2 / 3, 3)], id="triple-point"),
-    pytest.param(F(2), F(2), F(1), F(1), [(0.5, 1)], id="rational-half"),
-    pytest.param(F(1, 5), F(9), F(1), F(1), [(0.048591172235676966, 1)], id="root-near-zero"),
+    pytest.param(F(3), F(3), F(1), F(1), [(2 / 3, 3, False)], id="triple-point"),
+    pytest.param(F(2), F(2), F(1), F(1), [(0.5, 1, True)], id="rational-half"),
+    pytest.param(F(1, 5), F(9), F(1), F(1), [(0.048591172235676966, 1, True)],
+                 id="root-near-zero"),
     # u v < 1: the cubic's one real root lies below 0
     pytest.param(F(1, 10), F(6), F(1), F(1), [], id="negative-root"),
     pytest.param(F(4), F(4), F(1, 2), F(3, 4),
-                 [(0.3454915028125263, 1), (0.75, 1), (0.9045084971874737, 1)],
+                 [(0.3454915028125263, 1, False), (0.75, 1, False),
+                  (0.9045084971874737, 1, False)],
                  id="unequal-speeds"),
 ])
 def test_positive_roots_named_cases(u, v, a, b, positive):
-    scan, report = _positive_both_ways(ModelParams(u, v, a, b))
-    assert scan == report == positive
+    params = ModelParams(u, v, a, b)
+    assert _report_answer(params) == positive
+    point = _Point.of(params)
+    expected = len(positive), sum(stable for _, _, stable in positive)
+    assert point.counts() == _fallback_counts(point) == expected
+
+
+@PROPERTY
+@given(intensities, intensities, speed_pairs)
+def test_the_modulus_form_is_the_modulus_condition_on_the_cubic(u, v, ab):
+    # lambda d3 - mu form vanishes modulo the cubic for some lambda, mu > 0,
+    # where d3 is the bound modulus condition on the locus
+    point = _Point.of(ModelParams(u, v, *ab))
+    cubic, form, d3 = point.cubic, point.modulus_form, point.conditions[2]
+    assert len(form) == len(d3) == len(cubic) == 4
+    # the remainders of d3 and form by the cubic, both times its positive lead
+    r3, rf = ([cubic[3] * p[i] - p[3] * cubic[i] for i in range(3)] for p in (d3, form))
+    lam, mu = next(((abs(f), abs(r)) for r, f in zip(r3, rf) if f), (1, 1))
+    assert lam > 0 and mu > 0
+    combined = [lam * p - mu * q for p, q in zip(d3, form)]
+    assert _pseudo_rem(combined, cubic) == []
+    for r in _isolate_int("x", cubic):
+        assert _sign_dense_at(form, r) == _sign_dense_at(d3, r)
 
 
 small_roots = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
@@ -162,11 +201,23 @@ def test_discriminant_sign_counts_the_simple_real_roots(coeffs):
         assert max(mults) > 1
 
 
-def _fallback_roots(point) -> list:
-    """point.positive_roots() as a scan cell takes them when its brackets fail."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_unit_cubic_roots", lambda var, coeffs, disc: None)
-        return point.positive_roots()
+def _unit_brackets(point):
+    """The roots of point's cubic in (0, 1) as their certified brackets, or None.
+
+    None when the brackets fail or one reaches across 0 or 1, where a scan
+    cell falls back to whole-line isolation.
+    """
+    cubic = point.cubic
+    brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
+    if brackets is None:
+        return None
+    roots = []
+    for (a, b, k), slo in brackets:
+        if a < 0 < b or a < 1 << k < b:
+            return None
+        if 0 <= a and b <= 1 << k:
+            roots.append(AlgebraicReal._from_window("x", cubic, a, b, k, 1, slo))
+    return roots
 
 
 @PROPERTY
@@ -174,12 +225,14 @@ def _fallback_roots(point) -> list:
 def test_certified_brackets_match_the_sturm_route(u, v):
     point = _Point.of(ModelParams(u, v))
     cubic = point.cubic
-    certified = _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
+    certified = _unit_brackets(point)
     assume(certified is not None)
-    sturm = _fallback_roots(point)
+    sturm = [r for r in _isolate_int("x", cubic)
+             if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
     assert [(r.approx, r.multiplicity_in_source) for r in certified] == \
         [(r.approx, r.multiplicity_in_source) for r in sturm]
     assert [tuple(point.signs(r)) for r in certified] == [tuple(point.signs(r)) for r in sturm]
+    assert point.counts() == _fallback_counts(point)
     poly = dense_to_mpoly([F(c) for c in cubic], "x")
     for r in certified:
         assert not r.is_rational
@@ -195,31 +248,17 @@ def test_fallback_roots_are_the_positive_equilibria(u, v, ab):
     # the whole-line route a scan cell falls back to, against the report's
     # positive fixed points and their Jury verdicts
     params = ModelParams(u, v, *ab)
-    point = _Point.of(params)
-    scan = [(r.approx, r.multiplicity_in_source, point.is_stable(r))
-            for r in _fallback_roots(point)]
-    report = [(e.x_approx, e.multiplicity, jury_report(e, params).verdict == "stable")
-              for e in equilibria(params) if e.is_positive]
-    assert scan == report
-
-
-def _bracket_roots(point) -> list:
-    """The roots of point's cubic in (0, 1) from its certified brackets, or None."""
-    cubic = point.cubic
-    return _unit_cubic_roots("x", cubic, _cubic_discriminant(cubic))
+    assert _fallback_counts(_Point.of(params)) == _report_counts(params)
 
 
 @PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_scan_stability_is_the_jury_verdict(u, v, ab):
-    # the scan's rule asks at most the modulus; the report asks all three
+    # the scan's rule asks at most the modulus form; the report asks all three
     params = ModelParams(u, v, *ab)
     point = _Point.of(params)
-    assume(_bracket_roots(point) is not None)
-    scan = [point.is_stable(r) for r in point.positive_roots()]
-    report = [jury_report(e, params).verdict == "stable" for e in equilibria(params)
-              if e.is_positive]
-    assert scan == report
+    assume(_unit_brackets(point) is not None)
+    assert point.counts() == _report_counts(params)
 
 
 @PROPERTY
@@ -228,7 +267,7 @@ def test_a_bracket_holds_the_fold_sign(u, v, ab):
     # the fold is a b x C' at a root of the cubic C, and a bracket's lower
     # sign is C's left of a simple root, the opposite of the sign of C' there
     point = _Point.of(ModelParams(u, v, *ab))
-    roots = _bracket_roots(point)
+    roots = _unit_brackets(point)
     assume(roots)
     for r in roots:
         assert -r._lower_sign() == _sign_dense_at(point.conditions[0], r)
@@ -242,10 +281,12 @@ def _counting_fallback(monkeypatch) -> list:
     return calls
 
 
-def _scan_answer(u, v) -> list:
-    point = _Point.of(ModelParams(u, v))
-    return [(r.approx, r.multiplicity_in_source, point.is_stable(r))
-            for r in point.positive_roots()]
+def _scan_answer(u, v) -> tuple:
+    return _Point.of(ModelParams(u, v)).counts()
+
+
+def _counted(positive) -> tuple:
+    return len(positive), sum(stable for _, _, stable in positive)
 
 
 THREE_INSIDE = [(0.4952651682454746, 1, True), (0.6923076923076923, 1, False),
@@ -263,8 +304,9 @@ THREE_INSIDE = [(0.4952651682454746, 1, True), (0.6923076923076923, 1, False),
                  id="past-floats"),
 ])
 def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, positive):
+    assert _report_answer(ModelParams(u, v)) == positive
     calls = _counting_fallback(monkeypatch)
-    assert _scan_answer(u, v) == positive
+    assert _scan_answer(u, v) == _counted(positive)
     assert len(calls) == 1
 
 
@@ -282,10 +324,11 @@ def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, positive):
 ])
 def test_wrong_seeds_fall_back_to_sturm(monkeypatch, wrong, u, v, positive):
     # the floats only choose where to look: wrong seeds cost the Sturm route, never an answer
+    assert _report_answer(ModelParams(u, v)) == positive
     calls = _counting_fallback(monkeypatch)
-    assert _scan_answer(u, v) == positive
+    assert _scan_answer(u, v) == _counted(positive)
     assert calls == []
     seeds = realroots._cubic_seeds
     monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: wrong(seeds(cf, three)))
-    assert _scan_answer(u, v) == positive
+    assert _scan_answer(u, v) == _counted(positive)
     assert len(calls) == 1

@@ -8,7 +8,7 @@ from kopelcas import model, realroots
 from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
 from kopelcas.model import _cubic_discriminant
 from kopelcas.realroots import (
-    _ZERO_TEST_ROUND, AlgebraicReal, _image, _isolate_int, _sign_dense_at, _unit_cubic_roots,
+    _ZERO_TEST_ROUND, AlgebraicReal, _cubic_brackets, _image, _isolate_int, _sign_dense_at,
     isolate_real_roots, sign_at, square_free_decompose, sturm_sign_count,
 )
 from kopelcas.rational import format_rational
@@ -621,12 +621,19 @@ def test_unit_cubic_roots_refuse_a_bracket_across_one(monkeypatch, root, inside)
     # (x - root)(x^2 - 9): the float error bound near x = 1 dwarfs 10**-20,
     # so the bracket around the seed crosses 1 and whole-line isolation decides
     coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
-    assert _unit_cubic_roots("x", coeffs, _cubic_discriminant(coeffs)) is None
-    # the scan's fallback, on this cubic in place of a parameter point's
+    brackets = _cubic_brackets(coeffs, _cubic_discriminant(coeffs))
+    assert any(a < 1 << k < b for (a, b, k), _ in brackets)
+    # a scan cell's counts, on this cubic in place of a parameter point's
     point = model._Point.of(model.ModelParams(1, 1))
     point.cubic = coeffs
-    monkeypatch.setattr(model, "_unit_cubic_roots", lambda var, coeffs, disc: None)
-    assert len(point.positive_roots()) == inside
+    calls = []
+    isolate = model._isolate_int
+    monkeypatch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
+    assert point.counts()[0] == inside
+    assert len(calls) == 1
+    # the same count with the brackets failing outright
+    monkeypatch.setattr(model, "_cubic_brackets", lambda coeffs, disc: None)
+    assert point.counts()[0] == inside
 
 
 @pytest.mark.parametrize("coeffs, disc, seeds", [
@@ -638,4 +645,4 @@ def test_unit_cubic_roots_refuse_a_bracket_across_one(monkeypatch, root, inside)
 def test_unit_cubic_roots_answer_float_failures_with_none(monkeypatch, coeffs, disc, seeds):
     if seeds is not None:
         monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: seeds)
-    assert _unit_cubic_roots("x", coeffs, disc) is None
+    assert _cubic_brackets(coeffs, disc) is None

@@ -265,10 +265,11 @@ class TestStagedBinding:
         a = F(1, 2) if kind == "homogeneous" else None
         # u v > 1 throughout, so every cell has a positive fixed point whose
         # fold condition is positive (the cubic climbs from 1 - u v < 0 at 0
-        # to 1 at 1), and every row reads the cubic and the modulus condition
+        # to 1 at 1), and every cell reads the modulus at it
         scan(kind, ScanSpec(self.FIG2, self.FIG2, n, a_value=a))
-        # the scan's stability rule never asks the fold or flip condition
-        polys = (*_KIND_TERMS[kind], _CUBIC_TERMS, _CD_TERMS[2])
+        # the scan's stability rule takes the modulus from the cubic, so a
+        # row stages no stability condition
+        polys = (*_KIND_TERMS[kind], _CUBIC_TERMS)
         assert staged == {id(terms): n for terms in polys}
 
     @pytest.mark.parametrize("speed", [F(1), F(1, 2)])
