@@ -77,12 +77,17 @@ class MPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], object] | None = None):
+        """terms maps exponent tuples, six non-negative ints, to exact coefficients."""
         clean: dict[tuple[int, ...], Coeff] = {}
         if terms:
             for exp, coeff in terms.items():
+                if (type(exp) is not tuple or len(exp) != len(VARS)
+                        or any(type(e) is not int or e < 0 for e in exp)):
+                    raise ValueError(f"an exponent tuple holds {len(VARS)} non-negative ints, "
+                                     f"not {exp!r}")
                 c = _coeff(coeff)
                 if c:
-                    clean[tuple(exp)] = c
+                    clean[exp] = c
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):

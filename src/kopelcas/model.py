@@ -36,8 +36,9 @@ flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  At a root of C in (0, 1) the fold has
 the sign of C' and the modulus is a + b - a b x C'; so a scan decides a
 bracketed root's stability from the cubic alone, by one interval bound and
-at most one exact sign query, and stages no stability condition.  The
-reports ask all three conditions in a fixed order.
+at most one exact sign query.  The reports read all three conditions off
+the bound cubic too, with no condition staged, and ask them in a fixed
+order.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -49,10 +50,10 @@ import math
 from fractions import Fraction
 
 from .exactpoly import (
-    A, B, MPoly, U, V, X, Y, _dense_trim, _exact_div, _primitive, bind, dense_to_mpoly, finish,
-    integer_terms, power_table, power_tables, stage,
+    A, B, MPoly, U, V, X, Y, _exact_div, _primitive, bind, dense_to_mpoly, finish, integer_terms,
+    power_tables, stage,
 )
-from .rational import coerce_rational, format_rational
+from .rational import coerce_rational, format_dyadic, format_rational
 from .realroots import (
     AlgebraicReal, _cubic_brackets, _cubic_discriminant, _derivative, _image, _interval_horner,
     _isolate_int, _sign_dense_at,
@@ -312,37 +313,23 @@ def bound_stability_polys(params: ModelParams):
     return tuple(cd.evaluate(binding) for cd in _CD_ON_LOCUS)
 
 
-_CD_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
-_FULL_SPEED = power_table(1)  # the power table of a = 1 or b = 1
-
-
-class _Row(_Lazy):
+class _Row:
     """u, a and b bound on integers once, for every point that shares them.
 
     tables are the power tables of (u, v, a, b) with v's left open (None),
-    and scale is their common denominator without v's.  Staged from them
-    (exactpoly.stage): cubic, the equilibrium cubic, which every point
-    reads, and on first read conditions, the three stability conditions on
-    the locus, the second being the first at a = b = 1.  A scan row holds
-    one for its cells, each of which finishes the cubic with its own v's
-    table; a scan cell takes its stability from the cubic (_Point.counts),
-    so a scan row stages no stability condition.
+    and scale is their common denominator without v's.  cubic is the
+    equilibrium cubic staged from them (exactpoly.stage), the one form a row
+    stages: every point finishes it with its own v's table and reads its
+    stability conditions off the finished cubic (_Point).  A scan row holds
+    one for its cells.
     """
 
-    __slots__ = ("tables", "scale", "cubic", "conditions")
+    __slots__ = ("tables", "scale", "cubic")
 
     def __init__(self, up, ap, bp):
         self.tables = (up, None, ap, bp)
         self.scale = up[0] * ap[0] * bp[0]
         self.cubic = stage(_CUBIC_TERMS, self.tables)
-
-    def _make_conditions(self) -> tuple:
-        cd1, cd2, cd3 = _CD_TERMS
-        t = self.tables
-        s1 = stage(cd1, t)
-        # the first two differ by twice the trace 2 - a - b, zero only at a = b = 1
-        s2 = s1 if t[2] == t[3] == _FULL_SPEED else stage(cd2, t)
-        return s1, s2, stage(cd3, t)
 
 
 class _Point(_Lazy):
@@ -358,14 +345,15 @@ class _Point(_Lazy):
     since every point reads it, and content is the positive integer divided
     out of it: scale times the cubic is content times cubic.  On first read,
     as plain slots with no lock (_Lazy): modulus_form, the modulus condition
-    at a root of the cubic up to a positive factor, taken from the cubic;
-    conditions, the primitive parts of bound_stability_polys, the second
-    being the first at a = b = 1; and locus, y = v x (1 - x) over its
-    denominator, bound from the tables.  A scan cell finishes the cubic and
-    at most modulus_form (counts).  y_candidates, the y roots that
-    realroots._image picks a fixed point's y coordinate from, are taken from
-    the cubic's twin bound with u and v swapped and isolated on first use.
-    A point lives as long as the fixed points that hold it.
+    at a root of the cubic up to a positive factor; conditions, the
+    primitive parts of bound_stability_polys, the second being the first at
+    a = b = 1; both read off the cubic with no term list staged; and locus,
+    y = v x (1 - x) over its denominator, bound from the tables.  A scan
+    cell finishes the cubic and at most modulus_form (counts).
+    y_candidates, the y roots that realroots._image picks a fixed point's y
+    coordinate from, are taken from the cubic's twin bound with u and v
+    swapped and isolated on first use, with no rational root test, since
+    it has none.  A point lives as long as the fixed points that hold it.
     """
 
     __slots__ = ("v", "row", "tables", "scale", "cubic", "content", "modulus_form",
@@ -389,28 +377,49 @@ class _Point(_Lazy):
         up, vp, ap, bp = power_tables(params.u, params.v, params.a, params.b)
         return cls(params.v, _Row(up, ap, bp), vp)
 
-    def _finish(self, staged) -> tuple:
-        return _primitive(_dense_trim(finish(staged, self.tables[1])))
+    def _speed_terms(self) -> tuple:
+        """(K, M): a + b and a b content / scale, both times qa qb scale.
+
+        With a = pa / qa and b = pb / qb, K = (pa qb + pb qa) scale and
+        M = pa pb content.  The equilibrium cubic bound here is content / scale
+        times cubic, so the fold a b (C0 + x C0') times qa qb scale is
+        M (C + x C') for the primitive cubic C.
+        """
+        _, _, ap, bp = self.tables
+        # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
+        k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
+        return k, ap[1] * bp[1] * self.content
 
     def _make_modulus_form(self) -> tuple:
         """K - M x C'(x) for the cubic C, in ascending x-coefficients.
 
         At a root of the equilibrium cubic C0 the modulus condition is
-        a + b - a b x C0'; scale C0 is content C, so with a = pa / qa and
-        b = pb / qb that times qa qb scale is K - M x C', at any speeds,
-        with K = (pa qb + pb qa) scale and M = pa pb content.
+        a + b - a b x C0', which times qa qb scale is K - M x C' at any
+        speeds (_speed_terms).
         """
-        _, _, ap, bp = self.tables
-        # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
-        k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
-        m = ap[1] * bp[1] * self.content
+        k, m = self._speed_terms()
         _, c1, c2, c3 = self.cubic
         return k, -m * c1, -2 * m * c2, -3 * m * c3
 
     def _make_conditions(self) -> tuple:
-        s1, s2, s3 = self.row.conditions
-        d1 = self._finish(s1)
-        return d1, d1 if s2 is s1 else self._finish(s2), self._finish(s3)
+        """The primitive parts of bound_stability_polys, read off the cubic.
+
+        On the locus the fold is a b (C0 + x C0'), the flip the fold plus
+        2 (2 - a - b), and the modulus a + b less the fold; times qa qb scale
+        (_speed_terms) they are M F, M F + 2 (2 qa qb scale - K) and K - M F
+        for F = C + x C'.  Each is a positive multiple of its condition, so
+        its primitive part is the condition's.  The trace term vanishes only
+        at a = b = 1, where the second condition is the first object.
+        """
+        k, m = self._speed_terms()
+        _, _, ap, bp = self.tables
+        c0, c1, c2, c3 = self.cubic
+        f1, f2, f3 = 2 * c1, 3 * c2, 4 * c3
+        d1 = _primitive((c0, f1, f2, f3))
+        m0, m1, m2, m3 = m * c0, m * f1, m * f2, m * f3
+        trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
+        d2 = _primitive((m0 + trace, m1, m2, m3)) if trace else d1
+        return d1, d2, _primitive((k - m0, -m1, -m2, -m3))
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -501,21 +510,24 @@ class _Point(_Lazy):
     def y_candidates(self, root: AlgebraicReal) -> list:
         """The isolated roots of y_factor over a windowed x root's factor.
 
-        Isolated on first use; the roots of one factor share them.  A twin
-        with one real root, irrational as the windowed x root is, isolates
-        to its root bound's window, counted against its certified bracket
-        with no bisection and no Sturm chain.
+        Isolated on first use; the roots of one factor share them.  No root
+        of y_factor is rational: at a fixed point x = u y (1 - y) and
+        y = v x (1 - x), so x and y are rational together, and g has no
+        rational root.  So no window is tested for one (irrational).  A twin
+        with one real root isolates to its root bound's window, counted
+        against its certified bracket with no bisection and no Sturm chain.
         """
         g = root._coeffs
         if g != self._y_for:
-            self._y_for, self._y_roots = g, _isolate_int("y", self.y_factor(g))
+            self._y_for = g
+            self._y_roots = _isolate_int("y", self.y_factor(g), irrational=True)
         return self._y_roots
 
     def signs(self, root: AlgebraicReal):
         """Certified signs of the three bound conditions at an x root, asked lazily.
 
         The first two conditions differ by twice the trace 2 - a - b, so they
-        coincide only at a = b = 1, where _Row.conditions stages one for both.
+        coincide only at a = b = 1, where conditions holds one for both.
         """
         d1, d2, d3 = self.conditions
         s1 = _sign_dense_at(d1, root)
@@ -593,6 +605,14 @@ def e0_stable(params: ModelParams) -> bool:
     return _is_stable(d[0] for d in _Point.of(params).conditions)
 
 
+def _window_text(root: AlgebraicReal) -> list:
+    """[lo, hi] of root's window as format_rational prints them, no Fraction built."""
+    if root._value is not None:
+        text = format_rational(root._value)
+        return [text, text]
+    return [format_dyadic(root._a, root._k), format_dyadic(root._b, root._k)]
+
+
 def equilibrium_report(params: ModelParams) -> dict:
     """JSON-ready summary of every fixed point with certified stability.
 
@@ -608,7 +628,7 @@ def equilibrium_report(params: ModelParams) -> dict:
         entries.append({
             "x_approx": eq.x_approx,
             "y_approx": eq.y_approx,
-            "x_interval": [format_rational(eq.x_root.lo), format_rational(eq.x_root.hi)],
+            "x_interval": _window_text(eq.x_root),
             "multiplicity": eq.multiplicity,
             "positive": eq.is_positive,
             "in_unit_square": eq.in_unit_square,

@@ -26,6 +26,18 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
+def format_dyadic(n: int, k: int) -> str:
+    """format_rational(Fraction(n, 2**k)) for k >= 0, with no Fraction built.
+
+    Lowest terms strip the trailing zero bits n and 2**k share.
+    """
+    if not n:
+        return "0"
+    shift = min((n & -n).bit_length() - 1, k)
+    n, k = n >> shift, k - shift
+    return f"{n}/{1 << k}" if k else str(n)
+
+
 def coerce_rational(value) -> Fraction:
     """Accept int or Fraction; reject float to keep arithmetic exact."""
     if isinstance(value, Fraction):

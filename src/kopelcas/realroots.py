@@ -178,6 +178,15 @@ def _sturm_chain(coeffs) -> list[tuple[int, ...]]:
     return chain
 
 
+def _roots_between(chain, ends) -> int:
+    """Distinct roots of chain[0] in (lo, hi], counted on its _sturm_chain.
+
+    ends are lo and hi as (numerator, denominator) pairs, neither a root.
+    """
+    low, high = (_variations(_eval_int_at(c, num, den) for c in chain) for num, den in ends)
+    return low - high
+
+
 def _variations(values) -> int:
     """Sign changes along a sequence of values, zeros skipped."""
     count = 0
@@ -217,11 +226,18 @@ def _halve(coeffs, slo: int, a: int, b: int, k: int, hint=None) -> tuple[int, in
 def _dyadic_window(coeffs, lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     """A dyadic window inside (lo, hi) around the one simple root there.
 
-    Returns a == b when a grid point hits the root.
+    Returns a == b when a grid point hits the root.  Raises ValueError
+    unless coeffs changes sign over (lo, hi) and a Sturm count finds one
+    distinct root there, which gcd(f, f') does not share.
     """
-    if _eval_int_at(coeffs, lo.numerator, lo.denominator) * \
-            _eval_int_at(coeffs, hi.numerator, hi.denominator) >= 0:
+    ends = ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    if _eval_int_at(coeffs, *ends[0]) * _eval_int_at(coeffs, *ends[1]) >= 0:
         raise ValueError("(lo, hi) must isolate a simple root with non-root endpoints")
+    # the ends are no roots of f, so none of gcd(f, f') either
+    chain = _sturm_chain(coeffs)
+    if (_roots_between(chain, ends) != 1
+            or len(chain[-1]) > 1 and _roots_between(_sturm_chain(chain[-1]), ends)):
+        raise ValueError("(lo, hi) must hold exactly one root, and a simple one")
     k = max(lo.denominator, hi.denominator).bit_length() - 1
     while True:
         a = -((-lo.numerator << k) // lo.denominator)  # ceil(lo * 2**k)
@@ -460,7 +476,11 @@ class AlgebraicReal:
                  "_hint")
 
     def __init__(self, var: str, coeffs: tuple[int, ...], lo, hi, multiplicity: int = 1):
-        """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root."""
+        """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root.
+
+        A window that holds several roots, or a multiple one, is refused
+        (ValueError) by a Sturm count, so no root is picked silently.
+        """
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("the window's lower end lies above its upper end")
@@ -819,7 +839,7 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
     return _isolate_int(var, _int_clear(dense))
 
 
-def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
+def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[AlgebraicReal]:
     """isolate_real_roots on primitive integer coefficients, degree >= 1.
 
     A linear square-free factor is its root.  Any other is searched in its
@@ -829,13 +849,16 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     twice: the Sturm chain of coeffs ends in gcd(f, f'), Yun's first gcd,
     and when f is square-free the same chain isolates its roots.  Yun
     factors and cubics whose brackets fail get chains of their own.  Each
-    window is then tested for a rational root (_rational_value).  A factor
-    with a rational root, snapped by bisection or by the test, is divided by
-    all of them, and the cofactor, whose roots are all irrational, is
-    isolated again from its own Cauchy window by its own Sturm chain: its
-    windows do not depend on how the rational roots were found.  When the
+    window is then tested for a rational root (_rational_value), unless
+    irrational says coeffs has none.  A factor with a rational root, snapped
+    by bisection or by the test, is divided by all of them, and the
+    cofactor, whose roots are all irrational, is isolated again from its
+    own Cauchy window by its own Sturm chain: its windows do not depend on
+    how the rational roots were found.  When the
     test snapped nothing, the cofactor is what the walk deflated to, and the
-    chain the walk built for it serves again.
+    chain the walk built for it serves again.  The windows of one factor
+    with no rational root are leaves of one bisection tree, so already
+    disjoint and ascending; only other results are sorted and separated.
     """
     items: list[AlgebraicReal] = []
     disc = len(coeffs) == 4 and _cubic_discriminant(coeffs)
@@ -860,7 +883,7 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
         hints = brackets if brackets and not rational else repeat((None, 0))
         roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
                  for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
-        snapped = [q for q in map(_rational_value, roots) if q is not None]
+        snapped = [] if irrational else [q for q in map(_rational_value, roots) if q is not None]
         if rational or snapped:
             for q in snapped:
                 rest = tuple(_exact_div(rest, (-q.numerator, q.denominator)))
@@ -874,7 +897,9 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
                          for a, b, k in windows]
         items += roots
         items += [AlgebraicReal.from_rational(q, var, mult) for q in rational]
-    return _make_disjoint(items) if len(items) > 1 else items
+    if len(items) > 1 and (len(factors) > 1 or rational):
+        return _make_disjoint(items)
+    return items
 
 
 def sturm_sign_count(p: MPoly, lo, hi) -> int:
@@ -895,9 +920,7 @@ def sturm_sign_count(p: MPoly, lo, hi) -> int:
     ends = [(t.numerator, t.denominator) for t in (lo, hi)]
     if any(_eval_int_at(coeffs, num, den) == 0 for num, den in ends):
         raise ValueError("interval endpoint is a root")
-    chain = _sturm_chain(coeffs)
-    v_lo, v_hi = (_variations(_eval_int_at(c, num, den) for c in chain) for num, den in ends)
-    return v_lo - v_hi
+    return _roots_between(_sturm_chain(coeffs), ends)
 
 
 def sign_at(q: MPoly, alpha: AlgebraicReal) -> int:
@@ -950,13 +973,18 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
     rational alpha maps to a rational y with no call to candidates, so a
     rational x root never isolates the cubic's twin.  Otherwise alpha
     shrinks until the interval image of qi / scale meets just one of the
-    isolated y roots candidates(alpha) gives, and a copy of it is the image.
+    isolated y roots candidates(alpha) gives, and a copy of it is the image;
+    a lone candidate is the image with no bound taken.
     """
     if alpha.is_rational:
         num, den = alpha.value.numerator, alpha.value.denominator
         val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
         return AlgebraicReal.from_rational(val, "y", alpha.multiplicity_in_source)
     roots = candidates(alpha)
+    if len(roots) == 1:
+        # the true y lies in the one candidate's window and in every interval
+        # image, so the first bound would pick it
+        return roots[0]._copy(alpha._mult)
     coeffs, slo = alpha._coeffs, alpha._lower_sign()
     a, b, k = alpha._a, alpha._b, alpha._k
     try:

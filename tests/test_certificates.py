@@ -17,7 +17,7 @@ from kopelcas.certificates import (
 )
 from kopelcas.exactpoly import U, V, bind, power_tables
 from kopelcas.model import (
-    ModelParams, _CD_ON_LOCUS, _CD_TERMS, _CUBIC_TERMS, _Point, equilibria,
+    ModelParams, _CUBIC_TERMS, _Point, equilibria,
     equilibrium_cubic, jury_report,
 )
 
@@ -88,10 +88,8 @@ class TestFrozenForms:
             expected = [_ev(poly, u, v, a) * denominator for poly in polys]
             assert _certificate_values(kind, tables) == expected, kind
         binding = {"u": u, "v": v, "a": a, "b": b}
-        for terms, poly in zip((_CUBIC_TERMS, *_CD_TERMS),
-                               (equilibrium_cubic(), *_CD_ON_LOCUS)):
-            expected = [c * denominator for c in _dense_x(poly.evaluate(binding))]
-            assert bind(terms, tables) == expected
+        expected = [c * denominator for c in _dense_x(equilibrium_cubic().evaluate(binding))]
+        assert bind(_CUBIC_TERMS, tables) == expected
         # the integer cubic equilibria() isolates is a positive multiple of the exact one
         cubic = _dense_x(equilibrium_cubic().evaluate({"u": u, "v": v}))
         bound = _Point.of(ModelParams(u, v, a, b)).cubic

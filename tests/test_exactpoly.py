@@ -55,6 +55,18 @@ def test_float_coefficients_rejected():
         X * 0.5
 
 
+def test_malformed_exponent_tuples_rejected():
+    # an exponent tuple is six non-negative ints, checked before the
+    # coefficient, so a zero coefficient does not let a bad key through
+    for exp in [(-1, 0, 0, 0, 0, 0), (1,), (1, 0, 0, 0, 0, 0, 0), (1.0, 0, 0, 0, 0, 0),
+                (True, 0, 0, 0, 0, 0), "x"]:
+        for coeff in (2, 0):
+            with pytest.raises(ValueError, match="non-negative ints"):
+                MPoly({exp: coeff})
+    assert MPoly({(1, 0, 0, 0, 0, 0): 3}).to_str() == "3*x"
+    assert MPoly({(0, 0, 2, 0, 0, 0): 0}).is_zero()
+
+
 def test_unknown_variable_rejected():
     with pytest.raises(ValueError):
         MPoly.var("z")

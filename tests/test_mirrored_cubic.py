@@ -160,9 +160,9 @@ def _spy_chains(monkeypatch) -> list:
 def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
     calls = []
 
-    def counted(var, coeffs):
+    def counted(var, coeffs, **keywords):
         calls.append((var, coeffs))
-        return _isolate_int(var, coeffs)
+        return _isolate_int(var, coeffs, **keywords)
 
     most = chainless = snapped = 0
     for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]]:
@@ -192,6 +192,20 @@ def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
     # root: x = u y (1 - y) and y = v x (1 - x) at a fixed point, so x and y
     # are rational together, and every rational x root snaps.
     assert chainless >= 40 and snapped == 0
+
+
+def test_report_tests_no_y_window_for_a_rational_root(monkeypatch):
+    # x and y are rational together at a fixed point, so the y candidates of
+    # a windowed x root are isolated with no rational root test
+    tested = []
+    test = realroots._rational_value
+    monkeypatch.setattr(realroots, "_rational_value", lambda r: tested.append(r.var) or test(r))
+    windowed = 0
+    for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]]:
+        report = equilibrium_report(ModelParams(*point))
+        windowed += sum(lo != hi for lo, hi in (e["x_interval"] for e in report["equilibria"]))
+    assert windowed > 100 and "x" in tested
+    assert "y" not in tested
 
 
 def _lattice(seed, count):

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kopelcas import model, realroots
@@ -25,6 +25,7 @@ from kopelcas.model import (
     ModelParams, _cubic_discriminant, _Point, bound_stability_polys, e0_stable, equilibria,
     jury_report, stability_conditions,
 )
+from kopelcas.rational import format_rational
 from kopelcas.realroots import (
     AlgebraicReal, _cubic_brackets, _eval_int_at, _isolate_int, _sign_dense_at, sign_at,
     sturm_sign_count,
@@ -60,6 +61,22 @@ def test_binder_is_a_positive_multiple_of_the_symbolic_binding(u, v, ab):
         assert all(F(di) == ratio * pi for di, pi in zip(d, p))
     # the first two conditions differ by twice the trace 2 - a - b
     assert (dense[0] == dense[1]) == (a == b == 1)
+
+
+@PROPERTY
+@given(st.integers(-2**70, 2**70), st.integers(0, 80), st.integers(0, 2**20))
+@example(0, 0, 1)
+@example(0, 9, 0)
+@example(-12, 0, 5)
+@example(-12, 3, 0)
+@example(-48, 4, 80)
+def test_window_text_matches_format_rational(a, k, width):
+    # a report prints a window's ends from its integers (a, b, k); width 0
+    # is an exact root, printed from its Fraction
+    root = AlgebraicReal._from_window("x", (-2, 0, 1), a, a + width, k, 1)
+    lo, hi = F(a, 1 << k), F(a + width, 1 << k)
+    assert root.is_rational == (width == 0)
+    assert model._window_text(root) == [format_rational(lo), format_rational(hi)]
 
 
 @PROPERTY

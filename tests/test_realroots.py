@@ -534,6 +534,25 @@ def test_image_swaps_conjugate_pair():
     assert sign_at(y_min, img) == 0
 
 
+def test_a_lone_candidate_is_the_image_with_no_bound_taken(monkeypatch):
+    # at u = 1/5, v = 9 the cubic has one real root, and so has its image
+    # polynomial: both the window of that one candidate and every interval
+    # image of the x window hold the true y, so the candidate is the image
+    qi, scale = (0, 9, -9), 1
+    roots = isolate_real_roots(cubic(F(1, 5), F(9)))
+    assert len(roots) == 1 and not roots[0].is_rational
+    candidates = _resultant_candidates(qi, scale)(roots[0])
+    assert len(candidates) == 1
+    window = (roots[0].lo, roots[0].hi)
+    monkeypatch.setattr(realroots, "_interval_horner",
+                        lambda *args: pytest.fail("a bound was taken"))
+    img = _image(roots[0], qi, scale, lambda root: candidates)
+    monkeypatch.undo()
+    assert img is not candidates[0] and (img.lo, img.hi) == (candidates[0].lo, candidates[0].hi)
+    assert (roots[0].lo, roots[0].hi) == window
+    assert img.approx == 0.4160706319479576
+
+
 def test_shared_image_candidates_give_each_root_its_own_copy():
     # the three fixed points off the origin at u = 7/2, v = 13/4 are
     # irrational roots of one cubic, so their y images share one polynomial
@@ -585,6 +604,22 @@ def test_constructor_moves_rational_window_onto_dyadic_grid():
     assert half.is_rational and half.value == F(1, 2)
     with pytest.raises(ValueError):
         AlgebraicReal("x", (-2, 0, 1), F(2), F(3))  # no sign change: no root inside
+
+
+def test_constructor_refuses_a_window_with_several_roots_or_a_multiple_one():
+    # (x - 1)(x - 2)(x - 3) changes sign over (0, 4), yet holds three roots
+    with pytest.raises(ValueError, match="exactly one root"):
+        AlgebraicReal("x", (-6, 11, -6, 1), 0, 4)
+    # (x - 1)**2 (x - 2) changes sign over (0, 3), which holds the double root too
+    with pytest.raises(ValueError, match="exactly one root"):
+        AlgebraicReal("x", (-2, 5, -4, 1), 0, 3)
+    # (x - 1)**3 changes sign over (0, 2) at its one root, a triple one
+    with pytest.raises(ValueError, match="exactly one root"):
+        AlgebraicReal("x", (-1, 3, -3, 1), 0, 2)
+    # a window around one simple root is kept, square-free polynomial or not
+    for coeffs, lo, hi in [((-6, 11, -6, 1), F(3, 2), F(5, 2)), ((-2, 5, -4, 1), F(3, 2), 3)]:
+        root = AlgebraicReal("x", coeffs, lo, hi)
+        assert root.approx == 2.0 and root.compare_rational(2) == 0
 
 
 def test_constructor_rejects_a_reversed_window(monkeypatch):

@@ -16,7 +16,7 @@ from kopelcas.certificates import (
 )
 from kopelcas.exactpoly import power_table
 from kopelcas.model import (
-    Equilibrium, ModelParams, _CD_TERMS, _CUBIC_TERMS, _Point, _Row, equilibria,
+    Equilibrium, ModelParams, _CUBIC_TERMS, _Point, _Row, equilibria,
     equilibrium_report,
 )
 from kopelcas.scanner import (
@@ -273,13 +273,12 @@ class TestStagedBinding:
         assert staged == {id(terms): n for terms in polys}
 
     @pytest.mark.parametrize("speed", [F(1), F(1, 2)])
-    def test_a_report_point_stages_every_condition_once(self, speed, monkeypatch):
+    def test_a_report_point_stages_the_cubic_once_and_no_condition(self, speed, monkeypatch):
         staged = self._count_staging(monkeypatch)
         equilibrium_report(ModelParams(4, 4, speed, speed))
-        cd1, cd2, cd3 = _CD_TERMS
-        # at a = b = 1 the second condition is the first, staged once
-        conditions = (cd1, cd3) if speed == 1 else (cd1, cd2, cd3)
-        assert staged == {id(terms): 1 for terms in (_CUBIC_TERMS, *conditions)}
+        # the three conditions are read off the finished cubic, so no
+        # condition's term list is staged
+        assert staged == {id(_CUBIC_TERMS): 1}
 
     def test_full_speed_binds_the_second_condition_as_the_first(self):
         full = _Point.of(ModelParams(4, 4))
