@@ -273,12 +273,23 @@ class TestStagedBinding:
         assert staged == {id(terms): n for terms in polys}
 
     @pytest.mark.parametrize("speed", [F(1), F(1, 2)])
-    def test_a_report_point_stages_the_cubic_once_and_no_condition(self, speed, monkeypatch):
+    def test_a_report_point_stages_every_condition_once(self, speed, monkeypatch):
         staged = self._count_staging(monkeypatch)
+        made = []
+        real = _Point._make_conditions
+
+        def counting(point):
+            made.append(real(point))
+            return made[-1]
+
+        monkeypatch.setattr(_Point, "_make_conditions", counting)
         equilibrium_report(ModelParams(4, 4, speed, speed))
-        # the three conditions are read off the finished cubic, so no
-        # condition's term list is staged
+        # the three conditions are read off the finished cubic, so the cubic
+        # is the one term list staged, and the point builds its conditions once
         assert staged == {id(_CUBIC_TERMS): 1}
+        assert len(made) == 1
+        # at a = b = 1 the second condition is the first, built once
+        assert len({id(c) for c in made[0]}) == (2 if speed == 1 else 3)
 
     def test_full_speed_binds_the_second_condition_as_the_first(self):
         full = _Point.of(ModelParams(4, 4))
