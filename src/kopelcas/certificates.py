@@ -224,8 +224,8 @@ def verify_all() -> list:
 #
 # Each classifier reads the signs of a few of the frozen certificates.  They
 # are compiled once into integer term lists and bound to the parameters on
-# integers, so one binding per scan cell gives both the class and the exact
-# distance test behind the near-boundary flag.
+# integers, so one binding per scan cell gives both the class and the flag
+# for a cell on a certificate's zero set, where one value is 0.
 #
 # The kinds are declared here and nowhere else: KINDS, the certificates each
 # kind reads, EXPECTED_COUNT and the speed rule in _kind_speed.  The scanner

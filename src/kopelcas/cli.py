@@ -184,9 +184,9 @@ def _cmd_scan(args) -> int:
     path = args.out or f"scan_{args.kind}_{args.resolution}.{fmt}"
     emit_grid(grid, fmt, path)
     bad = grid.disagreements()
-    near = sum(1 for c in grid.cells if c.near_boundary)
+    on_zero_set = sum(1 for c in grid.cells if c.near_boundary)
     print(f"wrote {path}: {len(grid.cells)} cells, "
-          f"{len(bad)} disagreements, {near} near boundary")
+          f"{len(bad)} disagreements, {on_zero_set} on a zero set")
     return 1 if bad else 0
 
 

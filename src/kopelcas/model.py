@@ -36,9 +36,9 @@ flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  At a root of C in (0, 1) the fold has
 the sign of C' and the modulus is a + b - a b x C'; so a scan decides a
 bracketed root's stability from the cubic alone, by one interval bound and
-at most one exact sign query.  The reports read all three conditions off
-the bound cubic too, with no condition staged, and ask them in a fixed
-order.
+at most one exact sign query.  The reports, and a scan cell whose brackets
+give way, read all three conditions off the bound cubic, with no condition
+staged, and ask them in a fixed order.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -55,8 +55,8 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_dyadic, format_rational
 from .realroots import (
-    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _derivative, _image, _interval_horner,
-    _isolate_int, _sign_dense_at,
+    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _image, _interval_horner, _isolate_int,
+    _sign_dense_at,
 )
 from .record import FrozenRecord, Record
 
@@ -349,7 +349,8 @@ class _Point(_Lazy):
     primitive parts of bound_stability_polys, the second being the first at
     a = b = 1; both read off the cubic with no term list staged; and locus,
     y = v x (1 - x) over its denominator, bound from the tables.  A scan
-    cell finishes the cubic and at most modulus_form (counts).
+    cell finishes the cubic and at most modulus_form, or conditions where
+    its brackets give way (counts).
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use, with no rational root test, since
@@ -437,8 +438,10 @@ class _Point(_Lazy):
         roots there, simple, C' having the sign of -slo; modulus_form's sign
         on one is an interval Horner bound, or an exact query where that
         does not settle.  Where the brackets fail or one reaches across 0 or
-        1, the whole-line roots in (0, 1) are kept, and C' at one is -slo
-        for a window of C itself, else one sign query (0 at a double root).
+        1, the whole-line roots in (0, 1) are kept and each is judged as a
+        report judges it, by the Jury rule on signs (conditions): at a root r
+        of C the three conditions are positive multiples of r C'(r), of that
+        plus 2 (2 - a - b), and of modulus_form, so the count is the same.
         """
         cubic = self.cubic
         brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
@@ -450,8 +453,8 @@ class _Point(_Lazy):
                 break
             if 0 <= a and b <= one:
                 inside.append((a, b, k, slo))
-        stable = 0
         if brackets is not None:
+            stable = 0
             for a, b, k, slo in inside:
                 if slo < 0:
                     low, high = _interval_horner(self.modulus_form, a, b, k)
@@ -462,13 +465,7 @@ class _Point(_Lazy):
             return len(inside), stable
         roots = [r for r in _isolate_int("x", cubic)
                  if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
-        for r in roots:
-            if r._value is None and r._coeffs == cubic:
-                fold = -r._lower_sign()
-            else:
-                fold = _sign_dense_at(_derivative(cubic), r)
-            stable += fold > 0 and _sign_dense_at(self.modulus_form, r) > 0
-        return len(roots), stable
+        return len(roots), sum(_is_stable(self.signs(r)) for r in roots)
 
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""

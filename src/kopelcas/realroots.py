@@ -840,26 +840,28 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
 
 
 def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[AlgebraicReal]:
-    """isolate_real_roots on primitive integer coefficients, degree >= 1.
+    """isolate_real_roots on primitive integer coefficients, not all zero.
 
-    A linear square-free factor is its root.  Any other is searched in its
-    own Cauchy window, which holds all its roots.  A cubic with disc != 0 is
-    square-free, and its certified brackets count its roots, each window
-    keeping its bracket as a hint.  Otherwise one remainder sequence serves
-    twice: the Sturm chain of coeffs ends in gcd(f, f'), Yun's first gcd,
-    and when f is square-free the same chain isolates its roots.  Yun
-    factors and cubics whose brackets fail get chains of their own.  Each
-    window is then tested for a rational root (_rational_value), unless
-    irrational says coeffs has none.  A factor with a rational root, snapped
-    by bisection or by the test, is divided by all of them, and the
-    cofactor, whose roots are all irrational, is isolated again from its
-    own Cauchy window by its own Sturm chain: its windows do not depend on
-    how the rational roots were found.  When the
+    A constant has no root.  A linear square-free factor is its root.  Any
+    other is searched in its own Cauchy window, which holds all its roots.
+    A cubic with disc != 0 is square-free, and its certified brackets count
+    its roots, each window keeping its bracket as a hint.  Otherwise one
+    remainder sequence serves twice: the Sturm chain of coeffs ends in
+    gcd(f, f'), Yun's first gcd, and when f is square-free the same chain
+    isolates its roots.  Yun factors and cubics whose brackets fail get
+    chains of their own.  Each window is then tested for a rational root
+    (_rational_value), unless irrational says coeffs has none.  A factor
+    with a rational root, snapped by bisection or by the test, is divided by
+    all of them, and the cofactor, whose roots are all irrational, is
+    isolated again from its own Cauchy window by its own Sturm chain: its
+    windows do not depend on how the rational roots were found.  When the
     test snapped nothing, the cofactor is what the walk deflated to, and the
     chain the walk built for it serves again.  The windows of one factor
     with no rational root are leaves of one bisection tree, so already
     disjoint and ascending; only other results are sorted and separated.
     """
+    if len(coeffs) == 1:
+        return []
     items: list[AlgebraicReal] = []
     disc = len(coeffs) == 4 and _cubic_discriminant(coeffs)
     if disc:

@@ -13,8 +13,8 @@ holds the sign of the fold condition at its root, so a bracketed root's
 stability takes the modulus condition's sign alone, asked only after a
 positive fold, in a form read off the cubic: one interval bound over the
 narrow bracket mostly settles it, and only where that does not is an
-exact sign query asked.  A root of the Sturm route takes one more query,
-for the fold.
+exact sign query asked.  A root of the Sturm route is judged as a report
+judges it, by the Jury rule on the signs of the three conditions.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The certificates the kind reads, the equilibrium cubic and the stability
@@ -25,9 +25,9 @@ the cubic; each cell finishes them with its v's table alone, as one
 model._Point, and builds no ModelParams: ScanSpec and the kind's speed rule
 are the only checks its parameters get.  All values of a cell share a
 single positive denominator.  The class comes from the signs of the
-certificate values.  near_boundary is true when a certificate value lies
-within BOUNDARY_EPSILON of zero, tested exactly on those integers.  The
-flag is a report column only; it exempts no cell from the agreement check.
+certificate values.  near_boundary is true when the cell lies on a
+certificate's zero set: one of those integers is 0.  The flag is a report
+column only; it exempts no cell from the agreement check.
 
 The scan kinds are declared in certificates, not here: KINDS, the
 certificates each kind reads, the count each class asserts (EXPECTED_COUNT)
@@ -49,8 +49,6 @@ from .exactpoly import finish, power_table, stage
 from .model import _Point, _Row
 from .rational import coerce_rational, format_rational
 from .record import FrozenRecord, Record
-
-BOUNDARY_EPSILON = Fraction(1, 1000)  # the near-boundary flag width
 
 
 class ScanSpec(FrozenRecord):
@@ -81,6 +79,8 @@ class ScanSpec(FrozenRecord):
 
 
 class ScanCell(FrozenRecord):
+    """One grid cell's two answers; near_boundary: on a certificate's zero set."""
+
     __slots__ = ("u", "v", "a", "cert_class", "numeric_positive", "numeric_stable", "agree",
                  "near_boundary")
 
@@ -125,7 +125,6 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     speed given to the count or stable kind raises ValueError.
     """
     speed = _kind_speed(kind, spec.a_value, "a_value")
-    eps_num, eps_den = BOUNDARY_EPSILON.numerator, BOUNDARY_EPSILON.denominator
     sp = power_table(speed)
     columns = [(v, power_table(v)) for v in grid_points(*spec.v_range, spec.resolution)]
     cells = []
@@ -139,13 +138,10 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
             expected = EXPECTED_COUNT[label]
 
             numeric_positive, numeric_stable = point.counts()
-
-            # |value| < eps, with value = n / point.scale and eps = eps_num / eps_den
-            near = any(abs(n) * eps_den < eps_num * point.scale for n in values)
             numeric = numeric_stable if isinstance(label, StableCountClass) else numeric_positive
             agree = expected is None or numeric == expected
             cells.append(ScanCell(u, v, spec.a_value, label.value, numeric_positive,
-                                  numeric_stable, agree, near))
+                                  numeric_stable, agree, 0 in values))
     return ScanGrid(spec, kind, cells)
 
 
@@ -229,7 +225,6 @@ def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
             "v_range": [format_rational(t) for t in grid.spec.v_range],
             "a_value": (format_rational(grid.spec.a_value)
                         if grid.spec.a_value is not None else None),
-            "boundary_epsilon": format_rational(BOUNDARY_EPSILON),
             "cells": cells,
         }
         text = json.dumps(doc, indent=2) + "\n"

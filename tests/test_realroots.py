@@ -142,6 +142,13 @@ def test_isolate_no_real_roots():
         isolate_real_roots(MPoly.zero())
 
 
+def test_integer_isolation_of_a_nonzero_constant_finds_no_root():
+    # as isolate_real_roots does; a cofactor may come out constant
+    for c in (1, -1, 7):
+        assert _isolate_int("x", (c,)) == []
+        assert _isolate_int("y", (c,), irrational=True) == []
+
+
 def test_isolate_sorted_disjoint_random():
     rng = random.Random(202)
     for _ in range(100):

@@ -3,13 +3,23 @@
 The digests were recorded with the Fraction-based root kernel.  Every
 column of a scan row is certified (or derived from the exact grid point),
 so a change of isolation strategy must leave these bytes untouched.
+
+Each case pins two digests: the emission in full, and its verdicts alone,
+the emission with the near_boundary column dropped.  The verdict digests
+were recorded while the flag still marked every cell within 1/1000 of a
+certificate's zero set, and JSON still printed that width as
+boundary_epsilon (dropped for them too).  Making the flag exact changed
+only the flag, so those digests hold; the full ones were re-recorded.
 """
 
 import hashlib
+import json
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
+from kopelcas.certificates import COUNT_DISCRIMINANT
 from kopelcas.scanner import (
     ScanSpec, emit_grid, scan_equilibrium_count, scan_stability_best_response,
     scan_stability_homogeneous,
@@ -21,34 +31,108 @@ FIG2 = (F(5, 2), F(5))
 CASES = {
     # Figure 1 square, off-lattice grid: generic cubic coefficients
     "count": (scan_equilibrium_count, ScanSpec(FIG1, FIG1, 16), "csv",
-              "5aa89eea494cbc71e994a755e29cdbd0ed4063c5a023675ba5fffc95b58a536b"),
+              "5aa89eea494cbc71e994a755e29cdbd0ed4063c5a023675ba5fffc95b58a536b",
+              "7bc3a470151e42236972ff291a1e6de523ddc298cb00e9584637513673cb9833"),
     # step 1/2 from 1/2: u v = 1 cells and the triple point (3, 3) are on the grid
     "count-zero-sets": (scan_equilibrium_count, ScanSpec((F(1, 2), F(4)), (F(1, 2), F(4)), 8),
                         "csv",
-                        "ace349ea3c41cc4bcc58249c9326d49094d62eb692d9f9b3450838d9c862f76f"),
+                        "ace349ea3c41cc4bcc58249c9326d49094d62eb692d9f9b3450838d9c862f76f",
+                        "3ba798d8ae84ccb1bf2040ff5119a5fd99983ed6605e654e3147565a35e1ace6"),
     "stable": (scan_stability_best_response, ScanSpec(FIG2, FIG2, 16), "csv",
-               "e52cc68f436731bc0a03439612bf4b45ba977286b4adb4f2700eb0bb13df0d82"),
+               "e52cc68f436731bc0a03439612bf4b45ba977286b4adb4f2700eb0bb13df0d82",
+               "b5a608f9391f77972cbc8a4b77ede7425fecac64a5bc079eb3f269bb5a98b1bb"),
     "homogeneous": (scan_stability_homogeneous, ScanSpec(FIG2, FIG2, 16, a_value=F(1, 2)),
                     "csv",
-                    "c603d0c78186f1ba6b0b54b7ef4ee1483e03fbd1af7c5cc499d536723acce31e"),
+                    "ff04d55f53e43d4a3b4aac89e8c0099ffc87892fc6c4c65febecc27fdcf2912c",
+                    "3afe6b0f4daec3652bad34d8d39bb9eb24d85b3c70d707ce96f99381c2e5a66a"),
     # the other speed slices: a scan binds its speeds once, for every row
     "homogeneous-1/4": (scan_stability_homogeneous,
                         ScanSpec(FIG2, FIG2, 16, a_value=F(1, 4)), "csv",
-                        "69c9c34d5522c5449826bf68f56cd9bb9910660d4b40f0e0f81657f25f35fe9e"),
+                        "69c9c34d5522c5449826bf68f56cd9bb9910660d4b40f0e0f81657f25f35fe9e",
+                        "0d5a2e7fff539db2555b77e737c55322359c40677643fb44df884bb8aa2d9c39"),
     "homogeneous-3/4": (scan_stability_homogeneous,
                         ScanSpec(FIG2, FIG2, 16, a_value=F(3, 4)), "csv",
-                        "1ccef3bd2ebb74bcbd81222a1f157b82be492c6c48bff5a1632d9e3ea7ed33e3"),
+                        "1ccef3bd2ebb74bcbd81222a1f157b82be492c6c48bff5a1632d9e3ea7ed33e3",
+                        "56afb1b3b8c07de32404aa2a29c87c5dd25d7ff99139f4bd8c4fbc34bb6a3218"),
     "stable-json": (scan_stability_best_response, ScanSpec(FIG2, FIG2, 6), "json",
-                    "94944850d91182f1f0c1404c07fa5091c772cd6d45e9818f6a290029f7aeebd1"),
+                    "bc6419cce8d28336fb1f5def19f17f38ddd3add8b28e1bedee79e5257b90921f",
+                    "03ce30bbe64399d70739f7cf556bc3e01ffc7711c6c98b91b1048cda671ee3a1"),
     # the a and a_float columns in JSON
     "homogeneous-json": (scan_stability_homogeneous,
                          ScanSpec(FIG2, FIG2, 6, a_value=F(1, 2)), "json",
-                         "fb870257c80baccd970fc609656376c7d00e86e45029ba09d37fd215b60a290e"),
+                         "29ec420a5ee1df0be5ebc2e4606a199d485ae4d2ed1577af130b0e95418c455f",
+                         "2360f330a45eb0b260abddc8d2c57f3c7169bd5ab80daef207891c78614fcf42"),
+    # the gate scans, as `kopel-cas scan` writes them and CI pins them
+    "gate-count-200": (scan_equilibrium_count, ScanSpec(FIG1, FIG1, 200), "csv",
+                       "3825e5dc9eda8660a0f85d2dedb215463dd3bd836504fcf315a3cc39f4708114",
+                       "7522cfbedcc9fffa6c16fd6011eb948bd224da93b3173e635327d4b4434b0622"),
+    "gate-stable-200": (scan_stability_best_response, ScanSpec(FIG2, FIG2, 200), "csv",
+                        "b0f7afc16682bb36091a91ea782bf9cf057bdb2e16c1e0cc7aaa2cdfe1efd11b",
+                        "d6559f24c66de9411743f2ce6bac98f3b2311d75cc5354d081c3633f733d2513"),
+    "gate-homogeneous-1/4-100": (scan_stability_homogeneous,
+                                 ScanSpec(FIG2, FIG2, 100, a_value=F(1, 4)), "csv",
+                                 "10427f1ceaed1150349eb45b9db7646fa419679f"
+                                 "653fa5c1c4171797fa1f2e4d",
+                                 "4742370edb706e45e0bece412b10c4563980a3d9"
+                                 "5fbb6e529ec8d1b2efc6649a"),
+    "gate-homogeneous-1/2-100": (scan_stability_homogeneous,
+                                 ScanSpec(FIG2, FIG2, 100, a_value=F(1, 2)), "csv",
+                                 "360b7a9f906e3de3f70a27c3f15f59cf443ca772"
+                                 "c5e655508deae7107f134778",
+                                 "03bcc54e0b795b158ff9b0e01f748651cd1e5a2d"
+                                 "cefdc010fa4e423136b4c0ee"),
+    "gate-homogeneous-3/4-100": (scan_stability_homogeneous,
+                                 ScanSpec(FIG2, FIG2, 100, a_value=F(3, 4)), "csv",
+                                 "53828b950d262c3113631ab93d8afa62bf47657d"
+                                 "1b5fcb5145a781e8b6366325",
+                                 "db7478eb5bc21b0cfcdbc6364a484b9bba25096b"
+                                 "15b4b51ab149ea37985d12f2"),
 }
+
+
+@lru_cache(maxsize=None)
+def _emission(name) -> str:
+    scan, spec, fmt, _, _ = CASES[name]
+    return emit_grid(scan(spec), fmt)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _verdicts(text: str, fmt: str) -> str:
+    """The emission with the near_boundary column dropped."""
+    if fmt == "csv":
+        # near_boundary is the last column
+        return "".join(line.rpartition(",")[0] + "\n" for line in text.splitlines())
+    doc = json.loads(text)
+    doc.pop("boundary_epsilon", None)
+    for cell in doc["cells"]:
+        del cell["near_boundary"]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_scan_emission_digest(name):
-    scan, spec, fmt, expected = CASES[name]
-    text = emit_grid(scan(spec), fmt)
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    assert _sha256(_emission(name)) == CASES[name][3]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_scan_verdicts_keep_their_digest_with_the_flag_dropped(name):
+    fmt, expected = CASES[name][2], CASES[name][4]
+    assert _sha256(_verdicts(_emission(name), fmt)) == expected
+
+
+def test_gate_scans_flag_only_cells_on_a_zero_set():
+    # the count gate flags the 14 cells on u v = 1 or disc = 0 (within
+    # 1/1000 of zero it flagged 18); the others meet no zero set
+    flagged = {}
+    for name in ("gate-count-200", "gate-stable-200", "gate-homogeneous-1/4-100",
+                 "gate-homogeneous-1/2-100", "gate-homogeneous-3/4-100"):
+        rows = [line.split(",") for line in _emission(name).splitlines()[1:]]
+        flagged[name] = [(F(r[0]), F(r[2])) for r in rows if r[-1] == "true"]
+    count = flagged.pop("gate-count-200")
+    assert len(count) == 14
+    for u, v in count:
+        assert u * v == 1 or COUNT_DISCRIMINANT.evaluate({"u": u, "v": v}).as_fraction() == 0
+    assert flagged == {name: [] for name in flagged}

@@ -20,7 +20,7 @@ from kopelcas.model import (
     equilibrium_report,
 )
 from kopelcas.scanner import (
-    BOUNDARY_EPSILON, ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
+    ScanCell, ScanGrid, ScanSpec, emit_grid, grid_points, scan,
     scan_equilibrium_count, scan_stability_best_response,
     scan_stability_homogeneous,
 )
@@ -333,6 +333,42 @@ class TestCertifiedBrackets:
         assert chains
         assert not grid.disagreements()
 
+    @pytest.mark.parametrize("kind, a, square, resolution, fallbacks", [
+        # u v = 1 and the triple point, where disc = 0
+        ("count", None, (F(1, 2), F(4)), 8,
+         {(F(1, 2), F(2)), (F(1), F(1)), (F(2), F(1, 2)), (F(3), F(3))}),
+        # coefficients past the float range: every cell
+        ("count", None, (F(10**200), F(2 * 10**200)), 3, None),
+        # disc = 0 with a double root at 5/6, at both speeds
+        ("stable", None, (F(27, 8), F(4)), 2, {(F(27, 8), F(4)), (F(4), F(27, 8))}),
+        ("homogeneous", F(1, 4), (F(27, 8), F(4)), 2, {(F(27, 8), F(4)), (F(4), F(27, 8))}),
+    ])
+    def test_a_cell_whose_brackets_give_way_counts_as_the_report(
+            self, monkeypatch, kind, a, square, resolution, fallbacks):
+        # the whole-line route judges each positive root by the report's Jury rule
+        isolated, routes = [], []
+        isolate, counts = model._isolate_int, _Point.counts
+
+        def counted(point):
+            before = len(isolated)
+            answer = counts(point)
+            routes.append(len(isolated) > before)
+            return answer
+
+        monkeypatch.setattr(model, "_isolate_int",
+                            lambda *args, **kw: isolated.append(args) or isolate(*args, **kw))
+        monkeypatch.setattr(_Point, "counts", counted)
+        grid = scan(kind, ScanSpec(square, square, resolution, a_value=a))
+        monkeypatch.undo()
+        cells = [c for c, fell_back in zip(grid.cells, routes, strict=True) if fell_back]
+        assert {(c.u, c.v) for c in cells} == (fallbacks or {(c.u, c.v) for c in grid.cells})
+        speed = 1 if a is None else a
+        for cell in cells:
+            report = equilibrium_report(ModelParams(cell.u, cell.v, speed, speed))
+            positive = [e for e in report["equilibria"] if e["positive"]]
+            assert cell.numeric_positive == len(positive), (cell.u, cell.v)
+            assert cell.numeric_stable == sum(e["verdict"] == "stable" for e in positive)
+
 
 class TestDisagreements:
     def test_filter_keeps_only_failed_cells(self):
@@ -344,6 +380,8 @@ class TestDisagreements:
 
 
 class TestNearBoundary:
+    """near_boundary flags exactly the cells on a certificate's zero set."""
+
     # step 1/2 from 1/2 to 5: u v = 1, the triple point (3, 3) and u v = 15 are on the grid
     SQUARE = (F(1, 2), F(5))
     CERTIFICATES = {
@@ -360,12 +398,26 @@ class TestNearBoundary:
         grid = SCANS[kind](spec)
         for cell in grid.cells:
             binding = {"u": cell.u, "v": cell.v, "a": 1 if a is None else a}
-            expected = any(abs(p.evaluate(binding).as_fraction()) < BOUNDARY_EPSILON
+            expected = any(p.evaluate(binding).as_fraction() == 0
                            for p in self.CERTIFICATES[kind])
             assert cell.near_boundary == expected, (cell.u, cell.v)
         flagged = {(c.u, c.v) for c in grid.cells if c.near_boundary}
         assert {(F(1), F(1)), (F(3), F(3))} <= flagged
         assert len(flagged) < len(grid.cells)
+
+    @pytest.mark.parametrize("kind, a, square, resolution, expected", [
+        # u v = 1 three times, and disc = 0 at the triple point
+        ("count", None, (F(1, 2), F(4)), 8,
+         {(F(1, 2), F(2)), (F(1), F(1)), (F(2), F(1, 2)), (F(3), F(3))}),
+        # disc = 0 at the first two, and (4, 4) lies on the quadratic stable cut
+        ("stable", None, (F(27, 8), F(4)), 2, {(F(27, 8), F(4)), (F(4), F(27, 8)), (F(4), F(4))}),
+        ("homogeneous", F(1, 4), (F(27, 8), F(4)), 2, {(F(27, 8), F(4)), (F(4), F(27, 8))}),
+    ])
+    def test_flags_exactly_the_grid_points_on_a_zero_set(self, kind, a, square, resolution,
+                                                          expected):
+        grid = scan(kind, ScanSpec(square, square, resolution, a_value=a))
+        assert {(c.u, c.v) for c in grid.cells if c.near_boundary} == expected
+        assert not grid.disagreements()
 
 
 def _reference_csv(grid) -> str:
@@ -436,7 +488,7 @@ class TestEmission:
         assert doc["resolution"] == 3
         assert doc["u_range"] == ["2", "4"]
         assert doc["a_value"] is None
-        assert doc["boundary_epsilon"] == "1/1000"
+        assert "boundary_epsilon" not in doc
         assert len(doc["cells"]) == 9
         triple = next(c for c in doc["cells"] if c["u"] == "3" and c["v"] == "3")
         assert triple["cert_class"] == "OnePositiveTriple"
