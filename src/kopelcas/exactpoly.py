@@ -8,6 +8,8 @@ with integer coefficients, which is nearly all of them here, never pay for
 Fraction normalisation.  The monomial order is lexicographic with
 x > y > u > v > a > b, which exponent tuples inherit from plain tuple
 comparison, so "leading term" below always means the max exponent tuple.
+Substitution takes one pass: each group of terms with one power of the
+replaced variable is multiplied by that power of the replacement into one dict.
 
 Resultants and exact division run in an integer kernel on term dicts
 ``{exponent tuple: int}``.  The resultant is taken by the subresultant
@@ -205,13 +207,13 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        if not n:
+            return ONE
+        result = self  # square and multiply from the base, n's bits from the top
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -222,6 +224,8 @@ class MPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its value, so hashed as its value
+            return hash(self._terms.get(_ZERO_EXP, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- calculus and substitution ----------------------------------------
@@ -253,18 +257,26 @@ class MPoly:
         return _raw(_canon(out))
 
     def substitute(self, name: str, replacement: "MPoly") -> "MPoly":
-        """Replace a variable by a polynomial (composition), exactly."""
+        """Replace a variable by a polynomial (composition), exactly, in one pass.
+
+        The terms are grouped by their power e of the variable; each group times
+        the replacement's e-th power is added into one dict, canonicalised once.
+        """
         i = _check_var(name)
         if not isinstance(replacement, MPoly):
             replacement = MPoly.constant(replacement)
-        d = self.degree(name)
-        if d is NEG_INF or d == 0:
+        groups: dict[int, dict] = {}
+        for exp, c in self._terms.items():
+            groups.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
+        top = max(groups, default=0)
+        if not top:
             return self
-        # Horner in the replaced variable: ((c_d q + c_{d-1}) q + ...) q + c_0
-        result = MPoly.zero()
-        for power in range(int(d), -1, -1):
-            result = result * replacement + self.coefficient_of(name, power)
-        return result
+        out, power = groups.pop(0, {}), _INT_ONE
+        for e in range(1, top + 1):
+            power = _int_power(replacement._terms, 1, power)  # the replacement's e-th power
+            if e in groups:
+                _mul_into(out, groups[e], power)
+        return _raw(_canon(out))
 
     # -- text form ---------------------------------------------------------
 
@@ -323,7 +335,11 @@ ONE = MPoly.constant(1)
 #
 # Polynomials over Z as term dicts {exponent tuple: int} without zeros.  The
 # resultant and exact division clear denominators on the way in, compute on
-# ints alone, and scale back once on the way out.
+# ints alone, and scale back once on the way out.  Products and quotients by 1
+# are skipped, so a helper may return an argument and none mutates its input.
+
+_INT_ONE = {_ZERO_EXP: 1}
+
 
 def _denominator_lcm(p: MPoly) -> int:
     return lcm(*[c.denominator for c in p._terms.values()])
@@ -350,8 +366,11 @@ def _int_divide(f: dict, g: dict) -> dict:
     (a cancelled term's entry is skipped; new terms lie below the leading
     one).  Over Z every quotient coefficient must come out of divmod with no
     remainder, which holds whenever g divides f over Q and g is primitive
-    (Gauss's lemma), or f is an exact multiple of g over Z.
+    (Gauss's lemma), or f is an exact multiple of g over Z.  Dividing by 1
+    returns f itself.
     """
+    if g == _INT_ONE:
+        return f
     lead_exp = max(g)
     lead = g[lead_exp]
     lx, ly, lu, lv, la, lb = lead_exp
@@ -414,13 +433,13 @@ def exact_divide(p: MPoly, q: MPoly) -> MPoly:
 
 # -- resultants ------------------------------------------------------------
 
-_INT_ONE = {_ZERO_EXP: 1}
-
-
 def _int_power(f: dict, k: int, times: dict = _INT_ONE) -> dict:
-    """times * f**k on integer term dicts."""
+    """times * f**k on term dicts, zeros dropped; it may return f or times itself."""
+    if f == _INT_ONE:
+        return times
     for _ in range(k):
-        times = {exp: c for exp, c in _mul_into({}, times, f).items() if c}
+        times = f if times == _INT_ONE else {
+            exp: c for exp, c in _mul_into({}, times, f).items() if c}
     return times
 
 
@@ -437,11 +456,15 @@ def _int_prem(f: list[dict], g: list[dict]) -> list[dict]:
     """lc(g)**(deg f - deg g + 1) * f modulo g, for deg f >= deg g, trimmed."""
     r = list(f)
     lead = g[-1]
+    unit = lead == _INT_ONE  # then r[j] changes only where a multiple of g lands
     for k in range(len(f) - len(g), -1, -1):
         minus_top = {exp: -c for exp, c in r.pop().items()}
         for j in range(len(r)):
-            acc = _mul_into({}, lead, r[j])
-            if minus_top and j >= k:
+            shifted = minus_top and j >= k
+            if unit and not shifted:
+                continue
+            acc = dict(r[j]) if unit else _mul_into({}, lead, r[j])
+            if shifted:
                 _mul_into(acc, minus_top, g[j - k])
             r[j] = {exp: c for exp, c in acc.items() if c}
     return _dense_trim(r)

@@ -39,6 +39,14 @@ def test_zero_and_constant():
     assert MPoly.zero().to_str() == "0"
 
 
+@pytest.mark.parametrize("value", [0, 3, F(-5, 2)])
+def test_a_constant_hashes_as_its_value(value):
+    # equal objects hash alike, so a set holds the constant and its value once
+    c = MPoly.constant(value)
+    assert c == value and hash(c) == hash(value)
+    assert len({c, value}) == 1
+
+
 def test_immutable_polynomials_pickle_and_copy():
     # restoring the slot by assignment would trip the immutability guard
     p = MPoly.constant(F(1, 3)) * equilibrium_cubic()
@@ -418,6 +426,45 @@ def test_every_operation_keeps_the_coefficient_invariant(p, q, s):
         results.append(resultant(p, q, "x"))
     for r in results:
         assert_canonical(r)
+
+
+def substitute_term_by_term(p, name, q):
+    """The oracle: each term's power e of name cleared, then multiplied by q e times."""
+    i = VARS.index(name)
+    total = MPoly.zero()
+    for exp, c in p.terms():
+        term = MPoly({exp[:i] + (0,) + exp[i + 1:]: c})
+        for _ in range(exp[i]):
+            term = term * q
+        total = total + term
+    return total
+
+
+# up to degree 4 in each of x, u and v, so substitution skips and reaches powers
+composable = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.just(0), st.integers(0, 4), st.integers(0, 4),
+              st.just(0), st.just(0)),
+    coefficients, max_size=6).map(MPoly)
+
+
+@PROPERTY
+@given(composable, polys, st.sampled_from(["x", "u", "v"]))
+def test_substitute_matches_term_by_term_composition(p, q, name):
+    # q is over x, u and v, so it may hold the replaced variable itself
+    composed = p.substitute(name, q)
+    assert composed == substitute_term_by_term(p, name, q)
+    assert_canonical(composed)
+
+
+@PROPERTY
+@given(st.one_of(st.just(MPoly.zero()), st.builds(MPoly.constant, coefficients), polys),
+       st.integers(0, 6))
+def test_power_matches_the_repeated_product(p, n):
+    product = MPoly.constant(1)
+    for _ in range(n):
+        product = product * p
+    assert p ** n == product
+    assert_canonical(p ** n)
 
 
 # sparse in x up to degree 5, so remainder sequences skip degrees
