@@ -249,8 +249,11 @@ class Equilibrium(_Lazy):
         return self.y_root.approx
 
     def __repr__(self):
-        return (f"Equilibrium(x~{self.x_root.approx:.6g}, mult={self.multiplicity}, "
-                f"positive={self.is_positive})")
+        try:
+            x = f"x~{self.x_root.approx:.6g}"
+        except OverflowError:  # past the double range: the exact root instead
+            x = repr(self.x_root)
+        return f"Equilibrium({x}, mult={self.multiplicity}, positive={self.is_positive})"
 
 
 def bound_cubic(u, v) -> MPoly:

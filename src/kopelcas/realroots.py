@@ -6,20 +6,20 @@ primitive integer coefficients plus an isolating window with dyadic endpoints
 roots, so the root lies strictly inside; a rational root is stored exactly, as
 a Fraction, instead.  Isolation starts from a power-of-two root bound,
 counts roots and bisects, so every endpoint stays dyadic; a bisection point
-that hits a root is snapped to an exact rational root on the spot, which is
-also what keeps every endpoint off the roots.  The windows are the largest
-nodes of that bisection tree that hold one root each, fixed by where the
-roots are, so any exact root count gives the same ones.  Roots are counted
-by Sturm sequences, or, for a cubic, against certified brackets around all
-its real roots.  A polynomial's Sturm chain is also its remainder sequence
-with f': its last element is gcd(f, f'), so a constant there proves f
-square-free, and Yun's square-free decomposition runs only when it is not.
-Every rational root is then snapped: a rational root of a
-primitive polynomial is a multiple of 1 / |lead| (the rational root
-theorem), so a window narrowed to that width, by exact Newton steps that
-exact signs certify, holds at most one candidate, and one exact evaluation
-decides it.  A polynomial with rational roots is divided by them, and the
-rest is isolated afresh.
+that hits a root ends the walk with that exact rational root, so no
+endpoint is ever a root.  The windows are the largest nodes of that
+bisection tree that hold one root each, fixed by where the roots are, so
+any exact root count gives the same ones.  Roots are counted by Sturm
+sequences, or, for a cubic, against certified brackets around all its real
+roots.  A polynomial's Sturm chain is also its remainder sequence with f':
+its last element is gcd(f, f'), so a constant there proves f square-free,
+and Yun's square-free decomposition runs only when it is not.  Every
+rational root is then snapped: a rational root of a primitive polynomial
+is a multiple of 1 / |lead| (the rational root theorem), so a window
+narrowed to that width, by exact Newton steps that exact signs certify,
+holds at most one candidate, and one exact evaluation decides it.  A
+polynomial with rational roots, hit or snapped, is divided by them, and
+the rest is isolated afresh.
 
 A sign query at a root bisects the root's window until an interval bound of
 the queried polynomial settles.  Only a query still unsettled after
@@ -31,13 +31,14 @@ dyadic points by shifts, which keeps every sign.  Fractions appear only at
 the edges (MPoly input, rational roots, lo/hi).  Floats only propose, and
 exact sign evaluations certify, in two places.  The nearest double to a
 root (approx): float Newton proposes it and signs at the midpoints to its
-neighbours certify it, so the cached value is the correctly rounded root
-and no decision reads it.  A cubic's real roots (_cubic_brackets):
-closed-form float roots propose one narrow dyadic bracket per real root,
-and the signs at the bracket ends certify them, or give way to Sturm
-isolation.  Scan cells count those inside (0, 1), rational roots left
-unsnapped (model._Point.counts); isolation (_isolate_int) counts roots
-against them and keeps each as its root's hint.
+neighbours certify it, or bisection finds it when they do not, so the
+cached value is the correctly rounded root and no decision reads it.  A
+cubic's real roots (_cubic_brackets): closed-form float roots propose one
+narrow dyadic bracket per real root, and the signs at the bracket ends
+certify them, or give way to Sturm isolation.  Scan cells count those
+inside (0, 1), rational roots left unsnapped (model._Point.counts);
+isolation (_isolate_int) counts roots against them and keeps each as its
+root's hint.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .exactpoly import (
     MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
     _pseudo_rem, dense_to_mpoly,
 )
+from .rational import coerce_rational
 
 _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 
@@ -65,10 +67,9 @@ _ZERO_TEST_ROUND = 10
 # is within _FLOAT_NOISE times the sum of its terms' sizes: Horner's rounding
 # error at degree n is below 2n * 2**-53 times that sum, so up to degree 16
 # the float value says no more there.  The seed is certified exactly; one
-# still wrong after _ULP_MOVES one-ulp moves gives way to bisection.
+# that is not gives way to bisection.
 _SEED_STEPS = 60
 _FLOAT_NOISE = 2.0**-48
-_ULP_MOVES = 8
 
 # Newton steps that polish a cubic's closed-form float roots
 _CUBIC_NEWTON = 2
@@ -341,31 +342,15 @@ def _nearest_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
 
     A double d is the nearest exactly when the root lies strictly between
     the midpoints from d to its two neighbours, which two exact sign
-    evaluations decide.  d starts from a float Newton seed and moves one
-    ulp each time the root turns out past a midpoint.  A midpoint that is
-    the root (a tie), a window or coefficient beyond the float range, a
-    zero (whose sign the window decides) or a seed that does not settle
-    falls back to bisection, which gives the same double.
+    evaluations decide.  d is a float Newton seed.  A seed they do not
+    certify (one or more ulps off, a midpoint that is the root, a zero seed,
+    whose sign the window decides, or a window or coefficient beyond the
+    float range) gives way to bisection, which gives the same double.
     """
     try:
         d = _seed(coeffs, slo, a / (1 << k), b / (1 << k))
-        for _ in range(_ULP_MOVES):
-            if d == 0:
-                break
-            down = nextafter(d, -inf)
-            side = _side(coeffs, slo, a, b, k, down, d)
-            if side < 0:
-                d = down
-                continue
-            if side == 0:
-                break
-            up = nextafter(d, inf)
-            side = _side(coeffs, slo, a, b, k, d, up)
-            if side > 0:
-                d = up
-                continue
-            if side == 0:
-                break
+        if (d and _side(coeffs, slo, a, b, k, nextafter(d, -inf), d) > 0
+                and _side(coeffs, slo, a, b, k, d, nextafter(d, inf)) < 0):
             return d
     except OverflowError:
         pass
@@ -481,7 +466,7 @@ class AlgebraicReal:
         A window that holds several roots, or a multiple one, is refused
         (ValueError) by a Sturm count, so no root is picked silently.
         """
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = coerce_rational(lo), coerce_rational(hi)
         if lo > hi:
             raise ValueError("the window's lower end lies above its upper end")
         self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
@@ -506,7 +491,7 @@ class AlgebraicReal:
     @classmethod
     def from_rational(cls, value, var: str = "x", multiplicity: int = 1) -> "AlgebraicReal":
         """The exact root value of (denominator x - numerator), built with no check."""
-        value = Fraction(value)
+        value = coerce_rational(value)
         out = cls.__new__(cls)
         out._var, out._coeffs, out._mult, out._slo = \
             var, (-value.numerator, value.denominator), multiplicity, 0
@@ -543,11 +528,15 @@ class AlgebraicReal:
     def approx(self) -> float:
         """The double nearest the root (cached); the window is left as it is.
 
-        It is sought in the hint when there is one, else in the window.
+        It is sought in the hint when there is one, else in the window.  A
+        root past the double range raises OverflowError.
         """
         if self._approx is None:
             if self._value is not None:
-                self._approx = float(self._value)
+                try:
+                    self._approx = float(self._value)
+                except OverflowError:
+                    raise OverflowError("the root lies beyond the double range") from None
             else:
                 self._approx = _nearest_double(
                     self._coeffs, self._lower_sign(), *(self._hint or (self._a, self._b, self._k)))
@@ -590,7 +579,7 @@ class AlgebraicReal:
 
     def refine(self, width_bound) -> "AlgebraicReal":
         """Shrink the isolating interval to at most the given width."""
-        width_bound = Fraction(width_bound)
+        width_bound = coerce_rational(width_bound)
         if width_bound <= 0:
             raise ValueError("width bound must be positive")
         if self._value is not None:
@@ -613,7 +602,7 @@ class AlgebraicReal:
         Fraction.
         """
         if not isinstance(other, int):
-            other = Fraction(other)
+            other = coerce_rational(other)
         if self._value is not None:
             return _sign(self._value - other)
         num, den = other.numerator, other.denominator
@@ -689,14 +678,12 @@ def _isolate_square_free(coeffs: tuple[int, ...], count):
     falls by one past each root of coeffs and is None at a root.  The
     windows it leaves are the nodes of one bisection tree, rooted at
     coeffs' Cauchy window and fixed by where the roots are, whichever
-    counter reads them.  Returns (exact_roots, windows, final_coeffs, chain):
-    rational roots snapped when a bisection point hits one, dyadic windows
-    (a, b, k) for the rest, descending, the (possibly deflated) defining
-    polynomial valid for every window, and its Sturm chain when the walk
-    built one, else None.  A snapped root deflates coeffs, and the walk goes
-    on counting by the Sturm chain of what is left.
+    counter reads them.  Returns (hit, windows): hit is None and windows
+    are dyadic (a, b, k), descending, one per real root; or hit is a
+    bisection point that is a root, as a Fraction, which ends the walk, and
+    windows are only those found before it.
     """
-    exact_roots, windows, chain = [], [], None
+    windows = []
     a, b, k = _cauchy_window(coeffs)
     # each entry: a window with the counts at its two ends
     stack = [(a, b, k, count(a, k), count(b, k))]
@@ -710,18 +697,10 @@ def _isolate_square_free(coeffs: tuple[int, ...], count):
             m = a + b
             vm = count(m, k + 1)
             if vm is None:
-                # bisection landed on a root: snap it, deflate, recount
-                root = Fraction(m, 1 << (k + 1))
-                exact_roots.append(root)
-                coeffs = tuple(_exact_div(coeffs, (-root.numerator, root.denominator)))
-                chain = _sturm_chain(coeffs)
-                count = _sturm_count(chain)
-                stack = [(a_, b_, k_, count(a_, k_), count(b_, k_))
-                         for a_, b_, k_, _, _ in stack + [(a, b, k, 0, 0)]]
-                continue
+                return Fraction(m, 1 << (k + 1)), windows
             stack.append((a << 1, m, k + 1, va, vm))
             stack.append((m, b << 1, k + 1, vm, vb))
-    return exact_roots, windows, coeffs, chain
+    return None, windows
 
 
 def _rational_value(r: AlgebraicReal) -> Fraction | None:
@@ -849,16 +828,14 @@ def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[Algebrai
     remainder sequence serves twice: the Sturm chain of coeffs ends in
     gcd(f, f'), Yun's first gcd, and when f is square-free the same chain
     isolates its roots.  Yun factors and cubics whose brackets fail get
-    chains of their own.  Each window is then tested for a rational root
-    (_rational_value), unless irrational says coeffs has none.  A factor
-    with a rational root, snapped by bisection or by the test, is divided by
-    all of them, and the cofactor, whose roots are all irrational, is
-    isolated again from its own Cauchy window by its own Sturm chain: its
-    windows do not depend on how the rational roots were found.  When the
-    test snapped nothing, the cofactor is what the walk deflated to, and the
-    chain the walk built for it serves again.  The windows of one factor
-    with no rational root are leaves of one bisection tree, so already
-    disjoint and ascending; only other results are sorted and separated.
+    chains of their own.  Each window is tested for a rational root
+    (_rational_value), unless irrational says coeffs has none.  A rational
+    root, hit by a bisection point (which ends the walk) or snapped by the
+    test, is divided out, and the cofactor is walked afresh from its own
+    Cauchy window by its own Sturm chain, so the windows do not depend on
+    how the rational roots were found.  The windows of one factor with no
+    rational root are leaves of one bisection tree, so already disjoint and
+    ascending; only other results are sorted and separated.
     """
     if len(coeffs) == 1:
         return []
@@ -880,22 +857,25 @@ def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[Algebrai
             # a factor as long as coeffs is coeffs up to sign
             whole = chain and len(factor) == len(coeffs)
             count = _sturm_count(chain if whole else _sturm_chain(factor))
-        rational, windows, rest, rest_chain = _isolate_square_free(factor, count)
+        rational = []
+        hit, windows = _isolate_square_free(factor, count)
+        while hit is not None:
+            rational.append(hit)
+            factor = tuple(_exact_div(factor, (-hit.numerator, hit.denominator)))
+            hit, windows = _isolate_square_free(factor, _sturm_count(_sturm_chain(factor)))
         # the walk's windows are descending, the brackets ascending
         hints = brackets if brackets and not rational else repeat((None, 0))
-        roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult, slo, hint)
+        roots = [AlgebraicReal._from_window(var, factor, a, b, k, mult, slo, hint)
                  for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
         snapped = [] if irrational else [q for q in map(_rational_value, roots) if q is not None]
-        if rational or snapped:
+        if snapped:
             for q in snapped:
-                rest = tuple(_exact_div(rest, (-q.numerator, q.denominator)))
+                factor = tuple(_exact_div(factor, (-q.numerator, q.denominator)))
             rational += snapped
             roots = []
-            if len(rest) > 1:
-                if snapped:
-                    rest_chain = _sturm_chain(rest)
-                _, windows, _, _ = _isolate_square_free(rest, _sturm_count(rest_chain))
-                roots = [AlgebraicReal._from_window(var, rest, a, b, k, mult)
+            if len(factor) > 1:
+                _, windows = _isolate_square_free(factor, _sturm_count(_sturm_chain(factor)))
+                roots = [AlgebraicReal._from_window(var, factor, a, b, k, mult)
                          for a, b, k in windows]
         items += roots
         items += [AlgebraicReal.from_rational(q, var, mult) for q in rational]

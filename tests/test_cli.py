@@ -364,6 +364,13 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["equilibria", "stability"])
+    def test_fixed_point_past_the_double_range_names_the_range(self, capsys, command):
+        # x = 1 - 10**400 is rational and past the doubles, and overflows as a window does
+        rc, _, err = run(capsys, command, "--u", "1e-400", "--v", "1e-400")
+        assert rc == 2
+        assert err == "error: the root lies beyond the double range\n"
+
     @pytest.mark.parametrize("command", ["equilibria", "classify"])
     def test_exact_commands_hold_huge_parameters(self, capsys, command):
         rc, out, _ = run(capsys, command, "--u", "1e400", "--v", "1")

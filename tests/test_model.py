@@ -140,6 +140,13 @@ class TestEquilibria:
         assert not eqs[0].in_unit_square
         assert eqs[0].y_root.value == -1
 
+    def test_repr_past_the_double_range_prints_the_exact_root(self):
+        # at u = v = 1e-400 the fixed point off the origin is x = 1 - 10**400
+        eq = equilibria(ModelParams("1e-400", "1e-400"))[0]
+        assert repr(eq) == f"Equilibrium(AlgebraicReal(x={1 - 10**400}), mult=1, positive=False)"
+        assert repr(equilibria(ModelParams(2, 2))[1]) == (
+            "Equilibrium(x~0.5, mult=1, positive=True)")
+
     def test_unit_square_asks_one_sign_query(self, monkeypatch):
         # 0 <= x <= 1 gives y = v x (1 - x) >= 0, so only y <= 1 is asked
         eq = equilibria(ModelParams(4, 4))[1]

@@ -429,6 +429,19 @@ def test_refine_shrinks_and_preserves():
         root.refine(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AlgebraicReal("x", (-2, 0, 1), 1.0, 2),
+    lambda: AlgebraicReal("x", (-2, 0, 1), 1, 2.0),
+    lambda: AlgebraicReal.from_rational(0.1),
+    lambda: isolate_real_roots(X**2 - 2)[1].refine(0.1),
+    lambda: isolate_real_roots(X**2 - 2)[1].compare_rational(1.5),
+], ids=["lo", "hi", "from_rational", "refine", "compare_rational"])
+def test_rational_inputs_refuse_a_float(build):
+    # a float would be taken at its binary value, 0.1 as 3602879701896397 / 2**55
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_approx_is_correctly_rounded_for_known_roots():
     roots = isolate_real_roots(cubic(4, 4))
     expected = [(5 - 5**0.5) / 8, 0.75, (5 + 5**0.5) / 8]
@@ -468,10 +481,10 @@ def test_seeded_double_next_to_a_fold(monkeypatch):
     assert (root.lo, root.hi) == FOLD_WINDOW
 
 
-@pytest.mark.parametrize("ulps, bisections", [(-4, 0), (-1, 0), (1, 0), (4, 0), (40, 1)])
+@pytest.mark.parametrize("ulps, bisections", [(-4, 1), (-1, 1), (1, 1), (4, 1), (40, 1)])
 def test_seed_ulps_away_moves_or_falls_back(monkeypatch, ulps, bisections):
-    # a seed a few ulps off moves onto the answer one ulp at a time; one
-    # that does not settle within _ULP_MOVES falls back to bisection
+    # a seed the midpoint signs do not certify, any number of ulps off,
+    # falls back to one bisection, which finds the nearest double
     seed = FOLD_DOUBLE
     for _ in range(abs(ulps)):
         seed = math.nextafter(seed, math.copysign(math.inf, ulps))
@@ -514,6 +527,14 @@ def test_root_past_the_double_range_overflows():
     root = AlgebraicReal("x", (10**400, 1), F(-2**1400), F(-2**1200))
     with pytest.raises(OverflowError):
         root.approx
+
+
+def test_rational_root_past_the_double_range_overflows_as_a_window_does():
+    window = AlgebraicReal("x", (10**400, 1), F(-2**1400), F(-2**1200))
+    exact = AlgebraicReal.from_rational(F(-10**400))
+    for root in (window, exact):
+        with pytest.raises(OverflowError, match="^the root lies beyond the double range$"):
+            root.approx
 
 
 # -- y images under the fixed point locus ----------------------------------

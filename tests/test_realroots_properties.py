@@ -291,8 +291,8 @@ def _isolate_factor_by_factor(coeffs):
     for factor, mult in _square_free_int(coeffs, _int_gcd(coeffs, df)):
         rational, rest = _brute_force_strip(factor)
         if len(rest) > 1:
-            exacts, windows, _, _ = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
-            assert exacts == []
+            hit, windows = _isolate_square_free(rest, _sturm_count(_sturm_chain(rest)))
+            assert hit is None
             items += [AlgebraicReal._from_window("x", rest, a, b, k, mult)
                       for a, b, k in windows]
         items += [AlgebraicReal.from_rational(r, "x", mult) for r in rational]
