@@ -338,10 +338,10 @@ class _Row:
 class _Point(_Lazy):
     """One parameter point, bound once on integers, and what its fixed points share.
 
-    row is the _Row of u, a and b, and vp is v's power table: a scan cell
-    shares its row's, and a point alone (of) stages its own.  The point holds
-    no ModelParams; ModelParams or ScanSpec checked its parameters.  tables
-    are the power tables of (u, v, a, b), and every value bound from them is
+    It is bound from the _Row of u, a and b and from vp, v's power table: a
+    scan cell shares its row's, and a point alone (of) stages its own.  It
+    holds no ModelParams; ModelParams or ScanSpec checked its parameters.
+    tables are the power tables of (u, v, a, b), and every value bound from them is
     the exact one times scale, their common denominator.  cubic, the
     equilibrium cubic's primitive integer x-coefficients (see bound_cubic),
     whose lead is positive, is finished from the row with v's table at once,
@@ -360,12 +360,11 @@ class _Point(_Lazy):
     it has none.  A point lives as long as the fixed points that hold it.
     """
 
-    __slots__ = ("v", "row", "tables", "scale", "cubic", "content", "modulus_form",
-                 "conditions", "locus", "_y_for", "_y_roots")
+    __slots__ = ("v", "tables", "scale", "cubic", "content", "modulus_form",
+                 "conditions", "locus", "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
         self.v = v
-        self.row = row
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
         self.scale = row.scale * vp[0]
@@ -373,7 +372,7 @@ class _Point(_Lazy):
         dense = finish(row.cubic, vp)
         self.cubic = _primitive(dense)
         self.content = dense[-1] // self.cubic[-1]
-        self._y_for = self._y_roots = None
+        self._y_roots = None
 
     @classmethod
     def of(cls, params: ModelParams) -> "_Point":
@@ -510,17 +509,18 @@ class _Point(_Lazy):
     def y_candidates(self, root: AlgebraicReal) -> list:
         """The isolated roots of y_factor over a windowed x root's factor.
 
-        Isolated on first use; the roots of one factor share them.  No root
-        of y_factor is rational: at a fixed point x = u y (1 - y) and
-        y = v x (1 - x), so x and y are rational together, and g has no
-        rational root.  So no window is tested for one (irrational).  A twin
-        with one real root isolates to its root bound's window, counted
-        against its certified bracket with no bisection and no Sturm chain.
+        Isolated on first use and kept, since every windowed x root of one
+        point has the same factor g: the cubic, or the cubic with its one
+        rational root divided out (a cubic with disc = 0 has only rational
+        roots, so no window).  No root of y_factor is rational: at a fixed
+        point x = u y (1 - y) and y = v x (1 - x), so x and y are rational
+        together, and g has no rational root.  So no window is tested for
+        one (irrational).  A twin with one real root isolates to its root
+        bound's window, counted against its certified bracket with no
+        bisection and no Sturm chain.
         """
-        g = root._coeffs
-        if g != self._y_for:
-            self._y_for = g
-            self._y_roots = _isolate_int("y", self.y_factor(g), irrational=True)
+        if self._y_roots is None:
+            self._y_roots = _isolate_int("y", self.y_factor(root._coeffs), irrational=True)
         return self._y_roots
 
     def signs(self, root: AlgebraicReal):

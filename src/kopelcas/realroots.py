@@ -888,9 +888,10 @@ def sturm_sign_count(p: MPoly, lo, hi) -> int:
     """Number of distinct real roots of a square-free p in (lo, hi].
 
     The endpoints must not be roots (then (lo, hi] holds the same roots as
-    the open interval, and the Sturm count is exact).
+    the open interval, and the Sturm count is exact).  lo and hi are exact
+    rationals (coerce_rational): a float is refused, not read at its binary value.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = coerce_rational(lo), coerce_rational(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     var, dense = _univar(p)

@@ -1,7 +1,9 @@
 """End-to-end checks of the command line surface via main(argv)."""
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,12 +15,21 @@ import pytest
 import kopelcas
 from kopelcas.certificates import KINDS
 from kopelcas.cli import _build_parser, main
+from kopelcas.scanner import ScanSpec, emit_grid, scan
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which strict JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestClassify:
@@ -136,12 +147,9 @@ class TestStability:
     def test_overflowed_diagnostics_print_null(self, capsys):
         # at u = v = 1e200 the float det and condition values overflow; the
         # document must still be strict JSON, with the exact verdicts intact
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         rc, out, _ = run(capsys, "stability", "--u", "1e200", "--v", "1e200")
         assert rc == 0
-        reports = json.loads(out, parse_constant=reject)["reports"]
+        reports = strict_json(out)["reports"]
         params = kopelcas.ModelParams(Fraction(10**200), Fraction(10**200))
         expected = kopelcas.equilibrium_report(params)["equilibria"]
         assert [r["verdict"] for r in reports] == [e["verdict"] for e in expected]
@@ -164,7 +172,7 @@ class TestVerifyIdentities:
     def test_json_variant(self, capsys):
         rc, out, _ = run(capsys, "verify-identities", "--json")
         assert rc == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["schema_version"] == 1
         assert doc["all_passed"] is True
         assert len(doc["identities"]) == 11
@@ -306,7 +314,7 @@ class TestLargeFixedPoints:
         # double, though its isolating window first reaches past the doubles
         rc, out, _ = run(capsys, command, "--u", "1e-120", "--v", "1e-120")
         assert rc == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         far = doc["equilibria" if command == "equilibria" else "reports"][0]
         assert far["x_approx"] == pytest.approx(-1e120, rel=1e-12)
         assert far["y_approx"] == pytest.approx(-1e120, rel=1e-12)
@@ -376,6 +384,133 @@ class TestUsageErrors:
         rc, out, _ = run(capsys, command, "--u", "1e400", "--v", "1")
         assert rc == 0
         assert out
+
+
+def _stdout(out, _):
+    return out
+
+
+def _files(_, where):
+    return sorted(path.name for path in where.iterdir())
+
+
+def _written(_, where):
+    (path,) = where.iterdir()
+    return path.read_bytes()
+
+
+def _fold_slice(out, where):
+    # every cell is TheoremSilent, so agree checks nothing: the stable counts are pinned
+    with open(where / "hfold.csv", newline="", encoding="utf-8") as fh:
+        return out, [row["numeric_stable"] for row in csv.DictReader(fh)]
+
+
+def _verdicts(out, _):
+    return [r["verdict"] for r in strict_json(out)["reports"]]
+
+
+def _windows(out, _):
+    return [p["x_interval"] for p in strict_json(out)["equilibria"]]
+
+
+def _lone_twin(out, _):
+    points = strict_json(out)["equilibria"]
+    return [p["x_interval"] for p in points], points[1]["y_approx"]
+
+
+def _trajectory(out, _):
+    # the header, t = 0..10, and every coordinate in the unit square, which traps orbits
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return (lines[0], [int(r[0]) for r in rows],
+            all(0 <= float(c) <= 1 for r in rows for c in r[1:]))
+
+
+def _half_image(out, _):
+    return [p["y_approx"] for p in strict_json(out)["equilibria"]
+            if p["x_interval"] == ["1/2", "1/2"]]
+
+
+def _swapped_pair(out, _):
+    # each windowed point lies on y = 4 x (1 - x), and the first has y = (5 + sqrt 5) / 8
+    pair = [p for p in strict_json(out)["equilibria"] if p["x_interval"][0] != p["x_interval"][1]]
+    on_locus = [math.isclose(p["y_approx"], 4 * p["x_approx"] * (1 - p["x_approx"]),
+                             rel_tol=1e-12) for p in pair]
+    return on_locus, math.isclose(pair[0]["y_approx"], (5 + math.sqrt(5)) / 8, rel_tol=1e-12)
+
+
+def _scanned(name, cells, on_zero_set):
+    return f"wrote {name}: {cells} cells, 0 disagreements, {on_zero_set} on a zero set\n"
+
+
+SIDE = (Fraction(3), Fraction(4))
+
+# name: (argv, exit code, what is read from stdout and the working
+# directory, what it must be)
+CONSOLE = {
+    # one scan per kind, the homogeneous one at three speeds, on its default square
+    **{"-".join(["scan", kind, *speed, "20"]): (
+        ["scan", "--kind", kind, "--resolution", "20", *[f"--a={a}" for a in speed]], 0,
+        _stdout, _scanned(f"scan_{kind}_20.csv", 400, 0))
+       for kind, *speed in [("count",), ("stable",), ("homogeneous", "1/4"),
+                            ("homogeneous", "1/2"), ("homogeneous", "3/4")]},
+    # the file is the emission byte for byte, so the scan digests pin what the command writes
+    "scan-out-csv": (["scan", "--range", "3:4", "--resolution", "5", "--out", "grid.csv"], 0,
+                     _written, emit_grid(scan("count", ScanSpec(SIDE, SIDE, 5)), "csv").encode()),
+    "scan-out-json": (["scan", "--kind", "homogeneous", "--a", "1/2", "--range", "3:4",
+                       "--resolution", "5", "--json", "--out", "grid.json"], 0, _written,
+                      emit_grid(scan("homogeneous",
+                                     ScanSpec(SIDE, SIDE, 5, a_value=Fraction(1, 2))),
+                                "json").encode()),
+    # a speed past 1 is refused before any cell is bound, and no file is written
+    "scan-speed-refused": (["scan", "--kind", "homogeneous", "--a", "3/2", "--resolution", "2",
+                            "--out", "refused.csv"], 2, _files, []),
+    # u v = 1 at (1/2, 2), (1, 1) and (2, 1/2), where the window's end x = 0
+    # is a root of the cubic, and disc = 0 at the triple point (3, 3)
+    "scan-count-zero-sets": (["scan", "--kind", "count", "--range", "1/2:4", "--resolution", "8",
+                              "--out", "zero.csv"], 0, _stdout, _scanned("zero.csv", 64, 4)),
+    # coefficients past the float range: the float brackets give way to Sturm isolation
+    "scan-count-past-the-doubles": (["scan", "--kind", "count", "--range", "1e200:2e200",
+                                     "--resolution", "3", "--out", "big.csv"], 0, _stdout,
+                                    _scanned("big.csv", 9, 0)),
+    # disc = 0 at (27/8, 4) and (4, 27/8), and (4, 4) on the quadratic cut
+    "scan-stable-fold": (["scan", "--kind", "stable", "--range", "27/8:4", "--resolution", "2",
+                          "--out", "fold.csv"], 0, _stdout, _scanned("fold.csv", 4, 3)),
+    "scan-homogeneous-fold": (["scan", "--kind", "homogeneous", "--a", "1/4", "--range", "27/8:4",
+                               "--resolution", "2", "--out", "hfold.csv"], 0, _fold_slice,
+                              (_scanned("hfold.csv", 4, 2), ["2", "1", "1", "2"])),
+    "stability-verdicts": (["stability", "--u", "13/4", "--v", "13/4"], 0, _verdicts,
+                           ["unstable", "stable", "unstable", "stable"]),
+    # windows printed when every report counted roots by Sturm chains; x = 9/13
+    # is a rational root at (13/4, 13/4)
+    "windows-13/4-13/4": (["equilibria", "--u", "13/4", "--v", "13/4", "--a", "1/4",
+                           "--b", "1/2"], 0, _windows,
+                          [["0", "0"], ["31/64", "1/2"], ["9/13", "9/13"], ["207/256", "13/16"]]),
+    "windows-13/4-7/2": (["equilibria", "--u", "13/4", "--v", "7/2", "--a", "1/4", "--b", "1/2"],
+                         0, _windows,
+                         [["0", "0"], ["13/32", "7/16"], ["25/32", "401/512"],
+                          ["411/512", "103/128"]]),
+    # the cubic (-4, 90, -162, 81) has disc < 0 and no rational root, and its
+    # twin isolates to its root bound's window with no bisection
+    "lone-twin": (["equilibria", "--u", "1/5", "--v", "9", "--a", "1/4", "--b", "1/2"], 0,
+                  _lone_twin, ([["0", "0"], ["1/32", "1/16"]], 0.4160706319479576)),
+    "simulate-trapped": (["simulate", "--u", "4", "--v", "4", "--seed", "7", "--steps", "10"], 0,
+                         _trajectory, ("t,x,y", list(range(11)), True)),
+    "twin-half": (["equilibria", "--u", "2", "--v", "2", "--a", "1/4", "--b", "3/4"], 0,
+                  _half_image, [0.5]),
+    # x = 3/4 deflates the cubic; 4 x (1 - x) swaps the pair (5 -+ sqrt 5) / 8
+    "twin-deflated": (["equilibria", "--u", "4", "--v", "4", "--a", "1/2", "--b", "3/4"], 0,
+                      _swapped_pair, ([True, True], True)),
+}
+
+
+@pytest.mark.parametrize("name", CONSOLE)
+def test_console_output(capsys, tmp_path, monkeypatch, name):
+    argv, code, read, expected = CONSOLE[name]
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == code
+    assert read(out, tmp_path) == expected
 
 
 def test_commands_load_only_the_standard_library(tmp_path):

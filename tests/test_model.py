@@ -17,6 +17,7 @@ from kopelcas.model import (
 )
 from kopelcas.realroots import isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
+from test_mirrored_cubic import POOL_SEED, POOL_SIZE, _lattice
 from test_report_digests import POINTS
 
 
@@ -338,6 +339,22 @@ def test_report_y_roots_are_distinct_with_their_own_multiplicity(monkeypatch):
         ys = [eq.y_root for eq in seen]
         assert len({id(y) for y in ys}) == len(ys)
         assert [y.multiplicity_in_source for y in ys] == [eq.multiplicity for eq in seen]
+
+
+def test_windowed_roots_of_a_point_share_one_factor():
+    # so _Point.y_candidates isolates once, from the first root it is asked
+    # for: over the kbench point pool every windowed x root of a point has
+    # the whole cubic, or the cubic with its one rational root divided out
+    shapes = set()
+    for point in _lattice(POOL_SEED, POOL_SIZE):
+        params = ModelParams(*point)
+        windows = [eq.x_root for eq in model._Point.of(params).equilibria(params)
+                   if not eq.x_root.is_rational]
+        factors = {r._coeffs for r in windows}
+        assert len(factors) <= 1, point
+        shapes |= {(len(g), len(windows)) for g in factors}
+    # both factor shapes occur, and some factor holds more than one window
+    assert {(3, 2), (4, 1), (4, 3)} <= shapes
 
 
 def test_report_stability_matches_jury_report():

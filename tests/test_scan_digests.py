@@ -62,7 +62,7 @@ CASES = {
                          ScanSpec(FIG2, FIG2, 6, a_value=F(1, 2)), "json",
                          "29ec420a5ee1df0be5ebc2e4606a199d485ae4d2ed1577af130b0e95418c455f",
                          "2360f330a45eb0b260abddc8d2c57f3c7169bd5ab80daef207891c78614fcf42"),
-    # the gate scans, as `kopel-cas scan` writes them and CI pins them
+    # the gate scans, as `kopel-cas scan` writes them
     "gate-count-200": (scan_equilibrium_count, ScanSpec(FIG1, FIG1, 200), "csv",
                        "3825e5dc9eda8660a0f85d2dedb215463dd3bd836504fcf315a3cc39f4708114",
                        "7522cfbedcc9fffa6c16fd6011eb948bd224da93b3173e635327d4b4434b0622"),
