@@ -120,12 +120,6 @@ MODULUS_HOMOGENEOUS = _from_rows([
 class NamedCertificate(FrozenRecord):
     __slots__ = ("name", "poly", "role")
 
-    def __init__(self, name: str, poly: MPoly, role: str):
-        put = object.__setattr__
-        put(self, "name", name)
-        put(self, "poly", poly)
-        put(self, "role", role)
-
 
 def build_certificates() -> dict:
     entries = [
@@ -156,13 +150,7 @@ def build_certificates() -> dict:
 # -- identity verification -------------------------------------------------
 
 class IdentityResult(FrozenRecord):
-    __slots__ = ("name", "passed", "pairs")
-
-    def __init__(self, name: str, passed: bool, pairs: tuple):
-        put = object.__setattr__
-        put(self, "name", name)
-        put(self, "passed", passed)
-        put(self, "pairs", pairs)  # (derived, expected) comparisons, all of which must agree
+    __slots__ = ("name", "passed", "pairs")  # pairs: (derived, expected), all must agree
 
     @property
     def difference(self) -> MPoly:

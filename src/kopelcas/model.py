@@ -75,11 +75,7 @@ class ModelParams(FrozenRecord):
             raise ValueError("reaction intensities must satisfy u > 0 and v > 0")
         if not (0 < a.numerator <= a.denominator and 0 < b.numerator <= b.denominator):
             raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
-        put = object.__setattr__
-        put(self, "u", u)
-        put(self, "v", v)
-        put(self, "a", a)
-        put(self, "b", b)
+        super().__init__(u, v, a, b)
 
     def as_floats(self):
         return float(self.u), float(self.v), float(self.a), float(self.b)
@@ -91,19 +87,9 @@ class ModelParams(FrozenRecord):
 class State(FrozenRecord):
     __slots__ = ("x", "y")
 
-    def __init__(self, x: float, y: float):
-        put = object.__setattr__
-        put(self, "x", x)
-        put(self, "y", y)
-
 
 class Trajectory(Record):
     __slots__ = ("states", "left_unit_square", "diverged_at")
-
-    def __init__(self, states: list, left_unit_square: bool, diverged_at: int | None):
-        self.states = states
-        self.left_unit_square = left_unit_square
-        self.diverged_at = diverged_at
 
 
 def _update(x, y, u, v, a, b):
@@ -197,48 +183,39 @@ class Equilibrium(_Lazy):
     certified flags work from the x side alone.  A fixed point holds the
     _Point it was found at, and shares its bound conditions and y
     candidates with the other fixed points there; one built alone binds its
-    own point on the first read that needs it (_Lazy), so is_positive alone
-    binds nothing.
+    own point on the first read that needs it, so is_positive alone binds
+    nothing.  _point, in_unit_square and y_root are _Lazy slots, each filled
+    by its _make_<name> method on first read.
     """
 
-    __slots__ = ("x_root", "params", "is_positive", "_in_unit_square", "_y", "_point")
+    __slots__ = ("x_root", "params", "is_positive", "in_unit_square", "y_root", "_point")
 
     def __init__(self, x_root: AlgebraicReal, params: ModelParams, *, _point=None):
         self.x_root = x_root
         self.params = params
         self.is_positive = (x_root.compare_rational(0) > 0
                             and _sign_dense_at(_Y_SIGN, x_root) > 0)
-        self._in_unit_square = None
-        self._y = None
         if _point is not None:
             self._point = _point
 
     def _make__point(self) -> "_Point":
         return _Point.of(self.params)
 
-    @property
-    def in_unit_square(self) -> bool:
-        if self._in_unit_square is None:
-            qi, scale = self._point.locus
-            # y - 1, scaled by the locus's denominator; 0 <= x <= 1 gives y >= 0
-            y_minus_one = (qi[0] - scale,) + qi[1:]
-            self._in_unit_square = (
-                self.x_root.compare_rational(0) >= 0
+    def _make_in_unit_square(self) -> bool:
+        qi, scale = self._point.locus
+        # y - 1, scaled by the locus's denominator; 0 <= x <= 1 gives y >= 0
+        y_minus_one = (qi[0] - scale,) + qi[1:]
+        return (self.x_root.compare_rational(0) >= 0
                 and self.x_root.compare_rational(1) <= 0
-                and _sign_dense_at(y_minus_one, self.x_root) <= 0
-            )
-        return self._in_unit_square
+                and _sign_dense_at(y_minus_one, self.x_root) <= 0)
+
+    def _make_y_root(self) -> AlgebraicReal:
+        point = self._point
+        return _image(self.x_root, *point.locus, point.y_candidates)
 
     @property
     def multiplicity(self) -> int:
         return self.x_root.multiplicity_in_source
-
-    @property
-    def y_root(self) -> AlgebraicReal:
-        if self._y is None:
-            point = self._point
-            self._y = _image(self.x_root, *point.locus, point.y_candidates)
-        return self._y
 
     @property
     def x_approx(self) -> float:
@@ -553,15 +530,6 @@ def _verdict(signs: tuple) -> str:
 
 class StabilityReport(Record):
     __slots__ = ("cd_signs", "cd_values", "trace", "det", "eig_moduli", "verdict")
-
-    def __init__(self, cd_signs: tuple, cd_values: tuple, trace: float, det: float,
-                 eig_moduli: tuple, verdict: str):
-        self.cd_signs = cd_signs
-        self.cd_values = cd_values
-        self.trace = trace
-        self.det = det
-        self.eig_moduli = eig_moduli
-        self.verdict = verdict
 
 
 def _eig_moduli(tr: float, det: float) -> tuple:

@@ -71,11 +71,7 @@ class ScanSpec(FrozenRecord):
             raise TypeError("resolution must be an int")
         if resolution < 2:
             raise ValueError("resolution must be at least 2")
-        put = object.__setattr__
-        put(self, "u_range", u)
-        put(self, "v_range", v)
-        put(self, "resolution", resolution)
-        put(self, "a_value", a_value)
+        super().__init__(u, v, resolution, a_value)
 
 
 class ScanCell(FrozenRecord):
@@ -84,27 +80,9 @@ class ScanCell(FrozenRecord):
     __slots__ = ("u", "v", "a", "cert_class", "numeric_positive", "numeric_stable", "agree",
                  "near_boundary")
 
-    # positional and written out: a scan builds one per cell
-    def __init__(self, u: Fraction, v: Fraction, a: Fraction | None, cert_class: str,
-                 numeric_positive: int, numeric_stable: int, agree: bool, near_boundary: bool):
-        put = object.__setattr__
-        put(self, "u", u)
-        put(self, "v", v)
-        put(self, "a", a)
-        put(self, "cert_class", cert_class)
-        put(self, "numeric_positive", numeric_positive)
-        put(self, "numeric_stable", numeric_stable)
-        put(self, "agree", agree)
-        put(self, "near_boundary", near_boundary)
-
 
 class ScanGrid(Record):
     __slots__ = ("spec", "kind", "cells")
-
-    def __init__(self, spec: ScanSpec, kind: str, cells: list):
-        self.spec = spec
-        self.kind = kind
-        self.cells = cells
 
     def disagreements(self):
         return [c for c in self.cells if not c.agree]

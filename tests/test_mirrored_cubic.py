@@ -16,9 +16,12 @@ the x_interval of the newly exact roots and of their cofactors' roots moved.
 """
 
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -255,15 +258,26 @@ def test_lone_twin_isolates_to_its_root_bound_window(monkeypatch):
     assert checked >= 150
 
 
-# the 6000 points of kbench's point pool (kbench/common.py pool_points)
-POOL_SEED, POOL_SIZE = 20230129, 6000
+def _kbench_common():
+    """kbench/common.py, loaded by its path: kbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "kbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("kbench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks the module up in sys.modules while it runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the 6000 points of kbench's point pool, drawn by kbench itself
+POOL = _kbench_common().pool_points()
 
 
 def test_no_window_has_a_linear_defining_polynomial():
     # every rational root snaps, so a window's defining polynomial has no
     # rational root and is never linear: y_factor takes no linear factor.
     # tests/test_realroots_properties.py checks the same on planted roots.
-    for point in _lattice(POOL_SEED, POOL_SIZE):
+    for point in POOL:
         where = _Point.of(ModelParams(*point))
         for var, coeffs in (("x", where.cubic), ("y", where.y_factor(where.cubic))):
             assert all(len(r._coeffs) > 2 for r in _isolate_int(var, coeffs) if not r.is_rational)

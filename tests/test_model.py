@@ -17,7 +17,7 @@ from kopelcas.model import (
 )
 from kopelcas.realroots import isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
-from test_mirrored_cubic import POOL_SEED, POOL_SIZE, _lattice
+from test_mirrored_cubic import POOL
 from test_report_digests import POINTS
 
 
@@ -346,7 +346,7 @@ def test_windowed_roots_of_a_point_share_one_factor():
     # for: over the kbench point pool every windowed x root of a point has
     # the whole cubic, or the cubic with its one rational root divided out
     shapes = set()
-    for point in _lattice(POOL_SEED, POOL_SIZE):
+    for point in POOL:
         params = ModelParams(*point)
         windows = [eq.x_root for eq in model._Point.of(params).equilibria(params)
                    if not eq.x_root.is_rational]

@@ -7,9 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from kopelcas import (
-    IdentityResult, ModelParams, NamedCertificate, ScanCell, ScanGrid, ScanSpec,
-    StabilityReport, State, Trajectory, build_certificates, verify_identity,
+    AlgebraicReal, IdentityResult, ModelParams, NamedCertificate, ScanCell, ScanGrid, ScanSpec,
+    StabilityReport, State, Trajectory, build_certificates, model, verify_identity,
 )
+from kopelcas.record import FrozenRecord, Record
 
 CUT = build_certificates()["stable_cut_linear"].poly
 
@@ -121,3 +122,44 @@ def test_mutable_records_compare_by_value_and_are_unhashable(make, field):
     assert getattr(twin, field) == 1 and record != twin
     assert copy.copy(record) == record and copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+# every record class, for the constructor checks below
+RECORDS = (ModelParams, State, Trajectory, StabilityReport, NamedCertificate, IdentityResult,
+           ScanSpec, ScanCell, ScanGrid)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_wrong_field_count_is_a_type_error_naming_the_class(cls):
+    n = len(cls.__slots__)
+    # ModelParams and ScanSpec default their last fields, so n - 1 is a valid call there
+    counts = (0, n + 1) if "__init__" in vars(cls) else (0, n - 1, n + 1)
+    for count in counts:
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            cls(*[1] * count)
+
+
+def test_only_records_that_check_their_inputs_write_a_constructor():
+    classes = {*Record.__subclasses__(), *FrozenRecord.__subclasses__()} - {FrozenRecord}
+    assert classes == set(RECORDS)
+    assert {cls for cls in classes if "__init__" in vars(cls)} == {ModelParams, ScanSpec}
+
+
+def test_equilibrium_flags_and_y_are_computed_once(monkeypatch):
+    queries = []
+    for name in ("_sign_dense_at", "_image"):
+        query = getattr(model, name)
+        monkeypatch.setattr(model, name,
+                            lambda *args, _name=name, _query=query: queries.append(_name)
+                            or _query(*args))
+    compare = AlgebraicReal.compare_rational
+    monkeypatch.setattr(AlgebraicReal, "compare_rational",
+                        lambda self, q: queries.append("compare") or compare(self, q))
+    for eq in model.equilibria(ModelParams("13/4", "13/4", "1/4", "1/2")):
+        for name in ("in_unit_square", "y_root"):
+            queries.clear()
+            first = getattr(eq, name)
+            assert queries
+            queries.clear()
+            assert getattr(eq, name) is first
+            assert queries == []
