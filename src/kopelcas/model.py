@@ -33,12 +33,15 @@ the windows are nodes of one bisection tree, fixed by the roots alone, so
 the x_interval a report prints is the same either way.  On the locus the
 Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
 flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
-the modulus a + b less the fold.  At a root of C in (0, 1) the fold has
-the sign of C' and the modulus is a + b - a b x C'; so a scan decides a
-bracketed root's stability from the cubic alone, by one interval bound and
+the modulus a + b less the fold.  A point reads the three off its bound
+cubic once, with no condition staged, each as a positive multiple of the
+condition (no primitive part is taken), and every reader shares them
+(_Point.conditions).  At a root of C in (0, 1) the fold has the sign of
+C', which a certified bracket holds; so a scan decides a bracketed root's
+stability by the report's modulus condition alone, one interval bound and
 at most one exact sign query.  The reports, and a scan cell whose brackets
-give way, read all three conditions off the bound cubic, with no condition
-staged, and ask them in a fixed order.
+give way, ask all three in a fixed order and judge them by one rule
+(_verdict).
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -324,21 +327,20 @@ class _Point(_Lazy):
     whose lead is positive, is finished from the row with v's table at once,
     since every point reads it, and content is the positive integer divided
     out of it: scale times the cubic is content times cubic.  On first read,
-    as plain slots with no lock (_Lazy): modulus_form, the modulus condition
-    at a root of the cubic up to a positive factor; conditions, the
-    primitive parts of bound_stability_polys, the second being the first at
-    a = b = 1; both read off the cubic with no term list staged; and locus,
-    y = v x (1 - x) over its denominator, bound from the tables.  A scan
-    cell finishes the cubic and at most modulus_form, or conditions where
-    its brackets give way (counts).
+    as plain slots with no lock (_Lazy): conditions, the fold, flip and
+    modulus conditions of bound_stability_polys as positive multiples, not
+    primitive parts, read off the cubic with no term list staged, the second
+    being the first at a = b = 1; and locus, y = v x (1 - x) over its
+    denominator, bound from the tables.  Scans, reports and e0_stable all
+    read the one conditions: a scan cell whose brackets hold reads only the
+    modulus condition from it (counts).
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use, with no rational root test, since
     it has none.  A point lives as long as the fixed points that hold it.
     """
 
-    __slots__ = ("v", "tables", "scale", "cubic", "content", "modulus_form",
-                 "conditions", "locus", "_y_roots")
+    __slots__ = ("v", "tables", "scale", "cubic", "content", "conditions", "locus", "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
         self.v = v
@@ -357,49 +359,30 @@ class _Point(_Lazy):
         up, vp, ap, bp = power_tables(params.u, params.v, params.a, params.b)
         return cls(params.v, _Row(up, ap, bp), vp)
 
-    def _speed_terms(self) -> tuple:
-        """(K, M): a + b and a b content / scale, both times qa qb scale.
+    def _make_conditions(self) -> tuple:
+        """bound_stability_polys up to positive factors, read off the cubic.
 
-        With a = pa / qa and b = pb / qb, K = (pa qb + pb qa) scale and
-        M = pa pb content.  The equilibrium cubic bound here is content / scale
-        times cubic, so the fold a b (C0 + x C0') times qa qb scale is
-        M (C + x C') for the primitive cubic C.
+        With a = pa / qa and b = pb / qb, let K = (pa qb + pb qa) scale and
+        M = pa pb content: a + b and a b content / scale, both times
+        qa qb scale.  The equilibrium cubic bound here is content / scale
+        times the cubic C, so on the locus the fold a b (C0 + x C0') times
+        qa qb scale is M F for F = C + x C'; the flip is the fold plus
+        2 (2 - a - b), and the modulus a + b less the fold.  So F,
+        M F + 2 (2 qa qb scale - K) and K - M F are positive multiples of
+        the three conditions.  The trace term vanishes only at a = b = 1,
+        where the second condition is the first object.
         """
         _, _, ap, bp = self.tables
         # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
         k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
-        return k, ap[1] * bp[1] * self.content
-
-    def _make_modulus_form(self) -> tuple:
-        """K - M x C'(x) for the cubic C, in ascending x-coefficients.
-
-        At a root of the equilibrium cubic C0 the modulus condition is
-        a + b - a b x C0', which times qa qb scale is K - M x C' at any
-        speeds (_speed_terms).
-        """
-        k, m = self._speed_terms()
-        _, c1, c2, c3 = self.cubic
-        return k, -m * c1, -2 * m * c2, -3 * m * c3
-
-    def _make_conditions(self) -> tuple:
-        """The primitive parts of bound_stability_polys, read off the cubic.
-
-        On the locus the fold is a b (C0 + x C0'), the flip the fold plus
-        2 (2 - a - b), and the modulus a + b less the fold; times qa qb scale
-        (_speed_terms) they are M F, M F + 2 (2 qa qb scale - K) and K - M F
-        for F = C + x C'.  Each is a positive multiple of its condition, so
-        its primitive part is the condition's.  The trace term vanishes only
-        at a = b = 1, where the second condition is the first object.
-        """
-        k, m = self._speed_terms()
-        _, _, ap, bp = self.tables
+        m = ap[1] * bp[1] * self.content
         c0, c1, c2, c3 = self.cubic
         f1, f2, f3 = 2 * c1, 3 * c2, 4 * c3
-        d1 = _primitive((c0, f1, f2, f3))
+        fold = c0, f1, f2, f3
         m0, m1, m2, m3 = m * c0, m * f1, m * f2, m * f3
         trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
-        d2 = _primitive((m0 + trace, m1, m2, m3)) if trace else d1
-        return d1, d2, _primitive((k - m0, -m1, -m2, -m3))
+        flip = (m0 + trace, m1, m2, m3) if trace else fold
+        return fold, flip, (k - m0, -m1, -m2, -m3)
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -411,16 +394,16 @@ class _Point(_Lazy):
         """(positive, stable): the positive fixed points here, and how many are stable.
 
         A fixed point is positive when 0 < x < 1, counted once whatever its
-        multiplicity, and stable when C' and modulus_form are positive there,
-        for the equilibrium cubic C (see the module docstring).  The certified
-        brackets (realroots._cubic_brackets) wholly inside (0, 1) are C's
-        roots there, simple, C' having the sign of -slo; modulus_form's sign
-        on one is an interval Horner bound, or an exact query where that
-        does not settle.  Where the brackets fail or one reaches across 0 or
-        1, the whole-line roots in (0, 1) are kept and each is judged as a
-        report judges it, by the Jury rule on signs (conditions): at a root r
-        of C the three conditions are positive multiples of r C'(r), of that
-        plus 2 (2 - a - b), and of modulus_form, so the count is the same.
+        multiplicity, and stable when C' and the modulus condition (the third
+        of conditions, the one a report asks) are positive there, for the
+        equilibrium cubic C (see the module docstring): at a root of C the
+        fold has the sign of C', and a positive fold makes the flip positive.
+        The certified brackets (realroots._cubic_brackets) wholly inside
+        (0, 1) are C's roots there, simple, C' having the sign of -slo; the
+        modulus condition's sign on one is an interval Horner bound, or an
+        exact query where that does not settle.  Where the brackets fail or
+        one reaches across 0 or 1, the whole-line roots in (0, 1) are kept and
+        each is judged as a report judges it, by _verdict on all three signs.
         """
         cubic = self.cubic
         brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
@@ -436,15 +419,15 @@ class _Point(_Lazy):
             stable = 0
             for a, b, k, slo in inside:
                 if slo < 0:
-                    low, high = _interval_horner(self.modulus_form, a, b, k)
+                    low, high = _interval_horner(self.conditions[2], a, b, k)
                     if low <= 0 <= high:
                         root = AlgebraicReal._from_window("x", cubic, a, b, k, 1, slo)
-                        low = _sign_dense_at(self.modulus_form, root)
+                        low = _sign_dense_at(self.conditions[2], root)
                     stable += low > 0
             return len(inside), stable
         roots = [r for r in _isolate_int("x", cubic)
                  if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
-        return len(roots), sum(_is_stable(self.signs(r)) for r in roots)
+        return len(roots), sum(_verdict(self.signs(r)) == "stable" for r in roots)
 
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""
@@ -500,32 +483,22 @@ class _Point(_Lazy):
             self._y_roots = _isolate_int("y", self.y_factor(root._coeffs), irrational=True)
         return self._y_roots
 
-    def signs(self, root: AlgebraicReal):
-        """Certified signs of the three bound conditions at an x root, asked lazily.
+    def signs(self, root: AlgebraicReal) -> tuple:
+        """Certified signs of the three conditions at an x root, asked in order.
 
         The first two conditions differ by twice the trace 2 - a - b, so they
-        coincide only at a = b = 1, where conditions holds one for both.
+        coincide only at a = b = 1, where conditions holds one for both and
+        its sign is asked once.
         """
         d1, d2, d3 = self.conditions
         s1 = _sign_dense_at(d1, root)
-        yield s1
-        yield s1 if d2 is d1 else _sign_dense_at(d2, root)
-        yield _sign_dense_at(d3, root)
-
-
-def _is_stable(signs) -> bool:
-    """The Jury rule: every condition strictly positive.
-
-    Reads the signs in order and stops at the first one that is not.
-    """
-    return all(s > 0 for s in signs)
+        return s1, (s1 if d2 is d1 else _sign_dense_at(d2, root)), _sign_dense_at(d3, root)
 
 
 def _verdict(signs: tuple) -> str:
-    """stable by the Jury rule, unstable if a condition is negative, else marginal."""
-    if _is_stable(signs):
-        return "stable"
-    return "unstable" if min(signs) < 0 else "marginal"
+    """Jury rule: stable if every sign is positive, unstable if one is negative, else marginal."""
+    low = min(signs)
+    return "stable" if low > 0 else "unstable" if low < 0 else "marginal"
 
 
 class StabilityReport(Record):
@@ -556,7 +529,7 @@ def jury_report(eq: Equilibrium, params: ModelParams) -> StabilityReport:
     """
     if params != eq.params:
         raise ValueError("jury_report takes the fixed point's own parameters")
-    signs = tuple(eq._point.signs(eq.x_root))
+    signs = eq._point.signs(eq.x_root)
 
     u, v, a, b = params.as_floats()
     xf = eq.x_root.approx
@@ -570,7 +543,7 @@ def e0_stable(params: ModelParams) -> bool:
     At x = 0 the locus has y = 0, so each condition's value there is its
     bound constant term, up to a positive factor.
     """
-    return _is_stable(d[0] for d in _Point.of(params).conditions)
+    return _verdict(tuple(d[0] for d in _Point.of(params).conditions)) == "stable"
 
 
 def _window_text(root: AlgebraicReal) -> list:
@@ -592,7 +565,7 @@ def equilibrium_report(params: ModelParams) -> dict:
     point = _Point.of(params)
     entries = []
     for eq in point.equilibria(params):
-        signs = tuple(point.signs(eq.x_root))
+        signs = point.signs(eq.x_root)
         entries.append({
             "x_approx": eq.x_approx,
             "y_approx": eq.y_approx,

@@ -11,10 +11,11 @@ float-proposed brackets that exact sign evaluations certify, and builds a
 Sturm chain only where they fail (model._Point.counts).  A bracket also
 holds the sign of the fold condition at its root, so a bracketed root's
 stability takes the modulus condition's sign alone, asked only after a
-positive fold, in a form read off the cubic: one interval bound over the
-narrow bracket mostly settles it, and only where that does not is an
-exact sign query asked.  A root of the Sturm route is judged as a report
-judges it, by the Jury rule on the signs of the three conditions.
+positive fold.  That is the report's own modulus condition, a positive
+multiple read off the cubic (model._Point.conditions): one interval bound
+over the narrow bracket mostly settles it, and only where that does not
+is an exact sign query asked.  A root of the Sturm route is judged as a
+report judges it, by the Jury rule on the signs of the three conditions.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The certificates the kind reads, the equilibrium cubic and the stability

@@ -253,8 +253,9 @@ class TestStability:
                 radius = max(rep.eig_moduli)
                 if rep.verdict == "stable":
                     assert radius < 1 + 1e-9
-                elif rep.verdict == "unstable" and radius > 1 + 1e-6:
-                    pass  # strictly expanding direction confirmed
+                elif rep.verdict == "unstable":
+                    # a strictly negative condition certifies a modulus past 1
+                    assert radius > 1 - 1e-9
                 if radius < 1 - 1e-6:
                     assert rep.verdict == "stable"
                 if rep.verdict == "marginal":
@@ -276,8 +277,10 @@ class TestStability:
         origin = [e for e in equilibria(p)
                   if e.x_root.is_rational and e.x_root.value == 0][0]
         rep = jury_report(origin, p)
-        assert rep.cd_signs[0] == 0
-        assert rep.verdict in ("marginal", "unstable")
+        # the fold is 1 - u v = 0, the flip equals it at full speed, and the
+        # modulus is a + b > 0
+        assert rep.cd_signs == (0, 0, 1)
+        assert rep.verdict == "marginal"
 
     def test_bound_polys_dedup_at_full_speed(self):
         p1, p2, _ = bound_stability_polys(ModelParams(4, 4))

@@ -5,11 +5,10 @@ symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
 point locus, serves as the oracle for the binder; the report route,
 Equilibrium.is_positive and jury_report's verdicts, serves as the oracle
 for a scan cell's counts (_Point.counts), on its certified brackets and on
-the whole-line isolation it falls back to; the bound modulus condition
-serves as the oracle for the modulus form the counts read; whole-line
-isolation serves as the oracle for the discriminant's sign, and that
-fallback for the scan's certified float brackets; the locus y = v x (1 - x)
-on doubles serves as the oracle for y.
+the whole-line isolation it falls back to; whole-line isolation serves as
+the oracle for the discriminant's sign, and that fallback for the scan's
+certified float brackets; the locus y = v x (1 - x) on doubles serves as
+the oracle for y.
 """
 
 from fractions import Fraction as F
@@ -20,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kopelcas import model, realroots
-from kopelcas.exactpoly import _int_clear, _pseudo_rem, dense_to_mpoly
+from kopelcas.exactpoly import _int_clear, dense_to_mpoly
 from kopelcas.model import (
     ModelParams, _cubic_discriminant, _Point, bound_stability_polys, e0_stable, equilibria,
     jury_report, stability_conditions,
@@ -149,24 +148,6 @@ def test_positive_roots_named_cases(u, v, a, b, positive):
     point = _Point.of(params)
     expected = len(positive), sum(stable for _, _, stable in positive)
     assert point.counts() == _fallback_counts(point) == expected
-
-
-@PROPERTY
-@given(intensities, intensities, speed_pairs)
-def test_the_modulus_form_is_the_modulus_condition_on_the_cubic(u, v, ab):
-    # lambda d3 - mu form vanishes modulo the cubic for some lambda, mu > 0,
-    # where d3 is the bound modulus condition on the locus
-    point = _Point.of(ModelParams(u, v, *ab))
-    cubic, form, d3 = point.cubic, point.modulus_form, point.conditions[2]
-    assert len(form) == len(d3) == len(cubic) == 4
-    # the remainders of d3 and form by the cubic, both times its positive lead
-    r3, rf = ([cubic[3] * p[i] - p[3] * cubic[i] for i in range(3)] for p in (d3, form))
-    lam, mu = next(((abs(f), abs(r)) for r, f in zip(r3, rf) if f), (1, 1))
-    assert lam > 0 and mu > 0
-    combined = [lam * p - mu * q for p, q in zip(d3, form)]
-    assert _pseudo_rem(combined, cubic) == []
-    for r in _isolate_int("x", cubic):
-        assert _sign_dense_at(form, r) == _sign_dense_at(d3, r)
 
 
 small_roots = st.builds(F, st.integers(-6, 6), st.integers(1, 3))

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kopelcas import realroots
@@ -20,6 +20,7 @@ from kopelcas.realroots import (
     _sign_dense_at, _square_free_int, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
     sturm_sign_count,
 )
+from test_model_properties import integer_cubics
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -552,3 +553,28 @@ def test_hints_leave_the_windows_of_evaluated_halving(coeffs, ops, q_coeffs):
                 assert y1.is_rational or y1._hint in [y._hint for y in hinted_ys]
             assert _window(hinted) == _window(bare)
         assert hinted.approx == bare.approx
+
+
+def _trimmed(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+# a query is drawn coefficients, or the cubic times a drawn factor: that one
+# vanishes at every root, so at a window only the gcd certifies the zero
+scaling_queries = st.lists(st.tuples(st.booleans(), st.lists(st.integers(-50, 50), min_size=1,
+                                                             max_size=4)), min_size=1, max_size=4)
+
+
+@settings(PROPERTY, max_examples=300)
+@example((2, -2, -1, 1), [(True, [1])], 3)  # (x - 1)(x**2 - 2): two windows share the zero
+@given(integer_cubics(), scaling_queries, st.integers(1, 2**64))
+def test_a_positive_multiple_of_a_query_leaves_every_answer_and_window(coeffs, queries, c):
+    # a report asks positive multiples of its conditions, not their primitive parts
+    qs = [_trimmed(_product(coeffs, q) if shared else q) for shared, q in queries]
+    for plain, scaled in zip(_isolate_int("x", coeffs), _isolate_int("x", coeffs)):
+        for q in qs:
+            assert _sign_dense_at(q, plain) == _sign_dense_at(tuple(c * t for t in q), scaled)
+            assert (plain.lo, plain.hi) == (scaled.lo, scaled.hi)
