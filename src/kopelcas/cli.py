@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_si.add_argument("--steps", type=int, default=100)
     p_si.add_argument("--x0", type=float, default=None)
     p_si.add_argument("--y0", type=float, default=None)
-    p_si.add_argument("--seed", type=int, default=None,
-                      help="draw the start point in [0,1]^2 when x0/y0 are absent")
+    p_si.add_argument("--seed", type=int, default=0,
+                      help="draw the start point in [0,1]^2 when x0/y0 are absent (default 0)")
     p_si.add_argument("--out", default=None)
     return parser
 

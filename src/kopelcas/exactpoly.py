@@ -11,12 +11,12 @@ comparison, so "leading term" below always means the max exponent tuple.
 Substitution takes one pass: each group of terms with one power of the
 replaced variable is multiplied by that power of the replacement into one dict.
 
-Resultants and exact division run in an integer kernel on term dicts
-``{exponent tuple: int}``.  The resultant is taken by the subresultant
-polynomial remainder sequence: both arguments are cleared to integers once,
-split into coefficient lists in the eliminated variable, pseudo-divided on
-ints, and the result is scaled back once at the end.  Every division in the
-sequence is exact and takes quotient coefficients with divmod, so a nonzero
+The resultant runs in an integer kernel on term dicts
+``{exponent tuple: int}``, by the subresultant polynomial remainder
+sequence: both arguments are cleared to integers once, split into
+coefficient lists in the eliminated variable, pseudo-divided on ints, and
+the result is scaled back once at the end.  Every division in the sequence
+is exact and takes quotient coefficients with divmod, so a nonzero
 remainder is an error, never a rounding.  Dense univariate helpers over Z
 (primitive parts, pseudo-remainders, gcds, exact division) serve the root
 layer, and a parameter polynomial compiled to an integer term list binds
@@ -168,14 +168,8 @@ class MPoly:
             return NotImplemented
         out = dict(self._terms)
         for exp, c in other._terms.items():
-            s = out.get(exp, 0) + c
-            if not s:
-                del out[exp]
-            elif type(s) is Fraction and s.denominator == 1:
-                out[exp] = s.numerator
-            else:
-                out[exp] = s
-        return _raw(out)
+            out[exp] = out.get(exp, 0) + c
+        return _raw(_canon(out))
 
     __radd__ = __add__
 
@@ -334,9 +328,9 @@ ONE = MPoly.constant(1)
 # -- integer kernel --------------------------------------------------------
 #
 # Polynomials over Z as term dicts {exponent tuple: int} without zeros.  The
-# resultant and exact division clear denominators on the way in, compute on
-# ints alone, and scale back once on the way out.  Products and quotients by 1
-# are skipped, so a helper may return an argument and none mutates its input.
+# resultant clears denominators on the way in, computes on ints alone, and
+# scales back once on the way out.  Products and quotients by 1 are skipped,
+# so a helper may return an argument and none mutates its input.
 
 _INT_ONE = {_ZERO_EXP: 1}
 
@@ -411,24 +405,6 @@ def _int_divide(f: dict, g: dict) -> dict:
                 else:
                     del rest[exp]
     return quot
-
-
-# -- exact division --------------------------------------------------------
-
-def exact_divide(p: MPoly, q: MPoly) -> MPoly:
-    """Return p / q when q divides p exactly; raise ValueError otherwise.
-
-    p is cleared to integers and divided by the primitive integer part of q,
-    a quotient that Gauss's lemma makes integral; the two scales come back
-    as one rational factor.
-    """
-    if q.is_zero():
-        raise ValueError("division by the zero polynomial")
-    dp, dq = _denominator_lcm(p), _denominator_lcm(q)
-    qi = _int_terms(q, dq)
-    content = gcd(*qi.values())
-    primitive = {exp: c // content for exp, c in qi.items()}
-    return _scaled(_int_divide(_int_terms(p, dp), primitive), Fraction(dq, dp * content))
 
 
 # -- resultants ------------------------------------------------------------
@@ -624,18 +600,16 @@ BIND_TOP = 3  # the highest power of u, v, a or b that binding supports
 def integer_terms(poly: MPoly) -> tuple:
     """The terms of an integer polynomial free of y, grouped by their powers of x and v.
 
-    One tuple per group: the powers of x and v, the group's first term as
-    (coeff, powers of u, a, b), then the others as a tuple of the same.  Most
-    groups hold one term, which stage then binds with no inner loop.
-    Groups come in descending order, so the first carries the top power of x.
+    One tuple per group: the powers of x and v, then the group's terms as a
+    tuple of (coeff, powers of u, a, b).  Groups come in descending order,
+    so the first carries the top power of x.
     """
     groups: dict[tuple[int, int], list] = {}
     for (ex, ey, eu, ev, ea, eb), c in poly.terms():
         if ey or type(c) is not int or max(eu, ev, ea, eb) > BIND_TOP:
             raise ValueError(f"cannot bind {poly} on integers")
         groups.setdefault((ex, ev), []).append((c, eu, ea, eb))
-    ordered = sorted(groups.items(), reverse=True)
-    return tuple((ex, ev, *first, tuple(rest)) for (ex, ev), (first, *rest) in ordered)
+    return tuple((ex, ev, tuple(terms)) for (ex, ev), terms in sorted(groups.items(), reverse=True))
 
 
 def power_table(r) -> list[int]:
@@ -659,9 +633,9 @@ def stage(terms, tables) -> list[tuple]:
     """
     up, _, ap, bp = tables
     staged = []
-    for kx, kv, c, ku, ka, kb, rest in terms:
-        w = c * up[ku] * ap[ka] * bp[kb]
-        for c, ku, ka, kb in rest:
+    for kx, kv, group in terms:
+        w = 0
+        for c, ku, ka, kb in group:
             w += c * up[ku] * ap[ka] * bp[kb]
         staged.append((kx, kv, w))
     return staged

@@ -336,8 +336,8 @@ class _Point(_Lazy):
     modulus condition from it (counts).
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
-    swapped and isolated on first use, with no rational root test, since
-    it has none.  A point lives as long as the fixed points that hold it.
+    swapped and isolated on first use.  A point lives as long as the fixed
+    points that hold it.
     """
 
     __slots__ = ("v", "tables", "scale", "cubic", "content", "conditions", "locus", "_y_roots")
@@ -440,11 +440,10 @@ class _Point(_Lazy):
                 origin_mult += r.multiplicity_in_source
             else:
                 kept.append(r)
-        origin = AlgebraicReal.from_rational(Fraction(0), "x", origin_mult)
-        ordered = [r for r in kept if r.compare_rational(0) < 0]
-        ordered.append(origin)
-        ordered += [r for r in kept if r.compare_rational(0) > 0]
-        return [Equilibrium(r, params, _point=self) for r in ordered]
+        # the kept roots ascend, so the origin goes after the negative ones
+        below = sum(r.compare_rational(0) < 0 for r in kept)
+        kept.insert(below, AlgebraicReal.from_rational(Fraction(0), "x", origin_mult))
+        return [Equilibrium(r, params, _point=self) for r in kept]
 
     def y_factor(self, g) -> tuple:
         """Primitive integer y-coefficients whose roots are v x (1 - x) at g's roots.
@@ -474,13 +473,13 @@ class _Point(_Lazy):
         rational root divided out (a cubic with disc = 0 has only rational
         roots, so no window).  No root of y_factor is rational: at a fixed
         point x = u y (1 - y) and y = v x (1 - x), so x and y are rational
-        together, and g has no rational root.  So no window is tested for
-        one (irrational).  A twin with one real root isolates to its root
+        together, and g has no rational root; the rational root test on each
+        window finds none.  A twin with one real root isolates to its root
         bound's window, counted against its certified bracket with no
         bisection and no Sturm chain.
         """
         if self._y_roots is None:
-            self._y_roots = _isolate_int("y", self.y_factor(root._coeffs), irrational=True)
+            self._y_roots = _isolate_int("y", self.y_factor(root._coeffs))
         return self._y_roots
 
     def signs(self, root: AlgebraicReal) -> tuple:

@@ -818,7 +818,7 @@ def isolate_real_roots(p: MPoly) -> list[AlgebraicReal]:
     return _isolate_int(var, _int_clear(dense))
 
 
-def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[AlgebraicReal]:
+def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     """isolate_real_roots on primitive integer coefficients, not all zero.
 
     A constant has no root.  A linear square-free factor is its root.  Any
@@ -829,13 +829,13 @@ def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[Algebrai
     gcd(f, f'), Yun's first gcd, and when f is square-free the same chain
     isolates its roots.  Yun factors and cubics whose brackets fail get
     chains of their own.  Each window is tested for a rational root
-    (_rational_value), unless irrational says coeffs has none.  A rational
-    root, hit by a bisection point (which ends the walk) or snapped by the
-    test, is divided out, and the cofactor is walked afresh from its own
-    Cauchy window by its own Sturm chain, so the windows do not depend on
-    how the rational roots were found.  The windows of one factor with no
-    rational root are leaves of one bisection tree, so already disjoint and
-    ascending; only other results are sorted and separated.
+    (_rational_value).  A rational root, hit by a bisection point (which
+    ends the walk) or snapped by the test, is divided out, and the cofactor
+    is walked afresh from its own Cauchy window by its own Sturm chain, so
+    the windows do not depend on how the rational roots were found.  The
+    windows of one factor with no rational root are leaves of one bisection
+    tree, so already disjoint and ascending; only other results are sorted
+    and separated.
     """
     if len(coeffs) == 1:
         return []
@@ -867,7 +867,7 @@ def _isolate_int(var: str, coeffs, *, irrational: bool = False) -> list[Algebrai
         hints = brackets if brackets and not rational else repeat((None, 0))
         roots = [AlgebraicReal._from_window(var, factor, a, b, k, mult, slo, hint)
                  for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
-        snapped = [] if irrational else [q for q in map(_rational_value, roots) if q is not None]
+        snapped = [q for q in map(_rational_value, roots) if q is not None]
         if snapped:
             for q in snapped:
                 factor = tuple(_exact_div(factor, (-q.numerator, q.denominator)))
@@ -956,18 +956,13 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
     rational alpha maps to a rational y with no call to candidates, so a
     rational x root never isolates the cubic's twin.  Otherwise alpha
     shrinks until the interval image of qi / scale meets just one of the
-    isolated y roots candidates(alpha) gives, and a copy of it is the image;
-    a lone candidate is the image with no bound taken.
+    isolated y roots candidates(alpha) gives, and a copy of it is the image.
     """
     if alpha.is_rational:
         num, den = alpha.value.numerator, alpha.value.denominator
         val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
         return AlgebraicReal.from_rational(val, "y", alpha.multiplicity_in_source)
     roots = candidates(alpha)
-    if len(roots) == 1:
-        # the true y lies in the one candidate's window and in every interval
-        # image, so the first bound would pick it
-        return roots[0]._copy(alpha._mult)
     coeffs, slo = alpha._coeffs, alpha._lower_sign()
     a, b, k = alpha._a, alpha._b, alpha._k
     try:

@@ -264,6 +264,12 @@ class TestSimulate:
                            "--seed", "12", "--steps", "3")
         assert out3 != out1
 
+    def test_no_seed_is_seed_zero(self, capsys):
+        args = ("simulate", "--u", "4", "--v", "4", "--steps", "0")
+        seeded = run(capsys, *args, "--seed", "0")
+        assert run(capsys, *args) == run(capsys, *args) == seeded
+        assert seeded[1].startswith("t,x,y\n0,")
+
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "traj.csv"
         rc, out, _ = run(capsys, "simulate", "--u", "2", "--v", "2",

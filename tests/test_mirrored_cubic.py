@@ -197,18 +197,20 @@ def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
     assert chainless >= 40 and snapped == 0
 
 
-def test_report_tests_no_y_window_for_a_rational_root(monkeypatch):
-    # x and y are rational together at a fixed point, so the y candidates of
-    # a windowed x root are isolated with no rational root test
+def test_report_finds_no_rational_root_in_a_y_window(monkeypatch):
+    # x and y are rational together at a fixed point, so the rational root
+    # test finds none in the y candidates of a windowed x root
     tested = []
     test = realroots._rational_value
-    monkeypatch.setattr(realroots, "_rational_value", lambda r: tested.append(r.var) or test(r))
+    monkeypatch.setattr(realroots, "_rational_value",
+                        lambda r: tested.append((r.var, test(r))) or tested[-1][1])
     windowed = 0
     for point in SEEDED + [p for p, _ in NAMED.values()] + [RATIONAL_TWIN[0]]:
         report = equilibrium_report(ModelParams(*point))
         windowed += sum(lo != hi for lo, hi in (e["x_interval"] for e in report["equilibria"]))
-    assert windowed > 100 and "x" in tested
-    assert "y" not in tested
+    y_values = [value for var, value in tested if var == "y"]
+    assert windowed > 100 and len(y_values) > 100
+    assert y_values == [None] * len(y_values)
 
 
 def _lattice(seed, count):

@@ -252,7 +252,7 @@ def test_fallback_roots_are_the_positive_equilibria(u, v, ab):
 @PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_scan_stability_is_the_jury_verdict(u, v, ab):
-    # the scan's rule asks at most the modulus form; the report asks all three
+    # the scan's rule asks at most the modulus condition; the report asks all three
     params = ModelParams(u, v, *ab)
     point = _Point.of(params)
     assume(_unit_brackets(point) is not None)

@@ -12,7 +12,7 @@ import kopelcas
 RETIRED = (("exactpoly", "parse_poly"), ("realroots", "algebraic_image"),
            ("realroots", "refine"), ("model", "triangular_system"),
            ("certificates", "all_identities_hold"), ("exactpoly", "gcd_univariate"),
-           ("model", "all_stay_in_unit_square"))
+           ("model", "all_stay_in_unit_square"), ("exactpoly", "exact_divide"))
 
 
 def test_every_exported_name_resolves():

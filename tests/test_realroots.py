@@ -146,7 +146,6 @@ def test_integer_isolation_of_a_nonzero_constant_finds_no_root():
     # as isolate_real_roots does; a cofactor may come out constant
     for c in (1, -1, 7):
         assert _isolate_int("x", (c,)) == []
-        assert _isolate_int("y", (c,), irrational=True) == []
 
 
 def test_isolate_sorted_disjoint_random():
@@ -564,20 +563,23 @@ def test_image_swaps_conjugate_pair():
     assert sign_at(y_min, img) == 0
 
 
-def test_a_lone_candidate_is_the_image_with_no_bound_taken(monkeypatch):
+def test_a_lone_candidate_is_the_image_after_one_bound(monkeypatch):
     # at u = 1/5, v = 9 the cubic has one real root, and so has its image
     # polynomial: both the window of that one candidate and every interval
-    # image of the x window hold the true y, so the candidate is the image
+    # image of the x window hold the true y, so the first bound picks it
     qi, scale = (0, 9, -9), 1
     roots = isolate_real_roots(cubic(F(1, 5), F(9)))
     assert len(roots) == 1 and not roots[0].is_rational
     candidates = _resultant_candidates(qi, scale)(roots[0])
     assert len(candidates) == 1
     window = (roots[0].lo, roots[0].hi)
+    bounds = []
+    horner = realroots._interval_horner
     monkeypatch.setattr(realroots, "_interval_horner",
-                        lambda *args: pytest.fail("a bound was taken"))
+                        lambda *args: bounds.append(args) or horner(*args))
     img = _image(roots[0], qi, scale, lambda root: candidates)
     monkeypatch.undo()
+    assert len(bounds) == 1
     assert img is not candidates[0] and (img.lo, img.hi) == (candidates[0].lo, candidates[0].hi)
     assert (roots[0].lo, roots[0].hi) == window
     assert img.approx == 0.4160706319479576
