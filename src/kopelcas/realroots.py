@@ -28,17 +28,17 @@ _ZERO_TEST_ROUND rounds computes the gcd that certifies an exact zero.
 All decisions below (membership, signs, comparisons) are certified by exact
 integer arithmetic: polynomials are scaled by positive integers only and
 dyadic points by shifts, which keeps every sign.  Fractions appear only at
-the edges (MPoly input, rational roots, lo/hi).  Floats only propose, and
-exact sign evaluations certify, in two places.  The nearest double to a
-root (approx): float Newton proposes it and signs at the midpoints to its
-neighbours certify it, or bisection finds it when they do not, so the
-cached value is the correctly rounded root and no decision reads it.  A
-cubic's real roots (_cubic_brackets): closed-form float roots propose one
-narrow dyadic bracket per real root, and the signs at the bracket ends
-certify them, or give way to Sturm isolation.  Scan cells count those
-inside (0, 1), rational roots left unsnapped (model._Point.counts);
-isolation (_isolate_int) counts roots against them and keeps each as its
-root's hint.
+the edges (MPoly input, rational roots, lo/hi).  Floats propose in one
+place only, and exact sign evaluations certify: a cubic's real roots
+(_cubic_brackets), where closed-form float roots propose one narrow dyadic
+bracket per real root, and the signs at the bracket ends certify them, or
+give way to Sturm isolation.  Scan cells count those inside (0, 1),
+rational roots left unsnapped (model._Point.counts); isolation
+(_isolate_int) counts roots against them and keeps each as its root's
+hint.  The nearest double to a root (approx) is one exact Newton point,
+rounded once; signs at the midpoints to its neighbours certify it, or
+bisection finds it, so it is the correctly rounded root and no decision
+reads it.
 """
 
 from __future__ import annotations
@@ -62,13 +62,9 @@ _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 # costs the extra halvings before the gcd proves it.
 _ZERO_TEST_ROUND = 10
 
-# The nearest double to a root starts from a float Newton seed of at most
-# _SEED_STEPS iterations.  They stop once the float value of the polynomial
-# is within _FLOAT_NOISE times the sum of its terms' sizes: Horner's rounding
-# error at degree n is below 2n * 2**-53 times that sum, so up to degree 16
-# the float value says no more there.  The seed is certified exactly; one
-# that is not gives way to bisection.
-_SEED_STEPS = 60
+# A cubic's bracket reaches past its float seed's error bound: this many
+# times the sum of its terms' sizes, as Horner's rounding error at degree 3
+# is below 6 * 2**-53 times that sum.
 _FLOAT_NOISE = 2.0**-48
 
 # Newton steps that polish a cubic's closed-form float roots
@@ -275,48 +271,14 @@ def _bisect_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
     return d
 
 
-def _float_eval(cf, x: float) -> tuple[float, float, float]:
-    """p(x), p'(x) and sum |c_i x**i| in floats, cf the coefficients highest first."""
-    fx, dfx, size = cf[0], 0.0, abs(cf[0])
-    ax = abs(x)
-    for c in cf[1:]:
-        dfx = dfx * x + fx
-        fx = fx * x + c
-        size = size * ax + abs(c)
-    return fx, dfx, size
+def _seed(coeffs, a: int, b: int, k: int) -> float:
+    """One exact Newton step from the midpoint of (a, b) / 2**k, rounded once; uncertified.
 
-
-def _seed(coeffs, slo: int, lo: float, hi: float) -> float:
-    """A double near the root in [lo, hi], uncertified.
-
-    Float Newton, bracketed by float signs, runs until the float value of
-    the polynomial is within its rounding error.  That can be some ulps
-    from the root, so one last Newton step takes its residual exactly.
+    It raises at a zero slope (ZeroDivisionError) or past the double range.
     """
-    cf = [float(c) for c in reversed(coeffs)]
-    left, right = lo, hi
-    x = 0.5 * (lo + hi)
-    for _ in range(_SEED_STEPS):
-        fx, dfx, size = _float_eval(cf, x)
-        if abs(fx) <= size * _FLOAT_NOISE or fx != fx:
-            break
-        if (fx > 0) == (slo > 0):
-            left = x
-        else:
-            right = x
-        nx = x - fx / dfx if dfx else x
-        if not left <= nx <= right:
-            nx = 0.5 * (left + right)
-        if nx == x:
-            break
-        x = nx
-    n, den = x.as_integer_ratio()
-    j = den.bit_length() - 1
-    residual = _eval_dyadic(coeffs, n, j) / (1 << (j * (len(coeffs) - 1)))
-    dfx = _float_eval(cf, x)[1]
-    nx = x - residual / dfx if dfx else x
-    # float signs near the root can be wrong, so the bracket may have lost it
-    return nx if lo <= nx <= hi else x
+    m, j = a + b, k + 1
+    f, d = _eval_dyadic(coeffs, m, j), _eval_dyadic(_derivative(coeffs), m, j)
+    return (m * d - f) / (d << j)
 
 
 def _side(coeffs, slo: int, a: int, b: int, k: int, lo: float, hi: float) -> int:
@@ -342,17 +304,17 @@ def _nearest_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
 
     A double d is the nearest exactly when the root lies strictly between
     the midpoints from d to its two neighbours, which two exact sign
-    evaluations decide.  d is a float Newton seed.  A seed they do not
-    certify (one or more ulps off, a midpoint that is the root, a zero seed,
-    whose sign the window decides, or a window or coefficient beyond the
-    float range) gives way to bisection, which gives the same double.
+    evaluations decide.  d is _seed's exact Newton point.  A seed they do
+    not certify (one or more ulps off, a midpoint that is the root, a zero
+    seed, or none, at a zero slope or past the double range) gives way to
+    bisection, which gives the same double.
     """
     try:
-        d = _seed(coeffs, slo, a / (1 << k), b / (1 << k))
+        d = _seed(coeffs, a, b, k)
         if (d and _side(coeffs, slo, a, b, k, nextafter(d, -inf), d) > 0
                 and _side(coeffs, slo, a, b, k, d, nextafter(d, inf)) < 0):
             return d
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         pass
     return _bisect_double(coeffs, slo, a, b, k)
 
@@ -399,10 +361,11 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
     zero division or NaN, a seed count other than the real-root count, a
     bracket with no sign change, or two that meet.
 
-    The code is _float_eval and _eval_dyadic written out for degree 3, with
+    The code is float Horner and _eval_dyadic written out for degree 3, with
     the same float operations in the same order: the monic lead is 1.0, so
     its products with x are exact and drop out, and every bracket and slo
-    is the generic loops' to the bit.
+    is the generic loops' to the bit (_generic_brackets, the oracle in
+    tests/test_realroots_properties.py).
     """
     if not disc:
         return None
@@ -464,12 +427,17 @@ class AlgebraicReal:
         """lo == hi is the exact root lo; otherwise (lo, hi) isolates a simple root.
 
         A window that holds several roots, or a multiple one, is refused
-        (ValueError) by a Sturm count, so no root is picked silently.
+        (ValueError) by a Sturm count, so no root is picked silently.  So are
+        coefficients that are not ints (TypeError) or have no nonzero lead.
         """
+        self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
+        if not all(isinstance(c, int) for c in self._coeffs):
+            raise TypeError("the defining polynomial takes int coefficients")
+        if not self._coeffs or not self._coeffs[-1]:
+            raise ValueError("the defining polynomial needs a nonzero lead")
         lo, hi = coerce_rational(lo), coerce_rational(hi)
         if lo > hi:
             raise ValueError("the window's lower end lies above its upper end")
-        self._var, self._coeffs, self._mult, self._slo = var, tuple(coeffs), multiplicity, 0
         self._value = self._approx = self._hint = None
         if lo == hi:
             if _eval_int_at(self._coeffs, lo.numerator, lo.denominator):
@@ -528,8 +496,9 @@ class AlgebraicReal:
     def approx(self) -> float:
         """The double nearest the root (cached); the window is left as it is.
 
-        It is sought in the hint when there is one, else in the window.  A
-        root past the double range raises OverflowError.
+        It is an exact Newton point from the midpoint of the hint, or of the
+        window with no hint, rounded once and certified (_nearest_double).
+        A root past the double range raises OverflowError.
         """
         if self._approx is None:
             if self._value is not None:
@@ -725,14 +694,13 @@ def _rational_value(r: AlgebraicReal) -> Fraction | None:
     coeffs, slo = r._coeffs, r._lower_sign()
     a, b, k = r._hint or (r._a, r._b, r._k)
     lead = abs(coeffs[-1])
-    slope = _derivative(coeffs)
     s = 1
     while (b - a) * lead > 1 << k:
         m, j = a + b, k + 1
         fm = _eval_dyadic(coeffs, m, j)
         if not fm:
             return Fraction(m, 1 << j)
-        dm = _eval_dyadic(slope, m, j)
+        dm = _eval_dyadic(_derivative(coeffs), m, j)
         if dm:
             # the Newton point is (m - fm / dm) / 2**j, in the cell
             # [t, t + 1] / 2**(k + s) of the finer grid

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kopelcas.certificates import (
@@ -24,8 +24,6 @@ from kopelcas.model import (
 CountClass = EquilibriumCountClass
 StableClass = StableCountClass
 
-
-PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 intensities = st.builds(F, st.integers(1, 200), st.integers(1, 40))
 speeds = st.builds(F, st.integers(1, 20), st.integers(1, 20)).filter(lambda s: s <= 1)
@@ -76,7 +74,6 @@ class TestFrozenForms:
         # hand check: ((-9 a + 6) a + 20) a + 8 at a = 1/2
         assert _ev(MODULUS_HOMOGENEOUS, 2, 2, F(1, 2)) == F(147, 8)
 
-    @PROPERTY
     @given(intensities, intensities, speeds, speeds)
     def test_fast_evaluators_match_polynomials(self, u, v, a, b):
         # each compiled evaluator gives its frozen form's exact value times

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
@@ -386,7 +386,6 @@ def test_integer_binding_rejects_what_it_cannot_bind(poly):
 #
 # Hypothesis runs derandomized, so every run draws the same examples.
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 # integral and proper-fraction coefficients alike, over x, u and v
 coefficients = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 3))
@@ -413,7 +412,6 @@ def test_integral_results_come_back_as_ints():
     assert type(MPoly.constant(F(6, 3)).as_fraction()) is F
 
 
-@PROPERTY
 @given(polys, polys, coefficients)
 def test_every_operation_keeps_the_coefficient_invariant(p, q, s):
     results = [p + q, p - q, p * q, p * s, p ** 2, p.derivative("x"),
@@ -443,7 +441,6 @@ composable = st.dictionaries(
     coefficients, max_size=6).map(MPoly)
 
 
-@PROPERTY
 @given(composable, polys, st.sampled_from(["x", "u", "v"]))
 def test_substitute_matches_term_by_term_composition(p, q, name):
     # q is over x, u and v, so it may hold the replaced variable itself
@@ -452,7 +449,6 @@ def test_substitute_matches_term_by_term_composition(p, q, name):
     assert_canonical(composed)
 
 
-@PROPERTY
 @given(st.one_of(st.just(MPoly.zero()), st.builds(MPoly.constant, coefficients), polys),
        st.integers(0, 6))
 def test_power_matches_the_repeated_product(p, n):
@@ -512,7 +508,6 @@ def test_resultant_singular_and_parameter_leading_coefficient():
     assert resultant(U * X + 1, V * X - 1, "x") == -U - V
 
 
-@PROPERTY
 @given(sparse_nonconstant, sparse_nonconstant)
 def test_resultant_matches_the_cofactor_determinant(p, q):
     res = resultant(p, q, "x")
@@ -521,7 +516,6 @@ def test_resultant_matches_the_cofactor_determinant(p, q):
     assert resultant(q, p, "x") == (-1) ** (m * n) * res
 
 
-@PROPERTY
 @given(polys, polys.filter(lambda q: not q.is_zero()), contents)
 def test_int_divide_by_a_non_primitive_divisor(p, q0, content):
     # an exact multiple over Z divides by a divisor with content, and by its
@@ -533,7 +527,6 @@ def test_int_divide_by_a_non_primitive_divisor(p, q0, content):
     assert _int_divide(product, q) == {exp: c * content for exp, c in f.items()}
 
 
-@PROPERTY
 @given(polys, nonconstant)
 def test_a_non_multiple_is_not_divisible(p, q):
     # q divides p q + 1 only if it divides 1, which a nonconstant q cannot;
@@ -572,7 +565,6 @@ bindable_polys = st.dictionaries(
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
 
 
-@PROPERTY
 @given(bindable_polys, rationals, rationals, rationals, rationals)
 def test_staged_binding_matches_term_by_term_binding(poly, u, v, a, b):
     terms = integer_terms(poly)

@@ -285,6 +285,24 @@ def test_no_window_has_a_linear_defining_polynomial():
             assert all(len(r._coeffs) > 2 for r in _isolate_int(var, coeffs) if not r.is_rational)
 
 
+def test_every_hinted_root_takes_its_double_with_no_bisection(monkeypatch):
+    # approx takes one exact Newton step from the midpoint of a root's hint,
+    # a certified bracket, and that step lands on the nearest double: over
+    # a tenth of the pool no hinted x or y root falls back to bisection
+    bisected = []
+    bisect = realroots._bisect_double
+    monkeypatch.setattr(realroots, "_bisect_double",
+                        lambda *args: bisected.append(args) or bisect(*args))
+    hinted = 0
+    for point in POOL[::10]:
+        for eq in model.equilibria(ModelParams(*point)):
+            for root in (eq.x_root, eq.y_root):
+                if root._hint is not None:
+                    root.approx
+                    hinted += 1
+    assert hinted > 2000 and bisected == []
+
+
 def test_rational_twin_root_stays_snapped():
     point, digest = RATIONAL_TWIN
     _, roots = _window_roots(point)

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kopelcas import model, realroots
@@ -30,7 +30,6 @@ from kopelcas.realroots import (
     sturm_sign_count,
 )
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
 intensities = st.builds(F, st.integers(1, 200), st.integers(1, 40))
 speeds = st.builds(F, st.integers(1, 20), st.integers(1, 20)).filter(lambda s: s <= 1)
@@ -46,7 +45,6 @@ def _dense_x(poly) -> list:
     return [poly.coefficient_of("x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
 
 
-@PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_binder_is_a_positive_multiple_of_the_symbolic_binding(u, v, ab):
     a, b = ab
@@ -62,7 +60,6 @@ def test_binder_is_a_positive_multiple_of_the_symbolic_binding(u, v, ab):
     assert (dense[0] == dense[1]) == (a == b == 1)
 
 
-@PROPERTY
 @given(st.integers(-2**70, 2**70), st.integers(0, 80), st.integers(0, 2**20))
 @example(0, 0, 1)
 @example(0, 9, 0)
@@ -78,7 +75,6 @@ def test_window_text_matches_format_rational(a, k, width):
     assert model._window_text(root) == [format_rational(lo), format_rational(hi)]
 
 
-@PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_jury_signs_and_origin_match_the_symbolic_route(u, v, ab):
     a, b = ab
@@ -92,7 +88,6 @@ def test_jury_signs_and_origin_match_the_symbolic_route(u, v, ab):
     assert e0_stable(params) == expected
 
 
-@PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_fixed_point_y_follows_the_float_locus(u, v, ab):
     for eq in equilibria(ModelParams(u, v, *ab)):
@@ -119,7 +114,6 @@ def _fallback_counts(point) -> tuple:
         return point.counts()
 
 
-@PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_positive_roots_are_the_positive_equilibria(u, v, ab):
     # the bracket route, the forced fallback and the report count alike
@@ -184,7 +178,6 @@ def integer_cubics(draw):
     return _int_clear(poly)
 
 
-@PROPERTY
 @given(integer_cubics())
 def test_discriminant_sign_counts_the_simple_real_roots(coeffs):
     # the certified brackets trust disc's sign for the real-root count
@@ -218,7 +211,6 @@ def _unit_brackets(point):
     return roots
 
 
-@PROPERTY
 @given(intensities, intensities)
 def test_certified_brackets_match_the_sturm_route(u, v):
     point = _Point.of(ModelParams(u, v))
@@ -240,7 +232,6 @@ def test_certified_brackets_match_the_sturm_route(u, v):
         assert sturm_sign_count(poly, r.lo, r.hi) == 1
 
 
-@PROPERTY
 @given(intensities, intensities, st.tuples(speeds, speeds).filter(lambda ab: ab[0] != ab[1]))
 def test_fallback_roots_are_the_positive_equilibria(u, v, ab):
     # the whole-line route a scan cell falls back to, against the report's
@@ -249,7 +240,6 @@ def test_fallback_roots_are_the_positive_equilibria(u, v, ab):
     assert _fallback_counts(_Point.of(params)) == _report_counts(params)
 
 
-@PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_scan_stability_is_the_jury_verdict(u, v, ab):
     # the scan's rule asks at most the modulus condition; the report asks all three
@@ -259,7 +249,6 @@ def test_scan_stability_is_the_jury_verdict(u, v, ab):
     assert point.counts() == _report_counts(params)
 
 
-@PROPERTY
 @given(intensities, intensities, speed_pairs)
 def test_a_bracket_holds_the_fold_sign(u, v, ab):
     # the fold is a b x C' at a root of the cubic C, and a bracket's lower

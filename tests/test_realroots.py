@@ -470,14 +470,19 @@ FOLD_DOUBLE = 0.8794775977524464
 
 
 def test_seeded_double_next_to_a_fold(monkeypatch):
-    # next to the fold of this cubic float Newton stalls ulps from the root;
-    # the exact residual step and the certificate still land on the nearest
-    # double without bisection
+    # next to the fold of this cubic, the Newton step from the midpoint of
+    # its certified bracket lands on the nearest double, with no bisection
     calls = _counting_bisection(monkeypatch)
-    root = AlgebraicReal("x", FOLD_CUBIC, *FOLD_WINDOW)
-    assert (root.lo, root.hi) == FOLD_WINDOW
-    assert root.approx == FOLD_DOUBLE
+    (hinted,) = [r for r in _isolate_int("x", FOLD_CUBIC) if r._hint and r.hi == F(15, 16)]
+    assert hinted.lo == F(7, 8)
+    assert hinted.approx == FOLD_DOUBLE
     assert not calls
+    # from the midpoint of a window with no hint the step falls short, and
+    # one bisection finds the same double
+    root = AlgebraicReal("x", FOLD_CUBIC, *FOLD_WINDOW)
+    assert root._hint is None
+    assert root.approx == FOLD_DOUBLE
+    assert len(calls) == 1
     # approx never keeps a tighter window
     assert (root.lo, root.hi) == FOLD_WINDOW
 
@@ -508,7 +513,9 @@ def test_exact_tie_rounds_half_even_through_bisection(monkeypatch):
 
 
 def test_coefficients_past_the_float_range_take_the_bisection(monkeypatch):
-    # (x**2 - 2) (x + 10**400): no coefficient but the lead converts to a float
+    # (x**2 - 2) (x + 10**400): no coefficient but the lead converts to a
+    # float, yet the Newton step is exact; it lands off sqrt(2) because the
+    # window (1, 2) with no hint is wide, so the bisection finds the double
     calls = _counting_bisection(monkeypatch)
     big = 10**400
     root = AlgebraicReal("x", (-2 * big, -2, big, 1), F(1), F(2))
@@ -671,6 +678,28 @@ def test_constructor_rejects_an_exact_value_that_is_no_root():
     # a true rational root is kept as it is, and from_rational still works
     assert AlgebraicReal("x", (-1, 2), F(1, 2), F(1, 2)).value == F(1, 2)
     assert AlgebraicReal.from_rational(F(-3, 7), "y", 2).value == F(-3, 7)
+
+
+@pytest.mark.parametrize("coeffs, lo, hi, error", [
+    ((), 0, 1, ValueError),
+    ((), 1, 1, ValueError),
+    ((-1, 1, 0), 0, 2, ValueError),
+    ((-1, 1, 0), 1, 1, ValueError),
+    ((0,), 1, 1, ValueError),
+    ((-0.5, 1.0), F(1, 2), F(1, 2), TypeError),
+    ((-2, 0, 1.0), 1, 2, TypeError),
+    ((-1, F(2)), F(1, 2), F(1, 2), TypeError),
+])
+def test_constructor_refuses_malformed_coefficients(monkeypatch, coeffs, lo, hi, error):
+    # no coefficients, a zero lead or a coefficient that is no int is
+    # refused before any evaluation
+    def unreachable(*args):
+        pytest.fail("malformed coefficients reached an evaluation")
+
+    monkeypatch.setattr(realroots, "_eval_int_at", unreachable)
+    monkeypatch.setattr(realroots, "_dyadic_window", unreachable)
+    with pytest.raises(error):
+        AlgebraicReal("x", coeffs, lo, hi)
 
 
 def test_from_rational_builds_the_root_with_no_evaluation(monkeypatch):

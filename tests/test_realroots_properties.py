@@ -22,8 +22,6 @@ from kopelcas.realroots import (
 )
 from test_model_properties import integer_cubics
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
-
 rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
 # (x - s)**2 - n with n not a square: two irrational roots s +/- sqrt(n)
 quadratics = st.tuples(st.integers(-3, 3),
@@ -91,7 +89,6 @@ def _check_nested(inner, outer_lo, outer_hi):
     assert outer_lo <= inner.lo and inner.hi <= outer_hi
 
 
-@PROPERTY
 @given(planted_polys, st.lists(st.sampled_from(["step", "compare", "sign", "adopt"]),
                                min_size=1, max_size=8),
        st.lists(rationals, min_size=8, max_size=8), small_polys)
@@ -121,7 +118,6 @@ def test_windows_stay_dyadic_and_off_roots(p, ops, probes, q_coeffs):
             _check_nested(r, lo, hi)
 
 
-@PROPERTY
 @given(st.lists(rationals, max_size=4, unique=True),
        st.lists(quadratics, max_size=3, unique_by=lambda q: q),
        st.randoms(use_true_random=False))
@@ -150,7 +146,6 @@ def test_make_disjoint_separates_every_pair(rational_roots, quads, rnd):
                 assert max(a.lo, b.lo) >= min(a.hi, b.hi)
 
 
-@PROPERTY
 @given(st.lists(rationals, min_size=1, max_size=3, unique=True),
        st.lists(quadratics, max_size=1), st.booleans(), small_polys)
 def test_sign_at_matches_exact_value_at_rational_roots(rational_roots, quads, big, q_coeffs):
@@ -200,7 +195,6 @@ def _positive_lead(coeffs) -> tuple:
     return tuple(coeffs) if coeffs[-1] > 0 else tuple(-c for c in coeffs)
 
 
-@PROPERTY
 @given(st.one_of(planted_polys, drawn_polys))
 def test_strip_rational_roots_matches_brute_force(p):
     # isolation snaps exactly the rational roots that a search over every
@@ -220,7 +214,6 @@ past_a_million = st.tuples(st.integers(10**6 + 1, 10**9), st.integers(10**6 + 1,
                            st.sampled_from([1, -1])).filter(lambda t: math.gcd(t[0], t[1]) == 1)
 
 
-@PROPERTY
 @given(past_a_million, st.lists(big_rationals, max_size=2), st.lists(quadratics, max_size=1))
 def test_every_planted_rational_root_snaps(first, others, quads):
     s, q, sign = first
@@ -239,7 +232,6 @@ def test_every_planted_rational_root_snaps(first, others, quads):
             assert any(sign_at(_quadratic(c, n), r) == 0 for c, n in quads)
 
 
-@PROPERTY
 @given(planted_polys)
 def test_approx_is_the_nearest_double(p):
     for r in isolate_real_roots(p):
@@ -267,7 +259,6 @@ close_pairs = st.tuples(st.integers(-3, 3), st.integers(1, 10**6), st.integers(1
     lambda t: math.isqrt(t[1] * t[2]) ** 2 != t[1] * t[2])
 
 
-@PROPERTY
 @given(st.lists(close_pairs, min_size=1, max_size=2), st.lists(rationals, max_size=2),
        st.integers(0, 3))
 def test_approx_matches_bisection(pairs, rational_roots, probes):
@@ -306,7 +297,6 @@ def _described(r):
     return r._coeffs, r._a, r._b, r._k, r.multiplicity_in_source
 
 
-@PROPERTY
 @given(st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3,
                 unique_by=lambda t: t[0]),
        st.lists(st.tuples(quadratics, st.integers(1, 2)), max_size=2,
@@ -344,7 +334,6 @@ WINDOWS = {
 
 
 @pytest.mark.parametrize("side", WINDOWS)
-@PROPERTY
 @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7),
        st.integers(0, 50), st.integers(0, 50), st.integers(0, 8),
        st.lists(st.fractions(0, 1), max_size=4))
@@ -399,7 +388,6 @@ def _sturm_route(coeffs):
         return _isolate_int("x", coeffs)
 
 
-@PROPERTY
 @given(drawn_cubics)
 def test_bracket_counts_give_the_sturm_windows(coeffs):
     got = _isolate_int("x", coeffs)
@@ -410,6 +398,17 @@ def test_bracket_counts_give_the_sturm_windows(coeffs):
             a, b, k = r._hint
             assert _sign(_eval_dyadic(r._coeffs, a, k)) == r._slo == -_sign(
                 _eval_dyadic(r._coeffs, b, k))
+
+
+def _float_eval(cf, x: float) -> tuple[float, float, float]:
+    """p(x), p'(x) and sum |c_i x**i| in floats, cf the coefficients highest first."""
+    fx, dfx, size = cf[0], 0.0, abs(cf[0])
+    ax = abs(x)
+    for c in cf[1:]:
+        dfx = dfx * x + fx
+        fx = fx * x + c
+        size = size * ax + abs(c)
+    return fx, dfx, size
 
 
 def _generic_brackets(coeffs, disc):
@@ -428,9 +427,9 @@ def _generic_brackets(coeffs, disc):
         brackets = []
         for x in sorted(seeds):
             for _ in range(realroots._CUBIC_NEWTON):
-                fx, dfx, _ = realroots._float_eval(cf, x)
+                fx, dfx, _ = _float_eval(cf, x)
                 x -= fx / dfx
-            fx, dfx, size = realroots._float_eval(cf, x)
+            fx, dfx, size = _float_eval(cf, x)
             k = max(-math.frexp((abs(fx) + size * realroots._FLOAT_NOISE) / abs(dfx))[1], 0)
             n, den = x.as_integer_ratio()
             m = (n << k) // den
@@ -454,7 +453,7 @@ def test_the_bracket_kernel_refuses_what_the_generic_loops_refuse(coeffs):
     assert _cubic_brackets(coeffs, disc) is None is _generic_brackets(coeffs, disc)
 
 
-@settings(PROPERTY, max_examples=400)
+@settings(max_examples=400)
 @given(st.one_of(drawn_cubics, shifted_close_cubics), st.integers(0, 3),
        st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]))
 def test_the_bracket_kernel_matches_the_generic_loops(coeffs, at, scale, disc):
@@ -525,7 +524,6 @@ def _taylor_shift(coeffs) -> tuple:
     return tuple(out)
 
 
-@PROPERTY
 @given(st.one_of(generic_cubics, close_cubics, shifted_close_cubics),
        st.lists(st.tuples(st.sampled_from(["refine", "compare", "sign", "image"]),
                           rationals, st.integers(1, 80)), min_size=1, max_size=6),
@@ -568,7 +566,7 @@ scaling_queries = st.lists(st.tuples(st.booleans(), st.lists(st.integers(-50, 50
                                                              max_size=4)), min_size=1, max_size=4)
 
 
-@settings(PROPERTY, max_examples=300)
+@settings(max_examples=300)
 @example((2, -2, -1, 1), [(True, [1])], 3)  # (x - 1)(x**2 - 2): two windows share the zero
 @given(integer_cubics(), scaling_queries, st.integers(1, 2**64))
 def test_a_positive_multiple_of_a_query_leaves_every_answer_and_window(coeffs, queries, c):
