@@ -210,10 +210,10 @@ def verify_all() -> list:
 
 # -- classification --------------------------------------------------------
 #
-# Each classifier reads the signs of a few of the frozen certificates.  They
-# are compiled once into integer term lists and bound to the parameters on
-# integers, so one binding per scan cell gives both the class and the flag
-# for a cell on a certificate's zero set, where one value is 0.
+# Each classifier reads the signs of a few of the frozen certificates.  A
+# kind's are compiled into one integer term list, certificate i as the
+# coefficient of x**i, so one binding on integers per scan cell gives every
+# value, the class and the flag for a cell on a certificate's zero set (a 0).
 #
 # The kinds are declared here and nowhere else: KINDS, the certificates each
 # kind reads, EXPECTED_COUNT and the speed rule in _kind_speed.  The scanner
@@ -226,13 +226,13 @@ _KIND_CERTIFICATES = {
     "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
 }
 KINDS = tuple(_KIND_CERTIFICATES)
-_KIND_TERMS = {kind: tuple(integer_terms(p) for p in polys)
+_KIND_TERMS = {kind: integer_terms(sum(X**i * p for i, p in enumerate(polys)))
                for kind, polys in _KIND_CERTIFICATES.items()}
 
 
 def _certificate_values(kind: str, tables) -> list[int]:
     """The kind's certificates bound by power tables, each times their common denominator."""
-    return [bind(terms, tables)[0] for terms in _KIND_TERMS[kind]]
+    return bind(_KIND_TERMS[kind], tables)
 
 
 def _classify_values(kind: str, u, v, values):

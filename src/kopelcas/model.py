@@ -35,13 +35,12 @@ Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
 flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  A point reads the three off its bound
 cubic once, with no condition staged, each as a positive multiple of the
-condition (no primitive part is taken), and every reader shares them
+condition (no primitive part is taken), and the reports share them
 (_Point.conditions).  At a root of C in (0, 1) the fold has the sign of
-C', which a certified bracket holds; so a scan decides a bracketed root's
-stability by the report's modulus condition alone, one interval bound and
-at most one exact sign query.  The reports, and a scan cell whose brackets
-give way, ask all three in a fixed order and judge them by one rule
-(_verdict).
+C', which a certified bracket holds; so a scan cell decides a bracketed
+root's stability by the modulus condition alone (_Point._modulus), one
+interval bound and at most one exact sign query.  Reports, and cells whose
+brackets give way, ask all three in one order and judge them by _verdict.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -331,9 +330,9 @@ class _Point(_Lazy):
     modulus conditions of bound_stability_polys as positive multiples, not
     primitive parts, read off the cubic with no term list staged, the second
     being the first at a = b = 1; and locus, y = v x (1 - x) over its
-    denominator, bound from the tables.  Scans, reports and e0_stable all
-    read the one conditions: a scan cell whose brackets hold reads only the
-    modulus condition from it (counts).
+    denominator, bound from the tables.  Reports, e0_stable and the Sturm
+    route of a scan cell read the one conditions; a bracketed cell builds
+    only its third, by the same _modulus, once a root has a positive fold.
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use.  A point lives as long as the fixed
@@ -369,20 +368,25 @@ class _Point(_Lazy):
         qa qb scale is M F for F = C + x C'; the flip is the fold plus
         2 (2 - a - b), and the modulus a + b less the fold.  So F,
         M F + 2 (2 qa qb scale - K) and K - M F are positive multiples of
-        the three conditions.  The trace term vanishes only at a = b = 1,
-        where the second condition is the first object.
+        the three conditions, and _modulus builds the third.  The trace term
+        vanishes only at a = b = 1, where the second is the first object.
         """
+        k, modulus = self._modulus()
+        fold = tuple(i * c for i, c in enumerate(self.cubic, 1))
+        _, _, ap, bp = self.tables
+        trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
+        # the flip is M F, K less the modulus, plus the trace term
+        flip = (k - modulus[0] + trace, *(-d for d in modulus[1:])) if trace else fold
+        return fold, flip, modulus
+
+    def _modulus(self) -> tuple:
+        """(K, K - M F) for K, M and F as in _make_conditions: the modulus condition alone."""
         _, _, ap, bp = self.tables
         # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
         k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
         m = ap[1] * bp[1] * self.content
         c0, c1, c2, c3 = self.cubic
-        f1, f2, f3 = 2 * c1, 3 * c2, 4 * c3
-        fold = c0, f1, f2, f3
-        m0, m1, m2, m3 = m * c0, m * f1, m * f2, m * f3
-        trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
-        flip = (m0 + trace, m1, m2, m3) if trace else fold
-        return fold, flip, (k - m0, -m1, -m2, -m3)
+        return k, (k - m * c0, -2 * m * c1, -3 * m * c2, -4 * m * c3)
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -400,10 +404,11 @@ class _Point(_Lazy):
         fold has the sign of C', and a positive fold makes the flip positive.
         The certified brackets (realroots._cubic_brackets) wholly inside
         (0, 1) are C's roots there, simple, C' having the sign of -slo; the
-        modulus condition's sign on one is an interval Horner bound, or an
-        exact query where that does not settle.  Where the brackets fail or
-        one reaches across 0 or 1, the whole-line roots in (0, 1) are kept and
-        each is judged as a report judges it, by _verdict on all three signs.
+        modulus condition's sign on one (built alone, by _modulus) is an
+        interval Horner bound, or an exact query where that does not settle.
+        Where the brackets fail or one reaches across 0 or 1, the whole-line
+        roots in (0, 1) are kept and each is judged as a report judges it,
+        by _verdict on all three signs.
         """
         cubic = self.cubic
         brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
@@ -416,13 +421,15 @@ class _Point(_Lazy):
             if 0 <= a and b <= one:
                 inside.append((a, b, k, slo))
         if brackets is not None:
-            stable = 0
+            stable, modulus = 0, None
             for a, b, k, slo in inside:
                 if slo < 0:
-                    low, high = _interval_horner(self.conditions[2], a, b, k)
+                    if modulus is None:
+                        modulus = self._modulus()[1]
+                    low, high = _interval_horner(modulus, a, b, k)
                     if low <= 0 <= high:
                         root = AlgebraicReal._from_window("x", cubic, a, b, k, 1, slo)
-                        low = _sign_dense_at(self.conditions[2], root)
+                        low = _sign_dense_at(modulus, root)
                     stable += low > 0
             return len(inside), stable
         roots = [r for r in _isolate_int("x", cubic)

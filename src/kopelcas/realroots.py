@@ -30,10 +30,10 @@ integer arithmetic: polynomials are scaled by positive integers only and
 dyadic points by shifts, which keeps every sign.  Fractions appear only at
 the edges (MPoly input, rational roots, lo/hi).  Floats propose in one
 place only, and exact sign evaluations certify: a cubic's real roots
-(_cubic_brackets), where closed-form float roots propose one narrow dyadic
-bracket per real root, and the signs at the bracket ends certify them, or
-give way to Sturm isolation.  Scan cells count those inside (0, 1),
-rational roots left unsnapped (model._Point.counts); isolation
+(_cubic_brackets), where closed-form float roots, unpolished, propose one
+narrow dyadic bracket per real root, and the signs at the bracket ends
+certify them, or give way to Sturm isolation.  Scan cells count those
+inside (0, 1), rational roots left unsnapped (model._Point.counts); isolation
 (_isolate_int) counts roots against them and keeps each as its root's
 hint.  The nearest double to a root (approx) is one exact Newton point,
 rounded once; signs at the midpoints to its neighbours certify it, or
@@ -66,9 +66,6 @@ _ZERO_TEST_ROUND = 10
 # times the sum of its terms' sizes, as Horner's rounding error at degree 3
 # is below 6 * 2**-53 times that sum.
 _FLOAT_NOISE = 2.0**-48
-
-# Newton steps that polish a cubic's closed-form float roots
-_CUBIC_NEWTON = 2
 
 
 def _sign(value) -> int:
@@ -351,15 +348,15 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
 
     coeffs are a cubic's ascending integer coefficients and disc its
     discriminant: disc > 0 means 3 simple real roots and disc < 0 means 1.
-    Floats only choose where to look: _cubic_seeds and _CUBIC_NEWTON Newton
-    steps seed each root, and a dyadic bracket (a / 2**k, b / 2**k) around
-    the seed reaches past its float error bound on both sides.  A strict
-    sign change between its exactly evaluated ends, slo to -slo, proves a
-    root inside.  So as many pairwise disjoint brackets as real roots hold
-    one root each and leave none outside; they come ascending.  Anything
-    else gives None and never an exception: disc zero, a float overflow,
-    zero division or NaN, a seed count other than the real-root count, a
-    bracket with no sign change, or two that meet.
+    Floats only choose where to look: each closed-form root of _cubic_seeds,
+    unpolished, seeds a dyadic bracket (a / 2**k, b / 2**k) reaching past
+    its float error bound (residual over slope, plus rounding) both ways.
+    A strict sign change between its exactly evaluated ends, slo to -slo,
+    proves a root inside, so as many pairwise disjoint brackets as real
+    roots hold one root each and leave none outside; they come ascending.
+    Anything else gives None and never an exception: disc zero, a float
+    overflow, zero division or NaN, a seed count other than the real-root
+    count, a bracket with no sign change, or two that meet.
 
     The code is float Horner and _eval_dyadic written out for degree 3, with
     the same float operations in the same order: the monic lead is 1.0, so
@@ -379,10 +376,6 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
         a2, a1, a0 = abs(c2), abs(c1), abs(c0)
         brackets = []
         for x in sorted(seeds):  # a wrong float order fails the exact check below
-            for _ in range(_CUBIC_NEWTON):
-                f1 = x + c2
-                f2 = f1 * x + c1
-                x -= (f2 * x + c0) / ((x + f1) * x + f2)
             f1 = x + c2
             f2 = f1 * x + c1
             ax = abs(x)

@@ -12,23 +12,23 @@ Sturm chain only where they fail (model._Point.counts).  A bracket also
 holds the sign of the fold condition at its root, so a bracketed root's
 stability takes the modulus condition's sign alone, asked only after a
 positive fold.  That is the report's own modulus condition, a positive
-multiple read off the cubic (model._Point.conditions): one interval bound
-over the narrow bracket mostly settles it, and only where that does not
-is an exact sign query asked.  A root of the Sturm route is judged as a
-report judges it, by the Jury rule on the signs of the three conditions.
+multiple read off the cubic and built alone (model._Point._modulus): one
+interval bound over the narrow bracket mostly settles it, and only where
+that does not is an exact sign query asked.  A root of the Sturm route
+is judged as a report judges it, by the Jury rule on all three signs.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
-The certificates the kind reads, the equilibrium cubic and the stability
-conditions are compiled from their frozen forms at import.  A scan builds
-the power tables of its speeds and of each v once.  Each row builds u's
-table and stages every compiled form it reads once, as one model._Row for
-the cubic; each cell finishes them with its v's table alone, as one
-model._Point, and builds no ModelParams: ScanSpec and the kind's speed rule
-are the only checks its parameters get.  All values of a cell share a
-single positive denominator.  The class comes from the signs of the
-certificate values.  near_boundary is true when the cell lies on a
-certificate's zero set: one of those integers is 0.  The flag is a report
-column only; it exempts no cell from the agreement check.
+The kind's certificates, as one term list with certificate i the
+coefficient of x**i (certificates._KIND_TERMS), and the equilibrium cubic
+are compiled at import.  A scan builds the power tables of its speeds and
+of each v once.  Each row builds u's table and stages the two once, the
+cubic as one model._Row; each cell finishes each with its v's table alone,
+the cubic as one model._Point, and builds no ModelParams: ScanSpec and the
+kind's speed rule are the only checks its parameters get.  The finished
+coefficients are the certificate values, all over a single positive
+denominator, and the class comes from their signs.  near_boundary is true
+when the cell lies on a certificate's zero set: one of those integers is
+0, a report column only that exempts no cell from the agreement check.
 
 The scan kinds are declared in certificates, not here: KINDS, the
 certificates each kind reads, the count each class asserts (EXPECTED_COUNT)
@@ -109,10 +109,10 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     cells = []
     for u in grid_points(*spec.u_range, spec.resolution):
         row = _Row(power_table(u), sp, sp)
-        certificates = [stage(terms, row.tables) for terms in _KIND_TERMS[kind]]
+        certificates = stage(_KIND_TERMS[kind], row.tables)
         for v, vp in columns:
             point = _Point(v, row, vp)
-            values = [finish(staged, vp)[0] for staged in certificates]
+            values = finish(certificates, vp)
             label = _classify_values(kind, u, v, values)
             expected = EXPECTED_COUNT[label]
 

@@ -17,6 +17,7 @@ the x_interval of the newly exact roots and of their cofactors' roots moved.
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import random
 import sys
@@ -26,9 +27,10 @@ from pathlib import Path
 import pytest
 
 from kopelcas import model, realroots
-from kopelcas.exactpoly import Y, _dense_coeffs, _int_clear, dense_to_mpoly, resultant
-from kopelcas.model import ModelParams, _Point, equilibrium_report
+from kopelcas.exactpoly import Y, _dense_coeffs, _int_clear, dense_to_mpoly, power_table, resultant
+from kopelcas.model import ModelParams, _Point, _Row, equilibrium_report
 from kopelcas.realroots import _isolate_int
+from kopelcas.scanner import grid_points
 
 
 def _seeded():
@@ -301,6 +303,33 @@ def test_every_hinted_root_takes_its_double_with_no_bisection(monkeypatch):
                     root.approx
                     hinted += 1
     assert hinted > 2000 and bisected == []
+
+
+def _scan_cubics():
+    """The cell cubics of the 200x200 count and Figure 2 scans and the 100x100 slices."""
+    ones = power_table(F(1))
+    for lo, hi, n in ((F(1, 20), F(10), 200), (F(5, 2), F(5), 200), (F(5, 2), F(5), 100)):
+        columns = [(v, power_table(v)) for v in grid_points(lo, hi, n)]
+        for u in grid_points(lo, hi, n):
+            row = _Row(power_table(u), ones, ones)
+            for v, vp in columns:
+                yield _Point(v, row, vp).cubic
+
+
+def test_every_cubic_off_a_zero_discriminant_gets_certified_brackets():
+    # the closed-form float roots, unpolished, bracket every real root of
+    # every scan cell's cubic, pool cubic and twin with disc != 0; only
+    # disc = 0 leaves a cubic with no brackets
+    points = [_Point.of(ModelParams(*p)) for p in POOL + _lattice(16, 200)]
+    cubics = itertools.chain(_scan_cubics(), (where.cubic for where in points),
+                             (where.y_factor(where.cubic) for where in points))
+    checked = 0
+    for cubic in cubics:
+        disc = realroots._cubic_discriminant(cubic)
+        if disc:
+            assert realroots._cubic_brackets(cubic, disc) is not None, cubic
+            checked += 1
+    assert checked > 100000
 
 
 def test_rational_twin_root_stays_snapped():

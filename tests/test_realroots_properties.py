@@ -426,9 +426,6 @@ def _generic_brackets(coeffs, disc):
             return None
         brackets = []
         for x in sorted(seeds):
-            for _ in range(realroots._CUBIC_NEWTON):
-                fx, dfx, _ = _float_eval(cf, x)
-                x -= fx / dfx
             fx, dfx, size = _float_eval(cf, x)
             k = max(-math.frexp((abs(fx) + size * realroots._FLOAT_NOISE) / abs(dfx))[1], 0)
             n, den = x.as_integer_ratio()
@@ -458,7 +455,7 @@ def test_the_bracket_kernel_refuses_what_the_generic_loops_refuse(coeffs):
        st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]))
 def test_the_bracket_kernel_matches_the_generic_loops(coeffs, at, scale, disc):
     # a coefficient scaled toward and past the float range overflows the
-    # closed form or the Newton steps; disc overridden (0, or a wrong sign)
+    # closed form or the error bound; disc overridden (0, or a wrong sign)
     # sends the seeds down the refusals
     coeffs = tuple(c * scale if i == at else c for i, c in enumerate(coeffs))
     if disc is None:

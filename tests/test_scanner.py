@@ -267,10 +267,26 @@ class TestStagedBinding:
         # fold condition is positive (the cubic climbs from 1 - u v < 0 at 0
         # to 1 at 1), and every cell reads the modulus at it
         scan(kind, ScanSpec(self.FIG2, self.FIG2, n, a_value=a))
-        # the scan's stability rule takes the modulus from the cubic, so a
-        # row stages no stability condition
-        polys = (*_KIND_TERMS[kind], _CUBIC_TERMS)
-        assert staged == {id(terms): n for terms in polys}
+        # the kind's certificates are one term list, and the scan's stability
+        # rule takes the modulus from the cubic, so a row stages the kind's
+        # form and the cubic and no stability condition
+        assert staged == {id(_KIND_TERMS[kind]): n, id(_CUBIC_TERMS): n}
+
+    @pytest.mark.parametrize("kind", ["stable", "homogeneous"])
+    def test_a_scan_builds_no_condition_set(self, kind, monkeypatch):
+        made = []
+        real = _Point._make_conditions
+        monkeypatch.setattr(_Point, "_make_conditions",
+                            lambda point: made.append(real(point)) or made[-1])
+        a = F(1, 2) if kind == "homogeneous" else None
+        grid = scan(kind, ScanSpec(self.FIG2, self.FIG2, 10, a_value=a))
+        assert not grid.disagreements()
+        assert sum(cell.numeric_stable for cell in grid.cells) > 0
+        # a bracketed cell builds the modulus form alone, never the three
+        assert made == []
+        # a report still builds all three, once
+        equilibrium_report(ModelParams(4, 4, F(1, 2), F(1, 2)))
+        assert len(made) == 1 and len({id(c) for c in made[0]}) == 3
 
     @pytest.mark.parametrize("speed", [F(1), F(1, 2)])
     def test_a_report_point_stages_every_condition_once(self, speed, monkeypatch):
