@@ -2,11 +2,26 @@
 
 A handful of polynomials in the parameters decide, before any root is
 isolated, how many positive fixed points exist and how many of those are
-stable.  Their expanded forms are frozen below as literals.  None of the
-classification code trusts the literals blindly: verify_all() re-derives
-every certificate from the model polynomials with exact resultant
-arithmetic and compares term by term, so a transcription slip in either
-copy is a loud test failure, not a silent misclassification.
+stable.  The chain forms, which carry the stability conditions onto the
+parameters, all come from one cubic in a speed-free variable s,
+
+    R(u, v, s) = s^3 + (9 - u v) s^2 - D s + (u v - 1) D,
+
+with D the discriminant factor COUNT_DISCRIMINANT.  R is the product of
+s - Phi over the three roots of the equilibrium cubic C, where
+Phi = x C'(x); as a resultant, Res_x(C, s - x C') = u^3 v^6 R.  Each chain
+form is R at one argument, times the cube of that argument's denominator:
+
+    MODULUS_CHAIN        (a b)^3 R((a + b) / (a b))
+    FLIP_CHAIN           (a b)^3 R(-2 (2 - a - b) / (a b))
+    MODULUS_FULL_SPEED   R(2)
+    FLIP_FULL_SPEED      R(0) = (u v - 1) D
+    MODULUS_HOMOGENEOUS  a^3 R(2 / a)
+
+None of the classification code trusts these forms blindly: verify_all()
+re-derives the general-speed chains from the model's stability conditions
+with exact resultant arithmetic and compares term by term, so a slip in R
+or in an argument is a loud test failure, not a silent misclassification.
 
 Derivation route for the chain resultants: eliminate y from a stability
 condition using the fixed point relation y = v x (1 - x), then eliminate
@@ -51,11 +66,6 @@ EXPECTED_COUNT = {
 }
 
 
-def _from_rows(rows):
-    """The polynomial of (coeff, powers of u, v, a[, b]) rows, built as one term dict."""
-    return MPoly({(0, 0, *powers) + (0,) * (4 - len(powers)): coeff for coeff, *powers in rows})
-
-
 # discriminant factor of the equilibrium cubic: positive gives three distinct
 # positive fixed points, negative gives one real root, zero is the merge locus
 COUNT_DISCRIMINANT = U**2 * V**2 - 4 * U**2 * V - 4 * U * V**2 + 18 * U * V - 27
@@ -67,54 +77,31 @@ POSITIVITY_THRESHOLD = U * V - 1
 # it pins the unique parameter point carrying a triple root
 TRIPLE_ROOT_COMPANION = 2 * U * V**2 - 9 * U * V + 27
 
-# chain resultant of the flip condition, general speeds (terms: coeff, u, v, a, b)
-FLIP_CHAIN = _from_rows([
-    (1, 3, 3, 3, 3), (-4, 3, 2, 3, 3), (-4, 2, 3, 3, 3), (17, 2, 2, 3, 3),
-    (4, 2, 1, 3, 3), (4, 1, 2, 3, 3), (-2, 2, 2, 3, 2), (-2, 2, 2, 2, 3),
-    (-45, 1, 1, 3, 3), (8, 2, 1, 3, 2), (8, 1, 2, 3, 2), (8, 2, 1, 2, 3),
-    (8, 1, 2, 2, 3), (4, 2, 2, 2, 2), (-36, 1, 1, 3, 2), (-36, 1, 1, 2, 3),
-    (-16, 2, 1, 2, 2), (-16, 1, 2, 2, 2), (27, 0, 0, 3, 3), (-4, 1, 1, 3, 1),
-    (64, 1, 1, 2, 2), (-4, 1, 1, 1, 3), (54, 0, 0, 3, 2), (54, 0, 0, 2, 3),
-    (16, 1, 1, 2, 1), (16, 1, 1, 1, 2), (36, 0, 0, 3, 1), (-36, 0, 0, 2, 2),
-    (36, 0, 0, 1, 3), (-16, 1, 1, 1, 1), (8, 0, 0, 3, 0), (-120, 0, 0, 2, 1),
-    (-120, 0, 0, 1, 2), (8, 0, 0, 0, 3), (-48, 0, 0, 2, 0), (48, 0, 0, 1, 1),
-    (-48, 0, 0, 0, 2), (96, 0, 0, 1, 0), (96, 0, 0, 0, 1), (-64, 0, 0, 0, 0),
-])
+# the coefficients of R in s, constant first
+_R = (POSITIVITY_THRESHOLD * COUNT_DISCRIMINANT, -COUNT_DISCRIMINANT, 9 - U * V, 1)
 
-# chain resultant of the modulus condition, general speeds
-MODULUS_CHAIN = _from_rows([
-    (1, 3, 3, 3, 3), (-4, 3, 2, 3, 3), (-4, 2, 3, 3, 3), (17, 2, 2, 3, 3),
-    (4, 2, 1, 3, 3), (4, 1, 2, 3, 3), (-1, 2, 2, 3, 2), (-1, 2, 2, 2, 3),
-    (-45, 1, 1, 3, 3), (4, 2, 1, 3, 2), (4, 1, 2, 3, 2), (4, 2, 1, 2, 3),
-    (4, 1, 2, 2, 3), (-18, 1, 1, 3, 2), (-18, 1, 1, 2, 3), (27, 0, 0, 3, 3),
-    (-1, 1, 1, 3, 1), (-2, 1, 1, 2, 2), (-1, 1, 1, 1, 3), (27, 0, 0, 3, 2),
-    (27, 0, 0, 2, 3), (9, 0, 0, 3, 1), (18, 0, 0, 2, 2), (9, 0, 0, 1, 3),
-    (1, 0, 0, 3, 0), (3, 0, 0, 2, 1), (3, 0, 0, 1, 2), (1, 0, 0, 0, 3),
-])
+
+def _r_at(num, den) -> MPoly:
+    """den**3 R(u, v, num / den), for num and den free of s."""
+    return sum(c * num**k * den ** (3 - k) for k, c in enumerate(_R))
+
+
+# chain resultants of the flip and modulus conditions, general speeds
+FLIP_CHAIN = _r_at(-2 * (2 - A - B), A * B)
+MODULUS_CHAIN = _r_at(A + B, A * B)
 
 # full-speed restrictions (a = b = 1)
-FLIP_FULL_SPEED = (
-    U**3 * V**3 - 4 * U**3 * V**2 - 4 * U**2 * V**3 + 17 * U**2 * V**2
-    + 4 * U**2 * V + 4 * U * V**2 - 45 * U * V + 27
-)
-MODULUS_FULL_SPEED = (
-    U**3 * V**3 - 4 * U**3 * V**2 - 4 * U**2 * V**3 + 15 * U**2 * V**2
-    + 12 * U**2 * V + 12 * U * V**2 - 85 * U * V + 125
-)
+FLIP_FULL_SPEED = _r_at(0, 1)
+MODULUS_FULL_SPEED = _r_at(2, 1)
+
+# homogeneous speeds (b = a): the modulus chain collapses onto this cubic in a
+MODULUS_HOMOGENEOUS = _r_at(2, A)
 
 # extra cuts needed to carve the two-stable region out of the sign chart
 STABLE_CUT_LINEAR = U * V - 15
 STABLE_CUT_QUADRATIC = (
     U**2 * V**2 - 4 * U**2 * V - 5 * U * V**2 + 21 * U * V + 11 * V - 60
 )
-
-# homogeneous speeds (b = a): the modulus chain collapses onto this cubic in a
-MODULUS_HOMOGENEOUS = _from_rows([
-    (1, 3, 3, 3), (-4, 3, 2, 3), (-4, 2, 3, 3), (17, 2, 2, 3),
-    (4, 2, 1, 3), (4, 1, 2, 3), (-2, 2, 2, 2), (-45, 1, 1, 3),
-    (8, 2, 1, 2), (8, 1, 2, 2), (-36, 1, 1, 2), (27, 0, 0, 3),
-    (-4, 1, 1, 1), (54, 0, 0, 2), (36, 0, 0, 1), (8, 0, 0, 0),
-])
 
 
 class NamedCertificate(FrozenRecord):
@@ -130,19 +117,21 @@ def build_certificates() -> dict:
         NamedCertificate("triple_root_companion", TRIPLE_ROOT_COMPANION,
                          "vanishes with the discriminant only at the triple root point"),
         NamedCertificate("flip_chain", FLIP_CHAIN,
-                         "flip condition eliminated onto parameter space"),
+                         "flip condition eliminated onto parameter space: "
+                         "(a b)^3 R at s = -2 (2 - a - b) / (a b)"),
         NamedCertificate("modulus_chain", MODULUS_CHAIN,
-                         "modulus condition eliminated onto parameter space"),
+                         "modulus condition eliminated onto parameter space: "
+                         "(a b)^3 R at s = (a + b) / (a b)"),
         NamedCertificate("flip_full_speed", FLIP_FULL_SPEED,
-                         "flip chain at a = b = 1"),
+                         "flip chain at a = b = 1: R at s = 0"),
         NamedCertificate("modulus_full_speed", MODULUS_FULL_SPEED,
-                         "modulus chain at a = b = 1"),
+                         "modulus chain at a = b = 1: R at s = 2"),
         NamedCertificate("stable_cut_linear", STABLE_CUT_LINEAR,
                          "extra cut for the two-stable region"),
         NamedCertificate("stable_cut_quadratic", STABLE_CUT_QUADRATIC,
                          "extra cut for the two-stable region"),
         NamedCertificate("modulus_homogeneous", MODULUS_HOMOGENEOUS,
-                         "modulus chain at b = a, common cubic factor removed"),
+                         "modulus chain at b = a, common cubic factor removed: a^3 R at s = 2 / a"),
     ]
     return {e.name: e for e in entries}
 

@@ -13,9 +13,10 @@ from kopelcas.certificates import (
     EquilibriumCountClass, StableCountClass,
     build_certificates, classify, classify_equilibrium_count,
     classify_stable_best_response, classify_stable_homogeneous,
-    verify_all, verify_identity, _certificate_values,
+    verify_all, verify_identity, _R, _certificate_values, _r_at,
 )
-from kopelcas.exactpoly import U, V, bind, power_tables
+from kopelcas import certificates
+from kopelcas.exactpoly import A, B, MPoly, U, V, X, bind, power_tables, resultant
 from kopelcas.model import (
     ModelParams, _CUBIC_TERMS, _Point, equilibria,
     equilibrium_cubic, jury_report,
@@ -34,6 +35,52 @@ KIND_CERTIFICATES = {
     "stable": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_FULL_SPEED,
                STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC),
     "homogeneous": (COUNT_DISCRIMINANT, POSITIVITY_THRESHOLD, MODULUS_HOMOGENEOUS),
+}
+
+
+def _from_rows(rows):
+    """The polynomial of (coeff, powers of u, v, a[, b]) rows, built as one term dict."""
+    return MPoly({(0, 0, *powers) + (0,) * (4 - len(powers)): coeff for coeff, *powers in rows})
+
+
+# the chain forms written out term by term: an oracle for the ones the
+# module derives from R (terms: coeff, u, v, a, b)
+EXPANDED_FORMS = {
+    "FLIP_CHAIN": _from_rows([
+        (1, 3, 3, 3, 3), (-4, 3, 2, 3, 3), (-4, 2, 3, 3, 3), (17, 2, 2, 3, 3),
+        (4, 2, 1, 3, 3), (4, 1, 2, 3, 3), (-2, 2, 2, 3, 2), (-2, 2, 2, 2, 3),
+        (-45, 1, 1, 3, 3), (8, 2, 1, 3, 2), (8, 1, 2, 3, 2), (8, 2, 1, 2, 3),
+        (8, 1, 2, 2, 3), (4, 2, 2, 2, 2), (-36, 1, 1, 3, 2), (-36, 1, 1, 2, 3),
+        (-16, 2, 1, 2, 2), (-16, 1, 2, 2, 2), (27, 0, 0, 3, 3), (-4, 1, 1, 3, 1),
+        (64, 1, 1, 2, 2), (-4, 1, 1, 1, 3), (54, 0, 0, 3, 2), (54, 0, 0, 2, 3),
+        (16, 1, 1, 2, 1), (16, 1, 1, 1, 2), (36, 0, 0, 3, 1), (-36, 0, 0, 2, 2),
+        (36, 0, 0, 1, 3), (-16, 1, 1, 1, 1), (8, 0, 0, 3, 0), (-120, 0, 0, 2, 1),
+        (-120, 0, 0, 1, 2), (8, 0, 0, 0, 3), (-48, 0, 0, 2, 0), (48, 0, 0, 1, 1),
+        (-48, 0, 0, 0, 2), (96, 0, 0, 1, 0), (96, 0, 0, 0, 1), (-64, 0, 0, 0, 0),
+    ]),
+    "MODULUS_CHAIN": _from_rows([
+        (1, 3, 3, 3, 3), (-4, 3, 2, 3, 3), (-4, 2, 3, 3, 3), (17, 2, 2, 3, 3),
+        (4, 2, 1, 3, 3), (4, 1, 2, 3, 3), (-1, 2, 2, 3, 2), (-1, 2, 2, 2, 3),
+        (-45, 1, 1, 3, 3), (4, 2, 1, 3, 2), (4, 1, 2, 3, 2), (4, 2, 1, 2, 3),
+        (4, 1, 2, 2, 3), (-18, 1, 1, 3, 2), (-18, 1, 1, 2, 3), (27, 0, 0, 3, 3),
+        (-1, 1, 1, 3, 1), (-2, 1, 1, 2, 2), (-1, 1, 1, 1, 3), (27, 0, 0, 3, 2),
+        (27, 0, 0, 2, 3), (9, 0, 0, 3, 1), (18, 0, 0, 2, 2), (9, 0, 0, 1, 3),
+        (1, 0, 0, 3, 0), (3, 0, 0, 2, 1), (3, 0, 0, 1, 2), (1, 0, 0, 0, 3),
+    ]),
+    "FLIP_FULL_SPEED": (
+        U**3 * V**3 - 4 * U**3 * V**2 - 4 * U**2 * V**3 + 17 * U**2 * V**2
+        + 4 * U**2 * V + 4 * U * V**2 - 45 * U * V + 27
+    ),
+    "MODULUS_FULL_SPEED": (
+        U**3 * V**3 - 4 * U**3 * V**2 - 4 * U**2 * V**3 + 15 * U**2 * V**2
+        + 12 * U**2 * V + 12 * U * V**2 - 85 * U * V + 125
+    ),
+    "MODULUS_HOMOGENEOUS": _from_rows([
+        (1, 3, 3, 3), (-4, 3, 2, 3), (-4, 2, 3, 3), (17, 2, 2, 3),
+        (4, 2, 1, 3), (4, 1, 2, 3), (-2, 2, 2, 2), (-45, 1, 1, 3),
+        (8, 2, 1, 2), (8, 1, 2, 2), (-36, 1, 1, 2), (27, 0, 0, 3),
+        (-4, 1, 1, 1), (54, 0, 0, 2), (36, 0, 0, 1), (8, 0, 0, 0),
+    ]),
 }
 
 
@@ -94,6 +141,22 @@ class TestFrozenForms:
         assert ratio > 0
         assert [F(c) for c in bound] == [ratio * c for c in cubic]
 
+    @pytest.mark.parametrize("name", EXPANDED_FORMS)
+    def test_derived_form_matches_its_expansion(self, name):
+        derived = getattr(certificates, name)
+        assert derived == EXPANDED_FORMS[name]
+        assert derived.to_str() == EXPANDED_FORMS[name].to_str()
+
+    def test_what_r_means(self):
+        # A stands in for s: R is the product of s - x C'(x) over the roots
+        # of the cubic C, and it has a double root in s where u = v
+        r = _r_at(A, 1)
+        d = COUNT_DISCRIMINANT
+        assert r == A**3 + (9 - U * V) * A**2 - d * A + (U * V - 1) * d
+        cubic = equilibrium_cubic()
+        assert resultant(cubic, A - X * cubic.derivative("x"), "x") == U**3 * V**6 * r
+        assert resultant(r, r.derivative("a"), "a") == -64 * U**2 * V**2 * (U - V)**2 * d
+
     def test_registry(self):
         certs = build_certificates()
         assert len(certs) == 10
@@ -119,12 +182,19 @@ class TestIdentities:
         with pytest.raises(ValueError):
             verify_identity("no-such-identity")
 
-    def test_literal_drift_would_be_caught(self):
+    def test_literal_drift_would_be_caught(self, monkeypatch):
         # the derived side comes from resultants, so a perturbed literal
         # cannot silently agree with it
         drifted = FLIP_CHAIN + U * V
         assert drifted.evaluate({"a": 1, "b": 1}) != FLIP_FULL_SPEED
         assert drifted != FLIP_CHAIN
+        # nor can a slip in R: with its s^2 coefficient 9 - u v read as
+        # 8 - u v, both general-speed chains fail their resultant comparison
+        monkeypatch.setattr(certificates, "_R", (_R[0], _R[1], 8 - U * V, _R[3]))
+        monkeypatch.setattr(certificates, "FLIP_CHAIN", _r_at(-2 * (2 - A - B), A * B))
+        monkeypatch.setattr(certificates, "MODULUS_CHAIN", _r_at(A + B, A * B))
+        assert not verify_identity("flip-chain-resultant").passed
+        assert not verify_identity("modulus-chain-resultant").passed
 
     def test_companion_pins_triple_point(self):
         # the discriminant and its companion vanish together only at (3, 3)
