@@ -36,7 +36,7 @@ flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  A point reads the three off its bound
 cubic once, with no condition staged, each as a positive multiple of the
 condition (no primitive part is taken), and the reports share them
-(_Point.conditions).  At a root of C in (0, 1) the fold has the sign of
+(_Point.conditions).  At a positive root of C the fold has the sign of
 C', which a certified bracket holds; so a scan cell decides a bracketed
 root's stability by the modulus condition alone (_Point._modulus), one
 interval bound and at most one exact sign query.  Reports, and cells whose
@@ -94,9 +94,14 @@ class Trajectory(Record):
     __slots__ = ("states", "left_unit_square", "diverged_at")
 
 
+def _locus(x, v):
+    """The reaction v x (1 - x), y on the fixed point locus; floats, Fractions or MPolys."""
+    return v * x * (1 - x)
+
+
 def _update(x, y, u, v, a, b):
     """One step of the map, in plain arithmetic."""
-    return (1 - a) * x + a * u * y * (1 - y), (1 - b) * y + b * v * x * (1 - x)
+    return (1 - a) * x + _locus(y, a * u), (1 - b) * y + _locus(x, b * v)
 
 
 def step(state: State, params: ModelParams) -> State:
@@ -130,11 +135,6 @@ def iterate(state: State, params: ModelParams, n: int) -> Trajectory:
 
 _CUBIC = (U * V**2) * X**3 - 2 * (U * V**2) * X**2 + (U * V**2 + U * V) * X - U * V + 1
 _CUBIC_TERMS = integer_terms(_CUBIC)
-
-
-def _locus(x, v):
-    """y on the fixed point locus, on floats, Fractions and MPolys alike."""
-    return v * x * (1 - x)
 
 
 # the fixed point locus y = v x (1 - x), y as a polynomial image of x
@@ -182,12 +182,14 @@ class Equilibrium(_Lazy):
     """One fixed point, carried by its exact x coordinate.
 
     y is recovered on demand as the algebraic image v x (1 - x); the
-    certified flags work from the x side alone.  A fixed point holds the
-    _Point it was found at, and shares its bound conditions and y
-    candidates with the other fixed points there; one built alone binds its
-    own point on the first read that needs it, so is_positive alone binds
-    nothing.  _point, in_unit_square and y_root are _Lazy slots, each filled
-    by its _make_<name> method on first read.
+    certified flags read the sign of x alone.  The cubic at x = 1 + t is
+    u v**2 (t**3 + t**2) + u v t + 1, and its twin likewise, so every fixed
+    point has x < 1 and y < 1: it is in the unit square when x >= 0 and
+    positive when x > 0.  A fixed point holds the _Point it was found at,
+    and shares its bound conditions and y candidates with the other fixed
+    points there; one built alone binds its own point on the first read
+    that needs it, never for a flag.  _point and y_root are _Lazy slots,
+    each filled by its _make_<name> method on first read.
     """
 
     __slots__ = ("x_root", "params", "is_positive", "in_unit_square", "y_root", "_point")
@@ -195,21 +197,17 @@ class Equilibrium(_Lazy):
     def __init__(self, x_root: AlgebraicReal, params: ModelParams, *, _point=None):
         self.x_root = x_root
         self.params = params
-        self.is_positive = (x_root.compare_rational(0) > 0
-                            and _sign_dense_at(_Y_SIGN, x_root) > 0)
+        # x < 1 at every fixed point, so the sign of x settles both flags;
+        # the query on x (1 - x) is kept for what it leaves behind: it
+        # narrows a window ending at 0 or 1 before a report prints it
+        side = x_root.compare_rational(0)
+        self.is_positive = side > 0 and _sign_dense_at(_Y_SIGN, x_root) > 0
+        self.in_unit_square = side >= 0
         if _point is not None:
             self._point = _point
 
     def _make__point(self) -> "_Point":
         return _Point.of(self.params)
-
-    def _make_in_unit_square(self) -> bool:
-        qi, scale = self._point.locus
-        # y - 1, scaled by the locus's denominator; 0 <= x <= 1 gives y >= 0
-        y_minus_one = (qi[0] - scale,) + qi[1:]
-        return (self.x_root.compare_rational(0) >= 0
-                and self.x_root.compare_rational(1) <= 0
-                and _sign_dense_at(y_minus_one, self.x_root) <= 0)
 
     def _make_y_root(self) -> AlgebraicReal:
         point = self._point
@@ -397,28 +395,28 @@ class _Point(_Lazy):
     def counts(self) -> tuple:
         """(positive, stable): the positive fixed points here, and how many are stable.
 
-        A fixed point is positive when 0 < x < 1, counted once whatever its
-        multiplicity, and stable when C' and the modulus condition (the third
-        of conditions, the one a report asks) are positive there, for the
-        equilibrium cubic C (see the module docstring): at a root of C the
-        fold has the sign of C', and a positive fold makes the flip positive.
-        The certified brackets (realroots._cubic_brackets) wholly inside
-        (0, 1) are C's roots there, simple, C' having the sign of -slo; the
+        A fixed point is positive when x > 0, counted once whatever its
+        multiplicity (every root of C is below 1, see Equilibrium), and
+        stable when C' and the modulus condition (the third of conditions,
+        the one a report asks) are positive there, for the equilibrium cubic
+        C (see the module docstring): at a root of C the fold has the sign
+        of C', and a positive fold makes the flip positive.  The certified
+        brackets (realroots._cubic_brackets) with a nonnegative lower end
+        are C's positive roots, simple, C' having the sign of -slo; the
         modulus condition's sign on one (built alone, by _modulus) is an
         interval Horner bound, or an exact query where that does not settle.
-        Where the brackets fail or one reaches across 0 or 1, the whole-line
-        roots in (0, 1) are kept and each is judged as a report judges it,
-        by _verdict on all three signs.
+        Where the brackets fail or one reaches across 0, the whole-line
+        roots above 0 are kept and each is judged as a report judges it, by
+        _verdict on all three signs.
         """
         cubic = self.cubic
         brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
         inside = []
         for (a, b, k), slo in brackets or ():
-            one = 1 << k
-            if a < 0 < b or a < one < b:
+            if a < 0 < b:
                 brackets = None
                 break
-            if 0 <= a and b <= one:
+            if a >= 0:
                 inside.append((a, b, k, slo))
         if brackets is not None:
             stable, modulus = 0, None
@@ -432,25 +430,24 @@ class _Point(_Lazy):
                         low = _sign_dense_at(modulus, root)
                     stable += low > 0
             return len(inside), stable
-        roots = [r for r in _isolate_int("x", cubic)
-                 if r.compare_rational(0) > 0 and r.compare_rational(1) < 0]
+        roots = [r for r in _isolate_int("x", cubic) if r.compare_rational(0) > 0]
         return len(roots), sum(_verdict(self.signs(r)) == "stable" for r in roots)
 
     def equilibria(self, params: ModelParams) -> list:
         """equilibria(params) for the params of this point, each fixed point holding it."""
         # the cubic's lead u v**2 is never zero, so its degree is always 3
-        roots = _isolate_int("x", self.cubic)
         origin_mult = 1
-        kept = []
-        for r in roots:
+        found = []
+        for r in _isolate_int("x", self.cubic):
             if r.is_rational and r.value == 0:
                 origin_mult += r.multiplicity_in_source
             else:
-                kept.append(r)
-        # the kept roots ascend, so the origin goes after the negative ones
-        below = sum(r.compare_rational(0) < 0 for r in kept)
-        kept.insert(below, AlgebraicReal.from_rational(Fraction(0), "x", origin_mult))
-        return [Equilibrium(r, params, _point=self) for r in kept]
+                found.append(Equilibrium(r, params, _point=self))
+        # the roots ascend, so the origin goes after those with x < 0
+        origin = AlgebraicReal.from_rational(Fraction(0), "x", origin_mult)
+        below = sum(not eq.in_unit_square for eq in found)
+        found.insert(below, Equilibrium(origin, params, _point=self))
+        return found
 
     def y_factor(self, g) -> tuple:
         """Primitive integer y-coefficients whose roots are v x (1 - x) at g's roots.

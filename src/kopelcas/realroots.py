@@ -33,7 +33,7 @@ place only, and exact sign evaluations certify: a cubic's real roots
 (_cubic_brackets), where closed-form float roots, unpolished, propose one
 narrow dyadic bracket per real root, and the signs at the bracket ends
 certify them, or give way to Sturm isolation.  Scan cells count those
-inside (0, 1), rational roots left unsnapped (model._Point.counts); isolation
+above 0, rational roots left unsnapped (model._Point.counts); isolation
 (_isolate_int) counts roots against them and keeps each as its root's
 hint.  The nearest double to a root (approx) is one exact Newton point,
 rounded once; signs at the midpoints to its neighbours certify it, or

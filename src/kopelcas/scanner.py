@@ -2,20 +2,20 @@
 
 Every cell is classified twice, by independent routes: once by evaluating
 the frozen parameter-space certificates, once by actually isolating the
-positive fixed points at that cell, the cubic's roots in 0 < x < 1, and
+positive fixed points at that cell, the cubic's roots above 0, and
 certifying their stability.  The two answers land side by side in the
 emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
 one of the routes, never a rounding artifact.  Enumeration counts on
 float-proposed brackets that exact sign evaluations certify, and builds a
-Sturm chain only where they fail (model._Point.counts).  A bracket also
-holds the sign of the fold condition at its root, so a bracketed root's
-stability takes the modulus condition's sign alone, asked only after a
-positive fold.  That is the report's own modulus condition, a positive
-multiple read off the cubic and built alone (model._Point._modulus): one
-interval bound over the narrow bracket mostly settles it, and only where
-that does not is an exact sign query asked.  A root of the Sturm route
-is judged as a report judges it, by the Jury rule on all three signs.
+Sturm chain only where they fail or one spans 0 (model._Point.counts).
+A bracket also holds the sign of the fold condition at its root, so a
+bracketed root's stability takes the modulus condition's sign alone, asked
+only after a positive fold.  That is the report's own modulus condition, a
+positive multiple read off the cubic and built alone (_Point._modulus):
+one interval bound over the narrow bracket mostly settles it, and only
+where that does not is an exact sign query asked.  A root of the Sturm
+route is judged as a report judges it, by the Jury rule on all three signs.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The kind's certificates, as one term list with certificate i the

@@ -157,6 +157,14 @@ class TestFrozenForms:
         assert resultant(cubic, A - X * cubic.derivative("x"), "x") == U**3 * V**6 * r
         assert resultant(r, r.derivative("a"), "a") == -64 * U**2 * V**2 * (U - V)**2 * d
 
+    def test_discriminant_is_negative_where_uv_is_at_most_one(self):
+        # with p = u v, the last two parts are negative for u, v > 0 and the
+        # first is not positive for p <= 1: so D < 0 there.  A count cell
+        # with disc > 0 thus has u v > 1, where every coefficient of C(-x)
+        # is negative, so C's three real roots are all positive
+        p = U * V
+        assert COUNT_DISCRIMINANT == (p - 1) * (p + 19) - 8 - 4 * p * (U + V)
+
     def test_registry(self):
         certs = build_certificates()
         assert len(certs) == 10

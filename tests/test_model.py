@@ -15,7 +15,7 @@ from kopelcas.model import (
     equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
     stability_conditions, step, y_relation,
 )
-from kopelcas.realroots import isolate_real_roots, sign_at
+from kopelcas.realroots import AlgebraicReal, isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
 from test_mirrored_cubic import POOL
 from test_report_digests import POINTS
@@ -95,6 +95,16 @@ def test_eliminating_x_gives_the_cubic_with_u_and_v_swapped():
     assert resultant(cubic, y_relation(), "x") == V**3 * twin
 
 
+def test_no_fixed_point_reaches_one():
+    # C(1 + t) has positive coefficients only, so C has no root x >= 1, and
+    # the same holds for its twin, u and v swapped, whose roots are the y
+    # coordinates: every fixed point has x < 1 and y < 1
+    assert model._CUBIC.substitute("x", 1 + X) == (
+        U * V**2 * X**3 + U * V**2 * X**2 + U * V * X + 1)
+    twin = model._CUBIC.substitute("u", A).substitute("v", U).substitute("a", V)
+    assert twin.substitute("x", 1 + X) == U**2 * V * X**3 + U**2 * V * X**2 + U * V * X + 1
+
+
 class TestEquilibria:
     def test_two_positive_plus_symmetric(self):
         eqs = equilibria(ModelParams(4, 4))
@@ -148,19 +158,19 @@ class TestEquilibria:
         assert repr(equilibria(ModelParams(2, 2))[1]) == (
             "Equilibrium(x~0.5, mult=1, positive=True)")
 
-    def test_unit_square_asks_one_sign_query(self, monkeypatch):
-        # 0 <= x <= 1 gives y = v x (1 - x) >= 0, so only y <= 1 is asked
+    def test_unit_square_asks_no_sign_query(self, monkeypatch):
+        # every fixed point has x < 1 and y < 1, so the flag is the sign of
+        # x, taken when the fixed point is built: reading it asks nothing
         eq = equilibria(ModelParams(4, 4))[1]
-        sign_dense_at = model._sign_dense_at
         calls = []
-
-        def counted(qi, root):
-            calls.append(qi)
-            return sign_dense_at(qi, root)
-
-        monkeypatch.setattr(model, "_sign_dense_at", counted)
+        sign_dense_at = model._sign_dense_at
+        monkeypatch.setattr(model, "_sign_dense_at",
+                            lambda *args: calls.append(args) or sign_dense_at(*args))
+        compare = AlgebraicReal.compare_rational
+        monkeypatch.setattr(AlgebraicReal, "compare_rational",
+                            lambda self, q: calls.append(q) or compare(self, q))
         assert eq.in_unit_square
-        assert len(calls) == 1
+        assert calls == []
 
     def test_equilibria_satisfy_map_numerically(self):
         rng = random.Random(11)
@@ -390,7 +400,7 @@ def test_equilibrium_built_alone_matches_equilibria(point):
 
 @pytest.mark.parametrize("first", ["in_unit_square", "y_root"])
 def test_equilibrium_built_alone_binds_its_point_on_first_need(monkeypatch, first):
-    # is_positive needs no binding; the first read that does binds one point
+    # the flags need no binding; the first read that does binds one point
     params = ModelParams(F(13, 4), F(7, 2), F(1, 4), F(1, 2))
     roots = isolate_real_roots(bound_cubic(params.u, params.v))
     built = []
@@ -402,7 +412,7 @@ def test_equilibrium_built_alone_binds_its_point_on_first_need(monkeypatch, firs
     assert built == []
     eq = alone[0]
     getattr(eq, first)
-    assert built == [params]
+    assert built == ([] if first == "in_unit_square" else [params])
     assert (eq.in_unit_square, eq.y_root.approx) == (True, eq.y_approx)
     assert jury_report(eq, params).verdict == "stable"
     assert built == [params]

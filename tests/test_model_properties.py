@@ -8,7 +8,8 @@ for a scan cell's counts (_Point.counts), on its certified brackets and on
 the whole-line isolation it falls back to; whole-line isolation serves as
 the oracle for the discriminant's sign, and that fallback for the scan's
 certified float brackets; the locus y = v x (1 - x) on doubles serves as
-the oracle for y.
+the oracle for y; and the unit-square flag's retired definition, three
+exact signs, serves as the oracle for Equilibrium.in_unit_square.
 """
 
 from fractions import Fraction as F
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kopelcas import model, realroots
+from kopelcas.certificates import COUNT_DISCRIMINANT
 from kopelcas.exactpoly import _int_clear, dense_to_mpoly
 from kopelcas.model import (
     ModelParams, _cubic_discriminant, _Point, bound_stability_polys, e0_stable, equilibria,
@@ -94,6 +96,36 @@ def test_fixed_point_y_follows_the_float_locus(u, v, ab):
         x = eq.x_approx
         expected = float(v) * x * (1 - x)
         assert abs(eq.y_approx - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def _retired_in_unit_square(eq) -> bool:
+    """The unit-square flag as it was once computed: 0 <= x <= 1 and y <= 1, by exact signs."""
+    qi, scale = eq._point.locus
+    # y - 1, scaled by the locus's denominator; 0 <= x <= 1 gives y >= 0
+    y_minus_one = (qi[0] - scale,) + qi[1:]
+    return (eq.x_root.compare_rational(0) >= 0
+            and eq.x_root.compare_rational(1) <= 0
+            and _sign_dense_at(y_minus_one, eq.x_root) <= 0)
+
+
+# u v below 1, at 1 and above it
+uv_products = st.one_of(
+    st.builds(F, st.integers(1, 39), st.integers(40, 400)),
+    st.just(F(1)),
+    st.builds(F, st.integers(41, 4000), st.integers(1, 40)),
+)
+
+
+@given(intensities, uv_products, speed_pairs)
+def test_every_fixed_point_lies_below_one(u, uv, ab):
+    # the unit-square flag is the sign of x, as the retired definition says;
+    # where u v <= 1 the count discriminant is negative
+    params = ModelParams(u, uv / u, *ab)
+    for eq in equilibria(params):
+        assert eq.x_root.compare_rational(1) < 0 and eq.y_root.compare_rational(1) < 0
+        assert eq.in_unit_square == _retired_in_unit_square(eq)
+    disc = COUNT_DISCRIMINANT.evaluate({"u": params.u, "v": params.v}).as_fraction()
+    assert disc < 0 or uv > 1
 
 
 def _report_answer(params) -> list:

@@ -712,24 +712,23 @@ def test_from_rational_builds_the_root_with_no_evaluation(monkeypatch):
     assert r.is_rational and r.lo == r.hi == F(-3, 7) and r.approx == -3 / 7
 
 
-@pytest.mark.parametrize("root, inside", [(1 - F(1, 10**20), 1), (F(1), 0)])
-def test_unit_cubic_roots_refuse_a_bracket_across_one(monkeypatch, root, inside):
-    # (x - root)(x^2 - 9): the float error bound near x = 1 dwarfs 10**-20,
-    # so the bracket around the seed crosses 1 and whole-line isolation decides
-    coeffs = _int_clear([9 * root, F(-9), -root, F(1)])
-    brackets = _cubic_brackets(coeffs, _cubic_discriminant(coeffs))
-    assert any(a < 1 << k < b for (a, b, k), _ in brackets)
-    # a scan cell's counts, on this cubic in place of a parameter point's
-    point = model._Point.of(model.ModelParams(1, 1))
-    point.cubic = coeffs
+@pytest.mark.parametrize("route", ["brackets", "sturm"])
+def test_a_bracket_across_one_holds_a_positive_root(monkeypatch, route):
+    # at u = 10**20, v = 1 the one real root is about 1 - 10**-20: the float
+    # error bound near x = 1 dwarfs that gap, so the certified bracket
+    # crosses 1.  No fixed point reaches 1, so the bracket counts as it
+    # stands, with no whole-line isolation; with the brackets failing
+    # outright the Sturm route gives the same count
+    point = model._Point.of(model.ModelParams(10**20, 1, F(1, 2), F(1, 3)))
+    [((a, b, k), _)] = _cubic_brackets(point.cubic, _cubic_discriminant(point.cubic))
+    assert 0 <= a < 1 << k < b
+    if route == "sturm":
+        monkeypatch.setattr(model, "_cubic_brackets", lambda coeffs, disc: None)
     calls = []
     isolate = model._isolate_int
     monkeypatch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
-    assert point.counts()[0] == inside
-    assert len(calls) == 1
-    # the same count with the brackets failing outright
-    monkeypatch.setattr(model, "_cubic_brackets", lambda coeffs, disc: None)
-    assert point.counts()[0] == inside
+    assert point.counts() == (1, 0)
+    assert len(calls) == (route == "sturm")
 
 
 @pytest.mark.parametrize("coeffs, disc, seeds", [

@@ -155,11 +155,15 @@ def test_equilibrium_flags_and_y_are_computed_once(monkeypatch):
     compare = AlgebraicReal.compare_rational
     monkeypatch.setattr(AlgebraicReal, "compare_rational",
                         lambda self, q: queries.append("compare") or compare(self, q))
-    for eq in model.equilibria(ModelParams("13/4", "13/4", "1/4", "1/2")):
-        for name in ("in_unit_square", "y_root"):
-            queries.clear()
-            first = getattr(eq, name)
-            assert queries
-            queries.clear()
-            assert getattr(eq, name) is first
-            assert queries == []
+    # the flags are set when a fixed point is built, y on its first read
+    eqs = model.equilibria(ModelParams("13/4", "13/4", "1/4", "1/2"))
+    queries.clear()
+    flags = [(eq.is_positive, eq.in_unit_square) for eq in eqs]
+    assert flags == [(False, True)] + [(True, True)] * 3
+    assert queries == []
+    for eq in eqs:
+        first = eq.y_root
+        assert queries
+        queries.clear()
+        assert eq.y_root is first
+        assert queries == []

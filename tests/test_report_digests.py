@@ -1,4 +1,4 @@
-"""equilibrium_report JSON pinned byte for byte over fixed exact points.
+"""equilibrium_report JSON pinned byte for byte over fixed exact points and kbench's pool.
 
 The digest was recorded with the resultant-based y image and the symbolic
 stability binding.  Every field of a report is either certified or derived
@@ -12,6 +12,7 @@ import json
 from fractions import Fraction as F
 
 from kopelcas.model import ModelParams, equilibrium_report
+from test_mirrored_cubic import POOL
 
 
 def _points():
@@ -33,7 +34,7 @@ def _points():
     # rational roots: x = 1/2 is a root when u v = 8 / (4 - v)
     pts += [(F(2), F(2), F(1), F(1)), (F(2), F(2), F(1, 4), F(3, 4)),
             (F(8, 3), F(1), F(1, 2), F(1)), (F(16, 5), F(3, 2), F(3, 5), F(2, 5))]
-    # negative y: fixed points with x < 0 or x > 1
+    # negative y: fixed points with x < 0 (no fixed point has x >= 1)
     pts += [(F(1, 5), F(9), F(1), F(1, 2)), (F(1, 10), F(6), F(1, 3), F(1)),
             (F(1, 2), F(7), F(9, 10), F(1, 10)), (F(1, 4), F(5), F(1), F(1))]
     # a = b != 1 and the homogeneous slices
@@ -49,6 +50,8 @@ def _points():
 
 POINTS = _points()
 DIGEST = "fd55f3d295f1ebdfbff34f955f5fc37d8d6a9ba2929d34487c239a4bfffad1d1"
+# kbench's 6000-point report pool, each report's JSON hashed in pool order
+POOL_DIGEST = "c5c0305de53d7f1a8e6b460f557f1ae9d575dd1c57c74efdaba7eaf223e0e20b"
 
 
 def test_point_count():
@@ -62,3 +65,10 @@ def test_equilibrium_report_digest():
         h.update(json.dumps(report, sort_keys=True).encode())
         h.update(b"\n")
     assert h.hexdigest() == DIGEST
+
+
+def test_pool_report_digest():
+    h = hashlib.sha256()
+    for point in POOL:
+        h.update(json.dumps(equilibrium_report(ModelParams(*point)), sort_keys=True).encode())
+    assert h.hexdigest() == POOL_DIGEST
