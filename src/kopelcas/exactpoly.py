@@ -21,6 +21,8 @@ remainder is an error, never a rounding.  Dense univariate helpers over Z
 (primitive parts, pseudo-remainders, gcds, exact division) serve the root
 layer, and a parameter polynomial compiled to an integer term list binds
 rational parameters on integers alone, in two stages: u, a and b, then v.
+Each stage is straight-line integer code generated from the polynomial's
+terms when the term list is compiled, so binding interprets no term.
 """
 
 from __future__ import annotations
@@ -589,27 +591,54 @@ def _exact_div(f, g) -> list[int]:
 # product of the four q**BIND_TOP.  That factor is positive, so every sign is
 # kept, and all values bound from the same tables share it as denominator.
 #
-# Binding runs in two stages.  The compiled terms are grouped by their powers
-# of x and v, and stage folds u, a and b into one weight per group; finish
-# then weighs v's table alone.  A scan binds its speeds once, u once per row
-# and v once per cell; a single point runs both stages back to back (bind).
+# Binding runs in two stages.  The terms are grouped by their powers of x
+# and v, and the stage folds u, a and b into one weight per group; the
+# finish then weighs v's table alone.  Both are generated from the groups
+# as straight-line integer expressions and compiled once, when the term
+# list is, so binding interprets no term tuple.  A scan binds its speeds
+# once, u once per row and v once per cell; a single point runs both stages
+# back to back (bind).
 
 BIND_TOP = 3  # the highest power of u, v, a or b that binding supports
 
 
-def integer_terms(poly: MPoly) -> tuple:
-    """The terms of an integer polynomial free of y, grouped by their powers of x and v.
+def _table_names(var: str) -> str:
+    return "(" + ", ".join(f"{var}{i}" for i in range(BIND_TOP + 1)) + ")"
 
-    One tuple per group: the powers of x and v, then the group's terms as a
-    tuple of (coeff, powers of u, a, b).  Groups come in descending order,
-    so the first carries the top power of x.
+
+def integer_terms(poly: MPoly):
+    """An integer polynomial free of y, compiled for binding: its generated stage.
+
+    The stage maps (u, v, a, b) power tables, v's unread and possibly None,
+    to a staged tuple: the generated finish, then one weight per group of
+    terms with one power of x and of v.  The finish maps a staged tuple and
+    v's table to the ascending x-coefficients, [] for the zero polynomial.
+    ValueError if a coefficient is not an int or a power is past BIND_TOP.
     """
-    groups: dict[tuple[int, int], list] = {}
+    groups: dict[tuple[int, int], list[str]] = {}
     for (ex, ey, eu, ev, ea, eb), c in poly.terms():
         if ey or type(c) is not int or max(eu, ev, ea, eb) > BIND_TOP:
             raise ValueError(f"cannot bind {poly} on integers")
-        groups.setdefault((ex, ev), []).append((c, eu, ea, eb))
-    return tuple((ex, ev, tuple(terms)) for (ex, ev), terms in sorted(groups.items(), reverse=True))
+        groups.setdefault((ex, ev), []).append(f"{c} * u{eu} * a{ea} * b{eb}")
+    weights = [f"w{j}" for j in range(len(groups))]
+    top = max((ex for ex, _ in groups), default=-1)
+    dense: list[list[str]] = [[] for _ in range(top + 1)]
+    for w, (ex, ev) in zip(weights, groups):
+        dense[ex].append(f"{w} * v{ev}")
+    stage_body = finish_body = ""
+    if groups:
+        stage_body = (f"    {_table_names('u')}, _, {_table_names('a')}, {_table_names('b')}"
+                      " = tables\n")
+        finish_body = (f"    _, {', '.join(weights)} = staged\n"
+                       f"    {_table_names('v')} = vp\n")
+    source = (
+        "def stage(tables):\n" + stage_body
+        + "    return " + ", ".join(["finish"] + [" + ".join(g) for g in groups.values()]) + ",\n"
+        "def finish(staged, vp):\n" + finish_body
+        + "    return [" + ", ".join(" + ".join(terms) or "0" for terms in dense) + "]\n")
+    namespace: dict = {}
+    exec(compile(source, "<exactpoly.integer_terms>", "exec"), namespace)
+    return namespace["stage"]
 
 
 def power_table(r) -> list[int]:
@@ -626,19 +655,12 @@ def power_tables(u, v, a, b) -> tuple:
     return power_table(u), power_table(v), power_table(a), power_table(b)
 
 
-def stage(terms, tables) -> list[tuple]:
-    """Compiled terms with u, a and b bound: (power of x, power of v, weight) per group.
+def stage(terms, tables) -> tuple:
+    """Compiled terms with u, a and b bound: their finish, then one weight per group.
 
     tables are (u, v, a, b) power tables; v's is not read and may be None.
     """
-    up, _, ap, bp = tables
-    staged = []
-    for kx, kv, group in terms:
-        w = 0
-        for c, ku, ka, kb in group:
-            w += c * up[ku] * ap[ka] * bp[kb]
-        staged.append((kx, kv, w))
-    return staged
+    return terms(tables)
 
 
 def finish(staged, vp) -> list[int]:
@@ -646,10 +668,7 @@ def finish(staged, vp) -> list[int]:
 
     Each coefficient is the exact one times the tables' common denominator.
     """
-    dense = [0] * (staged[0][0] + 1)
-    for kx, kv, w in staged:
-        dense[kx] += w * vp[kv]
-    return dense
+    return staged[0](staged, vp)
 
 
 def bind(terms, tables) -> list[int]:

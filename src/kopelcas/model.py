@@ -57,8 +57,8 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_dyadic, format_rational
 from .realroots import (
-    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _image, _interval_horner, _isolate_int,
-    _sign_dense_at,
+    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _halve, _image, _interval_horner,
+    _isolate_int, _sign_dense_at,
 )
 from .record import FrozenRecord, Record
 
@@ -153,10 +153,6 @@ def y_relation() -> MPoly:
     return _Y_RELATION
 
 
-# y has the sign of x (1 - x), since v > 0: the locus bound at v = 1
-_Y_SIGN = tuple(bind(_LOCUS_TERMS, power_tables(1, 1, 1, 1)))
-
-
 class _Lazy:
     """Slots filled on first read, by the class's _make_<name> method.
 
@@ -197,12 +193,19 @@ class Equilibrium(_Lazy):
     def __init__(self, x_root: AlgebraicReal, params: ModelParams, *, _point=None):
         self.x_root = x_root
         self.params = params
-        # x < 1 at every fixed point, so the sign of x settles both flags;
-        # the query on x (1 - x) is kept for what it leaves behind: it
-        # narrows a window ending at 0 or 1 before a report prints it
+        # x < 1 at every fixed point, so the sign of x settles both flags
         side = x_root.compare_rational(0)
-        self.is_positive = side > 0 and _sign_dense_at(_Y_SIGN, x_root) > 0
+        self.is_positive = side > 0
         self.in_unit_square = side >= 0
+        if side > 0 and not x_root.is_rational:
+            # kept only for the x_interval a report prints: a positive
+            # root's window is halved until it lies inside (0, 1), or until
+            # a midpoint hits the root
+            a, b, k = x_root._a, x_root._b, x_root._k
+            while a != b and not (a > 0 and b < 1 << k):
+                a, b, k = _halve(x_root._coeffs, x_root._lower_sign(), a, b, k, x_root._hint)
+            if k != x_root._k:
+                x_root._adopt(a, b, k)
         if _point is not None:
             self._point = _point
 

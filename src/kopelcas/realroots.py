@@ -918,6 +918,9 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
     rational x root never isolates the cubic's twin.  Otherwise alpha
     shrinks until the interval image of qi / scale meets just one of the
     isolated y roots candidates(alpha) gives, and a copy of it is the image.
+    Only the candidates that meet the image are stepped: the image, an
+    interval bound over a halved window, and every candidate's window only
+    shrink, so one that misses it never meets a later one.
     """
     if alpha.is_rational:
         num, den = alpha.value.numerator, alpha.value.denominator
@@ -937,7 +940,7 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
                     live.append(cand)
             if len(live) == 1:
                 return live[0]._copy(alpha._mult)
-            roots = [c._step() for c in roots]
+            roots = [c._step() for c in live]
             a, b, k = _halve(coeffs, slo, a, b, k, alpha._hint)
             if a == b:
                 alpha._adopt(a, b, k)

@@ -1,20 +1,37 @@
 """Value records: slotted classes that compare, hash, print and copy by their fields.
 
-A record class lists its fields once, in __slots__.  Record.__init__ takes
-one value per field, positionally and in __slots__ order, and fills each
-slot through the slot's own descriptor.  A class that checks or converts
-its inputs writes its own __init__, which ends in super().__init__ with
-every field in that order.  Record gives equality by value (records of
-other classes never compare equal) and a repr naming every field; a Record
-is mutable and unhashable.  A FrozenRecord hashes its fields and refuses
-assignment and deletion; the slot descriptors bypass that refusal, so only
-__init__ writes its fields.  Both pickle and copy by calling the class on
-their fields in __slots__ order.
+A record class lists its fields once, in __slots__.  When the class is
+made, a field setter is generated from them: a function of one value per
+field, positionally and in __slots__ order, that fills each slot through
+the slot's own descriptor, in one straight line, and raises a TypeError
+naming the class on a wrong field count.  A class that writes no __init__
+takes the setter as its constructor.  A class that checks or converts its
+inputs writes its own __init__, which ends in super().__init__ with every
+field in that order, and Record.__init__ runs the same setter.  Record
+gives equality by value (records of other classes never compare equal)
+and a repr naming every field; a Record is mutable and unhashable.  A
+FrozenRecord hashes its fields and refuses assignment and deletion; the
+slot descriptors bypass that refusal, so only the setter writes its
+fields.  Both pickle and copy by calling the class on their fields in
+__slots__ order.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+
+def _field_setter(cls):
+    """The generated setter of cls's fields, one slot-descriptor __set__ per field."""
+    names = cls.__slots__
+    namespace = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(names)}
+    source = (f"def __init__(self, {', '.join(names)}):\n"
+              + "".join(f"    _set{i}(self, {name})\n" for i, name in enumerate(names)))
+    exec(compile(source, f"<record {cls.__name__}>", "exec"), namespace)
+    setter = namespace["__init__"]
+    # an argument error names the function's qualified name: "ScanCell.__init__()"
+    setter.__qualname__ = f"{cls.__qualname__}.__init__"
+    return setter
 
 
 class Record:
@@ -25,18 +42,12 @@ class Record:
         if cls.__slots__:
             # every record class has at least two fields, so this returns a tuple
             cls._fields = attrgetter(*cls.__slots__)
-            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+            cls._set_fields = _field_setter(cls)
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = cls._set_fields
 
     def __init__(self, *fields):
-        setters = self._setters
-        if len(fields) != len(setters):
-            raise TypeError(f"{type(self).__qualname__} takes {len(setters)} fields, "
-                            f"got {len(fields)}")
-        # a plain counter runs quicker than zip or enumerate; a scan builds one ScanCell a cell
-        i = 0
-        for put in setters:
-            put(self, fields[i])
-            i += 1
+        self._set_fields(*fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -20,7 +20,7 @@ route is judged as a report judges it, by the Jury rule on all three signs.
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The kind's certificates, as one term list with certificate i the
 coefficient of x**i (certificates._KIND_TERMS), and the equilibrium cubic
-are compiled at import.  A scan builds the power tables of its speeds and
+are compiled at import, each stage into straight-line integer code.  A scan builds the power tables of its speeds and
 of each v once.  Each row builds u's table and stages the two once, the
 cubic as one model._Row; each cell finishes each with its v's table alone,
 the cubic as one model._Point, and builds no ModelParams: ScanSpec and the

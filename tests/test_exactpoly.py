@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction as F
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
-    BIND_TOP, _denominator_lcm, _int_divide, _int_gcd, _int_terms, bind, dense_to_mpoly,
-    finish, integer_terms, power_tables, resultant, stage,
+    BIND_TOP, _dense_coeffs, _denominator_lcm, _int_divide, _int_gcd, _int_terms, bind,
+    dense_to_mpoly, finish, integer_terms, power_tables, resultant, stage,
 )
+from kopelcas.certificates import _KIND_CERTIFICATES, _KIND_TERMS
+from kopelcas.model import _CUBIC, _CUBIC_TERMS, _LOCUS, _LOCUS_TERMS
 
 
 def equilibrium_cubic():
@@ -376,6 +379,13 @@ def test_integer_binding_scales_by_the_common_denominator():
     assert bind(terms, tables) == [c * scale for c in exact]
 
 
+def test_binding_the_zero_polynomial_gives_no_coefficients():
+    tables = power_tables(F(2, 3), F(5, 7), F(1, 2), F(1))
+    terms = integer_terms(MPoly.zero())
+    assert bind(terms, tables) == finish(stage(terms, tables), tables[1]) == []
+    assert _dense_coeffs(MPoly.zero(), "x") == []
+
+
 @pytest.mark.parametrize("poly", [X * Y + 1, F(1, 2) * X + 1, U**4 + X])
 def test_integer_binding_rejects_what_it_cannot_bind(poly):
     with pytest.raises(ValueError):
@@ -565,14 +575,24 @@ bindable_polys = st.dictionaries(
 rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
 
 
+# the package's frozen term lists, compiled at import, with their polynomials
+FROZEN_TERMS = [(_CUBIC, _CUBIC_TERMS), (_LOCUS, _LOCUS_TERMS),
+                *((sum(X**i * p for i, p in enumerate(polys)), _KIND_TERMS[kind])
+                  for kind, polys in _KIND_CERTIFICATES.items())]
+# a 40-digit coefficient at every power of u, v, a and b that binding reads
+WIDE_POLY = MPoly({(sum(e) % 4, 0, *e): (-1) ** sum(e) * (10**39 + 7 * sum(e) + e[0])
+                   for e in itertools.product(range(BIND_TOP + 1), repeat=4)})
+WIDE_TERMS = integer_terms(WIDE_POLY)
+
+
 @given(bindable_polys, rationals, rationals, rationals, rationals)
 def test_staged_binding_matches_term_by_term_binding(poly, u, v, a, b):
-    terms = integer_terms(poly)
     up, vp, ap, bp = power_tables(u, v, a, b)
-    # the swapped tables are how the cubic's twin is bound
-    for tables in ((up, vp, ap, bp), (vp, up, ap, bp)):
-        expected = bind_term_by_term(poly, tables)
-        assert finish(stage(terms, tables), tables[1]) == expected
-        assert bind(terms, tables) == expected
-        # staging never reads v's table
-        assert stage(terms, (tables[0], None, ap, bp)) == stage(terms, tables)
+    for form, terms in [*FROZEN_TERMS, (WIDE_POLY, WIDE_TERMS), (poly, integer_terms(poly))]:
+        # the swapped tables are how the cubic's twin is bound
+        for tables in ((up, vp, ap, bp), (vp, up, ap, bp)):
+            expected = bind_term_by_term(form, tables)
+            assert finish(stage(terms, tables), tables[1]) == expected
+            assert bind(terms, tables) == expected
+            # staging never reads v's table
+            assert stage(terms, (tables[0], None, ap, bp)) == stage(terms, tables)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from kopelcas import model, realroots
-from kopelcas.exactpoly import A, B, U, V, X, Y, _exact_div, resultant
+from kopelcas.exactpoly import A, B, U, V, X, Y, _exact_div, bind, power_tables, resultant
 from kopelcas.model import (
-    Equilibrium, ModelParams, State, Trajectory, bound_cubic, bound_stability_polys, e0_stable,
-    equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
+    Equilibrium, ModelParams, State, Trajectory, _LOCUS_TERMS, bound_cubic, bound_stability_polys,
+    e0_stable, equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
     stability_conditions, step, y_relation,
 )
-from kopelcas.realroots import AlgebraicReal, isolate_real_roots, sign_at
+from kopelcas.realroots import AlgebraicReal, _isolate_int, isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
 from test_mirrored_cubic import POOL
 from test_report_digests import POINTS
@@ -368,6 +368,30 @@ def test_windowed_roots_of_a_point_share_one_factor():
         shapes |= {(len(g), len(windows)) for g in factors}
     # both factor shapes occur, and some factor holds more than one window
     assert {(3, 2), (4, 1), (4, 3)} <= shapes
+
+
+def test_positive_roots_narrow_to_the_windows_the_unit_square_query_leaves():
+    # the oracle is the sign query on x (1 - x), the locus bound at v = 1,
+    # that Equilibrium once asked at every positive root for the window it
+    # leaves behind; over the pool every positive root keeps the same window
+    y_sign = tuple(bind(_LOCUS_TERMS, power_tables(1, 1, 1, 1)))
+
+    def window(root):
+        return root.value if root.is_rational else (root._a, root._b, root._k)
+
+    narrowed = 0
+    for point in POOL:
+        params = ModelParams(*point)
+        cubic = model._Point.of(params).cubic
+        for old, new in zip(_isolate_int("x", cubic), _isolate_int("x", cubic)):
+            if old.compare_rational(0) <= 0:
+                continue
+            assert realroots._sign_dense_at(y_sign, old) == 1
+            before = window(new)
+            assert Equilibrium(new, params).is_positive
+            assert window(new) == window(old), point
+            narrowed += window(new) != before
+    assert narrowed > 100
 
 
 def test_report_stability_matches_jury_report():

@@ -1,6 +1,7 @@
 """The record classes behave as values: equality, hash, repr, immutability and copies."""
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction as F
 
@@ -133,7 +134,7 @@ RECORDS = (ModelParams, State, Trajectory, StabilityReport, NamedCertificate, Id
 def test_a_wrong_field_count_is_a_type_error_naming_the_class(cls):
     n = len(cls.__slots__)
     # ModelParams and ScanSpec default their last fields, so n - 1 is a valid call there
-    counts = (0, n + 1) if "__init__" in vars(cls) else (0, n - 1, n + 1)
+    counts = (0, n + 1) if cls.__init__ is not cls._set_fields else (0, n - 1, n + 1)
     for count in counts:
         with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
             cls(*[1] * count)
@@ -142,7 +143,17 @@ def test_a_wrong_field_count_is_a_type_error_naming_the_class(cls):
 def test_only_records_that_check_their_inputs_write_a_constructor():
     classes = {*Record.__subclasses__(), *FrozenRecord.__subclasses__()} - {FrozenRecord}
     assert classes == set(RECORDS)
-    assert {cls for cls in classes if "__init__" in vars(cls)} == {ModelParams, ScanSpec}
+    for cls in classes:
+        setter = cls._set_fields
+        # the setter is generated, one line per field, and is no other class's
+        assert setter.__code__.co_filename == f"<record {cls.__name__}>"
+        assert list(inspect.signature(setter).parameters) == ["self", *cls.__slots__]
+        # a class body writes __init__ only where the inputs are checked;
+        # every other record's constructor is its generated setter
+        written = cls.__init__.__code__.co_filename == inspect.getsourcefile(cls)
+        assert written == (cls in (ModelParams, ScanSpec))
+        assert written == (cls.__init__ is not setter)
+    assert Record.__init__.__code__.co_filename == inspect.getsourcefile(Record)
 
 
 def test_equilibrium_flags_and_y_are_computed_once(monkeypatch):
