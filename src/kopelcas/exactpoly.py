@@ -533,7 +533,7 @@ def _primitive(coeffs) -> tuple[int, ...]:
     """Divide out the content."""
     content = gcd(*coeffs)
     if content > 1:
-        return tuple(c // content for c in coeffs)
+        return tuple([c // content for c in coeffs])
     return tuple(coeffs)
 
 

@@ -24,13 +24,15 @@ and jury_report read that one binding, which one built alone makes on
 first need.  A _Point finishes a _Row, u, a and b bound once, with its own
 v: scan cells share their row's, alone it stages its own.  A scan cell
 counts its positive and stable fixed points on the float brackets that
-exact sign evaluations certify (_Point.counts).  Every other isolation
-takes one route, realroots._isolate_int, over the whole line: a scan cell's
-cubic where the brackets fail, and in equilibria() and the reports the
-whole cubic and its twin.  It bisects from the root bound, counting roots
-against such brackets where they hold and by Sturm sequences where not:
-the windows are nodes of one bisection tree, fixed by the roots alone, so
-the x_interval a report prints is the same either way.  On the locus the
+exact sign evaluations certify, around the cubic's lowest and highest real
+roots only (_Point.counts).  Every other isolation takes one route,
+realroots._isolate_int, over the whole line, with brackets around every
+real root: a scan cell's cubic where the brackets fail, and in equilibria()
+and the reports the whole cubic and its twin.  It bisects from the root
+bound, counting roots against such brackets where they hold and by Sturm
+sequences where not: the windows are nodes of one bisection tree, fixed
+by the roots alone, so the x_interval a report prints is the same either
+way.  On the locus the
 Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
 flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  A point reads the three off its bound
@@ -38,9 +40,11 @@ cubic once, with no condition staged, each as a positive multiple of the
 condition (no primitive part is taken), and the reports share them
 (_Point.conditions).  At a positive root of C the fold has the sign of
 C', which a certified bracket holds; so a scan cell decides a bracketed
-root's stability by the modulus condition alone (_Point._modulus), one
-interval bound and at most one exact sign query.  Reports, and cells whose
-brackets give way, ask all three in one order and judge them by _verdict.
+root's stability by the modulus condition alone.  At a root of C that is
+the quadratic Q of _Point._remainder, since x C' is 3 C less a quadratic:
+one bound from its terms' values at the bracket's ends, and at most one
+exact sign query.  Reports, and cells whose brackets give way, ask all
+three in one order and judge them by _verdict.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -57,8 +61,8 @@ from .exactpoly import (
 )
 from .rational import coerce_rational, format_dyadic, format_rational
 from .realroots import (
-    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _halve, _image, _interval_horner,
-    _isolate_int, _sign_dense_at,
+    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _halve, _image, _isolate_int,
+    _sign_dense_at,
 )
 from .record import FrozenRecord, Record
 
@@ -333,7 +337,7 @@ class _Point(_Lazy):
     being the first at a = b = 1; and locus, y = v x (1 - x) over its
     denominator, bound from the tables.  Reports, e0_stable and the Sturm
     route of a scan cell read the one conditions; a bracketed cell builds
-    only its third, by the same _modulus, once a root has a positive fold.
+    none of them, only the quadratic _remainder, from the same _speed_terms.
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use.  A point lives as long as the fixed
@@ -364,30 +368,41 @@ class _Point(_Lazy):
 
         With a = pa / qa and b = pb / qb, let K = (pa qb + pb qa) scale and
         M = pa pb content: a + b and a b content / scale, both times
-        qa qb scale.  The equilibrium cubic bound here is content / scale
-        times the cubic C, so on the locus the fold a b (C0 + x C0') times
-        qa qb scale is M F for F = C + x C'; the flip is the fold plus
-        2 (2 - a - b), and the modulus a + b less the fold.  So F,
-        M F + 2 (2 qa qb scale - K) and K - M F are positive multiples of
-        the three conditions, and _modulus builds the third.  The trace term
-        vanishes only at a = b = 1, where the second is the first object.
+        qa qb scale (_speed_terms).  The equilibrium cubic bound here is
+        content / scale times the cubic C, so on the locus the fold
+        a b (C0 + x C0') times qa qb scale is M F for F = C + x C'; the flip
+        is the fold plus 2 (2 - a - b), and the modulus a + b less the fold.
+        So F, M F + 2 (2 qa qb scale - K) and K - M F are positive multiples
+        of the three conditions.  The trace term vanishes only at a = b = 1,
+        where the second is the first object.
         """
-        k, modulus = self._modulus()
+        k, m = self._speed_terms()
         fold = tuple(i * c for i, c in enumerate(self.cubic, 1))
+        mf = [m * d for d in fold]
         _, _, ap, bp = self.tables
         trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
-        # the flip is M F, K less the modulus, plus the trace term
-        flip = (k - modulus[0] + trace, *(-d for d in modulus[1:])) if trace else fold
-        return fold, flip, modulus
+        flip = (mf[0] + trace, *mf[1:]) if trace else fold
+        return fold, flip, (k - mf[0], *(-d for d in mf[1:]))
 
-    def _modulus(self) -> tuple:
-        """(K, K - M F) for K, M and F as in _make_conditions: the modulus condition alone."""
+    def _speed_terms(self) -> tuple:
+        """(K, M) of _make_conditions: a + b and a b content / scale, times qa qb scale."""
         _, _, ap, bp = self.tables
         # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
-        k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
-        m = ap[1] * bp[1] * self.content
-        c0, c1, c2, c3 = self.cubic
-        return k, (k - m * c0, -2 * m * c1, -3 * m * c2, -4 * m * c3)
+        return (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale, ap[1] * bp[1] * self.content
+
+    def _remainder(self) -> tuple:
+        """Q = K + M (3 c0 + 2 c1 x + c2 x**2), the modulus test at a root of the cubic.
+
+        The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has x C' = 3 C less
+        3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition K - M F of
+        _make_conditions plus 4 M C: the two agree at every root of C, where
+        both are a positive multiple of s - Phi, with s = 1/a + 1/b and
+        Phi = x C' (ROADMAP item 12).  So gcd(Q, C) is gcd(K - M F, C).  Its
+        lead M c2 is never 0, since c2 is -2 u v**2 over a positive factor.
+        """
+        k, m = self._speed_terms()
+        c0, c1, c2, _ = self.cubic
+        return k + 3 * m * c0, 2 * m * c1, m * c2
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -403,36 +418,41 @@ class _Point(_Lazy):
         stable when C' and the modulus condition (the third of conditions,
         the one a report asks) are positive there, for the equilibrium cubic
         C (see the module docstring): at a root of C the fold has the sign
-        of C', and a positive fold makes the flip positive.  The certified
-        brackets (realroots._cubic_brackets) with a nonnegative lower end
-        are C's positive roots, simple, C' having the sign of -slo; the
-        modulus condition's sign on one (built alone, by _modulus) is an
-        interval Horner bound, or an exact query where that does not settle.
-        Where the brackets fail or one reaches across 0, the whole-line
-        roots above 0 are kept and each is judged as a report judges it, by
-        _verdict on all three signs.
+        of C', and a positive fold makes the flip positive.  C's lead is
+        positive, so C' > 0 at its lowest and highest real roots and C' < 0
+        at the middle one of three, which is never stable.
+
+        With disc < 0 and C(0) > 0 the one real root lies below 0: no fixed
+        point is positive.  Otherwise the cubic's outer roots are bracketed
+        (realroots._cubic_brackets with outer set): one bracket when disc <
+        0, two when disc > 0.  Each with lower sign -1 holds a root where C
+        rises, and two of them leave the middle root between them, so a
+        lowest bracket starting at 0 or above puts every root above 0.  A
+        bracketed root is stable when Q (_remainder), which is the modulus
+        condition there, is positive: its bound over the bracket
+        (_quadratic_bounds), or an exact query where that straddles 0.  Any
+        other case (disc = 0, C(0) = 0, failed brackets, another sign
+        pattern, or a lowest bracket reaching below 0) keeps the whole-line
+        roots above 0 and judges each as a report does, by _verdict on all
+        three signs.
         """
         cubic = self.cubic
-        brackets = _cubic_brackets(cubic, _cubic_discriminant(cubic))
-        inside = []
-        for (a, b, k), slo in brackets or ():
-            if a < 0 < b:
-                brackets = None
-                break
-            if a >= 0:
-                inside.append((a, b, k, slo))
-        if brackets is not None:
-            stable, modulus = 0, None
-            for a, b, k, slo in inside:
-                if slo < 0:
-                    if modulus is None:
-                        modulus = self._modulus()[1]
-                    low, high = _interval_horner(modulus, a, b, k)
-                    if low <= 0 <= high:
-                        root = AlgebraicReal._from_window("x", cubic, a, b, k, 1, slo)
-                        low = _sign_dense_at(modulus, root)
-                    stable += low > 0
-            return len(inside), stable
+        c0 = cubic[0]
+        disc = _cubic_discriminant(cubic)
+        if disc < 0 < c0:
+            return 0, 0
+        brackets = c0 and _cubic_brackets(cubic, disc, outer=True)
+        if brackets and brackets[0][1] < 0 and brackets[-1][1] < 0 and brackets[0][0][0] >= 0:
+            q = self._remainder()
+            stable = 0
+            for (a, b, k), _ in brackets:
+                low, high = _quadratic_bounds(q, a, b, k)
+                if low <= 0 <= high:
+                    root = AlgebraicReal._from_window("x", cubic, a, b, k, 1, -1)
+                    low = _sign_dense_at(q, root)
+                stable += low > 0
+            # one real root, or three with the middle one between the brackets
+            return 2 * len(brackets) - 1, stable
         roots = [r for r in _isolate_int("x", cubic) if r.compare_rational(0) > 0]
         return len(roots), sum(_verdict(self.signs(r)) == "stable" for r in roots)
 
@@ -499,6 +519,23 @@ class _Point(_Lazy):
         d1, d2, d3 = self.conditions
         s1 = _sign_dense_at(d1, root)
         return s1, (s1 if d2 is d1 else _sign_dense_at(d2, root)), _sign_dense_at(d3, root)
+
+
+def _quadratic_bounds(q, a: int, b: int, k: int) -> tuple[int, int]:
+    """Bounds of 2**(2k) q(x) over x in [a / 2**k, b / 2**k], for 0 <= a <= b.
+
+    x and x**2 both rise there, so each term of the quadratic q takes its
+    extremes at the two ends, and no interval Horner loop runs.
+    """
+    q0, q1, q2 = q
+    lo1, hi1 = q1 * a << k, q1 * b << k
+    lo2, hi2 = q2 * a * a, q2 * b * b
+    if q1 < 0:
+        lo1, hi1 = hi1, lo1
+    if q2 < 0:
+        lo2, hi2 = hi2, lo2
+    q0 <<= 2 * k
+    return q0 + lo1 + lo2, q0 + hi1 + hi2
 
 
 def _verdict(signs: tuple) -> str:

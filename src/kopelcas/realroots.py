@@ -32,13 +32,13 @@ the edges (MPoly input, rational roots, lo/hi).  Floats propose in one
 place only, and exact sign evaluations certify: a cubic's real roots
 (_cubic_brackets), where closed-form float roots, unpolished, propose one
 narrow dyadic bracket per real root, and the signs at the bracket ends
-certify them, or give way to Sturm isolation.  Scan cells count those
-above 0, rational roots left unsnapped (model._Point.counts); isolation
-(_isolate_int) counts roots against them and keeps each as its root's
-hint.  The nearest double to a root (approx) is one exact Newton point,
-rounded once; signs at the midpoints to its neighbours certify it, or
-bisection finds it, so it is the correctly rounded root and no decision
-reads it.
+certify them, or give way to Sturm isolation.  Scan cells ask for the
+lowest and highest roots' brackets only and count from them, rational
+roots left unsnapped (model._Point.counts); isolation (_isolate_int)
+counts roots against all of them and keeps each as its root's hint.  The
+nearest double to a root (approx) is one exact Newton point, rounded
+once; signs at the midpoints to its neighbours certify it, or bisection
+finds it, so it is the correctly rounded root and no decision reads it.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ def _cubic_discriminant(c) -> int:
             - 4 * d3 * d1**3 - 27 * d3 * d3 * d0 * d0)
 
 
-def _cubic_brackets(coeffs, disc: int) -> list | None:
+def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
     """Certified brackets ((a, b, k), slo) around every real root of a cubic, or None.
 
     coeffs are a cubic's ascending integer coefficients and disc its
@@ -357,6 +357,13 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
     Anything else gives None and never an exception: disc zero, a float
     overflow, zero division or NaN, a seed count other than the real-root
     count, a bracket with no sign change, or two that meet.
+
+    With outer set and disc > 0 only the lowest and highest seeds are
+    bracketed, each as the full call brackets it, so where the full call
+    gives brackets these are its first and last.  Two disjoint brackets,
+    each with a sign change, hold one root apiece, as three in one would
+    make four; the caller places the third from their slo
+    (model._Point.counts).
 
     The code is float Horner and _eval_dyadic written out for degree 3, with
     the same float operations in the same order: the monic lead is 1.0, so
@@ -373,9 +380,12 @@ def _cubic_brackets(coeffs, disc: int) -> list | None:
         seeds = _cubic_seeds((1.0, c2, c1, c0), disc > 0)
         if len(seeds) != (3 if disc > 0 else 1):
             return None
+        seeds = sorted(seeds)  # a wrong float order fails the exact check below
+        if outer:
+            del seeds[1:-1]
         a2, a1, a0 = abs(c2), abs(c1), abs(c0)
         brackets = []
-        for x in sorted(seeds):  # a wrong float order fails the exact check below
+        for x in seeds:
             f1 = x + c2
             f2 = f1 * x + c1
             ax = abs(x)

@@ -8,25 +8,30 @@ emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
 one of the routes, never a rounding artifact.  Enumeration counts on
 float-proposed brackets that exact sign evaluations certify, and builds a
-Sturm chain only where they fail or one spans 0 (model._Point.counts).
-A bracket also holds the sign of the fold condition at its root, so a
-bracketed root's stability takes the modulus condition's sign alone, asked
-only after a positive fold.  That is the report's own modulus condition, a
-positive multiple read off the cubic and built alone (_Point._modulus):
-one interval bound over the narrow bracket mostly settles it, and only
-where that does not is an exact sign query asked.  A root of the Sturm
+Sturm chain only where they fail or the lowest reaches below 0
+(model._Point.counts).  A cell whose cubic C has one real root (disc < 0)
+and C(0) > 0 has that root below 0, so it counts none and asks for no
+bracket.  Otherwise only the lowest and highest real roots are
+bracketed: C rises through both, and the middle one of three, which lies
+between their brackets, is never stable.  A bracket holds the sign of the
+fold condition at its root, so a bracketed root's stability takes the
+modulus condition's sign alone.  At a root of C that is the sign of a
+quadratic (model._Point._remainder): one bound from its terms' values at
+the narrow bracket's ends mostly settles it, and only where that does not
+is an exact sign query asked.  A root of the Sturm
 route is judged as a report judges it, by the Jury rule on all three signs.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The kind's certificates, as one term list with certificate i the
 coefficient of x**i (certificates._KIND_TERMS), and the equilibrium cubic
-are compiled at import, each stage into straight-line integer code.  A scan builds the power tables of its speeds and
-of each v once.  Each row builds u's table and stages the two once, the
-cubic as one model._Row; each cell finishes each with its v's table alone,
-the cubic as one model._Point, and builds no ModelParams: ScanSpec and the
-kind's speed rule are the only checks its parameters get.  The finished
-coefficients are the certificate values, all over a single positive
-denominator, and the class comes from their signs.  near_boundary is true
+are compiled at import, each stage into straight-line integer code.  A
+scan builds the power tables of its speeds and of each v once.  Each row
+builds u's table and stages the two once, the cubic as one model._Row;
+each cell finishes each with its v's table alone, the cubic as one
+model._Point, and builds no ModelParams: ScanSpec and the kind's speed
+rule are the only checks its parameters get.  The finished coefficients
+are the certificate values, all over a single positive denominator, and
+the class comes from their signs.  near_boundary is true
 when the cell lies on a certificate's zero set: one of those integers is
 0, a report column only that exempts no cell from the agreement check.
 
@@ -93,8 +98,11 @@ def grid_points(lo, hi, resolution: int) -> list:
     """resolution exact rationals from lo to hi inclusive, evenly spaced."""
     lo = coerce_rational(lo)
     hi = coerce_rational(hi)
-    span = hi - lo
-    return [lo + Fraction(k, resolution - 1) * span for k in range(resolution)]
+    # lo + k (hi - lo) / n = (p s n + k (r q - p s)) / (q s n) for lo = p/q, hi = r/s
+    n = resolution - 1
+    start, den = lo.numerator * hi.denominator, lo.denominator * hi.denominator
+    step = hi.numerator * lo.denominator - start
+    return [Fraction(start * n + k * step, den * n) for k in range(resolution)]
 
 
 def scan(kind: str, spec: ScanSpec) -> ScanGrid:
@@ -164,10 +172,12 @@ def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
     """Serialize deterministically; identical grids emit identical bytes.
 
     A CSV row is joined from texts made once per grid: "p/q,float" per
-    distinct coordinate value, keyed by (numerator, denominator) since a
-    Fraction's hash takes a modular inverse, and the verdict columns per
-    distinct tuple of their values.  A grid has a few hundred coordinate
-    values and a few dozen verdicts, so a cell formats nothing itself.
+    coordinate object, keyed by its id, and the verdict columns per
+    distinct tuple of their values.  A scan's cells share their row's u and
+    their column's v, and the grid keeps every object alive, so no id is
+    reused; a Fraction's own hash would take a modular inverse.  A grid has
+    a few hundred coordinate objects and a few dozen verdicts, so a cell
+    formats nothing itself.
     JSON writes each cell's values (_cell_values).
     """
     coords = ("u", "v", "a") if grid.kind == "homogeneous" else ("u", "v")
@@ -179,11 +189,10 @@ def emit_grid(grid: ScanGrid, fmt: str = "csv", path=None) -> str:
         for cell in grid.cells:
             parts = []
             for q in coord_values(cell):
-                key = q.numerator, q.denominator
-                text = coord_text.get(key)
+                text = coord_text.get(id(q))
                 if text is None:
                     fields = format_rational(q), float(q)
-                    text = coord_text[key] = ",".join(map(_csv_field, fields))
+                    text = coord_text[id(q)] = ",".join(map(_csv_field, fields))
                 parts.append(text)
             key = verdict_values(cell)
             text = verdict_text.get(key)

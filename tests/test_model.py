@@ -608,7 +608,9 @@ class TestScanStabilityRule:
     (0, 1) the fold has the sign of C' there, which a certified bracket
     already holds, and with a, b <= 1 a positive fold makes the flip
     positive.  So _Point.counts asks at most the modulus, and there the
-    modulus is a + b - a b x C', read from the cubic alone.
+    modulus is a + b - a b x C', which at a root of C is the quadratic
+    Q = K + M (3 c0 + 2 c1 x + c2 x**2), since x C' = 3 C less
+    3 c0 + 2 c1 x + c2 x**2.
     """
 
     FIG2 = (F(5, 2), F(5))
@@ -625,15 +627,51 @@ class TestScanStabilityRule:
         cd1, _, cd3 = model._CD_ON_LOCUS
         assert cd1 + cd3 == A + B
 
+    def test_the_slope_term_is_three_cubics_less_a_quadratic(self):
+        # x C' + (3 c0 + 2 c1 x + c2 x**2) = 3 C, on the cubic's x-coefficients in u and v
+        cubic = model._CUBIC
+        c0, c1, c2, _ = (cubic.coefficient_of("x", i) for i in range(4))
+        assert X * cubic.derivative("x") + (3 * c0 + 2 * c1 * X + c2 * X**2) == 3 * cubic
+
+    def test_the_remainder_is_the_modulus_plus_four_cubics(self):
+        # Q = (K - M F) + 4 M C on the bound integers, at unequal speeds and at full speed
+        for params in (ModelParams(4, 4, F(1, 2), F(3, 4)), ModelParams(F(13, 4), F(13, 4))):
+            point = model._Point.of(params)
+            _, m = point._speed_terms()
+            modulus = point.conditions[2]
+            q = point._remainder()
+            four_c = [4 * m * c for c in point.cubic]
+            assert [d + e for d, e in zip(modulus, four_c)] == [*q, 0]
+
     def test_a_scan_asks_at_most_one_sign_per_positive_root(self, monkeypatch):
-        # an interval bound on a bracket, or an exact query where that does
-        # not settle or the brackets fail: at most one of them per root
-        asked = []
-        for name in ("_interval_horner", "_sign_dense_at"):
-            real = getattr(model, name)
-            monkeypatch.setattr(model, name,
-                                lambda *args, real=real: asked.append(args) or real(*args))
+        # a bound of Q over a bracket whose root has C' > 0, and an exact
+        # query only where that bound straddles 0: the middle one of three
+        # roots asks nothing, so the bounds are at most the positive roots
+        straddles, exact = [], []
+        real_bounds, real_sign = model._quadratic_bounds, model._sign_dense_at
+
+        def bound(*args):
+            low, high = real_bounds(*args)
+            straddles.append(low <= 0 <= high)
+            return low, high
+
+        monkeypatch.setattr(model, "_quadratic_bounds", bound)
+        monkeypatch.setattr(model, "_sign_dense_at", lambda *args: exact.append(args)
+                            or real_sign(*args))
         grid = scan("homogeneous", ScanSpec(self.FIG2, self.FIG2, 10, a_value=F(1, 2)))
         assert not grid.disagreements()
         positive = sum(cell.numeric_positive for cell in grid.cells)
-        assert 0 < len(asked) <= positive
+        assert 0 < len(straddles) <= positive
+        assert len(exact) == sum(straddles)
+
+    def test_a_wrong_remainder_makes_a_scan_disagree(self, monkeypatch):
+        # Q's constant term at 2 c0 in place of 3 c0: the certificates catch it
+        def planted(point):
+            k, m = point._speed_terms()
+            c0, c1, c2, _ = point.cubic
+            return k + 2 * m * c0, 2 * m * c1, m * c2
+
+        spec = ScanSpec(self.FIG2, self.FIG2, 20)
+        assert not scan("stable", spec).disagreements()
+        monkeypatch.setattr(model._Point, "_remainder", planted)
+        assert scan("stable", spec).disagreements()

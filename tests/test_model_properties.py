@@ -140,10 +140,22 @@ def _report_counts(params) -> tuple:
 
 
 def _fallback_counts(point) -> tuple:
-    """point.counts() as a scan cell takes them when its brackets fail."""
+    """point.counts() as a scan cell takes them when its brackets fail.
+
+    Every cell then isolates its whole cubic, and this checks that it did,
+    but for one whose signs alone put its one real root below 0 (disc < 0
+    and C(0) > 0), which asks for no bracket and isolates nothing.
+    """
+    calls = []
+    isolate = model._isolate_int
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_cubic_brackets", lambda coeffs, disc: None)
-        return point.counts()
+        patch.setattr(model, "_cubic_brackets", lambda *args, **kwargs: None)
+        patch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
+        answer = point.counts()
+    cubic = point.cubic
+    settled = _cubic_discriminant(cubic) < 0 < cubic[0]
+    assert len(calls) == (not settled)
+    return answer
 
 
 @given(intensities, intensities, speed_pairs)
@@ -279,6 +291,17 @@ def test_scan_stability_is_the_jury_verdict(u, v, ab):
     point = _Point.of(params)
     assume(_unit_brackets(point) is not None)
     assert point.counts() == _report_counts(params)
+
+
+@given(intensities, intensities, speed_pairs)
+def test_the_remainder_has_the_modulus_sign_where_the_fold_is_positive(u, v, ab):
+    # Q = K + M (3 c0 + 2 c1 x + c2 x**2) is the modulus condition plus 4 M C
+    point = _Point.of(ModelParams(u, v, *ab))
+    roots = [r for r in _unit_brackets(point) or () if r._lower_sign() < 0]
+    assume(roots)
+    q = point._remainder()
+    for r in roots:
+        assert _sign_dense_at(q, r) == _sign_dense_at(point.conditions[2], r)
 
 
 @given(intensities, intensities, speed_pairs)

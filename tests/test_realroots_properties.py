@@ -382,10 +382,17 @@ drawn_cubics = st.one_of(generic_cubics, close_cubics, shifted_close_cubics, pla
 
 
 def _sturm_route(coeffs):
-    """_isolate_int with the certified brackets refused, so Sturm chains count."""
+    """_isolate_int with the certified brackets refused, so Sturm chains count.
+
+    A cubic with disc != 0 asks for its brackets once, and this checks that
+    it was refused them.
+    """
+    asked = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(realroots, "_cubic_brackets", lambda coeffs, disc: None)
-        return _isolate_int("x", coeffs)
+        mp.setattr(realroots, "_cubic_brackets", lambda *args, **kwargs: asked.append(args))
+        roots = _isolate_int("x", coeffs)
+    assert len(asked) == (_cubic_discriminant(coeffs) != 0)
+    return roots
 
 
 @given(drawn_cubics)
@@ -461,6 +468,22 @@ def test_the_bracket_kernel_matches_the_generic_loops(coeffs, at, scale, disc):
     if disc is None:
         disc = _cubic_discriminant(coeffs)
     assert _cubic_brackets(coeffs, disc) == _generic_brackets(coeffs, disc)
+
+
+@settings(max_examples=400)
+@given(st.one_of(drawn_cubics, shifted_close_cubics), st.integers(0, 3),
+       st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]))
+def test_the_outer_brackets_are_the_first_and_last(coeffs, at, scale, disc):
+    # the strategies of the kernel's bit-for-bit test above
+    coeffs = tuple(c * scale if i == at else c for i, c in enumerate(coeffs))
+    if disc is None:
+        disc = _cubic_discriminant(coeffs)
+    full = _cubic_brackets(coeffs, disc)
+    outer = _cubic_brackets(coeffs, disc, outer=True)
+    if disc <= 0:
+        assert outer == full
+    elif full is not None:
+        assert outer == [full[0], full[-1]]
 
 
 def _has_no_rational_root(coeffs, nums, dens) -> bool:
