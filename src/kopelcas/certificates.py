@@ -229,9 +229,9 @@ def _classify_values(kind: str, u, v, values):
     """The class at (u, v) from the signs of _certificate_values(kind, ...)."""
     if kind == "count":
         disc, threshold = values
-        if u == 3 and v == 3:
-            return EquilibriumCountClass.ONE_POSITIVE_TRIPLE
-        if disc == 0:
+        if disc == 0:  # the triple point (3, 3) is on it
+            if u == 3 and v == 3:
+                return EquilibriumCountClass.ONE_POSITIVE_TRIPLE
             return EquilibriumCountClass.TWO_POSITIVE_BOUNDARY
         if disc > 0:
             return EquilibriumCountClass.THREE_POSITIVE

@@ -22,17 +22,19 @@ fixed point holds its ModelParams and a _Point, that point bound once on
 integers; those of one equilibria() call share it, and equilibrium_report
 and jury_report read that one binding, which one built alone makes on
 first need.  A _Point finishes a _Row, u, a and b bound once, with its own
-v: scan cells share their row's, alone it stages its own.  A scan cell
-counts its positive and stable fixed points on the float brackets that
-exact sign evaluations certify, around the cubic's lowest and highest real
-roots only (_Point.counts).  Every other isolation takes one route,
-realroots._isolate_int, over the whole line, with brackets around every
-real root: a scan cell's cubic where the brackets fail, and in equilibria()
-and the reports the whole cubic and its twin.  It bisects from the root
-bound, counting roots against such brackets where they hold and by Sturm
-sequences where not: the windows are nodes of one bisection tree, fixed
-by the roots alone, so the x_interval a report prints is the same either
-way.  On the locus the
+v: alone it stages its own row.  A scan cell builds no _Point unless its
+brackets give way: it finishes its row's cubic itself (_Row.finish) and
+counts its positive and stable fixed points on the integers alone, by the
+one bracket rule that _Point.counts calls too (_bracket_counts), on the
+float brackets that exact sign evaluations certify, around the cubic's
+lowest and highest real roots only.  Every other isolation takes one
+route, realroots._isolate_int, over the whole line, with brackets around
+every real root: a scan cell's cubic where the brackets fail
+(_Point.line_counts), and in equilibria() and the reports the whole cubic
+and its twin.  It bisects from the root bound, counting roots against such
+brackets where they hold and by Sturm sequences where not: the windows are
+nodes of one bisection tree, fixed by the roots alone, so the x_interval a
+report prints is the same either way.  On the locus the
 Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
 flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  A point reads the three off its bound
@@ -41,7 +43,7 @@ condition (no primitive part is taken), and the reports share them
 (_Point.conditions).  At a positive root of C the fold has the sign of
 C', which a certified bracket holds; so a scan cell decides a bracketed
 root's stability by the modulus condition alone.  At a root of C that is
-the quadratic Q of _Point._remainder, since x C' is 3 C less a quadratic:
+the quadratic Q of _remainder, since x C' is 3 C less a quadratic:
 one bound from its terms' values at the bracket's ends, and at most one
 exact sign query.  Reports, and cells whose brackets give way, ask all
 three in one order and judge them by _verdict.
@@ -306,55 +308,71 @@ class _Row:
     tables are the power tables of (u, v, a, b) with v's left open (None),
     and scale is their common denominator without v's.  cubic is the
     equilibrium cubic staged from them (exactpoly.stage), the one form a row
-    stages: every point finishes it with its own v's table and reads its
-    stability conditions off the finished cubic (_Point).  A scan row holds
-    one for its cells.
+    stages: every point finishes it with its own v's table (finish) and
+    reads its stability conditions off the finished cubic (_Point).  k and
+    m are the speed factors of _Point._speed_terms: a point with v's table
+    vp and content c has K = k vp[0] and M = m c.  A scan row holds one for
+    its cells.
     """
 
-    __slots__ = ("tables", "scale", "cubic")
+    __slots__ = ("tables", "scale", "cubic", "k", "m")
 
     def __init__(self, up, ap, bp):
         self.tables = (up, None, ap, bp)
         self.scale = up[0] * ap[0] * bp[0]
         self.cubic = stage(_CUBIC_TERMS, self.tables)
+        # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
+        self.k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
+        self.m = ap[1] * bp[1]
+
+    def finish(self, vp) -> tuple:
+        """(cubic, content) at v's table vp: the primitive cubic and the integer divided out.
+
+        The cubic's lead u v**2 is never zero, so the content is the
+        finished lead over the primitive one.
+        """
+        dense = finish(self.cubic, vp)
+        cubic = _primitive(dense)
+        return cubic, dense[-1] // cubic[-1]
 
 
 class _Point(_Lazy):
     """One parameter point, bound once on integers, and what its fixed points share.
 
-    It is bound from the _Row of u, a and b and from vp, v's power table: a
-    scan cell shares its row's, and a point alone (of) stages its own.  It
-    holds no ModelParams; ModelParams or ScanSpec checked its parameters.
-    tables are the power tables of (u, v, a, b), and every value bound from them is
+    It is bound from row, the _Row of u, a and b, and from vp, v's power
+    table: a point alone (of) stages its own row, and a scan builds one only
+    for a cell whose brackets give way, from the cell's row.  It holds no
+    ModelParams; ModelParams or ScanSpec checked its parameters.  tables are
+    the power tables of (u, v, a, b), and every value bound from them is
     the exact one times scale, their common denominator.  cubic, the
     equilibrium cubic's primitive integer x-coefficients (see bound_cubic),
-    whose lead is positive, is finished from the row with v's table at once,
-    since every point reads it, and content is the positive integer divided
-    out of it: scale times the cubic is content times cubic.  On first read,
-    as plain slots with no lock (_Lazy): conditions, the fold, flip and
-    modulus conditions of bound_stability_polys as positive multiples, not
-    primitive parts, read off the cubic with no term list staged, the second
-    being the first at a = b = 1; and locus, y = v x (1 - x) over its
-    denominator, bound from the tables.  Reports, e0_stable and the Sturm
-    route of a scan cell read the one conditions; a bracketed cell builds
-    none of them, only the quadratic _remainder, from the same _speed_terms.
+    whose lead is positive, is finished from the row with v's table at once
+    (_Row.finish), since every point reads it, and content is the positive
+    integer divided out of it: scale times the cubic is content times
+    cubic.  On first read, as plain slots with no lock (_Lazy): conditions,
+    the fold, flip and modulus conditions of bound_stability_polys as
+    positive multiples, not primitive parts, read off the cubic with no
+    term list staged, the second being the first at a = b = 1; and locus,
+    y = v x (1 - x) over its denominator, bound from the tables.  Reports, e0_stable and the
+    whole-line route of counts read the one conditions; the bracket rule
+    builds none of them, only the quadratic _remainder, from the same
+    speed terms (_speed_terms, the row's factors times this point's).
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use.  A point lives as long as the fixed
     points that hold it.
     """
 
-    __slots__ = ("v", "tables", "scale", "cubic", "content", "conditions", "locus", "_y_roots")
+    __slots__ = ("v", "row", "tables", "scale", "cubic", "content", "conditions", "locus",
+                 "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
         self.v = v
+        self.row = row
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
         self.scale = row.scale * vp[0]
-        # the lead u v**2 is never zero
-        dense = finish(row.cubic, vp)
-        self.cubic = _primitive(dense)
-        self.content = dense[-1] // self.cubic[-1]
+        self.cubic, self.content = row.finish(vp)
         self._y_roots = None
 
     @classmethod
@@ -386,23 +404,11 @@ class _Point(_Lazy):
 
     def _speed_terms(self) -> tuple:
         """(K, M) of _make_conditions: a + b and a b content / scale, times qa qb scale."""
-        _, _, ap, bp = self.tables
-        # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
-        return (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale, ap[1] * bp[1] * self.content
+        return self.row.k * self.tables[1][0], self.row.m * self.content
 
     def _remainder(self) -> tuple:
-        """Q = K + M (3 c0 + 2 c1 x + c2 x**2), the modulus test at a root of the cubic.
-
-        The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has x C' = 3 C less
-        3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition K - M F of
-        _make_conditions plus 4 M C: the two agree at every root of C, where
-        both are a positive multiple of s - Phi, with s = 1/a + 1/b and
-        Phi = x C' (ROADMAP item 12).  So gcd(Q, C) is gcd(K - M F, C).  Its
-        lead M c2 is never 0, since c2 is -2 u v**2 over a positive factor.
-        """
-        k, m = self._speed_terms()
-        c0, c1, c2, _ = self.cubic
-        return k + 3 * m * c0, 2 * m * c1, m * c2
+        """Q of the module-level _remainder, at this point's cubic and speed terms."""
+        return _remainder(self.cubic, *self._speed_terms())
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -414,46 +420,20 @@ class _Point(_Lazy):
         """(positive, stable): the positive fixed points here, and how many are stable.
 
         A fixed point is positive when x > 0, counted once whatever its
-        multiplicity (every root of C is below 1, see Equilibrium), and
-        stable when C' and the modulus condition (the third of conditions,
-        the one a report asks) are positive there, for the equilibrium cubic
-        C (see the module docstring): at a root of C the fold has the sign
-        of C', and a positive fold makes the flip positive.  C's lead is
-        positive, so C' > 0 at its lowest and highest real roots and C' < 0
-        at the middle one of three, which is never stable.
-
-        With disc < 0 and C(0) > 0 the one real root lies below 0: no fixed
-        point is positive.  Otherwise the cubic's outer roots are bracketed
-        (realroots._cubic_brackets with outer set): one bracket when disc <
-        0, two when disc > 0.  Each with lower sign -1 holds a root where C
-        rises, and two of them leave the middle root between them, so a
-        lowest bracket starting at 0 or above puts every root above 0.  A
-        bracketed root is stable when Q (_remainder), which is the modulus
-        condition there, is positive: its bound over the bracket
-        (_quadratic_bounds), or an exact query where that straddles 0.  Any
-        other case (disc = 0, C(0) = 0, failed brackets, another sign
-        pattern, or a lowest bracket reaching below 0) keeps the whole-line
-        roots above 0 and judges each as a report does, by _verdict on all
-        three signs.
+        multiplicity (every root of C is below 1, see Equilibrium).  The
+        bracket rule (_bracket_counts) settles most points; where it gives
+        way, the whole-line route does (line_counts).  A scan cell calls the
+        same two, but builds its _Point only for the second.
         """
-        cubic = self.cubic
-        c0 = cubic[0]
-        disc = _cubic_discriminant(cubic)
-        if disc < 0 < c0:
-            return 0, 0
-        brackets = c0 and _cubic_brackets(cubic, disc, outer=True)
-        if brackets and brackets[0][1] < 0 and brackets[-1][1] < 0 and brackets[0][0][0] >= 0:
-            q = self._remainder()
-            stable = 0
-            for (a, b, k), _ in brackets:
-                low, high = _quadratic_bounds(q, a, b, k)
-                if low <= 0 <= high:
-                    root = AlgebraicReal._from_window("x", cubic, a, b, k, 1, -1)
-                    low = _sign_dense_at(q, root)
-                stable += low > 0
-            # one real root, or three with the middle one between the brackets
-            return 2 * len(brackets) - 1, stable
-        roots = [r for r in _isolate_int("x", cubic) if r.compare_rational(0) > 0]
+        return _bracket_counts(self.cubic, *self._speed_terms()) or self.line_counts()
+
+    def line_counts(self) -> tuple:
+        """counts() from the whole-line roots above 0, each judged as a report judges it.
+
+        Every real root is isolated (realroots._isolate_int), and each above
+        0 is stable when _verdict on all three of its signs says so.
+        """
+        roots = [r for r in _isolate_int("x", self.cubic) if r.compare_rational(0) > 0]
         return len(roots), sum(_verdict(self.signs(r)) == "stable" for r in roots)
 
     def equilibria(self, params: ModelParams) -> list:
@@ -519,6 +499,66 @@ class _Point(_Lazy):
         d1, d2, d3 = self.conditions
         s1 = _sign_dense_at(d1, root)
         return s1, (s1 if d2 is d1 else _sign_dense_at(d2, root)), _sign_dense_at(d3, root)
+
+
+def _remainder(cubic, k: int, m: int) -> tuple:
+    """Q = K + M (3 c0 + 2 c1 x + c2 x**2), the modulus test at a root of the cubic.
+
+    cubic is a point's primitive cubic and k, m its speed terms K and M
+    (_Point._speed_terms).  The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has
+    x C' = 3 C less 3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition
+    K - M F of _Point._make_conditions plus 4 M C: the two agree at every
+    root of C, where both are a positive multiple of s - Phi, with
+    s = 1/a + 1/b and Phi = x C' (ROADMAP item 12).  So gcd(Q, C) is
+    gcd(K - M F, C).  Its lead M c2 is never 0, since c2 is -2 u v**2 over a
+    positive factor.
+    """
+    c0, c1, c2, _ = cubic
+    return k + 3 * m * c0, 2 * m * c1, m * c2
+
+
+def _bracket_counts(cubic, k: int, m: int) -> tuple | None:
+    """(positive, stable) of _Point.counts from the cubic's certified brackets, or None.
+
+    cubic, k and m are a point's primitive cubic C and speed terms, as for
+    _remainder.  A fixed point is stable when C' and the modulus condition
+    (the third of _Point.conditions, the one a report asks) are positive
+    there (see the module docstring): at a root of C the fold has the sign
+    of C', and a positive fold makes the flip positive.  C's lead is
+    positive, so C' > 0 at its lowest and highest real roots and C' < 0 at
+    the middle one of three, which is never stable.
+
+    With disc < 0 the cubic has one real root.  It lies below 0 when
+    C(0) > 0, and it is 0 itself when C(0) = 0 (u v = 1, where C is x times
+    a quadratic with discriminant -4 u**2 v**3 over a positive factor): no
+    fixed point is positive.  Otherwise the cubic's outer roots are
+    bracketed (realroots._cubic_brackets with outer set): one bracket when
+    disc < 0, two when disc > 0.  Each with lower sign -1 holds a root
+    where C rises, and two of them leave the middle root between them, so a
+    lowest bracket starting at 0 or above puts every root above 0.  A
+    bracketed root is stable when Q (_remainder), which is the modulus
+    condition there, is positive: its bound over the bracket
+    (_quadratic_bounds), or an exact query where that straddles 0.  Any
+    other case (disc = 0, failed brackets, another sign pattern, or a
+    lowest bracket reaching below 0) gives None, for the whole-line route
+    (_Point.line_counts).
+    """
+    disc = _cubic_discriminant(cubic)
+    if disc < 0 <= cubic[0]:
+        return 0, 0
+    brackets = _cubic_brackets(cubic, disc, outer=True)
+    if not brackets or brackets[0][1] > 0 or brackets[-1][1] > 0 or brackets[0][0][0] < 0:
+        return None
+    q = _remainder(cubic, k, m)
+    stable = 0
+    for (a, b, j), _ in brackets:
+        low, high = _quadratic_bounds(q, a, b, j)
+        if low <= 0 <= high:
+            root = AlgebraicReal._from_window("x", cubic, a, b, j, 1, -1)
+            low = _sign_dense_at(q, root)
+        stable += low > 0
+    # one real root, or three with the middle one between the brackets
+    return 2 * len(brackets) - 1, stable
 
 
 def _quadratic_bounds(q, a: int, b: int, k: int) -> tuple[int, int]:

@@ -34,7 +34,7 @@ place only, and exact sign evaluations certify: a cubic's real roots
 narrow dyadic bracket per real root, and the signs at the bracket ends
 certify them, or give way to Sturm isolation.  Scan cells ask for the
 lowest and highest roots' brackets only and count from them, rational
-roots left unsnapped (model._Point.counts); isolation (_isolate_int)
+roots left unsnapped (model._bracket_counts); isolation (_isolate_int)
 counts roots against all of them and keeps each as its root's hint.  The
 nearest double to a root (approx) is one exact Newton point, rounded
 once; signs at the midpoints to its neighbours certify it, or bisection
@@ -363,7 +363,7 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
     gives brackets these are its first and last.  Two disjoint brackets,
     each with a sign change, hold one root apiece, as three in one would
     make four; the caller places the third from their slo
-    (model._Point.counts).
+    (model._bracket_counts).
 
     The code is float Horner and _eval_dyadic written out for degree 3, with
     the same float operations in the same order: the monic lead is 1.0, so
@@ -380,7 +380,7 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
         seeds = _cubic_seeds((1.0, c2, c1, c0), disc > 0)
         if len(seeds) != (3 if disc > 0 else 1):
             return None
-        seeds = sorted(seeds)  # a wrong float order fails the exact check below
+        seeds.sort()  # a wrong float order fails the exact check below
         if outer:
             del seeds[1:-1]
         a2, a1, a0 = abs(c2), abs(c1), abs(c0)
@@ -403,8 +403,13 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
             # 2**(3k) times the cubic at the bracket ends (m - 1) / 2**k and (m + 2) / 2**k
             e2, e1, e0 = d2 << k, d1 << 2 * k, d0 << 3 * k
             left, right = m - 1, m + 2
-            slo = _sign(((d3 * left + e2) * left + e1) * left + e0)
-            if slo * _sign(((d3 * right + e2) * right + e1) * right + e0) >= 0:
+            lv = ((d3 * left + e2) * left + e1) * left + e0
+            rv = ((d3 * right + e2) * right + e1) * right + e0
+            if lv < 0 < rv:
+                slo = -1
+            elif rv < 0 < lv:
+                slo = 1
+            else:
                 return None
             brackets.append(((left, right, k), slo))
     except (OverflowError, ZeroDivisionError, ValueError):

@@ -7,31 +7,37 @@ certifying their stability.  The two answers land side by side in the
 emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
 one of the routes, never a rounding artifact.  Enumeration counts on
-float-proposed brackets that exact sign evaluations certify, and builds a
-Sturm chain only where they fail or the lowest reaches below 0
-(model._Point.counts).  A cell whose cubic C has one real root (disc < 0)
-and C(0) > 0 has that root below 0, so it counts none and asks for no
-bracket.  Otherwise only the lowest and highest real roots are
-bracketed: C rises through both, and the middle one of three, which lies
-between their brackets, is never stable.  A bracket holds the sign of the
-fold condition at its root, so a bracketed root's stability takes the
+float-proposed brackets that exact sign evaluations certify, by the one
+bracket rule that model._Point.counts calls too (model._bracket_counts),
+and isolates the whole line only where they fail or the lowest reaches
+below 0.  A cell whose cubic C has one real root (disc < 0) and
+C(0) >= 0 has that root at or below 0 (at 0 on u v = 1), so it counts none
+and asks for no bracket.  Otherwise only the lowest and highest real roots
+are bracketed: C rises through both, and the middle one of three, which
+lies between their brackets, is never stable.  A bracket holds the sign of
+the fold condition at its root, so a bracketed root's stability takes the
 modulus condition's sign alone.  At a root of C that is the sign of a
-quadratic (model._Point._remainder): one bound from its terms' values at
-the narrow bracket's ends mostly settles it, and only where that does not
-is an exact sign query asked.  A root of the Sturm
-route is judged as a report judges it, by the Jury rule on all three signs.
+quadratic (model._remainder): one bound from its terms' values at the
+narrow bracket's ends mostly settles it, and only where that does not is
+an exact sign query asked.  A root of the whole-line route
+(model._Point.line_counts) is judged as a report judges it, by the Jury
+rule on all three signs.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The kind's certificates, as one term list with certificate i the
 coefficient of x**i (certificates._KIND_TERMS), and the equilibrium cubic
 are compiled at import, each stage into straight-line integer code.  A
 scan builds the power tables of its speeds and of each v once.  Each row
-builds u's table and stages the two once, the cubic as one model._Row;
-each cell finishes each with its v's table alone, the cubic as one
-model._Point, and builds no ModelParams: ScanSpec and the kind's speed
-rule are the only checks its parameters get.  The finished coefficients
-are the certificate values, all over a single positive denominator, and
-the class comes from their signs.  near_boundary is true
+builds u's table and stages the two once, the cubic and the speed factors
+of the stability rule as one model._Row.  Each cell finishes each with its
+v's table alone, the cubic by model._Row.finish, and counts on those
+integers: it builds a model._Point only where its brackets give way, and
+no ModelParams, so ScanSpec and the kind's speed rule are the only checks
+its parameters get.  The finished certificate coefficients are the
+certificate values, all over a single positive denominator, and the class
+comes from their signs; the class's text, its expected count and whether
+that counts stable points come from one table a scan builds from
+EXPECTED_COUNT (_label_table).  near_boundary is true
 when the cell lies on a certificate's zero set: one of those integers is
 0, a report column only that exempts no cell from the agreement check.
 
@@ -52,7 +58,7 @@ from .certificates import (
     EXPECTED_COUNT, StableCountClass, _KIND_TERMS, _classify_values, _kind_speed,
 )
 from .exactpoly import finish, power_table, stage
-from .model import _Point, _Row
+from .model import _bracket_counts, _Point, _Row
 from .rational import coerce_rational, format_rational
 from .record import FrozenRecord, Record
 
@@ -105,6 +111,16 @@ def grid_points(lo, hi, resolution: int) -> list:
     return [Fraction(start * n + k * step, den * n) for k in range(resolution)]
 
 
+def _label_table() -> dict:
+    """(cert_class text, expected count, counts stable points) per class in EXPECTED_COUNT.
+
+    Keyed by the class object's id, since classes are singletons and an
+    Enum member's own hash is a Python call.  A scan builds it once.
+    """
+    return {id(label): (label.value, expected, isinstance(label, StableCountClass))
+            for label, expected in EXPECTED_COUNT.items()}
+
+
 def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     """Classify every cell of spec's grid both ways, for a kind in certificates.KINDS.
 
@@ -114,21 +130,22 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     speed = _kind_speed(kind, spec.a_value, "a_value")
     sp = power_table(speed)
     columns = [(v, power_table(v)) for v in grid_points(*spec.v_range, spec.resolution)]
+    labels = _label_table()
     cells = []
     for u in grid_points(*spec.u_range, spec.resolution):
         row = _Row(power_table(u), sp, sp)
         certificates = stage(_KIND_TERMS[kind], row.tables)
+        k, m = row.k, row.m
         for v, vp in columns:
-            point = _Point(v, row, vp)
             values = finish(certificates, vp)
-            label = _classify_values(kind, u, v, values)
-            expected = EXPECTED_COUNT[label]
+            text, expected, stable_class = labels[id(_classify_values(kind, u, v, values))]
 
-            numeric_positive, numeric_stable = point.counts()
-            numeric = numeric_stable if isinstance(label, StableCountClass) else numeric_positive
-            agree = expected is None or numeric == expected
-            cells.append(ScanCell(u, v, spec.a_value, label.value, numeric_positive,
-                                  numeric_stable, agree, 0 in values))
+            cubic, content = row.finish(vp)
+            positive, stable = (_bracket_counts(cubic, k * vp[0], m * content)
+                                or _Point(v, row, vp).line_counts())
+            agree = expected is None or (stable if stable_class else positive) == expected
+            cells.append(ScanCell(u, v, spec.a_value, text, positive, stable, agree,
+                                  0 in values))
     return ScanGrid(spec, kind, cells)
 
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from kopelcas.certificates import (
-    COUNT_DISCRIMINANT, EXPECTED_COUNT, EquilibriumCountClass, StableCountClass,
-    build_certificates, classify_equilibrium_count, classify_stable_homogeneous, verify_all,
+    COUNT_DISCRIMINANT, EXPECTED_COUNT, StableCountClass, classify_equilibrium_count,
+    classify_stable_homogeneous, verify_all,
 )
 from kopelcas.exactpoly import dense_to_mpoly
 from kopelcas.model import (

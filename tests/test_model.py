@@ -11,7 +11,7 @@ import pytest
 from kopelcas import model, realroots
 from kopelcas.exactpoly import A, B, U, V, X, Y, _exact_div, bind, power_tables, resultant
 from kopelcas.model import (
-    Equilibrium, ModelParams, State, Trajectory, _LOCUS_TERMS, bound_cubic, bound_stability_polys,
+    Equilibrium, ModelParams, State, _LOCUS_TERMS, bound_cubic, bound_stability_polys,
     e0_stable, equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
     stability_conditions, step, y_relation,
 )
@@ -666,12 +666,11 @@ class TestScanStabilityRule:
 
     def test_a_wrong_remainder_makes_a_scan_disagree(self, monkeypatch):
         # Q's constant term at 2 c0 in place of 3 c0: the certificates catch it
-        def planted(point):
-            k, m = point._speed_terms()
-            c0, c1, c2, _ = point.cubic
+        def planted(cubic, k, m):
+            c0, c1, c2, _ = cubic
             return k + 2 * m * c0, 2 * m * c1, m * c2
 
         spec = ScanSpec(self.FIG2, self.FIG2, 20)
         assert not scan("stable", spec).disagreements()
-        monkeypatch.setattr(model._Point, "_remainder", planted)
+        monkeypatch.setattr(model, "_remainder", planted)
         assert scan("stable", spec).disagreements()

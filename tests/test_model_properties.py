@@ -143,8 +143,9 @@ def _fallback_counts(point) -> tuple:
     """point.counts() as a scan cell takes them when its brackets fail.
 
     Every cell then isolates its whole cubic, and this checks that it did,
-    but for one whose signs alone put its one real root below 0 (disc < 0
-    and C(0) > 0), which asks for no bracket and isolates nothing.
+    but for one whose signs alone put its one real root at or below 0
+    (disc < 0 and C(0) >= 0, C(0) = 0 on u v = 1), which asks for no
+    bracket and isolates nothing.
     """
     calls = []
     isolate = model._isolate_int
@@ -153,7 +154,7 @@ def _fallback_counts(point) -> tuple:
         patch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
         answer = point.counts()
     cubic = point.cubic
-    settled = _cubic_discriminant(cubic) < 0 < cubic[0]
+    settled = _cubic_discriminant(cubic) < 0 <= cubic[0]
     assert len(calls) == (not settled)
     return answer
 
@@ -336,8 +337,6 @@ THREE_INSIDE = [(0.4952651682454746, 1, True), (0.6923076923076923, 1, False),
 
 
 @pytest.mark.parametrize("u, v, positive", [
-    # the cubic's constant term 1 - u v is zero
-    pytest.param(F(2), F(1, 2), [], id="uv-one"),
     pytest.param(F(3), F(3), [(2 / 3, 3, False)], id="triple-point"),
     # disc = 0 with a double root at 5/6
     pytest.param(F(27, 8), F(4), [(1 / 3, 1, False), (5 / 6, 2, False)], id="fold"),
@@ -350,6 +349,25 @@ def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, positive):
     calls = _counting_fallback(monkeypatch)
     assert _scan_answer(u, v) == _counted(positive)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("u, v", [
+    pytest.param(F(2), F(1, 2), id="uv-one"),
+    pytest.param(F(1), F(1), id="uv-one-unit"),
+    pytest.param(F(1, 10**30), F(10**30), id="uv-one-wide"),
+    pytest.param(F(7, 3), F(3, 7), id="uv-one-fractional"),
+])
+def test_uv_one_counts_none_with_no_isolation(monkeypatch, u, v):
+    # the cubic's constant term 1 - u v is zero and its disc is negative:
+    # x times a quadratic with no real root, settled on integers
+    assert _report_answer(ModelParams(u, v)) == []
+    cubic = _Point.of(ModelParams(u, v)).cubic
+    assert cubic[0] == 0 and _cubic_discriminant(cubic) < 0
+    calls = _counting_fallback(monkeypatch)
+    brackets = []
+    monkeypatch.setattr(model, "_cubic_brackets", lambda *args, **kw: brackets.append(args))
+    assert _scan_answer(u, v) == (0, 0)
+    assert calls == [] and brackets == []
 
 
 @pytest.mark.parametrize("wrong", [

@@ -457,6 +457,19 @@ def test_the_bracket_kernel_refuses_what_the_generic_loops_refuse(coeffs):
     assert _cubic_brackets(coeffs, disc) is None is _generic_brackets(coeffs, disc)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("seed", [pytest.param(-1.0, id="right-end"),
+                                  pytest.param(1.5, id="left-end")])
+def test_a_bracket_end_on_the_root_is_refused_as_the_generic_loops_refuse(
+        monkeypatch, sign, seed):
+    # +-(x - 1)(x**2 + 1) has its one real root at 1, and each wrong seed
+    # puts that end of its bracket on it: a zero end is no strict sign change
+    coeffs = tuple(sign * c for c in (-1, 1, -1, 1))
+    monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: [seed])
+    disc = _cubic_discriminant(coeffs)
+    assert _cubic_brackets(coeffs, disc) is None is _generic_brackets(coeffs, disc)
+
+
 @settings(max_examples=400)
 @given(st.one_of(drawn_cubics, shifted_close_cubics), st.integers(0, 3),
        st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]))

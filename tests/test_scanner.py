@@ -11,7 +11,7 @@ from kopelcas import exactpoly, model, realroots, scanner
 from kopelcas.certificates import (
     COUNT_DISCRIMINANT, EXPECTED_COUNT, KINDS, MODULUS_FULL_SPEED, MODULUS_HOMOGENEOUS,
     POSITIVITY_THRESHOLD, STABLE_CUT_LINEAR, STABLE_CUT_QUADRATIC, EquilibriumCountClass,
-    _KIND_TERMS, classify_equilibrium_count, classify_stable_best_response,
+    StableCountClass, _KIND_TERMS, classify_equilibrium_count, classify_stable_best_response,
     classify_stable_homogeneous,
 )
 from kopelcas.exactpoly import power_table
@@ -344,15 +344,15 @@ class TestCertifiedBrackets:
         grid = scan("stable", ScanSpec(self.FIG2, self.FIG2, 10))
         assert chains == []
         assert not grid.disagreements()
-        # the zero-set grid holds u v = 1 cells and the triple point (3, 3)
+        # the zero-set grid holds the triple point (3, 3), whose cubic
+        # (3 x - 2)**3 builds one; its u v = 1 cells settle on integers
         grid = scan("count", ScanSpec((F(1, 2), 4), (F(1, 2), 4), 8))
-        assert chains
+        assert chains == [(-8, 36, -54, 27)]
         assert not grid.disagreements()
 
     @pytest.mark.parametrize("kind, a, square, resolution, fallbacks", [
-        # u v = 1 and the triple point, where disc = 0
-        ("count", None, (F(1, 2), F(4)), 8,
-         {(F(1, 2), F(2)), (F(1), F(1)), (F(2), F(1, 2)), (F(3), F(3))}),
+        # the triple point, where disc = 0; the u v = 1 cells settle on integers
+        ("count", None, (F(1, 2), F(4)), 8, {(F(3), F(3))}),
         # coefficients past the float range: every cell
         ("count", None, (F(10**200), F(2 * 10**200)), 3, None),
         # disc = 0 with a double root at 5/6, at both speeds
@@ -363,27 +363,79 @@ class TestCertifiedBrackets:
             self, monkeypatch, kind, a, square, resolution, fallbacks):
         # the whole-line route judges each positive root by the report's Jury rule
         isolated, routes = [], []
-        isolate, counts = model._isolate_int, _Point.counts
+        isolate, line_counts = model._isolate_int, _Point.line_counts
 
         def counted(point):
             before = len(isolated)
-            answer = counts(point)
-            routes.append(len(isolated) > before)
+            answer = line_counts(point)
+            up = point.tables[0]  # u = up[1] / up[0] (exactpoly.power_table)
+            routes.append((F(up[1], up[0]), point.v, len(isolated) > before))
             return answer
 
         monkeypatch.setattr(model, "_isolate_int",
                             lambda *args, **kw: isolated.append(args) or isolate(*args, **kw))
-        monkeypatch.setattr(_Point, "counts", counted)
+        monkeypatch.setattr(_Point, "line_counts", counted)
         grid = scan(kind, ScanSpec(square, square, resolution, a_value=a))
         monkeypatch.undo()
-        cells = [c for c, fell_back in zip(grid.cells, routes, strict=True) if fell_back]
-        assert {(c.u, c.v) for c in cells} == (fallbacks or {(c.u, c.v) for c in grid.cells})
+        assert all(isolates for _, _, isolates in routes)
+        fell_back = {(u, v) for u, v, _ in routes}
+        assert len(fell_back) == len(routes)
+        cells = [c for c in grid.cells if (c.u, c.v) in fell_back]
+        assert fell_back == (fallbacks or {(c.u, c.v) for c in grid.cells})
         speed = 1 if a is None else a
         for cell in cells:
             report = equilibrium_report(ModelParams(cell.u, cell.v, speed, speed))
             positive = [e for e in report["equilibria"] if e["positive"]]
             assert cell.numeric_positive == len(positive), (cell.u, cell.v)
             assert cell.numeric_stable == sum(e["verdict"] == "stable" for e in positive)
+
+
+class TestRowBoundCells:
+    """A scan cell counts on its row's bound integers and builds a _Point only to fall back."""
+
+    FIG2 = (F(5, 2), F(5))
+
+    @pytest.mark.parametrize("kind, a, square", [
+        # steps of 1/2 from 1/2 to 6: u v = 1 at (1/2, 2), (1, 1), (2, 1/2) and the triple point
+        ("count", None, (F(1, 2), F(6))),
+        ("stable", None, FIG2),
+        ("homogeneous", F(3, 7), FIG2),
+    ])
+    def test_cell_counts_are_the_point_counts(self, kind, a, square):
+        # the row's speed factors K = k vp[0] and M = m content against a
+        # point's own, and the bracket rule against the whole-line route
+        grid = scan(kind, ScanSpec(square, square, 12, a_value=a))
+        speed = 1 if a is None else a
+        for cell in grid.cells:
+            point = _Point.of(ModelParams(cell.u, cell.v, speed, speed))
+            answer = cell.numeric_positive, cell.numeric_stable
+            assert answer == point.counts() == point.line_counts(), (cell.u, cell.v)
+        assert not grid.disagreements()
+
+    def test_a_scan_builds_a_point_only_to_fall_back(self, monkeypatch):
+        built = []
+        init = _Point.__init__
+
+        def counting(point, v, row, vp):
+            built.append(v)
+            init(point, v, row, vp)
+
+        monkeypatch.setattr(_Point, "__init__", counting)
+        scan("stable", ScanSpec(self.FIG2, self.FIG2, 10))
+        assert built == []
+        # on this grid only the triple point (3, 3), where disc = 0
+        scan("count", ScanSpec((F(1, 2), F(4)), (F(1, 2), F(4)), 8))
+        assert built == [F(3)]
+        # coefficients past the float range: every cell
+        scan("count", ScanSpec((F(10**200), F(2 * 10**200)), (F(10**200), F(2 * 10**200)), 3))
+        assert len(built) == 1 + 9
+
+    def test_label_table_is_expected_count(self):
+        table = scanner._label_table()
+        assert len(table) == len(EXPECTED_COUNT)
+        for label, expected in EXPECTED_COUNT.items():
+            stable = isinstance(label, StableCountClass)
+            assert table[id(label)] == (label.value, expected, stable)
 
 
 class TestDisagreements:
