@@ -41,7 +41,6 @@ from .realroots import (
     AlgebraicReal,
     isolate_real_roots,
     sign_at,
-    sturm_sign_count,
 )
 from .scanner import (
     ScanCell,
@@ -97,7 +96,6 @@ __all__ = [
     "sign_at",
     "stability_conditions",
     "step",
-    "sturm_sign_count",
     "verify_all",
     "verify_identity",
     "y_relation",

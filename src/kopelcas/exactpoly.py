@@ -138,9 +138,6 @@ class MPoly:
         """Terms in descending monomial order (canonical)."""
         return sorted(self._terms.items(), reverse=True)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def variables(self) -> set[str]:
         return {VARS[i] for exp in self._terms for i, e in enumerate(exp) if e}
 
@@ -150,17 +147,6 @@ class MPoly:
         if not self._terms:
             return NEG_INF
         return max(exp[i] for exp in self._terms)
-
-    def coefficient_of(self, name: str, power: int) -> "MPoly":
-        """Coefficient of name**power, viewing self as univariate in name."""
-        i = _check_var(name)
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self._terms.items():
-            if exp[i] == power:
-                reduced = list(exp)
-                reduced[i] = 0
-                out[tuple(reduced)] = c
-        return _raw(out)
 
     # -- ring operations ---------------------------------------------------
 

@@ -22,13 +22,14 @@ fixed point holds its ModelParams and a _Point, that point bound once on
 integers; those of one equilibria() call share it, and equilibrium_report
 and jury_report read that one binding, which one built alone makes on
 first need.  A _Point finishes a _Row, u, a and b bound once, with its own
-v: alone it stages its own row.  A scan cell builds no _Point unless its
-brackets give way: it finishes its row's cubic itself (_Row.finish) and
-counts its positive and stable fixed points on the integers alone, by the
-one bracket rule that _Point.counts calls too (_bracket_counts), on the
-float brackets that exact sign evaluations certify, around the cubic's
-lowest and highest real roots only.  Every other isolation takes one
-route, realroots._isolate_int, over the whole line, with brackets around
+v: alone it stages its own row.  A point's positive and stable fixed points
+are counted by its row, the one owner of that count (_Row.counts): it
+finishes the row's cubic at v and counts on the integers alone, by the
+bracket rule (_bracket_counts), on the float brackets that exact sign
+evaluations certify, around the cubic's lowest and highest real roots
+only, and builds a _Point only where they give way, as a scan cell's
+count rarely does.  Every other isolation takes one route,
+realroots._isolate_int, over the whole line, with brackets around
 every real root: a scan cell's cubic where the brackets fail
 (_Point.line_counts), and in equilibria() and the reports the whole cubic
 and its twin.  It bisects from the root bound, counting roots against such
@@ -310,9 +311,8 @@ class _Row:
     equilibrium cubic staged from them (exactpoly.stage), the one form a row
     stages: every point finishes it with its own v's table (finish) and
     reads its stability conditions off the finished cubic (_Point).  k and
-    m are the speed factors of _Point._speed_terms: a point with v's table
-    vp and content c has K = k vp[0] and M = m c.  A scan row holds one for
-    its cells.
+    m are the speed factors of speed_terms.  A scan row holds one for its
+    cells, and counts each cell's fixed points (counts).
     """
 
     __slots__ = ("tables", "scale", "cubic", "k", "m")
@@ -335,13 +335,34 @@ class _Row:
         cubic = _primitive(dense)
         return cubic, dense[-1] // cubic[-1]
 
+    def speed_terms(self, vp, content: int) -> tuple:
+        """(K, M) at v's table vp and content: a + b and a b content / scale, times qa qb scale.
+
+        With a = pa / qa and b = pb / qb, K = (pa qb + pb qa) scale and
+        M = pa pb content, scale being the point's common denominator.
+        """
+        return self.k * vp[0], self.m * content
+
+    def counts(self, v: Fraction, vp) -> tuple:
+        """(positive, stable): the positive fixed points at v, and how many are stable.
+
+        vp is v's power table.  A fixed point is positive when x > 0,
+        counted once whatever its multiplicity (every root of C is below 1,
+        see Equilibrium).  The bracket rule (_bracket_counts) settles most
+        points on the finished cubic alone; where it gives way, a _Point
+        built here takes the whole-line route (_Point.line_counts).
+        """
+        cubic, content = self.finish(vp)
+        return (_bracket_counts(cubic, *self.speed_terms(vp, content))
+                or _Point(v, self, vp).line_counts())
+
 
 class _Point(_Lazy):
     """One parameter point, bound once on integers, and what its fixed points share.
 
     It is bound from row, the _Row of u, a and b, and from vp, v's power
-    table: a point alone (of) stages its own row, and a scan builds one only
-    for a cell whose brackets give way, from the cell's row.  It holds no
+    table: a point alone (of) stages its own row, and a row's count
+    (_Row.counts) builds one only where its brackets give way.  It holds no
     ModelParams; ModelParams or ScanSpec checked its parameters.  tables are
     the power tables of (u, v, a, b), and every value bound from them is
     the exact one times scale, their common denominator.  cubic, the
@@ -354,9 +375,9 @@ class _Point(_Lazy):
     positive multiples, not primitive parts, read off the cubic with no
     term list staged, the second being the first at a = b = 1; and locus,
     y = v x (1 - x) over its denominator, bound from the tables.  Reports, e0_stable and the
-    whole-line route of counts read the one conditions; the bracket rule
-    builds none of them, only the quadratic _remainder, from the same
-    speed terms (_speed_terms, the row's factors times this point's).
+    whole-line route of _Row.counts read the one conditions; the bracket
+    rule builds none of them, only the quadratic _remainder, from the same
+    speed terms (_Row.speed_terms).
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use.  A point lives as long as the fixed
@@ -384,31 +405,22 @@ class _Point(_Lazy):
     def _make_conditions(self) -> tuple:
         """bound_stability_polys up to positive factors, read off the cubic.
 
-        With a = pa / qa and b = pb / qb, let K = (pa qb + pb qa) scale and
-        M = pa pb content: a + b and a b content / scale, both times
-        qa qb scale (_speed_terms).  The equilibrium cubic bound here is
-        content / scale times the cubic C, so on the locus the fold
-        a b (C0 + x C0') times qa qb scale is M F for F = C + x C'; the flip
-        is the fold plus 2 (2 - a - b), and the modulus a + b less the fold.
-        So F, M F + 2 (2 qa qb scale - K) and K - M F are positive multiples
+        K and M are the speed terms (_Row.speed_terms): a + b and
+        a b content / scale, both times qa qb scale, for a = pa / qa and
+        b = pb / qb.  The equilibrium cubic bound here is content / scale
+        times the cubic C, so on the locus the fold a b (C0 + x C0') times
+        qa qb scale is M F for F = C + x C'; the flip is the fold plus
+        2 (2 - a - b), and the modulus a + b less the fold.  So F, M F + 2 (2 qa qb scale - K) and K - M F are positive multiples
         of the three conditions.  The trace term vanishes only at a = b = 1,
         where the second is the first object.
         """
-        k, m = self._speed_terms()
+        _, vp, ap, bp = self.tables
+        k, m = self.row.speed_terms(vp, self.content)
         fold = tuple(i * c for i, c in enumerate(self.cubic, 1))
         mf = [m * d for d in fold]
-        _, _, ap, bp = self.tables
         trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
         flip = (mf[0] + trace, *mf[1:]) if trace else fold
         return fold, flip, (k - mf[0], *(-d for d in mf[1:]))
-
-    def _speed_terms(self) -> tuple:
-        """(K, M) of _make_conditions: a + b and a b content / scale, times qa qb scale."""
-        return self.row.k * self.tables[1][0], self.row.m * self.content
-
-    def _remainder(self) -> tuple:
-        """Q of the module-level _remainder, at this point's cubic and speed terms."""
-        return _remainder(self.cubic, *self._speed_terms())
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
@@ -416,19 +428,8 @@ class _Point(_Lazy):
         common = math.gcd(self.scale, *coeffs)
         return tuple(c // common for c in coeffs), self.scale // common
 
-    def counts(self) -> tuple:
-        """(positive, stable): the positive fixed points here, and how many are stable.
-
-        A fixed point is positive when x > 0, counted once whatever its
-        multiplicity (every root of C is below 1, see Equilibrium).  The
-        bracket rule (_bracket_counts) settles most points; where it gives
-        way, the whole-line route does (line_counts).  A scan cell calls the
-        same two, but builds its _Point only for the second.
-        """
-        return _bracket_counts(self.cubic, *self._speed_terms()) or self.line_counts()
-
     def line_counts(self) -> tuple:
-        """counts() from the whole-line roots above 0, each judged as a report judges it.
+        """_Row.counts from the whole-line roots above 0, each judged as a report judges it.
 
         Every real root is isolated (realroots._isolate_int), and each above
         0 is stable when _verdict on all three of its signs says so.
@@ -505,20 +506,21 @@ def _remainder(cubic, k: int, m: int) -> tuple:
     """Q = K + M (3 c0 + 2 c1 x + c2 x**2), the modulus test at a root of the cubic.
 
     cubic is a point's primitive cubic and k, m its speed terms K and M
-    (_Point._speed_terms).  The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has
+    (_Row.speed_terms).  The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has
     x C' = 3 C less 3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition
     K - M F of _Point._make_conditions plus 4 M C: the two agree at every
     root of C, where both are a positive multiple of s - Phi, with
     s = 1/a + 1/b and Phi = x C' (ROADMAP item 12).  So gcd(Q, C) is
-    gcd(K - M F, C).  Its lead M c2 is never 0, since c2 is -2 u v**2 over a
-    positive factor.
+    gcd(K - M F, C).  Its linear coefficient 2 M c1 is positive and its lead
+    M c2 negative, since M > 0 and, over a positive factor, c1 = u v**2 + u v
+    and c2 = -2 u v**2.
     """
     c0, c1, c2, _ = cubic
     return k + 3 * m * c0, 2 * m * c1, m * c2
 
 
 def _bracket_counts(cubic, k: int, m: int) -> tuple | None:
-    """(positive, stable) of _Point.counts from the cubic's certified brackets, or None.
+    """(positive, stable) of _Row.counts from the cubic's certified brackets, or None.
 
     cubic, k and m are a point's primitive cubic C and speed terms, as for
     _remainder.  A fixed point is stable when C' and the modulus condition
@@ -564,18 +566,13 @@ def _bracket_counts(cubic, k: int, m: int) -> tuple | None:
 def _quadratic_bounds(q, a: int, b: int, k: int) -> tuple[int, int]:
     """Bounds of 2**(2k) q(x) over x in [a / 2**k, b / 2**k], for 0 <= a <= b.
 
-    x and x**2 both rise there, so each term of the quadratic q takes its
-    extremes at the two ends, and no interval Horner loop runs.
+    q is a _remainder, so q1 > 0 > q2.  x and x**2 both rise there, so the
+    linear term is least at a and the square term at b, and no interval
+    Horner loop runs.
     """
     q0, q1, q2 = q
-    lo1, hi1 = q1 * a << k, q1 * b << k
-    lo2, hi2 = q2 * a * a, q2 * b * b
-    if q1 < 0:
-        lo1, hi1 = hi1, lo1
-    if q2 < 0:
-        lo2, hi2 = hi2, lo2
     q0 <<= 2 * k
-    return q0 + lo1 + lo2, q0 + hi1 + hi2
+    return q0 + (q1 * a << k) + q2 * b * b, q0 + (q1 * b << k) + q2 * a * a
 
 
 def _verdict(signs: tuple) -> str:

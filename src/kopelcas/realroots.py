@@ -804,11 +804,12 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
     remainder sequence serves twice: the Sturm chain of coeffs ends in
     gcd(f, f'), Yun's first gcd, and when f is square-free the same chain
     isolates its roots.  Yun factors and cubics whose brackets fail get
-    chains of their own.  Each window is tested for a rational root
-    (_rational_value).  A rational root, hit by a bisection point (which
-    ends the walk) or snapped by the test, is divided out, and the cofactor
-    is walked afresh from its own Cauchy window by its own Sturm chain, so
-    the windows do not depend on how the rational roots were found.  The
+    chains of their own.  One loop walks the factor, then takes its
+    rational roots: the bisection point that hit one, which ends the walk,
+    or else those its windows snap to (_rational_value).  It divides them
+    out, and walks the cofactor afresh from its own Cauchy window by its
+    own Sturm chain, so the windows do not depend on how the rational roots
+    were found; a cofactor's windows snap to none.  The
     windows of one factor with no rational root are leaves of one bisection
     tree, so already disjoint and ascending; only other results are sorted
     and separated.
@@ -834,52 +835,28 @@ def _isolate_int(var: str, coeffs) -> list[AlgebraicReal]:
             whole = chain and len(factor) == len(coeffs)
             count = _sturm_count(chain if whole else _sturm_chain(factor))
         rational = []
-        hit, windows = _isolate_square_free(factor, count)
-        while hit is not None:
-            rational.append(hit)
-            factor = tuple(_exact_div(factor, (-hit.numerator, hit.denominator)))
-            hit, windows = _isolate_square_free(factor, _sturm_count(_sturm_chain(factor)))
-        # the walk's windows are descending, the brackets ascending
-        hints = brackets if brackets and not rational else repeat((None, 0))
-        roots = [AlgebraicReal._from_window(var, factor, a, b, k, mult, slo, hint)
-                 for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
-        snapped = [q for q in map(_rational_value, roots) if q is not None]
-        if snapped:
-            for q in snapped:
+        hints = brackets or repeat((None, 0))
+        while True:
+            hit, windows = _isolate_square_free(factor, count)
+            # the walk's windows are descending, the brackets ascending
+            roots = [AlgebraicReal._from_window(var, factor, a, b, k, mult, slo, hint)
+                     for (a, b, k), (hint, slo) in zip(reversed(windows), hints)]
+            found = ([hit] if hit is not None
+                     else [q for q in map(_rational_value, roots) if q is not None])
+            if not found:
+                break
+            for q in found:
                 factor = tuple(_exact_div(factor, (-q.numerator, q.denominator)))
-            rational += snapped
-            roots = []
-            if len(factor) > 1:
-                _, windows = _isolate_square_free(factor, _sturm_count(_sturm_chain(factor)))
-                roots = [AlgebraicReal._from_window(var, factor, a, b, k, mult)
-                         for a, b, k in windows]
+            rational += found
+            roots, hints = [], repeat((None, 0))
+            if len(factor) == 1:
+                break
+            count = _sturm_count(_sturm_chain(factor))
         items += roots
         items += [AlgebraicReal.from_rational(q, var, mult) for q in rational]
     if len(items) > 1 and (len(factors) > 1 or rational):
         return _make_disjoint(items)
     return items
-
-
-def sturm_sign_count(p: MPoly, lo, hi) -> int:
-    """Number of distinct real roots of a square-free p in (lo, hi].
-
-    The endpoints must not be roots (then (lo, hi] holds the same roots as
-    the open interval, and the Sturm count is exact).  lo and hi are exact
-    rationals (coerce_rational): a float is refused, not read at its binary value.
-    """
-    lo, hi = coerce_rational(lo), coerce_rational(hi)
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    var, dense = _univar(p)
-    if var is None:
-        if not dense:
-            raise ValueError("zero polynomial")
-        return 0
-    coeffs = _int_clear(dense)
-    ends = [(t.numerator, t.denominator) for t in (lo, hi)]
-    if any(_eval_int_at(coeffs, num, den) == 0 for num, den in ends):
-        raise ValueError("interval endpoint is a root")
-    return _roots_between(_sturm_chain(coeffs), ends)
 
 
 def sign_at(q: MPoly, alpha: AlgebraicReal) -> int:

@@ -8,11 +8,11 @@ emitted table.  Both routes run in exact arithmetic, so they must agree in
 every cell, on a certificate's zero set too: any disagreement is a bug in
 one of the routes, never a rounding artifact.  Enumeration counts on
 float-proposed brackets that exact sign evaluations certify, by the one
-bracket rule that model._Point.counts calls too (model._bracket_counts),
-and isolates the whole line only where they fail or the lowest reaches
-below 0.  A cell whose cubic C has one real root (disc < 0) and
-C(0) >= 0 has that root at or below 0 (at 0 on u v = 1), so it counts none
-and asks for no bracket.  Otherwise only the lowest and highest real roots
+count a row of the model owns (model._Row.counts, its bracket rule
+model._bracket_counts), and isolates the whole line only where they fail
+or the lowest reaches below 0.  A cell whose cubic C has one real root
+(disc < 0) and C(0) >= 0 has that root at or below 0 (at 0 on u v = 1),
+so it counts none and asks for no bracket.  Otherwise only the lowest and highest real roots
 are bracketed: C rises through both, and the middle one of three, which
 lies between their brackets, is never stable.  A bracket holds the sign of
 the fold condition at its root, so a bracketed root's stability takes the
@@ -30,10 +30,10 @@ are compiled at import, each stage into straight-line integer code.  A
 scan builds the power tables of its speeds and of each v once.  Each row
 builds u's table and stages the two once, the cubic and the speed factors
 of the stability rule as one model._Row.  Each cell finishes each with its
-v's table alone, the cubic by model._Row.finish, and counts on those
-integers: it builds a model._Point only where its brackets give way, and
-no ModelParams, so ScanSpec and the kind's speed rule are the only checks
-its parameters get.  The finished certificate coefficients are the
+v's table alone and counts on those integers (model._Row.counts): a
+model._Point is built only where its brackets give way, and no
+ModelParams, so ScanSpec and the kind's speed rule are the only checks its
+parameters get.  The finished certificate coefficients are the
 certificate values, all over a single positive denominator, and the class
 comes from their signs; the class's text, its expected count and whether
 that counts stable points come from one table a scan builds from
@@ -58,7 +58,7 @@ from .certificates import (
     EXPECTED_COUNT, StableCountClass, _KIND_TERMS, _classify_values, _kind_speed,
 )
 from .exactpoly import finish, power_table, stage
-from .model import _bracket_counts, _Point, _Row
+from .model import _Row
 from .rational import coerce_rational, format_rational
 from .record import FrozenRecord, Record
 
@@ -135,14 +135,10 @@ def scan(kind: str, spec: ScanSpec) -> ScanGrid:
     for u in grid_points(*spec.u_range, spec.resolution):
         row = _Row(power_table(u), sp, sp)
         certificates = stage(_KIND_TERMS[kind], row.tables)
-        k, m = row.k, row.m
         for v, vp in columns:
             values = finish(certificates, vp)
             text, expected, stable_class = labels[id(_classify_values(kind, u, v, values))]
-
-            cubic, content = row.finish(vp)
-            positive, stable = (_bracket_counts(cubic, k * vp[0], m * content)
-                                or _Point(v, row, vp).line_counts())
+            positive, stable = row.counts(v, vp)
             agree = expected is None or (stable if stable_class else positive) == expected
             cells.append(ScanCell(u, v, spec.a_value, text, positive, stable, agree,
                                   0 in values))

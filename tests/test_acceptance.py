@@ -21,11 +21,12 @@ from kopelcas.exactpoly import dense_to_mpoly
 from kopelcas.model import (
     ModelParams, _update, bound_stability_polys, e0_stable, equilibria, jury_report,
 )
-from kopelcas.realroots import isolate_real_roots, sign_at, sturm_sign_count
+from kopelcas.realroots import isolate_real_roots, sign_at
 from kopelcas.scanner import (
     ScanSpec, scan_equilibrium_count,
     scan_stability_best_response, scan_stability_homogeneous,
 )
+from oracles import sturm_sign_count
 
 FIG2_SQUARE = (F(5, 2), F(5))
 

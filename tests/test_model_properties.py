@@ -4,7 +4,7 @@ Hypothesis runs derandomized, so every run draws the same examples.  The
 symbolic route, MPoly.evaluate on the conditions reduced onto the fixed
 point locus, serves as the oracle for the binder; the report route,
 Equilibrium.is_positive and jury_report's verdicts, serves as the oracle
-for a scan cell's counts (_Point.counts), on its certified brackets and on
+for a scan cell's counts (_Row.counts), on its certified brackets and on
 the whole-line isolation it falls back to; whole-line isolation serves as
 the oracle for the discriminant's sign, and that fallback for the scan's
 certified float brackets; the locus y = v x (1 - x) on doubles serves as
@@ -24,13 +24,13 @@ from kopelcas.certificates import COUNT_DISCRIMINANT
 from kopelcas.exactpoly import _int_clear, dense_to_mpoly
 from kopelcas.model import (
     ModelParams, _cubic_discriminant, _Point, bound_stability_polys, e0_stable, equilibria,
-    jury_report, stability_conditions,
+    equilibrium_report, jury_report, stability_conditions,
 )
 from kopelcas.rational import format_rational
 from kopelcas.realroots import (
     AlgebraicReal, _cubic_brackets, _eval_int_at, _isolate_int, _sign_dense_at, sign_at,
-    sturm_sign_count,
 )
+from oracles import coefficient_of, point_counts, point_remainder, sturm_sign_count
 
 
 intensities = st.builds(F, st.integers(1, 200), st.integers(1, 40))
@@ -44,7 +44,7 @@ speed_pairs = st.one_of(
 
 
 def _dense_x(poly) -> list:
-    return [poly.coefficient_of("x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
+    return [coefficient_of(poly, "x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
 
 
 @given(intensities, intensities, speed_pairs)
@@ -140,7 +140,7 @@ def _report_counts(params) -> tuple:
 
 
 def _fallback_counts(point) -> tuple:
-    """point.counts() as a scan cell takes them when its brackets fail.
+    """point_counts(point) as a scan cell takes them when its brackets fail.
 
     Every cell then isolates its whole cubic, and this checks that it did,
     but for one whose signs alone put its one real root at or below 0
@@ -152,7 +152,7 @@ def _fallback_counts(point) -> tuple:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_cubic_brackets", lambda *args, **kwargs: None)
         patch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
-        answer = point.counts()
+        answer = point_counts(point)
     cubic = point.cubic
     settled = _cubic_discriminant(cubic) < 0 <= cubic[0]
     assert len(calls) == (not settled)
@@ -164,7 +164,7 @@ def test_positive_roots_are_the_positive_equilibria(u, v, ab):
     # the bracket route, the forced fallback and the report count alike
     params = ModelParams(u, v, *ab)
     point = _Point.of(params)
-    assert point.counts() == _fallback_counts(point) == _report_counts(params)
+    assert point_counts(point) == _fallback_counts(point) == _report_counts(params)
 
 
 @pytest.mark.parametrize("u, v, a, b, positive", [
@@ -186,7 +186,7 @@ def test_positive_roots_named_cases(u, v, a, b, positive):
     assert _report_answer(params) == positive
     point = _Point.of(params)
     expected = len(positive), sum(stable for _, _, stable in positive)
-    assert point.counts() == _fallback_counts(point) == expected
+    assert point_counts(point) == _fallback_counts(point) == expected
 
 
 small_roots = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
@@ -267,7 +267,7 @@ def test_certified_brackets_match_the_sturm_route(u, v):
     assert [(r.approx, r.multiplicity_in_source) for r in certified] == \
         [(r.approx, r.multiplicity_in_source) for r in sturm]
     assert [tuple(point.signs(r)) for r in certified] == [tuple(point.signs(r)) for r in sturm]
-    assert point.counts() == _fallback_counts(point)
+    assert point_counts(point) == _fallback_counts(point)
     poly = dense_to_mpoly([F(c) for c in cubic], "x")
     for r in certified:
         assert not r.is_rational
@@ -291,7 +291,7 @@ def test_scan_stability_is_the_jury_verdict(u, v, ab):
     params = ModelParams(u, v, *ab)
     point = _Point.of(params)
     assume(_unit_brackets(point) is not None)
-    assert point.counts() == _report_counts(params)
+    assert point_counts(point) == _report_counts(params)
 
 
 @given(intensities, intensities, speed_pairs)
@@ -300,7 +300,7 @@ def test_the_remainder_has_the_modulus_sign_where_the_fold_is_positive(u, v, ab)
     point = _Point.of(ModelParams(u, v, *ab))
     roots = [r for r in _unit_brackets(point) or () if r._lower_sign() < 0]
     assume(roots)
-    q = point._remainder()
+    q = point_remainder(point)
     for r in roots:
         assert _sign_dense_at(q, r) == _sign_dense_at(point.conditions[2], r)
 
@@ -325,7 +325,7 @@ def _counting_fallback(monkeypatch) -> list:
 
 
 def _scan_answer(u, v) -> tuple:
-    return _Point.of(ModelParams(u, v)).counts()
+    return point_counts(_Point.of(ModelParams(u, v)))
 
 
 def _counted(positive) -> tuple:
@@ -336,19 +336,39 @@ THREE_INSIDE = [(0.4952651682454746, 1, True), (0.6923076923076923, 1, False),
                 (0.8124271394468331, 1, True)]
 
 
-@pytest.mark.parametrize("u, v, positive", [
-    pytest.param(F(3), F(3), [(2 / 3, 3, False)], id="triple-point"),
-    # disc = 0 with a double root at 5/6
-    pytest.param(F(27, 8), F(4), [(1 / 3, 1, False), (5 / 6, 2, False)], id="fold"),
+@pytest.mark.parametrize("u, v, speed, positive", [
+    pytest.param(F(3), F(3), 1, [(2 / 3, 3, False)], id="triple-point"),
+    # disc = 0 away from the triple point, where the double root is
+    # marginal and the simple one has Phi = u v - 9: a double root at 5/6,
+    # and u v = 27/2 past 9 + s = 11
+    pytest.param(F(27, 8), F(4), 1, [(1 / 3, 1, False), (5 / 6, 2, False)], id="fold"),
+    # a double root at 3/4, and u v = 10 inside (9, 9 + s) at s = 2 and 8
+    pytest.param(F(25, 8), F(16, 5), 1, [(0.5, 1, True), (0.75, 2, False)],
+                 id="fold-stable"),
+    pytest.param(F(25, 8), F(16, 5), F(1, 4), [(0.5, 1, True), (0.75, 2, False)],
+                 id="fold-stable-quarter-speed"),
     # coefficients past the float range
-    pytest.param(F(10**200), F(10**200), [(1e-200, 1, False), (1.0, 1, False), (1.0, 1, False)],
-                 id="past-floats"),
+    pytest.param(F(10**200), F(10**200), 1,
+                 [(1e-200, 1, False), (1.0, 1, False), (1.0, 1, False)], id="past-floats"),
 ])
-def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, positive):
-    assert _report_answer(ModelParams(u, v)) == positive
+def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, speed, positive):
+    params = ModelParams(u, v, speed, speed)
+    assert _report_answer(params) == positive
+    report = [e for e in equilibrium_report(params)["equilibria"] if e["positive"]]
+    assert (len(report), sum(e["verdict"] == "stable" for e in report)) == _counted(positive)
+    point = _Point.of(params)
     calls = _counting_fallback(monkeypatch)
-    assert _scan_answer(u, v) == _counted(positive)
+    assert point_counts(point) == _counted(positive)
     assert len(calls) == 1
+
+
+@given(intensities, intensities, speed_pairs)
+def test_the_remainder_rises_in_x_and_falls_in_x_squared(u, v, ab):
+    # _quadratic_bounds takes these signs as given: Q's linear coefficient
+    # is 2 M c1 and its lead M c2, with M > 0, c1 = u v**2 + u v and
+    # c2 = -2 u v**2 over a positive factor
+    _, q1, q2 = point_remainder(_Point.of(ModelParams(u, v, *ab)))
+    assert q1 > 0 > q2
 
 
 @pytest.mark.parametrize("u, v", [

@@ -8,11 +8,13 @@ from pathlib import Path
 import kopelcas
 
 # (module, name) of public functions removed because nothing in the package,
-# its CLI or its benchmark called them
+# its CLI or its benchmark called them; a test oracle among them now lives
+# in tests/oracles.py
 RETIRED = (("exactpoly", "parse_poly"), ("realroots", "algebraic_image"),
            ("realroots", "refine"), ("model", "triangular_system"),
            ("certificates", "all_identities_hold"), ("exactpoly", "gcd_univariate"),
-           ("model", "all_stay_in_unit_square"), ("exactpoly", "exact_divide"))
+           ("model", "all_stay_in_unit_square"), ("exactpoly", "exact_divide"),
+           ("realroots", "sturm_sign_count"))
 
 
 def test_every_exported_name_resolves():

@@ -9,9 +9,10 @@ from kopelcas.exactpoly import MPoly, X, Y, _dense_coeffs, _int_clear, dense_to_
 from kopelcas.model import _cubic_discriminant
 from kopelcas.realroots import (
     _ZERO_TEST_ROUND, AlgebraicReal, _cubic_brackets, _image, _isolate_int, _sign_dense_at,
-    isolate_real_roots, sign_at, square_free_decompose, sturm_sign_count,
+    isolate_real_roots, sign_at, square_free_decompose,
 )
 from kopelcas.rational import format_rational
+from oracles import coefficient_of, point_counts, sturm_sign_count
 
 
 def cubic(u, v):
@@ -53,7 +54,7 @@ def test_square_free_random_reassembly():
         for f, m in decomp:
             rebuilt = rebuilt * f**m
         # monic product of factor^mult matches p up to the leading constant
-        lead = p.coefficient_of("x", int(p.degree("x"))).as_fraction()
+        lead = coefficient_of(p, "x", int(p.degree("x"))).as_fraction()
         assert rebuilt * lead == p
 
 
@@ -727,7 +728,7 @@ def test_a_bracket_across_one_holds_a_positive_root(monkeypatch, route):
     calls = []
     isolate = model._isolate_int
     monkeypatch.setattr(model, "_isolate_int", lambda *args: calls.append(args) or isolate(*args))
-    assert point.counts() == (1, 0)
+    assert point_counts(point) == (1, 0)
     assert len(calls) == (route == "sturm")
 
 

@@ -18,8 +18,8 @@ from kopelcas.realroots import (
     AlgebraicReal, _cubic_brackets, _cubic_discriminant, _eval_dyadic, _halve, _image,
     _int_clear, _interval_horner, _isolate_int, _isolate_square_free, _make_disjoint,
     _sign_dense_at, _square_free_int, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
-    sturm_sign_count,
 )
+from oracles import coefficient_of, sturm_sign_count
 from test_model_properties import integer_cubics
 
 rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
@@ -199,7 +199,7 @@ def _positive_lead(coeffs) -> tuple:
 def test_strip_rational_roots_matches_brute_force(p):
     # isolation snaps exactly the rational roots that a search over every
     # candidate finds, and leaves the rest as windows of their cofactor
-    coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
+    coeffs = _int_clear([coefficient_of(p, "x", k).as_fraction()
                          for k in range(int(p.degree("x")) + 1)])
     roots = _isolate_int("x", coeffs)
     expected_roots, expected_rest = _brute_force_strip(coeffs)
@@ -219,7 +219,7 @@ def test_every_planted_rational_root_snaps(first, others, quads):
     s, q, sign = first
     planted = {F(sign * s, q), *others}
     p = _planted(planted, quads)
-    coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
+    coeffs = _int_clear([coefficient_of(p, "x", k).as_fraction()
                          for k in range(int(p.degree("x")) + 1)])
     assert min(abs(coeffs[0]), abs(coeffs[-1])) > 10**6
     roots = _isolate_int("x", coeffs)
@@ -314,7 +314,7 @@ def test_isolation_reuses_the_chain_without_changing_a_root(rational_roots, quad
         p = p * (X**2 + 1000003)
     if p.is_constant():
         return
-    coeffs = _int_clear([p.coefficient_of("x", k).as_fraction()
+    coeffs = _int_clear([coefficient_of(p, "x", k).as_fraction()
                          for k in range(int(p.degree("x")) + 1)])
     df = [k * c for k, c in enumerate(coeffs)][1:]
     assert _square_free_int(coeffs, _sturm_chain(coeffs)[-1]) == \

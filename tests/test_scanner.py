@@ -24,6 +24,7 @@ from kopelcas.scanner import (
     scan_equilibrium_count, scan_stability_best_response,
     scan_stability_homogeneous,
 )
+from oracles import point_counts
 
 SCANS = {"count": scan_equilibrium_count, "stable": scan_stability_best_response,
          "homogeneous": scan_stability_homogeneous}
@@ -409,7 +410,7 @@ class TestRowBoundCells:
         for cell in grid.cells:
             point = _Point.of(ModelParams(cell.u, cell.v, speed, speed))
             answer = cell.numeric_positive, cell.numeric_stable
-            assert answer == point.counts() == point.line_counts(), (cell.u, cell.v)
+            assert answer == point_counts(point) == point.line_counts(), (cell.u, cell.v)
         assert not grid.disagreements()
 
     def test_a_scan_builds_a_point_only_to_fall_back(self, monkeypatch):
