@@ -24,11 +24,13 @@ and jury_report read that one binding, which one built alone makes on
 first need.  A _Point finishes a _Row, u, a and b bound once, with its own
 v: alone it stages its own row.  A point's positive and stable fixed points
 are counted by its row, the one owner of that count (_Row.counts): it
-finishes the row's cubic at v and counts on the integers alone, by the
-bracket rule (_bracket_counts), on the float brackets that exact sign
-evaluations certify, around the cubic's lowest and highest real roots
-only, and builds a _Point only where they give way, as a scan cell's
-count rarely does.  Every other isolation takes one route,
+finishes the row's cubic at v, divides out its content, and hands the
+primitive cubic and its speed terms straight to the bracket rule
+(_bracket_counts), which counts on those integers alone, in one pass
+with no intermediate object but the brackets: on the float brackets that
+exact sign evaluations certify, around the cubic's lowest and highest
+real roots only.  It builds a _Point only where they give way, as a scan
+cell's count rarely does.  Every other isolation takes one route,
 realroots._isolate_int, over the whole line, with brackets around
 every real root: a scan cell's cubic where the brackets fail
 (_Point.line_counts), and in equilibria() and the reports the whole cubic
@@ -44,10 +46,10 @@ condition (no primitive part is taken), and the reports share them
 (_Point.conditions).  At a positive root of C the fold has the sign of
 C', which a certified bracket holds; so a scan cell decides a bracketed
 root's stability by the modulus condition alone.  At a root of C that is
-the quadratic Q of _remainder, since x C' is 3 C less a quadratic:
-one bound from its terms' values at the bracket's ends, and at most one
-exact sign query.  Reports, and cells whose brackets give way, ask all
-three in one order and judge them by _verdict.
+the sign of a quadratic Q, since x C' is 3 C less a quadratic, which the
+rule bounds inline from its terms' values at the bracket's ends, with at
+most one exact sign query.  Reports, and cells whose brackets give way,
+ask all three in one order and judge them by _verdict.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -311,8 +313,8 @@ class _Row:
     equilibrium cubic staged from them (exactpoly.stage), the one form a row
     stages: every point finishes it with its own v's table (finish) and
     reads its stability conditions off the finished cubic (_Point).  k and
-    m are the speed factors of speed_terms.  A scan row holds one for its
-    cells, and counts each cell's fixed points (counts).
+    m are the speed factors of finish's speed terms.  A scan row holds one
+    for its cells, and counts each cell's fixed points (counts).
     """
 
     __slots__ = ("tables", "scale", "cubic", "k", "m")
@@ -326,22 +328,19 @@ class _Row:
         self.m = ap[1] * bp[1]
 
     def finish(self, vp) -> tuple:
-        """(cubic, content) at v's table vp: the primitive cubic and the integer divided out.
+        """(cubic, K, M) at v's table vp: the primitive cubic and its speed terms.
 
-        The cubic's lead u v**2 is never zero, so the content is the
-        finished lead over the primitive one.
+        The cubic's lead u v**2 is never zero, so its content, the gcd of
+        the finished coefficients, is positive: scale times the cubic bound
+        at the point is content times cubic, scale being the point's common
+        denominator.  With a = pa / qa and b = pb / qb, the speed terms
+        K = (pa qb + pb qa) scale and M = pa pb content are a + b and
+        a b content / scale, times qa qb scale.
         """
-        dense = finish(self.cubic, vp)
-        cubic = _primitive(dense)
-        return cubic, dense[-1] // cubic[-1]
-
-    def speed_terms(self, vp, content: int) -> tuple:
-        """(K, M) at v's table vp and content: a + b and a b content / scale, times qa qb scale.
-
-        With a = pa / qa and b = pb / qb, K = (pa qb + pb qa) scale and
-        M = pa pb content, scale being the point's common denominator.
-        """
-        return self.k * vp[0], self.m * content
+        c0, c1, c2, c3 = finish(self.cubic, vp)
+        content = math.gcd(c0, c1, c2, c3)
+        return ((c0 // content, c1 // content, c2 // content, c3 // content),
+                self.k * vp[0], self.m * content)
 
     def counts(self, v: Fraction, vp) -> tuple:
         """(positive, stable): the positive fixed points at v, and how many are stable.
@@ -349,12 +348,11 @@ class _Row:
         vp is v's power table.  A fixed point is positive when x > 0,
         counted once whatever its multiplicity (every root of C is below 1,
         see Equilibrium).  The bracket rule (_bracket_counts) settles most
-        points on the finished cubic alone; where it gives way, a _Point
-        built here takes the whole-line route (_Point.line_counts).
+        points on the finished cubic and its speed terms alone; where it
+        gives way, a _Point built here takes the whole-line route
+        (_Point.line_counts).
         """
-        cubic, content = self.finish(vp)
-        return (_bracket_counts(cubic, *self.speed_terms(vp, content))
-                or _Point(v, self, vp).line_counts())
+        return _bracket_counts(*self.finish(vp)) or _Point(v, self, vp).line_counts()
 
 
 class _Point(_Lazy):
@@ -368,23 +366,22 @@ class _Point(_Lazy):
     the exact one times scale, their common denominator.  cubic, the
     equilibrium cubic's primitive integer x-coefficients (see bound_cubic),
     whose lead is positive, is finished from the row with v's table at once
-    (_Row.finish), since every point reads it, and content is the positive
-    integer divided out of it: scale times the cubic is content times
-    cubic.  On first read, as plain slots with no lock (_Lazy): conditions,
-    the fold, flip and modulus conditions of bound_stability_polys as
-    positive multiples, not primitive parts, read off the cubic with no
-    term list staged, the second being the first at a = b = 1; and locus,
-    y = v x (1 - x) over its denominator, bound from the tables.  Reports, e0_stable and the
-    whole-line route of _Row.counts read the one conditions; the bracket
-    rule builds none of them, only the quadratic _remainder, from the same
-    speed terms (_Row.speed_terms).
+    (_Row.finish), since every point reads it, with its speed terms
+    speed_terms, (K, M).  On first read, as plain slots with no lock
+    (_Lazy): conditions, the fold, flip and modulus conditions of
+    bound_stability_polys as positive multiples, not primitive parts, read
+    off the cubic with no term list staged, the second being the first at
+    a = b = 1; and locus, y = v x (1 - x) over its denominator, bound from
+    the tables.  Reports, e0_stable and the whole-line route of _Row.counts
+    read the one conditions; the bracket rule (_bracket_counts) builds none
+    of them, only the quadratic Q, from the same cubic and speed terms.
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use.  A point lives as long as the fixed
     points that hold it.
     """
 
-    __slots__ = ("v", "row", "tables", "scale", "cubic", "content", "conditions", "locus",
+    __slots__ = ("v", "row", "tables", "scale", "cubic", "speed_terms", "conditions", "locus",
                  "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
@@ -393,7 +390,8 @@ class _Point(_Lazy):
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
         self.scale = row.scale * vp[0]
-        self.cubic, self.content = row.finish(vp)
+        self.cubic, k, m = row.finish(vp)
+        self.speed_terms = k, m
         self._y_roots = None
 
     @classmethod
@@ -405,7 +403,7 @@ class _Point(_Lazy):
     def _make_conditions(self) -> tuple:
         """bound_stability_polys up to positive factors, read off the cubic.
 
-        K and M are the speed terms (_Row.speed_terms): a + b and
+        K and M are the speed terms (_Row.finish): a + b and
         a b content / scale, both times qa qb scale, for a = pa / qa and
         b = pb / qb.  The equilibrium cubic bound here is content / scale
         times the cubic C, so on the locus the fold a b (C0 + x C0') times
@@ -414,8 +412,8 @@ class _Point(_Lazy):
         of the three conditions.  The trace term vanishes only at a = b = 1,
         where the second is the first object.
         """
-        _, vp, ap, bp = self.tables
-        k, m = self.row.speed_terms(vp, self.content)
+        _, _, ap, bp = self.tables
+        k, m = self.speed_terms
         fold = tuple(i * c for i, c in enumerate(self.cubic, 1))
         mf = [m * d for d in fold]
         trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
@@ -502,33 +500,17 @@ class _Point(_Lazy):
         return s1, (s1 if d2 is d1 else _sign_dense_at(d2, root)), _sign_dense_at(d3, root)
 
 
-def _remainder(cubic, k: int, m: int) -> tuple:
-    """Q = K + M (3 c0 + 2 c1 x + c2 x**2), the modulus test at a root of the cubic.
-
-    cubic is a point's primitive cubic and k, m its speed terms K and M
-    (_Row.speed_terms).  The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has
-    x C' = 3 C less 3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition
-    K - M F of _Point._make_conditions plus 4 M C: the two agree at every
-    root of C, where both are a positive multiple of s - Phi, with
-    s = 1/a + 1/b and Phi = x C' (ROADMAP item 12).  So gcd(Q, C) is
-    gcd(K - M F, C).  Its linear coefficient 2 M c1 is positive and its lead
-    M c2 negative, since M > 0 and, over a positive factor, c1 = u v**2 + u v
-    and c2 = -2 u v**2.
-    """
-    c0, c1, c2, _ = cubic
-    return k + 3 * m * c0, 2 * m * c1, m * c2
-
-
 def _bracket_counts(cubic, k: int, m: int) -> tuple | None:
     """(positive, stable) of _Row.counts from the cubic's certified brackets, or None.
 
-    cubic, k and m are a point's primitive cubic C and speed terms, as for
-    _remainder.  A fixed point is stable when C' and the modulus condition
-    (the third of _Point.conditions, the one a report asks) are positive
-    there (see the module docstring): at a root of C the fold has the sign
-    of C', and a positive fold makes the flip positive.  C's lead is
-    positive, so C' > 0 at its lowest and highest real roots and C' < 0 at
-    the middle one of three, which is never stable.
+    cubic is a point's primitive cubic C = c0 + c1 x + c2 x**2 + c3 x**3,
+    and k and m its speed terms K and M (_Row.finish).  A fixed point
+    is stable when C' and the modulus condition (the third of
+    _Point.conditions, the one a report asks) are positive there (see the
+    module docstring): at a root of C the fold has the sign of C', and a
+    positive fold makes the flip positive.  C's lead is positive, so
+    C' > 0 at its lowest and highest real roots and C' < 0 at the middle
+    one of three, which is never stable.
 
     With disc < 0 the cubic has one real root.  It lies below 0 when
     C(0) > 0, and it is 0 itself when C(0) = 0 (u v = 1, where C is x times
@@ -537,42 +519,48 @@ def _bracket_counts(cubic, k: int, m: int) -> tuple | None:
     bracketed (realroots._cubic_brackets with outer set): one bracket when
     disc < 0, two when disc > 0.  Each with lower sign -1 holds a root
     where C rises, and two of them leave the middle root between them, so a
-    lowest bracket starting at 0 or above puts every root above 0.  A
-    bracketed root is stable when Q (_remainder), which is the modulus
-    condition there, is positive: its bound over the bracket
-    (_quadratic_bounds), or an exact query where that straddles 0.  Any
+    lowest bracket starting at 0 or above puts every root above 0.  Any
     other case (disc = 0, failed brackets, another sign pattern, or a
     lowest bracket reaching below 0) gives None, for the whole-line route
     (_Point.line_counts).
+
+    A bracketed root is stable when the quadratic
+    Q = K + M (3 c0 + 2 c1 x + c2 x**2) is positive there.  x C' = 3 C less
+    3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition K - M F of
+    _Point._make_conditions plus 4 M C: the two agree at every root of C,
+    where both are a positive multiple of s - Phi, with s = 1/a + 1/b and
+    Phi = x C' (ROADMAP item 12), and gcd(Q, C) is gcd(K - M F, C).  Q's
+    linear coefficient 2 M c1 is positive and its lead M c2 negative, since
+    M > 0 and, over a positive factor, c1 = u v**2 + u v and
+    c2 = -2 u v**2.  So over a bracket [a, b] / 2**j, 0 <= a, where x and
+    x**2 both rise, 2**(2j) Q is least with the linear term at a and the
+    square term at b, and greatest the other way round: no interval Horner
+    loop runs, and only where the two bounds straddle 0 is Q's sign asked
+    exactly.
     """
     disc = _cubic_discriminant(cubic)
-    if disc < 0 <= cubic[0]:
+    c0, c1, c2, _ = cubic
+    if disc < 0 <= c0:
         return 0, 0
     brackets = _cubic_brackets(cubic, disc, outer=True)
-    if not brackets or brackets[0][1] > 0 or brackets[-1][1] > 0 or brackets[0][0][0] < 0:
+    if not brackets:
         return None
-    q = _remainder(cubic, k, m)
+    q0, q1, q2 = k + 3 * m * c0, 2 * m * c1, m * c2
     stable = 0
-    for (a, b, j), _ in brackets:
-        low, high = _quadratic_bounds(q, a, b, j)
-        if low <= 0 <= high:
+    # a bracket reaching below 0 makes the lowest reach below 0
+    for (a, b, j), slo in brackets:
+        if slo > 0 or a < 0:
+            return None
+        base = q0 << 2 * j
+        if base + (q1 * b << j) + q2 * a * a < 0:  # 2**(2j) Q at most
+            continue
+        if base + (q1 * a << j) + q2 * b * b > 0:  # 2**(2j) Q at least
+            stable += 1
+        else:
             root = AlgebraicReal._from_window("x", cubic, a, b, j, 1, -1)
-            low = _sign_dense_at(q, root)
-        stable += low > 0
+            stable += _sign_dense_at((q0, q1, q2), root) > 0
     # one real root, or three with the middle one between the brackets
     return 2 * len(brackets) - 1, stable
-
-
-def _quadratic_bounds(q, a: int, b: int, k: int) -> tuple[int, int]:
-    """Bounds of 2**(2k) q(x) over x in [a / 2**k, b / 2**k], for 0 <= a <= b.
-
-    q is a _remainder, so q1 > 0 > q2.  x and x**2 both rise there, so the
-    linear term is least at a and the square term at b, and no interval
-    Horner loop runs.
-    """
-    q0, q1, q2 = q
-    q0 <<= 2 * k
-    return q0 + (q1 * a << k) + q2 * b * b, q0 + (q1 * b << k) + q2 * a * a
 
 
 def _verdict(signs: tuple) -> str:

@@ -30,12 +30,13 @@ integer arithmetic: polynomials are scaled by positive integers only and
 dyadic points by shifts, which keeps every sign.  Fractions appear only at
 the edges (MPoly input, rational roots, lo/hi).  Floats propose in one
 place only, and exact sign evaluations certify: a cubic's real roots
-(_cubic_brackets), where closed-form float roots, unpolished, propose one
-narrow dyadic bracket per real root, and the signs at the bracket ends
-certify them, or give way to Sturm isolation.  Scan cells ask for the
-lowest and highest roots' brackets only and count from them, rational
-roots left unsnapped (model._bracket_counts); isolation (_isolate_int)
-counts roots against all of them and keeps each as its root's hint.  The
+(_cubic_brackets), where closed-form float roots, unpolished and already
+ascending, propose one narrow dyadic bracket per real root, and the signs
+at the bracket ends certify them, or give way to Sturm isolation.  Scan
+cells ask for the lowest and highest roots' brackets only, from those two
+seeds alone, and count from them, rational roots left unsnapped
+(model._bracket_counts); isolation (_isolate_int) counts roots against
+all of them and keeps each as its root's hint.  The
 nearest double to a root (approx) is one exact Newton point, rounded
 once; signs at the midpoints to its neighbours certify it, or bisection
 finds it, so it is the correctly rounded root and no decision reads it.
@@ -66,6 +67,10 @@ _ZERO_TEST_ROUND = 10
 # times the sum of its terms' sizes, as Horner's rounding error at degree 3
 # is below 6 * 2**-53 times that sum.
 _FLOAT_NOISE = 2.0**-48
+
+# 2 pi j / 3 at j = 1 and 2, to the bit: 2 pi j is exact, so each is one rounding
+_TWO_THIRDS_PI = 2 * pi / 3
+_FOUR_THIRDS_PI = 4 * pi / 3
 
 
 def _sign(value) -> int:
@@ -316,12 +321,15 @@ def _nearest_double(coeffs, slo: int, a: int, b: int, k: int) -> float:
     return _bisect_double(coeffs, slo, a, b, k)
 
 
-def _cubic_seeds(cf, three: bool) -> list[float]:
+def _cubic_seeds(cf, three: bool, outer: bool = False) -> list[float]:
     """The real roots of a monic cubic in floats by the closed form, uncertified.
 
     cf are its coefficients, highest first.  three says it has three real
-    roots, taken in trigonometric form; otherwise its one real root comes
-    from Cardano's formula.  Float failures raise.
+    roots, taken in trigonometric form, r cos(phi - 2 pi j / 3) less c2 / 3
+    for j = 2, 1, 0: in that order they ascend, as
+    cos(phi + 2 pi / 3) <= cos(phi - 2 pi / 3) <= cos(phi) for phi in
+    [0, pi / 3], and outer leaves the middle one out.  Otherwise its one
+    real root comes from Cardano's formula.  Float failures raise.
     """
     _, c2, c1, c0 = cf
     p = c1 - c2 * c2 / 3  # t = x + c2 / 3 solves t**3 + p t + q = 0
@@ -329,7 +337,8 @@ def _cubic_seeds(cf, three: bool) -> list[float]:
     if three:
         r = 2 * sqrt(-p / 3)
         phi = acos(max(-1.0, min(1.0, 3 * q / (p * r)))) / 3
-        return [r * cos(phi - 2 * pi * j / 3) - c2 / 3 for j in range(3)]
+        low, high = r * cos(phi - _FOUR_THIRDS_PI) - c2 / 3, r * cos(phi) - c2 / 3
+        return [low, high] if outer else [low, r * cos(phi - _TWO_THIRDS_PI) - c2 / 3, high]
     # -q/2 -+ sqrt(D) taken away from zero, so it does not cancel
     w = -q / 2 - copysign(sqrt(q * q / 4 + p * p * p / 27), q)
     t = copysign(abs(w) ** (1 / 3), w)
@@ -349,20 +358,23 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
     coeffs are a cubic's ascending integer coefficients and disc its
     discriminant: disc > 0 means 3 simple real roots and disc < 0 means 1.
     Floats only choose where to look: each closed-form root of _cubic_seeds,
-    unpolished, seeds a dyadic bracket (a / 2**k, b / 2**k) reaching past
-    its float error bound (residual over slope, plus rounding) both ways.
-    A strict sign change between its exactly evaluated ends, slo to -slo,
-    proves a root inside, so as many pairwise disjoint brackets as real
-    roots hold one root each and leave none outside; they come ascending.
-    Anything else gives None and never an exception: disc zero, a float
-    overflow, zero division or NaN, a seed count other than the real-root
-    count, a bracket with no sign change, or two that meet.
+    unpolished and already ascending, seeds a dyadic bracket
+    (a / 2**k, b / 2**k) reaching past its float error bound (residual
+    over slope, plus rounding) both ways.  A strict sign change between its
+    exactly evaluated ends, slo to -slo, proves a root inside, so as many
+    pairwise disjoint brackets as real roots hold one root each and leave
+    none outside; they come ascending, as each must start above the one
+    before.  Anything else gives None and never an exception: disc zero, a
+    float overflow, zero division or NaN, a seed count other than the
+    real-root count, a bracket with no sign change, or two that meet.  Two
+    seeds the wrong way round lie within rounding of each other, and their
+    brackets, wider than that, meet.
 
     With outer set and disc > 0 only the lowest and highest seeds are
-    bracketed, each as the full call brackets it, so where the full call
-    gives brackets these are its first and last.  Two disjoint brackets,
-    each with a sign change, hold one root apiece, as three in one would
-    make four; the caller places the third from their slo
+    computed and bracketed, each as the full call brackets it, so where the
+    full call gives brackets these are its first and last.  Two disjoint
+    brackets, each with a sign change, hold one root apiece, as three in
+    one would make four; the caller places the third from their slo
     (model._bracket_counts).
 
     The code is float Horner and _eval_dyadic written out for degree 3, with
@@ -377,12 +389,9 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
     try:
         lead = float(d3)
         c2, c1, c0 = float(d2) / lead, float(d1) / lead, float(d0) / lead
-        seeds = _cubic_seeds((1.0, c2, c1, c0), disc > 0)
-        if len(seeds) != (3 if disc > 0 else 1):
+        seeds = _cubic_seeds((1.0, c2, c1, c0), disc > 0, outer)
+        if len(seeds) != (1 if disc < 0 else 2 if outer else 3):
             return None
-        seeds.sort()  # a wrong float order fails the exact check below
-        if outer:
-            del seeds[1:-1]
         a2, a1, a0 = abs(c2), abs(c1), abs(c0)
         brackets = []
         for x in seeds:
@@ -392,17 +401,17 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
             # the float error bound is FLOAT_NOISE times sum |c_i x**i|
             size = ((ax + a2) * ax + a1) * ax + a0
             # 2**-k is above the error bound (or 1), and x is in [m, m + 1) / 2**k
-            k = max(-frexp((abs(f2 * x + c0) + size * _FLOAT_NOISE)
-                           / abs((x + f1) * x + f2))[1], 0)
+            k = -frexp((abs(f2 * x + c0) + size * _FLOAT_NOISE) / abs((x + f1) * x + f2))[1]
+            if k < 0:
+                k = 0
             n, den = x.as_integer_ratio()
             m = (n << k) // den
-            if brackets:
-                (_, hi, j), _ = brackets[-1]
-                if (m - 1) << j < hi << k:  # it meets the bracket below
-                    return None
-            # 2**(3k) times the cubic at the bracket ends (m - 1) / 2**k and (m + 2) / 2**k
-            e2, e1, e0 = d2 << k, d1 << 2 * k, d0 << 3 * k
             left, right = m - 1, m + 2
+            # it meets the bracket below, which ends at top / 2**j
+            if brackets and left << j < top << k:
+                return None
+            # 2**(3k) times the cubic at the bracket ends left / 2**k and right / 2**k
+            e2, e1, e0 = d2 << k, d1 << 2 * k, d0 << 3 * k
             lv = ((d3 * left + e2) * left + e1) * left + e0
             rv = ((d3 * right + e2) * right + e1) * right + e0
             if lv < 0 < rv:
@@ -412,6 +421,7 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
             else:
                 return None
             brackets.append(((left, right, k), slo))
+            top, j = right, k
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
     return brackets

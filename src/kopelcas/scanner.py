@@ -12,16 +12,17 @@ count a row of the model owns (model._Row.counts, its bracket rule
 model._bracket_counts), and isolates the whole line only where they fail
 or the lowest reaches below 0.  A cell whose cubic C has one real root
 (disc < 0) and C(0) >= 0 has that root at or below 0 (at 0 on u v = 1),
-so it counts none and asks for no bracket.  Otherwise only the lowest and highest real roots
-are bracketed: C rises through both, and the middle one of three, which
-lies between their brackets, is never stable.  A bracket holds the sign of
+so it counts none and asks for no bracket.  Otherwise only the lowest and
+highest real roots are bracketed, from their two closed-form seeds alone:
+C rises through both, and the middle one of three, which lies between
+their brackets, is never stable.  A bracket holds the sign of
 the fold condition at its root, so a bracketed root's stability takes the
 modulus condition's sign alone.  At a root of C that is the sign of a
-quadratic (model._remainder): one bound from its terms' values at the
-narrow bracket's ends mostly settles it, and only where that does not is
-an exact sign query asked.  A root of the whole-line route
-(model._Point.line_counts) is judged as a report judges it, by the Jury
-rule on all three signs.
+quadratic Q, which the bracket rule bounds inline: one bound from its
+terms' values at the narrow bracket's ends mostly settles it, and only
+where that does not is an exact sign query asked.  A root of the
+whole-line route (model._Point.line_counts) is judged as a report judges
+it, by the Jury rule on all three signs.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The kind's certificates, as one term list with certificate i the

@@ -17,7 +17,7 @@ from kopelcas.model import (
 )
 from kopelcas.realroots import AlgebraicReal, _isolate_int, isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
-from oracles import coefficient_of, point_remainder
+from oracles import coefficient_of, point_remainder, quadratic_bounds, remainder
 from test_mirrored_cubic import POOL
 from test_report_digests import POINTS
 
@@ -593,7 +593,8 @@ class TestReportBrackets:
     def test_wrong_seeds_build_chains_and_the_same_bytes(self, monkeypatch, wrong):
         point, digest = self.THREE_ROOTS
         seeds = realroots._cubic_seeds
-        monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: wrong(seeds(cf, three)))
+        monkeypatch.setattr(realroots, "_cubic_seeds",
+                            lambda cf, three, outer=False: wrong(seeds(cf, three, outer)))
         chains = _spy_chains(monkeypatch)
         assert _report_digest(point) == digest
         # the x cubic and its twin, each by its own chain
@@ -638,7 +639,7 @@ class TestScanStabilityRule:
         # Q = (K - M F) + 4 M C on the bound integers, at unequal speeds and at full speed
         for params in (ModelParams(4, 4, F(1, 2), F(3, 4)), ModelParams(F(13, 4), F(13, 4))):
             point = model._Point.of(params)
-            _, m = point.row.speed_terms(point.tables[1], point.content)
+            _, m = point.speed_terms
             modulus = point.conditions[2]
             q = point_remainder(point)
             four_c = [4 * m * c for c in point.cubic]
@@ -647,16 +648,23 @@ class TestScanStabilityRule:
     def test_a_scan_asks_at_most_one_sign_per_positive_root(self, monkeypatch):
         # a bound of Q over a bracket whose root has C' > 0, and an exact
         # query only where that bound straddles 0: the middle one of three
-        # roots asks nothing, so the bounds are at most the positive roots
+        # roots asks nothing, so the bounds are at most the positive roots.
+        # The rule bounds Q inline, so each answer it gives on brackets has
+        # its bounds taken again here, over the same outer brackets
         straddles, exact = [], []
-        real_bounds, real_sign = model._quadratic_bounds, model._sign_dense_at
+        real_rule, real_sign = model._bracket_counts, model._sign_dense_at
 
-        def bound(*args):
-            low, high = real_bounds(*args)
-            straddles.append(low <= 0 <= high)
-            return low, high
+        def rule(cubic, k, m):
+            answer = real_rule(cubic, k, m)
+            if answer and answer[0]:  # a count on brackets is never (0, 0)
+                disc = realroots._cubic_discriminant(cubic)
+                q = remainder(cubic, k, m)
+                for (a, b, j), _ in realroots._cubic_brackets(cubic, disc, outer=True):
+                    low, high = quadratic_bounds(q, a, b, j)
+                    straddles.append(low <= 0 <= high)
+            return answer
 
-        monkeypatch.setattr(model, "_quadratic_bounds", bound)
+        monkeypatch.setattr(model, "_bracket_counts", rule)
         monkeypatch.setattr(model, "_sign_dense_at", lambda *args: exact.append(args)
                             or real_sign(*args))
         grid = scan("homogeneous", ScanSpec(self.FIG2, self.FIG2, 10, a_value=F(1, 2)))
@@ -666,12 +674,15 @@ class TestScanStabilityRule:
         assert len(exact) == sum(straddles)
 
     def test_a_wrong_remainder_makes_a_scan_disagree(self, monkeypatch):
-        # Q's constant term at 2 c0 in place of 3 c0: the certificates catch it
+        # Q's constant term at 2 c0 in place of 3 c0: the certificates catch
+        # it.  The rule builds Q = K + M (3 c0 + ...) inline, so K less M c0
+        # plants it
+        real_rule = model._bracket_counts
+
         def planted(cubic, k, m):
-            c0, c1, c2, _ = cubic
-            return k + 2 * m * c0, 2 * m * c1, m * c2
+            return real_rule(cubic, k - m * cubic[0], m)
 
         spec = ScanSpec(self.FIG2, self.FIG2, 20)
         assert not scan("stable", spec).disagreements()
-        monkeypatch.setattr(model, "_remainder", planted)
+        monkeypatch.setattr(model, "_bracket_counts", planted)
         assert scan("stable", spec).disagreements()

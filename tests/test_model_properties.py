@@ -364,9 +364,9 @@ def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, speed, positive):
 
 @given(intensities, intensities, speed_pairs)
 def test_the_remainder_rises_in_x_and_falls_in_x_squared(u, v, ab):
-    # _quadratic_bounds takes these signs as given: Q's linear coefficient
-    # is 2 M c1 and its lead M c2, with M > 0, c1 = u v**2 + u v and
-    # c2 = -2 u v**2 over a positive factor
+    # model._bracket_counts bounds Q taking these signs as given: Q's
+    # linear coefficient is 2 M c1 and its lead M c2, with M > 0,
+    # c1 = u v**2 + u v and c2 = -2 u v**2 over a positive factor
     _, q1, q2 = point_remainder(_Point.of(ModelParams(u, v, *ab)))
     assert q1 > 0 > q2
 
@@ -409,6 +409,7 @@ def test_wrong_seeds_fall_back_to_sturm(monkeypatch, wrong, u, v, positive):
     assert _scan_answer(u, v) == _counted(positive)
     assert calls == []
     seeds = realroots._cubic_seeds
-    monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: wrong(seeds(cf, three)))
+    monkeypatch.setattr(realroots, "_cubic_seeds",
+                        lambda cf, three, outer=False: wrong(seeds(cf, three, outer)))
     assert _scan_answer(u, v) == _counted(positive)
     assert len(calls) == 1

@@ -740,5 +740,5 @@ def test_a_bracket_across_one_holds_a_positive_root(monkeypatch, route):
 ])
 def test_unit_cubic_roots_answer_float_failures_with_none(monkeypatch, coeffs, disc, seeds):
     if seeds is not None:
-        monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: seeds)
+        monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three, outer=False: seeds)
     assert _cubic_brackets(coeffs, disc) is None

@@ -9,17 +9,17 @@ from fractions import Fraction as F
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kopelcas import realroots
+from kopelcas import model, realroots
 from kopelcas.exactpoly import MPoly, X, _int_gcd, dense_to_mpoly
 from kopelcas.realroots import (
     AlgebraicReal, _cubic_brackets, _cubic_discriminant, _eval_dyadic, _halve, _image,
     _int_clear, _interval_horner, _isolate_int, _isolate_square_free, _make_disjoint,
     _sign_dense_at, _square_free_int, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
 )
-from oracles import coefficient_of, sturm_sign_count
+from oracles import bracket_counts, coefficient_of, remainder, sturm_sign_count
 from test_model_properties import integer_cubics
 
 rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
@@ -465,7 +465,7 @@ def test_a_bracket_end_on_the_root_is_refused_as_the_generic_loops_refuse(
     # +-(x - 1)(x**2 + 1) has its one real root at 1, and each wrong seed
     # puts that end of its bracket on it: a zero end is no strict sign change
     coeffs = tuple(sign * c for c in (-1, 1, -1, 1))
-    monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three: [seed])
+    monkeypatch.setattr(realroots, "_cubic_seeds", lambda cf, three, outer=False: [seed])
     disc = _cubic_discriminant(coeffs)
     assert _cubic_brackets(coeffs, disc) is None is _generic_brackets(coeffs, disc)
 
@@ -483,20 +483,63 @@ def test_the_bracket_kernel_matches_the_generic_loops(coeffs, at, scale, disc):
     assert _cubic_brackets(coeffs, disc) == _generic_brackets(coeffs, disc)
 
 
+def _with_model_signs(coeffs) -> tuple:
+    """coeffs negated, then with x -> -x, as needed for c1 >= 0 >= c2, as in the model's cubic.
+
+    Q's coefficient signs then are the model's, which the bracket rule's
+    bounds take as given: q1 = 2 M c1 > 0 > q2 = M c2 where c1 and c2 are
+    not 0.
+    """
+    if coeffs[2] > 0:
+        coeffs = tuple(-c for c in coeffs)
+    if coeffs[1] < 0:
+        coeffs = tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
+    return coeffs
+
+
+def _line_counts(cubic, k: int, m: int) -> tuple:
+    """(positive, stable) of a cubic with simple roots, over every real root.
+
+    A root above 0 is stable when C' and Q (oracles.remainder) are both
+    positive there, each sign asked exactly.
+    """
+    roots = [r for r in _isolate_int("x", cubic) if r.compare_rational(0) > 0]
+    slope, q = (cubic[1], 2 * cubic[2], 3 * cubic[3]), remainder(cubic, k, m)
+    return len(roots), sum(_sign_dense_at(slope, r) > 0 < _sign_dense_at(q, r) for r in roots)
+
+
+# roots near 2**-49, 2**-48 and 2: the middle seed's bracket holds the
+# close pair, so it has no sign change, while the lowest holds one root
+_CLOSE_PAIR_NEAR_ZERO = (-2, 1688849860263937, -316912650057058194799105933312,
+                 158456325028528675187087900672)
+
+
 @settings(max_examples=400)
 @given(st.one_of(drawn_cubics, shifted_close_cubics), st.integers(0, 3),
-       st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]))
-def test_the_outer_brackets_are_the_first_and_last(coeffs, at, scale, disc):
-    # the strategies of the kernel's bit-for-bit test above
-    coeffs = tuple(c * scale if i == at else c for i, c in enumerate(coeffs))
+       st.sampled_from([1, 10**150, 10**300, 10**400]), st.sampled_from([None, 0, 1, -1]),
+       st.integers(1, 10**40), st.integers(1, 10**40))
+@example(_CLOSE_PAIR_NEAR_ZERO, 0, 1, None, 1, 1)
+@example(_CLOSE_PAIR_NEAR_ZERO, 0, 1, None, 1, 10**6)
+def test_the_outer_brackets_are_the_first_and_last(coeffs, at, scale, disc, k, m):
+    # the bracket rule against its oracle, which takes the first and last
+    # of the full call's brackets and Q's signs exactly, on the strategies of
+    # the kernel's bit-for-bit test above, disc forced through the rule's
+    # own name for it
+    coeffs = _with_model_signs(tuple(c * scale if i == at else c for i, c in enumerate(coeffs)))
+    assume(coeffs[1] and coeffs[2])
     if disc is None:
         disc = _cubic_discriminant(coeffs)
-    full = _cubic_brackets(coeffs, disc)
-    outer = _cubic_brackets(coeffs, disc, outer=True)
-    if disc <= 0:
-        assert outer == full
-    elif full is not None:
-        assert outer == [full[0], full[-1]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_cubic_discriminant", lambda c: disc)
+        got = model._bracket_counts(coeffs, k, m)
+    expected = bracket_counts(coeffs, k, m, disc)
+    if expected is not None or got is None:
+        assert got == expected
+    else:
+        # the full call failed at its middle bracket alone, which the rule
+        # never computes: its outer brackets certify a count all the same
+        assert disc > 0 and _cubic_brackets(coeffs, disc) is None
+        assert got == _line_counts(coeffs, k, m)
 
 
 def _has_no_rational_root(coeffs, nums, dens) -> bool:
