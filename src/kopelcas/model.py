@@ -37,7 +37,8 @@ every real root: a scan cell's cubic where the brackets fail
 and its twin.  It bisects from the root bound, counting roots against such
 brackets where they hold and by Sturm sequences where not: the windows are
 nodes of one bisection tree, fixed by the roots alone, so the x_interval a
-report prints is the same either way.  On the locus the
+report prints is the same either way.  Only realroots halves a window,
+into (0, 1) for a positive root too, or reads one.  On the locus the
 Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
 flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
 the modulus a + b less the fold.  A point reads the three off its bound
@@ -64,14 +65,20 @@ from .exactpoly import (
     A, B, MPoly, U, V, X, Y, _exact_div, _primitive, bind, dense_to_mpoly, finish, integer_terms,
     power_tables, stage,
 )
-from .rational import coerce_rational, format_dyadic, format_rational
+from .rational import coerce_rational, format_rational
 from .realroots import (
-    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _halve, _image, _isolate_int,
-    _sign_dense_at,
+    AlgebraicReal, _cubic_brackets, _cubic_discriminant, _fit_unit_interval, _image,
+    _isolate_int, _sign_dense_at, _window_text,
 )
 from .record import FrozenRecord, Record
 
 DIVERGENCE_THRESHOLD = 1e12
+
+
+def _check_speeds(*speeds: Fraction) -> None:
+    """Refuse a speed outside 0 < s <= 1, the one rule of ModelParams and ScanSpec."""
+    if not all(0 < s.numerator <= s.denominator for s in speeds):
+        raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
 
 
 class ModelParams(FrozenRecord):
@@ -84,8 +91,7 @@ class ModelParams(FrozenRecord):
         # a Fraction's denominator is positive, so the checks run on integers
         if u.numerator <= 0 or v.numerator <= 0:
             raise ValueError("reaction intensities must satisfy u > 0 and v > 0")
-        if not (0 < a.numerator <= a.denominator and 0 < b.numerator <= b.denominator):
-            raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
+        _check_speeds(a, b)
         super().__init__(u, v, a, b)
 
     def as_floats(self):
@@ -206,15 +212,9 @@ class Equilibrium(_Lazy):
         side = x_root.compare_rational(0)
         self.is_positive = side > 0
         self.in_unit_square = side >= 0
-        if side > 0 and not x_root.is_rational:
-            # kept only for the x_interval a report prints: a positive
-            # root's window is halved until it lies inside (0, 1), or until
-            # a midpoint hits the root
-            a, b, k = x_root._a, x_root._b, x_root._k
-            while a != b and not (a > 0 and b < 1 << k):
-                a, b, k = _halve(x_root._coeffs, x_root._lower_sign(), a, b, k, x_root._hint)
-            if k != x_root._k:
-                x_root._adopt(a, b, k)
+        if side > 0:
+            # kept only for the x_interval a report prints
+            _fit_unit_interval(x_root)
         if _point is not None:
             self._point = _point
 
@@ -612,14 +612,6 @@ def e0_stable(params: ModelParams) -> bool:
     bound constant term, up to a positive factor.
     """
     return _verdict(tuple(d[0] for d in _Point.of(params).conditions)) == "stable"
-
-
-def _window_text(root: AlgebraicReal) -> list:
-    """[lo, hi] of root's window as format_rational prints them, no Fraction built."""
-    if root._value is not None:
-        text = format_rational(root._value)
-        return [text, text]
-    return [format_dyadic(root._a, root._k), format_dyadic(root._b, root._k)]
 
 
 def equilibrium_report(params: ModelParams) -> dict:

@@ -21,9 +21,11 @@ holds at most one candidate, and one exact evaluation decides it.  A
 polynomial with rational roots, hit or snapped, is divided by them, and
 the rest is isolated afresh.
 
-A sign query at a root bisects the root's window until an interval bound of
-the queried polynomial settles.  Only a query still unsettled after
-_ZERO_TEST_ROUND rounds computes the gcd that certifies an exact zero.
+Every narrowing a root keeps is one step, AlgebraicReal._bisect, which
+halves its window in place; a midpoint on the root makes it exact.
+Queries repeat it on the root until they settle, so each starts from the
+window the last one left.  A sign query unsettled by interval bounds after
+_ZERO_TEST_ROUND halvings computes the gcd that certifies an exact zero.
 
 All decisions below (membership, signs, comparisons) are certified by exact
 integer arithmetic: polynomials are scaled by positive integers only and
@@ -53,7 +55,7 @@ from .exactpoly import (
     MPoly, _dense_coeffs, _dense_trim, _exact_div, _int_clear, _int_gcd, _primitive,
     _pseudo_rem, dense_to_mpoly,
 )
-from .rational import coerce_rational
+from .rational import coerce_rational, format_dyadic, format_rational
 
 _REFINE_CAP = 4000  # safety valve; no certified path needs anywhere near this
 
@@ -538,13 +540,18 @@ class AlgebraicReal:
             self._slo = _sign(_eval_dyadic(self._coeffs, self._a, self._k))
         return self._slo
 
+    def _bisect(self) -> None:
+        """Halve the window in place, hint honoured; a midpoint on the root makes it exact."""
+        self._adopt(*_halve(self._coeffs, self._lower_sign(), self._a, self._b, self._k,
+                            self._hint))
+
     def _step(self) -> "AlgebraicReal":
-        """One bisection step; snaps to exact if the midpoint is the root."""
+        """A copy one bisection step narrower; self itself when it is exact."""
         if self._value is not None:
             return self
-        window = _halve(self._coeffs, self._lower_sign(), self._a, self._b, self._k, self._hint)
-        return AlgebraicReal._from_window(self._var, self._coeffs, *window, self._mult, self._slo,
-                                          self._hint)
+        out = self._copy(self._mult)
+        out._bisect()
+        return out
 
     def _copy(self, multiplicity: int) -> "AlgebraicReal":
         """The same root, window and hint with its own multiplicity and caches."""
@@ -554,10 +561,10 @@ class AlgebraicReal:
                                           multiplicity, self._slo, self._hint)
 
     def _adopt(self, a: int, b: int, k: int) -> None:
-        """Keep a tighter window found while answering a query.
+        """Keep the window (a, b) / 2**k, or the exact root a / 2**k when a == b.
 
-        a == b means the exact root a / 2**k.  The represented number is
-        unchanged, so the cached approximation stays valid.
+        The represented number is unchanged, so the cached approximation
+        stays valid.
         """
         if a == b:
             self._value = Fraction(a, 1 << k)
@@ -569,18 +576,15 @@ class AlgebraicReal:
         width_bound = coerce_rational(width_bound)
         if width_bound <= 0:
             raise ValueError("width bound must be positive")
-        if self._value is not None:
-            return self
         num, den = width_bound.numerator, width_bound.denominator
-        a, b, k = self._a, self._b, self._k
-        while a != b and (b - a) * den > num << k:
-            if k - self._k >= _REFINE_CAP:
-                raise RuntimeError("refinement failed to converge")
-            a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k, self._hint)
-        if k == self._k:
+        if self._value is not None or (self._b - self._a) * den <= num << self._k:
             return self
-        return AlgebraicReal._from_window(self._var, self._coeffs, a, b, k, self._mult, self._slo,
-                                          self._hint)
+        out = self._copy(self._mult)
+        while out._value is None and (out._b - out._a) * den > num << out._k:
+            if out._k - self._k >= _REFINE_CAP:
+                raise RuntimeError("refinement failed to converge")
+            out._bisect()
+        return out
 
     def compare_rational(self, other) -> int:
         """Sign of (self - other) for an exact rational other.
@@ -590,25 +594,22 @@ class AlgebraicReal:
         """
         if not isinstance(other, int):
             other = coerce_rational(other)
-        if self._value is not None:
-            return _sign(self._value - other)
         num, den = other.numerator, other.denominator
-        a, b, k = self._a, self._b, self._k
-        try:
-            while True:
-                if num << k <= a * den:
+        if self._value is None:
+            k0 = self._k
+            while self._value is None:
+                k = self._k
+                if num << k <= self._a * den:
                     return 1
-                if num << k >= b * den:
+                if num << k >= self._b * den:
                     return -1
                 # other is inside the window on every round that gets here, and
                 # is its only root exactly when the polynomial vanishes there
-                if k == self._k and _eval_int_at(self._coeffs, num, den) == 0:
+                if k == k0 and _eval_int_at(self._coeffs, num, den) == 0:
                     self._value = Fraction(other)
                     return 0
-                a, b, k = _halve(self._coeffs, self._lower_sign(), a, b, k, self._hint)
-        finally:
-            if self._value is None and k != self._k:
-                self._adopt(a, b, k)
+                self._bisect()
+        return _sign(self._value - other)
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -766,8 +767,9 @@ def _make_disjoint(items: list[AlgebraicReal]) -> list[AlgebraicReal]:
         clashes = False
         for i in range(len(items) - 1):
             if _overlaps(items[i], items[i + 1]):
-                items[i] = items[i]._step()
-                items[i + 1] = items[i + 1]._step()
+                for r in items[i:i + 2]:
+                    if r._value is None:
+                        r._bisect()
                 clashes = True
         if not clashes:
             return items
@@ -884,32 +886,27 @@ def _sign_dense_at(qi, alpha: AlgebraicReal) -> int:
     """
     if len(qi) <= 1:
         return _sign(qi[0]) if qi else 0
-    if alpha._value is not None:
-        return _sign(_eval_int_at(qi, alpha._value.numerator, alpha._value.denominator))
-    coeffs, slo = alpha._coeffs, alpha._lower_sign()
-    a, b, k = alpha._a, alpha._b, alpha._k
-    try:
-        for round_no in range(_REFINE_CAP):
+    if alpha._value is None:
+        k0 = alpha._k
+        while alpha._value is None:
+            a, b, k = alpha._a, alpha._b, alpha._k
+            if k - k0 >= _REFINE_CAP:
+                raise RuntimeError("sign determination failed to converge")
             low, high = _interval_horner(qi, a, b, k)
             if low > 0:
                 return 1
             if high < 0:
                 return -1
-            if round_no == _ZERO_TEST_ROUND:
+            if k - k0 == _ZERO_TEST_ROUND:
                 # interval bounds refuse to settle: rule exact zero in or out.
-                # The window isolates one root of coeffs and its ends are no
-                # roots, so d changes sign over it exactly when that root is
-                # a common root of q and coeffs.
-                d = _int_gcd(qi, coeffs)
+                # The window isolates one root of the defining polynomial and
+                # its ends are no roots, so d changes sign over it exactly
+                # when that root is a common root of q and it.
+                d = _int_gcd(qi, alpha._coeffs)
                 if len(d) > 1 and (_eval_dyadic(d, a, k) > 0) != (_eval_dyadic(d, b, k) > 0):
                     return 0
-            a, b, k = _halve(coeffs, slo, a, b, k, alpha._hint)
-            if a == b:
-                return _sign(_eval_dyadic(qi, a, k))
-        raise RuntimeError("sign determination failed to converge")
-    finally:
-        if k != alpha._k:
-            alpha._adopt(a, b, k)
+            alpha._bisect()
+    return _sign(_eval_int_at(qi, alpha._value.numerator, alpha._value.denominator))
 
 
 def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
@@ -924,16 +921,14 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
     interval bound over a halved window, and every candidate's window only
     shrink, so one that misses it never meets a later one.
     """
-    if alpha.is_rational:
-        num, den = alpha.value.numerator, alpha.value.denominator
-        val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
-        return AlgebraicReal.from_rational(val, "y", alpha.multiplicity_in_source)
-    roots = candidates(alpha)
-    coeffs, slo = alpha._coeffs, alpha._lower_sign()
-    a, b, k = alpha._a, alpha._b, alpha._k
-    try:
-        for _ in range(_REFINE_CAP):
-            low, high = _interval_horner(qi, a, b, k)
+    if alpha._value is None:
+        roots = candidates(alpha)
+        k0 = alpha._k
+        while alpha._value is None:
+            k = alpha._k
+            if k - k0 >= _REFINE_CAP:
+                raise RuntimeError("image root selection failed to converge")
+            low, high = _interval_horner(qi, alpha._a, alpha._b, k)
             den = scale << (k * (len(qi) - 1))  # the value box is [low, high] / den
             live = []
             for cand in roots:
@@ -943,11 +938,21 @@ def _image(alpha: AlgebraicReal, qi, scale: int, candidates) -> AlgebraicReal:
             if len(live) == 1:
                 return live[0]._copy(alpha._mult)
             roots = [c._step() for c in live]
-            a, b, k = _halve(coeffs, slo, a, b, k, alpha._hint)
-            if a == b:
-                alpha._adopt(a, b, k)
-                return _image(alpha, qi, scale, candidates)
-        raise RuntimeError("image root selection failed to converge")
-    finally:
-        if alpha._value is None and k != alpha._k:
-            alpha._adopt(a, b, k)
+            alpha._bisect()
+    num, den = alpha._value.numerator, alpha._value.denominator
+    val = Fraction(_eval_int_at(qi, num, den), scale * den ** (len(qi) - 1))
+    return AlgebraicReal.from_rational(val, "y", alpha._mult)
+
+
+def _fit_unit_interval(root: AlgebraicReal) -> None:
+    """Halve a root in (0, 1) until its window lies inside (0, 1) or it is exact."""
+    while root._value is None and not (root._a > 0 and root._b < 1 << root._k):
+        root._bisect()
+
+
+def _window_text(root: AlgebraicReal) -> list:
+    """[lo, hi] of root's window as format_rational prints them, no Fraction built."""
+    if root._value is not None:
+        text = format_rational(root._value)
+        return [text, text]
+    return [format_dyadic(root._a, root._k), format_dyadic(root._b, root._k)]

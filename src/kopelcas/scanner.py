@@ -59,7 +59,7 @@ from .certificates import (
     EXPECTED_COUNT, StableCountClass, _KIND_TERMS, _classify_values, _kind_speed,
 )
 from .exactpoly import finish, power_table, stage
-from .model import _Row
+from .model import _Row, _check_speeds
 from .rational import coerce_rational, format_rational
 from .record import FrozenRecord, Record
 
@@ -73,8 +73,7 @@ class ScanSpec(FrozenRecord):
         v = tuple(coerce_rational(t) for t in v_range)
         if a_value is not None:
             a_value = coerce_rational(a_value)
-            if not (0 < a_value <= 1):
-                raise ValueError("adjustment speeds must satisfy 0 < a <= 1 and 0 < b <= 1")
+            _check_speeds(a_value)
         for lo, hi in (u, v):
             if lo <= 0:
                 raise ValueError("scan ranges must stay strictly positive")

@@ -9,14 +9,19 @@ the bounds it takes of Q over a bracket, and bracket_counts that rule
 again, from the full call's brackets and exact signs of Q alone.
 point_counts and point_remainder read a model._Point as a scan cell reads
 its row: the row's count at the point's v (model._Row.counts), and Q at the
-point's cubic and speed terms.
+point's cubic and speed terms.  replayed_compare, replayed_sign,
+replayed_refine and replayed_step run a root's queries as loops of their
+own, each halving a shadow window and writing it back at the end, the
+oracle for the window every query of AlgebraicReal leaves.
 """
 
-from kopelcas.exactpoly import VARS, MPoly, _int_clear
+from fractions import Fraction
+
+from kopelcas.exactpoly import VARS, MPoly, _int_clear, _int_gcd
 from kopelcas.rational import coerce_rational
 from kopelcas.realroots import (
-    AlgebraicReal, _cubic_brackets, _eval_int_at, _roots_between, _sign_dense_at, _sturm_chain,
-    _univar,
+    _REFINE_CAP, _ZERO_TEST_ROUND, AlgebraicReal, _cubic_brackets, _eval_dyadic, _eval_int_at,
+    _halve, _interval_horner, _roots_between, _sign_dense_at, _sturm_chain, _univar,
 )
 
 
@@ -103,3 +108,81 @@ def point_counts(point) -> tuple:
 def point_remainder(point) -> tuple:
     """Q of remainder at point's cubic and speed terms."""
     return remainder(point.cubic, *point.speed_terms)
+
+
+# A replay takes a root's defining coefficients, its hint (or None) and its
+# state: its window (a, b, k), or its exact value as a Fraction.  It gives
+# the query's answer, where it has one, and the state the query leaves.
+
+def _sign(value) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _kept(a: int, b: int, k: int):
+    """The state a halved window leaves: the exact midpoint when it hit the root."""
+    return Fraction(a, 1 << k) if a == b else (a, b, k)
+
+
+def _lower_sign(coeffs, a: int, k: int) -> int:
+    return _sign(_eval_dyadic(coeffs, a, k))
+
+
+def replayed_compare(coeffs, hint, state, other) -> tuple:
+    """(sign of the root less the rational other, state after)."""
+    if isinstance(state, Fraction):
+        return _sign(state - other), state
+    a, b, k = state
+    slo, first = _lower_sign(coeffs, a, k), True
+    num, den = other.numerator, other.denominator
+    while True:
+        if num << k <= a * den:
+            return 1, _kept(a, b, k)
+        if num << k >= b * den:
+            return -1, _kept(a, b, k)
+        if first and _eval_int_at(coeffs, num, den) == 0:
+            return 0, Fraction(other)
+        first = False
+        a, b, k = _halve(coeffs, slo, a, b, k, hint)
+
+
+def replayed_sign(coeffs, hint, state, qi) -> tuple:
+    """(sign of the trimmed integer polynomial qi at the root, state after)."""
+    if len(qi) <= 1:
+        return (_sign(qi[0]) if qi else 0), state
+    if isinstance(state, Fraction):
+        return _sign(_eval_int_at(qi, state.numerator, state.denominator)), state
+    a, b, k = state
+    slo = _lower_sign(coeffs, a, k)
+    for round_no in range(_REFINE_CAP):
+        low, high = _interval_horner(qi, a, b, k)
+        if low > 0:
+            return 1, (a, b, k)
+        if high < 0:
+            return -1, (a, b, k)
+        if round_no == _ZERO_TEST_ROUND:
+            d = _int_gcd(qi, coeffs)
+            if len(d) > 1 and (_eval_dyadic(d, a, k) > 0) != (_eval_dyadic(d, b, k) > 0):
+                return 0, (a, b, k)
+        a, b, k = _halve(coeffs, slo, a, b, k, hint)
+        if a == b:
+            return _sign(_eval_dyadic(qi, a, k)), Fraction(a, 1 << k)
+    raise RuntimeError("sign determination failed to converge")
+
+
+def replayed_refine(coeffs, hint, state, width):
+    """The state of the root refine(width) returns, a Fraction width > 0."""
+    if isinstance(state, Fraction):
+        return state
+    a, b, k = state
+    slo = _lower_sign(coeffs, a, k)
+    while a != b and (b - a) * width.denominator > width.numerator << k:
+        a, b, k = _halve(coeffs, slo, a, b, k, hint)
+    return _kept(a, b, k)
+
+
+def replayed_step(coeffs, hint, state):
+    """The state of the root _step returns."""
+    if isinstance(state, Fraction):
+        return state
+    a, b, k = state
+    return _kept(*_halve(coeffs, _lower_sign(coeffs, a, k), a, b, k, hint))

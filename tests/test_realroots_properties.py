@@ -19,7 +19,10 @@ from kopelcas.realroots import (
     _int_clear, _interval_horner, _isolate_int, _isolate_square_free, _make_disjoint,
     _sign_dense_at, _square_free_int, _sturm_chain, _sturm_count, isolate_real_roots, sign_at,
 )
-from oracles import bracket_counts, coefficient_of, remainder, sturm_sign_count
+from oracles import (
+    bracket_counts, coefficient_of, remainder, replayed_compare, replayed_refine, replayed_sign,
+    replayed_step, sturm_sign_count,
+)
 from test_model_properties import integer_cubics
 
 rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
@@ -652,3 +655,44 @@ def test_a_positive_multiple_of_a_query_leaves_every_answer_and_window(coeffs, q
         for q in qs:
             assert _sign_dense_at(q, plain) == _sign_dense_at(tuple(c * t for t in q), scaled)
             assert (plain.lo, plain.hi) == (scaled.lo, scaled.hi)
+
+
+# a query and what it takes: a rational at the window's i / d (outside it
+# for i < 0 or i > d), a drawn factor, alone or times the defining
+# polynomial, or a width under 2**(-4 (i + 8)) / d
+window_queries = st.lists(
+    st.tuples(st.sampled_from(["compare", "sign", "refine", "step"]), st.integers(-8, 16),
+              st.integers(1, 8), st.booleans(),
+              st.lists(st.integers(-50, 50), min_size=1, max_size=4)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200)
+@given(st.one_of(planted_polys, drawn_polys, drawn_cubics), window_queries)
+def test_every_query_leaves_the_window_of_its_own_halving_loop(source, queries):
+    # the oracles replay each query as a loop over a shadow window written
+    # back at the end; the window or exact value each query leaves must be
+    # theirs, and refine and _step must leave the root they copy alone
+    roots = isolate_real_roots(source) if isinstance(source, MPoly) else _isolate_int("x", source)
+    for r in roots:
+        for op, i, d, shared, q in queries:
+            before, coeffs, hint = _window(r), r._coeffs, r._hint
+            if op == "compare":
+                t = r.lo + (r.hi - r.lo) * F(i, d) if not r.is_rational else r.value + F(i, d)
+                got = r.compare_rational(t)
+                expected, after = replayed_compare(coeffs, hint, before, t)
+                assert got == expected
+            elif op == "sign":
+                qi = _trimmed(_product(coeffs, q) if shared else q)
+                got = _sign_dense_at(qi, r)
+                expected, after = replayed_sign(coeffs, hint, before, qi)
+                assert got == expected
+            else:
+                if op == "refine":
+                    width = F(1, d << 4 * (i + 8))
+                    out, after = r.refine(width), replayed_refine(coeffs, hint, before, width)
+                else:
+                    out, after = r._step(), replayed_step(coeffs, hint, before)
+                assert _window(r) == before
+                r = out
+            assert _window(r) == after
