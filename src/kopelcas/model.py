@@ -22,35 +22,35 @@ fixed point holds its ModelParams and a _Point, that point bound once on
 integers; those of one equilibria() call share it, and equilibrium_report
 and jury_report read that one binding, which one built alone makes on
 first need.  A _Point finishes a _Row, u, a and b bound once, with its own
-v: alone it stages its own row.  A point's positive and stable fixed points
-are counted by its row, the one owner of that count (_Row.counts): it
-finishes the row's cubic at v, divides out its content, and hands the
-primitive cubic and its speed terms straight to the bracket rule
-(_bracket_counts), which counts on those integers alone, in one pass
-with no intermediate object but the brackets: on the float brackets that
-exact sign evaluations certify, around the cubic's lowest and highest
-real roots only.  It builds a _Point only where they give way, as a scan
-cell's count rarely does.  Every other isolation takes one route,
-realroots._isolate_int, over the whole line, with brackets around
-every real root: a scan cell's cubic where the brackets fail
-(_Point.line_counts), and in equilibria() and the reports the whole cubic
-and its twin.  It bisects from the root bound, counting roots against such
-brackets where they hold and by Sturm sequences where not: the windows are
-nodes of one bisection tree, fixed by the roots alone, so the x_interval a
-report prints is the same either way.  Only realroots halves a window,
-into (0, 1) for a positive root too, or reads one.  On the locus the
-Jury conditions are affine in the fold a b (C + x C'), C the cubic: the
+v: alone it stages its own row.  A point's positive and stable fixed
+points are counted by its row, the one owner of that count (_Row.counts):
+it finishes the row's cubic at v, divides out its content, and hands the
+primitive cubic straight to the bracket rule (_bracket_counts), which
+counts on integers alone, in one pass with no intermediate object but the
+brackets: on the float brackets that exact sign evaluations certify,
+around the cubic's lowest and highest real roots only.  It builds a _Point
+only where they give way, as a scan cell's count rarely does.  Every other
+isolation takes one route, realroots._isolate_int, over the whole line,
+with brackets around every real root: a scan cell's cubic where the
+brackets fail (_Point.line_counts), and in equilibria() and the reports
+the whole cubic and its twin.  It bisects from the root bound, counting
+roots against such brackets where they hold and by Sturm sequences where
+not: the windows are nodes of one bisection tree, fixed by the roots
+alone, so the x_interval a report prints is the same either way.  Only
+realroots halves a window, into (0, 1) for a positive root too, or reads
+one.  Every stability form is bound from its frozen polynomial
+(exactpoly.integer_terms): a point binds the three Jury conditions on the
+locus (_CD_ON_LOCUS) once, and the reports share them (_Point.conditions).
+On the locus they are affine in the fold a b (C + x C'), C the cubic: the
 flip is the fold plus 2 (2 - a - b), so positive with it as a, b <= 1, and
-the modulus a + b less the fold.  A point reads the three off its bound
-cubic once, with no condition staged, each as a positive multiple of the
-condition (no primitive part is taken), and the reports share them
-(_Point.conditions).  At a positive root of C the fold has the sign of
-C', which a certified bracket holds; so a scan cell decides a bracketed
-root's stability by the modulus condition alone.  At a root of C that is
-the sign of a quadratic Q, since x C' is 3 C less a quadratic, which the
-rule bounds inline from its terms' values at the bracket's ends, with at
-most one exact sign query.  Reports, and cells whose brackets give way,
-ask all three in one order and judge them by _verdict.
+the modulus a + b less the fold.  At a positive root of C the fold has the
+sign of C', which a certified bracket holds; so a scan cell decides a
+bracketed root's stability by the modulus condition alone.  At a root of C
+that equals Q, the modulus plus 4 a b C, a quadratic, as their x**3 terms
+cancel; a row binds it with the cubic, and the rule bounds it inline from
+its terms' values at the bracket's ends, with at most one exact sign
+query.  Reports, and cells whose brackets give way, ask all three in one
+order and judge them by _verdict.
 
 The module uses only the standard library.  jury_report takes the float
 eigenvalue moduli in closed form from the trace and determinant.
@@ -298,6 +298,10 @@ def stability_conditions():
 # y is a polynomial image of x on the fixed point locus, so each condition
 # reduces to a univariate sign query once parameters are bound
 _CD_ON_LOCUS = tuple(cd.substitute("y", _LOCUS) for cd in _STABILITY_CONDITIONS)
+_CONDITION_TERMS = tuple(integer_terms(cd) for cd in _CD_ON_LOCUS)
+# the cubic, and above its x**3 term (as certificates._KIND_TERMS packs) Q:
+# the modulus condition plus 4 a b C, equal to it at roots of C, free of x**3
+_ROW_TERMS = integer_terms(_CUBIC + X**4 * (_CD_ON_LOCUS[2] + 4 * A * B * _CUBIC))
 
 
 def bound_stability_polys(params: ModelParams):
@@ -308,39 +312,28 @@ def bound_stability_polys(params: ModelParams):
 class _Row:
     """u, a and b bound on integers once, for every point that shares them.
 
-    tables are the power tables of (u, v, a, b) with v's left open (None),
-    and scale is their common denominator without v's.  cubic is the
-    equilibrium cubic staged from them (exactpoly.stage), the one form a row
-    stages: every point finishes it with its own v's table (finish) and
-    reads its stability conditions off the finished cubic (_Point).  k and
-    m are the speed factors of finish's speed terms.  A scan row holds one
-    for its cells, and counts each cell's fixed points (counts).
+    tables are the power tables of (u, v, a, b) with v's left open (None).
+    cubic is the equilibrium cubic staged from them (exactpoly.stage) with
+    the bracket rule's quadratic Q (_bracket_counts) packed above it
+    (_ROW_TERMS), which every point finishes with its own v's table
+    (finish).  A scan row holds one for its cells, and counts each cell's
+    fixed points (counts).
     """
 
-    __slots__ = ("tables", "scale", "cubic", "k", "m")
+    __slots__ = ("tables", "cubic")
 
     def __init__(self, up, ap, bp):
         self.tables = (up, None, ap, bp)
-        self.scale = up[0] * ap[0] * bp[0]
-        self.cubic = stage(_CUBIC_TERMS, self.tables)
-        # a = ap[1] / ap[0] and b = bp[1] / bp[0] (exactpoly.power_table)
-        self.k = (ap[1] * bp[0] + bp[1] * ap[0]) * self.scale
-        self.m = ap[1] * bp[1]
+        self.cubic = stage(_ROW_TERMS, self.tables)
 
     def finish(self, vp) -> tuple:
-        """(cubic, K, M) at v's table vp: the primitive cubic and its speed terms.
+        """(cubic, Q) at v's table vp: the primitive cubic and Q's ascending coefficients.
 
-        The cubic's lead u v**2 is never zero, so its content, the gcd of
-        the finished coefficients, is positive: scale times the cubic bound
-        at the point is content times cubic, scale being the point's common
-        denominator.  With a = pa / qa and b = pb / qb, the speed terms
-        K = (pa qb + pb qa) scale and M = pa pb content are a + b and
-        a b content / scale, times qa qb scale.
+        The cubic's lead u v**2 is never zero, so its content is positive.
         """
-        c0, c1, c2, c3 = finish(self.cubic, vp)
+        c0, c1, c2, c3, q0, q1, q2 = finish(self.cubic, vp)
         content = math.gcd(c0, c1, c2, c3)
-        return ((c0 // content, c1 // content, c2 // content, c3 // content),
-                self.k * vp[0], self.m * content)
+        return (c0 // content, c1 // content, c2 // content, c3 // content), (q0, q1, q2)
 
     def counts(self, v: Fraction, vp) -> tuple:
         """(positive, stable): the positive fixed points at v, and how many are stable.
@@ -348,9 +341,8 @@ class _Row:
         vp is v's power table.  A fixed point is positive when x > 0,
         counted once whatever its multiplicity (every root of C is below 1,
         see Equilibrium).  The bracket rule (_bracket_counts) settles most
-        points on the finished cubic and its speed terms alone; where it
-        gives way, a _Point built here takes the whole-line route
-        (_Point.line_counts).
+        points on the finished cubic and Q alone; where it gives way, a
+        _Point built here takes the whole-line route (_Point.line_counts).
         """
         return _bracket_counts(*self.finish(vp)) or _Point(v, self, vp).line_counts()
 
@@ -363,35 +355,30 @@ class _Point(_Lazy):
     (_Row.counts) builds one only where its brackets give way.  It holds no
     ModelParams; ModelParams or ScanSpec checked its parameters.  tables are
     the power tables of (u, v, a, b), and every value bound from them is
-    the exact one times scale, their common denominator.  cubic, the
-    equilibrium cubic's primitive integer x-coefficients (see bound_cubic),
-    whose lead is positive, is finished from the row with v's table at once
-    (_Row.finish), since every point reads it, with its speed terms
-    speed_terms, (K, M).  On first read, as plain slots with no lock
-    (_Lazy): conditions, the fold, flip and modulus conditions of
-    bound_stability_polys as positive multiples, not primitive parts, read
-    off the cubic with no term list staged, the second being the first at
-    a = b = 1; and locus, y = v x (1 - x) over its denominator, bound from
-    the tables.  Reports, e0_stable and the whole-line route of _Row.counts
-    read the one conditions; the bracket rule (_bracket_counts) builds none
-    of them, only the quadratic Q, from the same cubic and speed terms.
+    the exact one times their common denominator.  cubic, the equilibrium
+    cubic's primitive integer x-coefficients (see bound_cubic), whose lead
+    is positive, is finished from the row with v's table at once
+    (_Row.finish), since every point reads it.  On first read, as plain
+    slots with no lock (_Lazy): conditions, the fold, flip and modulus
+    conditions of bound_stability_polys as positive multiples, not
+    primitive parts, each bound at the tables from its frozen form, the
+    second being the first at a = b = 1; and locus, y = v x (1 - x) over
+    its denominator, bound alike.  Reports, e0_stable and the whole-line
+    route of _Row.counts read the one conditions; the bracket rule
+    (_bracket_counts) reads none of them, only Q, finished with the cubic.
     y_candidates, the y roots that realroots._image picks a fixed point's y
     coordinate from, are taken from the cubic's twin bound with u and v
     swapped and isolated on first use.  A point lives as long as the fixed
     points that hold it.
     """
 
-    __slots__ = ("v", "row", "tables", "scale", "cubic", "speed_terms", "conditions", "locus",
-                 "_y_roots")
+    __slots__ = ("v", "tables", "cubic", "conditions", "locus", "_y_roots")
 
     def __init__(self, v: Fraction, row: _Row, vp):
         self.v = v
-        self.row = row
         up, _, ap, bp = row.tables
         self.tables = (up, vp, ap, bp)
-        self.scale = row.scale * vp[0]
-        self.cubic, k, m = row.finish(vp)
-        self.speed_terms = k, m
+        self.cubic, _ = row.finish(vp)
         self._y_roots = None
 
     @classmethod
@@ -401,30 +388,20 @@ class _Point(_Lazy):
         return cls(params.v, _Row(up, ap, bp), vp)
 
     def _make_conditions(self) -> tuple:
-        """bound_stability_polys up to positive factors, read off the cubic.
+        """bound_stability_polys, each bound at the tables, so times their common denominator.
 
-        K and M are the speed terms (_Row.finish): a + b and
-        a b content / scale, both times qa qb scale, for a = pa / qa and
-        b = pb / qb.  The equilibrium cubic bound here is content / scale
-        times the cubic C, so on the locus the fold a b (C0 + x C0') times
-        qa qb scale is M F for F = C + x C'; the flip is the fold plus
-        2 (2 - a - b), and the modulus a + b less the fold.  So F, M F + 2 (2 qa qb scale - K) and K - M F are positive multiples
-        of the three conditions.  The trace term vanishes only at a = b = 1,
-        where the second is the first object.
+        The flip is the fold plus 2 (2 - a - b), so the two bind alike only
+        at a = b = 1, where the second is the first object.
         """
-        _, _, ap, bp = self.tables
-        k, m = self.speed_terms
-        fold = tuple(i * c for i, c in enumerate(self.cubic, 1))
-        mf = [m * d for d in fold]
-        trace = 2 * (2 * ap[0] * bp[0] * self.scale - k)
-        flip = (mf[0] + trace, *mf[1:]) if trace else fold
-        return fold, flip, (k - mf[0], *(-d for d in mf[1:]))
+        fold, flip, modulus = (bind(terms, self.tables) for terms in _CONDITION_TERMS)
+        return fold, fold if flip == fold else flip, modulus
 
     def _make_locus(self) -> tuple:
         """y = v x (1 - x) here as (ascending integer x-coefficients, denominator), reduced."""
         coeffs = bind(_LOCUS_TERMS, self.tables)
-        common = math.gcd(self.scale, *coeffs)
-        return tuple(c // common for c in coeffs), self.scale // common
+        scale = math.prod(t[0] for t in self.tables)
+        common = math.gcd(scale, *coeffs)
+        return tuple(c // common for c in coeffs), scale // common
 
     def line_counts(self) -> tuple:
         """_Row.counts from the whole-line roots above 0, each judged as a report judges it.
@@ -491,66 +468,58 @@ class _Point(_Lazy):
     def signs(self, root: AlgebraicReal) -> tuple:
         """Certified signs of the three conditions at an x root, asked in order.
 
-        The first two conditions differ by twice the trace 2 - a - b, so they
-        coincide only at a = b = 1, where conditions holds one for both and
-        its sign is asked once.
+        The first two conditions coincide only at a = b = 1, where
+        conditions holds one for both and its sign is asked once.
         """
         d1, d2, d3 = self.conditions
         s1 = _sign_dense_at(d1, root)
         return s1, (s1 if d2 is d1 else _sign_dense_at(d2, root)), _sign_dense_at(d3, root)
 
 
-def _bracket_counts(cubic, k: int, m: int) -> tuple | None:
+def _bracket_counts(cubic, q) -> tuple | None:
     """(positive, stable) of _Row.counts from the cubic's certified brackets, or None.
 
-    cubic is a point's primitive cubic C = c0 + c1 x + c2 x**2 + c3 x**3,
-    and k and m its speed terms K and M (_Row.finish).  A fixed point
-    is stable when C' and the modulus condition (the third of
-    _Point.conditions, the one a report asks) are positive there (see the
-    module docstring): at a root of C the fold has the sign of C', and a
-    positive fold makes the flip positive.  C's lead is positive, so
-    C' > 0 at its lowest and highest real roots and C' < 0 at the middle
-    one of three, which is never stable.
+    cubic is a point's primitive cubic C and q the ascending coefficients of
+    its Q (_Row.finish).  A fixed point is stable when C' and the
+    modulus condition (the third of _Point.conditions, the one a report
+    asks) are positive there (see the module docstring): at a root of C the
+    fold has the sign of C', and a positive fold makes the flip positive.
+    C's lead is positive, so C' > 0 at its lowest and highest real roots
+    and C' < 0 at the middle one of three, which is never stable.
 
     With disc < 0 the cubic has one real root.  It lies below 0 when
     C(0) > 0, and it is 0 itself when C(0) = 0 (u v = 1, where C is x times
     a quadratic with discriminant -4 u**2 v**3 over a positive factor): no
     fixed point is positive.  Otherwise the cubic's outer roots are
     bracketed (realroots._cubic_brackets with outer set): one bracket when
-    disc < 0, two when disc > 0.  Each with lower sign -1 holds a root
-    where C rises, and two of them leave the middle root between them, so a
-    lowest bracket starting at 0 or above puts every root above 0.  Any
-    other case (disc = 0, failed brackets, another sign pattern, or a
-    lowest bracket reaching below 0) gives None, for the whole-line route
-    (_Point.line_counts).
+    disc < 0, two sharing their lower sign when disc > 0.  Each with lower
+    sign -1 holds a root where C rises, and two of them leave the middle
+    root between them, so a lowest bracket starting at 0 or above puts
+    every root above 0.  Any other case (disc = 0, failed brackets, lower
+    sign 1, or a lowest bracket reaching below 0) gives None, for the
+    whole-line route (_Point.line_counts).
 
-    A bracketed root is stable when the quadratic
-    Q = K + M (3 c0 + 2 c1 x + c2 x**2) is positive there.  x C' = 3 C less
-    3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition K - M F of
-    _Point._make_conditions plus 4 M C: the two agree at every root of C,
-    where both are a positive multiple of s - Phi, with s = 1/a + 1/b and
-    Phi = x C' (ROADMAP item 12), and gcd(Q, C) is gcd(K - M F, C).  Q's
-    linear coefficient 2 M c1 is positive and its lead M c2 negative, since
-    M > 0 and, over a positive factor, c1 = u v**2 + u v and
-    c2 = -2 u v**2.  So over a bracket [a, b] / 2**j, 0 <= a, where x and
-    x**2 both rise, 2**(2j) Q is least with the linear term at a and the
-    square term at b, and greatest the other way round: no interval Horner
-    loop runs, and only where the two bounds straddle 0 is Q's sign asked
-    exactly.
+    Q is the modulus condition plus 4 a b C, times a positive factor: the
+    two agree at every root of C, where both are a positive multiple of
+    s - Phi, with s = 1/a + 1/b and Phi = x C' (ROADMAP item 12), so a
+    bracketed root is stable when Q is positive there, and gcd(Q, C) is the
+    modulus condition's gcd with C.  Q's x coefficient 2 a b (u v**2 + u v) is
+    positive and its x**2 coefficient -2 a b u v**2 negative.  So over a
+    bracket [a, b] / 2**j, 0 <= a, where x and x**2 both rise, 2**(2j) Q is
+    least with the linear term at a and the square term at b, and greatest
+    the other way round: no interval Horner loop runs, and only where the
+    two bounds straddle 0 is Q's sign asked exactly.
     """
     disc = _cubic_discriminant(cubic)
-    c0, c1, c2, _ = cubic
-    if disc < 0 <= c0:
+    if disc < 0 <= cubic[0]:
         return 0, 0
     brackets = _cubic_brackets(cubic, disc, outer=True)
-    if not brackets:
+    # the brackets share their lower sign, and the lowest starts first
+    if not brackets or brackets[0][1] > 0 or brackets[0][0][0] < 0:
         return None
-    q0, q1, q2 = k + 3 * m * c0, 2 * m * c1, m * c2
+    q0, q1, q2 = q
     stable = 0
-    # a bracket reaching below 0 makes the lowest reach below 0
-    for (a, b, j), slo in brackets:
-        if slo > 0 or a < 0:
-            return None
+    for (a, b, j), _ in brackets:
         base = q0 << 2 * j
         if base + (q1 * b << j) + q2 * a * a < 0:  # 2**(2j) Q at most
             continue

@@ -34,7 +34,8 @@ the edges (MPoly input, rational roots, lo/hi).  Floats propose in one
 place only, and exact sign evaluations certify: a cubic's real roots
 (_cubic_brackets), where closed-form float roots, unpolished and already
 ascending, propose one narrow dyadic bracket per real root, and the signs
-at the bracket ends certify them, or give way to Sturm isolation.  Scan
+at the bracket ends certify them (or the gap between the outer two the
+middle one), or give way to Sturm isolation.  Scan
 cells ask for the lowest and highest roots' brackets only, from those two
 seeds alone, and count from them, rational roots left unsnapped
 (model._bracket_counts); isolation (_isolate_int) counts roots against
@@ -354,30 +355,75 @@ def _cubic_discriminant(c) -> int:
             - 4 * d3 * d1**3 - 27 * d3 * d3 * d0 * d0)
 
 
+def _seed_bracket(coeffs, monic, x: float):
+    """The bracket ((a, b, k), slo) a cubic's float seed x proposes, if its ends certify it.
+
+    coeffs are the cubic's ascending integer coefficients and monic the
+    floats (c2, c1, c0) of its monic form, then their magnitudes.  The
+    dyadic bracket (a / 2**k, b / 2**k) reaches past x's float error bound
+    (residual over slope, plus rounding) both ways.  A strict sign change
+    between its exactly evaluated ends, slo to -slo, proves a root inside;
+    with none, or at a float overflow, zero division or NaN, it gives None.
+    """
+    c2, c1, c0, a2, a1, a0 = monic
+    try:
+        f1 = x + c2
+        f2 = f1 * x + c1
+        ax = abs(x)
+        # the float error bound is FLOAT_NOISE times sum |c_i x**i|
+        size = ((ax + a2) * ax + a1) * ax + a0
+        # 2**-k is above the error bound (or 1), and x is in [m, m + 1) / 2**k
+        k = -frexp((abs(f2 * x + c0) + size * _FLOAT_NOISE) / abs((x + f1) * x + f2))[1]
+        if k < 0:
+            k = 0
+        n, den = x.as_integer_ratio()
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    m = (n << k) // den
+    left, right = m - 1, m + 2
+    d0, d1, d2, d3 = coeffs
+    # 2**(3k) times the cubic at the bracket ends left / 2**k and right / 2**k
+    e2, e1, e0 = d2 << k, d1 << 2 * k, d0 << 3 * k
+    lv = ((d3 * left + e2) * left + e1) * left + e0
+    rv = ((d3 * right + e2) * right + e1) * right + e0
+    if lv < 0 < rv:
+        return (left, right, k), -1
+    if rv < 0 < lv:
+        return (left, right, k), 1
+    return None
+
+
+def _meets(lower, upper) -> bool:
+    """Whether the bracket upper starts below the end of the bracket lower."""
+    (_, top, j), _ = lower
+    (left, _, k), _ = upper
+    return left << j < top << k
+
+
 def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
     """Certified brackets ((a, b, k), slo) around every real root of a cubic, or None.
 
     coeffs are a cubic's ascending integer coefficients and disc its
     discriminant: disc > 0 means 3 simple real roots and disc < 0 means 1.
     Floats only choose where to look: each closed-form root of _cubic_seeds,
-    unpolished and already ascending, seeds a dyadic bracket
-    (a / 2**k, b / 2**k) reaching past its float error bound (residual
-    over slope, plus rounding) both ways.  A strict sign change between its
-    exactly evaluated ends, slo to -slo, proves a root inside, so as many
+    unpolished and already ascending, seeds one (_seed_bracket).  As many
     pairwise disjoint brackets as real roots hold one root each and leave
     none outside; they come ascending, as each must start above the one
-    before.  Anything else gives None and never an exception: disc zero, a
-    float overflow, zero division or NaN, a seed count other than the
-    real-root count, a bracket with no sign change, or two that meet.  Two
-    seeds the wrong way round lie within rounding of each other, and their
-    brackets, wider than that, meet.
+    before.  With disc > 0 the lowest and highest seeds' brackets come
+    first and must share their lower sign: then they hold the outer roots,
+    as the middle root's bracket has the other lower sign and three in one
+    would make four.  So the gap between them, at the finer of their scales
+    and with the other lower sign, brackets the middle root where its
+    seed's bracket fails or meets either.  Anything else gives None and
+    never an exception: disc zero, a float failure in the seeds, a seed
+    count other than the real-root count, a failed outer bracket, or outer
+    brackets that meet or differ in lower sign.  Two seeds the wrong way
+    round lie within rounding of each other, and their brackets, wider than
+    that, meet.
 
     With outer set and disc > 0 only the lowest and highest seeds are
-    computed and bracketed, each as the full call brackets it, so where the
-    full call gives brackets these are its first and last.  Two disjoint
-    brackets, each with a sign change, hold one root apiece, as three in
-    one would make four; the caller places the third from their slo
-    (model._bracket_counts).
+    computed and bracketed, each as the full call brackets it, so these are
+    the full call's first and last wherever either gives brackets.
 
     The code is float Horner and _eval_dyadic written out for degree 3, with
     the same float operations in the same order: the monic lead is 1.0, so
@@ -392,41 +438,25 @@ def _cubic_brackets(coeffs, disc: int, outer: bool = False) -> list | None:
         lead = float(d3)
         c2, c1, c0 = float(d2) / lead, float(d1) / lead, float(d0) / lead
         seeds = _cubic_seeds((1.0, c2, c1, c0), disc > 0, outer)
-        if len(seeds) != (1 if disc < 0 else 2 if outer else 3):
-            return None
-        a2, a1, a0 = abs(c2), abs(c1), abs(c0)
-        brackets = []
-        for x in seeds:
-            f1 = x + c2
-            f2 = f1 * x + c1
-            ax = abs(x)
-            # the float error bound is FLOAT_NOISE times sum |c_i x**i|
-            size = ((ax + a2) * ax + a1) * ax + a0
-            # 2**-k is above the error bound (or 1), and x is in [m, m + 1) / 2**k
-            k = -frexp((abs(f2 * x + c0) + size * _FLOAT_NOISE) / abs((x + f1) * x + f2))[1]
-            if k < 0:
-                k = 0
-            n, den = x.as_integer_ratio()
-            m = (n << k) // den
-            left, right = m - 1, m + 2
-            # it meets the bracket below, which ends at top / 2**j
-            if brackets and left << j < top << k:
-                return None
-            # 2**(3k) times the cubic at the bracket ends left / 2**k and right / 2**k
-            e2, e1, e0 = d2 << k, d1 << 2 * k, d0 << 3 * k
-            lv = ((d3 * left + e2) * left + e1) * left + e0
-            rv = ((d3 * right + e2) * right + e1) * right + e0
-            if lv < 0 < rv:
-                slo = -1
-            elif rv < 0 < lv:
-                slo = 1
-            else:
-                return None
-            brackets.append(((left, right, k), slo))
-            top, j = right, k
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
-    return brackets
+    if len(seeds) != (1 if disc < 0 else 2 if outer else 3):
+        return None
+    monic = c2, c1, c0, abs(c2), abs(c1), abs(c0)
+    low = _seed_bracket(coeffs, monic, seeds[0])
+    if disc < 0 or not low:
+        return low and [low]
+    high = _seed_bracket(coeffs, monic, seeds[-1])
+    if not high or low[1] != high[1] or _meets(low, high):
+        return None
+    if outer:
+        return [low, high]
+    mid = _seed_bracket(coeffs, monic, seeds[1])
+    if not mid or _meets(low, mid) or _meets(mid, high):
+        (_, b, j), slo = low
+        (a, _, k), _ = high
+        mid = (b << max(k - j, 0), a << max(j - k, 0), max(j, k)), -slo
+    return [low, mid, high]
 
 
 class AlgebraicReal:

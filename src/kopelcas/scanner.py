@@ -26,21 +26,21 @@ it, by the Jury rule on all three signs.
 
 Parameters are bound on integers, in stages (exactpoly.stage and finish).
 The kind's certificates, as one term list with certificate i the
-coefficient of x**i (certificates._KIND_TERMS), and the equilibrium cubic
-are compiled at import, each stage into straight-line integer code.  A
-scan builds the power tables of its speeds and of each v once.  Each row
-builds u's table and stages the two once, the cubic and the speed factors
-of the stability rule as one model._Row.  Each cell finishes each with its
-v's table alone and counts on those integers (model._Row.counts): a
-model._Point is built only where its brackets give way, and no
-ModelParams, so ScanSpec and the kind's speed rule are the only checks its
-parameters get.  The finished certificate coefficients are the
-certificate values, all over a single positive denominator, and the class
-comes from their signs; the class's text, its expected count and whether
-that counts stable points come from one table a scan builds from
-EXPECTED_COUNT (_label_table).  near_boundary is true
-when the cell lies on a certificate's zero set: one of those integers is
-0, a report column only that exempts no cell from the agreement check.
+coefficient of x**i (certificates._KIND_TERMS), the equilibrium cubic and
+the stability rule's quadratic are compiled at import, each stage into
+straight-line integer code.  A scan builds the power tables of its speeds
+and of each v once.  Each row builds u's table and stages the
+certificates, and the cubic and the quadratic as one model._Row.  Each
+cell finishes them with its v's table alone and counts on those integers
+(model._Row.counts): a model._Point is built only where its brackets give
+way, and no ModelParams, so ScanSpec and the kind's speed rule are the
+only checks its parameters get.  The finished certificate coefficients
+are the certificate values, all over a single positive denominator, and
+the class comes from their signs; the class's text, its expected count
+and whether that counts stable points come from one table a scan builds
+from EXPECTED_COUNT (_label_table).  near_boundary is true when the cell
+lies on a certificate's zero set: one of those integers is 0, a report
+column only that exempts no cell from the agreement check.
 
 The scan kinds are declared in certificates, not here: KINDS, the
 certificates each kind reads, the count each class asserts (EXPECTED_COUNT)

@@ -3,21 +3,29 @@
 sturm_sign_count counts the roots of a polynomial in an interval on its
 Sturm chain, the oracle for every isolating window; coefficient_of views an
 MPoly as univariate in one variable, the oracle for dense coefficient lists
-and the Sylvester matrix.  remainder is the quadratic Q that a scan cell's
-bracket rule (model._bracket_counts) judges stability by, quadratic_bounds
-the bounds it takes of Q over a bracket, and bracket_counts that rule
-again, from the full call's brackets and exact signs of Q alone.
-point_counts and point_remainder read a model._Point as a scan cell reads
-its row: the row's count at the point's v (model._Row.counts), and Q at the
-point's cubic and speed terms.  replayed_compare, replayed_sign,
+and the Sylvester matrix, and dense_x lists its rational x-coefficients;
+spy_chains records the Sturm chains realroots builds.  speed_terms and
+hand_conditions are the stability conditions read off a point's primitive
+cubic by hand, the oracle for the forms bound from the frozen conditions;
+remainder is the quadratic Q that a scan cell's bracket rule
+(model._bracket_counts) judges stability by, written out by hand from the
+cubic and speed terms, quadratic_bounds the bounds the rule takes of Q over
+a bracket, and bracket_counts that rule again, from the full call's
+brackets and exact signs of a given Q alone.  point_counts and
+point_remainder read a model._Point as a scan cell reads its row, the row
+rebuilt from the point's tables: the row's count at the point's v
+(model._Row.counts), and Q at the point as the row binds it.
+replayed_compare, replayed_sign,
 replayed_refine and replayed_step run a root's queries as loops of their
 own, each halving a shadow window and writing it back at the end, the
 oracle for the window every query of AlgebraicReal leaves.
 """
 
+import math
 from fractions import Fraction
 
-from kopelcas.exactpoly import VARS, MPoly, _int_clear, _int_gcd
+from kopelcas import model, realroots
+from kopelcas.exactpoly import VARS, MPoly, _int_clear, _int_gcd, bind
 from kopelcas.rational import coerce_rational
 from kopelcas.realroots import (
     _REFINE_CAP, _ZERO_TEST_ROUND, AlgebraicReal, _cubic_brackets, _eval_dyadic, _eval_int_at,
@@ -53,14 +61,58 @@ def coefficient_of(poly: MPoly, name: str, power: int) -> MPoly:
     return MPoly({exp[:i] + (0,) + exp[i + 1:]: c for exp, c in poly.terms() if exp[i] == power})
 
 
+def dense_x(poly) -> list:
+    """The ascending x-coefficients of poly, as Fractions."""
+    return [coefficient_of(poly, "x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
+
+
+def spy_chains(monkeypatch) -> list:
+    """Record the polynomial of every Sturm chain that realroots builds."""
+    chains = []
+    build = realroots._sturm_chain
+    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
+    return chains
+
+
+def speed_terms(point) -> tuple:
+    """(K, M) at point: K = (pa qb + pb qa) scale and M = pa pb content.
+
+    For a = pa / qa and b = pb / qb, scale the common denominator of the
+    point's tables and content the gcd its primitive cubic divided out, K
+    and M are a + b and a b content / scale, both times qa qb scale.
+    """
+    _, _, ap, bp = point.tables
+    scale = math.prod(t[0] for t in point.tables)
+    content = math.gcd(*bind(model._CUBIC_TERMS, point.tables))
+    return (ap[1] * bp[0] + bp[1] * ap[0]) * scale, ap[1] * bp[1] * content
+
+
+def hand_conditions(point) -> tuple:
+    """The fold, flip and modulus conditions at point, read off its primitive cubic by hand.
+
+    The cubic bound at point is content / scale times the primitive cubic
+    C, so on the locus the fold a b (C + x C') times qa qb scale is M F for
+    F = C + x C'; the flip is the fold plus 2 (2 - a - b), and the modulus
+    a + b less the fold.  So F, M F + 2 (2 qa qb scale - K) and K - M F
+    are positive multiples of the three conditions, the second being F
+    itself where the trace term is 0, at a = b = 1.
+    """
+    k, m = speed_terms(point)
+    _, _, ap, bp = point.tables
+    fold = [i * c for i, c in enumerate(point.cubic, 1)]
+    mf = [m * d for d in fold]
+    trace = 2 * (2 * ap[0] * bp[0] * math.prod(t[0] for t in point.tables) - k)
+    flip = [mf[0] + trace, *mf[1:]] if trace else fold
+    return fold, flip, [k - mf[0], *(-d for d in mf[1:])]
+
+
 def remainder(cubic, k: int, m: int) -> tuple:
     """Q = K + M (3 c0 + 2 c1 x + c2 x**2), the modulus test at a root of the cubic.
 
     cubic is a point's primitive cubic and k, m its speed terms K and M
-    (model._Row.finish).  The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has
+    (speed_terms).  The cubic C = c0 + c1 x + c2 x**2 + c3 x**3 has
     x C' = 3 C less 3 c0 + 2 c1 x + c2 x**2, so Q is the modulus condition
-    K - M F of model._Point._make_conditions plus 4 M C: the two agree at
-    every root of C.
+    K - M F of hand_conditions plus 4 M C: the two agree at every root of C.
     """
     c0, c1, c2, _ = cubic
     return k + 3 * m * c0, 2 * m * c1, m * c2
@@ -77,14 +129,14 @@ def quadratic_bounds(q, a: int, b: int, k: int) -> tuple:
     return q0 + (q1 * a << k) + q2 * b * b, q0 + (q1 * b << k) + q2 * a * a
 
 
-def bracket_counts(cubic, k: int, m: int, disc: int) -> tuple | None:
-    """model._bracket_counts at a given disc, from the full call's brackets and exact signs.
+def bracket_counts(cubic, q, disc: int) -> tuple | None:
+    """model._bracket_counts at a given disc and Q, from the full call's brackets and exact signs.
 
     The outer brackets are the first and last of _cubic_brackets(cubic,
-    disc), all of its brackets, and each bracketed root is stable when Q
-    (remainder) is positive there, its sign asked exactly.  None where the
-    rule gives way: the full call fails, a bracket's lower sign is not -1,
-    or the lowest bracket reaches below 0.
+    disc), all of its brackets, and each bracketed root is stable when q,
+    Q's ascending coefficients, is positive there, its sign asked exactly.
+    None where the rule gives way: the full call fails, a bracket's lower
+    sign is not -1, or the lowest bracket reaches below 0.
     """
     if disc < 0 <= cubic[0]:
         return 0, 0
@@ -94,20 +146,25 @@ def bracket_counts(cubic, k: int, m: int, disc: int) -> tuple | None:
     outer = [full[0], full[-1]] if len(full) == 3 else full
     if any(slo != -1 for _, slo in outer) or outer[0][0][0] < 0:
         return None
-    q = remainder(cubic, k, m)
     stable = sum(_sign_dense_at(q, AlgebraicReal._from_window("x", cubic, a, b, j, 1, -1)) > 0
                  for (a, b, j), _ in outer)
     return 2 * len(outer) - 1, stable
 
 
+def _row(point):
+    """The row of point's u, a and b, staged afresh."""
+    up, _, ap, bp = point.tables
+    return model._Row(up, ap, bp)
+
+
 def point_counts(point) -> tuple:
     """(positive, stable) at point, as its row counts a scan cell."""
-    return point.row.counts(point.v, point.tables[1])
+    return _row(point).counts(point.v, point.tables[1])
 
 
 def point_remainder(point) -> tuple:
-    """Q of remainder at point's cubic and speed terms."""
-    return remainder(point.cubic, *point.speed_terms)
+    """Q at point, as its row binds it for a scan cell."""
+    return _row(point).finish(point.tables[1])[1]
 
 
 # A replay takes a root's defining coefficients, its hint (or None) and its

@@ -21,7 +21,7 @@ from kopelcas.model import (
     ModelParams, _CUBIC_TERMS, _Point, equilibria,
     equilibrium_cubic, jury_report,
 )
-from oracles import coefficient_of
+from oracles import dense_x
 
 CountClass = EquilibriumCountClass
 StableClass = StableCountClass
@@ -85,10 +85,6 @@ EXPANDED_FORMS = {
 }
 
 
-def _dense_x(poly) -> list:
-    return [coefficient_of(poly, "x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
-
-
 def _ev(poly, u, v, a=None):
     binding = {"u": u, "v": v}
     if a is not None:
@@ -133,10 +129,10 @@ class TestFrozenForms:
             expected = [_ev(poly, u, v, a) * denominator for poly in polys]
             assert _certificate_values(kind, tables) == expected, kind
         binding = {"u": u, "v": v, "a": a, "b": b}
-        expected = [c * denominator for c in _dense_x(equilibrium_cubic().evaluate(binding))]
+        expected = [c * denominator for c in dense_x(equilibrium_cubic().evaluate(binding))]
         assert bind(_CUBIC_TERMS, tables) == expected
         # the integer cubic equilibria() isolates is a positive multiple of the exact one
-        cubic = _dense_x(equilibrium_cubic().evaluate({"u": u, "v": v}))
+        cubic = dense_x(equilibrium_cubic().evaluate({"u": u, "v": v}))
         bound = _Point.of(ModelParams(u, v, a, b)).cubic
         ratio = F(bound[-1]) / cubic[-1]
         assert ratio > 0

@@ -14,7 +14,9 @@ from kopelcas.exactpoly import (
     dense_to_mpoly, finish, integer_terms, power_tables, resultant, stage,
 )
 from kopelcas.certificates import _KIND_CERTIFICATES, _KIND_TERMS
-from kopelcas.model import _CUBIC, _CUBIC_TERMS, _LOCUS, _LOCUS_TERMS
+from kopelcas.model import (
+    _CD_ON_LOCUS, _CONDITION_TERMS, _CUBIC, _CUBIC_TERMS, _LOCUS, _LOCUS_TERMS, _ROW_TERMS,
+)
 from oracles import coefficient_of
 
 
@@ -578,6 +580,8 @@ rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 60))
 
 # the package's frozen term lists, compiled at import, with their polynomials
 FROZEN_TERMS = [(_CUBIC, _CUBIC_TERMS), (_LOCUS, _LOCUS_TERMS),
+                (_CUBIC + X**4 * (_CD_ON_LOCUS[2] + 4 * A * B * _CUBIC), _ROW_TERMS),
+                *zip(_CD_ON_LOCUS, _CONDITION_TERMS),
                 *((sum(X**i * p for i, p in enumerate(polys)), _KIND_TERMS[kind])
                   for kind, polys in _KIND_CERTIFICATES.items())]
 # a 40-digit coefficient at every power of u, v, a and b that binding reads

@@ -31,6 +31,7 @@ from kopelcas.exactpoly import Y, _dense_coeffs, _int_clear, dense_to_mpoly, pow
 from kopelcas.model import ModelParams, _Point, _Row, equilibrium_report
 from kopelcas.realroots import _isolate_int
 from kopelcas.scanner import grid_points
+from oracles import spy_chains
 
 
 def _seeded():
@@ -154,14 +155,6 @@ def _lone_real_root(g, roots) -> bool:
     return len(g) == 4 and sum(r._coeffs == g for r in roots) == 1
 
 
-def _spy_chains(monkeypatch) -> list:
-    """Record the polynomial of every Sturm chain that realroots builds."""
-    chains = []
-    build = realroots._sturm_chain
-    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
-    return chains
-
-
 def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
     calls = []
 
@@ -178,7 +171,7 @@ def test_report_isolates_y_candidates_once_per_factor(monkeypatch):
         rational = {g for g in lone
                     if any(y.is_rational for y in _isolate_int("y", where.y_factor(g)))}
         monkeypatch.setattr(model, "_isolate_int", counted)
-        chains = _spy_chains(monkeypatch)
+        chains = spy_chains(monkeypatch)
         calls.clear()
         equilibrium_report(ModelParams(*point))
         monkeypatch.undo()
@@ -230,7 +223,7 @@ def test_lone_twin_isolates_to_its_root_bound_window(monkeypatch):
     # its twin, whose one real root is irrational, isolates to the Cauchy
     # window itself, hinted by its one certified bracket, with no bisection
     # and no chain
-    counts, chains = [], _spy_chains(monkeypatch)
+    counts, chains = [], spy_chains(monkeypatch)
     bracket_count = realroots._bracket_count
 
     def counted(coeffs, brackets):

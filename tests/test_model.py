@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from kopelcas import model, realroots
-from kopelcas.exactpoly import A, B, U, V, X, Y, _exact_div, bind, power_tables, resultant
+from kopelcas.exactpoly import (
+    A, B, U, V, X, Y, _exact_div, bind, integer_terms, power_tables, resultant,
+)
 from kopelcas.model import (
     Equilibrium, ModelParams, State, _LOCUS_TERMS, bound_cubic, bound_stability_polys,
     e0_stable, equilibria, equilibrium_cubic, equilibrium_report, iterate, jacobian, jury_report,
@@ -17,7 +19,7 @@ from kopelcas.model import (
 )
 from kopelcas.realroots import AlgebraicReal, _isolate_int, isolate_real_roots, sign_at
 from kopelcas.scanner import ScanSpec, scan
-from oracles import coefficient_of, point_remainder, quadratic_bounds, remainder
+from oracles import coefficient_of, point_remainder, quadratic_bounds, spy_chains
 from test_mirrored_cubic import POOL
 from test_report_digests import POINTS
 
@@ -524,14 +526,6 @@ def _report_digest(point) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-def _spy_chains(monkeypatch) -> list:
-    """Record the polynomial of every Sturm chain that realroots builds."""
-    chains = []
-    build = realroots._sturm_chain
-    monkeypatch.setattr(realroots, "_sturm_chain", lambda c: chains.append(tuple(c)) or build(c))
-    return chains
-
-
 class TestReportBrackets:
     """Reports count roots against certified brackets, or by Sturm chains, with the same bytes.
 
@@ -568,7 +562,7 @@ class TestReportBrackets:
     ])
     def test_named_fallbacks_build_a_chain_for_the_x_cubic(self, monkeypatch, point, digest):
         cubic = model._Point.of(ModelParams(*point)).cubic
-        chains = _spy_chains(monkeypatch)
+        chains = spy_chains(monkeypatch)
         assert _report_digest(point) == digest
         # the whole cubic's chain, or with disc != 0 the chain of its cofactor
         # once the bracket test snaps a rational root
@@ -578,7 +572,7 @@ class TestReportBrackets:
 
     def test_three_roots_build_no_chain(self, monkeypatch):
         point, digest = self.THREE_ROOTS
-        chains = _spy_chains(monkeypatch)
+        chains = spy_chains(monkeypatch)
         assert _report_digest(point) == digest
         assert chains == []
         eqs = equilibria(ModelParams(*point))
@@ -595,7 +589,7 @@ class TestReportBrackets:
         seeds = realroots._cubic_seeds
         monkeypatch.setattr(realroots, "_cubic_seeds",
                             lambda cf, three, outer=False: wrong(seeds(cf, three, outer)))
-        chains = _spy_chains(monkeypatch)
+        chains = spy_chains(monkeypatch)
         assert _report_digest(point) == digest
         # the x cubic and its twin, each by its own chain
         assert len(chains) == 2
@@ -610,9 +604,8 @@ class TestScanStabilityRule:
     (0, 1) the fold has the sign of C' there, which a certified bracket
     already holds, and with a, b <= 1 a positive fold makes the flip
     positive.  So _Row.counts asks at most the modulus, and there the
-    modulus is a + b - a b x C', which at a root of C is the quadratic
-    Q = K + M (3 c0 + 2 c1 x + c2 x**2), since x C' = 3 C less
-    3 c0 + 2 c1 x + c2 x**2.
+    modulus equals the quadratic Q, the modulus plus 4 a b C, which a row
+    binds from that polynomial with the cubic.
     """
 
     FIG2 = (F(5, 2), F(5))
@@ -636,14 +629,14 @@ class TestScanStabilityRule:
         assert X * cubic.derivative("x") + (3 * c0 + 2 * c1 * X + c2 * X**2) == 3 * cubic
 
     def test_the_remainder_is_the_modulus_plus_four_cubics(self):
-        # Q = (K - M F) + 4 M C on the bound integers, at unequal speeds and at full speed
+        # Q = modulus + 4 a b C on the bound integers, at unequal speeds and
+        # at full speed: the row's Q against the point's modulus condition
+        four_cubics = integer_terms(4 * A * B * model._CUBIC)
         for params in (ModelParams(4, 4, F(1, 2), F(3, 4)), ModelParams(F(13, 4), F(13, 4))):
             point = model._Point.of(params)
-            _, m = point.speed_terms
             modulus = point.conditions[2]
-            q = point_remainder(point)
-            four_c = [4 * m * c for c in point.cubic]
-            assert [d + e for d, e in zip(modulus, four_c)] == [*q, 0]
+            four_c = bind(four_cubics, point.tables)
+            assert [d + e for d, e in zip(modulus, four_c)] == [*point_remainder(point), 0]
 
     def test_a_scan_asks_at_most_one_sign_per_positive_root(self, monkeypatch):
         # a bound of Q over a bracket whose root has C' > 0, and an exact
@@ -654,11 +647,10 @@ class TestScanStabilityRule:
         straddles, exact = [], []
         real_rule, real_sign = model._bracket_counts, model._sign_dense_at
 
-        def rule(cubic, k, m):
-            answer = real_rule(cubic, k, m)
+        def rule(cubic, q):
+            answer = real_rule(cubic, q)
             if answer and answer[0]:  # a count on brackets is never (0, 0)
                 disc = realroots._cubic_discriminant(cubic)
-                q = remainder(cubic, k, m)
                 for (a, b, j), _ in realroots._cubic_brackets(cubic, disc, outer=True):
                     low, high = quadratic_bounds(q, a, b, j)
                     straddles.append(low <= 0 <= high)
@@ -674,15 +666,10 @@ class TestScanStabilityRule:
         assert len(exact) == sum(straddles)
 
     def test_a_wrong_remainder_makes_a_scan_disagree(self, monkeypatch):
-        # Q's constant term at 2 c0 in place of 3 c0: the certificates catch
-        # it.  The rule builds Q = K + M (3 c0 + ...) inline, so K less M c0
-        # plants it
-        real_rule = model._bracket_counts
-
-        def planted(cubic, k, m):
-            return real_rule(cubic, k - m * cubic[0], m)
-
+        # Q's constant term a + b + a b (3 c0) with 2 c0 in place of 3 c0,
+        # c0 = 1 - u v, planted in Q's polynomial: the certificates catch it
+        planted = model._CD_ON_LOCUS[2] + 4 * A * B * model._CUBIC - A * B * (1 - U * V)
         spec = ScanSpec(self.FIG2, self.FIG2, 20)
         assert not scan("stable", spec).disagreements()
-        monkeypatch.setattr(model, "_bracket_counts", planted)
+        monkeypatch.setattr(model, "_ROW_TERMS", integer_terms(model._CUBIC + X**4 * planted))
         assert scan("stable", spec).disagreements()

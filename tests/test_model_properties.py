@@ -30,7 +30,10 @@ from kopelcas.rational import format_rational
 from kopelcas.realroots import (
     AlgebraicReal, _cubic_brackets, _eval_int_at, _isolate_int, _sign_dense_at, sign_at,
 )
-from oracles import coefficient_of, point_counts, point_remainder, sturm_sign_count
+from oracles import (
+    dense_x, hand_conditions, point_counts, point_remainder, remainder, speed_terms,
+    sturm_sign_count,
+)
 
 
 intensities = st.builds(F, st.integers(1, 200), st.integers(1, 40))
@@ -43,17 +46,13 @@ speed_pairs = st.one_of(
 )
 
 
-def _dense_x(poly) -> list:
-    return [coefficient_of(poly, "x", k).as_fraction() for k in range(int(poly.degree("x")) + 1)]
-
-
 @given(intensities, intensities, speed_pairs)
 def test_binder_is_a_positive_multiple_of_the_symbolic_binding(u, v, ab):
     a, b = ab
     params = ModelParams(u, v, a, b)
     dense = _Point.of(params).conditions
     for d, poly in zip(dense, bound_stability_polys(params)):
-        p = _dense_x(poly)
+        p = dense_x(poly)
         assert len(d) == len(p)
         ratio = F(d[-1]) / p[-1]
         assert ratio > 0
@@ -364,11 +363,30 @@ def test_positive_roots_fall_back_to_sturm(monkeypatch, u, v, speed, positive):
 
 @given(intensities, intensities, speed_pairs)
 def test_the_remainder_rises_in_x_and_falls_in_x_squared(u, v, ab):
-    # model._bracket_counts bounds Q taking these signs as given: Q's
-    # linear coefficient is 2 M c1 and its lead M c2, with M > 0,
-    # c1 = u v**2 + u v and c2 = -2 u v**2 over a positive factor
+    # model._bracket_counts bounds Q taking these signs as given: Q has
+    # x-degree 2, its x coefficient is 2 a b (u v**2 + u v) and its x**2
+    # coefficient -2 a b u v**2, over a positive factor
     _, q1, q2 = point_remainder(_Point.of(ModelParams(u, v, *ab)))
     assert q1 > 0 > q2
+
+
+def _positive_multiple(got, expected) -> bool:
+    ratio = F(got[-1], expected[-1])
+    return (ratio > 0 and len(got) == len(expected)
+            and all(g == ratio * e for g, e in zip(got, expected)))
+
+
+@given(intensities, intensities, speed_pairs)
+def test_bound_forms_are_positive_multiples_of_the_hand_forms(u, v, ab):
+    # the conditions and Q, each bound from its frozen polynomial, against
+    # the forms written out by hand from the primitive cubic and the speed
+    # terms K and M; at a = b = 1 both give the fold for the flip
+    point = _Point.of(ModelParams(u, v, *ab))
+    hand = hand_conditions(point)
+    for got, expected in zip(point.conditions, hand):
+        assert _positive_multiple(got, expected)
+    assert (point.conditions[1] is point.conditions[0]) == (hand[1] is hand[0])
+    assert _positive_multiple(point_remainder(point), remainder(point.cubic, *speed_terms(point)))
 
 
 @pytest.mark.parametrize("u, v", [

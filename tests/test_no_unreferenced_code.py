@@ -7,7 +7,9 @@ function through a name, an import, or a module attribute such as
 kc.sign_at.  A read inside the definition's own body, a recursion, does
 not count.  Exempt are dunders, model._Lazy's _make_<name> methods (found
 by name), the names the package exports, and AlgebraicReal.refine, kept
-for the exact-box work on the ROADMAP.
+for the exact-box work on the ROADMAP.  Likewise every __slots__ entry of
+a private class in src/ (model._Row, model._Point) has a reader in src/:
+an attribute load of its name, so a slot only ever stored is refused.
 """
 
 import ast
@@ -91,6 +93,23 @@ def unreferenced(root=ROOT, src_dir="src", reader_dirs=("src", "kbench")) -> lis
     return sorted(missing)
 
 
+def unread_slots(root=ROOT, src_dir="src") -> list:
+    """Class.slot of each __slots__ entry of a private class under root / src_dir never loaded."""
+    trees = _trees(root, src_dir)
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    missing = []
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not (isinstance(node, ast.ClassDef) and node.name.startswith("_")):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                missing += [f"{node.name}.{slot}" for slot in ast.literal_eval(item.value)
+                            if slot not in loaded]
+    return sorted(missing)
+
+
 def test_every_function_in_src_has_a_reader_outside_the_tests():
     assert unreferenced() == []
 
@@ -120,3 +139,24 @@ def test_a_function_read_only_by_itself_is_found(tmp_path):
         "        return ''\n",
         encoding="utf-8")
     assert unreferenced(tmp_path, "src", ("src",)) == ["K.method", "K.read", "loop"]
+
+
+def test_every_private_slot_in_src_has_a_reader():
+    assert unread_slots() == []
+
+
+def test_a_private_slot_only_stored_is_found(tmp_path):
+    # a planted package: a private class's slot read by attribute, one only
+    # stored and one never touched, and a public class's unread slot, exempt
+    package = tmp_path / "src"
+    package.mkdir()
+    (package / "planted.py").write_text(
+        "class _K:\n"
+        "    __slots__ = ('read', 'stored', 'unread')\n"
+        "    def f(self):\n"
+        "        self.stored = 1\n"
+        "        return self.read\n"
+        "class Shown:\n"
+        "    __slots__ = ('free',)\n",
+        encoding="utf-8")
+    assert unread_slots(tmp_path, "src") == ["_K.stored", "_K.unread"]

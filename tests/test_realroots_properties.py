@@ -424,7 +424,11 @@ def _float_eval(cf, x: float) -> tuple[float, float, float]:
 def _generic_brackets(coeffs, disc):
     """_cubic_brackets through the generic loops _float_eval and _eval_dyadic.
 
-    The reference the degree-3 kernel must match bit for bit.
+    The reference the degree-3 kernel must match bit for bit.  Each sorted
+    seed proposes a bracket, None where its floats fail or its ends show no
+    strict sign change.  Of three, the outer two must hold, be apart and
+    share their lower sign, and the gap between them stands in for the
+    middle one where that fails or is not apart from both.
     """
     if not disc:
         return None
@@ -432,24 +436,38 @@ def _generic_brackets(coeffs, disc):
         lead = float(coeffs[-1])
         cf = [float(c) / lead for c in reversed(coeffs)]
         seeds = realroots._cubic_seeds(cf, disc > 0)
-        if len(seeds) != (3 if disc > 0 else 1):
-            return None
-        brackets = []
-        for x in sorted(seeds):
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    if len(seeds) != (3 if disc > 0 else 1):
+        return None
+
+    def bracket(x):
+        try:
             fx, dfx, size = _float_eval(cf, x)
             k = max(-math.frexp((abs(fx) + size * realroots._FLOAT_NOISE) / abs(dfx))[1], 0)
             n, den = x.as_integer_ratio()
-            m = (n << k) // den
-            if brackets:
-                (_, hi, j), _ = brackets[-1]
-                if (m - 1) << j < hi << k:
-                    return None
-            slo = _sign(_eval_dyadic(coeffs, m - 1, k))
-            if slo * _sign(_eval_dyadic(coeffs, m + 2, k)) >= 0:
-                return None
-            brackets.append(((m - 1, m + 2, k), slo))
-    except (OverflowError, ZeroDivisionError, ValueError):
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return None
+        m = (n << k) // den
+        slo = _sign(_eval_dyadic(coeffs, m - 1, k))
+        if slo * _sign(_eval_dyadic(coeffs, m + 2, k)) >= 0:
+            return None
+        return (m - 1, m + 2, k), slo
+
+    def apart(lower, upper):
+        return F(lower[0][1], 1 << lower[0][2]) <= F(upper[0][0], 1 << upper[0][2])
+
+    brackets = [bracket(x) for x in sorted(seeds)]
+    low, high = brackets[0], brackets[-1]
+    if low is None or high is None:
         return None
+    if len(brackets) == 3:
+        if low[1] != high[1] or not apart(low, high):
+            return None
+        if brackets[1] is None or not (apart(low, brackets[1]) and apart(brackets[1], high)):
+            (_, hi, j), (lo, _, k) = low[0], high[0]
+            top = max(j, k)
+            brackets[1] = (hi << (top - j), lo << (top - k), top), -low[1]
     return brackets
 
 
@@ -500,19 +518,9 @@ def _with_model_signs(coeffs) -> tuple:
     return coeffs
 
 
-def _line_counts(cubic, k: int, m: int) -> tuple:
-    """(positive, stable) of a cubic with simple roots, over every real root.
-
-    A root above 0 is stable when C' and Q (oracles.remainder) are both
-    positive there, each sign asked exactly.
-    """
-    roots = [r for r in _isolate_int("x", cubic) if r.compare_rational(0) > 0]
-    slope, q = (cubic[1], 2 * cubic[2], 3 * cubic[3]), remainder(cubic, k, m)
-    return len(roots), sum(_sign_dense_at(slope, r) > 0 < _sign_dense_at(q, r) for r in roots)
-
-
 # roots near 2**-49, 2**-48 and 2: the middle seed's bracket holds the
-# close pair, so it has no sign change, while the lowest holds one root
+# close pair, so it has no sign change, while the lowest holds one root,
+# and the gap up to the highest's bracket holds the middle one
 _CLOSE_PAIR_NEAR_ZERO = (-2, 1688849860263937, -316912650057058194799105933312,
                  158456325028528675187087900672)
 
@@ -524,25 +532,24 @@ _CLOSE_PAIR_NEAR_ZERO = (-2, 1688849860263937, -316912650057058194799105933312,
 @example(_CLOSE_PAIR_NEAR_ZERO, 0, 1, None, 1, 1)
 @example(_CLOSE_PAIR_NEAR_ZERO, 0, 1, None, 1, 10**6)
 def test_the_outer_brackets_are_the_first_and_last(coeffs, at, scale, disc, k, m):
-    # the bracket rule against its oracle, which takes the first and last
-    # of the full call's brackets and Q's signs exactly, on the strategies of
+    # the outer call gives brackets exactly where the full call does, its
+    # first and last, and the bracket rule matches its oracle, which takes
+    # those of the full call and Q's signs exactly, on the strategies of
     # the kernel's bit-for-bit test above, disc forced through the rule's
-    # own name for it
+    # own name for it.  Q is the hand form at speed terms k and m
     coeffs = _with_model_signs(tuple(c * scale if i == at else c for i, c in enumerate(coeffs)))
     assume(coeffs[1] and coeffs[2])
     if disc is None:
         disc = _cubic_discriminant(coeffs)
+    full = _cubic_brackets(coeffs, disc)
+    if full is not None and len(full) == 3:
+        full = [full[0], full[-1]]
+    assert _cubic_brackets(coeffs, disc, outer=True) == full
+    q = remainder(coeffs, k, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_cubic_discriminant", lambda c: disc)
-        got = model._bracket_counts(coeffs, k, m)
-    expected = bracket_counts(coeffs, k, m, disc)
-    if expected is not None or got is None:
-        assert got == expected
-    else:
-        # the full call failed at its middle bracket alone, which the rule
-        # never computes: its outer brackets certify a count all the same
-        assert disc > 0 and _cubic_brackets(coeffs, disc) is None
-        assert got == _line_counts(coeffs, k, m)
+        got = model._bracket_counts(coeffs, q)
+    assert got == bracket_counts(coeffs, q, disc)
 
 
 def _has_no_rational_root(coeffs, nums, dens) -> bool:

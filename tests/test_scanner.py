@@ -16,7 +16,7 @@ from kopelcas.certificates import (
 )
 from kopelcas.exactpoly import power_table
 from kopelcas.model import (
-    Equilibrium, ModelParams, _CUBIC_TERMS, _Point, _Row, equilibria,
+    Equilibrium, ModelParams, _CONDITION_TERMS, _ROW_TERMS, _Point, _Row, equilibria,
     equilibrium_report,
 )
 from kopelcas.scanner import (
@@ -268,10 +268,10 @@ class TestStagedBinding:
         # fold condition is positive (the cubic climbs from 1 - u v < 0 at 0
         # to 1 at 1), and every cell reads the modulus at it
         scan(kind, ScanSpec(self.FIG2, self.FIG2, n, a_value=a))
-        # the kind's certificates are one term list, and the scan's stability
-        # rule takes the modulus from the cubic, so a row stages the kind's
-        # form and the cubic and no stability condition
-        assert staged == {id(_KIND_TERMS[kind]): n, id(_CUBIC_TERMS): n}
+        # the kind's certificates are one term list, and so are the cubic and
+        # Q, the one form the scan's stability rule reads: a row stages the
+        # two and no stability condition
+        assert staged == {id(_KIND_TERMS[kind]): n, id(_ROW_TERMS): n}
 
     @pytest.mark.parametrize("kind", ["stable", "homogeneous"])
     def test_a_scan_builds_no_condition_set(self, kind, monkeypatch):
@@ -292,6 +292,10 @@ class TestStagedBinding:
     @pytest.mark.parametrize("speed", [F(1), F(1, 2)])
     def test_a_report_point_stages_every_condition_once(self, speed, monkeypatch):
         staged = self._count_staging(monkeypatch)
+        bound = Counter()
+        real_bind = model.bind
+        monkeypatch.setattr(model, "bind", lambda terms, tables: bound.update([id(terms)])
+                            or real_bind(terms, tables))
         made = []
         real = _Point._make_conditions
 
@@ -301,9 +305,10 @@ class TestStagedBinding:
 
         monkeypatch.setattr(_Point, "_make_conditions", counting)
         equilibrium_report(ModelParams(4, 4, speed, speed))
-        # the three conditions are read off the finished cubic, so the cubic
-        # is the one term list staged, and the point builds its conditions once
-        assert staged == {id(_CUBIC_TERMS): 1}
+        # the point's row stages the cubic with Q, and the point binds each
+        # condition from its own term list once
+        assert staged == {id(_ROW_TERMS): 1}
+        assert all(bound[id(terms)] == 1 for terms in _CONDITION_TERMS)
         assert len(made) == 1
         # at a = b = 1 the second condition is the first, built once
         assert len({id(c) for c in made[0]}) == (2 if speed == 1 else 3)
