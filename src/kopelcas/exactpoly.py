@@ -1,44 +1,76 @@
 """Sparse exact polynomial arithmetic in the six model variables.
 
 Polynomials live in Q[x, y, u, v, a, b].  A polynomial is a mapping from
-exponent tuples ``(ex, ey, eu, ev, ea, eb)`` to nonzero coefficients; the
-zero polynomial is the empty mapping.  A coefficient is a Python int when it
-is integral and a Fraction with denominator > 1 otherwise, so polynomials
-with integer coefficients, which is nearly all of them here, never pay for
-Fraction normalisation.  The monomial order is lexicographic with
-x > y > u > v > a > b, which exponent tuples inherit from plain tuple
-comparison, so "leading term" below always means the max exponent tuple.
-Substitution takes one pass: each group of terms with one power of the
-replaced variable is multiplied by that power of the replacement into one dict.
+monomials to nonzero coefficients; the zero polynomial is the empty mapping.
+A coefficient is a Python int when it is integral and a Fraction with
+denominator > 1 otherwise, so polynomials with integer coefficients, which
+is nearly all of them here, never pay for Fraction normalisation.  The
+monomial order is lexicographic with x > y > u > v > a > b, so "leading
+term" below always means the max exponent tuple.  Substitution takes one
+pass: each group of terms with one power of the replaced variable is
+multiplied by that power of the replacement into one dict.
 
-The resultant runs in an integer kernel on term dicts
-``{exponent tuple: int}``, by the subresultant polynomial remainder
-sequence: both arguments are cleared to integers once, split into
-coefficient lists in the eliminated variable, pseudo-divided on ints, and
-the result is scaled back once at the end.  Every division in the sequence
-is exact and takes quotient coefficients with divmod, so a nonzero
-remainder is an error, never a rounding.  Dense univariate helpers over Z
-(primitive parts, pseudo-remainders, gcds, exact division) serve the root
-layer, and a parameter polynomial compiled to an integer term list binds
-rational parameters on integers alone, in two stages: u, a and b, then v.
-Each stage is straight-line integer code generated from the polynomial's
-terms when the term list is compiled, so binding interprets no term.
+Packed monomials.  The public surface speaks exponent tuples
+``(ex, ey, eu, ev, ea, eb)``: the constructor, terms(), degree(),
+variables() and pickling.  Inside, each monomial is one int key: every
+variable owns a FIELD-bit field, x the highest, so x**ex y**ey ... b**eb is
+ex << 5 FIELD | ey << 4 FIELD | ... | eb.  Every exponent a polynomial holds
+is below EXP_CAP = 2**(FIELD - 1), which leaves each field's top bit, its
+guard bit, clear.  Then:
+
+- int order is the lex order of the exponent tuples, so a leading term has
+  the max key and terms() sorts keys;
+- a product's key is the sum of its factors' keys.  Each field of the sum
+  is below 2 EXP_CAP = 2**FIELD, so no field carries into the next, and the
+  sum's guard bits are set exactly where an exponent reached the cap;
+- a quotient's key is the difference.  Where an exponent of the divisor
+  exceeds the dividend's, the lowest such field borrows and reads more than
+  2**FIELD - EXP_CAP = EXP_CAP, so its guard bit is set, or, when that field
+  is x's, the difference is negative.  Either way the quotient is refused.
+
+Quotients are thus checked term by term, and sums once per public
+operation: a product reads its guard bits once it is complete (_capped);
+a substitution and a resultant bound the degrees they will reach from their
+arguments before they start.  Reaching the cap raises OverflowError, and the
+constructor refuses an exponent at the cap with ValueError.
+
+The resultant runs in an integer kernel on term dicts ``{key: int}``, by the
+subresultant polynomial remainder sequence: both arguments are cleared to
+integers once, split into coefficient lists in the eliminated variable,
+pseudo-divided on ints, and the result is scaled back once at the end.
+Every division in the sequence is exact and takes quotient coefficients
+with divmod, so a nonzero remainder is an error, never a rounding.  Dense
+univariate helpers over Z (primitive parts, pseudo-remainders, gcds, exact
+division) serve the root layer, and a parameter polynomial compiled to an
+integer term list binds rational parameters on integers alone, in two
+stages: u, a and b, then v.  Each stage is straight-line integer code
+generated from the polynomial's terms when the term list is compiled, so
+binding interprets no term.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+from operator import or_
 
 from .rational import coerce_rational
 
 VARS: tuple[str, ...] = ("x", "y", "u", "v", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
-_ZERO_EXP = (0, 0, 0, 0, 0, 0)
 # Within a printed monomial, factors appear alphabetically: a b u v x y.
 _PRINT_ORDER = tuple(sorted(range(len(VARS)), key=lambda i: VARS[i]))
+
+# 10 bits keep a key within 60 bits, two digits of a CPython int; 15 bits
+# (three digits) ran the projection resultants 3-5% slower
+FIELD = 10  # bits per exponent in a packed monomial
+EXP_CAP = 1 << (FIELD - 1)  # every exponent is below this: 512
+_MASK = (1 << FIELD) - 1
+_SHIFTS = tuple(FIELD * (len(VARS) - 1 - i) for i in range(len(VARS)))  # x's field highest
+_GUARD = sum(EXP_CAP << s for s in _SHIFTS)  # the top bit of every field
 
 NEG_INF = float("-inf")
 
@@ -59,47 +91,86 @@ def _coeff(value) -> Coeff:
     return c.numerator if c.denominator == 1 else c
 
 
+def _unpack(key: int) -> tuple[int, ...]:
+    return tuple([key >> s & _MASK for s in _SHIFTS])
+
+
+def _degrees(terms: dict) -> list[int]:
+    """Each variable's degree over a nonempty collection of keys, in VARS order."""
+    return [max([key >> s & _MASK for key in terms]) for s in _SHIFTS]
+
+
+def _fold(used: int) -> int:
+    """The OR of a key's six fields, folded onto the lowest by three shifts.
+
+    For the OR of a term dict's keys it has the bit length of the highest
+    exponent there, so it bounds that exponent from above, by less than 2x.
+    """
+    used |= used >> 3 * FIELD
+    return (used | used >> FIELD | used >> 2 * FIELD) & _MASK
+
+
 def _canon(terms: dict) -> dict:
     """Drop zero coefficients and turn integral Fractions into ints."""
-    return {exp: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for exp, c in terms.items() if c}
+    return {key: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for key, c in terms.items() if c}
+
+
+def _capped(terms: dict) -> "MPoly":
+    """terms as an MPoly; OverflowError where a guard bit shows an exponent at the cap.
+
+    Each key of terms is a carry-free sum of keys below the cap.
+    """
+    if terms and reduce(or_, terms) & _GUARD:
+        raise OverflowError(f"an exponent reached the cap {EXP_CAP}")
+    return _raw(terms)
 
 
 def _mul_into(out: dict, f: dict, g: dict) -> dict:
     """Add the product of the term dicts f and g into out; zeros stay in out."""
     get = out.get
-    for (x1, y1, u1, v1, a1, b1), c1 in f.items():
-        for (x2, y2, u2, v2, a2, b2), c2 in g.items():
-            exp = (x1 + x2, y1 + y2, u1 + u2, v1 + v2, a1 + a2, b1 + b2)
-            out[exp] = get(exp, 0) + c1 * c2
+    g = g.items()
+    for k1, c1 in f.items():
+        for k2, c2 in g:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
     return out
 
 
 class MPoly:
-    """Immutable sparse polynomial over Q in the variables x, y, u, v, a, b."""
+    """Immutable sparse polynomial over Q in the variables x, y, u, v, a, b.
+
+    Terms are keyed by packed monomials (the module docstring): FIELD bits
+    per variable, and every exponent below EXP_CAP.  A product, power,
+    substitution or resultant that could reach the cap raises OverflowError
+    rather than carry into the next variable's field.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], object] | None = None):
-        """terms maps exponent tuples, six non-negative ints, to exact coefficients."""
-        clean: dict[tuple[int, ...], Coeff] = {}
+        """terms maps exponent tuples, six ints in [0, EXP_CAP), to exact coefficients."""
+        clean: dict[int, Coeff] = {}
         if terms:
             for exp, coeff in terms.items():
                 if (type(exp) is not tuple or len(exp) != len(VARS)
-                        or any(type(e) is not int or e < 0 for e in exp)):
-                    raise ValueError(f"an exponent tuple holds {len(VARS)} non-negative ints, "
-                                     f"not {exp!r}")
+                        or any(type(e) is not int or not 0 <= e < EXP_CAP for e in exp)):
+                    raise ValueError(f"an exponent tuple holds {len(VARS)} non-negative ints "
+                                     f"below {EXP_CAP}, not {exp!r}")
                 c = _coeff(coeff)
                 if c:
-                    clean[exp] = c
+                    ex, ey, eu, ev, ea, eb = exp
+                    clean[((((ex << FIELD | ey) << FIELD | eu) << FIELD | ev) << FIELD | ea)
+                          << FIELD | eb] = c
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
     def __reduce__(self):
-        # pickle and copy would restore _terms through __setattr__
-        return MPoly, (self._terms,)
+        # pickle and copy would restore _terms through __setattr__; the
+        # payload keeps exponent tuples, so it does not depend on FIELD
+        return MPoly, ({_unpack(key): c for key, c in self._terms.items()},)
 
     # -- constructors ------------------------------------------------------
 
@@ -109,7 +180,8 @@ class MPoly:
 
     @classmethod
     def constant(cls, c) -> "MPoly":
-        return cls({_ZERO_EXP: c})
+        c = _coeff(c)
+        return _raw({0: c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -124,29 +196,30 @@ class MPoly:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _ZERO_EXP in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial; error if any variable remains."""
         if not self._terms:
             return Fraction(0)
         if self.is_constant():
-            return Fraction(self._terms[_ZERO_EXP])
+            return Fraction(self._terms[0])
         raise ValueError(f"not a constant polynomial: {self}")
 
     def terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
-        """Terms in descending monomial order (canonical)."""
-        return sorted(self._terms.items(), reverse=True)
+        """Terms in descending monomial order (canonical), keyed by exponent tuples."""
+        return [(_unpack(key), self._terms[key]) for key in sorted(self._terms, reverse=True)]
 
     def variables(self) -> set[str]:
-        return {VARS[i] for exp in self._terms for i, e in enumerate(exp) if e}
+        used = reduce(or_, self._terms, 0)  # a field is nonzero where some term has it
+        return {VARS[i] for i, s in enumerate(_SHIFTS) if used >> s & _MASK}
 
     def degree(self, name: str):
         """Degree in one variable; the zero polynomial has degree -inf."""
-        i = _check_var(name)
+        s = _SHIFTS[_check_var(name)]
         if not self._terms:
             return NEG_INF
-        return max(exp[i] for exp in self._terms)
+        return max([key >> s & _MASK for key in self._terms])
 
     # -- ring operations ---------------------------------------------------
 
@@ -155,14 +228,14 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for exp, c in other._terms.items():
-            out[exp] = out.get(exp, 0) + c
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0) + c
         return _raw(_canon(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return _raw({exp: -c for exp, c in self._terms.items()})
+        return _raw({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         other = _coerce_poly(other)
@@ -179,10 +252,12 @@ class MPoly:
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return _raw(_canon({exp: k * c for exp, k in self._terms.items()}))
+            return _raw(_canon({key: k * c for key, k in self._terms.items()}))
         if not isinstance(other, MPoly):
             return NotImplemented
-        return _raw(_canon(_mul_into({}, self._terms, other._terms)))
+        # deg(f g) = deg f + deg g in each variable, and the product's guard
+        # bits show exactly where that sum reaches the cap
+        return _capped(_canon(_mul_into({}, self._terms, other._terms)))
 
     __rmul__ = __mul__
 
@@ -191,7 +266,9 @@ class MPoly:
             raise ValueError("exponent must be a nonnegative integer")
         if not n:
             return ONE
-        result = self  # square and multiply from the base, n's bits from the top
+        # square and multiply from the base, n's bits from the top; each
+        # product is checked before the next reads it, so none carries
+        result = self
         for bit in bin(n)[3:]:
             result = result * result
             if bit == "1":
@@ -207,34 +284,31 @@ class MPoly:
 
     def __hash__(self) -> int:
         if self.is_constant():  # equal to its value, so hashed as its value
-            return hash(self._terms.get(_ZERO_EXP, 0))
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- calculus and substitution ----------------------------------------
 
     def derivative(self, name: str) -> "MPoly":
-        i = _check_var(name)
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self._terms.items():
-            e = exp[i]
+        s = _SHIFTS[_check_var(name)]
+        one = 1 << s
+        out: dict[int, Coeff] = {}
+        for key, c in self._terms.items():
+            e = key >> s & _MASK
             if e:
-                reduced = list(exp)
-                reduced[i] = e - 1
-                out[tuple(reduced)] = c * e
+                out[key - one] = c * e
         return _raw(_canon(out))
 
     def evaluate(self, binding: Mapping[str, object]) -> "MPoly":
         """Substitute exact rational values for a subset of the variables."""
-        idx_vals = [(_check_var(name), _coeff(val)) for name, val in binding.items()]
-        out: dict[tuple[int, ...], Coeff] = {}
-        for exp, c in self._terms.items():
-            reduced = list(exp)
-            for i, val in idx_vals:
-                e = reduced[i]
+        shift_vals = [(_SHIFTS[_check_var(name)], _coeff(val)) for name, val in binding.items()]
+        out: dict[int, Coeff] = {}
+        for key, c in self._terms.items():
+            for s, val in shift_vals:
+                e = key >> s & _MASK
                 if e:
                     c = c * val ** e
-                    reduced[i] = 0
-            key = tuple(reduced)
+                    key -= e << s
             out[key] = out.get(key, 0) + c
         return _raw(_canon(out))
 
@@ -243,22 +317,32 @@ class MPoly:
 
         The terms are grouped by their power e of the variable; each group times
         the replacement's e-th power is added into one dict, canonicalised once.
+
+        Overflow: with top the highest e, the replacement's powers reach
+        degree top * deg r in each variable, which is checked against the cap
+        before any is formed.  Then every group's keys and every power's lie
+        below the cap, each sum of a pair is carry-free, and the result's
+        guard bits show where an exponent of the composition reached the cap.
         """
-        i = _check_var(name)
+        s = _SHIFTS[_check_var(name)]
         if not isinstance(replacement, MPoly):
             replacement = MPoly.constant(replacement)
         groups: dict[int, dict] = {}
-        for exp, c in self._terms.items():
-            groups.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
+        for key, c in self._terms.items():
+            e = key >> s & _MASK
+            groups.setdefault(e, {})[key - (e << s)] = c
         top = max(groups, default=0)
         if not top:
             return self
+        r = replacement._terms
+        if top * _fold(reduce(or_, r, 0)) >= EXP_CAP and top * max(_degrees(r)) >= EXP_CAP:
+            raise OverflowError(f"a power of the replacement reaches the cap {EXP_CAP}")
         out, power = groups.pop(0, {}), _INT_ONE
         for e in range(1, top + 1):
-            power = _int_power(replacement._terms, 1, power)  # the replacement's e-th power
+            power = _int_power(r, 1, power)  # the replacement's e-th power
             if e in groups:
                 _mul_into(out, groups[e], power)
-        return _raw(_canon(out))
+        return _capped(_canon(out))
 
     # -- text form ---------------------------------------------------------
 
@@ -293,8 +377,8 @@ class MPoly:
         return f"MPoly({self.to_str()!r})"
 
 
-def _raw(terms: dict[tuple[int, ...], Coeff]) -> MPoly:
-    """Build an MPoly from an already-normalized term dict (no copying checks)."""
+def _raw(terms: dict[int, Coeff]) -> MPoly:
+    """Build an MPoly from an already-normalized packed term dict (no copying checks)."""
     p = MPoly.__new__(MPoly)
     object.__setattr__(p, "_terms", terms)
     return p
@@ -315,12 +399,14 @@ ONE = MPoly.constant(1)
 
 # -- integer kernel --------------------------------------------------------
 #
-# Polynomials over Z as term dicts {exponent tuple: int} without zeros.  The
+# Polynomials over Z as term dicts {packed key: int} without zeros.  The
 # resultant clears denominators on the way in, computes on ints alone, and
 # scales back once on the way out.  Products and quotients by 1 are skipped,
-# so a helper may return an argument and none mutates its input.
+# so a helper may return an argument and none mutates its input.  No helper
+# checks a sum of keys: the resultant, their one public caller, bounds the
+# degrees they reach before it starts.
 
-_INT_ONE = {_ZERO_EXP: 1}
+_INT_ONE = {0: 1}
 
 
 def _denominator_lcm(p: MPoly) -> int:
@@ -331,67 +417,66 @@ def _int_terms(p: MPoly, mult: int) -> dict:
     """The term dict of mult * p, for a multiple mult of p's denominators."""
     if mult == 1:
         return p._terms
-    return {exp: c.numerator * (mult // c.denominator) for exp, c in p._terms.items()}
+    return {key: c.numerator * (mult // c.denominator) for key, c in p._terms.items()}
 
 
 def _scaled(terms: dict, scale: Fraction) -> MPoly:
     """The MPoly scale * terms, from an integer term dict."""
     if scale == 1:
         return _raw(terms)
-    return _raw(_canon({exp: c * scale for exp, c in terms.items()}))
+    return _raw(_canon({key: c * scale for key, c in terms.items()}))
 
 
 def _int_divide(f: dict, g: dict) -> dict:
     """f / g on integer term dicts; ValueError("not divisible") unless exact.
 
-    Long division by leading terms, taken from a heap of negated exponents
-    (a cancelled term's entry is skipped; new terms lie below the leading
-    one).  Over Z every quotient coefficient must come out of divmod with no
-    remainder, which holds whenever g divides f over Q and g is primitive
-    (Gauss's lemma), or f is an exact multiple of g over Z.  Dividing by 1
-    returns f itself.
+    Long division by leading terms, taken from a heap of negated keys (a
+    cancelled term's entry is skipped; new terms lie below the leading one).
+    A quotient term's key is the difference of two keys, refused when it is
+    negative or a guard bit is set (the module docstring), and each key added
+    back is that difference plus a key of g, carry-free.  Over Z every
+    quotient coefficient must come out of divmod with no remainder, which
+    holds whenever g divides f over Q and g is primitive (Gauss's lemma), or
+    f is an exact multiple of g over Z.  Dividing by 1 returns f itself.
     """
     if g == _INT_ONE:
         return f
-    lead_exp = max(g)
-    lead = g[lead_exp]
-    lx, ly, lu, lv, la, lb = lead_exp
-    tail = [(exp, c) for exp, c in g.items() if exp != lead_exp]
-    quot: dict[tuple[int, ...], int] = {}
+    lead_key = max(g)
+    lead = g[lead_key]
+    tail = [(key, c) for key, c in g.items() if key != lead_key]
+    quot: dict[int, int] = {}
     if not tail:  # a monomial cancels no term, so each is divided alone
-        for (x, y, u, v, a, b), c in f.items():
+        for key, c in f.items():
             t, r = divmod(c, lead)
-            d = (x - lx, y - ly, u - lu, v - lv, a - la, b - lb)
-            if r or min(d) < 0:
+            d = key - lead_key
+            if r or d < 0 or d & _GUARD:
                 raise ValueError("not divisible")
             quot[d] = t
         return quot
     rest = dict(f)
-    heap = [(-x, -y, -u, -v, -a, -b) for x, y, u, v, a, b in rest]
+    heap = [-key for key in rest]
     heapify(heap)
     while rest:
-        nx, ny, nu, nv, na, nb = heappop(heap)
-        top = (-nx, -ny, -nu, -nv, -na, -nb)
+        top = -heappop(heap)
         if top not in rest:
             continue
         t, r = divmod(rest.pop(top), lead)
-        d = (-nx - lx, -ny - ly, -nu - lu, -nv - lv, -na - la, -nb - lb)
-        if r or min(d) < 0:
+        d = top - lead_key
+        if r or d < 0 or d & _GUARD:
             raise ValueError("not divisible")
         quot[d] = t
-        dx, dy, du, dv, da, db = d
-        for (x2, y2, u2, v2, a2, b2), c in tail:
-            x, y, u, v, a, b = exp = (dx + x2, dy + y2, du + u2, dv + v2, da + a2, db + b2)
-            s = rest.get(exp)
+        for k2, c in tail:
+            key = d + k2
+            s = rest.get(key)
             if s is None:
-                rest[exp] = -t * c
-                heappush(heap, (-x, -y, -u, -v, -a, -b))
+                rest[key] = -t * c
+                heappush(heap, -key)
             else:
                 s -= t * c
                 if s:
-                    rest[exp] = s
+                    rest[key] = s
                 else:
-                    del rest[exp]
+                    del rest[key]
     return quot
 
 
@@ -403,17 +488,24 @@ def _int_power(f: dict, k: int, times: dict = _INT_ONE) -> dict:
         return times
     for _ in range(k):
         times = f if times == _INT_ONE else {
-            exp: c for exp, c in _mul_into({}, times, f).items() if c}
+            key: c for key, c in _mul_into({}, times, f).items() if c}
     return times
 
 
-def _int_dense(p: MPoly, mult: int, i: int) -> list[dict]:
-    """Ascending coefficients of mult * p in variable i, as term dicts free of it."""
+def _int_dense(p: MPoly, mult: int, s: int) -> tuple[list[dict], int]:
+    """Ascending coefficients of mult * p in the variable at shift s, and the OR of their keys.
+
+    The coefficients are term dicts free of that variable.
+    """
     terms = _int_terms(p, mult)
-    dense: list[dict] = [{} for _ in range(max(exp[i] for exp in terms) + 1)]
-    for exp, c in terms.items():
-        dense[exp[i]][exp[:i] + (0,) + exp[i + 1:]] = c
-    return dense
+    dense: list[dict] = [{} for _ in range(max([key >> s & _MASK for key in terms]) + 1)]
+    used = 0
+    for key, c in terms.items():
+        e = key >> s & _MASK
+        key -= e << s
+        dense[e][key] = c
+        used |= key
+    return dense, used
 
 
 def _int_prem(f: list[dict], g: list[dict]) -> list[dict]:
@@ -422,7 +514,7 @@ def _int_prem(f: list[dict], g: list[dict]) -> list[dict]:
     lead = g[-1]
     unit = lead == _INT_ONE  # then r[j] changes only where a multiple of g lands
     for k in range(len(f) - len(g), -1, -1):
-        minus_top = {exp: -c for exp, c in r.pop().items()}
+        minus_top = {key: -c for key, c in r.pop().items()}
         for j in range(len(r)):
             shifted = minus_top and j >= k
             if unit and not shifted:
@@ -430,7 +522,7 @@ def _int_prem(f: list[dict], g: list[dict]) -> list[dict]:
             acc = dict(r[j]) if unit else _mul_into({}, lead, r[j])
             if shifted:
                 _mul_into(acc, minus_top, g[j - k])
-            r[j] = {exp: c for exp, c in acc.items() if c}
+            r[j] = {key: c for key, c in acc.items() if c}
     return _dense_trim(r)
 
 
@@ -449,22 +541,41 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
     (c may involve the other variables); the resultant of two degree-0
     arguments is 1; a single zero argument gives 0; two zero arguments are
     an error.  Swapping the arguments multiplies by (-1)**(deg p * deg q).
+
+    Overflow.  Let m >= n >= 1 be the degrees in name, and for each other
+    variable let S = n deg p + m deg q in it.  Every subresultant is a minor
+    of the Sylvester matrix, with n rows of p's coefficients and m of q's,
+    so its coefficients, p's and q's, and each g and h (leading coefficients
+    of subresultants, by the fundamental theorem; Brown & Traub) have degree
+    at most S.  A pseudo-remainder multiplies by lc(g) delta + 1 times, and
+    delta <= m - 1, so its degree is at most (m + 1) S, as is g h**delta's;
+    the powers of g and h taken for h and for the result reach at most m S.
+    No term of a quotient, or of its running remainder, exceeds the
+    dividend's degree.  So when (m + 1) S < EXP_CAP every key in the kernel
+    is a carry-free sum below the cap; otherwise this raises OverflowError
+    before any product is formed.
     """
-    i = _check_var(name)
+    s = _SHIFTS[_check_var(name)]
     if p.is_zero() and q.is_zero():
         raise ValueError("resultant of two zero polynomials is undefined")
     if p.is_zero() or q.is_zero():
         return MPoly.zero()
-    m = int(p.degree(name))
-    n = int(q.degree(name))
+    dp, dq = _denominator_lcm(p), _denominator_lcm(q)
+    (f, used_f), (g, used_g) = _int_dense(p, dp, s), _int_dense(q, dq, s)
+    m, n = len(f) - 1, len(g) - 1
     if m == 0 or n == 0:
         return p ** n * q ** m
-    if m < n:
-        res = resultant(q, p, name)
-        return -res if m & n & 1 else res
-    dp, dq = _denominator_lcm(p), _denominator_lcm(q)
-    f, g = _int_dense(p, dp, i), _int_dense(q, dq, i)
-    sign, lead, h = 1, _INT_ONE, _INT_ONE
+    sign = 1
+    if m < n:  # Res(p, q) = (-1)**(m n) Res(q, p)
+        f, g, m, n, dp, dq, used_f, used_g = g, f, n, m, dq, dp, used_g, used_f
+        sign = -1 if m & n & 1 else 1
+    # (m + 1) S < EXP_CAP: first from the folded ORs of the coefficients'
+    # keys, then, only if that bound fails, from the exact degrees
+    if (m + 1) * (n * _fold(used_f) + m * _fold(used_g)) >= EXP_CAP:
+        f_deg, g_deg = (_degrees([key for c in dense for key in c]) for dense in (f, g))
+        if (m + 1) * max([n * a + m * b for a, b in zip(f_deg, g_deg)]) >= EXP_CAP:
+            raise OverflowError(f"a resultant in {name} could reach the exponent cap {EXP_CAP}")
+    lead, h = _INT_ONE, _INT_ONE
     while len(g) > 1:
         delta = len(f) - len(g)
         if (len(f) - 1) & (len(g) - 1) & 1:
@@ -478,7 +589,7 @@ def resultant(p: MPoly, q: MPoly, name: str) -> MPoly:
         if delta:
             h = _int_divide(_int_power(lead, delta), _int_power(h, delta - 1))
     deg = len(f) - 1
-    det = _int_divide(_int_power(g[0], deg, {_ZERO_EXP: sign}), _int_power(h, deg - 1))
+    det = _int_divide(_int_power(g[0], deg, {0: sign}), _int_power(h, deg - 1))
     return _scaled(det, Fraction(1, dp ** n * dq ** m))
 
 
@@ -489,20 +600,23 @@ def _dense_coeffs(p: MPoly, name: str) -> list[Coeff]:
     d = p.degree(name)
     if d is NEG_INF:
         return []
-    i = _VAR_INDEX[name]
+    s = _SHIFTS[_VAR_INDEX[name]]
     out: list[Coeff] = [0] * (int(d) + 1)
-    for exp, c in p._terms.items():
-        out[exp[i]] = c
+    for key, c in p._terms.items():
+        out[key >> s & _MASK] = c
     return out
 
 
 def dense_to_mpoly(coeffs: Iterable, name: str) -> MPoly:
-    i = _check_var(name)
-    out: dict[tuple[int, ...], Coeff] = {}
+    """The polynomial with ascending coefficients coeffs in one variable."""
+    s = _SHIFTS[_check_var(name)]
+    out: dict[int, Coeff] = {}
     for power, c in enumerate(coeffs):
         c = _coeff(c)
         if c:
-            out[_ZERO_EXP[:i] + (power,) + _ZERO_EXP[i + 1:]] = c
+            if power >= EXP_CAP:
+                raise ValueError(f"an exponent is below {EXP_CAP}, not {power}")
+            out[power << s] = c
     return _raw(out)
 
 

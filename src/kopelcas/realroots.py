@@ -726,10 +726,10 @@ def _rational_value(r: AlgebraicReal) -> Fraction | None:
 
     r's defining polynomial is primitive, so by the rational root theorem a
     rational root is a multiple of 1 / |lead|.  A copy of r's hint, or of
-    its window when it has none, is narrowed until it is at most that wide,
-    with no cap.  Then the one multiple strictly inside it, if there is one,
-    is the only candidate, and one exact evaluation decides it.  r itself is
-    left as it is.
+    its window when it has none, is narrowed until it is at most that wide.
+    Then the one multiple strictly inside it, if there is one, is the only
+    candidate, and one exact evaluation decides it.  r itself is left as it
+    is.
 
     Each narrowing step takes an exact Newton step from the window's
     midpoint and proposes the cell of a grid 2**s times finer than the
@@ -739,12 +739,20 @@ def _rational_value(r: AlgebraicReal) -> Fraction | None:
     halves.  Near a simple root the kept cells shrink quadratically, so a
     huge lead costs about log2 log2(|lead| * width) steps, not
     log2(|lead| * width) halvings.
+
+    Every step at least halves the window, so |lead| * width, below
+    2**bit_length((b - a) |lead|) / 2**k at the start, is at most 1 after
+    bit_length((b - a) |lead|) - k steps.  The loop gets those passes and
+    one more to see it, so a slip that stops it narrowing raises
+    RuntimeError instead of hanging.
     """
     coeffs, slo = r._coeffs, r._lower_sign()
     a, b, k = r._hint or (r._a, r._b, r._k)
     lead = abs(coeffs[-1])
     s = 1
-    while (b - a) * lead > 1 << k:
+    for _ in range(max(((b - a) * lead).bit_length() - k, 0) + 1):
+        if (b - a) * lead <= 1 << k:
+            break
         m, j = a + b, k + 1
         fm = _eval_dyadic(coeffs, m, j)
         if not fm:
@@ -766,6 +774,8 @@ def _rational_value(r: AlgebraicReal) -> Fraction | None:
                 continue
         s = max(s >> 1, 1)
         a, b, k = (m, b << 1, j) if (fm > 0) == (slo > 0) else (a << 1, m, j)
+    else:
+        raise RuntimeError("rational root test failed to converge")
     n = (a * lead >> k) + 1  # n / lead is the least multiple above a / 2**k
     if n << k < b * lead and not _eval_int_at(coeffs, n, lead):
         return Fraction(n, lead)

@@ -19,10 +19,15 @@ replayed_compare, replayed_sign,
 replayed_refine and replayed_step run a root's queries as loops of their
 own, each halving a shadow window and writing it back at the end, the
 oracle for the window every query of AlgebraicReal leaves.
+tuple_mul_into and tuple_int_divide are exactpoly's integer-kernel product
+and heap division as they were on term dicts keyed by exponent tuples,
+before monomials were packed into ints, and tuple_resultant is a Bareiss
+Sylvester determinant on them alone: the oracles for the packed kernel.
 """
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from kopelcas import model, realroots
 from kopelcas.exactpoly import VARS, MPoly, _int_clear, _int_gcd, bind
@@ -243,3 +248,119 @@ def replayed_step(coeffs, hint, state):
         return state
     a, b, k = state
     return _kept(*_halve(coeffs, _lower_sign(coeffs, a, k), a, b, k, hint))
+
+
+# -- the integer kernel on exponent tuples ----------------------------------
+
+_INT_ONE = {(0, 0, 0, 0, 0, 0): 1}
+
+
+def tuple_mul_into(out: dict, f: dict, g: dict) -> dict:
+    """Add the product of the term dicts f and g into out; zeros stay in out."""
+    get = out.get
+    for (x1, y1, u1, v1, a1, b1), c1 in f.items():
+        for (x2, y2, u2, v2, a2, b2), c2 in g.items():
+            exp = (x1 + x2, y1 + y2, u1 + u2, v1 + v2, a1 + a2, b1 + b2)
+            out[exp] = get(exp, 0) + c1 * c2
+    return out
+
+
+def tuple_int_divide(f: dict, g: dict) -> dict:
+    """f / g on integer term dicts; ValueError("not divisible") unless exact.
+
+    Long division by leading terms, taken from a heap of negated exponents
+    (a cancelled term's entry is skipped; new terms lie below the leading
+    one).  Over Z every quotient coefficient must come out of divmod with no
+    remainder, which holds whenever g divides f over Q and g is primitive
+    (Gauss's lemma), or f is an exact multiple of g over Z.  Dividing by 1
+    returns f itself.
+    """
+    if g == _INT_ONE:
+        return f
+    lead_exp = max(g)
+    lead = g[lead_exp]
+    lx, ly, lu, lv, la, lb = lead_exp
+    tail = [(exp, c) for exp, c in g.items() if exp != lead_exp]
+    quot: dict[tuple[int, ...], int] = {}
+    if not tail:  # a monomial cancels no term, so each is divided alone
+        for (x, y, u, v, a, b), c in f.items():
+            t, r = divmod(c, lead)
+            d = (x - lx, y - ly, u - lu, v - lv, a - la, b - lb)
+            if r or min(d) < 0:
+                raise ValueError("not divisible")
+            quot[d] = t
+        return quot
+    rest = dict(f)
+    heap = [(-x, -y, -u, -v, -a, -b) for x, y, u, v, a, b in rest]
+    heapify(heap)
+    while rest:
+        nx, ny, nu, nv, na, nb = heappop(heap)
+        top = (-nx, -ny, -nu, -nv, -na, -nb)
+        if top not in rest:
+            continue
+        t, r = divmod(rest.pop(top), lead)
+        d = (-nx - lx, -ny - ly, -nu - lu, -nv - lv, -na - la, -nb - lb)
+        if r or min(d) < 0:
+            raise ValueError("not divisible")
+        quot[d] = t
+        dx, dy, du, dv, da, db = d
+        for (x2, y2, u2, v2, a2, b2), c in tail:
+            x, y, u, v, a, b = exp = (dx + x2, dy + y2, du + u2, dv + v2, da + a2, db + b2)
+            s = rest.get(exp)
+            if s is None:
+                rest[exp] = -t * c
+                heappush(heap, (-x, -y, -u, -v, -a, -b))
+            else:
+                s -= t * c
+                if s:
+                    rest[exp] = s
+                else:
+                    del rest[exp]
+    return quot
+
+
+def tuple_terms(p: MPoly, mult: int = 1) -> dict:
+    """mult * p as a term dict keyed by exponent tuples, read through terms()."""
+    return {exp: c * mult for exp, c in p.terms()}
+
+
+def tuple_resultant(p: MPoly, q: MPoly, name: str) -> dict:
+    """Res(p, q) in name, for positive degrees in it, as a term dict on exponent tuples.
+
+    The Sylvester matrix of p and q cleared to integers, reduced by Bareiss'
+    fraction-free elimination: every entry below a pivot becomes a 2x2
+    minor divided exactly by the previous pivot, through tuple_mul_into and
+    tuple_int_divide alone, and a zero pivot swaps in a lower row.
+    """
+    i = VARS.index(name)
+    rows = []
+    for poly, other in ((p, q), (q, p)):
+        mult = math.lcm(*[Fraction(c).denominator for _, c in poly.terms()])
+        m = int(poly.degree(name))
+        coeffs = [{} for _ in range(m + 1)]
+        for exp, c in tuple_terms(poly, mult).items():
+            coeffs[m - exp[i]][exp[:i] + (0,) + exp[i + 1:]] = int(c)
+        rows.append((coeffs, int(other.degree(name)), mult))
+    size = sum(len(c) - 1 for c, _, _ in rows)
+    matrix, scale = [], Fraction(1)
+    for coeffs, count, mult in rows:
+        scale /= mult ** count
+        for r in range(count):
+            matrix.append([{}] * r + coeffs + [{}] * (size - r - len(coeffs)))
+    sign, prev = 1, _INT_ONE
+    for k in range(size - 1):
+        if not matrix[k][k]:
+            below = [r for r in range(k + 1, size) if matrix[r][k]]
+            if not below:
+                return {}
+            matrix[k], matrix[below[0]] = matrix[below[0]], matrix[k]
+            sign = -sign
+        pivot = matrix[k][k]
+        for r in range(k + 1, size):
+            minus = {exp: -c for exp, c in matrix[r][k].items()}
+            for j in range(k + 1, size):
+                acc = tuple_mul_into(tuple_mul_into({}, matrix[r][j], pivot), minus, matrix[k][j])
+                matrix[r][j] = tuple_int_divide({exp: c for exp, c in acc.items() if c}, prev)
+        prev = pivot
+    det = matrix[-1][-1]
+    return {exp: sign * c * scale for exp, c in det.items()}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kopelcas.exactpoly import (
     MPoly, NEG_INF, VARS, X, Y, U, V, A, B,
-    BIND_TOP, _dense_coeffs, _denominator_lcm, _int_divide, _int_gcd, _int_terms, bind,
+    BIND_TOP, _dense_coeffs, _denominator_lcm, _int_divide, _int_gcd, _int_terms, _raw, bind,
     dense_to_mpoly, finish, integer_terms, power_tables, resultant, stage,
 )
 from kopelcas.certificates import _KIND_CERTIFICATES, _KIND_TERMS
@@ -196,7 +196,7 @@ def int_terms(p):
 
 
 def int_product(f, g):
-    return int_terms(MPoly(f) * MPoly(g))
+    return int_terms(_raw(f) * _raw(g))
 
 
 def test_int_divide_round_trip():
